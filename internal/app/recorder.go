@@ -67,14 +67,17 @@ type Recorder struct {
 
 	depthHW []int64
 
-	tc *trace.Collector
+	// bounds is the fine bucket layout shared, read-only, by every class
+	// histogram and the collector mirrors, built once rather than per op.
+	bounds []int64
+	tc     *trace.Collector
 }
 
 // NewRecorder sizes the recorder for a shard count; tc may be nil.
 func NewRecorder(shards int, tc *trace.Collector) *Recorder {
-	r := &Recorder{depthHW: make([]int64, shards), tc: tc}
+	r := &Recorder{depthHW: make([]int64, shards), bounds: trace.FineBounds(), tc: tc}
 	for c := range r.Lat {
-		r.Lat[c] = trace.NewHistogram(trace.FineBounds())
+		r.Lat[c] = trace.NewHistogram(r.bounds)
 	}
 	return r
 }
@@ -83,7 +86,9 @@ func NewRecorder(shards int, tc *trace.Collector) *Recorder {
 func (r *Recorder) Latency(class int, d sim.Time) {
 	ns := int64(d)
 	r.Lat[class].Observe(ns)
-	r.tc.ObserveBounds("app", "lat."+classNames[class], trace.FineBounds(), ns)
+	if r.tc.Enabled() {
+		r.tc.ObserveBounds("app", "lat."+classNames[class], r.bounds, ns)
+	}
 }
 
 // Depth records a shard's instantaneous admission-queue depth, observed by

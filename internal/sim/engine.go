@@ -11,11 +11,12 @@
 //   - Plain events: funcs scheduled with Engine.Schedule/At (or the
 //     fire-and-forget Post/PostAt fast path), used by hardware models
 //     (NIC engines, mesh links, timers).
-//   - Processes: goroutine-backed coroutines (Proc) for code that reads
-//     naturally as sequential — application programs, library protocol code,
-//     daemons. Exactly one goroutine (the engine or a single Proc) runs at a
-//     time, so no locking is needed anywhere in the simulation and execution
-//     order is fully deterministic.
+//   - Processes: runtime coroutines (Proc, built on iter.Pull) for code that
+//     reads naturally as sequential — application programs, library protocol
+//     code, daemons. Exactly one stack (the engine loop or a single Proc)
+//     runs at a time and control passes by direct coroutine switch, never
+//     through the Go scheduler, so no locking is needed anywhere in the
+//     simulation and execution order is fully deterministic.
 //
 // The event core is performance-engineered for wall-clock speed without
 // giving up one bit of determinism (see DESIGN.md "Wall-clock performance"):
@@ -369,9 +370,9 @@ func (e *Engine) Run(limit Time) Time {
 // RunAll executes until no events remain.
 func (e *Engine) RunAll() Time { return e.Run(0) }
 
-// Shutdown unwinds every parked process goroutine (daemons and servers
-// block forever by design; a long-lived host program releases them here
-// once the simulation is over). The engine must not be running. After
+// Shutdown unwinds every parked process (daemons and servers block forever
+// by design; a long-lived host program releases their stacks here once the
+// simulation is over). The engine must not be running. After
 // Shutdown the engine is spent: procs are dead and only plain events could
 // still execute.
 func (e *Engine) Shutdown() {
@@ -384,8 +385,9 @@ func (e *Engine) Shutdown() {
 			continue
 		}
 		p.killed = true
-		p.ch <- struct{}{} // wake inside park(); it panics killSentinel
-		<-p.ch             // goroutine unwinds and reports dead
+		// Resume inside park(), which panics killSentinel; the body
+		// unwinds and reports dead before next returns.
+		p.next()
 	}
 }
 

@@ -1,16 +1,25 @@
+//go:build go1.23
+
+// The constraint raises this file's language version to go1.23 for
+// iter.Pull; go.mod stays at go 1.22 so the perfbench module, which
+// replaces shrimp with this root and says go 1.22 itself, still builds.
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
-// Proc is a simulated sequential process (a coroutine backed by a goroutine).
+// Proc is a simulated sequential process: a runtime coroutine (iter.Pull).
 //
-// Exactly one goroutine is runnable at any instant: either the engine's event
-// loop or a single Proc. Control transfers by synchronous channel handoff, so
-// a Proc may freely touch engine and model state while it runs — no other
-// code can be executing concurrently.
+// Exactly one stack runs at any instant: either the engine's event loop or a
+// single Proc. Control transfers by a direct coroutine switch — dispatch
+// resumes the proc with next, park hands control back with yield — so it
+// never passes through the Go scheduler, and a Proc may freely touch engine
+// and model state while it runs: no other code can be executing
+// concurrently.
 //
 // Procs advance virtual time with Sleep/Delay, and block on Conds. Code
 // running inside a Proc must only return to the engine through these calls.
@@ -18,17 +27,16 @@ type Proc struct {
 	Name string
 
 	eng *Engine
-	// ch is the bidirectional handoff channel. Control alternates strictly
-	// (engine sends to resume the proc, the proc sends to yield back), so a
-	// single unbuffered channel suffices and each switch costs one handoff
-	// instead of two.
-	ch   chan struct{}
-	done bool
-	dead bool // goroutine exited
+	// next runs the proc until it parks or exits; yield, valid only in the
+	// proc's own context, suspends it and returns control to next's caller.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
+	dead  bool // body exited: returned, unwound by a kill, or panicked
 
 	wakePending bool    // an unpark event is already scheduled
 	waitingOn   []*Cond // conds this proc is currently enqueued on
-	killed      bool    // Shutdown/Kill has asked the goroutine to unwind
+	killed      bool    // Shutdown/Kill has asked the proc to unwind
 	service     bool    // daemon-style proc: excluded from deadlock diagnosis
 
 	// wake and redispatch are the proc's two wakeup callbacks, built once
@@ -43,18 +51,18 @@ type Proc struct {
 	interruptsMasked  bool
 }
 
-// killSentinel unwinds a proc goroutine during Engine.Shutdown.
+// killSentinel unwinds a killed proc's stack (Kill, Engine.Shutdown).
 type killSentinel struct{}
 
 // Spawn creates a process and schedules its first execution at the current
 // time. fn runs in the process context; when fn returns the process is done.
-// A panic in fn is fatal to the host program (simulation state would be
-// unrecoverable); only the Shutdown sentinel is absorbed.
+// A panic in fn propagates out of whichever call resumed the proc (Engine.Run
+// or Shutdown) on the caller's goroutine, with its original value; the
+// engine is spent after that. Only the kill sentinel is absorbed.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		Name: name,
 		eng:  e,
-		ch:   make(chan struct{}),
 	}
 	p.wake = func() {
 		p.wakePending = false
@@ -67,17 +75,16 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		e.dispatch(p)
 	}
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.ch
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); !ok {
-					panic(r) //lint:allow transitive-panic re-propagating a genuine failure from a simulated process body; swallowing it would hide the crash
-				}
-			}
 			p.done = true
 			p.dead = true
-			p.ch <- struct{}{}
+			if r := recover(); r != nil {
+				if _, ok := r.(killSentinel); !ok {
+					panic(r) //lint:allow transitive-panic re-propagating a genuine failure from a simulated process body; iter.Pull carries it out of next to the engine's caller
+				}
+			}
 		}()
 		if p.killed {
 			// Killed before its first instruction ran: unwind without
@@ -85,7 +92,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 			panic(killSentinel{}) //lint:allow transitive-panic the kill-unwind mechanism itself: caught by the recover above, never escapes
 		}
 		fn(p)
-	}()
+	})
 	e.Post(0, p.redispatch)
 	return p
 }
@@ -100,16 +107,14 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 	prev := e.cur
 	e.cur = p
-	p.ch <- struct{}{}
-	<-p.ch
+	p.next()
 	e.cur = prev
 }
 
-// park yields control back to the engine. Must be called from p's goroutine.
+// park yields control back to the engine. Must be called in p's own context.
 // The proc will not run again until something schedules an unpark.
 func (p *Proc) park() {
-	p.ch <- struct{}{}
-	<-p.ch
+	p.yield(struct{}{})
 	if p.killed {
 		panic(killSentinel{}) //lint:allow transitive-panic controlled unwind of a killed proc; the engine recovers the sentinel
 	}
@@ -199,12 +204,14 @@ func (p *Proc) Interrupt(fn func(*Proc)) {
 	}
 }
 
-// leaveConds removes the proc from every cond it is enqueued on.
+// leaveConds removes the proc from every cond it is enqueued on. The
+// waitingOn array is kept for the next wait, so waiting does not allocate.
 func (p *Proc) leaveConds() {
 	for _, c := range p.waitingOn {
 		c.remove(p)
 	}
-	p.waitingOn = nil
+	clear(p.waitingOn)
+	p.waitingOn = p.waitingOn[:0]
 }
 
 // MaskInterrupts defers queued and future interrupt handlers until
@@ -299,25 +306,31 @@ func (c *Cond) Signal() {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	p.leaveConds()
+	p.leaveConds() // c is among p's conds: this dequeues it from c too
 	p.unpark()
 }
 
 // Broadcast wakes every waiting proc.
 func (c *Cond) Broadcast() {
 	ws := c.waiters
-	c.waiters = nil
+	c.waiters = nil // the waiters' leaveConds have nothing to remove here
 	for _, p := range ws {
 		p.leaveConds()
 		p.unpark()
 	}
+	// No proc runs during the loop, so nothing re-enqueued: reuse the array.
+	clear(ws)
+	c.waiters = ws[:0]
 }
 
+// remove dequeues p's first entry, copying the tail down in place so the
+// queue keeps its FIFO order and its backing array.
 func (c *Cond) remove(p *Proc) {
 	for i, w := range c.waiters {
 		if w == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			n := copy(c.waiters[i:], c.waiters[i+1:])
+			c.waiters[i+n] = nil
+			c.waiters = c.waiters[:i+n]
 			return
 		}
 	}
