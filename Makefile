@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet lint fuzz trace-smoke svm app partition chaos pool snap-smoke meshscale meshscale-smoke bench bench-json check clean
+.PHONY: all build test race vet fmt lint fuzz trace-smoke svm app partition chaos pool snap-smoke meshscale meshscale-smoke bench bench-json check clean
 
 all: build
 
@@ -19,18 +19,24 @@ race:
 vet:
 	$(GO) vet ./...
 
+# fmt fails if any Go file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 # lint runs shrimplint, the project's determinism-and-discipline checker
 # (see DESIGN.md "Determinism contract"). Exits nonzero on any finding.
 lint:
 	$(GO) run ./cmd/shrimplint ./...
 
-# fuzz gives the XDR round-trip, raw-decode, trace, and mesh packet-codec
-# targets a brief shake; the corpus accumulates in the Go build cache.
+# fuzz gives the XDR round-trip, raw-decode, trace, mesh packet-codec, and
+# event-queue differential targets a brief shake; the corpus accumulates in
+# the Go build cache.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/xdr
 	$(GO) test -run NONE -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME) ./internal/xdr
 	$(GO) test -run NONE -fuzz FuzzChromeTrace -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run NONE -fuzz FuzzPacketCodec -fuzztime $(FUZZTIME) ./internal/mesh
+	$(GO) test -run NONE -fuzz FuzzEventQueue -fuzztime $(FUZZTIME) ./internal/sim
 
 # trace-smoke exercises the observability layer end to end: run the same
 # traced scenario twice and require byte-identical Chrome trace files —
@@ -116,10 +122,10 @@ bench-json:
 	$(GO) run ./cmd/shrimpbench -benchjson /tmp/BENCH_new.json -benchbase BENCH_9.json
 	cp /tmp/BENCH_new.json BENCH_10.json
 
-# check is the full gate CI runs: build, vet, lint, race-enabled tests,
-# trace determinism, snapshot determinism, mesh-scaling digest stability,
-# and the chaos soak.
-check: build vet lint race trace-smoke snap-smoke meshscale-smoke chaos
+# check is the full gate CI runs: gofmt, build, vet, lint, race-enabled
+# tests, trace determinism, snapshot determinism, mesh-scaling digest
+# stability, and the chaos soak.
+check: fmt build vet lint race trace-smoke snap-smoke meshscale-smoke chaos
 
 clean:
 	$(GO) clean ./...

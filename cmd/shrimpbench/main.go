@@ -25,6 +25,10 @@
 //	shrimpbench -meshscale | -meshsmoke
 //	shrimpbench -benchjson BENCH_5.json [-benchbase old.json]
 //
+// Every mode also takes -cpuprofile FILE, which writes a host CPU profile
+// of the whole run to FILE for `go tool pprof`; simulation output does not
+// change.
+//
 // -parallel N runs the independent figure sweeps (or chaos cells) on N
 // worker threads. Every simulation still executes single-threaded on its
 // own engine; tables, CSVs, and replay digests are byte-identical to a
@@ -90,12 +94,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 
 	"shrimp/internal/bench"
 	"shrimp/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run parses the flags, runs the selected mode, and returns the process
+// exit status, so deferred cleanup (the CPU profile) runs on every path.
+func run() int {
 	fig := flag.String("fig", "all", "which experiment to run")
 	iters := flag.Int("iters", 8, "ping-pong iterations per point")
 	csvDir := flag.String("csv", "", "also write CSV files into this directory")
@@ -112,7 +121,27 @@ func main() {
 	parallel := flag.Int("parallel", 0, "run independent figure/chaos scenarios on N workers (0 = sequential; results are byte-identical either way)")
 	benchJSON := flag.String("benchjson", "", "run the wall-clock benchmark suite and write the JSON report to this file")
 	benchBase := flag.String("benchbase", "", "baseline JSON report to compare -benchjson results against (warn-only)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of whichever mode runs to this file (read it with go tool pprof)")
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+			f.Close()
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+			}
+		}()
+	}
 
 	if *benchJSON != "" {
 		rep := bench.RunPerfSuite(*iters)
@@ -120,17 +149,17 @@ func main() {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("wrote %s\n", *benchJSON)
 		if *benchBase != "" {
 			warnBenchBaseline(*benchBase, rep)
 		}
-		return
+		return 0
 	}
 
 	if *meshScale {
@@ -138,17 +167,17 @@ func main() {
 		fmt.Print(bench.MeshScaleTable(rows))
 		if err := bench.MeshScaleOK(rows); err != nil {
 			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *meshSmoke {
 		if err := bench.RunMeshScaleSmoke(); err != nil {
 			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println("meshscale smoke: ok")
-		return
+		return 0
 	}
 
 	if *poolFlag {
@@ -156,13 +185,13 @@ func main() {
 		fmt.Print(bench.PoolTable(rep))
 		if !rep.Elastic.OK() || !rep.Rolling.OK() {
 			fmt.Fprintln(os.Stderr, "shrimpbench: elasticity scenarios FAILED")
-			os.Exit(1)
+			return 1
 		}
 		if rep.Speedup < 5 {
 			fmt.Fprintf(os.Stderr, "shrimpbench: pool amortization %.2fx below the 5x bar\n", rep.Speedup)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *partFlag {
@@ -170,27 +199,27 @@ func main() {
 		if err != nil {
 			fmt.Print(bench.AppPartitionTable(rows))
 			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Print(bench.AppPartitionTable(rows))
-		return
+		return 0
 	}
 
 	if *appFlag && *tracePath == "" && !*stats {
 		rows, err := bench.AppRamp([]float64{5e5, 1e6, 2e6, 4e6, 8e6})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Print(bench.AppRampTable(rows))
 		fmt.Println()
 		res, err := bench.RunAppServe(bench.AcceptanceAppOpts())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Print(bench.AppServeTable(res))
-		return
+		return 0
 	}
 	if *appFlag {
 		*fig = "app"
@@ -203,10 +232,10 @@ func main() {
 		for _, r := range rows {
 			if !r.Match {
 				fmt.Fprintln(os.Stderr, "shrimpbench: SVM and NX results diverged")
-				os.Exit(1)
+				return 1
 			}
 		}
-		return
+		return 0
 	}
 	if *svmFlag {
 		*fig = "svm"
@@ -225,9 +254,9 @@ func main() {
 		fmt.Print(bench.DegradedTable(points, 1024))
 		if !bench.ChaosOK(results) {
 			fmt.Fprintln(os.Stderr, "shrimpbench: chaos soak FAILED")
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *tracePath != "" || *stats {
@@ -235,13 +264,13 @@ func main() {
 		desc, err := bench.TraceFigure(*fig, tc)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		fmt.Println(desc)
 		if *tracePath != "" {
 			if err := tc.WriteChromeTrace(*tracePath); err != nil {
 				fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Printf("wrote %s (%d spans, %d engine events)\n",
 				*tracePath, len(tc.Spans()), tc.EngineEvents())
@@ -250,7 +279,7 @@ func main() {
 			fmt.Println()
 			fmt.Print(tc.Summary())
 		}
-		return
+		return 0
 	}
 
 	run := func(name string) bool { return *fig == "all" || *fig == name }
@@ -306,12 +335,12 @@ func main() {
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			path := filepath.Join(*csvDir, f.ID+".csv")
 			if err := os.WriteFile(path, []byte(f.CSV()), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Printf("wrote %s\n\n", path)
 		}
@@ -348,8 +377,9 @@ func main() {
 
 	if !anyRan(*fig) {
 		fmt.Fprintf(os.Stderr, "unknown figure %q; want one of all,fig3,fig4,fig5,fig7,fig8,peak,ttcp,rpcbase,ablate\n", *fig)
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
 // warnBenchBaseline compares rep against a committed baseline report and

@@ -243,8 +243,8 @@ func appServe(tc *trace.Collector, opts AppServeOpts, stats *AppServeStats) erro
 func AcceptanceAppOpts() AppServeOpts {
 	return AppServeOpts{
 		MeshX: 4, MeshY: 2,
-		Sessions:  1 << 20,
-		Gateways:  []int{0, 1, 2, 3},
+		Sessions: 1 << 20,
+		Gateways: []int{0, 1, 2, 3},
 		// 8e5 aggregate is heavy but serviceable: the 8-node cluster
 		// saturates near 1.2M ops/s at this batch size (the gateway hosts'
 		// NICs, which carry serving and gateway traffic both, give out

@@ -35,9 +35,9 @@ type MeshScaleRow struct {
 
 	// Point-to-point, corner to corner (node 0 to node N-1, the full
 	// network diameter).
-	P2PLatency  time.Duration // one-way one-word latency
-	P2PBandMBs  float64       // large-message bandwidth
-	P2PHops     int           // diameter in hops
+	P2PLatency time.Duration // one-way one-word latency
+	P2PBandMBs float64       // large-message bandwidth
+	P2PHops    int           // diameter in hops
 	// Collectives, per operation, measured at node 0 over several reps.
 	Gsync  time.Duration
 	Gdsum  time.Duration
@@ -45,9 +45,9 @@ type MeshScaleRow struct {
 
 	// Link-contention histogram ("link.wait", virtual ns per queued
 	// header) over the whole cell.
-	WaitN          int64
+	WaitN            int64
 	WaitP50, WaitP99 time.Duration
-	WaitMax        time.Duration
+	WaitMax          time.Duration
 
 	// Combining-engine counters (zero with combining off).
 	CombMerged, CombDelivered int64

@@ -206,7 +206,7 @@ func SVMJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
 					cur[0] = 1.0
 				}
 				if node < nodes-1 {
-					cur[local+1] = readF64(stripVA(arr, node + 1))
+					cur[local+1] = readF64(stripVA(arr, node+1))
 				} else {
 					cur[local+1] = 0.0
 				}

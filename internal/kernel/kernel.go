@@ -112,9 +112,9 @@ type Machine struct {
 	// each segment lives only until its delayed PresentToSnoop runs, so a
 	// small free list absorbs the entire per-store allocation churn.
 	segPool [][]byte
-	irq        map[int]func(data any)
-	procs      []*Process // every process spawned, for Crash
-	dead       bool       // node crashed: interrupts are dropped
+	irq     map[int]func(data any)
+	procs   []*Process // every process spawned, for Crash
+	dead    bool       // node crashed: interrupts are dropped
 
 	// IRQRaised counts interrupts delivered to this node's CPU — the
 	// libraries' interrupt-avoidance claims are tested against it.

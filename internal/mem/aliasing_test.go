@@ -84,7 +84,7 @@ func TestCheckReportsAccessDetails(t *testing.T) {
 		{"read past end", func() { m.Read(PA(2*hw.Page-1), 2) }},
 		{"negative length", func() { m.Read(0, -1) }},
 		{"huge pa wraps int", func() { m.Read(PA(1<<63+5), 1) }},
-		{"write past end", func() { m.WriteDMA(PA(2 * hw.Page), make([]byte, 1)) }},
+		{"write past end", func() { m.WriteDMA(PA(2*hw.Page), make([]byte, 1)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -100,4 +101,46 @@ func BenchmarkProcPingPong(b *testing.B) {
 		b.Fatalf("completed %d rallies, want %d", rallies, n)
 	}
 	e.Shutdown()
+}
+
+// BenchmarkEventQueueMixed holds the heap at a steady depth with seeded
+// random deltas, so every push and pop sifts, and every eighth firing
+// re-arms one of the depth/8 timers, which removes it from the middle of
+// the heap. Depths 20 and 70 are the mean queue depths of the kv and mesh
+// workloads. One op is one fired event.
+func BenchmarkEventQueueMixed(b *testing.B) {
+	for _, depth := range []int{20, 70} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			e := NewDetachedEngine()
+			x := uint64(depth) // xorshift state
+			delta := func() time.Duration {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				return time.Duration(1 + x%1000)
+			}
+			timers := make([]*Timer, depth/8)
+			for i := range timers {
+				timers[i] = e.Schedule(10*delta(), func() {})
+			}
+			fired := 0
+			var fn func()
+			fn = func() {
+				fired++
+				if fired == b.N {
+					e.Halt()
+				}
+				if fired%8 == 0 {
+					timers[fired/8%len(timers)].Reset(10 * delta())
+				}
+				e.Post(delta(), fn)
+			}
+			for i := len(timers); i < depth; i++ {
+				e.Post(delta(), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run(0)
+		})
+	}
 }

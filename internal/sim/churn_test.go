@@ -85,7 +85,7 @@ func TestNowQueueOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	e.Schedule(time.Microsecond, func() { order = append(order, 1) }) // heap, seq 1
-	e.Schedule(time.Microsecond, func() {                            // heap, seq 2
+	e.Schedule(time.Microsecond, func() {                             // heap, seq 2
 		// Runs at t=1us: these two join the now-queue behind heap
 		// entry seq 3.
 		e.Schedule(0, func() { order = append(order, 4) })

@@ -20,15 +20,17 @@
 //
 // The event core is performance-engineered for wall-clock speed without
 // giving up one bit of determinism (see DESIGN.md "Wall-clock performance"):
-// events are recycled on a free list instead of allocated per Schedule,
-// canceled timers are removed from the heap eagerly rather than riding to
-// their deadline, and events scheduled for the current instant bypass the
-// heap on a FIFO that preserves the exact (time, seq) firing order the heap
-// would have produced.
+// the queue is a concrete 4-ary min-heap whose slots carry the (time, seq)
+// key inline, so a comparison never leaves the slot array; events are
+// recycled on a free list instead of allocated per Schedule; canceled timers
+// are removed from the heap eagerly rather than riding to their deadline;
+// and events scheduled for the current instant bypass the heap on a FIFO
+// that preserves the exact (time, seq) firing order the heap would have
+// produced. seq is unique, so (time, seq) is a strict total order: any
+// correct priority queue fires events in exactly the same order.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -94,7 +96,7 @@ func (t *Timer) Stop() bool {
 	t.ev = nil
 	switch {
 	case ev.index >= 0:
-		heap.Remove(&t.eng.queue, ev.index)
+		t.eng.removeAt(ev.index)
 		t.eng.recycle(ev)
 		return true
 	case ev.index == indexNowQ:
@@ -130,40 +132,106 @@ func (t *Timer) Reset(d time.Duration) bool {
 	return wasPending
 }
 
-type eventHeap []*event
+// heapEnt is one slot of the event queue. The (at, seq) key rides inline
+// beside the event pointer, so a comparison reads the slot it is already
+// looking at instead of dereferencing two events.
+type heapEnt struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether slot a fires before slot b. seq is unique, so
+// (at, seq) is a strict total order and the pop order is fully determined.
+func (a *heapEnt) before(b *heapEnt) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// The queue is a 4-ary min-heap: slot i's children are 4i+1..4i+4. A wider
+// node halves the tree height of a binary heap, and the four children of a
+// node share a cache line or two. Sifts move a hole rather than swapping,
+// writing each moved event's index once.
+
+// push inserts ev into the heap.
+func (e *Engine) push(ev *event) {
+	e.queue = append(e.queue, heapEnt{})
+	e.siftUp(len(e.queue)-1, heapEnt{at: ev.at, seq: ev.seq, ev: ev})
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = indexFired
-	*h = old[:n-1]
+
+// pop removes and returns the earliest heap event. The heap must be
+// non-empty.
+func (e *Engine) pop() *event {
+	ev := e.queue[0].ev
+	e.removeAt(0)
 	return ev
+}
+
+// removeAt deletes slot i: the last slot moves into the hole and sifts up
+// or down to restore the heap property.
+func (e *Engine) removeAt(i int) {
+	q := e.queue
+	n := len(q) - 1
+	q[i].ev.index = indexFired
+	last := q[n]
+	q[n] = heapEnt{}
+	e.queue = q[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(&q[(i-1)/4]) {
+		e.siftUp(i, last)
+	} else {
+		e.siftDown(i, last)
+	}
+}
+
+// siftUp places x, whose hole is at slot i, by moving larger parents down.
+func (e *Engine) siftUp(i int, x heapEnt) {
+	q := e.queue
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
+	}
+	q[i] = x
+	x.ev.index = i
+}
+
+// siftDown places x, whose hole is at slot i, by moving smaller children up.
+func (e *Engine) siftDown(i int, x heapEnt) {
+	q := e.queue
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&x) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.index = i
+		i = m
+	}
+	q[i] = x
+	x.ev.index = i
 }
 
 // Engine is a discrete-event simulator instance.
 type Engine struct {
 	now   Time
 	seq   uint64
-	queue eventHeap
+	queue []heapEnt
 	// nowQ is the current-instant FIFO: events scheduled for exactly the
 	// current time skip the heap. Everything in nowQ carries a seq larger
 	// than any same-instant event still in the heap (heap entries for the
@@ -260,7 +328,7 @@ func (e *Engine) post(t Time, fn func()) *event {
 		e.nowQ = append(e.nowQ, ev)
 		e.nowLive++
 	} else {
-		heap.Push(&e.queue, ev)
+		e.push(ev)
 	}
 	return ev
 }
@@ -310,7 +378,7 @@ func (e *Engine) next() *event {
 			// FIFO entries are at the current instant; heap entries for
 			// the same instant carry smaller seqs and must fire first.
 			if len(e.queue) > 0 && e.queue[0].at <= e.now {
-				return heap.Pop(&e.queue).(*event)
+				return e.pop()
 			}
 			ev := e.nowQ[e.nowHead]
 			e.nowQ[e.nowHead] = nil
@@ -329,7 +397,7 @@ func (e *Engine) next() *event {
 			return ev
 		}
 		if len(e.queue) > 0 {
-			return heap.Pop(&e.queue).(*event)
+			return e.pop()
 		}
 		return nil
 	}
@@ -341,15 +409,14 @@ func (e *Engine) next() *event {
 func (e *Engine) Run(limit Time) Time {
 	e.halted = false
 	for !e.halted {
-		next := e.next()
-		if next == nil {
+		// Peek before dequeuing: a live FIFO entry is at the current
+		// instant, so only the heap top can lie beyond the limit.
+		if limit > 0 && e.nowLive == 0 && len(e.queue) > 0 && e.queue[0].at > limit {
+			e.now = limit
 			break
 		}
-		if limit > 0 && next.at > limit {
-			// Put it back where it came from; only heap events can be
-			// beyond the current instant.
-			heap.Push(&e.queue, next)
-			e.now = limit
+		next := e.next()
+		if next == nil {
 			break
 		}
 		if next.at < e.now {

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -41,16 +40,10 @@ func (e *Engine) Settle() Time {
 		if e.nowLive == 0 && (len(e.queue) == 0 || e.queue[0].at > e.now) {
 			break
 		}
+		// The check above guarantees a live event at the current instant:
+		// either a live FIFO entry or a heap top at now, which next
+		// returns before any FIFO entry. The clock never moves.
 		next := e.next()
-		if next == nil {
-			break
-		}
-		if next.at > e.now {
-			// A canceled-FIFO scan can surface a future heap event; put it
-			// back — Settle never advances the clock.
-			e.requeue(next)
-			break
-		}
 		e.EventsRun++
 		fn := next.fn
 		if e.tracer != nil {
@@ -60,17 +53,6 @@ func (e *Engine) Settle() Time {
 		fn()
 	}
 	return e.now
-}
-
-// requeue returns a dequeued-but-unexecuted event to the heap.
-func (e *Engine) requeue(ev *event) {
-	if ev.at == e.now {
-		ev.index = indexNowQ
-		e.nowQ = append(e.nowQ, ev)
-		e.nowLive++
-		return
-	}
-	heap.Push(&e.queue, ev)
 }
 
 // Clock returns the current virtual time and the scheduling sequence
@@ -111,8 +93,8 @@ type EventStamp struct {
 // recipe-drift tripwire.
 func (e *Engine) EventStamps() []EventStamp {
 	out := make([]EventStamp, 0, len(e.queue)+e.nowLive)
-	for _, ev := range e.queue {
-		out = append(out, EventStamp{At: ev.at, Seq: ev.seq})
+	for _, h := range e.queue {
+		out = append(out, EventStamp{At: h.at, Seq: h.seq})
 	}
 	for i := e.nowHead; i < len(e.nowQ); i++ {
 		if ev := e.nowQ[i]; ev.index == indexNowQ {
