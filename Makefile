@@ -109,9 +109,10 @@ chaos:
 
 # bench runs every Go microbenchmark with allocation stats: the event-core
 # hot paths (churn, timer arm/cancel, proc ping-pong), the memory bulk
-# moves, and the end-to-end figure/chaos drivers.
+# moves, the packet datapath (NIC -> mesh -> NIC), and the end-to-end
+# figure/chaos drivers.
 bench:
-	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/bench .
+	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/nic ./internal/mesh ./internal/bench .
 
 # bench-json runs the reproducible wall-clock suite and refreshes the
 # committed BENCH_10.json baseline (ns/op, allocs/op, events/sec, wall-clock

@@ -266,7 +266,7 @@ func (c *Cluster) scheduleFaults(plan *fault.Plan) {
 			}
 			src := mesh.NodeID((nf.Node + 1) % len(c.Nodes))
 			for i := 0; i < count; i++ {
-				c.Eng.At(sim.Time(0).Add(nf.At+time.Duration(i)*gap), func() {
+				c.Eng.PostAt(sim.Time(0).Add(nf.At+time.Duration(i)*gap), func() {
 					if n := c.Nodes[nf.Node]; !n.Dead {
 						n.NIC.ForceFault(src)
 					}
@@ -277,7 +277,7 @@ func (c *Cluster) scheduleFaults(plan *fault.Plan) {
 			if dur == 0 {
 				dur = 20 * time.Microsecond
 			}
-			c.Eng.At(sim.Time(0).Add(nf.At), func() {
+			c.Eng.PostAt(sim.Time(0).Add(nf.At), func() {
 				if n := c.Nodes[nf.Node]; !n.Dead {
 					n.NIC.StallOutgoing(dur)
 				}
@@ -286,13 +286,13 @@ func (c *Cluster) scheduleFaults(plan *fault.Plan) {
 	}
 	for _, cr := range plan.Crashes {
 		cr := cr
-		c.Eng.At(sim.Time(0).Add(cr.At), func() {
+		c.Eng.PostAt(sim.Time(0).Add(cr.At), func() {
 			if !c.Nodes[cr.Node].Dead {
 				c.CrashNode(cr.Node)
 			}
 		})
 		if cr.RestartAfter > 0 {
-			c.Eng.At(sim.Time(0).Add(cr.At+cr.RestartAfter), func() {
+			c.Eng.PostAt(sim.Time(0).Add(cr.At+cr.RestartAfter), func() {
 				if c.Nodes[cr.Node].Dead {
 					c.RestartNode(cr.Node)
 				}

@@ -217,6 +217,11 @@ func (d *Daemon) onFault(data any) {
 		d.NIC.Unfreeze(false)
 		return
 	}
+	// An unforced fault means the daemons' own export/revoke protocol let
+	// a packet reach a disabled page. The handler runs in event context
+	// with no caller to hand an error to, and dropping the packet would
+	// silently lose data a sender believes delivered.
+	//lint:allow transitive-panic mapping-protocol invariant broken; an IRQ handler has no caller to return an error to
 	panic(fmt.Sprintf("shrimpd%d: receive-path protection fault: frame %d from node %d",
 		d.NodeID, f.Frame, f.Src))
 }
@@ -250,6 +255,7 @@ func (d *Daemon) serve(p *kernel.Process) {
 			// Fabric-originated announcement; no reply (there is no sender).
 			d.reapDeadNode(p, req.Node)
 		default:
+			//lint:allow transitive-panic the daemon port carries only this package's request types; anything else is a wiring bug, and dropping it would park its sender forever
 			panic(fmt.Sprintf("shrimpd%d: unknown request %T", d.NodeID, m.Payload))
 		}
 	}

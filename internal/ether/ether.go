@@ -157,7 +157,7 @@ func (n *Network) transmit(m *Message) {
 		n.inj.Severed++
 		return
 	}
-	n.eng.At(end.Add(hw.EtherInterruptCost), func() {
+	n.eng.PostAt(end.Add(hw.EtherInterruptCost), func() {
 		dst, ok := n.ports[m.To]
 		if !ok {
 			return // dropped

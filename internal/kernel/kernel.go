@@ -12,6 +12,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"shrimp/internal/hw"
@@ -111,7 +112,7 @@ type Machine struct {
 	// segPool recycles the AU store-capture segments (writeAUFragment):
 	// each segment lives only until its delayed PresentToSnoop runs, so a
 	// small free list absorbs the entire per-store allocation churn.
-	segPool [][]byte
+	segPool []*auSegment
 	irq     map[int]func(data any)
 	procs   []*Process // every process spawned, for Crash
 	dead    bool       // node crashed: interrupts are dropped
@@ -188,7 +189,7 @@ func (m *Machine) RaiseIRQ(vector int, data any) {
 	if m.Trace != nil {
 		m.Trace.Count(m.TraceNode+"/kernel", "irq", 1)
 	}
-	m.Eng.Schedule(hw.InterruptCost, func() { fn(data) })
+	m.Eng.Post(hw.InterruptCost, func() { fn(data) })
 }
 
 // Process is a user process on a node.
@@ -222,6 +223,11 @@ type Process struct {
 	prot       map[VPN]Prot
 	faultFn    func(*Process, PageFault)
 	faultDepth int
+
+	// waitSets pools the cond lists of the multi-source waits, one per
+	// nesting level in use (waitDepth); see waitSet.
+	waitSets  [][]*sim.Cond
+	waitDepth int
 
 	// PageFaults counts protection-violation upcalls delivered to this
 	// process; the SVM coherence accounting reads it.
@@ -556,36 +562,45 @@ func (p *Process) writeAUFragment(pa mem.PA, b []byte, delay time.Duration) {
 			seg = hw.AUSegment
 		}
 		p.busyUntil(time.Duration(seg) * hw.AUStorePerByte)
-		captured := append(p.M.getSeg(), b[:seg]...)
-		segPA := pa
-		p.M.Mem.WriteNoSnoop(segPA, captured)
-		p.M.Eng.Post(delay, func() {
-			// The snoop copies what it keeps, so the capture buffer is
-			// free again once presented.
-			p.M.Mem.PresentToSnoop(segPA, captured)
-			p.M.putSeg(captured)
-		})
+		s := p.M.getSeg()
+		s.pa = pa
+		s.data = append(s.data, b[:seg]...)
+		p.M.Mem.WriteNoSnoop(pa, s.data)
+		p.M.Eng.Post(delay, s.present)
 		pa += mem.PA(seg)
 		b = b[seg:]
 	}
 }
 
-// getSeg takes an empty AU capture buffer from the pool.
-func (m *Machine) getSeg() []byte {
-	if l := len(m.segPool); l > 0 {
-		b := m.segPool[l-1]
-		m.segPool[l-1] = nil
-		m.segPool = m.segPool[:l-1]
-		return b[:0]
-	}
-	return make([]byte, 0, hw.AUSegment)
+// auSegment is one captured AU store segment on its way to the snoop
+// logic: the store values and where they landed. present is built once
+// with the segment, so posting it allocates nothing.
+type auSegment struct {
+	m       *Machine
+	pa      mem.PA
+	data    []byte
+	present func()
 }
 
-// putSeg returns an AU capture buffer to the pool.
-func (m *Machine) putSeg(b []byte) {
-	if cap(b) >= hw.AUSegment {
-		m.segPool = append(m.segPool, b)
+// getSeg takes an empty AU capture segment from the pool.
+func (m *Machine) getSeg() *auSegment {
+	if l := len(m.segPool); l > 0 {
+		s := m.segPool[l-1]
+		m.segPool[l-1] = nil
+		m.segPool = m.segPool[:l-1]
+		return s
 	}
+	s := &auSegment{m: m, data: make([]byte, 0, hw.AUSegment)}
+	s.present = s.toSnoop
+	return s
+}
+
+// toSnoop presents the captured values to the snoop logic. The snoop copies
+// what it keeps, so the segment is free again once presented.
+func (s *auSegment) toSnoop() {
+	s.m.Mem.PresentToSnoop(s.pa, s.data)
+	s.data = s.data[:0]
+	s.m.segPool = append(s.m.segPool, s)
 }
 
 // ReadBytes loads n bytes at va, charging the copy rate for bulk reads and
@@ -709,35 +724,49 @@ func (p *Process) WaitWord(va VA, pred func(uint32) bool) uint32 {
 // message-passing libraries use (scan all senders, sleep until something
 // changes).
 func (p *Process) WaitAnyChange(vas []VA, pred func() bool) {
-	pas := make([]mem.PA, len(vas))
-	for i, va := range vas {
-		pas[i] = p.mustPA(va)
-	}
+	conds := p.waitSet(vas, nil)
+	defer p.endWait()
 	for {
 		p.P.Sleep(hw.PollCheckCost)
 		if pred() {
 			return
 		}
-		p.M.Mem.WaitChangeAny(p.P, pas)
+		sim.WaitAny(p.P, conds...)
 	}
 }
+
+// waitSet returns the conds a multi-source wait blocks on: the watcher of
+// each distinct page holding one of vas, in first-appearance order, then
+// extra. The list lives in the pooled slot for the next nesting level (a
+// signal handler may wait while an outer wait is parked); the caller
+// releases it with endWait when its wait returns. Duplicates are found by
+// a linear scan — a wait covers a handful of pages.
+func (p *Process) waitSet(vas []VA, extra []*sim.Cond) []*sim.Cond {
+	if p.waitDepth == len(p.waitSets) {
+		p.waitSets = append(p.waitSets, nil)
+	}
+	conds := p.waitSets[p.waitDepth][:0]
+	for _, va := range vas {
+		if c := p.M.Mem.PageCond(mem.PageOf(p.mustPA(va))); !slices.Contains(conds, c) {
+			conds = append(conds, c)
+		}
+	}
+	conds = append(conds, extra...)
+	p.waitSets[p.waitDepth] = conds
+	p.waitDepth++
+	return conds
+}
+
+// endWait releases the innermost waitSet slot.
+func (p *Process) endWait() { p.waitDepth-- }
 
 // WaitPred blocks until pred holds, re-checking when a write lands in a
 // page containing one of vas or when any of the extra conds is signaled.
 // Used by servers multiplexing memory-mapped streams with control-network
 // ports.
 func (p *Process) WaitPred(vas []VA, extra []*sim.Cond, pred func() bool) {
-	conds := make([]*sim.Cond, 0, len(vas)+len(extra))
-	seen := make(map[mem.PFN]bool)
-	for _, va := range vas {
-		pa := p.mustPA(va)
-		f := mem.PageOf(pa)
-		if !seen[f] {
-			seen[f] = true
-			conds = append(conds, p.M.Mem.PageCond(f))
-		}
-	}
-	conds = append(conds, extra...)
+	conds := p.waitSet(vas, extra)
+	defer p.endWait()
 	for {
 		p.P.Sleep(hw.PollCheckCost)
 		if pred() {
@@ -751,17 +780,8 @@ func (p *Process) WaitPred(vas []VA, extra []*sim.Cond, pred func() bool) {
 // held (true) or the deadline passed first (false). The survivable
 // blocking paths (socket space/recv waits) are built on it.
 func (p *Process) WaitPredTimeout(vas []VA, extra []*sim.Cond, pred func() bool, d time.Duration) bool {
-	conds := make([]*sim.Cond, 0, len(vas)+len(extra))
-	seen := make(map[mem.PFN]bool)
-	for _, va := range vas {
-		pa := p.mustPA(va)
-		f := mem.PageOf(pa)
-		if !seen[f] {
-			seen[f] = true
-			conds = append(conds, p.M.Mem.PageCond(f))
-		}
-	}
-	conds = append(conds, extra...)
+	conds := p.waitSet(vas, extra)
+	defer p.endWait()
 	deadline := p.P.Now().Add(d)
 	for {
 		p.P.Sleep(hw.PollCheckCost)

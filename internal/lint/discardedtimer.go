@@ -1,0 +1,84 @@
+package lint
+
+import (
+	"fmt"
+	"go/ast"
+	"go/token"
+	"go/types"
+	"strings"
+)
+
+// DiscardedTimerAnalyzer returns the discarded-timer rule: a statement that
+// calls sim.Engine.Schedule or sim.Engine.At and drops the returned *Timer
+// pays a heap allocation for a handle nobody can use. Post and PostAt fire
+// at the same instant in the same (time, seq) order and allocate nothing,
+// so a caller that never cancels must use them. Test files and the engine
+// package itself (which tests its own API) are exempt.
+func DiscardedTimerAnalyzer() *Analyzer {
+	return &Analyzer{
+		Name: "discarded-timer",
+		Doc:  "flag Engine.Schedule/At calls whose *Timer is dropped; use Post/PostAt",
+		Run: func(p *Package, report func(pos token.Pos, msg string)) {
+			if p.IsSimItself() {
+				return
+			}
+			for _, f := range p.Files {
+				if p.IsTestFile(f) {
+					continue
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					stmt, ok := n.(*ast.ExprStmt)
+					if !ok {
+						return true
+					}
+					call, ok := stmt.X.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok || !isEngineMethod(useObj(p, sel.Sel), "Schedule", "At") {
+						return true
+					}
+					alt := "Post"
+					if sel.Sel.Name == "At" {
+						alt = "PostAt"
+					}
+					report(call.Pos(), fmt.Sprintf(
+						"Engine.%s allocates a *Timer that is dropped here; use Engine.%s, which fires identically and allocates nothing",
+						sel.Sel.Name, alt))
+					return true
+				})
+			}
+		},
+	}
+}
+
+// isEngineMethod reports whether obj is one of the named methods of the
+// simulation engine's Engine type.
+func isEngineMethod(obj types.Object, names ...string) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return false
+	}
+	if path := fn.Pkg().Path(); path != SimPath && !strings.HasSuffix(path, "/internal/sim") {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Name() != "Engine" {
+		return false
+	}
+	for _, n := range names {
+		if fn.Name() == n {
+			return true
+		}
+	}
+	return false
+}

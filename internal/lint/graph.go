@@ -52,8 +52,12 @@ func (g *ModGraph) SortedKeys() []string {
 // two-pass re-checking (keys are strings, not object identities). Calls that
 // cannot be typed fall back to a name-only match against same-package
 // methods, over-approximating like the old per-package graph (an extra edge
-// can only add reachability, never hide it). Calls inside function literals
-// are attributed to the enclosing declaration.
+// can only add reachability, never hide it). A function or method named
+// outside call position — a method value like net.Attach(id, n.incoming),
+// an IRQ handler, a prebuilt event callback — is an edge too: whoever
+// later invokes the value runs the callee on the enclosing function's
+// behalf. Calls and references inside function literals are attributed to
+// the enclosing declaration.
 func BuildModGraph(pkgs []*Package) *ModGraph {
 	g := &ModGraph{Nodes: map[string]*ModNode{}, Edges: map[string][]string{}}
 	// methodsByName supports the untyped fallback, per package.
@@ -85,6 +89,17 @@ func BuildModGraph(pkgs []*Package) *ModGraph {
 			}
 		}
 		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				// Any selector naming a function — a call's target or a
+				// method value handed off to be called later (a
+				// packet handler, an IRQ handler, a prebuilt event
+				// callback) — is an edge: whoever invokes the value
+				// runs the callee on this function's behalf.
+				add(funcKey(useObj(p, sel.Sel)))
+			}
+			if id, ok := n.(*ast.Ident); ok {
+				add(funcKey(useObj(p, id)))
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true

@@ -20,10 +20,13 @@
 //	checked-errors-on-datapath  datapath error returns never discarded
 //	float-accumulation-order    float reductions driven by unordered
 //	                            iteration
+//	discarded-timer          Engine.Schedule/At handles dropped on the
+//	                         floor (use the allocation-free Post/PostAt)
 //
-// The first four are per-file pattern rules; the last five are flow- and
+// The first four are per-file pattern rules; the next five are flow- and
 // type-aware, built on a shared whole-repo call graph (graph.go) and a
-// per-function forward dataflow walker (flow.go).
+// per-function forward dataflow walker (flow.go); discarded-timer is a
+// typed per-statement check.
 //
 // A diagnostic can be suppressed at the site with a comment on the same
 // line or the line directly above:
@@ -132,6 +135,7 @@ func All() []*Analyzer {
 		SpanBalanceAnalyzer(),
 		CheckedErrorsAnalyzer(),
 		FloatOrderAnalyzer(),
+		DiscardedTimerAnalyzer(),
 	}
 }
 

@@ -439,6 +439,91 @@ func boom() { panic("boom") }`, true)
 	})
 }
 
+// A method value handed to a registrar is called later by someone else;
+// the graph must still see the edge, or a panic behind every callback-style
+// hand-off (packet handlers, IRQ handlers, prebuilt event callbacks) hides.
+func TestTransitivePanicMethodValue(t *testing.T) {
+	pkgs := loadFixtures(t,
+		fixture{path: "shrimp/internal/kernel", src: `package kernel
+type Machine struct{ irq, tick func() }
+func (m *Machine) RegisterIRQ(h func()) { m.irq = h }
+func (m *Machine) OnTick(h func()) { m.tick = h }`},
+		fixture{path: "shrimp/internal/nx", src: `package nx
+import "shrimp/internal/kernel"
+type NX struct{ m *kernel.Machine }
+func (n *NX) Open() {
+	n.m.RegisterIRQ(n.onIRQ)
+	n.m.OnTick(tick)
+}
+func (n *NX) onIRQ() { panic("irq") }
+func tick() { panic("tick") }`},
+	)
+	diags := Run(pkgs, []*Analyzer{TransitivePanicAnalyzer()})
+	wantRules(t, diags, "transitive-panic", "transitive-panic")
+	for i, want := range []string{
+		"internal/nx.NX.Open -> internal/nx.NX.onIRQ",
+		"internal/nx.NX.Open -> internal/nx.tick",
+	} {
+		if !strings.Contains(diags[i].Msg, want) {
+			t.Fatalf("diagnostic %d should carry the chain %q, got: %s", i, want, diags[i].Msg)
+		}
+	}
+}
+
+// simEngineDefs gives fixtures the engine's scheduling surface.
+const simEngineDefs = `package sim
+import "time"
+type Time int64
+type Timer struct{}
+func (t *Timer) Stop() bool { return false }
+type Engine struct{}
+func (e *Engine) Schedule(d time.Duration, fn func()) *Timer { return &Timer{} }
+func (e *Engine) At(t Time, fn func()) *Timer { return &Timer{} }
+func (e *Engine) Post(d time.Duration, fn func()) {}
+func (e *Engine) PostAt(t Time, fn func()) {}`
+
+func TestDiscardedTimer(t *testing.T) {
+	cases := []struct {
+		name string
+		body string
+		want int
+	}{
+		{"hit: Schedule handle dropped", `e.Schedule(time.Microsecond, func() {})`, 1},
+		{"hit: At handle dropped", `e.At(5, func() {})`, 1},
+		{"clean: Post and PostAt", `e.Post(time.Microsecond, func() {}); e.PostAt(5, func() {})`, 0},
+		{"clean: handle kept", `n.timer = e.Schedule(time.Microsecond, func() {})`, 0},
+		{"clean: handle used in the same statement", `e.Schedule(time.Microsecond, func() {}).Stop()`, 0},
+		{"clean: a different At", `n.At(5, nil)`, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pkgs := loadFixtures(t,
+				fixture{path: "shrimp/internal/sim", src: simEngineDefs},
+				fixture{path: "shrimp/internal/nic", src: `package nic
+import (
+	"time"
+	"shrimp/internal/sim"
+)
+type NIC struct{ timer *sim.Timer }
+func (n *NIC) At(t int, fn func()) {}
+func (n *NIC) run(e *sim.Engine) {
+	_ = time.Microsecond
+	` + tc.body + `
+}`, simReachable: true},
+			)
+			diags := Run(pkgs, []*Analyzer{DiscardedTimerAnalyzer()})
+			if len(diags) != tc.want {
+				t.Fatalf("got %d diagnostics, want %d: %v", len(diags), tc.want, diags)
+			}
+		})
+	}
+	t.Run("clean: the engine's own package", func(t *testing.T) {
+		p := loadFixture(t, "shrimp/internal/sim", simEngineDefs+`
+func use(e *Engine) { e.Schedule(0, nil) }`, true)
+		wantRules(t, runOne(DiscardedTimerAnalyzer(), p))
+	})
+}
+
 // pooledDefs gives fixtures the GetBuf/PutBuf pool surface and a sink.
 const pooledDefs = `package x
 type Net struct{}

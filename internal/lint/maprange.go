@@ -22,7 +22,7 @@ var orderSensitiveCalls = map[string]bool{
 	// kernel memory/cost primitives
 	"Compute": true, "Poke": true, "Peek": true, "PeekWord": true,
 	"WriteWord": true, "WriteBytes": true, "CopyVA": true,
-	"WaitWord": true, "WaitChange": true, "WaitChangeAny": true,
+	"WaitWord": true, "WaitChange": true,
 	"WaitAnyChange": true, "WaitPred": true,
 	// NIC / mesh / daemon operations
 	"Send": true, "Call": true, "Recv": true, "RecvAll": true,
@@ -32,7 +32,7 @@ var orderSensitiveCalls = map[string]bool{
 	"Export": true, "Import": true, "Unimport": true, "Unexport": true,
 	"handleRevoke": true,
 	// nx receive-path helpers that charge per-word costs or send credits
-	"inWord": true, "readHdr": true, "flushCredits": true, "connAddrs": true,
+	"inWord": true, "readHdr": true, "flushCredits": true,
 	// output: printing in map order is user-visible nondeterminism
 	"Printf": true, "Println": true, "Print": true,
 	"Fprintf": true, "Fprintln": true, "Fprint": true,

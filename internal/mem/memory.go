@@ -286,21 +286,6 @@ func (m *Memory) WaitChangeTimeout(p *sim.Proc, pa PA, d time.Duration) bool {
 	return m.cond(PageOf(pa)).WaitTimeout(p, d)
 }
 
-// WaitChangeAny blocks p until a write lands in any of the pages containing
-// the given addresses.
-func (m *Memory) WaitChangeAny(p *sim.Proc, pas []PA) {
-	seen := make(map[PFN]bool, len(pas))
-	conds := make([]*sim.Cond, 0, len(pas))
-	for _, pa := range pas {
-		f := PageOf(pa)
-		if !seen[f] {
-			seen[f] = true
-			conds = append(conds, m.cond(f))
-		}
-	}
-	sim.WaitAny(p, conds...)
-}
-
 // PageCond returns the watcher condition variable for frame f, for callers
 // composing multi-source waits.
 func (m *Memory) PageCond(f PFN) *sim.Cond { return m.cond(f) }

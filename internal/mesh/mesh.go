@@ -56,10 +56,13 @@ type Packet struct {
 	Ack bool
 	// Payload is the packet body. The slice is owned by the packet.
 	Payload []byte
-	// Pooled marks a payload drawn from the network's buffer pool: the
-	// receiver returns it via PutBuf once the bytes are in DRAM. The
-	// reliability sublayer clears it on packets it retains for
-	// retransmission, which must outlive first delivery.
+	// Pooled marks a packet whose header (GetPacket) and payload (GetBuf)
+	// belong to the network's pools: whoever consumes it last — the
+	// receiver once the bytes are in DRAM, or the backplane when the
+	// packet dies in flight — returns both with Recycle and must not
+	// touch the packet afterwards. The reliability sublayer clears it on
+	// packets it retains for retransmission, which must outlive first
+	// delivery.
 	Pooled bool
 }
 
@@ -96,9 +99,12 @@ type Network struct {
 	// before traffic flows (cluster.New does).
 	Trace *trace.Collector
 
-	// links[from][to] for adjacent routers; each wraps a Server whose
-	// occupancy models the link's wormhole channel.
-	links map[[2]int]*channel
+	// hops is the dense link table: hops[(r*len(dims)+d)*2+dir] is the
+	// channel leaving router r in dimension d toward higher (dir 0) or
+	// lower (dir 1) coordinates. Entries are built on first use (hop);
+	// each wraps a Server whose occupancy models the link's wormhole
+	// channel.
+	hops []*channel
 
 	// inject and eject model the NIC-to-router channels.
 	inject, eject []*channel
@@ -137,9 +143,13 @@ type Network struct {
 	inFlight map[[2]NodeID]int
 	drained  *sim.Cond
 
-	// bufs is the payload free list backing GetBuf/PutBuf. Single
-	// simulation thread, so a plain stack suffices.
+	// bufs is the payload free list backing GetBuf/PutBuf, pkts the
+	// header free list backing GetPacket/Recycle, and dels the pool of
+	// in-flight delivery records. Single simulation thread, so plain
+	// stacks suffice.
 	bufs [][]byte
+	pkts []*Packet
+	dels []*delivery
 
 	// PacketsDelivered counts total deliveries, for tests and stats.
 	PacketsDelivered int64
@@ -180,7 +190,7 @@ func NewDims(eng *sim.Engine, dims []int) *Network {
 		dims:        append([]int(nil), dims...),
 		strides:     strides,
 		total:       total,
-		links:       make(map[[2]int]*channel),
+		hops:        make([]*channel, total*len(dims)*2),
 		inject:      make([]*channel, total),
 		eject:       make([]*channel, total),
 		handlers:    make([]Handler, total),
@@ -220,10 +230,11 @@ func (n *Network) GetBuf() []byte {
 	return make([]byte, 0, hw.MaxPacketPayload)
 }
 
-// maxFreeBufs caps the GetBuf/PutBuf free list. A fan-in burst (every node
-// sending to one receiver) can return thousands of buffers in one instant;
-// without a cap the list holds the burst's high-water mark forever. Excess
-// buffers are dropped to the garbage collector instead.
+// maxFreeBufs caps each of the network's free lists (payloads, headers,
+// delivery records). A fan-in burst (every node sending to one receiver)
+// can return thousands of buffers in one instant; without a cap a list
+// holds the burst's high-water mark forever. Excess entries are dropped to
+// the garbage collector instead.
 const maxFreeBufs = 256
 
 // PutBuf returns a payload buffer to the free list. Only buffers that came
@@ -235,6 +246,32 @@ func (n *Network) PutBuf(b []byte) {
 		return
 	}
 	n.bufs = append(n.bufs, b)
+}
+
+// GetPacket returns a zeroed packet header, drawn from the free list when
+// possible. Mark it Pooled so its consumer returns it with Recycle.
+func (n *Network) GetPacket() *Packet {
+	if l := len(n.pkts); l > 0 {
+		p := n.pkts[l-1]
+		n.pkts[l-1] = nil
+		n.pkts = n.pkts[:l-1]
+		return p
+	}
+	return &Packet{}
+}
+
+// Recycle returns a Pooled packet's payload and header to the free lists;
+// it does nothing to a packet that is not Pooled. The caller must not
+// touch pkt afterwards.
+func (n *Network) Recycle(pkt *Packet) {
+	if !pkt.Pooled {
+		return
+	}
+	n.PutBuf(pkt.Payload)
+	*pkt = Packet{}
+	if len(n.pkts) < maxFreeBufs {
+		n.pkts = append(n.pkts, pkt)
+	}
 }
 
 // Attach registers the packet handler for node id (its NIC's incoming path).
@@ -317,14 +354,34 @@ func (n *Network) CutPlane(dim, at int) []int {
 	return nodes
 }
 
-func (n *Network) link(from, to int) *channel {
-	key := [2]int{from, to}
-	c, ok := n.links[key]
-	if !ok {
-		c = newChannel(n.eng, fmt.Sprintf("link.%d>%d", from, to))
-		n.links[key] = c
+// hop returns the channel leaving router r in dimension d, toward higher
+// coordinates (dir 0) or lower ones (dir 1), building it on first use.
+func (n *Network) hop(r, d, dir int) *channel {
+	i := (r*len(n.dims)+d)*2 + dir
+	c := n.hops[i]
+	if c == nil {
+		to := r + n.strides[d]
+		if dir == 1 {
+			to = r - n.strides[d]
+		}
+		c = newChannel(n.eng, fmt.Sprintf("link.%d>%d", r, to))
+		n.hops[i] = c
 	}
 	return c
+}
+
+// link returns the channel from router from to the adjacent router to.
+func (n *Network) link(from, to int) *channel {
+	for d := range n.dims {
+		if c, w := n.coordAt(NodeID(from), d), n.coordAt(NodeID(to), d); c != w {
+			if c < w {
+				return n.hop(from, d, 0)
+			}
+			return n.hop(from, d, 1)
+		}
+	}
+	//lint:allow transitive-panic internal routing bug: callers pass adjacent routers only
+	panic(fmt.Sprintf("mesh: no link from router %d to itself", from))
 }
 
 // Send injects pkt into the backplane at the current time. Delivery is
@@ -352,48 +409,38 @@ func (n *Network) transmit(pkt *Packet) {
 		// The destination's router port is dark (node crashed): the
 		// flits fall on the floor.
 		n.PacketsDropped++
-		n.reclaim(pkt)
+		n.Recycle(pkt)
 		return
 	}
 	if n.handlers[pkt.Dst] == nil {
 		panic(fmt.Sprintf("mesh: send to unattached node %d", pkt.Dst)) //lint:allow transitive-panic topology wiring bug: every node attaches its handler at construction; crashed nodes are handled above
 	}
 	now := n.eng.Now()
-	serialize := time.Duration(pkt.Size()) * hw.MeshLinkPerByte
+	size := pkt.Size()
+	serialize := time.Duration(size) * hw.MeshLinkPerByte
 
-	// The header visits each channel in path order. On channel i the
-	// packet holds the channel for one serialization time starting when
-	// the header reaches it and the channel is free (start_i); the header
-	// moves to the next channel after the router's hop latency. The tail
-	// is ejected at the destination at end_last. Under no contention this
-	// yields the classic wormhole latency: hops·hopLatency + one
-	// serialization; under contention, queueing shows up per channel.
-	headerAt := now
-	var tailDone sim.Time
-
-	reserve := func(c *channel) {
-		start, end := c.srv.ReserveAt(headerAt, serialize)
-		if n.Trace != nil {
-			if wait := start.Sub(headerAt); wait > 0 {
-				// Channel-contention histogram: how long the header sat
-				// queued behind other flows at this hop (virtual ns).
-				n.Trace.Observe(traceTrack, "link.wait", int64(wait))
+	// The header visits each channel in path order: the inject channel,
+	// the links of the dimension-order route (dimension 0 first, each
+	// corrected completely before the next — the same walk as Route,
+	// done inline over the hop table), then the eject channel.
+	n.Trace.Observe(traceTrack, "packet.bytes", int64(size))
+	headerAt, arrival := n.reserve(n.inject[pkt.Src], now, serialize, size)
+	cur := int(pkt.Src)
+	for d, stride := range n.strides {
+		c, want := n.coordAt(NodeID(cur), d), n.coordAt(pkt.Dst, d)
+		for c != want {
+			next, dir := cur+stride, 0
+			if c < want {
+				c++
+			} else {
+				c--
+				next, dir = cur-stride, 1
 			}
-			n.Trace.Add(traceTrack, c.span, start, end)
-			n.Trace.Count(traceTrack, c.bytes, int64(pkt.Size()))
+			headerAt, arrival = n.reserve(n.hop(cur, d, dir), headerAt, serialize, size)
+			cur = next
 		}
-		headerAt = start.Add(hw.MeshHopLatency)
-		tailDone = end
 	}
-
-	n.Trace.Observe(traceTrack, "packet.bytes", int64(pkt.Size()))
-	reserve(n.inject[pkt.Src])
-	path := n.Route(pkt.Src, pkt.Dst)
-	for i := 0; i+1 < len(path); i++ {
-		reserve(n.link(path[i], path[i+1]))
-	}
-	reserve(n.eject[pkt.Dst])
-	arrival := tailDone
+	_, arrival = n.reserve(n.eject[pkt.Dst], headerAt, serialize, size)
 
 	// The injector draws this packet's fate after the channels were
 	// occupied: a dropped or corrupted packet still burned link time.
@@ -408,14 +455,14 @@ func (n *Network) transmit(pkt *Packet) {
 		// not shift the fate of unrelated packets.
 		n.PacketsDropped++
 		n.Trace.Count(traceTrack, "fault.partitioned", 1)
-		n.reclaim(pkt)
+		n.Recycle(pkt)
 		return
 	}
 	if act == fault.Drop {
 		// Lost on a link: nothing arrives. With the reliability
 		// sublayer on, the sender's retransmit timer recovers.
 		n.PacketsDropped++
-		n.reclaim(pkt)
+		n.Recycle(pkt)
 		return
 	}
 
@@ -443,63 +490,108 @@ func (n *Network) transmit(pkt *Packet) {
 	// A Corrupt fault flips bytes of the wire image. Almost always the
 	// checksum catches it at the receiver; if the flips cancelled out,
 	// the decode round-trips and the packet survives.
-	arrived := pkt
-	corrupted := false
+	dl := n.getDelivery()
+	dl.pkt, dl.arrived = pkt, pkt
 	if act == fault.Corrupt {
 		wire := pkt.Encode()
 		n.inj.CorruptBytes(wire)
 		if dec, err := DecodePacket(wire); err != nil {
-			corrupted = true
+			dl.corrupted = true
 		} else {
-			arrived = dec
+			dl.arrived = dec
 		}
 	}
 
 	n.inFlight[key]++
-	n.eng.PostAt(arrival, func() {
-		n.inFlight[key]--
-		if n.inFlight[key] == 0 {
-			// Last packet for this pair: the FIFO floor is now redundant
-			// (every stored floor is <= this delivery's time, and any
-			// future send computes an arrival at or after its send time),
-			// so both per-pair entries can go. This keeps the maps sized
-			// by concurrent flows instead of growing toward N² pairs.
-			delete(n.inFlight, key)
-			delete(n.lastArrival, key)
-		}
-		switch {
-		case n.dead[pkt.Dst]:
-			// The node crashed while the packet was in flight.
-			n.PacketsDropped++
-			n.reclaim(pkt)
-		case corrupted:
-			n.PacketsCorrupted++
-			n.reclaim(pkt)
-			if n.rel != nil && !pkt.Ack {
-				n.rel.onCorrupt(pkt.Src, pkt.Dst)
-			}
-		case n.rel != nil && !arrived.Ack && arrived.Seq != 0:
-			n.rel.onData(arrived)
-		default:
-			if arrived != pkt {
-				// A corrupt-but-decodable packet arrives as a fresh
-				// copy; the original's buffer is done.
-				n.reclaim(pkt)
-			}
-			n.deliver(arrived)
-		}
-		n.drained.Broadcast()
-	})
+	n.eng.PostAt(arrival, dl.run)
 }
 
-// reclaim returns a packet's pooled payload to the free list when the
-// packet dies inside the backplane (dropped, corrupted, or superseded).
-func (n *Network) reclaim(pkt *Packet) {
-	if pkt.Pooled {
-		pkt.Pooled = false
-		n.PutBuf(pkt.Payload)
-		pkt.Payload = nil
+// reserve holds channel c for one serialization, starting when the header
+// (which reaches c at headerAt) finds it free. It returns when the header
+// reaches the next channel, one router hop latency after the hold starts,
+// and when c frees; on the last channel that is the tail's ejection. Under
+// no contention a path costs the classic wormhole latency, hops·hopLatency
+// plus one serialization; under contention, queueing shows up per channel.
+func (n *Network) reserve(c *channel, headerAt sim.Time, serialize time.Duration, size int) (next, end sim.Time) {
+	start, end := c.srv.ReserveAt(headerAt, serialize)
+	if n.Trace != nil {
+		if wait := start.Sub(headerAt); wait > 0 {
+			// Channel-contention histogram: how long the header sat
+			// queued behind other flows at this hop (virtual ns).
+			n.Trace.Observe(traceTrack, "link.wait", int64(wait))
+		}
+		n.Trace.Add(traceTrack, c.span, start, end)
+		n.Trace.Count(traceTrack, c.bytes, int64(size))
 	}
+	return start.Add(hw.MeshHopLatency), end
+}
+
+// delivery is one packet's pending arrival at its destination router port.
+// Records are pooled: transmit takes one and posts its run, built once with
+// the record, and the arrival returns it to the pool before acting.
+type delivery struct {
+	n *Network
+	// pkt is the packet as sent; arrived is what the receiver gets —
+	// pkt itself, or a fresh copy decoded from a corrupted wire image.
+	pkt, arrived *Packet
+	corrupted    bool
+	run          func()
+}
+
+func (n *Network) getDelivery() *delivery {
+	if l := len(n.dels); l > 0 {
+		d := n.dels[l-1]
+		n.dels[l-1] = nil
+		n.dels = n.dels[:l-1]
+		return d
+	}
+	d := &delivery{n: n}
+	d.run = d.arrive
+	return d
+}
+
+// arrive delivers the packet, or accounts for its loss.
+func (d *delivery) arrive() {
+	n, pkt, arrived, corrupted := d.n, d.pkt, d.arrived, d.corrupted
+	d.pkt, d.arrived, d.corrupted = nil, nil, false
+	if len(n.dels) < maxFreeBufs {
+		n.dels = append(n.dels, d)
+	}
+
+	key := [2]NodeID{pkt.Src, pkt.Dst}
+	n.inFlight[key]--
+	if n.inFlight[key] == 0 {
+		// Last packet for this pair: the FIFO floor is now redundant
+		// (every stored floor is <= this delivery's time, and any
+		// future send computes an arrival at or after its send time),
+		// so both per-pair entries can go. This keeps the maps sized
+		// by concurrent flows instead of growing toward N² pairs.
+		delete(n.inFlight, key)
+		delete(n.lastArrival, key)
+	}
+	switch {
+	case n.dead[key[1]]:
+		// The node crashed while the packet was in flight.
+		n.PacketsDropped++
+		n.Recycle(pkt)
+	case corrupted:
+		n.PacketsCorrupted++
+		ack := pkt.Ack
+		n.Recycle(pkt)
+		if n.rel != nil && !ack {
+			n.rel.onCorrupt(key[0], key[1])
+		}
+	case n.rel != nil && !arrived.Ack && arrived.Seq != 0:
+		n.rel.onData(arrived)
+	default:
+		if arrived != pkt {
+			// A corrupt-but-decodable packet arrives as a fresh
+			// copy; the original's buffer is done.
+			n.Recycle(pkt)
+		}
+		n.deliver(arrived)
+	}
+	n.drained.Broadcast()
 }
 
 // deliver hands an arrived packet to the destination handler.

@@ -103,7 +103,10 @@ type DUJob struct {
 	done     *sim.Cond
 }
 
-// outPacket is a packet being assembled or queued for injection.
+// outPacket is a packet being assembled or queued for injection. Records
+// are pooled on the NIC (outFree): one is taken when the snoop opens a
+// packet or a DU chunk's source read completes, and returned once the
+// injection that consumes it completes.
 type outPacket struct {
 	optIdx int
 	dstOff uint32
@@ -129,15 +132,28 @@ type NIC struct {
 	auByFrame map[mem.PFN]int // local frame -> OPT index (AU binding)
 
 	// Snoop combining state: at most one open packet (the hardware
-	// combines only temporally-consecutive writes).
+	// combines only temporally-consecutive writes). combineTime is built
+	// on the first arm and re-armed with Reset ever after.
 	open        *outPacket
 	openLastPA  mem.PA
 	combineTime *sim.Timer
 
+	// pktz holds the packets inside the packetizer pipeline stage, in
+	// arrival order. Every packet spends the same hw.PacketizeCost there,
+	// so completions fire in the order they were posted and each one
+	// (packetizeDone) takes the head.
+	pktz fifo[*outPacket]
+
 	// Outgoing FIFO: packets whose headers are formed, waiting to inject.
-	outQ        []*outPacket
-	injecting   bool
-	packetizing int // packets inside the packetizer pipeline stage
+	outQ fifo[*outPacket]
+	// injectPkt is the packet crossing the NIC port, nil when the port's
+	// outgoing side is free. At most one injection is in flight (a
+	// non-nil slot gates kickInject), so its completion event needs no
+	// record of its own: injectDone reads the slot.
+	injectPkt *outPacket
+
+	// outFree pools outPacket records (see outPacket).
+	outFree []*outPacket
 
 	// The NIC port shared by outgoing and incoming transfers.
 	port *sim.Server
@@ -146,14 +162,24 @@ type NIC struct {
 	// DMA engine's writes.
 	eisa *sim.Server
 
-	// Deliberate Update Engine.
-	duQ    []*DUJob
-	duBusy bool
+	// Deliberate Update Engine. duJob is the job being transferred (nil
+	// when the engine is idle) and duIdx the chunk whose source DMA is in
+	// flight; the engine moves one chunk at a time, so duChunkDone reads
+	// the slot.
+	duQ   fifo[*DUJob]
+	duJob *DUJob
+	duIdx int
 
-	// Incoming path.
-	inQ    []*mesh.Packet
-	inBusy bool
+	// Incoming path. inPkt is the packet under incoming DMA, nil when the
+	// engine is free; one transfer at a time, so incomingDone reads the
+	// slot.
+	inQ    fifo[*mesh.Packet]
+	inPkt  *mesh.Packet
 	frozen bool
+
+	// The datapath's event callbacks, built once in New so posting one
+	// allocates nothing.
+	packetizeDone, injectDone, duChunkDone, incomingDone, combineExpire func()
 
 	// Fault-injection state: outStalled blocks the outgoing arbiter (an
 	// injected EISA/port stall); dead means the node crashed and the
@@ -203,6 +229,11 @@ func New(m *kernel.Machine, net *mesh.Network, id mesh.NodeID, optEntries int) *
 	for i := range n.optFree {
 		n.optFree[i] = true
 	}
+	n.packetizeDone = n.finishPacketize
+	n.injectDone = n.finishInject
+	n.duChunkDone = n.finishDUChunk
+	n.incomingDone = n.finishIncoming
+	n.combineExpire = n.flushOnTimeout
 	net.Attach(id, n.incoming)
 	m.Mem.SetSnoop(n.snoop)
 	return n
@@ -332,12 +363,12 @@ func (n *NIC) snoop(pa mem.PA, data []byte) {
 		if take > hw.MaxPacketPayload {
 			take = hw.MaxPacketPayload
 		}
-		n.open = &outPacket{
-			optIdx: idx,
-			dstOff: uint32(pa % hw.Page),
-			data:   append(n.Net.GetBuf(), data[:take]...),
-			notify: e.NotifyOnArrival,
-		}
+		op := n.getOut()
+		op.optIdx = idx
+		op.dstOff = uint32(pa % hw.Page)
+		op.data = append(n.Net.GetBuf(), data[:take]...)
+		op.notify = e.NotifyOnArrival
+		n.open = op
 		n.openLastPA = pa + mem.PA(take)
 		data = data[take:]
 		pa += mem.PA(take)
@@ -357,21 +388,22 @@ func (n *NIC) armCombineTimer(e OPTEntry) {
 		// timer; this mode exists for testing the hardware behaviour.)
 		if n.combineTime != nil {
 			n.combineTime.Stop()
-			n.combineTime = nil
 		}
 		return
 	}
-	if n.combineTime != nil {
-		// Still pending (fired and stopped timers clear the field):
-		// push the deadline out without building a new callback.
-		n.combineTime.Reset(hw.CombineTimeout)
+	if n.combineTime == nil {
+		n.combineTime = n.M.Eng.Schedule(hw.CombineTimeout, n.combineExpire)
 		return
 	}
-	n.combineTime = n.M.Eng.Schedule(hw.CombineTimeout, func() {
-		n.combineTime = nil
-		n.M.Trace.Count(n.track, "combine.timeout", 1)
-		n.flushOpen()
-	})
+	// Pending or not, Reset cancels any old deadline and posts the new
+	// one exactly as a fresh Schedule would.
+	n.combineTime.Reset(hw.CombineTimeout)
+}
+
+// flushOnTimeout is the combine timer: the open packet sat idle too long.
+func (n *NIC) flushOnTimeout() {
+	n.M.Trace.Count(n.track, "combine.timeout", 1)
+	n.flushOpen()
 }
 
 // flushOpen closes the open combined packet and sends it to the packetizer.
@@ -383,7 +415,6 @@ func (n *NIC) flushOpen() {
 	n.open = nil
 	if n.combineTime != nil {
 		n.combineTime.Stop()
-		n.combineTime = nil
 	}
 	n.packetize(pkt)
 }
@@ -393,24 +424,51 @@ func (n *NIC) FlushAU() { n.flushOpen() }
 
 // packetize charges header-formation time, then queues in the outgoing FIFO.
 func (n *NIC) packetize(pkt *outPacket) {
-	n.packetizing++
+	n.pktz.push(pkt)
 	if tc := n.M.Trace; tc != nil {
 		now := n.M.Eng.Now()
 		tc.Add(n.track, "packetize", now, now.Add(hw.PacketizeCost))
 		tc.Observe(n.track, "payload.bytes", int64(len(pkt.data)))
 	}
-	n.M.Eng.Schedule(hw.PacketizeCost, func() {
-		if n.dead {
-			return
-		}
-		n.packetizing--
-		n.outQ = append(n.outQ, pkt)
-		if len(n.outQ) > n.OutQPeak {
-			n.OutQPeak = len(n.outQ)
-		}
-		n.M.Trace.Gauge(n.track, "outq", int64(len(n.outQ)))
-		n.kickInject()
-	})
+	n.M.Eng.Post(hw.PacketizeCost, n.packetizeDone)
+}
+
+// finishPacketize moves the packetizer's oldest packet, whose header is now
+// formed, into the outgoing FIFO.
+func (n *NIC) finishPacketize() {
+	if n.dead {
+		return
+	}
+	n.outQ.push(n.pktz.pop())
+	if n.outQ.len() > n.OutQPeak {
+		n.OutQPeak = n.outQ.len()
+	}
+	n.M.Trace.Gauge(n.track, "outq", int64(n.outQ.len()))
+	n.kickInject()
+}
+
+// maxFreeOut caps the outPacket pool, as maxFreeBufs caps the mesh's
+// payload pool: a FIFO that backed up under an injected stall returns its
+// whole backlog at once.
+const maxFreeOut = 256
+
+// getOut takes a cleared outPacket record from the pool.
+func (n *NIC) getOut() *outPacket {
+	if l := len(n.outFree); l > 0 {
+		op := n.outFree[l-1]
+		n.outFree[l-1] = nil
+		n.outFree = n.outFree[:l-1]
+		return op
+	}
+	return &outPacket{}
+}
+
+// putOut clears a spent record and returns it to the pool.
+func (n *NIC) putOut(op *outPacket) {
+	*op = outPacket{}
+	if len(n.outFree) < maxFreeOut {
+		n.outFree = append(n.outFree, op)
+	}
 }
 
 // kickInject drains the outgoing FIFO through the shared NIC port. The
@@ -418,51 +476,55 @@ func (n *NIC) packetize(pkt *outPacket) {
 // while the incoming side is moving packets, outgoing injection stalls and
 // resumes when the receive path drains.
 func (n *NIC) kickInject() {
-	if n.dead || n.outStalled || n.injecting || len(n.outQ) == 0 {
+	if n.dead || n.outStalled || n.injectPkt != nil || n.outQ.len() == 0 {
 		return
 	}
-	if n.inBusy || len(n.inQ) > 0 {
+	if n.inPkt != nil || n.inQ.len() > 0 {
 		return // arbiter: incoming has the port; retried on drain
 	}
-	n.injecting = true
-	pkt := n.outQ[0]
-	n.outQ = n.outQ[1:]
+	n.injectPkt = n.outQ.pop()
 	start, end := n.port.Reserve(hw.NICInjectCost)
 	n.M.Trace.Add(n.track, "inject", start, end)
-	n.M.Eng.At(end, func() {
-		if n.dead {
-			return
-		}
-		e := n.opt[pkt.optIdx]
-		if e.Valid {
-			n.PacketsOut++
-			n.M.Trace.Count(n.track, "packets.out", 1)
-			n.Net.Send(&mesh.Packet{
-				Src:     n.ID,
-				Dst:     e.DstNode,
-				DstPFN:  uint32(e.DstPFN),
-				DstOff:  pkt.dstOff,
-				Notify:  pkt.notify,
-				Payload: pkt.data,
-				Pooled:  true,
-			})
-		} else {
-			// Packets to entries invalidated while queued are dropped
-			// (the daemon quiesces before invalidating, so this is
-			// defensive); their buffer goes back to the pool.
-			n.Net.PutBuf(pkt.data)
-		}
-		n.injecting = false
-		n.kickInject()
-		n.maybeIdle()
-	})
+	n.M.Eng.PostAt(end, n.injectDone)
+}
+
+// finishInject hands the packet on the port to the backplane.
+func (n *NIC) finishInject() {
+	if n.dead {
+		return
+	}
+	pkt := n.injectPkt
+	e := n.opt[pkt.optIdx]
+	if e.Valid {
+		n.PacketsOut++
+		n.M.Trace.Count(n.track, "packets.out", 1)
+		mp := n.Net.GetPacket()
+		mp.Src = n.ID
+		mp.Dst = e.DstNode
+		mp.DstPFN = uint32(e.DstPFN)
+		mp.DstOff = pkt.dstOff
+		mp.Notify = pkt.notify
+		mp.Payload = pkt.data
+		mp.Pooled = true
+		n.Net.Send(mp)
+	} else {
+		// Packets to entries invalidated while queued are dropped
+		// (the daemon quiesces before invalidating, so this is
+		// defensive); their buffer goes back to the pool.
+		n.Net.PutBuf(pkt.data)
+	}
+	n.putOut(pkt)
+	n.injectPkt = nil
+	n.kickInject()
+	n.maybeIdle()
 }
 
 // --- Deliberate Update Engine ---
 
 // SubmitDU queues a deliberate-update job built by the VMMC layer. The
 // returned job's Wait method blocks until the source data has been read out
-// of main memory (the blocking-send completion point).
+// of main memory (the blocking-send completion point). The engine reads
+// chunks until then; the caller must not modify them.
 func (n *NIC) SubmitDU(chunks []DUChunk) *DUJob {
 	job := &DUJob{chunks: chunks, done: sim.NewCond(n.M.Eng)}
 	if n.dead {
@@ -471,7 +533,7 @@ func (n *NIC) SubmitDU(chunks []DUChunk) *DUJob {
 		job.readDone = true
 		return job
 	}
-	n.duQ = append(n.duQ, job)
+	n.duQ.push(job)
 	n.kickDU()
 	return job
 }
@@ -488,29 +550,30 @@ func (j *DUJob) Wait(p *sim.Proc) {
 func (j *DUJob) ReadDone() bool { return j.readDone }
 
 func (n *NIC) kickDU() {
-	if n.duBusy || len(n.duQ) == 0 {
+	if n.duJob != nil || n.duQ.len() == 0 {
 		return
 	}
-	n.duBusy = true
-	job := n.duQ[0]
-	n.duQ = n.duQ[1:]
-	n.runDUChunk(job, 0, true)
+	n.duJob = n.duQ.pop()
+	n.duIdx = 0
+	n.runDUChunk()
 }
 
-// runDUChunk DMAs one chunk of source data over the EISA bus (which also
-// occupies the memory bus), packetizes it, then proceeds to the next.
-func (n *NIC) runDUChunk(job *DUJob, i int, first bool) {
-	if i >= len(job.chunks) {
+// runDUChunk DMAs chunk duIdx of the current job over the EISA bus (which
+// also occupies the memory bus); its completion packetizes the chunk and
+// proceeds to the next.
+func (n *NIC) runDUChunk() {
+	job := n.duJob
+	if n.duIdx >= len(job.chunks) {
 		job.readDone = true
 		job.done.Broadcast()
-		n.duBusy = false
+		n.duJob = nil
 		n.kickDU()
 		n.maybeIdle()
 		return
 	}
-	c := job.chunks[i]
+	c := &job.chunks[n.duIdx]
 	setup := hw.DUPerPacketRestart
-	if first {
+	if n.duIdx == 0 {
 		setup = hw.DUEngineStart
 	}
 	dur := setup + time.Duration(c.N)*hw.EISADMAPerByte
@@ -524,20 +587,26 @@ func (n *NIC) runDUChunk(job *DUJob, i int, first bool) {
 		tc.Add(n.track, "du.dma", dmaStart, end)
 		tc.Observe(n.track, "du.chunk.bytes", int64(c.N))
 	}
-	n.M.Eng.At(end, func() {
-		if n.dead {
-			return
-		}
-		data := n.Net.GetBuf()[:c.N]
-		n.M.Mem.ReadInto(c.SrcPA, data)
-		n.packetize(&outPacket{
-			optIdx: c.OPTIdx,
-			dstOff: c.DstOff,
-			data:   data,
-			notify: c.Notify || n.opt[c.OPTIdx].NotifyOnArrival,
-		})
-		n.runDUChunk(job, i+1, false)
-	})
+	n.M.Eng.PostAt(end, n.duChunkDone)
+}
+
+// finishDUChunk reads the current chunk's source bytes into a wire buffer
+// and packetizes them, then starts the next chunk.
+func (n *NIC) finishDUChunk() {
+	if n.dead {
+		return
+	}
+	c := &n.duJob.chunks[n.duIdx]
+	data := n.Net.GetBuf()[:c.N]
+	n.M.Mem.ReadInto(c.SrcPA, data)
+	op := n.getOut()
+	op.optIdx = c.OPTIdx
+	op.dstOff = c.DstOff
+	op.data = data
+	op.notify = c.Notify || n.opt[c.OPTIdx].NotifyOnArrival
+	n.packetize(op)
+	n.duIdx++
+	n.runDUChunk()
 }
 
 // --- Incoming path ---
@@ -549,32 +618,28 @@ func (n *NIC) incoming(pkt *mesh.Packet) {
 	// The arbiter gives incoming transfers absolute priority on the NIC
 	// port; charge the port for the packet's pass-through.
 	n.port.Reserve(hw.NICInjectCost)
-	n.inQ = append(n.inQ, pkt)
+	n.inQ.push(pkt)
 	n.kickIncoming()
 }
 
 func (n *NIC) kickIncoming() {
-	if n.dead || n.inBusy || n.frozen || len(n.inQ) == 0 {
+	if n.dead || n.inPkt != nil || n.frozen || n.inQ.len() == 0 {
 		return
 	}
-	n.inBusy = true
-	pkt := n.inQ[0]
-	n.inQ = n.inQ[1:]
-
+	pkt := n.inQ.peek()
 	frame := mem.PFN(pkt.DstPFN)
 	if int(frame) >= n.iptPages || !n.GetIPT(frame).Enable {
 		// Protection violation: freeze the receive datapath and
 		// interrupt the node CPU (paper Section 3.2). The offending
-		// packet is held at the head; Unfreeze retries it.
+		// packet stays at the head; Unfreeze retries it.
 		n.frozen = true
-		n.inBusy = false
-		n.inQ = append([]*mesh.Packet{pkt}, n.inQ...)
 		n.Faults++
 		n.M.Trace.Count(n.track, "fault", 1)
 		n.M.RaiseIRQ(VecProtection, ProtectionFault{Frame: frame, Src: pkt.Src})
 		return
 	}
 
+	n.inPkt = n.inQ.pop()
 	dur := hw.IPTCheckCost + hw.IncomingDMASetup + time.Duration(len(pkt.Payload))*hw.EISADMAPerByte
 	dmaStart, eisaEnd := n.eisa.Reserve(dur)
 	_, busEnd := n.M.MemBus.ReserveAt(n.M.Eng.Now(), dur)
@@ -583,38 +648,41 @@ func (n *NIC) kickIncoming() {
 		end = busEnd
 	}
 	n.M.Trace.Add(n.track, "in.dma", dmaStart, end)
-	n.M.Eng.At(end, func() {
-		if n.dead {
-			return
+	n.M.Eng.PostAt(end, n.incomingDone)
+}
+
+// finishIncoming lands the packet under DMA in memory and raises its
+// notification, if any.
+func (n *NIC) finishIncoming() {
+	if n.dead {
+		return
+	}
+	pkt := n.inPkt
+	frame := mem.PFN(pkt.DstPFN)
+	entry := n.GetIPT(frame)
+	n.M.Mem.WriteDMA(frame.Base()+mem.PA(pkt.DstOff), pkt.Payload)
+	src, notify := pkt.Src, pkt.Notify
+	// The bytes are in DRAM: a pooled packet's header and wire buffer go
+	// back to the backplane's pools for the next outgoing packet.
+	n.Net.Recycle(pkt)
+	n.PacketsIn++
+	n.M.Trace.Count(n.track, "packets.in", 1)
+	if notify && entry.Interrupt {
+		if entry.FastNotify && n.FastNotifyHook != nil {
+			// Append a record to the user-level notification
+			// queue — no CPU interrupt.
+			tag := entry.Tag
+			n.M.Trace.Count(n.track, "notify.fast", 1)
+			n.M.Eng.Post(hw.FastNotifyPost, func() { n.FastNotifyHook(tag, src) })
+		} else {
+			n.M.Trace.Count(n.track, "notify.irq", 1)
+			n.M.RaiseIRQ(VecNotify, Notify{Frame: frame, Tag: entry.Tag, Src: src})
 		}
-		entry := n.GetIPT(frame)
-		n.M.Mem.WriteDMA(frame.Base()+mem.PA(pkt.DstOff), pkt.Payload)
-		if pkt.Pooled {
-			// The bytes are in DRAM; the wire buffer goes back to the
-			// pool for the next outgoing packet.
-			pkt.Pooled = false
-			n.Net.PutBuf(pkt.Payload)
-			pkt.Payload = nil
-		}
-		n.PacketsIn++
-		n.M.Trace.Count(n.track, "packets.in", 1)
-		if pkt.Notify && entry.Interrupt {
-			if entry.FastNotify && n.FastNotifyHook != nil {
-				// Append a record to the user-level notification
-				// queue — no CPU interrupt.
-				tag, src := entry.Tag, pkt.Src
-				n.M.Trace.Count(n.track, "notify.fast", 1)
-				n.M.Eng.Schedule(hw.FastNotifyPost, func() { n.FastNotifyHook(tag, src) })
-			} else {
-				n.M.Trace.Count(n.track, "notify.irq", 1)
-				n.M.RaiseIRQ(VecNotify, Notify{Frame: frame, Tag: entry.Tag, Src: pkt.Src})
-			}
-		}
-		n.inBusy = false
-		n.kickIncoming()
-		n.kickInject() // arbiter: outgoing resumes when incoming drains
-		n.maybeIdle()
-	})
+	}
+	n.inPkt = nil
+	n.kickIncoming()
+	n.kickInject() // arbiter: outgoing resumes when incoming drains
+	n.maybeIdle()
 }
 
 // Frozen reports whether the receive path is frozen on a protection fault.
@@ -628,8 +696,8 @@ func (n *NIC) Unfreeze(drop bool) {
 		return
 	}
 	n.frozen = false
-	if drop && len(n.inQ) > 0 {
-		n.inQ = n.inQ[1:]
+	if drop && n.inQ.len() > 0 {
+		n.Net.Recycle(n.inQ.pop())
 	}
 	n.kickIncoming()
 }
@@ -661,7 +729,7 @@ func (n *NIC) StallOutgoing(d time.Duration) {
 		return
 	}
 	n.outStalled = true
-	n.M.Eng.Schedule(d, func() {
+	n.M.Eng.Post(d, func() {
 		n.outStalled = false
 		if n.dead {
 			return
@@ -681,20 +749,19 @@ func (n *NIC) Crash() {
 	n.dead = true
 	if n.combineTime != nil {
 		n.combineTime.Stop()
-		n.combineTime = nil
 	}
 	n.open = nil
-	n.outQ = nil
-	n.inQ = nil
+	n.outQ = fifo[*outPacket]{}
+	n.inQ = fifo[*mesh.Packet]{}
 	n.frozen = false
-	n.inBusy = false
-	n.injecting = false
-	for _, job := range n.duQ {
+	n.inPkt = nil
+	n.injectPkt = nil
+	for n.duQ.len() > 0 {
+		job := n.duQ.pop()
 		job.readDone = true
 		job.done.Broadcast()
 	}
-	n.duQ = nil
-	n.duBusy = false
+	n.duJob = nil
 	n.idleCond.Broadcast()
 }
 
@@ -710,16 +777,17 @@ func (n *NIC) maybeIdle() {
 }
 
 // OutgoingIdle reports whether no automatic-update packet is open, the
-// packetizer and outgoing FIFO are empty, and the DU engine has no queued or
-// running work.
+// packetizer, outgoing FIFO and port are empty, and the DU engine has no
+// queued or running work. Each busy slot has a completion event pending,
+// so SnapState, which refuses a board that is not idle, never captures one.
 func (n *NIC) OutgoingIdle() bool {
-	return n.open == nil && n.packetizing == 0 && len(n.outQ) == 0 &&
-		!n.injecting && !n.duBusy && len(n.duQ) == 0
+	return n.open == nil && n.pktz.len() == 0 && n.outQ.len() == 0 &&
+		n.injectPkt == nil && n.duJob == nil && n.duQ.len() == 0
 }
 
 // IncomingIdle reports whether the receive path has no queued or in-progress
 // packets.
-func (n *NIC) IncomingIdle() bool { return !n.inBusy && len(n.inQ) == 0 }
+func (n *NIC) IncomingIdle() bool { return n.inPkt == nil && n.inQ.len() == 0 }
 
 // QuiesceIncoming blocks p until the receive path drains.
 func (n *NIC) QuiesceIncoming(p *sim.Proc) {

@@ -20,7 +20,7 @@ type rig struct {
 	n0, n1 *NIC
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	e := sim.NewEngine()
 	net := mesh.New(e, 2, 1)

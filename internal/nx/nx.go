@@ -128,6 +128,10 @@ type NX struct {
 	// scan order and with it the per-word costs charged, breaking
 	// run-to-run determinism.
 	connList []*conn
+	// wake holds one address per page of every incoming region, in
+	// connList order: what the blocking receive paths watch. Rebuilt
+	// whenever a connection joins; the regions never move.
+	wake []kernel.VA
 
 	// Last-received message info (infocount and friends).
 	lastCount, lastType, lastNode, lastPid int
@@ -187,9 +191,11 @@ type conn struct {
 	out       *vmmc.Import
 	outShadow kernel.VA
 
-	// in is the locally-exported region the peer writes (peer->me).
-	in    kernel.VA
-	inExp *vmmc.Export
+	// in is the locally-exported region the peer writes (peer->me);
+	// inPages holds one address per page of it, for blocking polls.
+	in      kernel.VA
+	inPages []kernel.VA
+	inExp   *vmmc.Export
 
 	// staging is a word-aligned marshal area for DU sends.
 	staging kernel.VA
@@ -284,6 +290,10 @@ func (nx *NX) exportHalf(peer int) *conn {
 	p := nx.proc()
 	cn := &conn{peer: peer}
 	cn.in = p.MapPages(regionPages, 0)
+	cn.inPages = make([]kernel.VA, regionPages)
+	for pg := range cn.inPages {
+		cn.inPages[pg] = cn.in + kernel.VA(pg*hw.Page)
+	}
 	exp, err := nx.ep.Export(cn.in, regionPages, vmmc.ExportOpts{
 		Name:    regionName(peer, nx.node),
 		Handler: func(vmmc.Notification) { nx.onDoorbell(cn) },
@@ -310,6 +320,10 @@ func (nx *NX) exportHalf(peer int) *conn {
 	nx.connList = append(nx.connList, nil)
 	copy(nx.connList[at+1:], nx.connList[at:])
 	nx.connList[at] = cn
+	nx.wake = nx.wake[:0]
+	for _, c := range nx.connList {
+		nx.wake = append(nx.wake, c.inPages...)
+	}
 	return cn
 }
 
@@ -450,7 +464,7 @@ func (nx *NX) Drain() {
 		if len(nx.pendingZC) == 0 {
 			break
 		}
-		p.WaitAnyChange(nx.wakeAddrs(), func() bool { return nx.pendingActionable() })
+		p.WaitAnyChange(nx.wake, func() bool { return nx.pendingActionable() })
 	}
 	nx.flushAllCredits()
 }

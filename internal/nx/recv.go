@@ -32,7 +32,7 @@ func (nx *NX) Crecv(typesel int, buf kernel.VA, count int) int {
 			return nx.consumeSelf(sm, buf, count)
 		}
 		nx.flushAllCredits()
-		p.WaitAnyChange(nx.wakeAddrs(), func() bool {
+		p.WaitAnyChange(nx.wake, func() bool {
 			return nx.matchExists(typesel) || nx.pendingActionable()
 		})
 	}
@@ -60,7 +60,7 @@ func (nx *NX) Cprobe(typesel int) {
 			return
 		}
 		nx.flushAllCredits()
-		p.WaitAnyChange(nx.wakeAddrs(), func() bool {
+		p.WaitAnyChange(nx.wake, func() bool {
 			return nx.matchExists(typesel) || nx.pendingActionable()
 		})
 	}
@@ -143,7 +143,7 @@ func (nx *NX) Msgwait(id ID) {
 			return
 		}
 		nx.flushAllCredits()
-		p.WaitAnyChange(nx.wakeAddrs(), func() bool { return true })
+		p.WaitAnyChange(nx.wake, func() bool { return true })
 	}
 }
 
@@ -330,26 +330,8 @@ func (nx *NX) waitChunk(cn *conn, flag uint32, msgID uint32, idx int) candidate 
 			return candidate{cn: cn, buf: buf, h: h}
 		}
 		nx.flushAllCredits()
-		p.WaitAnyChange(nx.connAddrs(cn), func() bool { return true })
+		p.WaitAnyChange(cn.inPages, func() bool { return true })
 	}
-}
-
-// wakeAddrs returns one address per page of every incoming region (plus
-// nothing else: replies and done words live in those regions too).
-func (nx *NX) wakeAddrs() []kernel.VA {
-	var vas []kernel.VA
-	for _, cn := range nx.connList {
-		vas = append(vas, nx.connAddrs(cn)...)
-	}
-	return vas
-}
-
-func (nx *NX) connAddrs(cn *conn) []kernel.VA {
-	vas := make([]kernel.VA, 0, regionPages)
-	for pg := 0; pg < regionPages; pg++ {
-		vas = append(vas, cn.in+kernel.VA(pg*hw.Page))
-	}
-	return vas
 }
 
 func (nx *NX) flushAllCredits() {

@@ -94,21 +94,7 @@ func (t *Timer) Stop() bool {
 	}
 	ev := t.ev
 	t.ev = nil
-	switch {
-	case ev.index >= 0:
-		t.eng.removeAt(ev.index)
-		t.eng.recycle(ev)
-		return true
-	case ev.index == indexNowQ:
-		// In the current-instant FIFO: mark canceled (the run loop
-		// recycles it when it reaches the head).
-		ev.index = indexFired
-		ev.fn = nil
-		t.eng.nowLive--
-		return true
-	default:
-		return false
-	}
+	return t.eng.cancel(ev, t.gen)
 }
 
 // Pending reports whether the timer is still scheduled to fire.
@@ -333,9 +319,36 @@ func (e *Engine) post(t Time, fn func()) *event {
 	return ev
 }
 
+// cancel removes ev from the queue if it is still the event issued at
+// generation gen and has not fired, reporting whether it was pending.
+// Timer.Stop and the handle-free timed waits (WaitAnyTimeout) share it; the
+// generation check makes a stale cancel of a recycled event a no-op.
+func (e *Engine) cancel(ev *event, gen uint64) bool {
+	if ev.gen != gen {
+		return false
+	}
+	switch {
+	case ev.index >= 0:
+		e.removeAt(ev.index)
+		e.recycle(ev)
+		return true
+	case ev.index == indexNowQ:
+		// In the current-instant FIFO: mark canceled (the run loop
+		// recycles it when it reaches the head).
+		ev.index = indexFired
+		ev.fn = nil
+		e.nowLive--
+		return true
+	default:
+		return false
+	}
+}
+
 // Schedule arranges for fn to run d from now. d must be non-negative.
-// The returned Timer may be used to cancel or re-arm the event; callers
-// that never cancel should prefer Post, which allocates no handle.
+// The returned Timer, which is heap-allocated on every call, may be used to
+// cancel or re-arm the event. A caller that drops the handle must use Post
+// instead: it fires at the same instant in the same order and allocates
+// nothing (shrimplint's discarded-timer rule enforces this).
 func (e *Engine) Schedule(d time.Duration, fn func()) *Timer {
 	if d < 0 {
 		panic("sim: negative delay") //lint:allow transitive-panic API misuse by the caller, not a runtime condition
@@ -345,7 +358,8 @@ func (e *Engine) Schedule(d time.Duration, fn func()) *Timer {
 }
 
 // At arranges for fn to run at absolute virtual time t, which must not be in
-// the past.
+// the past. Like Schedule it allocates the returned handle; a caller that
+// never cancels uses PostAt.
 func (e *Engine) At(t Time, fn func()) *Timer {
 	ev := e.post(t, fn)
 	return &Timer{eng: e, ev: ev, gen: ev.gen, fn: fn}

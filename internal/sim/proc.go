@@ -49,6 +49,35 @@ type Proc struct {
 	// next yield point (used by the kernel signal machinery).
 	pendingInterrupts []func(*Proc)
 	interruptsMasked  bool
+
+	// frames pools the timed-wait state of WaitAnyTimeout, one frame per
+	// nesting level: an interrupt handler that runs while a timed wait is
+	// parked may start a timed wait of its own, and each needs its own
+	// timeout flag. waitDepth is the number of frames in use.
+	frames    []*waitFrame
+	waitDepth int
+}
+
+// waitFrame is one level of timed-wait state. expire is built once, when
+// the frame is first allocated, so arming a timeout allocates nothing.
+type waitFrame struct {
+	p        *Proc
+	ev       *event // the armed timeout event
+	gen      uint64 // ev's generation when armed
+	timedOut bool
+	expire   func()
+}
+
+// fire is the timeout: if the proc is still waiting (on whichever conds it
+// waits on now — possibly a nested wait's), it is pulled out and woken, and
+// this frame's wait reports a timeout.
+func (f *waitFrame) fire() {
+	p := f.p
+	if len(p.waitingOn) > 0 {
+		f.timedOut = true
+		p.leaveConds()
+		p.unpark()
+	}
 }
 
 // killSentinel unwinds a killed proc's stack (Kill, Engine.Shutdown).
@@ -230,8 +259,15 @@ func (p *Proc) runPendingInterrupts() {
 		return
 	}
 	for len(p.pendingInterrupts) > 0 {
-		fn := p.pendingInterrupts[0]
-		p.pendingInterrupts = p.pendingInterrupts[1:]
+		// Dequeue by copying the tail down, so the queue keeps its
+		// backing array and Interrupt does not reallocate. A handler may
+		// queue more (or drain the queue in a nested yield), so re-read
+		// the field every round.
+		q := p.pendingInterrupts
+		fn := q[0]
+		n := copy(q, q[1:])
+		q[n] = nil
+		p.pendingInterrupts = q[:n]
 		fn(p)
 	}
 }
@@ -282,22 +318,29 @@ func WaitAnyTimeout(p *Proc, d time.Duration, conds ...*Cond) bool {
 		p.runPendingInterrupts()
 		return false
 	}
-	timedOut := false
-	timer := p.eng.Schedule(d, func() {
-		if len(p.waitingOn) > 0 {
-			timedOut = true
-			p.leaveConds()
-			p.unpark()
-		}
-	})
+	if d < 0 {
+		panic("sim: negative delay") //lint:allow transitive-panic API misuse by the caller, not a runtime condition
+	}
+	if p.waitDepth == len(p.frames) {
+		f := &waitFrame{p: p}
+		f.expire = f.fire
+		p.frames = append(p.frames, f)
+	}
+	f := p.frames[p.waitDepth]
+	p.waitDepth++
+	f.timedOut = false
+	f.ev = p.eng.post(p.eng.now.Add(d), f.expire)
+	f.gen = f.ev.gen
 	for _, c := range conds {
 		c.waiters = append(c.waiters, p)
 	}
 	p.waitingOn = append(p.waitingOn[:0], conds...)
 	p.park()
 	p.leaveConds()
-	timer.Stop()
-	return timedOut
+	p.eng.cancel(f.ev, f.gen)
+	f.ev = nil
+	p.waitDepth--
+	return f.timedOut
 }
 
 // Signal wakes the longest-waiting proc, if any.
