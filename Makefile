@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz trace-smoke svm app partition chaos pool snap-smoke meshscale meshscale-smoke bench bench-json check clean
+.PHONY: all build test race vet fmt lint fuzz trace-smoke svm app partition chaos pool snap-smoke meshscale meshscale-smoke bench check clean
 
 all: build
 
@@ -113,15 +113,6 @@ chaos:
 # figure/chaos drivers.
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/nic ./internal/mesh ./internal/bench .
-
-# bench-json runs the reproducible wall-clock suite and refreshes the
-# committed BENCH_10.json baseline (ns/op, allocs/op, events/sec, wall-clock
-# per figure sweep, serving run, partition cell, chaos cell, the
-# snapshot/pool entries, and the meshscale virtual-time cells). The compare
-# against the previous baseline is advisory: it warns, never fails.
-bench-json:
-	$(GO) run ./cmd/shrimpbench -benchjson /tmp/BENCH_new.json -benchbase BENCH_9.json
-	cp /tmp/BENCH_new.json BENCH_10.json
 
 # check is the full gate CI runs: gofmt, build, vet, lint, race-enabled
 # tests, trace determinism, snapshot determinism, mesh-scaling digest

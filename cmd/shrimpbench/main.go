@@ -23,21 +23,16 @@
 //	shrimpbench -faults [-faultseed N] [-parallel N]
 //	shrimpbench -pool
 //	shrimpbench -meshscale | -meshsmoke
-//	shrimpbench -benchjson BENCH_5.json [-benchbase old.json]
 //
 // Every mode also takes -cpuprofile FILE, which writes a host CPU profile
 // of the whole run to FILE for `go tool pprof`; simulation output does not
 // change.
 //
-// -parallel N runs the independent figure sweeps (or chaos cells) on N
-// worker threads. Every simulation still executes single-threaded on its
-// own engine; tables, CSVs, and replay digests are byte-identical to a
-// sequential run — only the wall-clock changes.
-//
-// -benchjson runs the wall-clock benchmark suite (event-core
-// microbenchmarks, memory bulk moves, end-to-end figure sweeps, chaos
-// cells) and writes a JSON report with ns/op, allocs/op, and events/sec.
-// -benchbase compares against a committed baseline report, warn-only.
+// -parallel N runs the selected figure sweeps (or the chaos cells) on N
+// worker threads; sequential and parallel runs go through the same runner,
+// which treats N <= 1 as in sequence. Every simulation still executes
+// single-threaded on its own engine; tables, CSVs, and replay digests are
+// byte-identical for any N — only the wall-clock changes.
 //
 // -meshscale runs the big-mesh scaling study: 64, 256, and 1024 nodes on
 // k-ary n-cube geometries, with in-network combining off and on, reporting
@@ -89,7 +84,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -119,8 +113,6 @@ func run() int {
 	meshScale := flag.Bool("meshscale", false, "run the big-mesh scaling study (64/256/1024 nodes, combining off/on, digest-checked)")
 	meshSmoke := flag.Bool("meshsmoke", false, "run the tiny meshscale smoke cells (for make check)")
 	parallel := flag.Int("parallel", 0, "run independent figure/chaos scenarios on N workers (0 = sequential; results are byte-identical either way)")
-	benchJSON := flag.String("benchjson", "", "run the wall-clock benchmark suite and write the JSON report to this file")
-	benchBase := flag.String("benchbase", "", "baseline JSON report to compare -benchjson results against (warn-only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of whichever mode runs to this file (read it with go tool pprof)")
 	flag.Parse()
 
@@ -141,25 +133,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
 			}
 		}()
-	}
-
-	if *benchJSON != "" {
-		rep := bench.RunPerfSuite(*iters)
-		fmt.Print(bench.BenchTable(rep))
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
-		if *benchBase != "" {
-			warnBenchBaseline(*benchBase, rep)
-		}
-		return 0
 	}
 
 	if *meshScale {
@@ -242,12 +215,7 @@ func run() int {
 	}
 
 	if *faults {
-		var results []bench.ChaosResult
-		if *parallel > 0 {
-			results = bench.RunChaosParallel(*faultSeed, *parallel)
-		} else {
-			results = bench.RunChaos(*faultSeed)
-		}
+		results := bench.RunChaos(*faultSeed, *parallel)
 		fmt.Print(bench.ChaosTable(results))
 		fmt.Println()
 		points := bench.DegradedFig5(1024, 32, *faultSeed, []float64{0, 0.001, 0.01})
@@ -283,7 +251,6 @@ func run() int {
 	}
 
 	run := func(name string) bool { return *fig == "all" || *fig == name }
-	var figures []*bench.Figure
 
 	if run("peak") {
 		r := bench.RunPeak()
@@ -296,33 +263,11 @@ func run() int {
 		fmt.Printf("  %-44s %8s %6.1fMB/s\n", "AU-1copy bandwidth at 10KB", "<DU", r.AU1copyMBs)
 		fmt.Println()
 	}
-	if *parallel > 0 {
-		// The pool runs all five figures; output stays in fixed order and
-		// every table/CSV byte matches the sequential path.
-		for _, f := range bench.RunFiguresParallel(*iters, *parallel) {
-			if run(f.ID) {
-				figures = append(figures, f)
-			}
-		}
-	} else {
-		if run("fig3") {
-			figures = append(figures, bench.Fig3(*iters))
-		}
-		if run("fig4") {
-			figures = append(figures, bench.Fig4(*iters))
-		}
-		if run("fig5") {
-			figures = append(figures, bench.Fig5(*iters))
-		}
-		if run("fig7") {
-			figures = append(figures, bench.Fig7(*iters))
-		}
-		if run("fig8") {
-			figures = append(figures, bench.Fig8(*iters))
-		}
+	ids := []string{*fig}
+	if *fig == "all" {
+		ids = bench.FigureIDs()
 	}
-
-	for _, f := range figures {
+	for _, f := range bench.RunFigures(ids, *iters, *parallel) {
 		if f.ID == "fig8" {
 			// Figure 8 is a single latency plot over its own sweep.
 			fmt.Print(f.LatencyTable(1 << 20))
@@ -380,31 +325,6 @@ func run() int {
 		return 2
 	}
 	return 0
-}
-
-// warnBenchBaseline compares rep against a committed baseline report and
-// prints advisory warnings; it never exits non-zero, because wall-clock on
-// shared CI runners is too noisy for a hard gate.
-func warnBenchBaseline(path string, rep bench.BenchReport) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shrimpbench: baseline %s unreadable (%v); skipping compare\n", path, err)
-		return
-	}
-	var base bench.BenchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "shrimpbench: baseline %s unparsable (%v); skipping compare\n", path, err)
-		return
-	}
-	warnings := bench.CompareBenchReports(base, rep, 0.25)
-	if len(warnings) == 0 {
-		fmt.Printf("baseline compare vs %s: no regressions beyond 25%%\n", path)
-		return
-	}
-	fmt.Printf("baseline compare vs %s — WARNINGS (advisory only):\n", path)
-	for _, w := range warnings {
-		fmt.Printf("  %s\n", w)
-	}
 }
 
 func anyRan(fig string) bool {

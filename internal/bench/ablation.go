@@ -37,8 +37,10 @@ type AblationResult struct {
 
 // CombiningAblation measures AU transfers with and without write combining.
 func CombiningAblation(size int) []AblationResult {
-	run := func(combine bool) (lat float64, packets int64) {
-		c := cluster.Default()
+	trial := func(combine bool) (lat float64, packets int64) {
+		r := &run{}
+		defer r.close()
+		c := r.cluster(cluster.Config{})
 		var sendAt, seenAt sim.Time
 		exported := false
 		ready := sim.NewCond(c.Eng)
@@ -74,8 +76,8 @@ func CombiningAblation(size int) []AblationResult {
 		c.Run()
 		return seenAt.Sub(sendAt).Seconds() * 1e6, c.Mesh.PacketsDelivered
 	}
-	latOn, pktOn := run(true)
-	latOff, pktOff := run(false)
+	latOn, pktOn := trial(true)
+	latOff, pktOff := trial(false)
 	return []AblationResult{
 		{Name: fmt.Sprintf("AU %dB, combining on", size), Value: latOn, Unit: "us",
 			Note: fmt.Sprintf("%d backplane packets", pktOn)},
@@ -92,8 +94,10 @@ func CombiningAblation(size int) []AblationResult {
 // signals in the common case"). The paper: "we believe that polling is the
 // right choice in the common case".
 func PollVsNotifyAblation() []AblationResult {
-	run := func(notify, fast bool) float64 {
-		c := cluster.Default()
+	trial := func(notify, fast bool) float64 {
+		r := &run{}
+		defer r.close()
+		c := r.cluster(cluster.Config{})
 		var sendAt, seenAt sim.Time
 		exported := false
 		ready := sim.NewCond(c.Eng)
@@ -142,9 +146,9 @@ func PollVsNotifyAblation() []AblationResult {
 		c.Run()
 		return seenAt.Sub(sendAt).Seconds() * 1e6
 	}
-	poll := run(false, false)
-	ntfy := run(true, false)
-	fast := run(true, true)
+	poll := trial(false, false)
+	ntfy := trial(true, false)
+	fast := trial(true, true)
 	return []AblationResult{
 		{Name: "1-word delivery, receiver polling", Value: poll, Unit: "us"},
 		{Name: "1-word delivery, notification (signal)", Value: ntfy, Unit: "us",
@@ -159,9 +163,11 @@ func PollVsNotifyAblation() []AblationResult {
 // (each recipient forwards). This is the experiment behind the co-design
 // decision to drop hardware multicast.
 func MulticastAblation(size int) []AblationResult {
-	run := func(tree bool) float64 {
+	trial := func(tree bool) float64 {
 		const nodes = 16
-		c := cluster.New(cluster.Config{MeshX: 4, MeshY: 4, MemBytes: 8 << 20})
+		r := &run{}
+		defer r.close()
+		c := r.cluster(cluster.Config{MeshX: 4, MeshY: 4, MemBytes: 8 << 20})
 		var start sim.Time
 		var last sim.Time
 		doneCount := 0
@@ -208,8 +214,8 @@ func MulticastAblation(size int) []AblationResult {
 		}
 		return last.Sub(start).Seconds() * 1e6
 	}
-	naive := run(false)
-	tree := run(true)
+	naive := trial(false)
+	tree := trial(true)
 	return []AblationResult{
 		{Name: fmt.Sprintf("software multicast %dB, sequential", size), Value: naive, Unit: "us",
 			Note: "root sends 15 times"},
@@ -220,8 +226,10 @@ func MulticastAblation(size int) []AblationResult {
 
 // CollectiveScalingAblation measures NX gsync and gdsum on 4 vs 16 nodes.
 func CollectiveScalingAblation() []AblationResult {
-	run := func(nodes, meshX, meshY int) (sync, sum float64) {
-		c := cluster.New(cluster.Config{MeshX: meshX, MeshY: meshY, MemBytes: 8 << 20})
+	trial := func(nodes, meshX, meshY int) (sync, sum float64) {
+		r := &run{}
+		defer r.close()
+		c := r.cluster(cluster.Config{MeshX: meshX, MeshY: meshY, MemBytes: 8 << 20})
 		var syncT, sumT sim.Time
 		for node := 0; node < nodes; node++ {
 			node := node
@@ -243,8 +251,8 @@ func CollectiveScalingAblation() []AblationResult {
 		c.Run()
 		return syncT.Sub(0).Seconds() * 1e6, sumT.Sub(0).Seconds() * 1e6
 	}
-	s4, r4 := run(4, 2, 2)
-	s16, r16 := run(16, 4, 4)
+	s4, r4 := trial(4, 2, 2)
+	s16, r16 := trial(16, 4, 4)
 	return []AblationResult{
 		{Name: "gsync, 4 nodes (prototype)", Value: s4, Unit: "us"},
 		{Name: "gsync, 16 nodes (planned system)", Value: s16, Unit: "us"},

@@ -8,8 +8,8 @@
 //   - AppRamp — the offered-load ramp behind the EXPERIMENTS.md table:
 //     throughput and served-latency quantiles vs offered load, through
 //     saturation into admission-controlled overload.
-//   - chaosAppServe / chaosAppFailover — the soak-matrix cells that put the
-//     serving stack under the standard fault plans.
+//   - chaosAppFailover / chaosAppPartition — the soak-matrix cells that put
+//     the serving stack through a crash and through link partitions.
 package bench
 
 import (
@@ -23,7 +23,6 @@ import (
 	"shrimp/internal/cluster"
 	"shrimp/internal/fault"
 	"shrimp/internal/sim"
-	"shrimp/internal/trace"
 )
 
 // AppServeOpts parameterizes one serving run.
@@ -82,23 +81,15 @@ type AppServeResult struct {
 	Stable bool
 }
 
-// appCluster is benchCluster at an explicit mesh size: the serving
-// scenarios need 8 nodes where the figure drivers use the 4-node
-// prototype, and the chaos harness must still be able to slip fault plans
-// underneath.
-func appCluster(tc *trace.Collector, mx, my int) *cluster.Cluster {
-	return buildCluster(cluster.Config{MeshX: mx, MeshY: my, Trace: tc})
-}
-
 // appServe runs one serving scenario to completion and fills stats. It
 // validates what every run must satisfy — the generator drained and no
 // value or protocol corruption — and, when a crash was scheduled, that
 // failover was detected, recovery completed, and the rejoined follower was
-// resynced.
-func appServe(tc *trace.Collector, opts AppServeOpts, stats *AppServeStats) error {
-	cl := appCluster(tc, opts.MeshX, opts.MeshY)
+// resynced. The cluster is r's to shut down.
+func appServe(r *run, opts AppServeOpts, stats *AppServeStats) error {
+	cl := r.cluster(cluster.Config{MeshX: opts.MeshX, MeshY: opts.MeshY})
 	acfg := opts.appCfg
-	acfg.Trace = tc
+	acfg.Trace = r.trace
 	if len(opts.Partition) > 0 {
 		if cl.Fault == nil {
 			return fmt.Errorf("app: partition scheduled but the fault injector is not armed")
@@ -210,13 +201,13 @@ func appServe(tc *trace.Collector, opts AppServeOpts, stats *AppServeStats) erro
 		}
 	}
 	if stats != nil {
-		r := g.Report()
+		rep := g.Report()
 		stats.Nodes = len(cl.Nodes)
 		stats.Shards = a.Cfg.Shards
-		stats.Sessions = r.Sessions
-		stats.Requests = r.Requests
+		stats.Sessions = rep.Sessions
+		stats.Requests = rep.Requests
 		stats.Admitted = rec.Admitted
-		stats.Completed = r.Completed
+		stats.Completed = rep.Completed
 		stats.Shed = rec.Shed
 		stats.Retries = rec.Retries
 		stats.Failovers = rec.Failovers
@@ -226,14 +217,13 @@ func appServe(tc *trace.Collector, opts AppServeOpts, stats *AppServeStats) erro
 		stats.StaleReads = rec.StaleReads
 		stats.AckedPuts = int64(len(g.AckedPuts))
 		stats.DepthHW = rec.DepthHighWater()
-		stats.P50 = r.P50
-		stats.P99 = r.P99
-		stats.P999 = r.P999
-		stats.ThroughputOpsSec = r.ThroughputOpsSec
-		stats.MakespanNS = r.MakespanNS
-		stats.Recovery = r.Recovery
+		stats.P50 = rep.P50
+		stats.P99 = rep.P99
+		stats.P999 = rep.P999
+		stats.ThroughputOpsSec = rep.ThroughputOpsSec
+		stats.MakespanNS = rep.MakespanNS
+		stats.Recovery = rep.Recovery
 	}
-	cl.Shutdown()
 	return nil
 }
 
@@ -267,12 +257,11 @@ func AcceptanceAppOpts() AppServeOpts {
 // the first run's stats plus digest stability.
 func RunAppServe(opts AppServeOpts) (AppServeResult, error) {
 	var res AppServeResult
-	var err1, err2 error
-	d1 := sim.Digest(func() { err1 = appServe(nil, opts, &res.AppServeStats) })
+	d1, err1 := digestRun(nil, func(r *run) error { return appServe(r, opts, &res.AppServeStats) })
 	if err1 != nil {
 		return res, err1
 	}
-	d2 := sim.Digest(func() { err2 = appServe(nil, opts, nil) })
+	d2, err2 := digestRun(nil, func(r *run) error { return appServe(r, opts, nil) })
 	if err2 != nil {
 		return res, fmt.Errorf("second run: %w", err2)
 	}
@@ -327,7 +316,8 @@ func AppRamp(rates []float64) ([]AppRampRow, error) {
 	rows := make([]AppRampRow, 0, len(rates))
 	for _, rate := range rates {
 		var st AppServeStats
-		err := appServe(nil, AppServeOpts{
+		r := &run{}
+		err := appServe(r, AppServeOpts{
 			MeshX: 2, MeshY: 2,
 			Sessions: 1 << 14,
 			Rate:     rate,
@@ -339,6 +329,7 @@ func AppRamp(rates []float64) ([]AppRampRow, error) {
 			// queueing, which is the subsystem's overload story.
 			appCfg: app.Config{ServiceTime: 4 * time.Microsecond, QueueBound: 32},
 		}, &st)
+		r.close()
 		if err != nil {
 			return nil, fmt.Errorf("ramp at %.0f ops/s: %w", rate, err)
 		}
@@ -379,11 +370,6 @@ func chaosAppOpts() AppServeOpts {
 		Duration: 2 * time.Millisecond,
 		Crash:    -1,
 	}
-}
-
-// chaosAppServe is the "app" scenario of the soak matrix.
-func chaosAppServe(tc *trace.Collector) error {
-	return appServe(tc, chaosAppOpts(), nil)
 }
 
 // appPartitionCell names one partition shape of the soak matrix.
@@ -435,9 +421,9 @@ func appPartitionOpts(c appPartitionCell) AppServeOpts {
 
 // chaosAppPartition builds the runner for one partition cell of the soak
 // matrix.
-func chaosAppPartition(c appPartitionCell) func(tc *trace.Collector) error {
-	return func(tc *trace.Collector) error {
-		return appServe(tc, appPartitionOpts(c), nil)
+func chaosAppPartition(c appPartitionCell) func(r *run) error {
+	return func(r *run) error {
+		return appServe(r, appPartitionOpts(c), nil)
 	}
 }
 
@@ -464,15 +450,12 @@ func RunAppPartition(seed int64) ([]AppPartitionRow, error) {
 	for _, c := range appPartitionCells() {
 		opts := appPartitionOpts(c)
 		var st AppServeStats
-		var err1, err2 error
-		clusterMod = func(cfg *cluster.Config) {
+		mod := func(cfg *cluster.Config) {
 			cfg.FaultPlan = &fault.Plan{Name: c.name}
 			cfg.FaultSeed = seed
 		}
-		d1 := sim.Digest(func() { err1 = appServe(nil, opts, &st) })
-		d2 := sim.Digest(func() { err2 = appServe(nil, opts, nil) })
-		clusterMod = nil
-		lastCluster = nil
+		d1, err1 := digestRun(mod, func(r *run) error { return appServe(r, opts, &st) })
+		d2, err2 := digestRun(mod, func(r *run) error { return appServe(r, opts, nil) })
 		if err1 != nil {
 			return rows, fmt.Errorf("%s: %w", c.name, err1)
 		}
@@ -517,7 +500,7 @@ func AppPartitionTable(rows []AppPartitionRow) string {
 // live load, is detected by deadline expiry, restarted, rejoined, and
 // resynced — the run fails unless recovery completed and no acknowledged
 // value was corrupted.
-func chaosAppFailover(tc *trace.Collector) error {
+func chaosAppFailover(r *run) error {
 	opts := chaosAppOpts()
 	opts.Sessions = 1 << 10
 	opts.Duration = 18 * time.Millisecond
@@ -527,5 +510,5 @@ func chaosAppFailover(tc *trace.Collector) error {
 	opts.Crash = 2
 	opts.CrashAt = 4 * time.Millisecond
 	opts.RestartAfter = 8 * time.Millisecond
-	return appServe(tc, opts, nil)
+	return appServe(r, opts, nil)
 }

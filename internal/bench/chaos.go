@@ -22,59 +22,6 @@ import (
 	"shrimp/internal/vmmc"
 )
 
-// clusterMod, when non-nil, rewrites the configuration every benchmark
-// driver builds its cluster from; the chaos harness uses it to slip a fault
-// plan (and the reliability sublayer) under an unmodified figure scenario.
-// lastCluster records the most recent cluster a driver built, so the
-// harness can inspect its watchdog and fault counters after the run.
-var (
-	clusterMod  func(*cluster.Config)
-	lastCluster *cluster.Cluster
-	// clusterProvide, when non-nil, sources the cluster for a resolved
-	// config instead of booting fresh — the snapshot pool's hook. A
-	// provider may return nil to decline (config it has no image for),
-	// which falls back to a normal boot.
-	clusterProvide func(cluster.Config) *cluster.Cluster
-)
-
-// buildCluster resolves a driver's cluster request: the config rewriter
-// runs first (fault plans, per-engine digests), then the provider gets a
-// chance to serve a pooled or cloned world, and a fresh boot is the
-// fallback. A worker registered by the parallel runner gets its own hooks
-// and cluster slot; only the sequential path touches the package globals.
-func buildCluster(cfg cluster.Config) *cluster.Cluster {
-	if env := currentEnv(); env != nil {
-		if env.mod != nil {
-			env.mod(&cfg)
-		}
-		c := clusterFrom(cfg, env.provide)
-		env.last = c
-		return c
-	}
-	if clusterMod != nil {
-		clusterMod(&cfg)
-	}
-	c := clusterFrom(cfg, clusterProvide)
-	lastCluster = c
-	return c
-}
-
-// clusterFrom consults a provider before falling back to a fresh boot.
-func clusterFrom(cfg cluster.Config, provide func(cluster.Config) *cluster.Cluster) *cluster.Cluster {
-	if provide != nil {
-		if c := provide(cfg); c != nil {
-			return c
-		}
-	}
-	return cluster.New(cfg)
-}
-
-// benchCluster is how every figure driver builds its system: the default
-// 4-node prototype, plus whatever the chaos harness injects.
-func benchCluster(tc *trace.Collector) *cluster.Cluster {
-	return buildCluster(cluster.Config{Trace: tc})
-}
-
 // StandardChaosPlans is the soak matrix: three lossy-link plans (which the
 // reliability sublayer must absorb) and one NIC-fault plan (freeze storm +
 // outgoing stall, exercised on the raw in-order backplane).
@@ -91,11 +38,6 @@ func StandardChaosPlans() []fault.Plan {
 	}
 }
 
-// chaosScenarios are the figure scenarios the soak runs (the same single
-// representative points TraceFigure picks) plus the harness's own
-// byte-verification stream.
-var chaosScenarios = []string{"fig3", "fig4", "fig5", "fig7", "fig8", "ttcp", "svm", "app", "integrity"}
-
 // ChaosResult is one (scenario, plan) cell of the soak matrix.
 type ChaosResult struct {
 	Scenario string
@@ -103,7 +45,7 @@ type ChaosResult struct {
 	Seed     int64
 	Digest   uint64 // event-stream digest of the first run
 	Stable   bool   // second run with same seed+plan produced same digest
-	Injected int64  // link faults the injector actually delivered
+	Injected int64  // faults delivered, summed over every cluster the cell built
 	Blocked  []string
 	Detail   string // failure description, "" on success
 }
@@ -114,17 +56,28 @@ func (r ChaosResult) OK() bool {
 	return r.Detail == "" && r.Stable && len(r.Blocked) == 0
 }
 
-// RunChaos runs the full soak matrix with the given injector seed: every
-// figure scenario under every standard plan, plus the mid-transfer node
-// crash/recovery scenario under its own plan. Lossy-link plans run with the
-// mesh reliability sublayer enabled (the stack under test); the NIC-fault
-// plan runs on the raw backplane.
-func RunChaos(seed int64) []ChaosResult {
-	var out []ChaosResult
+// chaosCell is one (scenario, plan) cell of the soak matrix.
+type chaosCell struct {
+	name     string
+	plan     fault.Plan
+	reliable bool
+	run      func(r *run) error
+}
+
+// chaosCells is the soak matrix: every figure scenario under every standard
+// plan, then the mid-transfer node crash/recovery scenario, the serving
+// stack's failover cell, and the partition quadrant, each under its own
+// plan. Lossy-link plans run with the mesh reliability sublayer enabled
+// (the stack under test); the NIC-fault plan runs on the raw backplane.
+func chaosCells() []chaosCell {
+	// The figure scenarios are the single representative points
+	// TraceFigure picks, plus the harness's own byte-verification stream.
+	scenarios := []string{"fig3", "fig4", "fig5", "fig7", "fig8", "ttcp", "svm", "app", "integrity"}
+	var cells []chaosCell
 	for _, plan := range StandardChaosPlans() {
 		reliable := plan.Link != (fault.LinkFaults{})
-		for _, sc := range chaosScenarios {
-			out = append(out, chaosCase(sc, plan, seed, reliable, scenarioRunner(sc)))
+		for _, sc := range scenarios {
+			cells = append(cells, chaosCell{sc, plan, reliable, scenarioRunner(sc)})
 		}
 	}
 	// 5 ms lands inside the sender's transfer loop: the two Ethernet import
@@ -132,59 +85,60 @@ func RunChaos(seed int64) []ChaosResult {
 	crashPlan := fault.Plan{Name: "crash-node2-mid-transfer", Crashes: []fault.Crash{
 		{Node: 2, At: 5 * time.Millisecond},
 	}}
-	out = append(out, chaosCase("crash-recovery", crashPlan, seed, false, chaosCrashRecovery))
+	cells = append(cells, chaosCell{"crash-recovery", crashPlan, false, chaosCrashRecovery})
 	// The serving-stack failover cell schedules its own crash, restart, and
 	// rejoin; the empty plan just keeps the injector armed for the digest.
-	out = append(out, chaosCase("app-failover", fault.Plan{Name: "primary-crash-rejoin"},
-		seed, false, chaosAppFailover))
+	cells = append(cells, chaosCell{"app-failover", fault.Plan{Name: "primary-crash-rejoin"},
+		false, chaosAppFailover})
 	// The partition quadrant: minority group, isolated primary, asymmetric
 	// cut, flapping link. Each cell schedules its own sever/heal through
 	// the armed injector and verifies acked-write durability afterwards.
 	for _, c := range appPartitionCells() {
-		out = append(out, chaosCase(c.name, fault.Plan{Name: c.name},
-			seed, false, chaosAppPartition(c)))
+		cells = append(cells, chaosCell{c.name, fault.Plan{Name: c.name}, false, chaosAppPartition(c)})
 	}
+	return cells
+}
+
+// RunChaos runs the full soak matrix with the given injector seed on up to
+// workers OS threads (workers <= 1 runs the cells in sequence). Results
+// come back in matrix order and are identical for any worker count.
+func RunChaos(seed int64, workers int) []ChaosResult {
+	cells := chaosCells()
+	out := make([]ChaosResult, len(cells))
+	runPool(workers, len(cells), func(i int) { out[i] = cells[i].result(seed) })
 	return out
 }
 
-func scenarioRunner(sc string) func(tc *trace.Collector) error {
+func scenarioRunner(sc string) func(r *run) error {
 	if sc == "integrity" {
 		return chaosIntegrity
 	}
-	return func(tc *trace.Collector) error {
-		_, err := TraceFigure(sc, tc)
+	return func(r *run) error {
+		_, err := traceFigure(r, sc)
 		return err
 	}
 }
 
-// chaosCase runs one cell twice under the determinism digest and collects
-// the verdict.
-func chaosCase(name string, plan fault.Plan, seed int64, reliable bool, run func(tc *trace.Collector) error) ChaosResult {
-	res := ChaosResult{Scenario: name, Plan: plan.Name, Seed: seed}
-	one := func() (err error, injected int64, blocked []string, digest uint64) {
-		clusterMod = func(cfg *cluster.Config) {
-			p := plan
-			cfg.FaultPlan = &p
-			cfg.FaultSeed = seed
-			cfg.Reliable = reliable
-		}
-		lastCluster = nil
-		digest = sim.Digest(func() { err = run(nil) })
-		clusterMod = nil
-		if lastCluster != nil {
-			injected = lastCluster.Fault.Injected()
-			blocked = lastCluster.Eng.Stalled()
-			lastCluster.Shutdown()
-			lastCluster = nil
-		}
-		return
+// result runs the cell twice, each time in its own context under the
+// determinism digest, and collects the verdict. The fault count and the
+// parked-proc check cover every cluster the first run built.
+func (c chaosCell) result(seed int64) ChaosResult {
+	res := ChaosResult{Scenario: c.name, Plan: c.plan.Name, Seed: seed}
+	mod := func(cfg *cluster.Config) {
+		p := c.plan
+		cfg.FaultPlan = &p
+		cfg.FaultSeed = seed
+		cfg.Reliable = c.reliable
 	}
-	err1, injected, blocked, d1 := one()
-	err2, _, _, d2 := one()
+	d1, err1 := digestRun(mod, func(r *run) error {
+		err := c.run(r)
+		res.Injected = r.injected()
+		res.Blocked = r.stalled()
+		return err
+	})
+	d2, err2 := digestRun(mod, c.run)
 	res.Digest = d1
 	res.Stable = d1 == d2
-	res.Injected = injected
-	res.Blocked = blocked
 	switch {
 	case err1 != nil:
 		res.Detail = err1.Error()
@@ -192,8 +146,8 @@ func chaosCase(name string, plan fault.Plan, seed int64, reliable bool, run func
 		res.Detail = "second run: " + err2.Error()
 	case !res.Stable:
 		res.Detail = fmt.Sprintf("digest unstable: %s vs %s", sim.DigestString(d1), sim.DigestString(d2))
-	case len(blocked) > 0:
-		res.Detail = "blocked procs: " + strings.Join(blocked, ", ")
+	case len(res.Blocked) > 0:
+		res.Detail = "blocked procs: " + strings.Join(res.Blocked, ", ")
 	}
 	return res
 }
@@ -232,7 +186,7 @@ func chaosPattern(i int) byte { return byte(i*131>>4) ^ byte(i) }
 // size, so the staging/alignment path is exercised) and verifies every
 // received byte: under a lossy plan with the reliability sublayer on, the
 // acknowledged stream must arrive complete and intact.
-func chaosIntegrity(tc *trace.Collector) error {
+func chaosIntegrity(r *run) error {
 	const size, count = 1531, 24
 	var verr error
 	fail := func(format string, args ...any) {
@@ -240,7 +194,7 @@ func chaosIntegrity(tc *trace.Collector) error {
 			verr = fmt.Errorf(format, args...)
 		}
 	}
-	socketPair(socket.ModeDU1, tc,
+	socketPair(r, socket.ModeDU1,
 		func(c *socket.Conn, p *kernel.Process) {
 			buf := p.Alloc(size+8, hw.WordSize)
 			total := size * count
@@ -290,8 +244,8 @@ func chaosIntegrity(tc *trace.Collector) error {
 // (sends to it turn into vmmc.ErrPeerDead instead of silent writes through
 // freed page-table entries), transfers to the surviving node must keep
 // working, and fresh imports must still succeed — the cluster stays usable.
-func chaosCrashRecovery(tc *trace.Collector) error {
-	cl := benchCluster(tc)
+func chaosCrashRecovery(r *run) error {
+	cl := r.cluster(cluster.Config{})
 	var verr error
 	fail := func(format string, args ...any) {
 		if verr == nil {
@@ -412,21 +366,14 @@ func DegradedFig5(size, iters int, seed int64, drops []float64) []DegradedPoint 
 			Name: fmt.Sprintf("drop-%g%%", d*100),
 			Link: fault.LinkFaults{DropProb: d},
 		}
-		clusterMod = func(cfg *cluster.Config) {
+		r := &run{mod: func(cfg *cluster.Config) {
 			cfg.FaultPlan = &plan
 			cfg.FaultSeed = seed
 			cfg.Reliable = true
-		}
-		lastCluster = nil
-		rt, bw := vrpcPingPong(sunrpc.ModeAU, size, iters, nil)
-		clusterMod = nil
-		var retrans int64
-		if lastCluster != nil {
-			retrans = lastCluster.Mesh.RelStats().Retransmits
-			lastCluster.Shutdown()
-			lastCluster = nil
-		}
-		out = append(out, DegradedPoint{DropPct: d * 100, RTripUS: rt, MBPerSec: bw, Retransmits: retrans})
+		}}
+		rt, bw := vrpcPingPong(r, sunrpc.ModeAU, size, iters)
+		out = append(out, DegradedPoint{DropPct: d * 100, RTripUS: rt, MBPerSec: bw, Retransmits: r.retransmits()})
+		r.close()
 	}
 	return out
 }
@@ -440,21 +387,13 @@ func SocketStreamDegraded(mode socket.Mode, size, count int, perWrite, perByte t
 		Name: fmt.Sprintf("drop-%g%%", drop*100),
 		Link: fault.LinkFaults{DropProb: drop},
 	}
-	clusterMod = func(cfg *cluster.Config) {
+	r := &run{trace: tc, mod: func(cfg *cluster.Config) {
 		cfg.FaultPlan = &plan
 		cfg.FaultSeed = seed
 		cfg.Reliable = true
-	}
-	lastCluster = nil
-	mbps := socketStream(mode, size, count, perWrite, perByte, tc)
-	clusterMod = nil
-	var retrans int64
-	if lastCluster != nil {
-		retrans = lastCluster.Mesh.RelStats().Retransmits
-		lastCluster.Shutdown()
-		lastCluster = nil
-	}
-	return mbps, retrans
+	}}
+	defer r.close()
+	return socketStream(r, mode, size, count, perWrite, perByte), r.retransmits()
 }
 
 // DegradedTable renders the degraded-mode measurements.

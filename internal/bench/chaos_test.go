@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"shrimp/internal/cluster"
 	"shrimp/internal/fault"
+	"shrimp/internal/sim"
 )
 
 // A fast subset of the chaos soak for tier-1 CI: one lossy cell with the
@@ -16,7 +18,7 @@ func TestChaosIntegrityLossy(t *testing.T) {
 	plan := fault.Plan{Name: "lossy", Link: fault.LinkFaults{
 		DropProb: 0.005, CorruptProb: 0.005, ReorderProb: 0.005,
 	}}
-	res := chaosCase("integrity", plan, 1, true, chaosIntegrity)
+	res := chaosCell{"integrity", plan, true, chaosIntegrity}.result(1)
 	if !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
 	}
@@ -29,7 +31,7 @@ func TestChaosNICStorm(t *testing.T) {
 	plan := fault.Plan{Name: "storm", NIC: []fault.NICFault{
 		{Node: 1, Kind: fault.FreezeStorm, At: 200 * time.Microsecond, Count: 3, Gap: 15 * time.Microsecond},
 	}}
-	res := chaosCase("integrity", plan, 1, false, chaosIntegrity)
+	res := chaosCell{"integrity", plan, false, chaosIntegrity}.result(1)
 	if !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
 	}
@@ -39,9 +41,27 @@ func TestChaosCrashRecovery(t *testing.T) {
 	plan := fault.Plan{Name: "crash", Crashes: []fault.Crash{
 		{Node: 2, At: 5 * time.Millisecond},
 	}}
-	res := chaosCase("crash-recovery", plan, 1, false, chaosCrashRecovery)
+	res := chaosCell{"crash-recovery", plan, false, chaosCrashRecovery}.result(1)
 	if !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
+	}
+}
+
+// TestChaosBlockedInFirstCluster: the parked-proc check covers every
+// cluster a cell builds, not only the last one. A proc left parked in the
+// first of two worlds must fail the cell.
+func TestChaosBlockedInFirstCluster(t *testing.T) {
+	cell := chaosCell{"two-worlds", fault.Plan{Name: "none"}, false, func(r *run) error {
+		first := r.cluster(cluster.Config{})
+		never := sim.NewCond(first.Eng)
+		first.Eng.Spawn("stuck", func(p *sim.Proc) { never.Wait(p) })
+		first.Run()
+		r.cluster(cluster.Config{}).Run()
+		return nil
+	}}
+	res := cell.result(1)
+	if res.OK() || !reflect.DeepEqual(res.Blocked, []string{"stuck"}) {
+		t.Fatalf("parked proc in the first cluster went unreported: %+v", res)
 	}
 }
 
@@ -71,7 +91,7 @@ func TestChaosPlansWellFormed(t *testing.T) {
 // replay digest.
 func TestChaosPartitionCell(t *testing.T) {
 	c := appPartitionCells()[1] // part-primary
-	res := chaosCase(c.name, fault.Plan{Name: c.name}, 1, false, chaosAppPartition(c))
+	res := chaosCell{c.name, fault.Plan{Name: c.name}, false, chaosAppPartition(c)}.result(1)
 	if !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
 	}
@@ -89,18 +109,16 @@ func TestPartitionCellsTightTimeouts(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			opts := appPartitionOpts(c)
 			opts.appCfg.CallDeadline = 3 * time.Millisecond
-			clusterMod = func(cfg *cluster.Config) {
+			r := &run{mod: func(cfg *cluster.Config) {
 				cfg.FaultPlan = &fault.Plan{Name: c.name}
 				cfg.FaultSeed = 1
 				cfg.Timeouts = cluster.Timeouts{
 					DaemonRPC: 2 * time.Millisecond,
 					BindFloor: 250 * time.Millisecond,
 				}
-			}
-			err := appServe(nil, opts, nil)
-			clusterMod = nil
-			lastCluster = nil
-			if err != nil {
+			}}
+			defer r.close()
+			if err := appServe(r, opts, nil); err != nil {
 				t.Fatalf("%s under tight timeouts: %v", c.name, err)
 			}
 		})

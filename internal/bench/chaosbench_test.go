@@ -11,7 +11,7 @@ func BenchmarkChaosCell(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := chaosCase("fig3", plan, 1, true, scenarioRunner("fig3"))
+		res := chaosCell{"fig3", plan, true, scenarioRunner("fig3")}.result(1)
 		if !res.OK() {
 			b.Fatalf("chaos cell failed: %+v", res)
 		}
@@ -24,7 +24,7 @@ func BenchmarkChaosSoak(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !ChaosOK(RunChaos(1)) {
+		if !ChaosOK(RunChaos(1, 1)) {
 			b.Fatal("chaos soak failed")
 		}
 	}
@@ -34,7 +34,7 @@ func BenchmarkChaosSoakParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !ChaosOK(RunChaosParallel(1, Workers())) {
+		if !ChaosOK(RunChaos(1, Workers())) {
 			b.Fatal("chaos soak failed")
 		}
 	}

@@ -230,17 +230,13 @@ func runElasticRollingOnce() (ElasticRollingResult, error) {
 		opts.CrashAt = 3 * time.Millisecond
 		opts.RestartAfter = 6 * time.Millisecond
 		var stats AppServeStats
-		var err error
-		env := withEnvProvide(func(cfg *cluster.Config) {
+		r := &run{mod: func(cfg *cluster.Config) {
 			p := plan
 			cfg.FaultPlan = &p
 			cfg.FaultSeed = 1
-			cfg.Auto = dt
-		}, provide, func() { err = appServe(nil, opts, &stats) })
-		if env.last != nil {
-			env.last.Shutdown()
-			env.last = nil
-		}
+		}, provide: provide, digest: dt}
+		err := appServe(r, opts, &stats)
+		r.close()
 		if err != nil {
 			return res, fmt.Errorf("round victim=%d: %w", victim, err)
 		}

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"shrimp/internal/cluster"
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
 	"shrimp/internal/sim"
-	"shrimp/internal/trace"
 	"shrimp/internal/vmmc"
 )
 
@@ -42,14 +42,16 @@ var Fig3Strategies = []string{AU1copy, AU2copy, DU0copy, DU1copy}
 // VMMCPingPong measures one strategy at one message size over iters
 // round trips and returns one-way latency (us) and bandwidth (MB/s).
 func VMMCPingPong(strategy string, size, iters int) (float64, float64) {
-	return vmmcPingPong(strategy, size, iters, nil)
+	r := &run{}
+	defer r.close()
+	return vmmcPingPong(r, strategy, size, iters)
 }
 
-func vmmcPingPong(strategy string, size, iters int, tc *trace.Collector) (float64, float64) {
+func vmmcPingPong(r *run, strategy string, size, iters int) (float64, float64) {
 	if size%hw.WordSize != 0 {
 		panic("vmmc ping-pong sizes must be word multiples")
 	}
-	c := benchCluster(tc)
+	c := r.cluster(cluster.Config{})
 	pages := (size+4)/hw.Page + 2
 
 	ready := sim.NewCond(c.Eng)

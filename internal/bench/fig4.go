@@ -3,11 +3,11 @@ package bench
 import (
 	"time"
 
+	"shrimp/internal/cluster"
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
 	"shrimp/internal/nx"
 	"shrimp/internal/sim"
-	"shrimp/internal/trace"
 )
 
 // Figure 4: NX latency and bandwidth. Five protocol variants, as in the
@@ -22,11 +22,13 @@ var Fig4Variants = []nx.Proto{nx.ProtoAU1, nx.ProtoAU2, nx.ProtoDU0, nx.ProtoDU1
 // NXPingPong measures NX csend/crecv round trips at one size under one
 // protocol variant, returning one-way latency (us) and bandwidth (MB/s).
 func NXPingPong(proto nx.Proto, size, iters int) (float64, float64) {
-	return nxPingPong(proto, size, iters, nil)
+	r := &run{}
+	defer r.close()
+	return nxPingPong(r, proto, size, iters)
 }
 
-func nxPingPong(proto nx.Proto, size, iters int, tc *trace.Collector) (float64, float64) {
-	c := benchCluster(tc)
+func nxPingPong(r *run, proto nx.Proto, size, iters int) (float64, float64) {
+	c := r.cluster(cluster.Config{})
 	var start, end sim.Time
 	const typPing, typPong = 1, 2
 

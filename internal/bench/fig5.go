@@ -7,7 +7,6 @@ import (
 	"shrimp/internal/kernel"
 	"shrimp/internal/sim"
 	"shrimp/internal/sunrpc"
-	"shrimp/internal/trace"
 	"shrimp/internal/vmmc"
 	"shrimp/internal/xdr"
 )
@@ -45,11 +44,13 @@ func fig5Program() *sunrpc.Program {
 // VRPCPingPong measures `iters` echo calls of the given argument/result
 // size and returns (roundtrip latency us, bandwidth MB/s).
 func VRPCPingPong(mode sunrpc.Mode, size, iters int) (float64, float64) {
-	return vrpcPingPong(mode, size, iters, nil)
+	r := &run{}
+	defer r.close()
+	return vrpcPingPong(r, mode, size, iters)
 }
 
-func vrpcPingPong(mode sunrpc.Mode, size, iters int, tc *trace.Collector) (float64, float64) {
-	c := benchCluster(tc)
+func vrpcPingPong(r *run, mode sunrpc.Mode, size, iters int) (float64, float64) {
+	c := r.cluster(cluster.Config{})
 	up := false
 	ready := sim.NewCond(c.Eng)
 	var start, end sim.Time
@@ -136,7 +137,9 @@ func RunRPCBaseline() RPCBaseline {
 	var r RPCBaseline
 	r.SBLNullUS, _ = VRPCPingPong(sunrpc.ModeAU, 4, 12)
 
-	c := cluster.Default()
+	w := &run{}
+	defer w.close()
+	c := w.cluster(cluster.Config{})
 	up := false
 	ready := sim.NewCond(c.Eng)
 	var start, end sim.Time

@@ -3,6 +3,7 @@ package bench
 import (
 	"time"
 
+	"shrimp/internal/cluster"
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
 	"shrimp/internal/sim"
@@ -18,8 +19,8 @@ import (
 var Fig7Modes = []socket.Mode{socket.ModeAU2, socket.ModeDU1, socket.ModeDU2}
 
 // socketPair runs server/client bodies over one established connection.
-func socketPair(mode socket.Mode, tc *trace.Collector, server, client func(c *socket.Conn, p *kernel.Process)) {
-	cl := benchCluster(tc)
+func socketPair(r *run, mode socket.Mode, server, client func(c *socket.Conn, p *kernel.Process)) {
+	cl := r.cluster(cluster.Config{})
 	cl.Spawn(1, "server", func(p *kernel.Process) {
 		ep := vmmc.Attach(p, cl.Node(1).Daemon)
 		lib := socket.New(ep, cl.Ether, 1, mode)
@@ -45,12 +46,14 @@ func socketPair(mode socket.Mode, tc *trace.Collector, server, client func(c *so
 // SocketPingPong measures one-way latency (us) and ping-pong bandwidth
 // (MB/s) at one message size.
 func SocketPingPong(mode socket.Mode, size, iters int) (float64, float64) {
-	return socketPingPong(mode, size, iters, nil)
+	r := &run{}
+	defer r.close()
+	return socketPingPong(r, mode, size, iters)
 }
 
-func socketPingPong(mode socket.Mode, size, iters int, tc *trace.Collector) (float64, float64) {
+func socketPingPong(r *run, mode socket.Mode, size, iters int) (float64, float64) {
 	var start, end sim.Time
-	socketPair(mode, tc,
+	socketPair(r, mode,
 		func(c *socket.Conn, p *kernel.Process) {
 			buf := p.Alloc(size+8, hw.WordSize)
 			for i := 0; i < iters+1; i++ {
@@ -98,18 +101,20 @@ func socketPingPong(mode socket.Mode, size, iters int, tc *trace.Collector) (flo
 // perWriteOverhead and perByteOverhead model the measuring application's
 // own costs (zero for the library microbenchmark; nonzero for ttcp).
 func SocketStream(mode socket.Mode, size, count int, perWriteOverhead time.Duration, perByte time.Duration) float64 {
-	return socketStream(mode, size, count, perWriteOverhead, perByte, nil)
+	return SocketStreamTraced(mode, size, count, perWriteOverhead, perByte, nil)
 }
 
 // SocketStreamTraced is SocketStream with an observability collector
 // attached to the cluster (cmd/ttcp's -trace/-stats). tc may be nil.
 func SocketStreamTraced(mode socket.Mode, size, count int, perWriteOverhead, perByte time.Duration, tc *trace.Collector) float64 {
-	return socketStream(mode, size, count, perWriteOverhead, perByte, tc)
+	r := &run{trace: tc}
+	defer r.close()
+	return socketStream(r, mode, size, count, perWriteOverhead, perByte)
 }
 
-func socketStream(mode socket.Mode, size, count int, perWriteOverhead, perByte time.Duration, tc *trace.Collector) float64 {
+func socketStream(r *run, mode socket.Mode, size, count int, perWriteOverhead, perByte time.Duration) float64 {
 	var start, end sim.Time
-	socketPair(mode, tc,
+	socketPair(r, mode,
 		func(c *socket.Conn, p *kernel.Process) {
 			buf := p.Alloc(size+8, hw.WordSize)
 			total := size * count

@@ -1,12 +1,12 @@
 package bench
 
 import (
+	"shrimp/internal/cluster"
 	"shrimp/internal/kernel"
 	"shrimp/internal/sim"
 	"shrimp/internal/srpc"
 	"shrimp/internal/srpc/srpctest"
 	"shrimp/internal/sunrpc"
-	"shrimp/internal/trace"
 	"shrimp/internal/vmmc"
 )
 
@@ -22,11 +22,13 @@ import (
 // SRPCNull measures the specialized system's null-with-INOUT roundtrip
 // (microseconds) at the given argument size.
 func SRPCNull(size, iters int) float64 {
-	return srpcNull(size, iters, nil)
+	r := &run{}
+	defer r.close()
+	return srpcNull(r, size, iters)
 }
 
-func srpcNull(size, iters int, tc *trace.Collector) float64 {
-	c := benchCluster(tc)
+func srpcNull(r *run, size, iters int) float64 {
+	c := r.cluster(cluster.Config{})
 	up := false
 	ready := sim.NewCond(c.Eng)
 	var start, end sim.Time

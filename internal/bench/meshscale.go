@@ -9,8 +9,7 @@
 // numbers in EXPERIMENTS.md reproducible claims rather than measurements.
 //
 // All times here are VIRTUAL: they come from the calibrated hardware model,
-// not the host clock (the wall-clock entries in perf.go time the simulator
-// itself). Link contention is read from the mesh's "link.wait" histogram —
+// not the host clock (perfbench times the simulator itself). Link contention is read from the mesh's "link.wait" histogram —
 // how long packet headers sat queued behind other flows at a channel.
 package bench
 
@@ -71,21 +70,19 @@ func runMeshScaleOnce(dims []int, combining bool) (MeshScaleRow, uint64) {
 		nodes *= d
 	}
 	row := MeshScaleRow{Dims: dims, Nodes: nodes, Combining: combining}
-	dt := sim.NewDigestTracer()
 	tc := trace.New()
 	// Histograms are what the study reads; per-packet channel spans at
 	// 1024 nodes would be millions of entries.
 	tc.MaxSpans = 4096
-	c := cluster.New(cluster.Config{
+	r := &run{trace: tc, digest: sim.NewDigestTracer()}
+	defer r.close()
+	c := r.cluster(cluster.Config{
 		MeshDims:  dims,
 		Combining: combining,
 		// DRAM is demand-allocated; the bound just has to clear the
 		// Gather root's N-1 lazily-built connection regions.
 		MemBytes: 256 << 20,
-		Trace:    tc,
-		Auto:     dt,
 	})
-	defer c.Shutdown()
 	row.P2PHops = len(c.Mesh.Route(0, mesh.NodeID(nodes-1))) // nodes on the path
 
 	far := nodes - 1
@@ -172,8 +169,8 @@ func runMeshScaleOnce(dims []int, combining bool) (MeshScaleRow, uint64) {
 		row.WaitMax = time.Duration(h.Max)
 	}
 	row.CombMerged, row.CombDelivered = c.Mesh.CombStats()
-	row.Events = dt.Events
-	return row, dt.Sum()
+	row.Events = r.digest.Events
+	return row, r.digest.Sum()
 }
 
 // RunMeshScale runs the scaling study over the given geometries, each with

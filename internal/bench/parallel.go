@@ -1,112 +1,22 @@
-// Worker-pool scenario runner: every figure and chaos cell is an
-// independent, self-contained simulation (its own engine, cluster, and
-// tracers), so wall-clock throughput scales by running cells on OS threads
-// in parallel. Determinism is untouched — each simulation still executes
-// single-threaded on its own engine, workers share no simulation state, and
-// results land in preassigned slots so output order never depends on
-// scheduling. The parallel-vs-sequential byte-identity test in
-// parallel_test.go is the proof.
+// Worker-pool runner: every figure and chaos cell is an independent,
+// self-contained simulation — its own run context, clusters, engines, and
+// tracers — so wall-clock throughput scales by running cells on OS threads
+// in parallel. Determinism is untouched: each simulation still executes
+// single-threaded on its own engine, workers share no simulation state,
+// and results land in preassigned slots so output order never depends on
+// scheduling. A worker count of one runs the same path in sequence, and
+// parallel_test.go diffs the two.
 //
-// This file is the one sanctioned island of host concurrency outside
-// internal/sim, hence the per-line shrimplint suppressions.
+// runPool is the one sanctioned island of host concurrency outside
+// internal/sim, hence its per-line shrimplint suppressions.
 package bench
 
 import (
-	"fmt"
 	"runtime"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"shrimp/internal/cluster"
-	"shrimp/internal/fault"
-	"shrimp/internal/sim"
-	"shrimp/internal/trace"
 )
-
-// scenarioEnv carries one worker's cluster-construction hooks: the config
-// rewriter (fault plans, per-engine digest attachment) and the most recent
-// cluster built, exactly the roles the package-global clusterMod/lastCluster
-// play for sequential runs. benchCluster/jacobiCluster consult the calling
-// goroutine's env first, so parallel workers never touch the globals.
-type scenarioEnv struct {
-	mod func(*cluster.Config)
-	// provide, when non-nil, sources clusters for this worker's drivers —
-	// the worker-local twin of the clusterProvide global (snapshot pools,
-	// prebuilt clone feeds). May return nil to decline a config.
-	provide func(cluster.Config) *cluster.Cluster
-	last    *cluster.Cluster
-}
-
-var (
-	//lint:allow no-stray-concurrency guards the goroutine-id -> env registry
-	envMu sync.Mutex
-	envs  map[int64]*scenarioEnv
-	// envCount lets the sequential fast path skip the goroutine-id lookup
-	// entirely when no parallel run is active.
-	envCount int64
-)
-
-// goid parses the calling goroutine's id from its stack header
-// ("goroutine 123 [running]:"). Only used while a parallel run is active.
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	var id int64
-	for _, c := range buf[len("goroutine "):n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int64(c-'0')
-	}
-	return id
-}
-
-// currentEnv returns the calling goroutine's scenario env, or nil when the
-// goroutine is not a registered worker (the sequential path).
-func currentEnv() *scenarioEnv {
-	//lint:allow no-stray-concurrency cheap active-run check on the sequential fast path
-	if atomic.LoadInt64(&envCount) == 0 {
-		return nil
-	}
-	id := goid()
-	envMu.Lock()
-	env := envs[id]
-	envMu.Unlock()
-	return env
-}
-
-// withEnv runs fn with a scenario env registered for the calling goroutine
-// and returns the env for inspection (fault counters, watchdog state).
-func withEnv(mod func(*cluster.Config), fn func()) *scenarioEnv {
-	return withEnvProvide(mod, nil, fn)
-}
-
-// withEnvProvide is withEnv with a cluster provider attached: every
-// cluster the scenario's drivers build inside fn is sourced through
-// provide (snapshot clones, warm pools) instead of a fresh boot.
-func withEnvProvide(mod func(*cluster.Config), provide func(cluster.Config) *cluster.Cluster, fn func()) *scenarioEnv {
-	env := &scenarioEnv{mod: mod, provide: provide}
-	id := goid()
-	envMu.Lock()
-	if envs == nil {
-		envs = make(map[int64]*scenarioEnv)
-	}
-	envs[id] = env
-	envMu.Unlock()
-	//lint:allow no-stray-concurrency env registry bookkeeping
-	atomic.AddInt64(&envCount, 1)
-	defer func() {
-		envMu.Lock()
-		delete(envs, id)
-		envMu.Unlock()
-		//lint:allow no-stray-concurrency env registry bookkeeping
-		atomic.AddInt64(&envCount, -1)
-	}()
-	fn()
-	return env
-}
 
 // runPool executes job(0..n-1) on up to workers OS threads and waits for
 // all of them. Jobs must be independent; they communicate results through
@@ -145,103 +55,38 @@ func runPool(workers, n int, job func(i int)) {
 // Workers returns the default worker count for parallel runs.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
-// RunFiguresParallel produces the five standard figures like running
-// Fig3..Fig8 back to back, but on a worker pool. The returned slice is
-// always ordered fig3, fig4, fig5, fig7, fig8, and every figure's tables
-// and CSV are byte-identical to its sequential counterpart.
-func RunFiguresParallel(iters, workers int) []*Figure {
-	jobs := []func() *Figure{
-		func() *Figure { return Fig3(iters) },
-		func() *Figure { return Fig4(iters) },
-		func() *Figure { return Fig5(iters) },
-		func() *Figure { return Fig7(iters) },
-		func() *Figure { return Fig8(iters) },
+// figureDriver is one row of the standard figure table.
+type figureDriver struct {
+	id    string
+	build func(iters int) *Figure
+}
+
+// figureDrivers is the standard figure table, in output order.
+func figureDrivers() []figureDriver {
+	return []figureDriver{{"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5}, {"fig7", Fig7}, {"fig8", Fig8}}
+}
+
+// FigureIDs lists the standard figures RunFigures builds, in output order.
+func FigureIDs() []string {
+	var ids []string
+	for _, d := range figureDrivers() {
+		ids = append(ids, d.id)
+	}
+	return ids
+}
+
+// RunFigures builds the requested standard figures on up to workers OS
+// threads (workers <= 1 builds them in sequence). The result follows
+// FigureIDs order and skips ids that are not standard figures; every
+// table and CSV is byte-identical for any worker count.
+func RunFigures(ids []string, iters, workers int) []*Figure {
+	var jobs []figureDriver
+	for _, d := range figureDrivers() {
+		if slices.Contains(ids, d.id) {
+			jobs = append(jobs, d)
+		}
 	}
 	out := make([]*Figure, len(jobs))
-	runPool(workers, len(jobs), func(i int) {
-		// Register an env (even with no config rewrite) so the drivers'
-		// cluster bookkeeping stays worker-local.
-		withEnv(nil, func() { out[i] = jobs[i]() })
-	})
+	runPool(workers, len(jobs), func(i int) { out[i] = jobs[i].build(iters) })
 	return out
-}
-
-// RunChaosParallel runs the same soak matrix as RunChaos — same cells, same
-// result order, same digests — with the cells distributed over a worker
-// pool. Each cell attaches a per-engine digest tracer through the cluster
-// config instead of sim's process-global hook; the fold is identical, so
-// the digests match RunChaos bit for bit.
-func RunChaosParallel(seed int64, workers int) []ChaosResult {
-	type cell struct {
-		name     string
-		plan     fault.Plan
-		reliable bool
-		run      func(tc *trace.Collector) error
-	}
-	var cells []cell
-	for _, plan := range StandardChaosPlans() {
-		reliable := plan.Link != (fault.LinkFaults{})
-		for _, sc := range chaosScenarios {
-			cells = append(cells, cell{sc, plan, reliable, scenarioRunner(sc)})
-		}
-	}
-	crashPlan := fault.Plan{Name: "crash-node2-mid-transfer", Crashes: []fault.Crash{
-		{Node: 2, At: 5 * time.Millisecond},
-	}}
-	cells = append(cells, cell{"crash-recovery", crashPlan, false, chaosCrashRecovery})
-	cells = append(cells, cell{"app-failover", fault.Plan{Name: "primary-crash-rejoin"},
-		false, chaosAppFailover})
-	for _, c := range appPartitionCells() {
-		cells = append(cells, cell{c.name, fault.Plan{Name: c.name},
-			false, chaosAppPartition(c)})
-	}
-
-	out := make([]ChaosResult, len(cells))
-	runPool(workers, len(cells), func(i int) {
-		c := cells[i]
-		out[i] = chaosCaseEnv(c.name, c.plan, seed, c.reliable, c.run)
-	})
-	return out
-}
-
-// chaosCaseEnv is chaosCase run through a worker-local env: the digest
-// tracer rides the cluster config (cluster.Config.Auto) instead of the
-// process-global sim.Digest hook, so concurrent cells never share state.
-func chaosCaseEnv(name string, plan fault.Plan, seed int64, reliable bool, run func(tc *trace.Collector) error) ChaosResult {
-	res := ChaosResult{Scenario: name, Plan: plan.Name, Seed: seed}
-	one := func() (err error, injected int64, blocked []string, digest uint64) {
-		dt := sim.NewDigestTracer()
-		env := withEnv(func(cfg *cluster.Config) {
-			p := plan
-			cfg.FaultPlan = &p
-			cfg.FaultSeed = seed
-			cfg.Reliable = reliable
-			cfg.Auto = dt
-		}, func() { err = run(nil) })
-		digest = dt.Sum()
-		if env.last != nil {
-			injected = env.last.Fault.Injected()
-			blocked = env.last.Eng.Stalled()
-			env.last.Shutdown()
-			env.last = nil
-		}
-		return
-	}
-	err1, injected, blocked, d1 := one()
-	err2, _, _, d2 := one()
-	res.Digest = d1
-	res.Stable = d1 == d2
-	res.Injected = injected
-	res.Blocked = blocked
-	switch {
-	case err1 != nil:
-		res.Detail = err1.Error()
-	case err2 != nil:
-		res.Detail = "second run: " + err2.Error()
-	case !res.Stable:
-		res.Detail = fmt.Sprintf("digest unstable: %s vs %s", sim.DigestString(d1), sim.DigestString(d2))
-	case len(blocked) > 0:
-		res.Detail = "blocked procs: " + strings.Join(blocked, ", ")
-	}
-	return res
 }

@@ -7,14 +7,14 @@ import (
 
 // The worker-pool runner's contract is bit-exactness: distributing cells
 // over OS threads must change wall-clock time and nothing else. These tests
-// run the parallel paths twice and diff them — results, digests, rendered
-// tables, CSVs — against the sequential reference.
+// run each runner at four workers twice and diff it — results, digests,
+// rendered tables, CSVs — against the same runner at one worker.
 
 func TestParallelChaosMatchesSequential(t *testing.T) {
 	const seed = 1
-	seq := RunChaos(seed)
+	seq := RunChaos(seed, 1)
 	for run := 1; run <= 2; run++ {
-		par := RunChaosParallel(seed, 4)
+		par := RunChaos(seed, 4)
 		if len(par) != len(seq) {
 			t.Fatalf("run %d: parallel produced %d cells, sequential %d", run, len(par), len(seq))
 		}
@@ -35,9 +35,9 @@ func TestParallelFiguresMatchSequential(t *testing.T) {
 		t.Skip("full figure sweep")
 	}
 	const iters = 2
-	seq := []*Figure{Fig3(iters), Fig4(iters), Fig5(iters), Fig7(iters), Fig8(iters)}
+	seq := RunFigures(FigureIDs(), iters, 1)
 	for run := 1; run <= 2; run++ {
-		par := RunFiguresParallel(iters, 4)
+		par := RunFigures(FigureIDs(), iters, 4)
 		if len(par) != len(seq) {
 			t.Fatalf("run %d: got %d figures, want %d", run, len(par), len(seq))
 		}

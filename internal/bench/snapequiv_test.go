@@ -8,7 +8,6 @@ import (
 	"shrimp/internal/fault"
 	"shrimp/internal/sim"
 	"shrimp/internal/snap"
-	"shrimp/internal/trace"
 )
 
 // snapCloneProvider sources every cluster a scenario asks for through a
@@ -44,25 +43,19 @@ func snapCloneProvider(t *testing.T) func(cluster.Config) *cluster.Cluster {
 // snapEquivCell runs one scenario with the given cluster source and
 // returns its replay digest.
 func snapEquivCell(t *testing.T, plan fault.Plan, reliable bool,
-	run func(tc *trace.Collector) error, provide func(cluster.Config) *cluster.Cluster) uint64 {
+	scenario func(r *run) error, provide func(cluster.Config) *cluster.Cluster) uint64 {
 	t.Helper()
-	dt := sim.NewDigestTracer()
-	var err error
-	env := withEnvProvide(func(cfg *cluster.Config) {
+	r := &run{mod: func(cfg *cluster.Config) {
 		p := plan
 		cfg.FaultPlan = &p
 		cfg.FaultSeed = 1
 		cfg.Reliable = reliable
-		cfg.Auto = dt
-	}, provide, func() { err = run(nil) })
-	if env.last != nil {
-		env.last.Shutdown()
-		env.last = nil
-	}
-	if err != nil {
+	}, provide: provide, digest: sim.NewDigestTracer()}
+	defer r.close()
+	if err := scenario(r); err != nil {
 		t.Fatalf("scenario: %v", err)
 	}
-	return dt.Sum()
+	return r.digest.Sum()
 }
 
 // TestSnapshotEquivalenceMatrix is the tentpole invariant, scenario by
@@ -82,7 +75,7 @@ func TestSnapshotEquivalenceMatrix(t *testing.T) {
 		name     string
 		plan     fault.Plan
 		reliable bool
-		run      func(tc *trace.Collector) error
+		run      func(r *run) error
 	}{
 		{"fig3", none, false, scenarioRunner("fig3")},
 		{"fig4", none, false, scenarioRunner("fig4")},

@@ -11,7 +11,6 @@ import (
 	"shrimp/internal/kernel"
 	"shrimp/internal/nx"
 	"shrimp/internal/svm"
-	"shrimp/internal/trace"
 )
 
 // SVM-vs-message-passing: the same 1-D Jacobi stencil as examples/nx-jacobi,
@@ -35,11 +34,10 @@ func meshFor(n int) (int, int) {
 	}
 }
 
-// jacobiCluster builds an n-node system, honoring the chaos harness's
-// config hook like every other figure driver.
-func jacobiCluster(n int, tc *trace.Collector) *cluster.Cluster {
+// jacobiCluster builds an n-node system inside r.
+func jacobiCluster(r *run, n int) *cluster.Cluster {
 	x, y := meshFor(n)
-	return buildCluster(cluster.Config{MeshX: x, MeshY: y, Trace: tc})
+	return r.cluster(cluster.Config{MeshX: x, MeshY: y})
 }
 
 // JacobiResult is one run of the stencil under either communication layer.
@@ -72,13 +70,15 @@ func JacobiReference(cells, sweeps int) []float64 {
 
 // NXJacobi runs the stencil over NX halo exchange (csend/crecv ghosts,
 // gdsum residual every tenth sweep) — the message-passing baseline.
-func NXJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
+func NXJacobi(nodes, cells, sweeps int) JacobiResult {
+	r := &run{}
+	defer r.close()
 	if cells%nodes != 0 {
 		panic(fmt.Sprintf("bench: %d cells not divisible by %d nodes", cells, nodes))
 	}
 	local := cells / nodes
 	const typLeft, typRight = 100, 101
-	c := jacobiCluster(nodes, tc)
+	c := jacobiCluster(r, nodes)
 	strips := make([][]float64, nodes)
 	perSweep := make([]float64, nodes)
 
@@ -141,7 +141,6 @@ func NXJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
 		})
 	}
 	c.Run()
-	c.Shutdown()
 	res := JacobiResult{Nodes: nodes, Cells: cells, Sweeps: sweeps, PerSweepUS: perSweep[0]}
 	for _, s := range strips {
 		res.Final = append(res.Final, s...)
@@ -154,7 +153,14 @@ func NXJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
 // and fetch the adjacent strip's edge page each sweep, and a barrier per
 // sweep carries the release/acquire coherence. The residual reduction goes
 // through a per-node slot page homed at node 0.
-func SVMJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
+func SVMJacobi(nodes, cells, sweeps int) JacobiResult {
+	r := &run{}
+	defer r.close()
+	return svmJacobi(r, nodes, cells, sweeps)
+}
+
+// svmJacobi is SVMJacobi inside w (named so the svm region can be r).
+func svmJacobi(w *run, nodes, cells, sweeps int) JacobiResult {
 	if cells%nodes != 0 {
 		panic(fmt.Sprintf("bench: %d cells not divisible by %d nodes", cells, nodes))
 	}
@@ -169,7 +175,7 @@ func SVMJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
 		}
 		return 0
 	}
-	c := jacobiCluster(nodes, tc)
+	c := jacobiCluster(w, nodes)
 	strips := make([][]float64, nodes)
 	perSweep := make([]float64, nodes)
 	fetches := make([]int64, nodes)
@@ -261,7 +267,6 @@ func SVMJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
 		})
 	}
 	c.Run()
-	c.Shutdown()
 	res := JacobiResult{Nodes: nodes, Cells: cells, Sweeps: sweeps, PerSweepUS: perSweep[0]}
 	for _, s := range strips {
 		res.Final = append(res.Final, s...)
@@ -287,8 +292,8 @@ type JacobiCompareRow struct {
 func JacobiCompare(cells, sweeps int, nodeCounts []int) []JacobiCompareRow {
 	var rows []JacobiCompareRow
 	for _, n := range nodeCounts {
-		nxr := NXJacobi(n, cells, sweeps, nil)
-		svr := SVMJacobi(n, cells, sweeps, nil)
+		nxr := NXJacobi(n, cells, sweeps)
+		svr := SVMJacobi(n, cells, sweeps)
 		rows = append(rows, JacobiCompareRow{
 			Nodes:         n,
 			NXPerSweepUS:  nxr.PerSweepUS,
@@ -334,15 +339,15 @@ func JacobiTable(rows []JacobiCompareRow, cells, sweeps int) string {
 // chaos soak: a short stencil run plus a lock-protected shared counter,
 // with both results verified — under a fault plan, termination alone is
 // not enough, the answers must still be right.
-func svmJacobiVerified(tc *trace.Collector) (JacobiResult, error) {
+func svmJacobiVerified(w *run) (JacobiResult, error) {
 	const nodes, cells, sweeps, lockRounds = 4, 64, 12, 3
-	res := SVMJacobi(nodes, cells, sweeps, tc)
+	res := svmJacobi(w, nodes, cells, sweeps)
 	if ref := JacobiReference(cells, sweeps); !vectorsEqual(res.Final, ref) {
 		return res, fmt.Errorf("svm-jacobi diverged from the sequential reference")
 	}
 
 	// Lock phase: concurrent read-modify-write under svm.Lock.
-	c := jacobiCluster(nodes, tc)
+	c := jacobiCluster(w, nodes)
 	counters := make([]uint32, nodes)
 	for node := 0; node < nodes; node++ {
 		node := node
@@ -360,7 +365,6 @@ func svmJacobiVerified(tc *trace.Collector) (JacobiResult, error) {
 		})
 	}
 	c.Run()
-	c.Shutdown()
 	for node, v := range counters {
 		if v != nodes*lockRounds {
 			return res, fmt.Errorf("svm lock counter on node %d: got %d, want %d", node, v, nodes*lockRounds)

@@ -16,8 +16,8 @@ func TestSVMJacobiMatchesNX(t *testing.T) {
 	const cells, sweeps = 64, 25
 	ref := JacobiReference(cells, sweeps)
 	for _, nodes := range []int{2, 4, 8} {
-		nxr := NXJacobi(nodes, cells, sweeps, nil)
-		svr := SVMJacobi(nodes, cells, sweeps, nil)
+		nxr := NXJacobi(nodes, cells, sweeps)
+		svr := SVMJacobi(nodes, cells, sweeps)
 		if !vectorsEqual(nxr.Final, ref) {
 			t.Errorf("%d nodes: NX diverged from sequential reference", nodes)
 		}
@@ -40,7 +40,7 @@ func TestSVMJacobiMatchesNX(t *testing.T) {
 // TestSVMJacobiDeterminism: the whole benchmark scenario is digest-stable.
 func TestSVMJacobiDeterminism(t *testing.T) {
 	sim.CheckDeterminism(t, func() {
-		SVMJacobi(4, 64, 12, nil)
+		SVMJacobi(4, 64, 12)
 	})
 }
 
@@ -49,22 +49,18 @@ func TestSVMJacobiDeterminism(t *testing.T) {
 func TestSVMJacobiUnderDrops(t *testing.T) {
 	const cells, sweeps = 64, 40
 	plan := fault.Plan{Name: "drop-0.1%", Link: fault.LinkFaults{DropProb: 0.001}}
-	clusterMod = func(cfg *cluster.Config) {
+	r := &run{mod: func(cfg *cluster.Config) {
 		cfg.FaultPlan = &plan
 		cfg.FaultSeed = 11
 		cfg.Reliable = true
-	}
-	defer func() { clusterMod = nil }()
-	res := SVMJacobi(4, cells, sweeps, nil)
+	}}
+	defer r.close()
+	res := svmJacobi(r, 4, cells, sweeps)
 	if !vectorsEqual(res.Final, JacobiReference(cells, sweeps)) {
 		t.Error("SVM result wrong under lossy links")
 	}
-	if lastCluster != nil {
-		if lastCluster.Fault.Injected() == 0 {
-			t.Error("fault plan injected nothing; test proved nothing")
-		}
-		lastCluster.Shutdown()
-		lastCluster = nil
+	if r.injected() == 0 {
+		t.Error("fault plan injected nothing; test proved nothing")
 	}
 }
 
@@ -73,7 +69,7 @@ func TestSVMJacobiUnderDrops(t *testing.T) {
 func TestSVMChaosScenario(t *testing.T) {
 	for _, plan := range StandardChaosPlans() {
 		reliable := plan.Link != (fault.LinkFaults{})
-		res := chaosCase("svm", plan, 3, reliable, scenarioRunner("svm"))
+		res := chaosCell{"svm", plan, reliable, scenarioRunner("svm")}.result(3)
 		if !res.OK() {
 			t.Errorf("svm under %s: %s", plan.Name, res.Detail)
 		}

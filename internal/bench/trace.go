@@ -30,34 +30,42 @@ import (
 //	       cluster, served quantiles reported (the chaos soak reuses this
 //	       cell too)
 func TraceFigure(figID string, tc *trace.Collector) (string, error) {
+	r := &run{trace: tc}
+	defer r.close()
+	return traceFigure(r, figID)
+}
+
+// traceFigure runs TraceFigure's scenario inside r; the chaos soak runs
+// the same cells under its own contexts.
+func traceFigure(r *run, figID string) (string, error) {
 	const iters = 4
 	switch figID {
 	case "fig3":
-		lat, bw := vmmcPingPong(DU0copy, 4096, iters, tc)
+		lat, bw := vmmcPingPong(r, DU0copy, 4096, iters)
 		return fmt.Sprintf("fig3: VMMC %s, 4096 B x%d round trips: %.2f us one-way, %.1f MB/s",
 			DU0copy, iters, lat, bw), nil
 	case "fig4":
-		lat, bw := nxPingPong(nx.ProtoDefault, 4096, iters, tc)
+		lat, bw := nxPingPong(r, nx.ProtoDefault, 4096, iters)
 		return fmt.Sprintf("fig4: NX default protocol, 4096 B x%d round trips: %.2f us one-way, %.1f MB/s",
 			iters, lat, bw), nil
 	case "fig5":
-		rt, bw := vrpcPingPong(sunrpc.ModeAU, 1024, iters, tc)
+		rt, bw := vrpcPingPong(r, sunrpc.ModeAU, 1024, iters)
 		return fmt.Sprintf("fig5: VRPC %s echo, 1024 B x%d calls: %.2f us roundtrip, %.1f MB/s",
 			sunrpc.ModeAU, iters, rt, bw), nil
 	case "fig7":
-		lat, bw := socketPingPong(socket.ModeDU1, 4096, iters, tc)
+		lat, bw := socketPingPong(r, socket.ModeDU1, 4096, iters)
 		return fmt.Sprintf("fig7: sockets %s, 4096 B x%d round trips: %.2f us one-way, %.1f MB/s",
 			socket.ModeDU1, iters, lat, bw), nil
 	case "fig8":
-		rt := srpcNull(256, iters, tc)
+		rt := srpcNull(r, 256, iters)
 		return fmt.Sprintf("fig8: SRPC null, 256 B INOUT x%d calls: %.2f us roundtrip",
 			iters, rt), nil
 	case "ttcp":
-		mbps := socketStream(socket.ModeDU1, 7168, 16, TTCPPerWrite, TTCPPerByte, tc)
+		mbps := socketStream(r, socket.ModeDU1, 7168, 16, TTCPPerWrite, TTCPPerByte)
 		return fmt.Sprintf("ttcp: sockets %s, 7168 B x16 one-way: %.2f MB/s",
 			socket.ModeDU1, mbps), nil
 	case "svm":
-		res, err := svmJacobiVerified(tc)
+		res, err := svmJacobiVerified(r)
 		if err != nil {
 			return "", err
 		}
@@ -65,7 +73,7 @@ func TraceFigure(figID string, tc *trace.Collector) (string, error) {
 			res.Nodes, res.Cells, res.Sweeps, res.PerSweepUS, res.Fetches), nil
 	case "app":
 		var st AppServeStats
-		if err := appServe(tc, chaosAppOpts(), &st); err != nil {
+		if err := appServe(r, chaosAppOpts(), &st); err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("app: %d-node sharded KV, %d sessions, %d ops served: get.srv p50 %v, p99 %v",
