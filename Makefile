@@ -109,10 +109,11 @@ chaos:
 
 # bench runs every Go microbenchmark with allocation stats: the event-core
 # hot paths (churn, timer arm/cancel, proc ping-pong), the memory bulk
-# moves, the packet datapath (NIC -> mesh -> NIC), and the end-to-end
-# figure/chaos drivers.
+# moves, the kernel's translation and user copies, the packet datapath
+# (NIC -> mesh -> NIC), NX round trips, and the end-to-end figure/chaos
+# drivers.
 bench:
-	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/nic ./internal/mesh ./internal/bench .
+	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/kernel ./internal/nic ./internal/mesh ./internal/nx ./internal/bench .
 
 # check is the full gate CI runs: gofmt, build, vet, lint, race-enabled
 # tests, trace determinism, snapshot determinism, mesh-scaling digest

@@ -199,7 +199,10 @@ type Process struct {
 	M    *Machine
 	P    *sim.Proc
 
-	pt     map[VPN]PTE
+	// pages is the page table: a two-level table of per-page entries
+	// indexed vpn>>ptChunkShift, filled in on first touch like mem's frame
+	// table. An absent chunk reads as unmapped pages with no attributes.
+	pages  []*ptChunk
 	nextVA VA // bump allocator for mappings
 
 	heapVA   VA // current heap fill pointer
@@ -210,17 +213,6 @@ type Process struct {
 	handlers map[int]func(*Process, Signal)
 	blocked  bool // signals blocked (queued, not delivered)
 
-	// auHook, when set, observes CPU stores this process makes to
-	// AU-bound pages *before* page-table translation cost is charged.
-	// Installed by the VMMC layer. (The hardware's snoop is on the
-	// physical bus; the hook lives here so cost accounting can pick the
-	// right store rate per page.)
-	auPages map[VPN]bool
-
-	// prot holds per-page protection overrides; absent pages are ProtRW,
-	// so the map stays empty (and access checks free) unless a user-level
-	// memory manager is active.
-	prot       map[VPN]Prot
 	faultFn    func(*Process, PageFault)
 	faultDepth int
 
@@ -228,6 +220,12 @@ type Process struct {
 	// nesting level in use (waitDepth); see waitSet.
 	waitSets  [][]*sim.Cond
 	waitDepth int
+
+	// copyBufs pools CopyVA's staging buffers the same way, one per
+	// nesting level in use (copyDepth): a signal handler may run CopyVA
+	// while an outer copy's WriteBytes sleeps.
+	copyBufs  [][]byte
+	copyDepth int
 
 	// PageFaults counts protection-violation upcalls delivered to this
 	// process; the SVM coherence accounting reads it.
@@ -249,10 +247,8 @@ func (m *Machine) Spawn(name string, body func(p *Process)) *Process {
 		PID:      m.nextPID,
 		Name:     name,
 		M:        m,
-		pt:       make(map[VPN]PTE),
 		nextVA:   0x10000,
 		handlers: make(map[int]func(*Process, Signal)),
-		auPages:  make(map[VPN]bool),
 		sigCond:  sim.NewCond(m.Eng),
 	}
 	pr.P = m.Eng.Spawn(fmt.Sprintf("n%d/%s", m.ID, name), func(sp *sim.Proc) {
@@ -285,6 +281,55 @@ func (m *Machine) Dead() bool { return m.dead }
 
 // --- Address space management ---
 
+// ptChunkShift sizes the second level of the page table (256 pages, 1MB of
+// virtual address space per chunk).
+const ptChunkShift = 8
+
+// pageEntry is everything the kernel tracks for one virtual page. The AU
+// mark and the protection are independent of the mapping: UnmapPages
+// leaves them in place.
+type pageEntry struct {
+	pte    PTE
+	mapped bool
+	au     bool // stores stream at the snooped AU rate (SetAUPage)
+	prot   Prot // ProtRW unless a user-level memory manager restricted it
+}
+
+type ptChunk [1 << ptChunkShift]pageEntry
+
+// entry returns vpn's page entry for reading, nil if its chunk was never
+// touched.
+func (p *Process) entry(vpn VPN) *pageEntry {
+	if ci := int(vpn >> ptChunkShift); ci < len(p.pages) {
+		if c := p.pages[ci]; c != nil {
+			return &c[vpn&(1<<ptChunkShift-1)]
+		}
+	}
+	return nil
+}
+
+// entryW returns vpn's page entry for writing, materializing its chunk.
+func (p *Process) entryW(vpn VPN) *pageEntry {
+	ci := int(vpn >> ptChunkShift)
+	if ci >= len(p.pages) {
+		p.pages = append(p.pages, make([]*ptChunk, ci+1-len(p.pages))...)
+	}
+	c := p.pages[ci]
+	if c == nil {
+		c = new(ptChunk)
+		p.pages[ci] = c
+	}
+	return &c[vpn&(1<<ptChunkShift-1)]
+}
+
+// mapped returns vpn's entry if the page is mapped, else nil.
+func (p *Process) mapped(vpn VPN) *pageEntry {
+	if e := p.entry(vpn); e != nil && e.mapped {
+		return e
+	}
+	return nil
+}
+
 // MapPages allocates n fresh frames and maps them contiguously, returning
 // the base VA (page-aligned).
 func (p *Process) MapPages(n int, flags PTEFlags) VA {
@@ -294,7 +339,8 @@ func (p *Process) MapPages(n int, flags PTEFlags) VA {
 	}
 	for i := 0; i < n; i++ {
 		f := p.M.AllocFrame()
-		p.pt[PageOf(base)+VPN(i)] = PTE{Frame: f, Flags: flags}
+		e := p.entryW(PageOf(base) + VPN(i))
+		e.pte, e.mapped = PTE{Frame: f, Flags: flags}, true
 	}
 	p.nextVA = base + VA(n*hw.Page)
 	return base
@@ -306,13 +352,12 @@ func (p *Process) UnmapPages(base VA, n int) {
 		panic("kernel: unmap of unaligned base")
 	}
 	for i := 0; i < n; i++ {
-		vpn := PageOf(base) + VPN(i)
-		pte, ok := p.pt[vpn]
-		if !ok {
+		e := p.mapped(PageOf(base) + VPN(i))
+		if e == nil {
 			panic(fmt.Sprintf("kernel: unmap of unmapped page %#x", base))
 		}
-		p.M.FreeFrame(pte.Frame)
-		delete(p.pt, vpn)
+		p.M.FreeFrame(e.pte.Frame)
+		e.pte, e.mapped = PTE{}, false
 	}
 }
 
@@ -359,28 +404,29 @@ func (p *Process) Alloc(n, align int) VA {
 
 // Translate resolves a VA to a physical address.
 func (p *Process) Translate(va VA) (mem.PA, error) {
-	pte, ok := p.pt[PageOf(va)]
-	if !ok {
+	e := p.mapped(PageOf(va))
+	if e == nil {
 		return 0, fmt.Errorf("page fault: %s va %#x unmapped", p.Name, va)
 	}
-	return pte.Frame.Base() + mem.PA(va%hw.Page), nil
+	return e.pte.Frame.Base() + mem.PA(va%hw.Page), nil
 }
 
 // PTEOf returns the page-table entry for va's page.
 func (p *Process) PTEOf(va VA) (PTE, bool) {
-	pte, ok := p.pt[PageOf(va)]
-	return pte, ok
+	if e := p.mapped(PageOf(va)); e != nil {
+		return e.pte, true
+	}
+	return PTE{}, false
 }
 
 // SetFlags updates the flags on a mapped page (e.g. the daemon marking a
 // page write-through before creating an AU binding).
 func (p *Process) SetFlags(vpn VPN, flags PTEFlags) {
-	pte, ok := p.pt[vpn]
-	if !ok {
+	e := p.mapped(vpn)
+	if e == nil {
 		panic("kernel: SetFlags on unmapped page") //lint:allow transitive-panic kernel invariant: callers validate the mapping first (daemon BindAU checks PTEOf)
 	}
-	pte.Flags = flags
-	p.pt[vpn] = pte
+	e.pte.Flags = flags
 }
 
 // --- Per-page protection and the user-level fault upcall ---
@@ -402,25 +448,23 @@ const maxFaultRetries = 100
 // Mprotect sets the protection of n pages starting at the page containing
 // base. Pages must be mapped. Charged as one protection-change syscall.
 func (p *Process) Mprotect(base VA, n int, pr Prot) {
-	if p.prot == nil {
-		p.prot = make(map[VPN]Prot)
-	}
 	for i := 0; i < n; i++ {
-		vpn := PageOf(base) + VPN(i)
-		if _, ok := p.pt[vpn]; !ok {
+		e := p.mapped(PageOf(base) + VPN(i))
+		if e == nil {
 			panic(fmt.Sprintf("kernel: %s mprotect of unmapped page va %#x", p.Name, base)) //lint:allow transitive-panic mprotect of an unmapped page is a simulated segfault: a program bug, not a runtime condition
 		}
-		if pr == ProtRW {
-			delete(p.prot, vpn)
-		} else {
-			p.prot[vpn] = pr
-		}
+		e.prot = pr
 	}
 	p.Compute(hw.MprotectCost)
 }
 
 // ProtOf returns the protection of va's page.
-func (p *Process) ProtOf(va VA) Prot { return p.prot[PageOf(va)] }
+func (p *Process) ProtOf(va VA) Prot {
+	if e := p.entry(PageOf(va)); e != nil {
+		return e.prot
+	}
+	return ProtRW
+}
 
 // OnPageFault installs the process's protection-fault handler. The handler
 // runs in process context (it may sleep, send messages, and call Mprotect);
@@ -438,7 +482,10 @@ func (p *Process) PageFaultHandler() func(*Process, PageFault) { return p.faultF
 func (p *Process) checkAccess(va VA, write bool) {
 	vpn := PageOf(va)
 	for tries := 0; ; tries++ {
-		pr := p.prot[vpn]
+		pr := ProtRW
+		if e := p.entry(vpn); e != nil {
+			pr = e.prot
+		}
 		if pr == ProtRW || (pr == ProtRead && !write) {
 			return
 		}
@@ -497,15 +544,18 @@ func (p *Process) busyUntil(dur time.Duration) {
 // SetAUPage is used by the VMMC layer to tell the kernel cost model that
 // stores to this page stream to the bus at the (slower) snooped rate.
 func (p *Process) SetAUPage(vpn VPN, on bool) {
-	if on {
-		p.auPages[vpn] = true
-	} else {
-		delete(p.auPages, vpn)
+	if e := p.entry(vpn); e != nil {
+		e.au = on
+	} else if on {
+		p.entryW(vpn).au = true
 	}
 }
 
 // IsAUPage reports whether the page has an automatic-update binding.
-func (p *Process) IsAUPage(vpn VPN) bool { return p.auPages[vpn] }
+func (p *Process) IsAUPage(vpn VPN) bool {
+	e := p.entry(vpn)
+	return e != nil && e.au
+}
 
 // WriteBytes stores b at va through the CPU path, charging store costs
 // page-fragment by page-fragment.
@@ -525,15 +575,14 @@ func (p *Process) WriteBytes(va VA, b []byte) {
 			frag = room
 		}
 		p.checkAccess(va+VA(off), true)
-		vpn := PageOf(va + VA(off))
-		pte, ok := p.pt[vpn]
-		if !ok {
+		e := p.mapped(PageOf(va + VA(off)))
+		if e == nil {
 			panic(fmt.Errorf("page fault: %s store va %#x", p.Name, va+VA(off))) //lint:allow transitive-panic store to an unmapped page is a simulated segfault: a program bug, not a runtime condition
 		}
-		pa := pte.Frame.Base() + mem.PA(int(va+VA(off))%hw.Page)
-		if p.auPages[vpn] {
+		pa := e.pte.Frame.Base() + mem.PA(int(va+VA(off))%hw.Page)
+		if e.au {
 			delay := hw.AUSnoopDelay
-			if pte.Flags&FlagUncached != 0 {
+			if e.pte.Flags&FlagUncached != 0 {
 				delay = hw.AUUncachedSnoopDelay
 			}
 			p.writeAUFragment(pa, b[off:off+frag], delay)
@@ -603,10 +652,17 @@ func (s *auSegment) toSnoop() {
 	s.m.segPool = append(s.m.segPool, s)
 }
 
-// ReadBytes loads n bytes at va, charging the copy rate for bulk reads and
-// a flat cost for word-sized touches.
+// ReadBytes loads n bytes at va into a fresh slice, charged as ReadInto.
 func (p *Process) ReadBytes(va VA, n int) []byte {
 	out := make([]byte, n)
+	p.ReadInto(va, out)
+	return out
+}
+
+// ReadInto loads len(out) bytes at va into out, charging the copy rate for
+// bulk reads and a flat cost for word-sized touches.
+func (p *Process) ReadInto(va VA, out []byte) {
+	n := len(out)
 	off := 0
 	for off < n {
 		frag := n - off
@@ -626,21 +682,34 @@ func (p *Process) ReadBytes(va VA, n int) []byte {
 		p.M.Mem.ReadInto(pa, out[off:off+frag])
 		off += frag
 	}
-	return out
 }
 
 // CopyVA copies n bytes from srcVA to dstVA within the process, as a user
 // memcpy: one pass charged at the copy rate (AU destinations at the AU
 // store rate), moving real bytes.
+//
+// The copy is staged through a per-process buffer in chunks of at most
+// 8KB, so a steady-state copy allocates nothing.
 func (p *Process) CopyVA(dstVA, srcVA VA, n int) {
 	const chunk = 8 * 1024
+	if p.copyDepth == len(p.copyBufs) {
+		p.copyBufs = append(p.copyBufs, nil)
+	}
+	buf := p.copyBufs[p.copyDepth]
+	if need := min(n, chunk); len(buf) < need {
+		buf = make([]byte, need)
+		p.copyBufs[p.copyDepth] = buf
+	}
+	p.copyDepth++
+	defer p.endCopy()
 	for n > 0 {
 		c := n
 		if c > chunk {
 			c = chunk
 		}
 		p.checkRange(srcVA, c, false)
-		b := p.peek(srcVA, c)
+		b := buf[:c]
+		p.PeekInto(srcVA, b)
 		p.WriteBytes(dstVA, b)
 		srcVA += VA(c)
 		dstVA += VA(c)
@@ -648,28 +717,33 @@ func (p *Process) CopyVA(dstVA, srcVA VA, n int) {
 	}
 }
 
-// peek reads bytes with no time charge (used when the cost is charged on
-// the write side of a copy, so the pass is costed once, like a real
-// memcpy).
-func (p *Process) peek(va VA, n int) []byte {
-	out := make([]byte, n)
+// endCopy releases the innermost CopyVA staging buffer.
+func (p *Process) endCopy() { p.copyDepth-- }
+
+// PeekInto reads len(b) bytes at va into b with no time charge: the copy
+// side of CopyVA (whose cost is charged on the write side, so the pass is
+// costed once, like a real memcpy), and the zero-cost read of Peek.
+func (p *Process) PeekInto(va VA, b []byte) {
 	off := 0
-	for off < n {
-		frag := n - off
+	for off < len(b) {
+		frag := len(b) - off
 		room := hw.Page - int((va+VA(off))%hw.Page)
 		if frag > room {
 			frag = room
 		}
 		pa := p.mustPA(va + VA(off))
-		p.M.Mem.ReadInto(pa, out[off:off+frag])
+		p.M.Mem.ReadInto(pa, b[off:off+frag])
 		off += frag
 	}
-	return out
 }
 
 // Peek exposes zero-cost reads for assertions in tests and for the
 // simulation's own bookkeeping. Library protocol code must use ReadBytes.
-func (p *Process) Peek(va VA, n int) []byte { return p.peek(va, n) }
+func (p *Process) Peek(va VA, n int) []byte {
+	out := make([]byte, n)
+	p.PeekInto(va, out)
+	return out
+}
 
 // Poke writes bytes with no time charge, for test setup only.
 func (p *Process) Poke(va VA, b []byte) {

@@ -222,8 +222,8 @@ func TestMprotectDefaultRW(t *testing.T) {
 		}
 		p.Mprotect(va, 2, ProtNone)
 		p.Mprotect(va, 2, ProtRW)
-		if len(p.prot) != 0 {
-			t.Errorf("prot table not cleared: %v", p.prot)
+		if prot := p.SnapImage().Prot; len(prot) != 0 {
+			t.Errorf("protection overrides not cleared: %v", prot)
 		}
 		p.WriteWord(va, 7) // no handler installed; must not fault
 	})

@@ -2,13 +2,12 @@
 // kernel's mutable data state — the frame allocator, the PID counter, and
 // every process's page table, protection overrides, heap cursors, and
 // signal-delivery flags. internal/snap encodes these structs; this file
-// owns gathering them in a stable order (page tables are maps, so every
-// dump sorts by virtual page) and re-installing them onto a rebuilt world.
+// owns gathering them in a stable order (every dump walks the page table
+// in virtual-page order) and re-installing them onto a rebuilt world.
 package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"shrimp/internal/mem"
 )
@@ -96,21 +95,23 @@ func (p *Process) SnapImage() ProcessImage {
 		PageFaults:     p.PageFaults,
 		Exited:         p.exited,
 	}
-	img.PT = make([]PTSlot, 0, len(p.pt))
-	for vpn, pte := range p.pt {
-		img.PT = append(img.PT, PTSlot{VPN: vpn, Frame: pte.Frame, Flags: pte.Flags})
+	for ci, c := range p.pages {
+		if c == nil {
+			continue
+		}
+		for i := range c {
+			e, vpn := &c[i], VPN(ci<<ptChunkShift+i)
+			if e.mapped {
+				img.PT = append(img.PT, PTSlot{VPN: vpn, Frame: e.pte.Frame, Flags: e.pte.Flags})
+			}
+			if e.prot != ProtRW {
+				img.Prot = append(img.Prot, ProtSlot{VPN: vpn, Prot: e.prot})
+			}
+			if e.au {
+				img.AUPages = append(img.AUPages, vpn)
+			}
+		}
 	}
-	sort.Slice(img.PT, func(i, j int) bool { return img.PT[i].VPN < img.PT[j].VPN })
-	img.Prot = make([]ProtSlot, 0, len(p.prot))
-	for vpn, pr := range p.prot {
-		img.Prot = append(img.Prot, ProtSlot{VPN: vpn, Prot: pr})
-	}
-	sort.Slice(img.Prot, func(i, j int) bool { return img.Prot[i].VPN < img.Prot[j].VPN })
-	img.AUPages = make([]VPN, 0, len(p.auPages))
-	for vpn := range p.auPages {
-		img.AUPages = append(img.AUPages, vpn)
-	}
-	sort.Slice(img.AUPages, func(i, j int) bool { return img.AUPages[i] < img.AUPages[j] })
 	return img
 }
 
@@ -121,20 +122,16 @@ func (p *Process) InstallImage(img ProcessImage) error {
 	if img.PendingSignals != 0 {
 		return fmt.Errorf("kernel: image of %q carries %d pending signals; signal payloads are not restorable", img.Name, img.PendingSignals)
 	}
-	p.pt = make(map[VPN]PTE, len(img.PT))
+	p.pages = nil
 	for _, s := range img.PT {
-		p.pt[s.VPN] = PTE{Frame: s.Frame, Flags: s.Flags}
+		e := p.entryW(s.VPN)
+		e.pte, e.mapped = PTE{Frame: s.Frame, Flags: s.Flags}, true
 	}
-	p.prot = nil
-	if len(img.Prot) > 0 {
-		p.prot = make(map[VPN]Prot, len(img.Prot))
-		for _, s := range img.Prot {
-			p.prot[s.VPN] = s.Prot
-		}
+	for _, s := range img.Prot {
+		p.entryW(s.VPN).prot = s.Prot
 	}
-	p.auPages = make(map[VPN]bool, len(img.AUPages))
 	for _, vpn := range img.AUPages {
-		p.auPages[vpn] = true
+		p.entryW(vpn).au = true
 	}
 	p.nextVA = img.NextVA
 	p.heapVA = img.HeapVA

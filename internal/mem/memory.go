@@ -67,30 +67,68 @@ type Memory struct {
 	// Seal/Clone/InstallFrames, so ordinary worlds never pay for the check
 	// beyond one nil test. See cow.go.
 	seals []*sealChunk
-	conds map[PFN]*sim.Cond // page write watchers
+
+	// hooks is a two-level table shaped like frames, filled in on first
+	// use: per frame, its write watcher (created by the first wait on the
+	// page) and whether the snoop wants its stores. A nil chunk means no
+	// watcher and no snoop interest anywhere in it.
+	hooks []*hookChunk
 
 	// Snoop, when set, sees every CPU store (not DMA writes — the real
 	// snoop logic sits on the Xpress bus and watches processor writes;
-	// incoming EISA DMA does not re-enter the outgoing path).
+	// incoming EISA DMA does not re-enter the outgoing path). Only
+	// snooped frames (OPT-bound pages) are presented; stores elsewhere
+	// skip the hook for speed.
 	snoop SnoopFunc
 
-	// snoopPages marks frames whose stores are interesting to the snoop
-	// (OPT-bound pages); stores elsewhere skip the hook for speed.
-	snoopPages map[PFN]bool
+	// snoopBuf stages the store fragments WriteCPU presents to the snoop,
+	// allocated on the first snooped store (see WriteCPU).
+	snoopBuf []byte
 }
+
+// pageHooks is one frame's watcher and snoop interest.
+type pageHooks struct {
+	cond    *sim.Cond
+	snooped bool
+}
+
+type hookChunk [1 << pageChunkShift]pageHooks
 
 // New returns a memory of size bytes (rounded up to a whole page). No DRAM
 // is allocated up front; frames materialize on first write.
 func New(eng *sim.Engine, size int) *Memory {
 	pages := (size + hw.Page - 1) / hw.Page
 	return &Memory{
-		eng:        eng,
-		size:       pages * hw.Page,
-		npage:      pages,
-		frames:     make([]*pageChunk, (pages+1<<pageChunkShift-1)>>pageChunkShift),
-		conds:      make(map[PFN]*sim.Cond),
-		snoopPages: make(map[PFN]bool),
+		eng:    eng,
+		size:   pages * hw.Page,
+		npage:  pages,
+		frames: make([]*pageChunk, (pages+1<<pageChunkShift-1)>>pageChunkShift),
+		hooks:  make([]*hookChunk, (pages+1<<pageChunkShift-1)>>pageChunkShift),
 	}
+}
+
+// hook returns frame f's hooks for reading, nil if its chunk has none.
+func (m *Memory) hook(f PFN) *pageHooks {
+	if c := m.hooks[f>>pageChunkShift]; c != nil {
+		return &c[f&(1<<pageChunkShift-1)]
+	}
+	return nil
+}
+
+// hookW returns frame f's hooks for writing, materializing its chunk.
+func (m *Memory) hookW(f PFN) *pageHooks {
+	c := m.hooks[f>>pageChunkShift]
+	if c == nil {
+		c = new(hookChunk)
+		m.hooks[f>>pageChunkShift] = c
+	}
+	return &c[f&(1<<pageChunkShift-1)]
+}
+
+// snooped reports whether the snoop wants stores to frame f.
+func (m *Memory) snooped(f PFN) bool {
+	h := m.hook(f)
+	return h != nil && h.snooped
 }
 
 // Size returns the memory size in bytes.
@@ -218,7 +256,7 @@ func (m *Memory) PresentToSnoop(pa PA, b []byte) {
 		if frag > room {
 			frag = room
 		}
-		if m.snoopPages[PageOf(a)] {
+		if m.snooped(PageOf(a)) {
 			m.snoop(a, b[off:off+frag])
 		}
 		off += frag
@@ -227,9 +265,13 @@ func (m *Memory) PresentToSnoop(pa PA, b []byte) {
 
 // WriteCPU stores b at pa as the processor would: watchers fire and, if the
 // page is snooped, the store is presented to the snoop logic. The snoop is
-// handed page-local fragments of b itself — the store values as they appear
-// on the bus — never a slice of the memory's own backing array, so a snoop
-// implementation cannot mutate simulated RAM through its argument.
+// handed page-local copies of b's fragments — the store values as they
+// appear on the bus — staged in a buffer the Memory owns, never a slice of
+// its backing array, so a snoop implementation cannot mutate simulated RAM
+// through its argument. The staging also keeps b itself from escaping, so
+// callers may pass stack buffers without a heap allocation per store. The
+// snoop must copy what it keeps: the staging buffer is reused by the next
+// snooped store.
 func (m *Memory) WriteCPU(pa PA, b []byte) {
 	m.check(pa, len(b))
 	m.write(pa, b)
@@ -244,8 +286,13 @@ func (m *Memory) WriteCPU(pa PA, b []byte) {
 			if frag > room {
 				frag = room
 			}
-			if m.snoopPages[PageOf(a)] {
-				m.snoop(a, b[off:off+frag])
+			if m.snooped(PageOf(a)) {
+				if m.snoopBuf == nil {
+					m.snoopBuf = make([]byte, hw.Page)
+				}
+				stage := m.snoopBuf[:frag]
+				copy(stage, b[off:off+frag])
+				m.snoop(a, stage)
 			}
 			off += frag
 		}
@@ -256,8 +303,8 @@ func (m *Memory) WriteCPU(pa PA, b []byte) {
 func (m *Memory) wake(pa PA, n int) {
 	first, last := PageOf(pa), PageOf(pa+PA(n-1))
 	for f := first; f <= last; f++ {
-		if c, ok := m.conds[f]; ok {
-			c.Broadcast()
+		if h := m.hook(f); h != nil && h.cond != nil {
+			h.cond.Broadcast()
 		}
 	}
 }
@@ -267,10 +314,10 @@ func (m *Memory) SetSnoop(fn SnoopFunc) { m.snoop = fn }
 
 // SetSnooped marks or unmarks a frame as interesting to the snoop logic.
 func (m *Memory) SetSnooped(f PFN, on bool) {
-	if on {
-		m.snoopPages[f] = true
-	} else {
-		delete(m.snoopPages, f)
+	if h := m.hook(f); h != nil {
+		h.snooped = on
+	} else if on {
+		m.hookW(f).snooped = true
 	}
 }
 
@@ -291,12 +338,11 @@ func (m *Memory) WaitChangeTimeout(p *sim.Proc, pa PA, d time.Duration) bool {
 func (m *Memory) PageCond(f PFN) *sim.Cond { return m.cond(f) }
 
 func (m *Memory) cond(f PFN) *sim.Cond {
-	c, ok := m.conds[f]
-	if !ok {
-		c = sim.NewCond(m.eng)
-		m.conds[f] = c
+	h := m.hookW(f)
+	if h.cond == nil {
+		h.cond = sim.NewCond(m.eng)
 	}
-	return c
+	return h.cond
 }
 
 // U32 reads a little-endian 32-bit word at pa.

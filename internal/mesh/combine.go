@@ -23,13 +23,16 @@
 //     exactly as it stalls the software path.
 //   - Merge order at a router is delivery-event order, which is
 //     deterministic, so float sums are bit-for-bit reproducible run to run.
-//   - Per-operation state is allocated when the first contribution arrives
-//     and deleted when the last result is delivered, so steady-state memory
-//     is bounded by concurrent collectives, not by history.
+//   - Per-operation state is taken from a pool when the first contribution
+//     arrives and returned when the last result is delivered, and every
+//     packet in flight is a pooled hop record with prebuilt callbacks, so
+//     steady-state memory is bounded by concurrent collectives, not by
+//     history, and a warm collective allocates nothing.
 package mesh
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"shrimp/internal/hw"
@@ -63,9 +66,14 @@ type combining struct {
 	// one per child subtree plus the local node's own.
 	need []int
 
-	// ops holds in-flight collectives by caller-assigned id. Entries are
-	// deleted when the down-phase has delivered every result.
-	ops map[uint64]*combState
+	// ops holds the in-flight collectives; a tree holds a handful at
+	// once, so Combine finds one by id with a linear scan. Entries leave
+	// when the down-phase has delivered every result, back to stateFree.
+	ops       []*combState
+	stateFree []*combState
+
+	// hopFree pools the combine packets in flight (see combHop).
+	hopFree []*combHop
 
 	// cond is broadcast on every result delivery; CombWait parks on it.
 	cond *sim.Cond
@@ -76,7 +84,9 @@ type combining struct {
 	Delivered int64
 }
 
-// combState is one in-flight collective.
+// combState is one in-flight collective. The per-router slices are sized
+// once for the network and cleared on reuse; accI is live only for
+// CombISum and accF only for CombFSum.
 type combState struct {
 	id   uint64
 	op   CombOp
@@ -100,7 +110,6 @@ func (n *Network) EnableCombining() {
 		parent: make([]int, n.total),
 		kids:   make([][]int, n.total),
 		need:   make([]int, n.total),
-		ops:    make(map[uint64]*combState),
 		cond:   sim.NewCond(n.eng),
 	}
 	for r := 0; r < n.total; r++ {
@@ -150,22 +159,9 @@ func (n *Network) Combine(node NodeID, op CombOp, id uint64, ival int64, fval fl
 		panic(fmt.Sprintf("mesh: combine from invalid node %d", node))
 	}
 	c := n.comb
-	st := c.ops[id]
+	st := c.lookup(id)
 	if st == nil {
-		st = &combState{
-			id:      id,
-			op:      op,
-			got:     make([]int, n.total),
-			cbs:     make([]func(int64, float64), n.total),
-			pending: n.total,
-		}
-		switch op {
-		case CombISum:
-			st.accI = make([]int64, n.total)
-		case CombFSum:
-			st.accF = make([]float64, n.total)
-		}
-		c.ops[id] = st
+		st = c.newState(n.total, id, op)
 	}
 	if st.op != op {
 		//lint:allow transitive-panic harness wiring bug: one collective, one op
@@ -187,9 +183,124 @@ func (n *Network) Combine(node NodeID, op CombOp, id uint64, ival int64, fval fl
 		n.Trace.Add(traceTrack, ch.span, start, end)
 		n.Trace.Count(traceTrack, ch.bytes, int64(hw.PacketHeaderBytes+combPayloadBytes))
 	}
-	n.eng.PostAt(end.Add(hw.MeshHopLatency), func() {
-		n.combContribute(st, int(node), ival, fval)
-	})
+	h := n.getHop(st, int(node))
+	h.ival, h.fval = ival, fval
+	n.eng.PostAt(end.Add(hw.MeshHopLatency), h.up)
+}
+
+// lookup returns the in-flight collective with the given id, or nil.
+func (c *combining) lookup(id uint64) *combState {
+	for _, st := range c.ops {
+		if st.id == id {
+			return st
+		}
+	}
+	return nil
+}
+
+// newState starts collective id, reusing a retired state when one is free.
+func (c *combining) newState(total int, id uint64, op CombOp) *combState {
+	var st *combState
+	if l := len(c.stateFree); l > 0 {
+		st = c.stateFree[l-1]
+		c.stateFree[l-1] = nil
+		c.stateFree = c.stateFree[:l-1]
+		clear(st.got)
+		clear(st.cbs)
+		clear(st.accI)
+		clear(st.accF)
+	} else {
+		st = &combState{
+			got:  make([]int, total),
+			cbs:  make([]func(int64, float64), total),
+			accI: make([]int64, total),
+			accF: make([]float64, total),
+		}
+	}
+	st.id, st.op, st.pending = id, op, total
+	st.resI, st.resF = 0, 0
+	c.ops = append(c.ops, st)
+	return st
+}
+
+// retire drops a completed collective from the in-flight list and pools
+// its state.
+func (c *combining) retire(st *combState) {
+	if i := slices.Index(c.ops, st); i >= 0 {
+		c.ops = slices.Delete(c.ops, i, i+1)
+	}
+	c.stateFree = append(c.stateFree, st)
+}
+
+// combHop is one combine packet in flight toward router r: a contribution
+// (ival, fval) climbing the tree, the result descending it, or the result
+// leaving through r's eject channel. Records are pooled; each is built with
+// its three callbacks, so posting one allocates nothing. A callback returns
+// its record to the pool before acting on the fields it read.
+type combHop struct {
+	n     *Network
+	st    *combState
+	r     int
+	ival  int64
+	fval  float64
+	up    func()
+	down  func()
+	eject func()
+}
+
+// getHop takes a hop record for collective st at router r from the pool.
+func (n *Network) getHop(st *combState, r int) *combHop {
+	c := n.comb
+	var h *combHop
+	if l := len(c.hopFree); l > 0 {
+		h = c.hopFree[l-1]
+		c.hopFree[l-1] = nil
+		c.hopFree = c.hopFree[:l-1]
+	} else {
+		h = &combHop{n: n}
+		h.up, h.down, h.eject = h.fireUp, h.fireDown, h.fireEject
+	}
+	h.st, h.r = st, r
+	return h
+}
+
+// release returns the record to the pool and hands back what it carried.
+func (h *combHop) release() (*combState, int, int64, float64) {
+	st, r, ival, fval := h.st, h.r, h.ival, h.fval
+	h.st, h.ival, h.fval = nil, 0, 0
+	h.n.comb.hopFree = append(h.n.comb.hopFree, h)
+	return st, r, ival, fval
+}
+
+// fireUp merges the carried contribution at router r.
+func (h *combHop) fireUp() {
+	n := h.n
+	st, r, ival, fval := h.release()
+	n.combContribute(st, r, ival, fval)
+}
+
+// fireDown continues the down-phase broadcast at router r.
+func (h *combHop) fireDown() {
+	n := h.n
+	st, r, _, _ := h.release()
+	n.combDown(st, r, n.eng.Now())
+}
+
+// fireEject delivers the result to router r's node.
+func (h *combHop) fireEject() {
+	n := h.n
+	st, r, _, _ := h.release()
+	c := n.comb
+	c.Delivered++
+	n.Trace.Count(traceTrack, "combine.result", 1)
+	st.cbs[r](st.resI, st.resF)
+	st.pending--
+	if st.pending == 0 {
+		// Last delivery: the whole collective's state goes back to the
+		// pool.
+		c.retire(st)
+	}
+	c.cond.Broadcast()
 }
 
 // CombWait parks p until any combining result is delivered; callers loop on
@@ -224,29 +335,16 @@ func (n *Network) combContribute(st *combState, r int, ival int64, fval float64)
 	// the merged packet takes the link toward the parent.
 	at := n.eng.Now().Add(hw.MeshCombineCost)
 	if c.parent[r] < 0 {
-		st.resI, st.resF = 0, 0
-		if st.accI != nil {
-			st.resI = st.accI[r]
-		}
-		if st.accF != nil {
-			st.resF = st.accF[r]
-		}
+		st.resI, st.resF = st.accI[r], st.accF[r]
 		n.combDown(st, r, at)
 		return
 	}
 	parent := c.parent[r]
-	mi, mf := int64(0), 0.0
-	if st.accI != nil {
-		mi = st.accI[r]
-	}
-	if st.accF != nil {
-		mf = st.accF[r]
-	}
 	serialize := time.Duration(hw.PacketHeaderBytes+combPayloadBytes) * hw.MeshLinkPerByte
 	_, end := n.reserveComb(n.link(r, parent), at, serialize)
-	n.eng.PostAt(end.Add(hw.MeshHopLatency), func() {
-		n.combContribute(st, parent, mi, mf)
-	})
+	h := n.getHop(st, parent)
+	h.ival, h.fval = st.accI[r], st.accF[r]
+	n.eng.PostAt(end.Add(hw.MeshHopLatency), h.up)
 }
 
 // combDown delivers the final value at router r's node and forwards it to
@@ -256,24 +354,10 @@ func (n *Network) combDown(st *combState, r int, at sim.Time) {
 	c := n.comb
 	serialize := time.Duration(hw.PacketHeaderBytes+combPayloadBytes) * hw.MeshLinkPerByte
 	_, eend := n.reserveComb(n.eject[r], at, serialize)
-	n.eng.PostAt(eend, func() {
-		c.Delivered++
-		n.Trace.Count(traceTrack, "combine.result", 1)
-		cb := st.cbs[r]
-		cb(st.resI, st.resF)
-		st.pending--
-		if st.pending == 0 {
-			// Last delivery: drop the whole collective's state.
-			delete(c.ops, st.id)
-		}
-		c.cond.Broadcast()
-	})
+	n.eng.PostAt(eend, n.getHop(st, r).eject)
 	for _, kid := range c.kids[r] {
-		kid := kid
 		_, lend := n.reserveComb(n.link(r, kid), at, serialize)
-		n.eng.PostAt(lend.Add(hw.MeshHopLatency), func() {
-			n.combDown(st, kid, n.eng.Now())
-		})
+		n.eng.PostAt(lend.Add(hw.MeshHopLatency), n.getHop(st, kid).down)
 	}
 }
 

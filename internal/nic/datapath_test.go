@@ -69,6 +69,33 @@ func TestDUChunkPathAllocFree(t *testing.T) {
 	}
 }
 
+// A sender that resubmits its finished job handle pays nothing per
+// transfer: the handle, its cond and its chunk list are reused.
+func TestDUResubmitAllocFree(t *testing.T) {
+	r := newRig(t)
+	idx := r.bind(10, OPTEntry{})
+	chunks := make([]DUChunk, 8)
+	for i := range chunks {
+		chunks[i] = MakeDUChunk(mem.PA(0x4000+i*256), idx, uint32(i*256), 256, false)
+	}
+	job := r.n0.SubmitDU(chunks)
+	r.eng.RunAll()
+	round := func() {
+		r.n0.ResubmitDU(job, chunks)
+		if job.ReadDone() {
+			t.Fatal("resubmitted job already marked done")
+		}
+		r.eng.RunAll()
+		if !job.ReadDone() {
+			t.Fatal("DU job never read its source")
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("%v allocs per resubmitted job, want 0", allocs)
+	}
+}
+
 // BenchmarkPacketPath times one AU packet from a CPU store on node 0 to
 // its DMA into node 1's memory.
 func BenchmarkPacketPath(b *testing.B) {

@@ -120,8 +120,14 @@ type NIC struct {
 	Net *mesh.Network
 	ID  mesh.NodeID
 
+	// opt is the outgoing page table and optUsed its AllocOPT
+	// reservations. Both grow on demand, in step, up to optCap entries:
+	// an index at or past their length is an invalid, free entry. A
+	// board programs only the imports its node uses, so eagerly zeroing
+	// the full table for every NIC of every world would dominate setup.
 	opt     []OPTEntry
-	optFree []bool // true = available
+	optUsed []bool
+	optCap  int
 	// ipt is the incoming page table, chunked and demand-allocated: a nil
 	// chunk reads as all-disabled entries. One entry per local frame would
 	// be a 10k-entry pointer-bearing slab per NIC; real workloads program
@@ -129,7 +135,9 @@ type NIC struct {
 	ipt      []*iptChunk
 	iptPages int // total local frames the table covers
 
-	auByFrame map[mem.PFN]int // local frame -> OPT index (AU binding)
+	// au maps a local frame to its AU binding's OPT index plus one (zero
+	// = unbound), chunked and demand-allocated like ipt.
+	au []*auChunk
 
 	// Snoop combining state: at most one open packet (the hardware
 	// combines only temporally-consecutive writes). combineTime is built
@@ -213,21 +221,17 @@ type NIC struct {
 // backplane, and hooks the node's memory bus snoop.
 func New(m *kernel.Machine, net *mesh.Network, id mesh.NodeID, optEntries int) *NIC {
 	n := &NIC{
-		M:         m,
-		Net:       net,
-		ID:        id,
-		opt:       make([]OPTEntry, optEntries),
-		optFree:   make([]bool, optEntries),
-		ipt:       make([]*iptChunk, (m.Mem.Pages()+1<<iptChunkShift-1)>>iptChunkShift),
-		iptPages:  m.Mem.Pages(),
-		auByFrame: make(map[mem.PFN]int),
-		port:      sim.NewServer(m.Eng),
-		eisa:      sim.NewServer(m.Eng),
-		idleCond:  sim.NewCond(m.Eng),
-		track:     m.TraceNode + "/nic",
-	}
-	for i := range n.optFree {
-		n.optFree[i] = true
+		M:        m,
+		Net:      net,
+		ID:       id,
+		optCap:   optEntries,
+		ipt:      make([]*iptChunk, (m.Mem.Pages()+1<<iptChunkShift-1)>>iptChunkShift),
+		iptPages: m.Mem.Pages(),
+		au:       make([]*auChunk, (m.Mem.Pages()+1<<iptChunkShift-1)>>iptChunkShift),
+		port:     sim.NewServer(m.Eng),
+		eisa:     sim.NewServer(m.Eng),
+		idleCond: sim.NewCond(m.Eng),
+		track:    m.TraceNode + "/nic",
 	}
 	n.packetizeDone = n.finishPacketize
 	n.injectDone = n.finishInject
@@ -246,39 +250,59 @@ func New(m *kernel.Machine, net *mesh.Network, id mesh.NodeID, optEntries int) *
 // multi-page import with one index.
 func (n *NIC) AllocOPT(count int) (int, error) {
 	run := 0
-	for i := range n.optFree {
-		if n.optFree[i] {
-			run++
-			if run == count {
-				base := i - count + 1
-				for j := base; j <= i; j++ {
-					n.optFree[j] = false
-				}
-				return base, nil
-			}
-		} else {
+	for i := 0; i < n.optCap; i++ {
+		if i < len(n.optUsed) && n.optUsed[i] {
 			run = 0
+			continue
+		}
+		run++
+		if run == count {
+			base := i - count + 1
+			n.growOPT(i)
+			for j := base; j <= i; j++ {
+				n.optUsed[j] = true
+			}
+			return base, nil
 		}
 	}
 	return 0, fmt.Errorf("nic: out of OPT entries (%d requested)", count)
 }
 
+// growOPT extends the demand-grown table to cover index idx.
+func (n *NIC) growOPT(idx int) {
+	if idx < 0 || idx >= n.optCap {
+		panic(fmt.Sprintf("nic: OPT index %d outside the %d-entry table", idx, n.optCap)) //lint:allow transitive-panic hardware assertion: OPT indices come from AllocOPT or a snapshot of this geometry
+	}
+	if grow := idx + 1 - len(n.opt); grow > 0 {
+		n.opt = append(n.opt, make([]OPTEntry, grow)...)
+		n.optUsed = append(n.optUsed, make([]bool, grow)...)
+	}
+}
+
 // FreeOPT releases entries and invalidates them.
 func (n *NIC) FreeOPT(base, count int) {
-	for i := base; i < base+count; i++ {
+	for i := base; i < base+count && i < len(n.opt); i++ {
 		n.opt[i] = OPTEntry{}
-		n.optFree[i] = true
+		n.optUsed[i] = false
 	}
 }
 
 // SetOPT programs an entry (memory-mapped I/O from the daemon).
-func (n *NIC) SetOPT(idx int, e OPTEntry) { n.opt[idx] = e }
+func (n *NIC) SetOPT(idx int, e OPTEntry) {
+	n.growOPT(idx)
+	n.opt[idx] = e
+}
 
 // GetOPT reads an entry back.
-func (n *NIC) GetOPT(idx int) OPTEntry { return n.opt[idx] }
+func (n *NIC) GetOPT(idx int) OPTEntry {
+	if idx < len(n.opt) {
+		return n.opt[idx]
+	}
+	return OPTEntry{}
+}
 
 // OPTSize returns the table capacity.
-func (n *NIC) OPTSize() int { return len(n.opt) }
+func (n *NIC) OPTSize() int { return n.optCap }
 
 // --- IPT management ---
 
@@ -307,23 +331,43 @@ func (n *NIC) GetIPT(f mem.PFN) IPTEntry {
 
 // --- Automatic update bindings ---
 
+type auChunk [1 << iptChunkShift]int32
+
+// auBinding returns the OPT index a local frame is bound to, if any.
+func (n *NIC) auBinding(f mem.PFN) (int, bool) {
+	if c := n.au[f>>iptChunkShift]; c != nil {
+		if v := c[f&(1<<iptChunkShift-1)]; v != 0 {
+			return int(v) - 1, true
+		}
+	}
+	return 0, false
+}
+
 // BindAU binds a local frame to OPT entry idx: subsequent CPU stores to the
 // frame are snooped and packetized toward the entry's destination page.
 func (n *NIC) BindAU(localFrame mem.PFN, idx int) {
-	if !n.opt[idx].Valid {
+	if !n.GetOPT(idx).Valid {
 		panic("nic: BindAU to invalid OPT entry") //lint:allow transitive-panic hardware assertion: the daemon re-validates the import after its charged syscall time, so an invalid entry here is a daemon bug
 	}
-	n.auByFrame[localFrame] = idx
+	c := n.au[localFrame>>iptChunkShift]
+	if c == nil {
+		c = new(auChunk)
+		n.au[localFrame>>iptChunkShift] = c
+	}
+	c[localFrame&(1<<iptChunkShift-1)] = int32(idx) + 1
 	n.M.Mem.SetSnooped(localFrame, true)
 }
 
 // UnbindAU removes a frame's automatic-update binding, flushing any open
 // combined packet for it first.
 func (n *NIC) UnbindAU(localFrame mem.PFN) {
-	if idx, ok := n.auByFrame[localFrame]; ok && n.open != nil && n.open.optIdx == idx {
+	idx, ok := n.auBinding(localFrame)
+	if ok && n.open != nil && n.open.optIdx == idx {
 		n.flushOpen()
 	}
-	delete(n.auByFrame, localFrame)
+	if ok {
+		n.au[localFrame>>iptChunkShift][localFrame&(1<<iptChunkShift-1)] = 0
+	}
 	n.M.Mem.SetSnooped(localFrame, false)
 }
 
@@ -335,7 +379,7 @@ func (n *NIC) snoop(pa mem.PA, data []byte) {
 	if n.dead {
 		return
 	}
-	idx, ok := n.auByFrame[mem.PageOf(pa)]
+	idx, ok := n.auBinding(mem.PageOf(pa))
 	if !ok {
 		return
 	}
@@ -494,7 +538,7 @@ func (n *NIC) finishInject() {
 		return
 	}
 	pkt := n.injectPkt
-	e := n.opt[pkt.optIdx]
+	e := n.GetOPT(pkt.optIdx)
 	if e.Valid {
 		n.PacketsOut++
 		n.M.Trace.Count(n.track, "packets.out", 1)
@@ -526,16 +570,26 @@ func (n *NIC) finishInject() {
 // of main memory (the blocking-send completion point). The engine reads
 // chunks until then; the caller must not modify them.
 func (n *NIC) SubmitDU(chunks []DUChunk) *DUJob {
-	job := &DUJob{chunks: chunks, done: sim.NewCond(n.M.Eng)}
+	job := &DUJob{done: sim.NewCond(n.M.Eng)}
+	n.ResubmitDU(job, chunks)
+	return job
+}
+
+// ResubmitDU queues chunks as a new transfer on a job handle this board
+// returned earlier, once that job's source read has completed (ReadDone):
+// the engine is done with a job when it marks the read done. Blocking
+// senders reuse one handle, its cond and their chunk list this way, so a
+// steady-state send allocates nothing.
+func (n *NIC) ResubmitDU(job *DUJob, chunks []DUChunk) {
+	job.chunks, job.readDone = chunks, false
 	if n.dead {
 		// The board is gone; complete the job vacuously so a caller that
 		// somehow still runs does not park forever.
 		job.readDone = true
-		return job
+		return
 	}
 	n.duQ.push(job)
 	n.kickDU()
-	return job
 }
 
 // Wait blocks p until the job's source read completes.
@@ -603,7 +657,7 @@ func (n *NIC) finishDUChunk() {
 	op.optIdx = c.OPTIdx
 	op.dstOff = c.DstOff
 	op.data = data
-	op.notify = c.Notify || n.opt[c.OPTIdx].NotifyOnArrival
+	op.notify = c.Notify || n.GetOPT(c.OPTIdx).NotifyOnArrival
 	n.packetize(op)
 	n.duIdx++
 	n.runDUChunk()

@@ -14,7 +14,6 @@ package nic
 
 import (
 	"fmt"
-	"sort"
 
 	"shrimp/internal/mem"
 )
@@ -69,7 +68,7 @@ func (n *NIC) SnapState() (State, error) {
 		return State{}, fmt.Errorf("nic %d: snapshot under an injected outgoing stall", n.ID)
 	}
 	st := State{
-		OPTSize:      len(n.opt),
+		OPTSize:      n.optCap,
 		Frozen:       n.frozen,
 		Dead:         n.dead,
 		PacketsOut:   n.PacketsOut,
@@ -82,7 +81,7 @@ func (n *NIC) SnapState() (State, error) {
 		if e.Valid {
 			st.OPT = append(st.OPT, OPTSlot{Idx: i, E: e})
 		}
-		if !n.optFree[i] {
+		if n.optUsed[i] {
 			st.Reserved = append(st.Reserved, i)
 		}
 	}
@@ -103,28 +102,34 @@ func (n *NIC) SnapState() (State, error) {
 			})
 		}
 	}
-	st.AU = make([]AUSlot, 0, len(n.auByFrame))
-	for f, idx := range n.auByFrame {
-		st.AU = append(st.AU, AUSlot{F: f, Idx: idx})
+	for ci, c := range n.au {
+		if c == nil {
+			continue
+		}
+		for i, v := range c {
+			if v != 0 {
+				st.AU = append(st.AU, AUSlot{F: mem.PFN(ci<<iptChunkShift + i), Idx: int(v) - 1})
+			}
+		}
 	}
-	sort.Slice(st.AU, func(i, j int) bool { return st.AU[i].F < st.AU[j].F })
 	return st, nil
 }
 
 // RestoreState installs a captured state onto a freshly built board. IPT
 // tags are installed nil; the daemon's restore re-tags exported pages.
 func (n *NIC) RestoreState(st State) error {
-	if st.OPTSize != len(n.opt) {
-		return fmt.Errorf("nic %d: OPT geometry mismatch: have %d entries, image %d", n.ID, len(n.opt), st.OPTSize)
+	if st.OPTSize != n.optCap {
+		return fmt.Errorf("nic %d: OPT geometry mismatch: have %d entries, image %d", n.ID, n.optCap, st.OPTSize)
 	}
 	if st.Dead {
 		return fmt.Errorf("nic %d: restoring a crashed board image", n.ID)
 	}
 	for _, s := range st.OPT {
-		n.opt[s.Idx] = s.E
+		n.SetOPT(s.Idx, s.E)
 	}
 	for _, i := range st.Reserved {
-		n.optFree[i] = false
+		n.growOPT(i)
+		n.optUsed[i] = true
 	}
 	for _, s := range st.IPT {
 		n.SetIPT(s.F, IPTEntry{Enable: s.Enable, Interrupt: s.Interrupt, FastNotify: s.FastNote})

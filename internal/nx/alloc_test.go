@@ -1,0 +1,141 @@
+package nx
+
+import (
+	"testing"
+
+	"shrimp/internal/cluster"
+	"shrimp/internal/hw"
+	"shrimp/internal/kernel"
+)
+
+// allocRuns is how many measured rounds testing.AllocsPerRun makes; it
+// calls the round once more to warm up.
+const allocRuns = 20
+
+// pingPong runs NX Csend/Crecv round trips of size bytes between the two
+// nodes of a 2-node cluster. Node 0 warms up, then hands its round to
+// measure, which must run it exactly rounds times; node 1 echoes. The
+// warm-up cycles through every packet buffer twice, so each page of the
+// connection regions is materialized and every pool is full.
+func pingPong(t testing.TB, size, rounds int, measure func(round func())) {
+	t.Helper()
+	const warm = 2 * NumPkt
+	c := cluster.New(cluster.Config{MeshX: 2, MeshY: 1})
+	defer c.Shutdown()
+	finished := 0
+	c.Spawn(0, "ping", func(p *kernel.Process) {
+		nx := New(c, p, 0, 2, Config{})
+		buf := fill(p, size, 1)
+		round := func() {
+			nx.Csend(1, buf, size, 1, 0)
+			nx.Crecv(2, buf, size)
+		}
+		for i := 0; i < warm; i++ {
+			round()
+		}
+		measure(round)
+		nx.Drain()
+		finished++
+	})
+	c.Spawn(1, "pong", func(p *kernel.Process) {
+		nx := New(c, p, 1, 2, Config{})
+		buf := p.Alloc(size+8, hw.WordSize)
+		for i := 0; i < warm+rounds; i++ {
+			nx.Crecv(1, buf, size)
+			nx.Csend(2, buf, size, 0, 0)
+		}
+		nx.Drain()
+		finished++
+	})
+	c.Run()
+	if finished != 2 {
+		t.Fatalf("only %d/2 processes finished", finished)
+	}
+}
+
+// pingPongAllocs measures the steady-state allocations of one round trip.
+// Both sides' allocations land in the measurement, as do the NIC's and
+// the mesh's.
+func pingPongAllocs(t *testing.T, size int) float64 {
+	var allocs float64
+	pingPong(t, size, allocRuns+1, func(round func()) {
+		allocs = testing.AllocsPerRun(allocRuns, round)
+	})
+	return allocs
+}
+
+func benchPingPong(b *testing.B, size int) {
+	pingPong(b, size, b.N, func(round func()) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+	})
+}
+
+// BenchmarkPingPongAU2 times one small-message round trip.
+func BenchmarkPingPongAU2(b *testing.B) { benchPingPong(b, 256) }
+
+// BenchmarkPingPongDU0 times one large-message zero-copy round trip.
+func BenchmarkPingPongDU0(b *testing.B) { benchPingPong(b, 3*PayloadMax) }
+
+// A warm small-message round trip (the AU one-copy path through packet
+// buffers, credits and the combining snoop) allocates nothing.
+func TestCsendCrecvAU2AllocFree(t *testing.T) {
+	if a := pingPongAllocs(t, 256); a != 0 {
+		t.Fatalf("%v allocs per AU2 round trip, want 0", a)
+	}
+}
+
+// A warm large-message round trip (the DU zero-copy path: scout, backup
+// copy, reply, deliberate update from user memory, done flag) allocates
+// nothing either.
+func TestCsendCrecvDU0AllocFree(t *testing.T) {
+	if a := pingPongAllocs(t, 3*PayloadMax); a != 0 {
+		t.Fatalf("%v allocs per DU0 round trip, want 0", a)
+	}
+}
+
+// A warm combining Gdsum plus Gsync on an 8-node mesh allocates nothing:
+// the collective state, every combine packet in flight and the result
+// records are pooled.
+func TestCombiningCollectivesAllocFree(t *testing.T) {
+	const nodes, warm = 8, 4
+	c := cluster.New(cluster.Config{MeshDims: []int{2, 2, 2}, Combining: true})
+	defer c.Shutdown()
+	var allocs float64
+	finished := 0
+	for i := 0; i < nodes; i++ {
+		i := i
+		c.Spawn(i, "coll", func(p *kernel.Process) {
+			nx := New(c, p, i, nodes, Config{})
+			sum := 0.0
+			round := func() {
+				sum += nx.Gdsum(float64(i))
+				nx.Gsync()
+			}
+			for r := 0; r < warm; r++ {
+				round()
+			}
+			if i == 0 {
+				allocs = testing.AllocsPerRun(allocRuns, round)
+			} else {
+				for r := 0; r < allocRuns+1; r++ {
+					round()
+				}
+			}
+			if want := float64(nodes*(nodes-1)/2) * (warm + allocRuns + 1); sum != want {
+				t.Errorf("node %d: summed %v, want %v", i, sum, want)
+			}
+			finished++
+		})
+	}
+	c.Run()
+	if finished != nodes {
+		t.Fatalf("only %d/%d processes finished", finished, nodes)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocs per Gdsum+Gsync, want 0", allocs)
+	}
+}

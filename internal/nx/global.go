@@ -91,19 +91,38 @@ func (nx *NX) combReduce(op mesh.CombOp, ival int64, fval float64) (int64, float
 	p.Compute(hw.CallCost)
 	nx.collSeq++
 	id := uint64(op)<<32 | uint64(nx.collSeq)
-	done := false
-	var resI int64
-	var resF float64
-	nx.comb.Combine(mesh.NodeID(nx.node), op, id, ival, fval, func(i int64, f float64) {
-		resI, resF = i, f
-		done = true
-	})
-	for !done {
+	if nx.combDepth == len(nx.combRes) {
+		r := &combResult{}
+		r.deliver = r.set
+		nx.combRes = append(nx.combRes, r)
+	}
+	r := nx.combRes[nx.combDepth]
+	nx.combDepth++
+	defer nx.endComb()
+	r.done = false
+	nx.comb.Combine(mesh.NodeID(nx.node), op, id, ival, fval, r.deliver)
+	for !r.done {
 		nx.comb.CombWait(p.P)
 	}
 	p.Compute(hw.CallCost)
-	return resI, resF
+	return r.i, r.f
 }
+
+// combResult receives one combining collective's value. deliver is built
+// once with the record, so handing it to Combine allocates nothing. NX
+// keeps one per nesting level in use (combDepth): a notification handler
+// may run a collective while an outer one waits.
+type combResult struct {
+	i       int64
+	f       float64
+	done    bool
+	deliver func(int64, float64)
+}
+
+func (r *combResult) set(i int64, f float64) { r.i, r.f, r.done = i, f, true }
+
+// endComb releases the innermost combResult.
+func (nx *NX) endComb() { nx.combDepth-- }
 
 // reduce runs recursive doubling: at round k, partner = node XOR 2^k. For
 // non-power-of-two machine sizes the ragged nodes fold into the main block

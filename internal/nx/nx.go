@@ -168,6 +168,14 @@ type NX struct {
 	// spans the whole mesh (the combining tree needs every router's
 	// contribution).
 	comb *mesh.Network
+	// combRes pools the combining results, one per nesting level in use
+	// (combDepth); see combReduce.
+	combRes   []*combResult
+	combDepth int
+
+	// zcFree pools the zcSend records blocking sends retire (see
+	// zcSendBlocking).
+	zcFree []*zcSend
 
 	// Stats for the paper's Section 6 claims: data transfers are far more
 	// common than control transfers, and interrupts are rare.
@@ -527,8 +535,11 @@ func (nx *NX) acquireBuf(cn *conn) int {
 		}
 	}
 	wait.End()
+	// Pop the oldest free buffer, shifting the rest down in place so the
+	// queue keeps its backing array (re-slicing from the front would
+	// creep through memory, reallocating every few messages).
 	buf := cn.freeBufs[0]
-	cn.freeBufs = cn.freeBufs[1:]
+	cn.freeBufs = cn.freeBufs[:copy(cn.freeBufs, cn.freeBufs[1:])]
 	return buf
 }
 

@@ -31,8 +31,10 @@ type hdr struct {
 	pid      int
 }
 
-func (h *hdr) encode() []byte {
-	b := make([]byte, hdrSize)
+// encode renders the descriptor by value, so callers store it from the
+// stack.
+func (h *hdr) encode() [hdrSize]byte {
+	var b [hdrSize]byte
 	putU32 := func(off int, v uint32) {
 		b[off], b[off+1], b[off+2], b[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 	}
@@ -53,7 +55,8 @@ func (nx *NX) readHdr(cn *conn, buf int) hdr {
 	p := nx.proc()
 	off := pktOff(buf)
 	p.P.Sleep(hw.WordTouchCost)
-	b := p.Peek(cn.in+kernel.VA(off), hdrSize)
+	var b [hdrSize]byte
+	p.PeekInto(cn.in+kernel.VA(off), b[:])
 	u32 := func(o int) uint32 {
 		return uint32(b[o]) | uint32(b[o+1])<<8 | uint32(b[o+2])<<16 | uint32(b[o+3])<<24
 	}
@@ -134,7 +137,7 @@ func (nx *NX) Isend(typ int, buf kernel.VA, count, node, pid int) ID {
 		// Large asynchronous sends skip the backup copy entirely: the
 		// user buffer stays live until Msgwait, so the transfer always
 		// goes directly from user memory.
-		zs := nx.zcStart(cn, typ, buf, count, pid, proto, false)
+		zs := nx.zcStart(&zcSend{}, cn, typ, buf, count, pid, proto, false)
 		nx.sends[id] = zs
 	}
 	return id
@@ -188,7 +191,8 @@ func (nx *NX) sendChunk(cn *conn, h hdr, src kernel.VA, n int, proto Proto) {
 		// payload and done word are stored consecutively into the
 		// AU-bound shadow, so the hardware combines them into a
 		// minimal packet train.
-		cn.shadowWrite(p, off, h.encode())
+		enc := h.encode()
+		cn.shadowWrite(p, off, enc[:])
 		if n > 0 {
 			p.CopyVA(cn.outShadow+kernel.VA(off+hdrSize), src, n)
 		}
@@ -199,7 +203,8 @@ func (nx *NX) sendChunk(cn *conn, h hdr, src kernel.VA, n int, proto Proto) {
 		// done into the staging area, one deliberate update moves all
 		// of it. The done word rides in the final packet, so its
 		// arrival implies the payload's.
-		p.WriteBytes(cn.staging, h.encode())
+		enc := h.encode()
+		p.WriteBytes(cn.staging, enc[:])
 		if n > 0 {
 			p.CopyVA(cn.staging+hdrSize, src, n)
 		}
@@ -217,7 +222,8 @@ func (nx *NX) sendChunk(cn *conn, h hdr, src kernel.VA, n int, proto Proto) {
 			nx.sendChunkStaged(cn, h, src, n, off)
 			return
 		}
-		p.WriteBytes(cn.staging, h.encode())
+		enc := h.encode()
+		p.WriteBytes(cn.staging, enc[:])
 		nx.mustSend(cn.out, off, cn.staging, hdrSize)
 		if n > 0 {
 			nx.mustSend(cn.out, off+hdrSize, src, ceil4(n))
@@ -234,7 +240,8 @@ func (nx *NX) sendChunk(cn *conn, h hdr, src kernel.VA, n int, proto Proto) {
 // (effectively the two-copy protocol for this message).
 func (nx *NX) sendChunkStaged(cn *conn, h hdr, src kernel.VA, n, off int) {
 	p := nx.proc()
-	p.WriteBytes(cn.staging, h.encode())
+	enc := h.encode()
+	p.WriteBytes(cn.staging, enc[:])
 	if n > 0 {
 		p.CopyVA(cn.staging+hdrSize, src, n)
 	}

@@ -21,6 +21,34 @@ type zcSend struct {
 	n        int
 	fromBack bool // transfer must use the backup copy
 	complete bool
+	// pooled marks a record owned by the library (a blocking send's),
+	// recycled into zcFree once complete; Isend's records belong to the
+	// caller's handle. free guards against recycling one twice.
+	pooled, free bool
+}
+
+// getZC returns a blank library-owned record for a blocking send, reusing
+// a retired one.
+func (nx *NX) getZC() *zcSend {
+	var zs *zcSend
+	if l := len(nx.zcFree); l > 0 {
+		zs = nx.zcFree[l-1]
+		nx.zcFree[l-1] = nil
+		nx.zcFree = nx.zcFree[:l-1]
+		*zs = zcSend{}
+	} else {
+		zs = &zcSend{}
+	}
+	zs.pooled = true
+	return zs
+}
+
+// retireZC recycles a completed library-owned record.
+func (nx *NX) retireZC(zs *zcSend) {
+	if zs.pooled && zs.complete && !zs.free {
+		zs.free = true
+		nx.zcFree = append(nx.zcFree, zs)
+	}
 }
 
 // zcReply is a decoded reply slot.
@@ -34,7 +62,7 @@ type zcReply struct {
 // zcStart sends the scout and registers the transfer. The scout goes
 // through the one-copy path ("using the one-copy protocol", Section 4.1)
 // and carries the full size so the receiver can locate a buffer.
-func (nx *NX) zcStart(cn *conn, typ int, userVA kernel.VA, n, pid int, proto Proto, backup bool) *zcSend {
+func (nx *NX) zcStart(zs *zcSend, cn *conn, typ int, userVA kernel.VA, n, pid int, proto Proto, backup bool) *zcSend {
 	p := nx.proc()
 	// Bound outstanding zero-copy transfers per connection (reply and
 	// done rings are finite).
@@ -46,7 +74,9 @@ func (nx *NX) zcStart(cn *conn, typ int, userVA kernel.VA, n, pid int, proto Pro
 	cn.zcSendSeq++
 	cn.zcOut++
 	nx.sendChunk(cn, hdr{typ: typ, flags: flagScout, msgID: seq, fullSize: n, pid: pid}, 0, 0, ProtoAU2)
-	return &zcSend{cn: cn, seq: seq, typ: typ, pid: pid, proto: proto, userVA: userVA, n: n, fromBack: backup}
+	zs.cn, zs.seq, zs.typ, zs.pid, zs.proto = cn, seq, typ, pid, proto
+	zs.userVA, zs.n, zs.fromBack = userVA, n, backup
+	return zs
 }
 
 // zcSendBlocking is the csend large-message path: send the scout, then copy
@@ -59,7 +89,7 @@ func (nx *NX) zcSendBlocking(cn *conn, typ int, userVA kernel.VA, n, pid int, pr
 	// The backup buffer is shared per connection: finish any earlier
 	// pending transfer before reusing it.
 	nx.drainPending(cn)
-	zs := nx.zcStart(cn, typ, userVA, n, pid, proto, false)
+	zs := nx.zcStart(nx.getZC(), cn, typ, userVA, n, pid, proto, false)
 
 	if cn.backupCap < n {
 		cn.backup = p.Alloc(n+8, hw.WordSize)
@@ -77,6 +107,7 @@ func (nx *NX) zcSendBlocking(cn *conn, typ int, userVA kernel.VA, n, pid int, pr
 			// Receiver replied: abandon the safety copy and move the
 			// data straight out of user memory.
 			nx.zcTransfer(zs, r, userVA)
+			nx.retireZC(zs)
 			return
 		}
 		if copied >= n {
@@ -221,6 +252,8 @@ func (nx *NX) servicePending() {
 		nx.tryFinishZC(zs)
 		if !zs.complete {
 			rest = append(rest, zs)
+		} else {
+			nx.retireZC(zs)
 		}
 	}
 	nx.pendingZC = rest
@@ -283,7 +316,7 @@ func (nx *NX) zcRecv(m candidate, buf kernel.VA, count int) int {
 		// first in a consecutive run, so the slot lands atomically in
 		// one packet.
 		slot := zcReplySlot(seq)
-		reply := make([]byte, 20)
+		var reply [20]byte
 		putU32 := func(off int, v uint32) {
 			reply[off], reply[off+1], reply[off+2], reply[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 		}
@@ -292,7 +325,7 @@ func (nx *NX) zcRecv(m candidate, buf kernel.VA, count int) int {
 		putU32(8, uint32(byteOff))
 		putU32(12, zcModeDirect)
 		putU32(16, uint32(want))
-		cn.shadowWrite(p, slot, reply)
+		cn.shadowWrite(p, slot, reply[:])
 
 		// Wait for the data-in-place flag; the data lands directly in
 		// the user buffer — no receive-side copy.
@@ -301,14 +334,14 @@ func (nx *NX) zcRecv(m candidate, buf kernel.VA, count int) int {
 		// Misaligned user buffer: no zero-copy mapping allowed; ask
 		// for chunked delivery through the packet buffers.
 		slot := zcReplySlot(seq)
-		reply := make([]byte, 20)
+		var reply [20]byte
 		putU32 := func(off int, v uint32) {
 			reply[off], reply[off+1], reply[off+2], reply[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 		}
 		putU32(0, seq+1)
 		putU32(12, zcModeChunked)
 		putU32(16, uint32(want))
-		cn.shadowWrite(p, slot, reply)
+		cn.shadowWrite(p, slot, reply[:])
 
 		got, idx := 0, 0
 		for got < want || idx == 0 {

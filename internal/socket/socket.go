@@ -348,7 +348,7 @@ func (c *Conn) stageAndSend(src kernel.VA, pos, chunk int) error {
 	newTail := (pos + chunk) % hw.WordSize
 	if newTail > 0 {
 		start := lead + chunk - newTail
-		copy(c.tail[:], p.Peek(c.staging+kernel.VA(start), newTail))
+		p.PeekInto(c.staging+kernel.VA(start), c.tail[:newTail])
 	}
 	return nil
 }

@@ -195,14 +195,12 @@ func (s *Stream) Read(n int) ([]byte, error) {
 	if int(p.PeekWord(writtenVA))-s.consumed < n {
 		p.WaitWord(writtenVA, func(v uint32) bool { return int(v)-s.consumed >= n })
 	}
-	out := make([]byte, 0, n)
-	for len(out) < n {
+	out := make([]byte, n)
+	for got := 0; got < n; {
 		pos := s.consumed % ringBytes
-		c := n - len(out)
-		if room := ringBytes - pos; c > room {
-			c = room
-		}
-		out = append(out, p.ReadBytes(s.in+kernel.VA(pos), c)...)
+		c := min(n-got, ringBytes-pos)
+		p.ReadInto(s.in+kernel.VA(pos), out[got:got+c])
+		got += c
 		s.consumed += c
 	}
 	if s.consumed-s.ackedPub >= ackInterval {
@@ -225,14 +223,12 @@ func (s *Stream) ReadView(n int) ([]byte, error) {
 		p.WaitWord(writtenVA, func(v uint32) bool { return int(v)-s.consumed >= n })
 	}
 	p.P.Sleep(hw.WordTouchCost)
-	out := make([]byte, 0, n)
-	for len(out) < n {
+	out := make([]byte, n)
+	for got := 0; got < n; {
 		pos := s.consumed % ringBytes
-		c := n - len(out)
-		if room := ringBytes - pos; c > room {
-			c = room
-		}
-		out = append(out, p.Peek(s.in+kernel.VA(pos), c)...)
+		c := min(n-got, ringBytes-pos)
+		p.PeekInto(s.in+kernel.VA(pos), out[got:got+c])
+		got += c
 		s.consumed += c
 	}
 	if s.consumed-s.ackedPub >= ackInterval {

@@ -58,10 +58,22 @@ type Endpoint struct {
 
 	exports []*Export
 
+	// duSlots pools the blocking send's DU job handle and chunk list, one
+	// per nesting level in use (duDepth): a notification handler may send
+	// while an outer send waits out its source read.
+	duSlots []duSlot
+	duDepth int
+
 	// tc/track: the node's observability collector (nil-safe) and this
 	// layer's precomputed track name ("node3/vmmc").
 	tc    *trace.Collector
 	track string
+}
+
+// duSlot is one nesting level's reusable deliberate-update job.
+type duSlot struct {
+	job    *nic.DUJob
+	chunks []nic.DUChunk
 }
 
 // Attach connects a process to VMMC on its node and installs the
@@ -307,7 +319,7 @@ func (ep *Endpoint) SendAsync(imp *Import, dstOff int, srcVA kernel.VA, n int) (
 		p.P.Sleep(end.Sub(p.P.Now()))
 	}
 	init.End()
-	chunks, err := ep.duChunks(imp, dstOff, srcVA, n, false)
+	chunks, err := ep.duChunks(nil, imp, dstOff, srcVA, n, false)
 	if err != nil {
 		return nil, err
 	}
@@ -337,6 +349,12 @@ func (ep *Endpoint) send(imp *Import, dstOff int, srcVA kernel.VA, n int, notify
 	}
 	p := ep.Proc
 	span := ep.tc.Begin(ep.track, "du.send")
+	if ep.duDepth == len(ep.duSlots) {
+		ep.duSlots = append(ep.duSlots, duSlot{})
+	}
+	depth := ep.duDepth
+	ep.duDepth++
+	defer ep.endSend()
 
 	// The two-access transfer initiation sequence: user-level programmed
 	// I/O to addresses decoded by the NIC on the EISA bus.
@@ -347,25 +365,35 @@ func (ep *Endpoint) send(imp *Import, dstOff int, srcVA kernel.VA, n int, notify
 	}
 	init.End()
 
-	chunks, err := ep.duChunks(imp, dstOff, srcVA, n, notify)
+	// A nested send may have grown ep.duSlots; index it only now.
+	slot := &ep.duSlots[depth]
+	chunks, err := ep.duChunks(slot.chunks[:0], imp, dstOff, srcVA, n, notify)
 	if err != nil {
 		span.End()
 		return err
 	}
+	slot.chunks = chunks
 	ep.tc.Count(ep.track, "du.sends", 1)
 	ep.tc.Count(ep.track, "du.bytes", int64(n))
-	job := ep.D.NIC.SubmitDU(chunks)
-	job.Wait(p.P)
+	if slot.job == nil {
+		slot.job = ep.D.NIC.SubmitDU(chunks)
+	} else {
+		ep.D.NIC.ResubmitDU(slot.job, chunks)
+	}
+	slot.job.Wait(p.P)
 	span.End()
 	return nil
 }
 
-// duChunks translates and splits a transfer: packets must not cross source
-// pages (DMA is physically contiguous), destination pages (the header
-// addresses one page), or the maximum payload.
-func (ep *Endpoint) duChunks(imp *Import, dstOff int, srcVA kernel.VA, n int, notify bool) ([]nic.DUChunk, error) {
+// endSend releases the innermost blocking-send slot.
+func (ep *Endpoint) endSend() { ep.duDepth-- }
+
+// duChunks translates and splits a transfer, appending the pieces to
+// chunks: packets must not cross source pages (DMA is physically
+// contiguous), destination pages (the header addresses one page), or the
+// maximum payload.
+func (ep *Endpoint) duChunks(chunks []nic.DUChunk, imp *Import, dstOff int, srcVA kernel.VA, n int, notify bool) ([]nic.DUChunk, error) {
 	p := ep.Proc
-	var chunks []nic.DUChunk
 	off := 0
 	for off < n {
 		srcPA, err := p.Translate(srcVA + kernel.VA(off))
