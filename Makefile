@@ -30,7 +30,7 @@ lint:
 
 # fuzz gives the XDR round-trip, raw-decode, trace, mesh packet-codec, and
 # event-queue differential targets a brief shake; the corpus accumulates in
-# the Go build cache.
+# the Go build cache. This is the one list of fuzz targets; CI runs it.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/xdr
 	$(GO) test -run NONE -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME) ./internal/xdr
@@ -51,21 +51,21 @@ trace-smoke:
 # Jacobi comparison (the EXPERIMENTS.md table).
 svm:
 	$(GO) test ./internal/svm ./internal/bench -run 'TestSVM|TestJacobi|Test.*Region|TestFetch|TestLock|TestNotices|TestManager|TestDeterminism|TestSurvives|TestEightNodes'
-	$(GO) run ./cmd/shrimpbench -svm
+	$(GO) run ./cmd/shrimpbench -fig svm
 
 # app runs the serving-subsystem tests (sharded KV + load generator) and
 # the acceptance scenario: the offered-load ramp plus the million-session
 # 8-node run with a mid-load primary crash, twice under the replay digest.
 app:
 	$(GO) test ./internal/app/...
-	$(GO) run ./cmd/shrimpbench -app
+	$(GO) run ./cmd/shrimpbench -fig app
 
 # partition runs the link-partition cells standalone: minority group,
 # isolated primary, asymmetric cut, flapping link — each severed and
 # healed mid-load, with epoch-fence counters, quorum-veto counts, and
 # acked-write durability re-verified, twice under the replay digest.
 partition:
-	$(GO) run ./cmd/shrimpbench -partition
+	$(GO) run ./cmd/shrimpbench -fig partition
 
 # pool runs the snapshot & warm-pool suite: wall-clock entries for world
 # capture, encode, and copy-on-write cloning, the boot-vs-pooled app-serve
@@ -74,13 +74,13 @@ partition:
 # served from snapshot clones). Exits nonzero if a cell fails or the 5x
 # bar is missed.
 pool:
-	$(GO) run ./cmd/shrimpbench -pool
+	$(GO) run ./cmd/shrimpbench -fig pool
 
 # snap-smoke is the snapshot-determinism gate: a restored world must
 # produce a byte-identical replay digest to the live world it was cloned
-# from — the cheap capture/restore/replay cell plus the full
-# scenario-by-scenario equivalence matrix (figures, SVM, serving stack,
-# chaos, crash recovery, partition).
+# from — the cheap capture/restore/replay cell plus the equivalence matrix
+# over the whole scenario table (every chaos cell, and every row under the
+# empty plan).
 snap-smoke:
 	$(GO) test ./internal/snap
 	$(GO) test -run 'TestSnapshotEquivalenceMatrix|TestElastic' ./internal/bench
@@ -91,21 +91,21 @@ snap-smoke:
 # byte-identically; at 256+ nodes combining must beat the software
 # collectives. Exits nonzero otherwise. This is the EXPERIMENTS.md source.
 meshscale:
-	$(GO) run ./cmd/shrimpbench -meshscale
+	$(GO) run ./cmd/shrimpbench -fig meshscale
 
 # meshscale-smoke is the fast digest-stability gate over tiny geometries
 # (2x2 and 2x2x2, both combining modes); it rides in every `make check`.
 meshscale-smoke:
-	$(GO) run ./cmd/shrimpbench -meshsmoke
+	$(GO) run ./cmd/shrimpbench -fig meshsmoke
 
-# chaos runs the fault-injection soak: every figure scenario under the
+# chaos runs the fault-injection soak: every scenario-table row under the
 # standard fault plans (lossy links with retransmission, NIC freeze
 # storms, a mid-transfer node crash, link partitions against the serving
 # stack), checking termination, acknowledged-data integrity, and
 # replay-stable digests, plus the degraded-mode Fig 5 table. Exits
 # nonzero if any cell fails.
 chaos:
-	$(GO) run ./cmd/shrimpbench -faults
+	$(GO) run ./cmd/shrimpbench -fig faults
 
 # bench runs every Go microbenchmark with allocation stats: the event-core
 # hot paths (churn, timer arm/cancel, proc ping-pong), the memory bulk

@@ -1,6 +1,8 @@
 // Command shrimpbench regenerates every table and figure in the paper's
-// evaluation (Sections 3.4–5) on the simulated SHRIMP multicomputer:
+// evaluation (Sections 3.4–5) on the simulated SHRIMP multicomputer, and
+// runs the harness's own suites. -fig picks one mode:
 //
+//	all     — every paper mode below, in order (the default)
 //	fig3    — raw VMMC latency/bandwidth (4 transfer strategies)
 //	fig4    — NX message passing (5 protocol variants + adaptive default)
 //	fig5    — SunRPC-compatible VRPC (DU-1copy, AU-1copy)
@@ -12,21 +14,17 @@
 //	ablate  — ablations of the Section 6 design decisions (combining,
 //	          polling vs notifications, software multicast, 16-node scaling)
 //
+// or one of the suites faults, partition, svm, app, pool, meshscale and
+// meshsmoke, described below.
+//
 // Usage:
 //
-//	shrimpbench [-fig all|fig3|fig4|fig5|fig7|fig8|peak|ttcp|rpcbase]
-//	            [-iters N] [-csv dir] [-parallel N]
-//	shrimpbench -fig fig3 [-trace out.json] [-stats]
-//	shrimpbench -svm [-trace out.json] [-stats]
-//	shrimpbench -app [-trace out.json] [-stats]
-//	shrimpbench -partition [-faultseed N]
-//	shrimpbench -faults [-faultseed N] [-parallel N]
-//	shrimpbench -pool
-//	shrimpbench -meshscale | -meshsmoke
+//	shrimpbench [-fig MODE] [-iters N] [-csv dir] [-parallel N]
+//	            [-faultseed N] [-cpuprofile FILE]
+//	shrimpbench -fig SCENARIO [-trace out.json] [-stats]
 //
-// Every mode also takes -cpuprofile FILE, which writes a host CPU profile
-// of the whole run to FILE for `go tool pprof`; simulation output does not
-// change.
+// -cpuprofile FILE writes a host CPU profile of the whole run to FILE for
+// `go tool pprof`; simulation output does not change.
 //
 // -parallel N runs the selected figure sweeps (or the chaos cells) on N
 // worker threads; sequential and parallel runs go through the same runner,
@@ -34,61 +32,65 @@
 // single-threaded on its own engine; tables, CSVs, and replay digests are
 // byte-identical for any N — only the wall-clock changes.
 //
-// -meshscale runs the big-mesh scaling study: 64, 256, and 1024 nodes on
-// k-ary n-cube geometries, with in-network combining off and on, reporting
-// corner-to-corner latency/bandwidth, collective times, and link-contention
-// quantiles. Every cell runs twice and its replay digests must be
-// byte-identical; at 256+ nodes combining must beat the software
-// collectives. -meshsmoke is the tiny `make check` variant.
+// -fig meshscale runs the big-mesh scaling study: 64, 256, and 1024 nodes
+// on k-ary n-cube geometries, with in-network combining off and on,
+// reporting corner-to-corner latency/bandwidth, collective times, and
+// link-contention quantiles. Every cell runs twice and its replay digests
+// must be byte-identical; at 256+ nodes combining must beat the software
+// collectives. -fig meshsmoke is the tiny `make check` variant.
 //
-// -svm runs the shared-virtual-memory comparison: the same 1-D Jacobi
+// -fig svm runs the shared-virtual-memory comparison: the same 1-D Jacobi
 // stencil over NX message passing and over internal/svm release-consistent
 // shared memory, at 2, 4, and 8 nodes, reporting per-sweep virtual time
-// side by side. With -trace or -stats it instead runs the representative
-// traced SVM scenario (Jacobi plus a lock-counter phase).
+// side by side.
 //
-// -app runs the sharded-KV serving workload: first the offered-load ramp
-// behind the EXPERIMENTS.md capacity table (4 nodes, throughput and served
-// quantiles vs load through saturation), then the acceptance scenario — a
-// million deterministic client sessions over 8 nodes with a non-gateway
-// primary crashed, restarted, and resynced mid-load, run twice under the
-// replay digest, reporting p50/p99/p999 per op class and the measured
-// recovery time. With -trace or -stats it instead runs the representative
-// traced serving scenario.
+// -fig app runs the sharded-KV serving workload: first the offered-load
+// ramp behind the EXPERIMENTS.md capacity table (4 nodes, throughput and
+// served quantiles vs load through saturation), then the acceptance
+// scenario — a million deterministic client sessions over 8 nodes with a
+// non-gateway primary crashed, restarted, and resynced mid-load, run twice
+// under the replay digest, reporting p50/p99/p999 per op class and the
+// measured recovery time.
 //
-// -partition runs the partition-tolerance cells standalone: a two-node
+// -fig partition runs the partition-tolerance cells standalone: a two-node
 // minority group, an isolated primary, an asymmetric (outbound-only) cut,
 // and a flapping link, each severed and healed mid-load through the fault
-// injector. The table reports failovers, epoch-fence rejections,
-// quorum-vetoed down-reports, re-verified acknowledged writes, and the
-// measured recovery time; every cell runs twice under the replay digest.
+// injector seeded by -faultseed. The table reports failovers, epoch-fence
+// rejections, quorum-vetoed down-reports, re-verified acknowledged writes,
+// and the measured recovery time; every cell runs twice under the replay
+// digest.
 //
-// -pool runs the snapshot & warm-pool suite: wall-clock entries for
+// -fig pool runs the snapshot & warm-pool suite: wall-clock entries for
 // capture, encode, and copy-on-write cloning, the boot-vs-pooled app-serve
 // world-setup comparison (the pool must amortize setup at least 5x below a
 // fresh boot), and the two elasticity scenarios — the autoscale demand
 // trace and rolling restarts served from snapshot clones. Exits non-zero
 // if an elasticity cell fails or the 5x bar is missed.
 //
-// -faults runs the chaos soak matrix instead: every figure scenario under a
-// set of seeded fault plans (lossy links with the retransmission sublayer
-// on, NIC fault storms, a mid-transfer node crash), checking termination,
-// data integrity, and replay-stable digests, plus the degraded-mode Fig 5
+// -fig faults runs the chaos soak matrix: every scenario under a set of
+// fault plans seeded by -faultseed (lossy links with the retransmission
+// sublayer on, NIC fault storms, a mid-transfer node crash, link
+// partitions against the serving stack), checking termination, data
+// integrity, and replay-stable digests, plus the degraded-mode Fig 5
 // throughput table. Exits non-zero if any cell fails.
 //
-// With -trace or -stats, shrimpbench runs ONE representative scenario of the
-// selected figure with the observability layer attached: -trace writes a
-// Chrome trace-event JSON file (load it in Perfetto / chrome://tracing) and
-// -stats prints the span/counter/histogram summary. Traces are deterministic:
-// two runs of the same scenario produce byte-identical files.
+// With -trace or -stats, shrimpbench instead runs ONE scenario — a figure's
+// most telling point (fig3 … fig8, ttcp), svm, app, or one of the chaos
+// soak's recovery cells — with the observability layer attached: -trace
+// writes a Chrome trace-event JSON file (load it in Perfetto /
+// chrome://tracing) and -stats prints the span/counter/histogram summary.
+// Traces are deterministic: two runs of the same scenario produce
+// byte-identical files.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"strings"
 
 	"shrimp/internal/bench"
 	"shrimp/internal/trace"
@@ -96,22 +98,42 @@ import (
 
 func main() { os.Exit(run()) }
 
+// options carries the flags the modes read.
+type options struct {
+	iters, parallel int
+	csvDir          string
+	faultSeed       int64
+}
+
+// mode is one -fig value.
+type mode struct {
+	name string
+	run  func(o options) error
+}
+
+// modes is the -fig table. all runs the paper modes, which come first, in
+// table order.
+func modes() []mode {
+	ms := []mode{{"all", runAll}, {"peak", peak}}
+	for _, id := range bench.FigureIDs() {
+		ms = append(ms, mode{id, func(o options) error { return figures(o, []string{id}) }})
+	}
+	return append(ms, []mode{
+		{"ttcp", ttcp}, {"rpcbase", rpcbase}, {"ablate", ablate},
+		{"faults", faults}, {"partition", partition}, {"svm", svmCompare},
+		{"app", appServe}, {"pool", pool}, {"meshscale", meshScale}, {"meshsmoke", meshSmoke},
+	}...)
+}
+
 // run parses the flags, runs the selected mode, and returns the process
 // exit status, so deferred cleanup (the CPU profile) runs on every path.
 func run() int {
-	fig := flag.String("fig", "all", "which experiment to run")
+	fig := flag.String("fig", "all", "which mode to run (see the package doc), or with -trace/-stats which scenario")
 	iters := flag.Int("iters", 8, "ping-pong iterations per point")
-	csvDir := flag.String("csv", "", "also write CSV files into this directory")
-	tracePath := flag.String("trace", "", "write a Chrome trace of one representative -fig scenario to this file")
-	stats := flag.Bool("stats", false, "print the trace summary of one representative -fig scenario")
-	faults := flag.Bool("faults", false, "run the chaos soak matrix (figure scenarios x fault plans)")
-	faultSeed := flag.Int64("faultseed", 1, "fault injector seed for -faults")
-	svmFlag := flag.Bool("svm", false, "run the SVM-vs-NX Jacobi comparison (2/4/8 nodes)")
-	appFlag := flag.Bool("app", false, "run the sharded-KV serving workload (capacity ramp + 1M-session acceptance scenario)")
-	partFlag := flag.Bool("partition", false, "run the partition cells (minority group, isolated primary, asymmetric cut, flapping link) with fencing counters")
-	poolFlag := flag.Bool("pool", false, "run the snapshot & warm-pool suite (capture/clone wall-clock, boot-vs-pooled world setup, elasticity scenarios)")
-	meshScale := flag.Bool("meshscale", false, "run the big-mesh scaling study (64/256/1024 nodes, combining off/on, digest-checked)")
-	meshSmoke := flag.Bool("meshsmoke", false, "run the tiny meshscale smoke cells (for make check)")
+	csvDir := flag.String("csv", "", "also write figure CSV files into this directory")
+	tracePath := flag.String("trace", "", "write a Chrome trace of one -fig scenario to this file")
+	stats := flag.Bool("stats", false, "print the trace summary of one -fig scenario")
+	faultSeed := flag.Int64("faultseed", 1, "fault injector seed for -fig faults and -fig partition")
 	parallel := flag.Int("parallel", 0, "run independent figure/chaos scenarios on N workers (0 = sequential; results are byte-identical either way)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of whichever mode runs to this file (read it with go tool pprof)")
 	flag.Parse()
@@ -135,139 +157,80 @@ func run() int {
 		}()
 	}
 
-	if *meshScale {
-		rows := bench.RunMeshScale(bench.DefaultMeshScaleGeometries())
-		fmt.Print(bench.MeshScaleTable(rows))
-		if err := bench.MeshScaleOK(rows); err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *meshSmoke {
-		if err := bench.RunMeshScaleSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			return 1
-		}
-		fmt.Println("meshscale smoke: ok")
-		return 0
-	}
-
-	if *poolFlag {
-		rep := bench.RunPoolSuite()
-		fmt.Print(bench.PoolTable(rep))
-		if !rep.Elastic.OK() || !rep.Rolling.OK() {
-			fmt.Fprintln(os.Stderr, "shrimpbench: elasticity scenarios FAILED")
-			return 1
-		}
-		if rep.Speedup < 5 {
-			fmt.Fprintf(os.Stderr, "shrimpbench: pool amortization %.2fx below the 5x bar\n", rep.Speedup)
-			return 1
-		}
-		return 0
-	}
-
-	if *partFlag {
-		rows, err := bench.RunAppPartition(*faultSeed)
-		if err != nil {
-			fmt.Print(bench.AppPartitionTable(rows))
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			return 1
-		}
-		fmt.Print(bench.AppPartitionTable(rows))
-		return 0
-	}
-
-	if *appFlag && *tracePath == "" && !*stats {
-		rows, err := bench.AppRamp([]float64{5e5, 1e6, 2e6, 4e6, 8e6})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			return 1
-		}
-		fmt.Print(bench.AppRampTable(rows))
-		fmt.Println()
-		res, err := bench.RunAppServe(bench.AcceptanceAppOpts())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			return 1
-		}
-		fmt.Print(bench.AppServeTable(res))
-		return 0
-	}
-	if *appFlag {
-		*fig = "app"
-	}
-
-	if *svmFlag && *tracePath == "" && !*stats {
-		const cells, sweeps = 256, 40
-		rows := bench.JacobiCompare(cells, sweeps, []int{2, 4, 8})
-		fmt.Print(bench.JacobiTable(rows, cells, sweeps))
-		for _, r := range rows {
-			if !r.Match {
-				fmt.Fprintln(os.Stderr, "shrimpbench: SVM and NX results diverged")
-				return 1
-			}
-		}
-		return 0
-	}
-	if *svmFlag {
-		*fig = "svm"
-	}
-
-	if *faults {
-		results := bench.RunChaos(*faultSeed, *parallel)
-		fmt.Print(bench.ChaosTable(results))
-		fmt.Println()
-		points := bench.DegradedFig5(1024, 32, *faultSeed, []float64{0, 0.001, 0.01})
-		fmt.Print(bench.DegradedTable(points, 1024))
-		if !bench.ChaosOK(results) {
-			fmt.Fprintln(os.Stderr, "shrimpbench: chaos soak FAILED")
-			return 1
-		}
-		return 0
-	}
-
 	if *tracePath != "" || *stats {
-		tc := trace.New()
-		desc, err := bench.TraceFigure(*fig, tc)
-		if err != nil {
+		return traceScenario(*fig, *tracePath, *stats)
+	}
+
+	o := options{iters: *iters, parallel: *parallel, csvDir: *csvDir, faultSeed: *faultSeed}
+	var names []string
+	for _, m := range modes() {
+		if m.name != *fig {
+			names = append(names, m.name)
+			continue
+		}
+		if err := m.run(o); err != nil {
 			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			return 2
-		}
-		fmt.Println(desc)
-		if *tracePath != "" {
-			if err := tc.WriteChromeTrace(*tracePath); err != nil {
-				fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-				return 1
-			}
-			fmt.Printf("wrote %s (%d spans, %d engine events)\n",
-				*tracePath, len(tc.Spans()), tc.EngineEvents())
-		}
-		if *stats {
-			fmt.Println()
-			fmt.Print(tc.Summary())
+			return 1
 		}
 		return 0
 	}
+	fmt.Fprintf(os.Stderr, "unknown -fig %q; want one of %s\n", *fig, strings.Join(names, ","))
+	return 2
+}
 
-	run := func(name string) bool { return *fig == "all" || *fig == name }
-
-	if run("peak") {
-		r := bench.RunPeak()
-		fmt.Println("PEAK — Section 3.4 headline numbers")
-		fmt.Printf("  %-44s %8s %10s\n", "metric", "paper", "measured")
-		fmt.Printf("  %-44s %8s %9.2fus\n", "AU one-word latency (write-through)", "4.75us", r.AUWordWTus)
-		fmt.Printf("  %-44s %8s %9.2fus\n", "AU one-word latency (uncached)", "3.70us", r.AUWordUncachedUS)
-		fmt.Printf("  %-44s %8s %9.2fus\n", "DU one-word latency", "7.60us", r.DUWordUS)
-		fmt.Printf("  %-44s %8s %6.1fMB/s\n", "DU-0copy bandwidth at 10KB", "~23MB/s", r.DU0copyMBs)
-		fmt.Printf("  %-44s %8s %6.1fMB/s\n", "AU-1copy bandwidth at 10KB", "<DU", r.AU1copyMBs)
+// traceScenario runs one scenario with the observability layer attached.
+func traceScenario(name, tracePath string, stats bool) int {
+	tc := trace.New()
+	desc, err := bench.TraceFigure(name, tc)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+		return 2
+	}
+	fmt.Println(desc)
+	if tracePath != "" {
+		if err := tc.WriteChromeTrace(tracePath); err != nil {
+			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+			return 1
+		}
+		fmt.Printf("wrote %s (%d spans, %d engine events)\n",
+			tracePath, len(tc.Spans()), tc.EngineEvents())
+	}
+	if stats {
 		fmt.Println()
+		fmt.Print(tc.Summary())
 	}
-	ids := []string{*fig}
-	if *fig == "all" {
-		ids = bench.FigureIDs()
+	return 0
+}
+
+// runAll runs the paper modes in order: the headline numbers, every
+// figure, ttcp, the RPC baseline, and the ablations.
+func runAll(o options) error {
+	all := func(o options) error { return figures(o, bench.FigureIDs()) }
+	for _, m := range []func(options) error{peak, all, ttcp, rpcbase, ablate} {
+		if err := m(o); err != nil {
+			return err
+		}
 	}
-	for _, f := range bench.RunFigures(ids, *iters, *parallel) {
+	return nil
+}
+
+func peak(options) error {
+	r := bench.RunPeak()
+	fmt.Println("PEAK — Section 3.4 headline numbers")
+	fmt.Printf("  %-44s %8s %10s\n", "metric", "paper", "measured")
+	fmt.Printf("  %-44s %8s %9.2fus\n", "AU one-word latency (write-through)", "4.75us", r.AUWordWTus)
+	fmt.Printf("  %-44s %8s %9.2fus\n", "AU one-word latency (uncached)", "3.70us", r.AUWordUncachedUS)
+	fmt.Printf("  %-44s %8s %9.2fus\n", "DU one-word latency", "7.60us", r.DUWordUS)
+	fmt.Printf("  %-44s %8s %6.1fMB/s\n", "DU-0copy bandwidth at 10KB", "~23MB/s", r.DU0copyMBs)
+	fmt.Printf("  %-44s %8s %6.1fMB/s\n", "AU-1copy bandwidth at 10KB", "<DU", r.AU1copyMBs)
+	fmt.Println()
+	return nil
+}
+
+// figures builds the given standard figures, prints their tables, and
+// writes their CSVs when -csv is set.
+func figures(o options, ids []string) error {
+	for _, f := range bench.RunFigures(ids, o.iters, o.parallel) {
 		if f.ID == "fig8" {
 			// Figure 8 is a single latency plot over its own sweep.
 			fmt.Print(f.LatencyTable(1 << 20))
@@ -277,60 +240,121 @@ func run() int {
 			fmt.Print(f.BandwidthTable(64))
 		}
 		fmt.Println()
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
+		if o.csvDir != "" {
+			if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
+				return err
 			}
-			path := filepath.Join(*csvDir, f.ID+".csv")
+			path := filepath.Join(o.csvDir, f.ID+".csv")
 			if err := os.WriteFile(path, []byte(f.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
+				return err
 			}
 			fmt.Printf("wrote %s\n\n", path)
 		}
 	}
-
-	if run("ttcp") {
-		r := bench.RunTTCP()
-		fmt.Println("TTCP — Section 4.3")
-		fmt.Printf("  %-40s %8s %9.2f MB/s\n", "ttcp, 7 Kbyte messages", "8.6", r.TTCP7K)
-		fmt.Printf("  %-40s %8s %9.2f MB/s\n", "one-way microbenchmark, 7 Kbyte", "9.8", r.Micro7K)
-		fmt.Printf("  %-40s %8s %9.2f MB/s\n", "ttcp, 70 byte messages", "1.3", r.TTCP70)
-		fmt.Printf("  %-40s %8s %9.2f MB/s\n", "(Ethernet peak, for reference)", "1.25", r.EthernetPeak)
-		fmt.Println()
-	}
-	if run("rpcbase") {
-		r := bench.RunRPCBaseline()
-		fmt.Println("RPCBASE — null RPC: VMMC stream vs conventional network")
-		fmt.Printf("  %-40s %9.1f us\n", "VRPC over SBL (AU-1copy)", r.SBLNullUS)
-		fmt.Printf("  %-40s %9.1f us\n", "SunRPC over 10Mb/s Ethernet", r.EtherNullUS)
-		fmt.Printf("  %-40s %9.1fx\n", "speedup", r.Speedup)
-		fmt.Println()
-	}
-	if run("ablate") {
-		fmt.Println("ABLATE — design-decision ablations (paper Section 6)")
-		for _, row := range bench.RunAblations() {
-			note := ""
-			if row.Note != "" {
-				note = "  (" + row.Note + ")"
-			}
-			fmt.Printf("  %-44s %9.2f %s%s\n", row.Name, row.Value, row.Unit, note)
-		}
-		fmt.Println()
-	}
-
-	if !anyRan(*fig) {
-		fmt.Fprintf(os.Stderr, "unknown figure %q; want one of all,fig3,fig4,fig5,fig7,fig8,peak,ttcp,rpcbase,ablate\n", *fig)
-		return 2
-	}
-	return 0
+	return nil
 }
 
-func anyRan(fig string) bool {
-	switch fig {
-	case "all", "fig3", "fig4", "fig5", "fig7", "fig8", "peak", "ttcp", "rpcbase", "ablate":
-		return true
+func ttcp(options) error {
+	r := bench.RunTTCP()
+	fmt.Println("TTCP — Section 4.3")
+	fmt.Printf("  %-40s %8s %9.2f MB/s\n", "ttcp, 7 Kbyte messages", "8.6", r.TTCP7K)
+	fmt.Printf("  %-40s %8s %9.2f MB/s\n", "one-way microbenchmark, 7 Kbyte", "9.8", r.Micro7K)
+	fmt.Printf("  %-40s %8s %9.2f MB/s\n", "ttcp, 70 byte messages", "1.3", r.TTCP70)
+	fmt.Printf("  %-40s %8s %9.2f MB/s\n", "(Ethernet peak, for reference)", "1.25", r.EthernetPeak)
+	fmt.Println()
+	return nil
+}
+
+func rpcbase(options) error {
+	r := bench.RunRPCBaseline()
+	fmt.Println("RPCBASE — null RPC: VMMC stream vs conventional network")
+	fmt.Printf("  %-40s %9.1f us\n", "VRPC over SBL (AU-1copy)", r.SBLNullUS)
+	fmt.Printf("  %-40s %9.1f us\n", "SunRPC over 10Mb/s Ethernet", r.EtherNullUS)
+	fmt.Printf("  %-40s %9.1fx\n", "speedup", r.Speedup)
+	fmt.Println()
+	return nil
+}
+
+func ablate(options) error {
+	fmt.Println("ABLATE — design-decision ablations (paper Section 6)")
+	for _, row := range bench.RunAblations() {
+		note := ""
+		if row.Note != "" {
+			note = "  (" + row.Note + ")"
+		}
+		fmt.Printf("  %-44s %9.2f %s%s\n", row.Name, row.Value, row.Unit, note)
 	}
-	return false
+	fmt.Println()
+	return nil
+}
+
+func faults(o options) error {
+	results := bench.RunChaos(o.faultSeed, o.parallel)
+	fmt.Print(bench.ChaosTable(results))
+	fmt.Println()
+	points := bench.DegradedFig5(1024, 32, o.faultSeed, []float64{0, 0.001, 0.01})
+	fmt.Print(bench.DegradedTable(points, 1024))
+	if !bench.ChaosOK(results) {
+		return errors.New("chaos soak FAILED")
+	}
+	return nil
+}
+
+func partition(o options) error {
+	rows, err := bench.RunAppPartition(o.faultSeed)
+	fmt.Print(bench.AppPartitionTable(rows))
+	return err
+}
+
+func svmCompare(options) error {
+	const cells, sweeps = 256, 40
+	rows := bench.JacobiCompare(cells, sweeps, []int{2, 4, 8})
+	fmt.Print(bench.JacobiTable(rows, cells, sweeps))
+	for _, r := range rows {
+		if !r.Match {
+			return errors.New("SVM and NX results diverged")
+		}
+	}
+	return nil
+}
+
+func appServe(options) error {
+	rows, err := bench.AppRamp([]float64{5e5, 1e6, 2e6, 4e6, 8e6})
+	if err != nil {
+		return err
+	}
+	fmt.Print(bench.AppRampTable(rows))
+	fmt.Println()
+	res, err := bench.RunAppServe(bench.AcceptanceAppOpts())
+	if err != nil {
+		return err
+	}
+	fmt.Print(bench.AppServeTable(res))
+	return nil
+}
+
+func pool(options) error {
+	rep := bench.RunPoolSuite()
+	fmt.Print(bench.PoolTable(rep))
+	if !rep.Elastic.OK() || !rep.Rolling.OK() {
+		return errors.New("elasticity scenarios FAILED")
+	}
+	if rep.Speedup < 5 {
+		return fmt.Errorf("pool amortization %.2fx below the 5x bar", rep.Speedup)
+	}
+	return nil
+}
+
+func meshScale(options) error {
+	rows := bench.RunMeshScale(bench.DefaultMeshScaleGeometries())
+	fmt.Print(bench.MeshScaleTable(rows))
+	return bench.MeshScaleOK(rows)
+}
+
+func meshSmoke(options) error {
+	if err := bench.RunMeshScaleSmoke(); err != nil {
+		return err
+	}
+	fmt.Println("meshscale smoke: ok")
+	return nil
 }

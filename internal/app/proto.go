@@ -80,15 +80,6 @@ const MaxBatchImage = srpc.MaxPayload
 
 func pad4(n int) int { return (n + 3) &^ 3 }
 
-// opWireSize returns the marshaled size of one request op.
-func opWireSize(kind int, vlen int) int {
-	n := 4 + 8 + 4 // meta + key + epoch
-	if kind == OpPut {
-		n += 4 + pad4(vlen)
-	}
-	return n
-}
-
 // AppendOp marshals one op onto a request image: a meta word
 // [kind:8|flags:8|shard:16], the key, the shard epoch the client routed
 // under (the fencing stamp), and for puts the value. Exported for the load

@@ -2,18 +2,20 @@
 // by the deterministic load generator (internal/app/loadgen) at benchmark
 // scale. Three surfaces:
 //
-//   - RunAppServe — the acceptance scenario behind `shrimpbench -app`: a
+//   - RunAppServe — the acceptance scenario behind `shrimpbench -fig app`: a
 //     million client sessions over an 8-node mesh, a primary crashed and
 //     rejoined mid-load, run twice under the replay digest.
 //   - AppRamp — the offered-load ramp behind the EXPERIMENTS.md table:
 //     throughput and served-latency quantiles vs offered load, through
 //     saturation into admission-controlled overload.
-//   - chaosAppFailover / chaosAppPartition — the soak-matrix cells that put
-//     the serving stack through a crash and through link partitions.
+//   - chaosAppFailover and the partition cells — the scenario-table rows
+//     that put the serving stack through a crash and through link
+//     partitions.
 package bench
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -227,7 +229,7 @@ func appServe(r *run, opts AppServeOpts, stats *AppServeStats) error {
 	return nil
 }
 
-// AcceptanceAppOpts is the `shrimpbench -app` configuration: 8 nodes, a
+// AcceptanceAppOpts is the `shrimpbench -fig app` configuration: 8 nodes, a
 // million sessions through four gateway nodes, and a mid-load crash of
 // node 5 — a non-gateway primary.
 func AcceptanceAppOpts() AppServeOpts {
@@ -256,20 +258,11 @@ func AcceptanceAppOpts() AppServeOpts {
 // RunAppServe runs the scenario twice under the replay digest and reports
 // the first run's stats plus digest stability.
 func RunAppServe(opts AppServeOpts) (AppServeResult, error) {
-	var res AppServeResult
-	d1, err1 := digestRun(nil, func(r *run) error { return appServe(r, opts, &res.AppServeStats) })
-	if err1 != nil {
-		return res, err1
-	}
-	d2, err2 := digestRun(nil, func(r *run) error { return appServe(r, opts, nil) })
-	if err2 != nil {
-		return res, fmt.Errorf("second run: %w", err2)
-	}
-	res.Digest = d1
-	res.Stable = d1 == d2
-	if !res.Stable {
-		return res, fmt.Errorf("app: replay divergence: %s vs %s",
-			sim.DigestString(d1), sim.DigestString(d2))
+	var st [2]AppServeStats
+	v := replay(nil, func(r *run, i int) error { return appServe(r, opts, &st[i]) })
+	res := AppServeResult{AppServeStats: st[0], Digest: v.digest, Stable: v.stable}
+	if v.detail != "" {
+		return res, errors.New(v.detail)
 	}
 	return res, nil
 }
@@ -419,15 +412,7 @@ func appPartitionOpts(c appPartitionCell) AppServeOpts {
 	return opts
 }
 
-// chaosAppPartition builds the runner for one partition cell of the soak
-// matrix.
-func chaosAppPartition(c appPartitionCell) func(r *run) error {
-	return func(r *run) error {
-		return appServe(r, appPartitionOpts(c), nil)
-	}
-}
-
-// AppPartitionRow is one cell of the `shrimpbench -partition` table.
+// AppPartitionRow is one cell of the `shrimpbench -fig partition` table.
 type AppPartitionRow struct {
 	Cell               string
 	Failovers, Retries int64
@@ -449,33 +434,23 @@ func RunAppPartition(seed int64) ([]AppPartitionRow, error) {
 	rows := make([]AppPartitionRow, 0, 4)
 	for _, c := range appPartitionCells() {
 		opts := appPartitionOpts(c)
-		var st AppServeStats
-		mod := func(cfg *cluster.Config) {
-			cfg.FaultPlan = &fault.Plan{Name: c.name}
-			cfg.FaultSeed = seed
-		}
-		d1, err1 := digestRun(mod, func(r *run) error { return appServe(r, opts, &st) })
-		d2, err2 := digestRun(mod, func(r *run) error { return appServe(r, opts, nil) })
-		if err1 != nil {
-			return rows, fmt.Errorf("%s: %w", c.name, err1)
-		}
-		if err2 != nil {
-			return rows, fmt.Errorf("%s second run: %w", c.name, err2)
-		}
-		if d1 != d2 {
-			return rows, fmt.Errorf("%s: replay divergence: %s vs %s",
-				c.name, sim.DigestString(d1), sim.DigestString(d2))
+		var st [2]AppServeStats
+		v := replay(underPlan(fault.Plan{Name: c.name}, seed), func(r *run, i int) error {
+			return appServe(r, opts, &st[i])
+		})
+		if v.detail != "" {
+			return rows, fmt.Errorf("%s: %s", c.name, v.detail)
 		}
 		rows = append(rows, AppPartitionRow{
 			Cell:          c.name,
-			Failovers:     st.Failovers,
-			Retries:       st.Retries,
-			EpochRejected: st.EpochRejected,
-			Vetoed:        st.Vetoed,
-			AckedPuts:     st.AckedPuts,
-			Recovery:      st.Recovery,
-			Digest:        d1,
-			Stable:        true,
+			Failovers:     st[0].Failovers,
+			Retries:       st[0].Retries,
+			EpochRejected: st[0].EpochRejected,
+			Vetoed:        st[0].Vetoed,
+			AckedPuts:     st[0].AckedPuts,
+			Recovery:      st[0].Recovery,
+			Digest:        v.digest,
+			Stable:        v.stable,
 		})
 	}
 	return rows, nil

@@ -1,8 +1,8 @@
-// Chaos soak harness: every figure scenario run under a matrix of seeded
+// Chaos soak harness: every scenario-table row run under a matrix of seeded
 // fault plans, asserting that the run terminates (no parked procs left
 // behind), that acknowledged data arrived byte-intact, and that the
 // determinism digest is stable per (seed, plan) — fault injection must not
-// break replay. Surfaced via `shrimpbench -faults` and `make chaos`.
+// break replay. Surfaced via `shrimpbench -fig faults` and `make chaos`.
 package bench
 
 import (
@@ -58,43 +58,26 @@ func (r ChaosResult) OK() bool {
 
 // chaosCell is one (scenario, plan) cell of the soak matrix.
 type chaosCell struct {
-	name     string
-	plan     fault.Plan
-	reliable bool
-	run      func(r *run) error
+	scenario
+	plan fault.Plan
 }
 
-// chaosCells is the soak matrix: every figure scenario under every standard
-// plan, then the mid-transfer node crash/recovery scenario, the serving
-// stack's failover cell, and the partition quadrant, each under its own
-// plan. Lossy-link plans run with the mesh reliability sublayer enabled
-// (the stack under test); the NIC-fault plan runs on the raw backplane.
+// chaosCells is the soak matrix: every scenario-table row without a fault
+// plan of its own under every standard plan, then each remaining row
+// under its own plan.
 func chaosCells() []chaosCell {
-	// The figure scenarios are the single representative points
-	// TraceFigure picks, plus the harness's own byte-verification stream.
-	scenarios := []string{"fig3", "fig4", "fig5", "fig7", "fig8", "ttcp", "svm", "app", "integrity"}
 	var cells []chaosCell
 	for _, plan := range StandardChaosPlans() {
-		reliable := plan.Link != (fault.LinkFaults{})
-		for _, sc := range scenarios {
-			cells = append(cells, chaosCell{sc, plan, reliable, scenarioRunner(sc)})
+		for _, s := range scenarios() {
+			if s.plan == nil {
+				cells = append(cells, chaosCell{s, plan})
+			}
 		}
 	}
-	// 5 ms lands inside the sender's transfer loop: the two Ethernet import
-	// handshakes alone take over a millisecond of virtual time.
-	crashPlan := fault.Plan{Name: "crash-node2-mid-transfer", Crashes: []fault.Crash{
-		{Node: 2, At: 5 * time.Millisecond},
-	}}
-	cells = append(cells, chaosCell{"crash-recovery", crashPlan, false, chaosCrashRecovery})
-	// The serving-stack failover cell schedules its own crash, restart, and
-	// rejoin; the empty plan just keeps the injector armed for the digest.
-	cells = append(cells, chaosCell{"app-failover", fault.Plan{Name: "primary-crash-rejoin"},
-		false, chaosAppFailover})
-	// The partition quadrant: minority group, isolated primary, asymmetric
-	// cut, flapping link. Each cell schedules its own sever/heal through
-	// the armed injector and verifies acked-write durability afterwards.
-	for _, c := range appPartitionCells() {
-		cells = append(cells, chaosCell{c.name, fault.Plan{Name: c.name}, false, chaosAppPartition(c)})
+	for _, s := range scenarios() {
+		if s.plan != nil {
+			cells = append(cells, chaosCell{s, *s.plan})
+		}
 	}
 	return cells
 }
@@ -109,44 +92,21 @@ func RunChaos(seed int64, workers int) []ChaosResult {
 	return out
 }
 
-func scenarioRunner(sc string) func(r *run) error {
-	if sc == "integrity" {
-		return chaosIntegrity
-	}
-	return func(r *run) error {
-		_, err := traceFigure(r, sc)
-		return err
-	}
-}
-
-// result runs the cell twice, each time in its own context under the
-// determinism digest, and collects the verdict. The fault count and the
-// parked-proc check cover every cluster the first run built.
+// result replays the cell under its plan and collects the verdict. The
+// fault count and the parked-proc check cover every cluster the first run
+// built.
 func (c chaosCell) result(seed int64) ChaosResult {
 	res := ChaosResult{Scenario: c.name, Plan: c.plan.Name, Seed: seed}
-	mod := func(cfg *cluster.Config) {
-		p := c.plan
-		cfg.FaultPlan = &p
-		cfg.FaultSeed = seed
-		cfg.Reliable = c.reliable
-	}
-	d1, err1 := digestRun(mod, func(r *run) error {
-		err := c.run(r)
-		res.Injected = r.injected()
-		res.Blocked = r.stalled()
+	v := replay(underPlan(c.plan, seed), func(r *run, i int) error {
+		_, err := c.run(r)
+		if i == 0 {
+			res.Injected = r.injected()
+			res.Blocked = r.stalled()
+		}
 		return err
 	})
-	d2, err2 := digestRun(mod, c.run)
-	res.Digest = d1
-	res.Stable = d1 == d2
-	switch {
-	case err1 != nil:
-		res.Detail = err1.Error()
-	case err2 != nil:
-		res.Detail = "second run: " + err2.Error()
-	case !res.Stable:
-		res.Detail = fmt.Sprintf("digest unstable: %s vs %s", sim.DigestString(d1), sim.DigestString(d2))
-	case len(res.Blocked) > 0:
+	res.Digest, res.Stable, res.Detail = v.digest, v.stable, v.detail
+	if res.Detail == "" && len(res.Blocked) > 0 {
 		res.Detail = "blocked procs: " + strings.Join(res.Blocked, ", ")
 	}
 	return res

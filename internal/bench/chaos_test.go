@@ -18,7 +18,7 @@ func TestChaosIntegrityLossy(t *testing.T) {
 	plan := fault.Plan{Name: "lossy", Link: fault.LinkFaults{
 		DropProb: 0.005, CorruptProb: 0.005, ReorderProb: 0.005,
 	}}
-	res := chaosCell{"integrity", plan, true, chaosIntegrity}.result(1)
+	res := chaosCell{scenarioRow(t, "integrity"), plan}.result(1)
 	if !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
 	}
@@ -31,7 +31,7 @@ func TestChaosNICStorm(t *testing.T) {
 	plan := fault.Plan{Name: "storm", NIC: []fault.NICFault{
 		{Node: 1, Kind: fault.FreezeStorm, At: 200 * time.Microsecond, Count: 3, Gap: 15 * time.Microsecond},
 	}}
-	res := chaosCell{"integrity", plan, false, chaosIntegrity}.result(1)
+	res := chaosCell{scenarioRow(t, "integrity"), plan}.result(1)
 	if !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
 	}
@@ -41,7 +41,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 	plan := fault.Plan{Name: "crash", Crashes: []fault.Crash{
 		{Node: 2, At: 5 * time.Millisecond},
 	}}
-	res := chaosCell{"crash-recovery", plan, false, chaosCrashRecovery}.result(1)
+	res := chaosCell{scenarioRow(t, "crash-recovery"), plan}.result(1)
 	if !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
 	}
@@ -51,14 +51,15 @@ func TestChaosCrashRecovery(t *testing.T) {
 // cluster a cell builds, not only the last one. A proc left parked in the
 // first of two worlds must fail the cell.
 func TestChaosBlockedInFirstCluster(t *testing.T) {
-	cell := chaosCell{"two-worlds", fault.Plan{Name: "none"}, false, func(r *run) error {
+	twoWorlds := scenario{name: "two-worlds", run: func(r *run) (string, error) {
 		first := r.cluster(cluster.Config{})
 		never := sim.NewCond(first.Eng)
 		first.Eng.Spawn("stuck", func(p *sim.Proc) { never.Wait(p) })
 		first.Run()
 		r.cluster(cluster.Config{}).Run()
-		return nil
+		return "", nil
 	}}
+	cell := chaosCell{twoWorlds, fault.Plan{Name: "none"}}
 	res := cell.result(1)
 	if res.OK() || !reflect.DeepEqual(res.Blocked, []string{"stuck"}) {
 		t.Fatalf("parked proc in the first cluster went unreported: %+v", res)
@@ -67,7 +68,7 @@ func TestChaosBlockedInFirstCluster(t *testing.T) {
 
 // TestChaosPlansWellFormed keeps the standard plan list honest: every plan
 // named, and link-fault plans distinguishable from scheduled-fault plans
-// (RunChaos keys the Reliable choice off that).
+// (underPlan keys the Reliable choice off that).
 func TestChaosPlansWellFormed(t *testing.T) {
 	plans := StandardChaosPlans()
 	if len(plans) < 3 {
@@ -90,8 +91,8 @@ func TestChaosPlansWellFormed(t *testing.T) {
 // detection, epoch-fenced promotion, heal, handback — twice, under the
 // replay digest.
 func TestChaosPartitionCell(t *testing.T) {
-	c := appPartitionCells()[1] // part-primary
-	res := chaosCell{c.name, fault.Plan{Name: c.name}, false, chaosAppPartition(c)}.result(1)
+	s := scenarioRow(t, "part-primary")
+	res := chaosCell{s, *s.plan}.result(1)
 	if !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
 	}

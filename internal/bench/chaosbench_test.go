@@ -5,13 +5,13 @@ import "testing"
 // One chaos cell end to end: build a 4-node cluster under the drop-1% plan
 // with the reliability sublayer on, run the fig3 representative scenario
 // twice under the replay digest, tear it all down. This is the unit the
-// soak matrix (and its worker pool) repeats 33 times.
+// soak matrix (and its worker pool) repeats for every row and plan.
 func BenchmarkChaosCell(b *testing.B) {
 	plan := StandardChaosPlans()[1] // drop-1%
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := chaosCell{"fig3", plan, true, scenarioRunner("fig3")}.result(1)
+		res := chaosCell{scenarioRow(b, "fig3"), plan}.result(1)
 		if !res.OK() {
 			b.Fatalf("chaos cell failed: %+v", res)
 		}

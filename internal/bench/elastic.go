@@ -92,8 +92,9 @@ func elasticWorkload(c *cluster.Cluster) error {
 }
 
 // runElasticPoolOnce drives one pass of the autoscale trace and returns
-// the pool census plus the folded digest of every served world.
-func runElasticPoolOnce() (ElasticPoolResult, error) {
+// the pool census. Each served world is digested apart, and its sum is
+// folded into r's digest.
+func runElasticPoolOnce(r *run) (ElasticPoolResult, error) {
 	res := ElasticPoolResult{Steps: len(elasticDemand)}
 	boot := cluster.New(cluster.Config{})
 	w, err := snap.Capture(boot)
@@ -104,10 +105,7 @@ func runElasticPoolOnce() (ElasticPoolResult, error) {
 	pool := snap.NewWorldPool(w, snap.RestoreOptions{})
 	defer pool.Close()
 
-	// FNV-1a fold of per-world digests, same constants sim's tracer uses.
-	const fnvOffset, fnvPrime = uint64(0xcbf29ce484222325), uint64(0x100000001b3)
 	var want uint64
-	digest := fnvOffset
 	for _, demand := range elasticDemand {
 		for j := 0; j < demand; j++ {
 			c, err := pool.Get()
@@ -128,7 +126,7 @@ func runElasticPoolOnce() (ElasticPoolResult, error) {
 					sim.DigestString(dt.Sum()), sim.DigestString(want))
 			}
 			res.Served++
-			digest = (digest ^ dt.Sum()) * fnvPrime
+			r.digest.Fold(dt.Sum())
 		}
 		// The controller sizes warm capacity for the demand it just saw.
 		pool.SetTarget(demand)
@@ -139,27 +137,25 @@ func runElasticPoolOnce() (ElasticPoolResult, error) {
 	st := pool.Stats()
 	res.Hits, res.Misses = st.Hits, st.Misses
 	res.Built, res.Discarded = st.Built, st.Discarded
-	res.Digest = digest
 	return res, nil
 }
 
-// RunElasticPool runs the autoscale scenario twice and reports stability.
+// RunElasticPool runs the autoscale scenario twice and reports stability:
+// the same folded digest and the same hit/miss split.
 func RunElasticPool() ElasticPoolResult {
-	r1, err1 := runElasticPoolOnce()
-	r2, err2 := runElasticPoolOnce()
-	r1.Stable = err1 == nil && err2 == nil && r1.Digest == r2.Digest &&
-		r1.Hits == r2.Hits && r1.Misses == r2.Misses
-	switch {
-	case err1 != nil:
-		r1.Detail = err1.Error()
-	case err2 != nil:
-		r1.Detail = "second run: " + err2.Error()
-	case !r1.Stable:
-		r1.Detail = fmt.Sprintf("unstable: digest %s vs %s, hits %d vs %d, misses %d vs %d",
-			sim.DigestString(r1.Digest), sim.DigestString(r2.Digest),
-			r1.Hits, r2.Hits, r1.Misses, r2.Misses)
+	var res [2]ElasticPoolResult
+	v := replay(nil, func(r *run, i int) (err error) {
+		res[i], err = runElasticPoolOnce(r)
+		return err
+	})
+	out := res[0]
+	out.Digest, out.Detail = v.digest, v.detail
+	out.Stable = v.stable && res[0].Hits == res[1].Hits && res[0].Misses == res[1].Misses
+	if out.Detail == "" && !out.Stable {
+		out.Detail = fmt.Sprintf("unstable: hits %d vs %d, misses %d vs %d",
+			res[0].Hits, res[1].Hits, res[0].Misses, res[1].Misses)
 	}
-	return r1
+	return out
 }
 
 // ElasticRollingResult is one run of the rolling-restart scenario.
@@ -179,11 +175,11 @@ func (r ElasticRollingResult) OK() bool { return r.Detail == "" && r.Stable }
 // round served from a snapshot clone: the round's serving cluster comes
 // out of a world pool (one boot+capture for the whole run), the victim is
 // crashed mid-load, restarted, and must rejoin and resync before the
-// round ends. The digest folds every round's full event stream.
-func runElasticRollingOnce() (ElasticRollingResult, error) {
+// round ends. Every round runs in r, whose digest folds each round's full
+// event stream; r shuts the round's cluster down before the next.
+func runElasticRollingOnce(r *run) (ElasticRollingResult, error) {
 	victims := []int{1, 2, 3} // node 0 is the gateway
 	res := ElasticRollingResult{Rounds: len(victims)}
-	plan := fault.Plan{Name: "rolling-restart"}
 
 	var pool *snap.Pool
 	defer func() {
@@ -191,8 +187,7 @@ func runElasticRollingOnce() (ElasticRollingResult, error) {
 			pool.Close()
 		}
 	}()
-	dt := sim.NewDigestTracer()
-	provide := func(cfg cluster.Config) *cluster.Cluster {
+	r.provide = func(cfg cluster.Config) *cluster.Cluster {
 		if pool == nil {
 			bootCfg := cfg
 			bootCfg.Auto = nil
@@ -230,11 +225,6 @@ func runElasticRollingOnce() (ElasticRollingResult, error) {
 		opts.CrashAt = 3 * time.Millisecond
 		opts.RestartAfter = 6 * time.Millisecond
 		var stats AppServeStats
-		r := &run{mod: func(cfg *cluster.Config) {
-			p := plan
-			cfg.FaultPlan = &p
-			cfg.FaultSeed = 1
-		}, provide: provide, digest: dt}
 		err := appServe(r, opts, &stats)
 		r.close()
 		if err != nil {
@@ -250,26 +240,20 @@ func runElasticRollingOnce() (ElasticRollingResult, error) {
 		st := pool.Stats()
 		res.PoolHits, res.PoolMisses = st.Hits, st.Misses
 	}
-	res.Digest = dt.Sum()
 	return res, nil
 }
 
 // RunElasticRolling runs the rolling-restart scenario twice and reports
 // stability.
 func RunElasticRolling() ElasticRollingResult {
-	r1, err1 := runElasticRollingOnce()
-	r2, err2 := runElasticRollingOnce()
-	r1.Stable = err1 == nil && err2 == nil && r1.Digest == r2.Digest
-	switch {
-	case err1 != nil:
-		r1.Detail = err1.Error()
-	case err2 != nil:
-		r1.Detail = "second run: " + err2.Error()
-	case !r1.Stable:
-		r1.Detail = fmt.Sprintf("unstable: digest %s vs %s",
-			sim.DigestString(r1.Digest), sim.DigestString(r2.Digest))
-	}
-	return r1
+	var res [2]ElasticRollingResult
+	v := replay(underPlan(fault.Plan{Name: "rolling-restart"}, 1), func(r *run, i int) (err error) {
+		res[i], err = runElasticRollingOnce(r)
+		return err
+	})
+	out := res[0]
+	out.Digest, out.Stable, out.Detail = v.digest, v.stable, v.detail
+	return out
 }
 
 // ElasticTable renders both elasticity cells for the CLI.

@@ -20,27 +20,33 @@ func TestDriversShutDownTheirWorlds(t *testing.T) {
 		return runtime.NumGoroutine(), ms.HeapAlloc
 	}
 	baseG, baseHeap := live()
-	steps := []struct {
+	type step struct {
 		name string
 		run  func() error
-	}{
-		{"fig3", func() error { Fig3(1); return nil }},
-		{"fig4", func() error { Fig4(1); return nil }},
-		{"fig5", func() error { Fig5(1); return nil }},
-		{"fig7", func() error { Fig7(1); return nil }},
-		{"fig8", func() error { Fig8(1); return nil }},
+	}
+	steps := []step{
 		{"peak", func() error { RunPeak(); return nil }},
-		{"ttcp", func() error { RunTTCP(); return nil }},
-		{"trace-svm", func() error { _, err := TraceFigure("svm", trace.New()); return err }},
+		{"ttcp-sweep", func() error { RunTTCP(); return nil }},
 		{"chaos-svm", func() error {
 			// The svm cell builds two clusters: the Jacobi world and the
 			// lock-counter world.
-			res := chaosCell{"svm", StandardChaosPlans()[1], true, scenarioRunner("svm")}.result(1)
+			res := chaosCell{scenarioRow(t, "svm"), StandardChaosPlans()[1]}.result(1)
 			if !res.OK() {
 				t.Errorf("chaos cell failed: %+v", res)
 			}
 			return nil
 		}},
+	}
+	// Every row of the scenario table, through TraceFigure, and every
+	// figure sweep.
+	for _, s := range scenarios() {
+		if s.sweep != nil {
+			steps = append(steps, step{s.name + "-sweep", func() error { s.sweep(1); return nil }})
+		}
+		steps = append(steps, step{"trace-" + s.name, func() error {
+			_, err := TraceFigure(s.name, trace.New())
+			return err
+		}})
 	}
 	for _, s := range steps {
 		if err := s.run(); err != nil {

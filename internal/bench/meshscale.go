@@ -62,9 +62,8 @@ type MeshScaleRow struct {
 // rep is exact virtual time, so reps only smooth out warm-up effects.
 const meshScaleReps = 4
 
-// runMeshScaleOnce runs one world and returns the measurements plus the
-// replay digest.
-func runMeshScaleOnce(dims []int, combining bool) (MeshScaleRow, uint64) {
+// meshScaleOnce runs one world inside r and returns its measurements.
+func meshScaleOnce(r *run, dims []int, combining bool) MeshScaleRow {
 	nodes := 1
 	for _, d := range dims {
 		nodes *= d
@@ -74,8 +73,7 @@ func runMeshScaleOnce(dims []int, combining bool) (MeshScaleRow, uint64) {
 	// Histograms are what the study reads; per-packet channel spans at
 	// 1024 nodes would be millions of entries.
 	tc.MaxSpans = 4096
-	r := &run{trace: tc, digest: sim.NewDigestTracer()}
-	defer r.close()
+	r.trace = tc
 	c := r.cluster(cluster.Config{
 		MeshDims:  dims,
 		Combining: combining,
@@ -170,7 +168,7 @@ func runMeshScaleOnce(dims []int, combining bool) (MeshScaleRow, uint64) {
 	}
 	row.CombMerged, row.CombDelivered = c.Mesh.CombStats()
 	row.Events = r.digest.Events
-	return row, r.digest.Sum()
+	return row
 }
 
 // RunMeshScale runs the scaling study over the given geometries, each with
@@ -179,10 +177,14 @@ func RunMeshScale(geometries [][]int) []MeshScaleRow {
 	var rows []MeshScaleRow
 	for _, dims := range geometries {
 		for _, comb := range []bool{false, true} {
-			row, d1 := runMeshScaleOnce(dims, comb)
-			again, d2 := runMeshScaleOnce(dims, comb)
-			row.Digest = sim.DigestString(d1)
-			row.DigestOK = d1 == d2 && row.sameMeasurements(again)
+			var runs [2]MeshScaleRow
+			v := replay(nil, func(r *run, i int) error {
+				runs[i] = meshScaleOnce(r, dims, comb)
+				return nil
+			})
+			row := runs[0]
+			row.Digest = sim.DigestString(v.digest)
+			row.DigestOK = v.stable && row.sameMeasurements(runs[1])
 			rows = append(rows, row)
 		}
 	}

@@ -55,22 +55,14 @@ func runPool(workers, n int, job func(i int)) {
 // Workers returns the default worker count for parallel runs.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
-// figureDriver is one row of the standard figure table.
-type figureDriver struct {
-	id    string
-	build func(iters int) *Figure
-}
-
-// figureDrivers is the standard figure table, in output order.
-func figureDrivers() []figureDriver {
-	return []figureDriver{{"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5}, {"fig7", Fig7}, {"fig8", Fig8}}
-}
-
-// FigureIDs lists the standard figures RunFigures builds, in output order.
+// FigureIDs lists the standard figures RunFigures builds, in output order:
+// the scenario-table rows that have a figure sweep.
 func FigureIDs() []string {
 	var ids []string
-	for _, d := range figureDrivers() {
-		ids = append(ids, d.id)
+	for _, s := range scenarios() {
+		if s.sweep != nil {
+			ids = append(ids, s.name)
+		}
 	}
 	return ids
 }
@@ -80,13 +72,13 @@ func FigureIDs() []string {
 // FigureIDs order and skips ids that are not standard figures; every
 // table and CSV is byte-identical for any worker count.
 func RunFigures(ids []string, iters, workers int) []*Figure {
-	var jobs []figureDriver
-	for _, d := range figureDrivers() {
-		if slices.Contains(ids, d.id) {
-			jobs = append(jobs, d)
+	var jobs []func(iters int) *Figure
+	for _, s := range scenarios() {
+		if s.sweep != nil && slices.Contains(ids, s.name) {
+			jobs = append(jobs, s.sweep)
 		}
 	}
 	out := make([]*Figure, len(jobs))
-	runPool(workers, len(jobs), func(i int) { out[i] = jobs[i].build(iters) })
+	runPool(workers, len(jobs), func(i int) { out[i] = jobs[i](iters) })
 	return out
 }

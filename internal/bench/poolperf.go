@@ -162,7 +162,7 @@ func snapPerfEntries(add func(BenchResult)) {
 	}
 }
 
-// PoolReport is the `shrimpbench -pool` document: the snapshot bench
+// PoolReport is the `shrimpbench -fig pool` document: the snapshot bench
 // entries, the boot-vs-pooled speedup they imply, and both elasticity
 // scenario cells.
 type PoolReport struct {

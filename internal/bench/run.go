@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"shrimp/internal/cluster"
 	"shrimp/internal/sim"
 	"shrimp/internal/trace"
@@ -83,12 +85,38 @@ func (r *run) close() {
 	r.built = nil
 }
 
-// digestRun runs fn in a fresh context whose clusters all fold into one
-// replay digest under the config rewriter mod, shuts the context down, and
-// returns the digest with fn's error.
-func digestRun(mod func(*cluster.Config), fn func(r *run) error) (uint64, error) {
-	r := &run{mod: mod, digest: sim.NewDigestTracer()}
-	defer r.close()
-	err := fn(r)
-	return r.digest.Sum(), err
+// replayed is replay's verdict on a body run twice.
+type replayed struct {
+	digest uint64 // the first run's replay digest
+	stable bool   // the second run folded the same digest
+	detail string // the first failure, "" when both runs passed and matched
+}
+
+// replay is the harness's one determinism verdict: it runs body twice,
+// each time in a fresh context under the config rewriter mod whose
+// clusters all fold into one replay digest, and compares the digests.
+// body learns which run it is in (0, then 1); each context is shut down
+// after its run.
+func replay(mod func(*cluster.Config), body func(r *run, i int) error) replayed {
+	var sums [2]uint64
+	var errs [2]error
+	for i := range sums {
+		sums[i], errs[i] = func() (uint64, error) {
+			r := &run{mod: mod, digest: sim.NewDigestTracer()}
+			defer r.close()
+			err := body(r, i)
+			return r.digest.Sum(), err
+		}()
+	}
+	v := replayed{digest: sums[0], stable: sums[0] == sums[1]}
+	switch {
+	case errs[0] != nil:
+		v.detail = errs[0].Error()
+	case errs[1] != nil:
+		v.detail = "second run: " + errs[1].Error()
+	case !v.stable:
+		v.detail = fmt.Sprintf("digest unstable: %s vs %s",
+			sim.DigestString(sums[0]), sim.DigestString(sums[1]))
+	}
+	return v
 }

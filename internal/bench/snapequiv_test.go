@@ -2,7 +2,6 @@ package bench
 
 import (
 	"testing"
-	"time"
 
 	"shrimp/internal/cluster"
 	"shrimp/internal/fault"
@@ -40,19 +39,13 @@ func snapCloneProvider(t *testing.T) func(cluster.Config) *cluster.Cluster {
 	}
 }
 
-// snapEquivCell runs one scenario with the given cluster source and
-// returns its replay digest.
-func snapEquivCell(t *testing.T, plan fault.Plan, reliable bool,
-	scenario func(r *run) error, provide func(cluster.Config) *cluster.Cluster) uint64 {
+// snapEquivCell runs one cell's scenario under its plan with the given
+// cluster source and returns its replay digest.
+func snapEquivCell(t *testing.T, c chaosCell, provide func(cluster.Config) *cluster.Cluster) uint64 {
 	t.Helper()
-	r := &run{mod: func(cfg *cluster.Config) {
-		p := plan
-		cfg.FaultPlan = &p
-		cfg.FaultSeed = 1
-		cfg.Reliable = reliable
-	}, provide: provide, digest: sim.NewDigestTracer()}
+	r := &run{mod: underPlan(c.plan, 1), provide: provide, digest: sim.NewDigestTracer()}
 	defer r.close()
-	if err := scenario(r); err != nil {
+	if _, err := c.run(r); err != nil {
 		t.Fatalf("scenario: %v", err)
 	}
 	return r.digest.Sum()
@@ -61,42 +54,33 @@ func snapEquivCell(t *testing.T, plan fault.Plan, reliable bool,
 // TestSnapshotEquivalenceMatrix is the tentpole invariant, scenario by
 // scenario: a restored world must produce a byte-identical replay digest
 // to the live world it was cloned from. Every cell runs its scenario once
-// on fresh boots and once on snapshot clones and compares digests —
-// figure reproductions, SVM, the byte-integrity stream, the serving
-// stack, crash recovery and failover, a lossy chaos cell, and a partition
-// cell.
+// on fresh boots and once on snapshot clones and compares digests. The
+// cells are the whole chaos matrix (every scenario-table row under every
+// standard plan, named row-plan, and each row with a plan of its own,
+// named by the row) plus every row without a plan of its own under the
+// empty plan, named by the row.
 func TestSnapshotEquivalenceMatrix(t *testing.T) {
-	none := fault.Plan{Name: "none"}
-	lossy := StandardChaosPlans()[2] // lossy-link: drop+corrupt+delay+reorder
-	crash := fault.Plan{Name: "crash-node2-mid-transfer", Crashes: []fault.Crash{
-		{Node: 2, At: 5 * time.Millisecond},
-	}}
-	cells := []struct {
-		name     string
-		plan     fault.Plan
-		reliable bool
-		run      func(r *run) error
-	}{
-		{"fig3", none, false, scenarioRunner("fig3")},
-		{"fig4", none, false, scenarioRunner("fig4")},
-		{"fig5", none, false, scenarioRunner("fig5")},
-		{"fig7", none, false, scenarioRunner("fig7")},
-		{"fig8", none, false, scenarioRunner("fig8")},
-		{"ttcp", none, false, scenarioRunner("ttcp")},
-		{"svm", none, false, scenarioRunner("svm")},
-		{"app", none, false, scenarioRunner("app")},
-		{"integrity-lossy", lossy, true, scenarioRunner("integrity")},
-		{"fig5-lossy", lossy, true, scenarioRunner("fig5")},
-		{"crash-recovery", crash, false, chaosCrashRecovery},
-		{"app-failover", fault.Plan{Name: "primary-crash-rejoin"}, false, chaosAppFailover},
-		{"partition-minority", fault.Plan{Name: appPartitionCells()[0].name}, false,
-			chaosAppPartition(appPartitionCells()[0])},
+	type cell struct {
+		name string
+		chaosCell
+	}
+	var cells []cell
+	for _, c := range chaosCells() {
+		name := c.name
+		if c.scenario.plan == nil {
+			name += "-" + c.plan.Name
+		}
+		cells = append(cells, cell{name, c})
+	}
+	for _, s := range scenarios() {
+		if s.plan == nil {
+			cells = append(cells, cell{s.name, chaosCell{s, fault.Plan{Name: "none"}}})
+		}
 	}
 	for _, c := range cells {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
-			fresh := snapEquivCell(t, c.plan, c.reliable, c.run, nil)
-			clone := snapEquivCell(t, c.plan, c.reliable, c.run, snapCloneProvider(t))
+			fresh := snapEquivCell(t, c.chaosCell, nil)
+			clone := snapEquivCell(t, c.chaosCell, snapCloneProvider(t))
 			if fresh != clone {
 				t.Fatalf("digest diverged: fresh %s, snapshot clone %s",
 					sim.DigestString(fresh), sim.DigestString(clone))

@@ -68,8 +68,7 @@ func TestSVMJacobiUnderDrops(t *testing.T) {
 // (the full matrix is `make chaos`; this keeps the svm cell in `go test`).
 func TestSVMChaosScenario(t *testing.T) {
 	for _, plan := range StandardChaosPlans() {
-		reliable := plan.Link != (fault.LinkFaults{})
-		res := chaosCell{"svm", plan, reliable, scenarioRunner("svm")}.result(3)
+		res := chaosCell{scenarioRow(t, "svm"), plan}.result(3)
 		if !res.OK() {
 			t.Errorf("svm under %s: %s", plan.Name, res.Detail)
 		}

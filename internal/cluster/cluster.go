@@ -67,12 +67,6 @@ type Config struct {
 	// Timeouts tunes the failure-detection timing constants; zero fields
 	// take the documented defaults.
 	Timeouts Timeouts
-
-	// Detached builds the cluster on a detached engine: one that ignores the
-	// process-global sim.Digest hook. Background world builders (the snap
-	// pool's prebuilders) set it so a concurrently open digest window in the
-	// foreground never observes — or races on — their boot events.
-	Detached bool
 }
 
 // Timeouts gathers the cluster-wide failure-detection timing knobs that
@@ -173,12 +167,7 @@ func New(cfg Config) *Cluster {
 			panic("cluster: invalid fault plan: " + err.Error())
 		}
 	}
-	var eng *sim.Engine
-	if cfg.Detached {
-		eng = sim.NewDetachedEngine()
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	if cfg.Auto != nil {
 		eng.AttachDigest(cfg.Auto)
 	}

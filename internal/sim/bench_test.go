@@ -111,7 +111,7 @@ func BenchmarkProcPingPong(b *testing.B) {
 func BenchmarkEventQueueMixed(b *testing.B) {
 	for _, depth := range []int{20, 70} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			e := NewDetachedEngine()
+			e := NewEngine()
 			x := uint64(depth) // xorshift state
 			delta := func() time.Duration {
 				x ^= x << 13

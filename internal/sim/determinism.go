@@ -113,5 +113,9 @@ func NewDigestTracer() *DigestTracer {
 	return &DigestTracer{digestTracer{sum: fnvOffset64}}
 }
 
+// Fold mixes a finished digest into d as one FNV step over the whole word,
+// for runners that digest each world apart and combine the sums in order.
+func (d *DigestTracer) Fold(sum uint64) { d.sum = (d.sum ^ sum) * fnvPrime64 }
+
 // Sum returns the FNV-1a digest of everything observed so far.
 func (d *DigestTracer) Sum() uint64 { return d.sum }

@@ -40,7 +40,7 @@ type Proc struct {
 	service     bool    // daemon-style proc: excluded from deadlock diagnosis
 
 	// wake and redispatch are the proc's two wakeup callbacks, built once
-	// at Spawn so the hot paths (unpark, Sleep, YieldOnce) schedule them
+	// at Spawn so the hot paths (unpark, Sleep) schedule them
 	// without allocating a closure per call.
 	wake       func() // clears wakePending, then dispatches
 	redispatch func() // dispatches unconditionally (sleep timers)
@@ -204,14 +204,6 @@ func (p *Proc) Sleep(d time.Duration) {
 		return
 	}
 	p.eng.Post(d, p.redispatch)
-	p.park()
-}
-
-// YieldOnce lets all other events scheduled at the current instant run, then
-// resumes. Useful in tests to establish ordering.
-func (p *Proc) YieldOnce() {
-	p.checkCurrent()
-	p.eng.Post(0, p.redispatch)
 	p.park()
 }
 

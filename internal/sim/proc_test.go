@@ -133,7 +133,7 @@ func TestEngineRunsOnAnotherGoroutine(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		e = NewDetachedEngine()
+		e = NewEngine()
 		c := NewCond(e)
 		waiter = e.Spawn("waiter", func(p *Proc) {
 			c.Wait(p)

@@ -163,7 +163,7 @@ func checkHeap(e *Engine) error {
 // runQueueOps decodes ops into operations, applies them to an engine and
 // the model, and reports the first disagreement.
 func runQueueOps(ops []byte) error {
-	e := NewDetachedEngine()
+	e := NewEngine()
 	m := &queueModel{}
 	var fired []int
 	var timers []*Timer

@@ -40,17 +40,3 @@ func (s *Server) ReserveAt(t Time, dur time.Duration) (start, end Time) {
 	s.Busy += dur
 	return start, end
 }
-
-// FreeAt returns the time at which all current reservations drain.
-func (s *Server) FreeAt() Time { return s.freeAt }
-
-// IdleAt reports whether the server has no reservation extending past t.
-func (s *Server) IdleAt(t Time) bool { return s.freeAt <= t }
-
-// Utilization returns Busy as a fraction of elapsed virtual time.
-func (s *Server) Utilization() float64 {
-	if s.eng.now == 0 {
-		return 0
-	}
-	return float64(s.Busy) / float64(s.eng.now)
-}

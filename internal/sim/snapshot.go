@@ -15,19 +15,6 @@ import (
 	"sort"
 )
 
-// NewDetachedEngine returns an engine that never consults the
-// process-global digest hook sim.Digest installs. Warm-world pool builders
-// construct clusters on background goroutines, possibly while a digested
-// scenario is running on the main goroutine; a detached engine neither
-// pollutes that scenario's fold nor races on the global hook. Digests
-// attach explicitly at handoff via AttachDigest, observing the world only
-// from the moment a scenario takes ownership.
-func NewDetachedEngine() *Engine {
-	e := &Engine{}
-	e.retrace()
-	return e
-}
-
 // Settle executes every event at the current instant, including cascades
 // that post further same-instant events, and stops as soon as the earliest
 // pending event lies in the future. It is the canonical post-boot quiesce:

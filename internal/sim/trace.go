@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Tracer receives engine execution events when installed with SetTracer.
@@ -115,6 +114,3 @@ func (l *LogTracer) ProcSwitch(at Time, name string) {
 	}
 	l.Lines = append(l.Lines, fmt.Sprintf("%v %s", at, name))
 }
-
-// Elapsed converts a virtual interval to a time.Duration (identity, typed).
-func Elapsed(from, to Time) time.Duration { return to.Sub(from) }

@@ -1,25 +1,19 @@
 // The warm-world pool. Booting a full cluster is the dominant fixed cost
-// of every scenario run; a Pool pays it ahead of time — synchronously via
-// Prefill (deterministic harnesses) or in background builder goroutines
-// via StartAsync (wall-clock benchmarks) — and hands out ready worlds in
-// constant time. Pool decisions (hit, miss, resize) never consult the
-// wall clock, so a deterministic harness drawing from a prefilled pool
-// behaves identically run to run; only the async refill, which exists
-// purely to hide latency, races — and it builds on detached engines so a
-// foreground digest window never observes background boots.
+// of every scenario run; a Pool pays it ahead of time via Prefill and
+// hands out ready worlds in constant time. Pool decisions (hit, miss,
+// resize) never consult the wall clock, so a harness drawing from a
+// prefilled pool behaves identically run to run. A pool belongs to the
+// goroutine that drives it.
 package snap
 
 import (
 	"fmt"
-	"sync"
 
 	"shrimp/internal/cluster"
 )
 
-// Builder boots one fresh world. detached is true when the build happens
-// on a background goroutine and must not touch the process-global digest
-// hook (see cluster.Config.Detached).
-type Builder func(detached bool) (*cluster.Cluster, error)
+// Builder boots one fresh world.
+type Builder func() (*cluster.Cluster, error)
 
 // PoolStats is a point-in-time pool census.
 type PoolStats struct {
@@ -36,19 +30,10 @@ type PoolStats struct {
 
 // Pool keeps ready-to-run worlds warm.
 type Pool struct {
-	//lint:allow no-stray-concurrency guards pool stock shared with background refillers
-	mu     sync.Mutex
 	build  Builder
 	ready  []*cluster.Cluster
 	target int
 	stats  PoolStats
-
-	//lint:allow no-stray-concurrency async refill wake-up, wall-clock path only
-	wake chan struct{}
-	//lint:allow no-stray-concurrency async refill shutdown signal, wall-clock path only
-	stopCh chan struct{}
-	//lint:allow no-stray-concurrency background builder join on Close
-	wg     sync.WaitGroup
 	closed bool
 }
 
@@ -59,80 +44,53 @@ func NewBuildPool(build Builder) *Pool {
 
 // NewWorldPool pools copy-on-write clones of a captured world. Every
 // clone shares the image's page storage until first write, so the pool's
-// marginal cost per world is a boot, not a boot plus a data load. The
-// options' Detached field is overridden per build site.
+// marginal cost per world is a boot, not a boot plus a data load.
 func NewWorldPool(w *World, opt RestoreOptions) *Pool {
-	return NewBuildPool(func(detached bool) (*cluster.Cluster, error) {
-		o := opt
-		o.Detached = detached
-		return w.RestoreWith(o)
-	})
+	return NewBuildPool(func() (*cluster.Cluster, error) { return w.RestoreWith(opt) })
 }
 
 // SetTarget sets the desired warm depth. It does not build; call Prefill
-// for deterministic stock or StartAsync for background refill.
+// to stock the pool.
 func (p *Pool) SetTarget(n int) {
-	p.mu.Lock()
 	p.target = n
 	// Shrink eagerly: an autoscaler lowering its target expects the
 	// excess capacity released, not hoarded.
-	var excess []*cluster.Cluster
 	for len(p.ready) > n {
 		last := len(p.ready) - 1
-		excess = append(excess, p.ready[last])
+		p.ready[last].Shutdown()
 		p.ready = p.ready[:last]
+		p.stats.Discarded++
 	}
-	p.stats.Discarded += len(excess)
-	wake := p.wake
-	p.mu.Unlock()
-	for _, c := range excess {
-		c.Shutdown()
-	}
-	poke(wake)
 }
 
-// Prefill synchronously builds until the warm stock reaches n.
+// Prefill builds until the warm stock reaches n.
 func (p *Pool) Prefill(n int) error {
-	for {
-		p.mu.Lock()
-		if len(p.ready) >= n || p.closed {
-			p.mu.Unlock()
-			return nil
-		}
-		p.mu.Unlock()
-		c, err := p.build(false)
+	for len(p.ready) < n && !p.closed {
+		c, err := p.build()
 		if err != nil {
 			return fmt.Errorf("snap: pool prefill: %w", err)
 		}
-		p.mu.Lock()
 		p.ready = append(p.ready, c)
 		p.stats.Built++
-		p.mu.Unlock()
 	}
+	return nil
 }
 
 // Get returns a ready world, building inline on a miss. The caller owns
 // the world and hands it to Discard when done.
 func (p *Pool) Get() (*cluster.Cluster, error) {
-	p.mu.Lock()
-	if n := len(p.ready); n > 0 {
+	if len(p.ready) > 0 {
 		c := p.ready[0]
 		p.ready = p.ready[:copy(p.ready, p.ready[1:])]
 		p.stats.Hits++
-		wake := p.wake
-		p.mu.Unlock()
-		poke(wake)
 		return c, nil
 	}
 	p.stats.Misses++
-	p.mu.Unlock()
-	c, err := p.build(false)
+	c, err := p.build()
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
 	p.stats.Built++
-	p.mu.Unlock()
 	return c, nil
 }
 
@@ -143,113 +101,26 @@ func (p *Pool) Discard(c *cluster.Cluster) {
 		return
 	}
 	c.Shutdown()
-	p.mu.Lock()
 	p.stats.Discarded++
-	p.mu.Unlock()
 }
 
 // Stats returns a census snapshot.
 func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	st := p.stats
 	st.Target = p.target
 	st.Ready = len(p.ready)
 	return st
 }
 
-// StartAsync launches workers background builders that keep the warm
-// stock topped up to the target. Wall-clock optimization only: harnesses
-// that need determinism use Prefill and never start the refiller.
-func (p *Pool) StartAsync(workers int) {
-	p.mu.Lock()
-	if p.wake != nil || p.closed {
-		p.mu.Unlock()
-		return
-	}
-	//lint:allow no-stray-concurrency async refill wake-up channel
-	p.wake = make(chan struct{}, 1)
-	//lint:allow no-stray-concurrency async refill shutdown channel
-	p.stopCh = make(chan struct{})
-	p.mu.Unlock()
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		//lint:allow no-stray-concurrency background world builder; builds on detached engines
-		go p.refill()
-	}
-}
-
-func (p *Pool) refill() {
-	defer p.wg.Done()
-	for {
-		p.mu.Lock()
-		need := !p.closed && len(p.ready) < p.target
-		stop := p.stopCh
-		wake := p.wake
-		p.mu.Unlock()
-		if !need {
-			//lint:allow no-stray-concurrency idle refiller parks on wake/stop
-			select {
-			//lint:allow no-stray-concurrency refill wake-up receive
-			case <-wake:
-				continue
-			//lint:allow no-stray-concurrency refill shutdown receive
-			case <-stop:
-				return
-			}
-		}
-		c, err := p.build(true)
-		if err != nil {
-			// A failing builder would spin; background refill gives up
-			// and leaves misses to surface the error via Get.
-			return
-		}
-		p.mu.Lock()
-		if p.closed || len(p.ready) >= p.target {
-			p.stats.Discarded++
-			p.mu.Unlock()
-			c.Shutdown()
-			continue
-		}
-		p.ready = append(p.ready, c)
-		p.stats.Built++
-		p.mu.Unlock()
-	}
-}
-
-// Close stops background refill and shuts down all warm stock.
+// Close shuts down all warm stock.
 func (p *Pool) Close() {
-	p.mu.Lock()
 	if p.closed {
-		p.mu.Unlock()
 		return
 	}
 	p.closed = true
-	stop := p.stopCh
-	stock := p.ready
-	p.ready = nil
-	p.stats.Discarded += len(stock)
-	p.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		p.wg.Wait()
-	}
-	for _, c := range stock {
+	for _, c := range p.ready {
 		c.Shutdown()
 	}
-}
-
-// poke non-blockingly nudges the refillers.
-//
-//lint:allow no-stray-concurrency non-blocking nudge to the async refillers
-func poke(wake chan struct{}) {
-	if wake == nil {
-		return
-	}
-	//lint:allow no-stray-concurrency non-blocking send, never parks
-	select {
-	//lint:allow no-stray-concurrency non-blocking send, never parks
-	case wake <- struct{}{}:
-	default:
-	}
+	p.stats.Discarded += len(p.ready)
+	p.ready = nil
 }

@@ -58,7 +58,6 @@ func Capture(c *cluster.Cluster) (*World, error) {
 	w.Cfg.Trace = nil
 	w.Cfg.Auto = nil
 	w.Cfg.FaultPlan = nil
-	w.Cfg.Detached = false
 	for _, n := range c.Nodes {
 		img, err := captureNode(n, w.Chunks)
 		if err != nil {
@@ -69,12 +68,8 @@ func Capture(c *cluster.Cluster) (*World, error) {
 	return w, nil
 }
 
-// RestoreOptions re-supplies the runtime-only pieces Capture stripped and
-// selects the engine flavor for the clone.
+// RestoreOptions re-supplies the runtime-only pieces Capture stripped.
 type RestoreOptions struct {
-	// Detached boots the clone on a detached engine (ignores the global
-	// sim.Digest hook) — what background pool builders use.
-	Detached bool
 	// Auto attaches a per-engine tracer at boot. Digest-equivalence
 	// harnesses usually leave this nil and attach after Restore instead,
 	// so both sides of a fresh-vs-clone comparison digest the same span.
@@ -98,7 +93,6 @@ func (w *World) Restore() (*cluster.Cluster, error) {
 // the image (and so with each other) until first write.
 func (w *World) RestoreWith(o RestoreOptions) (*cluster.Cluster, error) {
 	cfg := w.Cfg
-	cfg.Detached = o.Detached
 	cfg.Auto = o.Auto
 	cfg.Trace = o.Trace
 	cfg.FaultPlan = o.FaultPlan
