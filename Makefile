@@ -115,10 +115,12 @@ chaos:
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/kernel ./internal/nic ./internal/mesh ./internal/nx ./internal/bench .
 
-# check is the full gate CI runs: gofmt, build, vet, lint, race-enabled
+# check runs every gate CI runs: gofmt, build, vet, lint, race-enabled
 # tests, trace determinism, snapshot determinism, mesh-scaling digest
-# stability, and the chaos soak.
-check: fmt build vet lint race trace-smoke snap-smoke meshscale-smoke chaos
+# stability, the chaos soak, the partition cells, and the pool suite. CI
+# also gives the fuzz targets a brief shake (make fuzz) and runs the
+# microbenchmarks; neither is part of check.
+check: fmt build vet lint race trace-smoke snap-smoke meshscale-smoke chaos partition pool
 
 clean:
 	$(GO) clean ./...

@@ -113,7 +113,7 @@ func runElasticPoolOnce(r *run) (ElasticPoolResult, error) {
 				return res, err
 			}
 			dt := sim.NewDigestTracer()
-			c.Eng.AttachDigest(dt)
+			c.Eng.AddTracer(dt)
 			err = elasticWorkload(c)
 			pool.Discard(c)
 			if err != nil {
@@ -205,7 +205,7 @@ func runElasticRollingOnce(r *run) (ElasticRollingResult, error) {
 			return nil
 		}
 		if cfg.Auto != nil {
-			c.Eng.AttachDigest(cfg.Auto)
+			c.Eng.AddTracer(cfg.Auto)
 		}
 		// Keep one world warm for the next round.
 		if err := pool.Prefill(1); err != nil {

@@ -46,7 +46,7 @@ func TestScenarioTableWellFormed(t *testing.T) {
 // returning r's digest so far.
 func sleeper(r *run, d time.Duration) uint64 {
 	e := sim.NewEngine()
-	e.AttachDigest(r.digest)
+	e.AddTracer(r.digest)
 	e.Spawn("sleeper", func(p *sim.Proc) { p.Sleep(d) })
 	e.RunAll()
 	return r.digest.Sum()

@@ -58,9 +58,9 @@ type Config struct {
 	// construction backplane the paper assumes.
 	Reliable bool
 
-	// Auto, when non-nil, is composed into the engine's automatic tracer
-	// exactly as a sim.Digest-installed tracer would be. Parallel scenario
-	// runners use it to attach a per-engine replay digest without going
+	// Auto, when non-nil, is attached to the engine with AddTracer at
+	// construction, exactly where a sim.Digest tracer is attached.
+	// Scenario runners use it to digest their own engines without going
 	// through sim's process-global hook.
 	Auto sim.Tracer
 
@@ -169,7 +169,7 @@ func New(cfg Config) *Cluster {
 	}
 	eng := sim.NewEngine()
 	if cfg.Auto != nil {
-		eng.AttachDigest(cfg.Auto)
+		eng.AddTracer(cfg.Auto)
 	}
 	cfg.Trace.Bind(eng)
 	msh := mesh.NewDims(eng, cfg.MeshDims)
@@ -233,7 +233,7 @@ func (c *Cluster) Reachable(a, b int) bool {
 	if c.Fault == nil {
 		return true
 	}
-	return !c.Fault.CutEither(a, b, time.Duration(c.Eng.Now()))
+	return !c.Fault.CutEither(a, b)
 }
 
 // scheduleFaults arms the plan's scheduled NIC faults and node crashes at

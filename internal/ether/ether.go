@@ -152,7 +152,7 @@ func (n *Network) transmit(m *Message) {
 	// else dies at an armed partition — after burning medium time, as the
 	// frames were transmitted into the cut.
 	if n.inj != nil && m.From.Node >= 0 &&
-		n.inj.Cut(m.From.Node, m.To.Node, time.Duration(n.eng.Now())) {
+		n.inj.Cut(m.From.Node, m.To.Node) {
 		n.MessagesSevered++
 		n.inj.Severed++
 		return

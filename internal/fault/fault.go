@@ -1,16 +1,16 @@
 // Package fault is the deterministic fault injector for the SHRIMP
 // simulation. A Plan describes what goes wrong — per-packet link faults
 // (drop, corrupt, delay, reorder), scheduled NIC faults (receive-freeze
-// storms, outgoing-FIFO stalls), whole-node crashes with optional restart,
-// scheduled network partitions (bidirectional, one-way, or flapping cuts
-// of a node set), and "gray" failures (persistent elevated loss/latency on
-// chosen directed links) — and an Injector draws every per-packet decision
-// from its own seeded rand source. Partition and gray membership checks
-// are pure time-window functions that consume no randomness, so arming
-// them does not shift the rand stream of unrelated packets. The injector
-// never reads the wall clock and consumes randomness in engine event
-// order, so a given (seed, plan) pair replays bit-for-bit:
-// sim.CheckDeterminism holds with fault injection enabled.
+// storms, outgoing-FIFO stalls), and whole-node crashes with optional
+// restart — and an Injector draws every per-packet decision from its own
+// seeded rand source. Network partitions are armed at runtime with
+// Injector.Sever and lifted with Injector.Heal, so a harness can time a cut
+// against workload phases; the membership check consumes no randomness, so
+// arming a cut does not shift the rand stream of uncut packets. The
+// injector never reads the wall clock and consumes randomness in engine
+// event order, so a given (seed, plan) pair, with the same Sever/Heal calls
+// at the same points, replays bit-for-bit: sim.CheckDeterminism holds with
+// fault injection enabled.
 //
 // The package is a leaf: it imports nothing from the simulation so that
 // mesh, nic, and cluster can all depend on it without cycles. Virtual
@@ -89,58 +89,13 @@ type Crash struct {
 	RestartAfter time.Duration
 }
 
-// Partition schedules a network cut: the nodes in Set are severed from the
-// rest of the cluster for a window of virtual time. Both fabrics honor the
-// cut — mesh packets (including reliability-sublayer acks) and Ethernet
-// datagrams crossing it vanish — so everything above sees a true
-// partition, not just loss.
-type Partition struct {
-	// Set is one side of the cut: the isolated node group. The other side
-	// is every node not named here.
-	Set []int
-	// At is the virtual time the cut begins.
-	At time.Duration
-	// Heal is the absolute virtual time the cut ends; zero means it never
-	// heals.
-	Heal time.Duration
-	// OneWay makes the cut asymmetric: only traffic FROM Set toward the
-	// rest is severed; packets flowing into the set still arrive. This is
-	// the gray-failure shape where a node hears the world but cannot be
-	// heard.
-	OneWay bool
-	// FlapPeriod, when positive, makes the cut flap: within [At, Heal) the
-	// link alternates down/up every FlapPeriod, starting down at At.
-	FlapPeriod time.Duration
-}
-
-// Gray schedules a gray failure: persistent elevated loss/latency on the
-// directed links From -> To during a window, stacked on top of the plan's
-// base link faults. The link stays up — packets cross it, slowly and
-// unreliably — which is exactly the failure detection timeouts struggle
-// with.
-type Gray struct {
-	// From and To select the directed node pairs affected; a nil slice
-	// means every node on that side.
-	From, To []int
-	// At is the virtual time the degradation begins.
-	At time.Duration
-	// Until is the absolute virtual time it ends; zero means forever.
-	Until time.Duration
-	// Extra is added to the base LinkFaults probabilities for packets
-	// crossing an affected pair inside the window; its DelayMax, when
-	// larger than the base bound, stretches the extra-latency range.
-	Extra LinkFaults
-}
-
 // Plan is a pluggable fault plan: everything that will go wrong in a run.
 // The zero Plan injects nothing.
 type Plan struct {
-	Name       string
-	Link       LinkFaults
-	NIC        []NICFault
-	Crashes    []Crash
-	Partitions []Partition
-	Gray       []Gray
+	Name    string
+	Link    LinkFaults
+	NIC     []NICFault
+	Crashes []Crash
 }
 
 // String renders a compact description for logs and chaos reports.
@@ -158,31 +113,17 @@ func (p Plan) String() string {
 	for _, c := range p.Crashes {
 		fmt.Fprintf(&b, " crash(n%d@%v)", c.Node, c.At)
 	}
-	for _, pt := range p.Partitions {
-		mode := "cut"
-		if pt.OneWay {
-			mode = "cut-oneway"
-		}
-		if pt.FlapPeriod > 0 {
-			mode += "-flap"
-		}
-		fmt.Fprintf(&b, " %s(%v@%v)", mode, pt.Set, pt.At)
-	}
-	for _, g := range p.Gray {
-		fmt.Fprintf(&b, " gray(%v->%v drop=%.3g delay=%.3g)",
-			g.From, g.To, g.Extra.DropProb, g.Extra.DelayProb)
-	}
 	return b.String()
 }
 
-// sum is the total probability mass of the four per-packet fault modes.
-func (l LinkFaults) sum() float64 {
-	return l.DropProb + l.CorruptProb + l.DelayProb + l.ReorderProb
-}
-
-// validRates checks one LinkFaults block: each probability in [0,1], the
-// sum at most 1 (at most one fault hits a packet), non-negative delay.
-func (l LinkFaults) validRates(what string) error {
+// Validate checks the plan against a cluster of nodes nodes and returns an
+// error naming the first malformed entry: link probabilities outside [0,1]
+// or summing past 1 (at most one fault hits a packet), negative times, and
+// NIC faults or crashes naming nonexistent nodes. Constructors call it so a
+// bad plan fails loudly at build time instead of silently injecting
+// nothing.
+func (p Plan) Validate(nodes int) error {
+	l := p.Link
 	for _, pr := range []struct {
 		name string
 		v    float64
@@ -191,44 +132,14 @@ func (l LinkFaults) validRates(what string) error {
 		{"delay", l.DelayProb}, {"reorder", l.ReorderProb},
 	} {
 		if pr.v < 0 || pr.v > 1 {
-			return fmt.Errorf("%s: %s probability %g outside [0,1]", what, pr.name, pr.v)
+			return fmt.Errorf("link: %s probability %g outside [0,1]", pr.name, pr.v)
 		}
 	}
-	if l.sum() > 1 {
-		return fmt.Errorf("%s: fault probabilities sum to %g > 1", what, l.sum())
+	if sum := l.DropProb + l.CorruptProb + l.DelayProb + l.ReorderProb; sum > 1 {
+		return fmt.Errorf("link: fault probabilities sum to %g > 1", sum)
 	}
 	if l.DelayMax < 0 {
-		return fmt.Errorf("%s: negative DelayMax %v", what, l.DelayMax)
-	}
-	return nil
-}
-
-// checkNodes verifies a node set: every index in [0,nodes), no duplicates.
-func checkNodes(what string, set []int, nodes int) error {
-	seen := make(map[int]bool, len(set))
-	for _, n := range set {
-		if n < 0 || n >= nodes {
-			return fmt.Errorf("%s names node %d, cluster has nodes 0..%d", what, n, nodes-1)
-		}
-		if seen[n] {
-			return fmt.Errorf("%s names node %d twice", what, n)
-		}
-		seen[n] = true
-	}
-	return nil
-}
-
-// Validate checks the plan against a cluster of nodes nodes and returns an
-// error naming the first malformed entry: probabilities outside [0,1] or
-// summing past 1 (counting gray extras on top of the base rates), negative
-// times, inverted schedule windows, partition or gray sets naming
-// nonexistent or duplicate nodes, empty or whole-cluster partition sets,
-// and two partitions claiming the same node over overlapping windows.
-// Constructors call it so a bad plan fails loudly at build time instead of
-// silently injecting nothing.
-func (p Plan) Validate(nodes int) error {
-	if err := p.Link.validRates("link"); err != nil {
-		return err
+		return fmt.Errorf("link: negative DelayMax %v", l.DelayMax)
 	}
 	for i, f := range p.NIC {
 		what := fmt.Sprintf("nic[%d]", i)
@@ -248,69 +159,7 @@ func (p Plan) Validate(nodes int) error {
 			return fmt.Errorf("%s: negative schedule field", what)
 		}
 	}
-	for i, pt := range p.Partitions {
-		what := fmt.Sprintf("partition[%d]", i)
-		if len(pt.Set) == 0 {
-			return fmt.Errorf("%s: empty node set", what)
-		}
-		if len(pt.Set) >= nodes {
-			return fmt.Errorf("%s: set of %d nodes covers the whole %d-node cluster, nothing to cut from", what, len(pt.Set), nodes)
-		}
-		if err := checkNodes(what, pt.Set, nodes); err != nil {
-			return err
-		}
-		if pt.At < 0 || pt.FlapPeriod < 0 {
-			return fmt.Errorf("%s: negative schedule field", what)
-		}
-		if pt.Heal != 0 && pt.Heal <= pt.At {
-			return fmt.Errorf("%s: inverted window, heals at %v but starts at %v", what, pt.Heal, pt.At)
-		}
-	}
-	for i := range p.Partitions {
-		for j := i + 1; j < len(p.Partitions); j++ {
-			a, b := p.Partitions[i], p.Partitions[j]
-			if !windowsOverlap(a.At, a.Heal, b.At, b.Heal) {
-				continue
-			}
-			for _, n := range a.Set {
-				for _, m := range b.Set {
-					if n == m {
-						return fmt.Errorf("partition[%d] and partition[%d] both claim node %d over overlapping windows", i, j, n)
-					}
-				}
-			}
-		}
-	}
-	for i, g := range p.Gray {
-		what := fmt.Sprintf("gray[%d]", i)
-		if err := g.Extra.validRates(what); err != nil {
-			return err
-		}
-		if p.Link.sum()+g.Extra.sum() > 1 {
-			return fmt.Errorf("%s: base plus extra fault probabilities sum to %g > 1", what, p.Link.sum()+g.Extra.sum())
-		}
-		if err := checkNodes(what+".From", g.From, nodes); err != nil {
-			return err
-		}
-		if err := checkNodes(what+".To", g.To, nodes); err != nil {
-			return err
-		}
-		if g.At < 0 {
-			return fmt.Errorf("%s: negative start time", what)
-		}
-		if g.Until != 0 && g.Until <= g.At {
-			return fmt.Errorf("%s: inverted window, ends at %v but starts at %v", what, g.Until, g.At)
-		}
-	}
 	return nil
-}
-
-// windowsOverlap reports whether [a0, a1) and [b0, b1) intersect; an end
-// of zero means the window never closes.
-func windowsOverlap(a0, a1, b0, b1 time.Duration) bool {
-	beforeB := a1 != 0 && a1 <= b0
-	beforeA := b1 != 0 && b1 <= a0
-	return !beforeB && !beforeA
 }
 
 // Action is the fate the injector assigns to one packet.
@@ -351,106 +200,16 @@ func (a Action) String() string {
 	return fmt.Sprintf("Action(%d)", int(a))
 }
 
-// partState is a compiled partition: membership as a set plus the active
-// window. The zero window (at=0, heal=0, flap=0) is permanently active,
-// which is what runtime Sever wants.
-type partState struct {
-	in     map[int]bool
-	at     time.Duration
-	heal   time.Duration // 0 = never
-	oneWay bool
-	flap   time.Duration
-}
-
-func compilePartition(p Partition) *partState {
-	m := make(map[int]bool, len(p.Set))
-	for _, n := range p.Set {
-		m[n] = true
-	}
-	return &partState{in: m, at: p.At, heal: p.Heal, oneWay: p.OneWay, flap: p.FlapPeriod}
-}
-
-// active reports whether the cut is down at a virtual time; flapping cuts
-// alternate down/up in FlapPeriod-sized windows starting down at At.
-func (ps *partState) active(now time.Duration) bool {
-	if now < ps.at {
-		return false
-	}
-	if ps.heal > 0 && now >= ps.heal {
-		return false
-	}
-	if ps.flap > 0 {
-		return ((now-ps.at)/ps.flap)%2 == 0
-	}
-	return true
-}
-
-// cuts reports whether the directed path src -> dst crosses this cut while
-// it is down.
-func (ps *partState) cuts(src, dst int, now time.Duration) bool {
-	if !ps.active(now) {
-		return false
-	}
-	if ps.in[src] == ps.in[dst] {
-		return false // same side of the cut
-	}
-	if ps.oneWay && !ps.in[src] {
-		return false // asymmetric: only outbound from the set is severed
-	}
-	return true
-}
-
-// grayState is a compiled Gray entry: directed membership plus window.
-type grayState struct {
-	from, to map[int]bool // nil = every node
-	at       time.Duration
-	until    time.Duration // 0 = forever
-	extra    LinkFaults
-}
-
-func compileGray(g Gray) grayState {
-	gs := grayState{at: g.At, until: g.Until, extra: g.Extra}
-	if g.From != nil {
-		gs.from = make(map[int]bool, len(g.From))
-		for _, n := range g.From {
-			gs.from[n] = true
-		}
-	}
-	if g.To != nil {
-		gs.to = make(map[int]bool, len(g.To))
-		for _, n := range g.To {
-			gs.to[n] = true
-		}
-	}
-	return gs
-}
-
-// covers reports whether the directed path src -> dst is degraded now.
-func (gs *grayState) covers(src, dst int, now time.Duration) bool {
-	if now < gs.at {
-		return false
-	}
-	if gs.until > 0 && now >= gs.until {
-		return false
-	}
-	if gs.from != nil && !gs.from[src] {
-		return false
-	}
-	if gs.to != nil && !gs.to[dst] {
-		return false
-	}
-	return true
-}
-
 // Injector draws fault decisions for one run from a seeded source. All
 // methods must be called from simulation context (engine goroutine), in
 // event order; the consumed randomness is then replay-stable.
 type Injector struct {
-	plan  Plan
-	rng   *rand.Rand
-	parts []*partState
-	grays []grayState
-	dyn   *partState // runtime Sever/Heal partition, nil when healed
+	plan Plan
+	rng  *rand.Rand
+	// cut is the node set Sever cut off, nil when healed; with oneWay only
+	// traffic leaving it is severed.
+	cut    map[int]bool
+	oneWay bool
 
 	// Tallies of what was injected, for reports and tests.
 	Dropped   int64
@@ -463,104 +222,60 @@ type Injector struct {
 
 // NewInjector builds an injector for the plan with its own rand stream.
 func NewInjector(seed int64, plan Plan) *Injector {
-	in := &Injector{plan: plan, rng: rand.New(rand.NewSource(seed))}
-	for _, p := range plan.Partitions {
-		in.parts = append(in.parts, compilePartition(p))
-	}
-	for _, g := range plan.Gray {
-		in.grays = append(in.grays, compileGray(g))
-	}
-	return in
+	return &Injector{plan: plan, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Sever arms a runtime partition cutting set off from the rest of the
-// cluster until Heal is called. Harnesses use it to time partitions
-// against workload phases a static plan cannot know in advance ("after
-// warmup, isolate the primary"). Call from simulation context, in event
-// order — the cut itself is rand-free, so arming it is replay-stable. At
-// most one runtime partition is armed at a time; a second Sever replaces
-// the first.
+// Sever arms a partition cutting set off from the rest of the cluster
+// until Heal is called. Both fabrics honor the cut — mesh packets
+// (reliability-sublayer acks included) and Ethernet datagrams crossing it
+// vanish — so everything above sees a true partition, not just loss. With
+// oneWay only traffic from set toward the rest is severed; packets flowing
+// into the set still arrive (the gray-failure shape where a node hears the
+// world but cannot be heard). Harnesses time the cut against workload
+// phases ("after warmup, isolate the primary"). Call from simulation
+// context, in event order — the cut itself is rand-free, so arming it is
+// replay-stable. At most one partition is armed at a time; a second Sever
+// replaces the first.
 func (in *Injector) Sever(set []int, oneWay bool) {
-	in.dyn = compilePartition(Partition{Set: set, OneWay: oneWay})
+	in.cut = make(map[int]bool, len(set))
+	for _, n := range set {
+		in.cut[n] = true
+	}
+	in.oneWay = oneWay
 }
 
-// Heal removes the runtime partition armed by Sever. Plan-scheduled
-// partitions heal on their own windows and are not affected.
-func (in *Injector) Heal() { in.dyn = nil }
+// Heal removes the partition armed by Sever.
+func (in *Injector) Heal() { in.cut = nil }
 
-// Cut reports whether the directed path src -> dst is severed at virtual
-// time now, by a plan partition window or a runtime Sever. Pure and
-// rand-free, so fabrics and quorum checks can consult it without
-// perturbing the replay-stable randomness stream.
-func (in *Injector) Cut(src, dst int, now time.Duration) bool {
-	if in == nil || src == dst {
-		return false
+// Cut reports whether the directed path src -> dst is severed by an armed
+// partition. Pure and rand-free, so fabrics and quorum checks can consult
+// it without perturbing the replay-stable randomness stream.
+func (in *Injector) Cut(src, dst int) bool {
+	if in == nil || in.cut == nil || in.cut[src] == in.cut[dst] {
+		return false // healed, or both ends on the same side of the cut
 	}
-	for _, ps := range in.parts {
-		if ps.cuts(src, dst, now) {
-			return true
-		}
-	}
-	return in.dyn != nil && in.dyn.cuts(src, dst, now)
+	return !in.oneWay || in.cut[src]
 }
 
 // CutEither reports whether either direction between a and b is severed —
 // the "can these two nodes converse" question quorum checks ask.
-func (in *Injector) CutEither(a, b int, now time.Duration) bool {
-	return in.Cut(a, b, now) || in.Cut(b, a, now)
+func (in *Injector) CutEither(a, b int) bool {
+	return in.Cut(a, b) || in.Cut(b, a)
 }
 
-// Plan returns the plan this injector executes.
-func (in *Injector) Plan() Plan { return in.plan }
-
-// delayMax returns the configured extra-latency bound.
-func (in *Injector) delayMax() time.Duration {
-	if in.plan.Link.DelayMax > 0 {
-		return in.plan.Link.DelayMax
-	}
-	return 10 * time.Microsecond
-}
-
-// LinkAction draws the fate of one data packet crossing the backplane and
-// the extra latency for Delay/Reorder actions. Exactly one rand draw per
-// packet for the fate keeps the stream compact and replay-stable.
-func (in *Injector) LinkAction() (Action, time.Duration) {
-	return in.draw(in.plan.Link, in.delayMax())
-}
-
-// PathAction is LinkAction for a specific directed path at a virtual time:
-// paths crossing an armed partition return Sever without consuming any
-// randomness, and paths inside a gray window draw against the base rates
-// plus the gray extras. Packets untouched by either behave exactly as
-// under LinkAction, so arming partitions or gray windows does not shift
-// the rand stream of unaffected traffic.
-func (in *Injector) PathAction(src, dst int, now time.Duration) (Action, time.Duration) {
-	if in.Cut(src, dst, now) {
+// PathAction draws the fate of one data packet crossing the backplane on
+// the directed path src -> dst, and the extra latency for Delay/Reorder
+// actions. A path crossing an armed partition returns Sever without
+// consuming any randomness, so arming a partition does not shift the rand
+// stream of uncut traffic. Every other packet takes exactly one rand draw
+// for its fate, or none under zero rates, so an idle injector is a digest
+// no-op.
+func (in *Injector) PathAction(src, dst int) (Action, time.Duration) {
+	if in.Cut(src, dst) {
 		in.Severed++
 		return Sever, 0
 	}
 	l := in.plan.Link
-	dmax := in.delayMax()
-	for i := range in.grays {
-		g := &in.grays[i]
-		if !g.covers(src, dst, now) {
-			continue
-		}
-		l.DropProb += g.extra.DropProb
-		l.CorruptProb += g.extra.CorruptProb
-		l.DelayProb += g.extra.DelayProb
-		l.ReorderProb += g.extra.ReorderProb
-		if g.extra.DelayMax > dmax {
-			dmax = g.extra.DelayMax
-		}
-	}
-	return in.draw(l, dmax)
-}
-
-// draw resolves one packet's fate against a set of rates. A fully zero
-// rate block consumes no randomness at all, preserving the invariant that
-// an idle injector is a digest no-op.
-func (in *Injector) draw(l LinkFaults, dmax time.Duration) (Action, time.Duration) {
 	if l.DropProb == 0 && l.CorruptProb == 0 && l.DelayProb == 0 && l.ReorderProb == 0 {
 		return Pass, 0
 	}
@@ -574,17 +289,23 @@ func (in *Injector) draw(l LinkFaults, dmax time.Duration) (Action, time.Duratio
 		return Corrupt, 0
 	case v < l.DropProb+l.CorruptProb+l.DelayProb:
 		in.Delayed++
-		return Delay, in.extraDelay(dmax)
+		return Delay, in.extraDelay()
 	case v < l.DropProb+l.CorruptProb+l.DelayProb+l.ReorderProb:
 		in.Reordered++
-		return Reorder, in.extraDelay(dmax)
+		return Reorder, in.extraDelay()
 	}
 	return Pass, 0
 }
 
-// AckLost reports whether a link-level ack packet is lost. Acks travel the
-// reliability sublayer's sideband, where drop is the only failure mode.
-func (in *Injector) AckLost() bool {
+// AckLost reports whether a link-level ack on the sideband path src -> dst
+// is lost. A severed path always loses the ack without consuming
+// randomness — a cut link carries nothing, sideband included; otherwise
+// drop is the only failure mode on the sideband, at the plan's drop rate.
+func (in *Injector) AckLost(src, dst int) bool {
+	if in.Cut(src, dst) {
+		in.Severed++
+		return true
+	}
 	if in.plan.Link.DropProb == 0 {
 		return false
 	}
@@ -595,23 +316,15 @@ func (in *Injector) AckLost() bool {
 	return false
 }
 
-// AckLostPath is AckLost for a specific sideband ack path: a severed path
-// always loses the ack (rand-free — a cut link carries nothing, sideband
-// included), otherwise the base drop probability applies. Gray extras do
-// not apply to acks, matching AckLost.
-func (in *Injector) AckLostPath(src, dst int, now time.Duration) bool {
-	if in.Cut(src, dst, now) {
-		in.Severed++
-		return true
-	}
-	return in.AckLost()
-}
-
 // extraDelay draws the added latency for a Delay/Reorder fault: uniform in
-// (0, max], never zero so the fault is observable.
-func (in *Injector) extraDelay(max time.Duration) time.Duration {
-	d := time.Duration(in.rng.Int63n(int64(max))) + 1
-	return d
+// (0, DelayMax], never zero so the fault is observable. DelayMax defaults
+// to 10us.
+func (in *Injector) extraDelay() time.Duration {
+	max := in.plan.Link.DelayMax
+	if max <= 0 {
+		max = 10 * time.Microsecond
+	}
+	return time.Duration(in.rng.Int63n(int64(max))) + 1
 }
 
 // CorruptBytes flips one to four bytes of an encoded packet in place.

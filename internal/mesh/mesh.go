@@ -338,9 +338,10 @@ func (n *Network) Route(src, dst NodeID) []int {
 }
 
 // CutPlane returns the nodes on the low side of a partition hyperplane: all
-// nodes whose coordinate in dimension dim is < at. Severing this set cuts
-// the mesh into two connected halves along the plane — the topology-aware
-// way to build fault.Partition node sets on any geometry.
+// nodes whose coordinate in dimension dim is < at. Severing this set (with
+// fault.Injector.Sever) cuts the mesh into two connected halves along the
+// plane — the topology-aware way to build partition node sets on any
+// geometry.
 func (n *Network) CutPlane(dim, at int) []int {
 	if dim < 0 || dim >= len(n.dims) || at <= 0 || at >= n.dims[dim] {
 		panic(fmt.Sprintf("mesh: cut plane dim %d at %d outside topology %v", dim, at, n.dims))
@@ -447,12 +448,13 @@ func (n *Network) transmit(pkt *Packet) {
 	var act fault.Action
 	var extra time.Duration
 	if n.inj != nil {
-		act, extra = n.inj.PathAction(int(pkt.Src), int(pkt.Dst), time.Duration(now))
+		act, extra = n.inj.PathAction(int(pkt.Src), int(pkt.Dst))
 	}
 	if act == fault.Sever {
 		// An armed partition cuts this path: the flits die at the cut.
 		// Severing consumed no randomness, so arming a partition does
-		// not shift the fate of unrelated packets.
+		// not shift the fate of unrelated packets
+		// (fault.TestSeverKeepsUncutStream).
 		n.PacketsDropped++
 		n.Trace.Count(traceTrack, "fault.partitioned", 1)
 		n.Recycle(pkt)

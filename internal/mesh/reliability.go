@@ -255,7 +255,7 @@ func (r *reliability) onAck(pkt *Packet) {
 // sideband included — otherwise go-back-N would paper over partitions).
 func (r *reliability) sendAck(from, to NodeID, acked uint32) {
 	r.stats.AcksSent++
-	if r.n.inj != nil && r.n.inj.AckLostPath(int(from), int(to), time.Duration(r.n.eng.Now())) {
+	if r.n.inj != nil && r.n.inj.AckLost(int(from), int(to)) {
 		return
 	}
 	ack := &Packet{Src: from, Dst: to, Seq: acked, Ack: true}

@@ -93,15 +93,6 @@ type Config struct {
 	// Force pins every send to one protocol variant; ProtoDefault
 	// selects adaptively by size.
 	Force Proto
-	// SmallMax overrides the small/large protocol threshold (bytes).
-	SmallMax int
-	// CreditDeadline bounds how long a csend may block waiting for the
-	// peer to return packet-buffer credits. Zero (the default) waits
-	// forever, matching the paper's library; a positive deadline turns a
-	// dead or wedged peer into a diagnosable panic instead of a silently
-	// parked process. NX's Intel-compatible API has no error returns, so
-	// a panic is the only honest way out.
-	CreditDeadline time.Duration
 	// Lazy defers per-peer connection setup until first use. The eager
 	// default mirrors real NX initialization but costs O(N) region pages
 	// per process — O(N²) machine-wide — which is what blocks 1024-node
@@ -250,9 +241,6 @@ type selfMsg struct {
 // node number; nnodes the machine size. Unless cfg.Lazy is set, connections
 // to every peer are established eagerly, as NX does at initialization.
 func New(c *cluster.Cluster, p *kernel.Process, node, nnodes int, cfg Config) *NX {
-	if cfg.SmallMax == 0 {
-		cfg.SmallMax = PayloadMax
-	}
 	nx := &NX{
 		ep:        vmmc.Attach(p, c.Node(node).Daemon),
 		node:      node,
@@ -521,18 +509,7 @@ func (nx *NX) acquireBuf(cn *conn) int {
 		}
 		slot := cn.in + kernel.VA(creditOff(cn.creditsSeen))
 		want := uint32(cn.creditsSeen+1) << 8
-		if d := nx.cfg.CreditDeadline; d > 0 {
-			ok := p.WaitPredTimeout([]kernel.VA{slot}, nil, func() bool {
-				return p.PeekWord(slot)&^0xff == want
-			}, d)
-			if !ok {
-				//lint:allow transitive-panic credit-wait deadline: the peer is dead or wedged and the NX API has no error return
-				panic(fmt.Sprintf("nx: node %d: credit wait to node %d exceeded %v (peer dead or wedged)",
-					nx.node, cn.peer, d))
-			}
-		} else {
-			p.WaitWord(slot, func(v uint32) bool { return v&^0xff == want })
-		}
+		p.WaitWord(slot, func(v uint32) bool { return v&^0xff == want })
 	}
 	wait.End()
 	// Pop the oldest free buffer, shifting the rest down in place so the

@@ -91,15 +91,7 @@ func (nx *NX) Csend(typ int, buf kernel.VA, count, node, pid int) {
 		return
 	}
 	cn := nx.conn(node)
-	proto := nx.cfg.Force
-	if proto == ProtoDefault {
-		if count > nx.cfg.SmallMax {
-			proto = ProtoDU0
-		} else {
-			proto = ProtoAU2
-		}
-	}
-	switch proto {
+	switch proto := nx.proto(count); proto {
 	case ProtoAU2, ProtoDU1, ProtoDU2:
 		nx.sendBuffered(cn, typ, buf, count, pid, proto)
 	case ProtoAU1, ProtoDU0:
@@ -119,15 +111,7 @@ func (nx *NX) Isend(typ int, buf kernel.VA, count, node, pid int) ID {
 		return id
 	}
 	cn := nx.conn(node)
-	proto := nx.cfg.Force
-	if proto == ProtoDefault {
-		if count > nx.cfg.SmallMax {
-			proto = ProtoDU0
-		} else {
-			proto = ProtoAU2
-		}
-	}
-	switch proto {
+	switch proto := nx.proto(count); proto {
 	case ProtoAU2, ProtoDU1, ProtoDU2:
 		// Small sends complete inline: the data is out of the user
 		// buffer once written to the connection.
@@ -141,6 +125,19 @@ func (nx *NX) Isend(typ int, buf kernel.VA, count, node, pid int) ID {
 		nx.sends[id] = zs
 	}
 	return id
+}
+
+// proto picks the protocol for a count-byte send: the pinned variant if
+// Config.Force sets one, otherwise adaptively — one-copy AU through a
+// packet buffer up to PayloadMax, zero-copy DU beyond it.
+func (nx *NX) proto(count int) Proto {
+	switch {
+	case nx.cfg.Force != ProtoDefault:
+		return nx.cfg.Force
+	case count > PayloadMax:
+		return ProtoDU0
+	}
+	return ProtoAU2
 }
 
 // sendBuffered transmits through packet buffers, chunking messages larger

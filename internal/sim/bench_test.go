@@ -26,6 +26,25 @@ func BenchmarkEventChurn(b *testing.B) {
 	e.RunAll()
 }
 
+// BenchmarkEventChurnDigested is EventChurn observed the way a traced,
+// digested run is: two tracers attached, so every event walks the
+// observer list. It must stay at 0 allocs/op like the bare churn.
+func BenchmarkEventChurnDigested(b *testing.B) {
+	e := NewEngine()
+	e.AddTracer(NewDigestTracer())
+	e.AddTracer(NewDigestTracer())
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Post(time.Microsecond, fn)
+		if i%1024 == 1023 {
+			e.RunAll()
+		}
+	}
+	e.RunAll()
+}
+
 func BenchmarkEventChurnFIFO(b *testing.B) {
 	// Fire-immediately events take the nowQ fast path: no heap at all.
 	e := NewEngine()

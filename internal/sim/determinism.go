@@ -21,36 +21,42 @@ type TB interface {
 // Digest installs it so a scenario is observed across all the engines and
 // clusters it builds internally. Single goroutine discipline: Digest must
 // be called from the goroutine that builds and runs the engines.
-var autoTracer Tracer
+var autoTracer *DigestTracer
 
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// digestTracer folds the execution stream into an FNV-1a hash.
-type digestTracer struct {
+// DigestTracer folds an engine's execution stream — event times, sequence
+// numbers and process dispatches — into an FNV-1a replay digest. Digest
+// attaches one to every engine a scenario builds; runners that digest
+// specific engines attach their own with Engine.AddTracer (directly or
+// through cluster.Config.Auto). The fold is the same either way, so a
+// scenario digested through either route produces the same sum.
+type DigestTracer struct {
 	sum uint64
 	// Events and Switches tally what was hashed, for failure diagnostics.
 	Events   int64
 	Switches int64
 }
 
-func newDigestTracer() *digestTracer { return &digestTracer{sum: fnvOffset64} }
+// NewDigestTracer returns an empty digest fold.
+func NewDigestTracer() *DigestTracer { return &DigestTracer{sum: fnvOffset64} }
 
-func (d *digestTracer) mixByte(b byte) {
+func (d *DigestTracer) mixByte(b byte) {
 	d.sum ^= uint64(b)
 	d.sum *= fnvPrime64
 }
 
-func (d *digestTracer) mix64(v uint64) {
+func (d *DigestTracer) mix64(v uint64) {
 	for i := 0; i < 8; i++ {
 		d.mixByte(byte(v >> (8 * i)))
 	}
 }
 
 // Event implements Tracer.
-func (d *digestTracer) Event(at Time, seq uint64) {
+func (d *DigestTracer) Event(at Time, seq uint64) {
 	d.Events++
 	d.mixByte(0x01)
 	d.mix64(uint64(at))
@@ -58,7 +64,7 @@ func (d *digestTracer) Event(at Time, seq uint64) {
 }
 
 // ProcSwitch implements Tracer.
-func (d *digestTracer) ProcSwitch(at Time, name string) {
+func (d *DigestTracer) ProcSwitch(at Time, name string) {
 	d.Switches++
 	d.mixByte(0x02)
 	d.mix64(uint64(at))
@@ -68,17 +74,24 @@ func (d *digestTracer) ProcSwitch(at Time, name string) {
 	d.mixByte(0x00)
 }
 
+// Fold mixes a finished digest into d as one FNV step over the whole word,
+// for runners that digest each world apart and combine the sums in order.
+func (d *DigestTracer) Fold(sum uint64) { d.sum = (d.sum ^ sum) * fnvPrime64 }
+
+// Sum returns the FNV-1a digest of everything observed so far.
+func (d *DigestTracer) Sum() uint64 { return d.sum }
+
 // Digest runs scenario and returns the FNV-1a digest of the complete
 // execution stream of every engine created during the call. The scenario is
 // responsible for building its world (engines, clusters, processes) and
 // running it to completion.
 func Digest(scenario func()) uint64 {
-	dt := newDigestTracer()
+	dt := NewDigestTracer()
 	prev := autoTracer
 	autoTracer = dt
 	defer func() { autoTracer = prev }()
 	scenario()
-	return dt.sum
+	return dt.Sum()
 }
 
 // CheckDeterminism runs scenario twice and fails t if the two execution
@@ -98,24 +111,3 @@ func CheckDeterminism(t TB, scenario func()) {
 
 // DigestString formats a digest the way failure messages render it.
 func DigestString(d uint64) string { return fmt.Sprintf("%#016x", d) }
-
-// DigestTracer is the exported form of the replay-digest fold, for runners
-// that attach it to specific engines (via Engine.AttachDigest or
-// cluster.Config.Auto) instead of installing the process-global hook that
-// Digest uses. Folding is identical, so a scenario digested through either
-// route produces the same sum.
-type DigestTracer struct {
-	digestTracer
-}
-
-// NewDigestTracer returns an empty digest fold.
-func NewDigestTracer() *DigestTracer {
-	return &DigestTracer{digestTracer{sum: fnvOffset64}}
-}
-
-// Fold mixes a finished digest into d as one FNV step over the whole word,
-// for runners that digest each world apart and combine the sums in order.
-func (d *DigestTracer) Fold(sum uint64) { d.sum = (d.sum ^ sum) * fnvPrime64 }
-
-// Sum returns the FNV-1a digest of everything observed so far.
-func (d *DigestTracer) Sum() uint64 { return d.sum }

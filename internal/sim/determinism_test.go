@@ -118,7 +118,32 @@ func TestDigestRestoresTracerHook(t *testing.T) {
 	}
 	// Engines created outside a Digest call must not be observed.
 	e := NewEngine()
-	if e.auto != nil {
+	if len(e.tracers) != 0 {
 		t.Fatal("engine created outside Digest got an auto tracer")
+	}
+}
+
+// TestDigestWithUserTracer is the regression test for tracer exclusivity:
+// a tracer added to an engine must keep observing execution while
+// sim.Digest runs the scenario, and the digest must still be stable.
+func TestDigestWithUserTracer(t *testing.T) {
+	var observed int64
+	scenario := func() {
+		eng := NewEngine()
+		dt := NewDigestTracer()
+		eng.AddTracer(dt)
+		eng.Spawn("worker", func(p *Proc) {
+			p.Sleep(5 * time.Microsecond)
+		})
+		eng.RunAll()
+		observed = dt.Events
+	}
+	first := Digest(scenario)
+	second := Digest(scenario)
+	if first != second {
+		t.Fatalf("digest diverged with user tracer installed: %#x vs %#x", first, second)
+	}
+	if observed == 0 {
+		t.Fatal("user tracer observed no events during Digest: it was displaced by the auto tracer")
 	}
 }

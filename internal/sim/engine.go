@@ -235,39 +235,21 @@ type Engine struct {
 	procs  []*Proc
 	cur    *Proc // proc currently holding execution, nil in event context
 	halted bool
-	// tracer is what the hot paths call: the user tracer and the
-	// determinism-digest auto tracer composed via TeeTracer (retrace), so
-	// neither ever displaces the other.
-	tracer Tracer
-	user   Tracer // installed with SetTracer
-	// auto is the determinism-digest tracer attached at construction when
-	// a sim.Digest scenario is running; it observes execution alongside
-	// any user-installed tracer.
-	auto Tracer
+	// tracers observe execution, in the order they were added.
+	tracers []Tracer
 
 	// Stats, exposed for tests and the bench harness.
 	EventsRun int64
 }
 
-// NewEngine returns an engine with the clock at zero.
+// NewEngine returns an engine with the clock at zero. Inside a sim.Digest
+// call it starts with that call's digest tracer attached.
 func NewEngine() *Engine {
-	e := &Engine{auto: autoTracer}
-	e.retrace()
+	e := &Engine{}
+	if autoTracer != nil {
+		e.AddTracer(autoTracer)
+	}
 	return e
-}
-
-// retrace recomposes the combined tracer from the user and auto tracers.
-func (e *Engine) retrace() {
-	e.tracer = NewTeeTracer(e.user, e.auto)
-}
-
-// AttachDigest composes an additional auto tracer into the engine (used by
-// the parallel scenario runner, which cannot go through the process-global
-// sim.Digest hook). It observes execution exactly as a Digest-installed
-// tracer would.
-func (e *Engine) AttachDigest(t Tracer) {
-	e.auto = NewTeeTracer(e.auto, t)
-	e.retrace()
 }
 
 // Now returns the current virtual time.
@@ -439,8 +421,8 @@ func (e *Engine) Run(limit Time) Time {
 		e.now = next.at
 		e.EventsRun++
 		fn := next.fn
-		if e.tracer != nil {
-			e.tracer.Event(next.at, next.seq)
+		for _, t := range e.tracers {
+			t.Event(next.at, next.seq)
 		}
 		e.recycle(next)
 		fn()

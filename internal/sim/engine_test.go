@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -394,41 +393,26 @@ func TestProcPanicsOutsideContext(t *testing.T) {
 	e.RunAll()
 }
 
+// TestTracers: every tracer added to an engine observes every event and
+// process switch, and adding one twice does not double its view.
 func TestTracers(t *testing.T) {
 	e := NewEngine()
-	ct := NewCountingTracer()
-	lt := &LogTracer{Max: 3}
-	e.SetTracer(ct)
+	a, b := NewDigestTracer(), NewDigestTracer()
+	e.AddTracer(a)
+	e.AddTracer(b)
+	e.AddTracer(a)
 	e.Spawn("worker", func(p *Proc) {
 		for i := 0; i < 4; i++ {
 			p.Sleep(us(10))
 		}
 	})
 	e.RunAll()
-	if ct.Events == 0 || ct.Switches["worker"] < 4 {
-		t.Fatalf("counting tracer: events=%d switches=%v", ct.Events, ct.Switches)
+	if a.Events != e.EventsRun || a.Switches < 4 {
+		t.Fatalf("tracer saw events=%d switches=%d, engine ran %d events", a.Events, a.Switches, e.EventsRun)
 	}
-	if !strings.Contains(ct.Summary(), "worker") {
-		t.Fatalf("summary missing proc:\n%s", ct.Summary())
-	}
-
-	e2 := NewEngine()
-	e2.SetTracer(lt)
-	e2.Spawn("a", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(us(1))
-		}
-	})
-	e2.RunAll()
-	if len(lt.Lines) != 3 {
-		t.Fatalf("log tracer should cap at Max: %d lines", len(lt.Lines))
-	}
-	// Removing the tracer stops collection.
-	e2.SetTracer(nil)
-	e2.Spawn("b", func(p *Proc) { p.Sleep(us(1)) })
-	e2.RunAll()
-	if len(lt.Lines) != 3 {
-		t.Fatal("tracer fired after removal")
+	if b.Events != a.Events || b.Switches != a.Switches || b.Sum() != a.Sum() {
+		t.Fatalf("second tracer saw events=%d switches=%d, first events=%d switches=%d",
+			b.Events, b.Switches, a.Events, a.Switches)
 	}
 }
 

@@ -131,8 +131,8 @@ func (e *Engine) dispatch(p *Proc) {
 	if p.dead {
 		return
 	}
-	if e.tracer != nil {
-		e.tracer.ProcSwitch(e.now, p.Name)
+	for _, t := range e.tracers {
+		t.ProcSwitch(e.now, p.Name)
 	}
 	prev := e.cur
 	e.cur = p

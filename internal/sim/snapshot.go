@@ -33,8 +33,8 @@ func (e *Engine) Settle() Time {
 		next := e.next()
 		e.EventsRun++
 		fn := next.fn
-		if e.tracer != nil {
-			e.tracer.Event(next.at, next.seq)
+		for _, t := range e.tracers {
+			t.Event(next.at, next.seq)
 		}
 		e.recycle(next)
 		fn()

@@ -36,7 +36,7 @@ func runWorkload(c *cluster.Cluster) {
 // the final clock so stalled clones cannot accidentally match.
 func digestOf(c *cluster.Cluster) uint64 {
 	dt := sim.NewDigestTracer()
-	c.Eng.AttachDigest(dt)
+	c.Eng.AddTracer(dt)
 	runWorkload(c)
 	return dt.Sum() ^ uint64(c.Eng.Now())
 }

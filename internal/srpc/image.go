@@ -165,14 +165,6 @@ func (b *Binding) OutDataRef(rlen, scalarSize, n int) *Ref {
 	return &Ref{b: b, base: base, n: n}
 }
 
-// SealBytesReply completes a reply image whose bytes data was produced
-// through a Ref: write the length footer, then the flag.
-func (b *Binding) SealBytesReply(proc, rlen, n int) {
-	p := b.ep.Proc
-	p.WriteWord(b.shadow+kernel.VA(flagOff-4), uint32(n))
-	b.Finish(proc, rlen)
-}
-
 // SeedInOut seeds an INOUT bytes field of the reply image directly from the
 // incoming argument image: the data and its length footer are copied into
 // the outgoing buffer, from where they stream to the client in the

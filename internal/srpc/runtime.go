@@ -350,15 +350,8 @@ func (b *Binding) ReadArgs(argLen int) []byte {
 	return b.ep.Proc.ReadBytes(b.ArgsVA(argLen), argLen)
 }
 
-// OutRef returns a by-reference view of the reply payload area for a reply
-// of length rlen: writes through it land in the outgoing buffer and
-// propagate to the client by automatic update while the server computes.
-func (b *Binding) OutRef(rlen int) *Ref {
-	return &Ref{b: b, base: b.shadow + kernel.VA(flagOff-rlen), n: rlen}
-}
-
 // Finish completes the current call: the results (already written through
-// the OutRef, or copied with WriteResults) are capped with the reply flag —
+// a Ref, or copied with WriteResults) are capped with the reply flag —
 // "when the call is done, the server sends return values and a flag back…
 // the flag is immediately after the data, so only one data transfer is
 // required".
@@ -414,26 +407,7 @@ func (r *Ref) Store(off int, data []byte) {
 	r.b.ep.Proc.WriteBytes(r.base+kernel.VA(off), data)
 }
 
-// StoreU32 writes one word at offset off.
-func (r *Ref) StoreU32(off int, v uint32) {
-	if off+4 > r.n {
-		panic("srpc: Ref.StoreU32 out of range")
-	}
-	r.b.ep.Proc.WriteWord(r.base+kernel.VA(off), v)
-}
-
 // U32 reads one word at offset off.
 func (r *Ref) U32(off int) uint32 {
 	return r.b.ep.Proc.ReadWord(r.base + kernel.VA(off))
-}
-
-// CopyIn seeds the reference from the incoming argument area (the INOUT
-// entry copy: initial values must be visible through the reference; the
-// copy itself propagates to the client in the background, which is how
-// INOUT results return without an explicit send).
-func (r *Ref) CopyIn(from kernel.VA, n int) {
-	if n > r.n {
-		n = r.n
-	}
-	r.b.ep.Proc.CopyVA(r.base, from, n)
 }

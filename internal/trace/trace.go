@@ -61,10 +61,10 @@ type gauge struct {
 // does this when a collector is passed in its Config), and hand the same
 // collector to every component to be observed.
 //
-// Collector also implements sim.Tracer: when bound, it installs itself as
-// the engine's execution tracer (composing with any previously installed
-// tracer and with the determinism digest via sim.TeeTracer) and tallies raw
-// engine events and per-process dispatches.
+// Collector also implements sim.Tracer: when bound, it attaches itself to
+// the engine with sim.Engine.AddTracer, alongside any other observer (the
+// determinism digest included), and tallies raw engine events and
+// per-process dispatches.
 type Collector struct {
 	eng *sim.Engine
 
@@ -99,21 +99,16 @@ func New() *Collector {
 	}
 }
 
-// Bind attaches the collector to an engine's clock and installs it as the
-// engine's execution tracer, composing with — not displacing — any tracer
-// already installed (and with the determinism digest, which the engine
-// composes internally). Rebinding to a fresh engine is allowed: successive
-// scenarios may accumulate into one collector.
+// Bind attaches the collector to an engine's clock and adds it to the
+// engine's tracers, alongside any other observer. Binding the same engine
+// again does not double-count. Rebinding to a fresh engine is allowed:
+// successive scenarios may accumulate into one collector.
 func (c *Collector) Bind(eng *sim.Engine) {
 	if c == nil || eng == nil {
 		return
 	}
 	c.eng = eng
-	if prev := eng.Tracer(); prev != nil && prev != sim.Tracer(c) {
-		eng.SetTracer(sim.NewTeeTracer(prev, c))
-	} else {
-		eng.SetTracer(c)
-	}
+	eng.AddTracer(c)
 }
 
 // Enabled reports whether the collector is present; instrumentation sites

@@ -87,21 +87,23 @@ func TestCollectorSpansAndAggregates(t *testing.T) {
 	}
 }
 
-// TestBindComposesWithUserTracer: binding must tee with a pre-installed
-// tracer, not displace it.
+// TestBindComposesWithUserTracer: binding must sit beside a tracer added
+// before it, not displace it, and binding the same engine twice must not
+// double-count.
 func TestBindComposesWithUserTracer(t *testing.T) {
 	eng := sim.NewEngine()
-	ct := sim.NewCountingTracer()
-	eng.SetTracer(ct)
+	dt := sim.NewDigestTracer()
+	eng.AddTracer(dt)
 	c := New()
+	c.Bind(eng)
 	c.Bind(eng)
 	eng.Spawn("w", func(p *sim.Proc) { p.Sleep(time.Microsecond) })
 	eng.RunAll()
-	if ct.Events == 0 {
+	if dt.Events == 0 {
 		t.Error("pre-installed tracer displaced by Collector.Bind")
 	}
-	if c.EngineEvents() == 0 {
-		t.Error("collector not receiving events after Bind")
+	if c.EngineEvents() != dt.Events {
+		t.Errorf("collector counted %d events, the engine's other tracer %d", c.EngineEvents(), dt.Events)
 	}
 }
 
