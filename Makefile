@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz trace-smoke svm app partition chaos pool snap-smoke meshscale meshscale-smoke bench check clean
+.PHONY: all build test race vet fmt lint fuzz manifest trace-smoke svm app partition chaos pool snap-smoke meshscale meshscale-smoke bench check clean
 
 all: build
 
@@ -28,8 +28,8 @@ fmt:
 lint:
 	$(GO) run ./cmd/shrimplint ./...
 
-# fuzz gives the XDR round-trip, raw-decode, trace, mesh packet-codec, and
-# event-queue differential targets a brief shake; the corpus accumulates in
+# fuzz gives the XDR round-trip, raw-decode, trace, mesh packet-codec,
+# event-queue differential, and snapshot-image decode targets a brief shake; the corpus accumulates in
 # the Go build cache. This is the one list of fuzz targets; CI runs it.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/xdr
@@ -37,6 +37,15 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzChromeTrace -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run NONE -fuzz FuzzPacketCodec -fuzztime $(FUZZTIME) ./internal/mesh
 	$(GO) test -run NONE -fuzz FuzzEventQueue -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run NONE -fuzz FuzzSnapDecode -fuzztime $(FUZZTIME) ./internal/snap
+
+# manifest rewrites results/manifest.txt, the determinism manifest: one line
+# per snapshot-equivalence cell with its replay digest, event and switch
+# counts, and output hash. TestDeterminismManifest (part of `go test ./...`)
+# checks the code against it. A change that moves a cell regenerates it and
+# explains every moved field.
+manifest:
+	$(GO) test -count=1 ./internal/bench -run TestDeterminismManifest -update
 
 # trace-smoke exercises the observability layer end to end: run the same
 # traced scenario twice and require byte-identical Chrome trace files —

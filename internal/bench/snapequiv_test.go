@@ -55,29 +55,9 @@ func snapEquivCell(t *testing.T, c chaosCell, provide func(cluster.Config) *clus
 // scenario: a restored world must produce a byte-identical replay digest
 // to the live world it was cloned from. Every cell runs its scenario once
 // on fresh boots and once on snapshot clones and compares digests. The
-// cells are the whole chaos matrix (every scenario-table row under every
-// standard plan, named row-plan, and each row with a plan of its own,
-// named by the row) plus every row without a plan of its own under the
-// empty plan, named by the row.
+// cells are matrixCells.
 func TestSnapshotEquivalenceMatrix(t *testing.T) {
-	type cell struct {
-		name string
-		chaosCell
-	}
-	var cells []cell
-	for _, c := range chaosCells() {
-		name := c.name
-		if c.scenario.plan == nil {
-			name += "-" + c.plan.Name
-		}
-		cells = append(cells, cell{name, c})
-	}
-	for _, s := range scenarios() {
-		if s.plan == nil {
-			cells = append(cells, cell{s.name, chaosCell{s, fault.Plan{Name: "none"}}})
-		}
-	}
-	for _, c := range cells {
+	for _, c := range matrixCells() {
 		t.Run(c.name, func(t *testing.T) {
 			fresh := snapEquivCell(t, c.chaosCell, nil)
 			clone := snapEquivCell(t, c.chaosCell, snapCloneProvider(t))
@@ -87,4 +67,32 @@ func TestSnapshotEquivalenceMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// namedCell is one cell of the equivalence matrix under its unique name.
+type namedCell struct {
+	name string
+	chaosCell
+}
+
+// matrixCells is the cell list the snapshot equivalence matrix and the
+// determinism manifest share: the whole chaos matrix (every
+// scenario-table row under every standard plan, named row-plan, and each
+// row with a plan of its own, named by the row) plus every row without a
+// plan of its own under the empty plan, named by the row.
+func matrixCells() []namedCell {
+	var cells []namedCell
+	for _, c := range chaosCells() {
+		name := c.name
+		if c.scenario.plan == nil {
+			name += "-" + c.plan.Name
+		}
+		cells = append(cells, namedCell{name, c})
+	}
+	for _, s := range scenarios() {
+		if s.plan == nil {
+			cells = append(cells, namedCell{s.name, chaosCell{s, fault.Plan{Name: "none"}}})
+		}
+	}
+	return cells
 }

@@ -5,10 +5,11 @@ import "fmt"
 // This file is the dynamic companion to the shrimplint static rules: a
 // replay-divergence harness. A scenario is run twice and the complete event
 // stream of every engine it creates — event times, sequence numbers, and
-// process dispatches — is folded into an FNV-1a digest. Equal digests mean
-// the two runs executed the identical schedule; a mismatch means something
-// nondeterministic (map iteration order, unseeded randomness, wall-clock
-// leakage, host-scheduler dependence) steered the simulation.
+// process dispatches — is folded into a 64-bit digest, one multiply per
+// word. Equal digests mean the two runs executed the identical schedule; a
+// mismatch means something nondeterministic (map iteration order, unseeded
+// randomness, wall-clock leakage, host-scheduler dependence) steered the
+// simulation.
 
 // TB is the subset of testing.TB the determinism checker needs, declared
 // locally so sim does not import the testing package.
@@ -23,17 +24,33 @@ type TB interface {
 // be called from the goroutine that builds and runs the engines.
 var autoTracer *DigestTracer
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// fold mixes one word into a digest. Each step is a bijection in h — xor
+// with x, multiply by an odd constant, xor-shift — so for a fixed stream,
+// changing any one word always changes every later h and the final sum.
+func fold(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// nameHash folds a proc name eight bytes to a word, then its length. Spawn
+// computes it once, so a proc switch folds one word instead of the name.
+func nameHash(name string) uint64 {
+	var h, w uint64
+	for i := 0; i < len(name); i++ {
+		w |= uint64(name[i]) << (8 * (i % 8))
+		if i%8 == 7 {
+			h, w = fold(h, w), 0
+		}
+	}
+	return fold(fold(h, w), uint64(len(name)))
+}
 
 // DigestTracer folds an engine's execution stream — event times, sequence
-// numbers and process dispatches — into an FNV-1a replay digest. Digest
-// attaches one to every engine a scenario builds; runners that digest
-// specific engines attach their own with Engine.AddTracer (directly or
-// through cluster.Config.Auto). The fold is the same either way, so a
-// scenario digested through either route produces the same sum.
+// numbers and process dispatches — into a replay digest. Digest attaches
+// one to every engine a scenario builds; runners that digest specific
+// engines attach their own with Engine.AddTracer (directly or through
+// cluster.Config.Auto). The fold is the same either way, so a scenario
+// digested through either route produces the same sum.
 type DigestTracer struct {
 	sum uint64
 	// Events and Switches tally what was hashed, for failure diagnostics.
@@ -42,46 +59,31 @@ type DigestTracer struct {
 }
 
 // NewDigestTracer returns an empty digest fold.
-func NewDigestTracer() *DigestTracer { return &DigestTracer{sum: fnvOffset64} }
+func NewDigestTracer() *DigestTracer { return &DigestTracer{} }
 
-func (d *DigestTracer) mixByte(b byte) {
-	d.sum ^= uint64(b)
-	d.sum *= fnvPrime64
-}
-
-func (d *DigestTracer) mix64(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.mixByte(byte(v >> (8 * i)))
-	}
-}
-
-// Event implements Tracer.
+// Event implements Tracer: it folds at<<1, then seq. Virtual times are
+// nonnegative, so the shift loses no bit, and the clear low bit keeps an
+// event's first word apart from a switch's at the same instant.
 func (d *DigestTracer) Event(at Time, seq uint64) {
 	d.Events++
-	d.mixByte(0x01)
-	d.mix64(uint64(at))
-	d.mix64(seq)
+	d.sum = fold(fold(d.sum, uint64(at)<<1), seq)
 }
 
-// ProcSwitch implements Tracer.
-func (d *DigestTracer) ProcSwitch(at Time, name string) {
+// ProcSwitch implements Tracer: it folds at<<1|1, then the proc's name
+// hash.
+func (d *DigestTracer) ProcSwitch(at Time, p *Proc) {
 	d.Switches++
-	d.mixByte(0x02)
-	d.mix64(uint64(at))
-	for i := 0; i < len(name); i++ {
-		d.mixByte(name[i])
-	}
-	d.mixByte(0x00)
+	d.sum = fold(fold(d.sum, uint64(at)<<1|1), p.nameHash)
 }
 
-// Fold mixes a finished digest into d as one FNV step over the whole word,
-// for runners that digest each world apart and combine the sums in order.
-func (d *DigestTracer) Fold(sum uint64) { d.sum = (d.sum ^ sum) * fnvPrime64 }
+// Fold mixes a finished digest into d as one word, for runners that digest
+// each world apart and combine the sums in order.
+func (d *DigestTracer) Fold(sum uint64) { d.sum = fold(d.sum, sum) }
 
-// Sum returns the FNV-1a digest of everything observed so far.
+// Sum returns the digest of everything observed so far.
 func (d *DigestTracer) Sum() uint64 { return d.sum }
 
-// Digest runs scenario and returns the FNV-1a digest of the complete
+// Digest runs scenario and returns the replay digest of the complete
 // execution stream of every engine created during the call. The scenario is
 // responsible for building its world (engines, clusters, processes) and
 // running it to completion.

@@ -38,7 +38,7 @@ func TestCheckDeterminismPasses(t *testing.T) {
 
 func TestDigestObservesExecution(t *testing.T) {
 	d := Digest(toyScenario)
-	if d == 0 || d == fnvOffset64 {
+	if d == NewDigestTracer().Sum() {
 		t.Fatalf("digest %#x looks like nothing was hashed", d)
 	}
 	if Digest(toyScenario) != d {
@@ -145,5 +145,75 @@ func TestDigestWithUserTracer(t *testing.T) {
 	}
 	if observed == 0 {
 		t.Fatal("user tracer observed no events during Digest: it was displaced by the auto tracer")
+	}
+}
+
+// sumOf feeds a fresh digest through steps and returns its sum.
+func sumOf(steps ...func(d *DigestTracer)) uint64 {
+	d := NewDigestTracer()
+	for _, step := range steps {
+		step(d)
+	}
+	return d.Sum()
+}
+
+func fired(at Time, seq uint64) func(*DigestTracer) {
+	return func(d *DigestTracer) { d.Event(at, seq) }
+}
+
+func switchTo(at Time, name string) func(*DigestTracer) {
+	p := &Proc{Name: name, nameHash: nameHash(name)}
+	return func(d *DigestTracer) { d.ProcSwitch(at, p) }
+}
+
+// spawnOne runs an engine whose one proc is named name.
+func spawnOne(name string) {
+	e := NewEngine()
+	e.Spawn(name, func(*Proc) {})
+	e.RunAll()
+}
+
+func folded(sum uint64) func(*DigestTracer) {
+	return func(d *DigestTracer) { d.Fold(sum) }
+}
+
+// TestDigestFoldSeparates pins the divergences the word-wise fold must
+// tell apart: each pair of streams differs in one way and must not sum
+// alike.
+func TestDigestFoldSeparates(t *testing.T) {
+	const at, seq = Time(1234), uint64(5678)
+	cases := []struct {
+		name string
+		a, b uint64
+	}{
+		{"adjacent events swapped",
+			sumOf(fired(at, seq), fired(at, seq+1)),
+			sumOf(fired(at, seq+1), fired(at, seq))},
+		{"bit 62 of at",
+			sumOf(fired(at, seq)),
+			sumOf(fired(at^1<<62, seq))},
+		{"bit 63 of seq",
+			sumOf(fired(at, seq)),
+			sumOf(fired(at, seq^1<<63))},
+		{"proc renamed",
+			sumOf(fired(at, seq), switchTo(at, "node0/nx-daemon")),
+			sumOf(fired(at, seq), switchTo(at, "node0/nx-daemoN"))},
+		{"proc renamed past the first word",
+			sumOf(switchTo(at, "node12/socket-server")),
+			sumOf(switchTo(at, "node12/socket-serve"))},
+		{"spawned proc renamed",
+			Digest(func() { spawnOne("worker") }),
+			Digest(func() { spawnOne("workeR") })},
+		{"event versus switch at one instant",
+			sumOf(fired(at, 0)),
+			sumOf(switchTo(at, ""))},
+		{"folds reversed",
+			sumOf(folded(1), folded(2)),
+			sumOf(folded(2), folded(1))},
+	}
+	for _, c := range cases {
+		if c.a == c.b {
+			t.Errorf("%s: both streams digest to %s", c.name, DigestString(c.a))
+		}
 	}
 }

@@ -419,15 +419,23 @@ func (e *Engine) Run(limit Time) Time {
 			panic("sim: time went backwards")
 		}
 		e.now = next.at
-		e.EventsRun++
-		fn := next.fn
-		for _, t := range e.tracers {
-			t.Event(next.at, next.seq)
-		}
-		e.recycle(next)
-		fn()
+		e.fire(next)
 	}
 	return e.now
+}
+
+// fire executes a dequeued event: it counts it, shows it to every tracer in
+// the order they were added, recycles it, then runs its callback. Run and
+// Settle both execute events through here, so the replay digest folds from
+// exactly one place.
+func (e *Engine) fire(ev *event) {
+	e.EventsRun++
+	fn := ev.fn
+	for _, t := range e.tracers {
+		t.Event(ev.at, ev.seq)
+	}
+	e.recycle(ev)
+	fn()
 }
 
 // RunAll executes until no events remain.

@@ -24,9 +24,12 @@ import (
 // Procs advance virtual time with Sleep/Delay, and block on Conds. Code
 // running inside a Proc must only return to the engine through these calls.
 type Proc struct {
+	// Name is fixed at Spawn: the replay digest hashes it there.
 	Name string
 
 	eng *Engine
+	// nameHash caches nameHash(Name) for the replay digest.
+	nameHash uint64
 	// next runs the proc until it parks or exits; yield, valid only in the
 	// proc's own context, suspends it and returns control to next's caller.
 	next  func() (struct{}, bool)
@@ -90,8 +93,9 @@ type killSentinel struct{}
 // engine is spent after that. Only the kill sentinel is absorbed.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		Name: name,
-		eng:  e,
+		Name:     name,
+		eng:      e,
+		nameHash: nameHash(name),
 	}
 	p.wake = func() {
 		p.wakePending = false
@@ -132,7 +136,7 @@ func (e *Engine) dispatch(p *Proc) {
 		return
 	}
 	for _, t := range e.tracers {
-		t.ProcSwitch(e.now, p.Name)
+		t.ProcSwitch(e.now, p)
 	}
 	prev := e.cur
 	e.cur = p

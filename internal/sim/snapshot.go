@@ -30,14 +30,7 @@ func (e *Engine) Settle() Time {
 		// The check above guarantees a live event at the current instant:
 		// either a live FIFO entry or a heap top at now, which next
 		// returns before any FIFO entry. The clock never moves.
-		next := e.next()
-		e.EventsRun++
-		fn := next.fn
-		for _, t := range e.tracers {
-			t.Event(next.at, next.seq)
-		}
-		e.recycle(next)
-		fn()
+		e.fire(e.next())
 	}
 	return e.now
 }

@@ -5,8 +5,8 @@ package sim
 type Tracer interface {
 	// Event fires before each executed event callback.
 	Event(at Time, seq uint64)
-	// ProcSwitch fires when control transfers to a process.
-	ProcSwitch(at Time, name string)
+	// ProcSwitch fires when control transfers to process p.
+	ProcSwitch(at Time, p *Proc)
 }
 
 // AddTracer attaches an execution observer. It is the one way anything

@@ -181,6 +181,42 @@ func TestDecodeEnvelope(t *testing.T) {
 	}
 }
 
+// FuzzSnapDecode: on arbitrary or mutated bytes Decode returns an error
+// and never panics. Each input is decoded as it is and again resealed with
+// a valid integrity trailer, so mutations get past the trailer check and
+// reach the section decoders. A world that does decode must re-encode to
+// an image that decodes and re-encodes to the same bytes. The seeds are
+// the TestEncodeDeterministic world's image and its body.
+func FuzzSnapDecode(f *testing.F) {
+	live := cluster.New(cluster.Config{})
+	live.Nodes[2].M.Mem.WriteDMA(mem.PFN(9).Base(), bytes.Repeat([]byte{0x42}, 128))
+	w, err := Capture(live)
+	live.Shutdown()
+	if err != nil {
+		f.Fatalf("Capture: %v", err)
+	}
+	img := w.Encode()
+	f.Add(img)
+	f.Add(img[:len(img)-8])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sealed := &Writer{buf: append([]byte(nil), b...)}
+		for _, img := range [][]byte{b, sealed.Finish()} {
+			w, err := Decode(img)
+			if err != nil {
+				continue
+			}
+			enc := w.Encode()
+			again, err := Decode(enc)
+			if err != nil {
+				t.Fatalf("a decoded world re-encodes to an image Decode refuses: %v", err)
+			}
+			if !bytes.Equal(again.Encode(), enc) {
+				t.Fatal("re-encoding a decoded world is not stable")
+			}
+		}
+	})
+}
+
 // TestCodecGolden pins the exact byte encoding of a fixed value sequence;
 // any change here is a format break and must bump Version.
 func TestCodecGolden(t *testing.T) {

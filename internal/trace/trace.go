@@ -286,11 +286,11 @@ func (c *Collector) Event(at sim.Time, seq uint64) {
 }
 
 // ProcSwitch implements sim.Tracer.
-func (c *Collector) ProcSwitch(at sim.Time, name string) {
+func (c *Collector) ProcSwitch(at sim.Time, p *sim.Proc) {
 	if c == nil {
 		return
 	}
-	c.switches[name]++
+	c.switches[p.Name]++
 }
 
 // EngineEvents returns the number of engine events observed via the tracer

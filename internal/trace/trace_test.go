@@ -24,7 +24,7 @@ func TestNilCollectorIsInert(t *testing.T) {
 	c.Observe("t", "n", 42)
 	c.Bind(sim.NewEngine())
 	c.Event(0, 0)
-	c.ProcSwitch(0, "p")
+	c.ProcSwitch(0, &sim.Proc{Name: "p"})
 	if c.Counter("t", "n") != 0 || c.HighWater("t", "n") != 0 || c.Hist("t", "n") != nil {
 		t.Error("nil collector returned non-zero state")
 	}
