@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz manifest trace-smoke svm app partition chaos pool snap-smoke meshscale meshscale-smoke bench check clean
+.PHONY: all build test race vet fmt lint fuzz manifest trace-smoke svm app partition chaos snap-smoke meshscale meshscale-smoke bench check clean
 
 all: build
 
@@ -29,7 +29,8 @@ lint:
 	$(GO) run ./cmd/shrimplint ./...
 
 # fuzz gives the XDR round-trip, raw-decode, trace, mesh packet-codec,
-# event-queue differential, and snapshot-image decode targets a brief shake; the corpus accumulates in
+# event-queue differential, snapshot-image decode, SRPC IDL parser, and
+# SunRPC header decode targets a brief shake; the corpus accumulates in
 # the Go build cache. This is the one list of fuzz targets; CI runs it.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/xdr
@@ -38,6 +39,8 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzPacketCodec -fuzztime $(FUZZTIME) ./internal/mesh
 	$(GO) test -run NONE -fuzz FuzzEventQueue -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzSnapDecode -fuzztime $(FUZZTIME) ./internal/snap
+	$(GO) test -run NONE -fuzz FuzzParseIDL -fuzztime $(FUZZTIME) ./internal/srpc
+	$(GO) test -run NONE -fuzz FuzzDecodeHeaders -fuzztime $(FUZZTIME) ./internal/sunrpc
 
 # manifest rewrites results/manifest.txt, the determinism manifest: one line
 # per snapshot-equivalence cell with its replay digest, event and switch
@@ -76,15 +79,6 @@ app:
 partition:
 	$(GO) run ./cmd/shrimpbench -fig partition
 
-# pool runs the snapshot & warm-pool suite: wall-clock entries for world
-# capture, encode, and copy-on-write cloning, the boot-vs-pooled app-serve
-# world-setup comparison (must amortize at least 5x below a fresh boot),
-# and the elasticity scenarios (autoscale demand trace, rolling restarts
-# served from snapshot clones). Exits nonzero if a cell fails or the 5x
-# bar is missed.
-pool:
-	$(GO) run ./cmd/shrimpbench -fig pool
-
 # snap-smoke is the snapshot-determinism gate: a restored world must
 # produce a byte-identical replay digest to the live world it was cloned
 # from — the cheap capture/restore/replay cell plus the equivalence matrix
@@ -92,7 +86,7 @@ pool:
 # empty plan).
 snap-smoke:
 	$(GO) test ./internal/snap
-	$(GO) test -run 'TestSnapshotEquivalenceMatrix|TestElastic' ./internal/bench
+	$(GO) test -run 'TestSnapshotEquivalenceMatrix' ./internal/bench
 
 # meshscale runs the big-mesh scaling study: 64, 256, and 1024 nodes on
 # k-ary n-cube geometries (square 2-D meshes, a 3-D cube at 1024), with
@@ -126,10 +120,10 @@ bench:
 
 # check runs every gate CI runs: gofmt, build, vet, lint, race-enabled
 # tests, trace determinism, snapshot determinism, mesh-scaling digest
-# stability, the chaos soak, the partition cells, and the pool suite. CI
-# also gives the fuzz targets a brief shake (make fuzz) and runs the
-# microbenchmarks; neither is part of check.
-check: fmt build vet lint race trace-smoke snap-smoke meshscale-smoke chaos partition pool
+# stability, the chaos soak, and the partition cells. CI also gives the
+# fuzz targets a brief shake (make fuzz) and runs the microbenchmarks;
+# neither is part of check.
+check: fmt build vet lint race trace-smoke snap-smoke meshscale-smoke chaos partition
 
 clean:
 	$(GO) clean ./...

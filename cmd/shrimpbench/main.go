@@ -14,7 +14,7 @@
 //	ablate  — ablations of the Section 6 design decisions (combining,
 //	          polling vs notifications, software multicast, 16-node scaling)
 //
-// or one of the suites faults, partition, svm, app, pool, meshscale and
+// or one of the suites faults, partition, svm, app, meshscale and
 // meshsmoke, described below.
 //
 // Usage:
@@ -59,13 +59,6 @@
 // rejections, quorum-vetoed down-reports, re-verified acknowledged writes,
 // and the measured recovery time; every cell runs twice under the replay
 // digest.
-//
-// -fig pool runs the snapshot & warm-pool suite: wall-clock entries for
-// capture, encode, and copy-on-write cloning, the boot-vs-pooled app-serve
-// world-setup comparison (the pool must amortize setup at least 5x below a
-// fresh boot), and the two elasticity scenarios — the autoscale demand
-// trace and rolling restarts served from snapshot clones. Exits non-zero
-// if an elasticity cell fails or the 5x bar is missed.
 //
 // -fig faults runs the chaos soak matrix: every scenario under a set of
 // fault plans seeded by -faultseed (lossy links with the retransmission
@@ -121,7 +114,7 @@ func modes() []mode {
 	return append(ms, []mode{
 		{"ttcp", ttcp}, {"rpcbase", rpcbase}, {"ablate", ablate},
 		{"faults", faults}, {"partition", partition}, {"svm", svmCompare},
-		{"app", appServe}, {"pool", pool}, {"meshscale", meshScale}, {"meshsmoke", meshSmoke},
+		{"app", appServe}, {"meshscale", meshScale}, {"meshsmoke", meshSmoke},
 	}...)
 }
 
@@ -330,18 +323,6 @@ func appServe(options) error {
 		return err
 	}
 	fmt.Print(bench.AppServeTable(res))
-	return nil
-}
-
-func pool(options) error {
-	rep := bench.RunPoolSuite()
-	fmt.Print(bench.PoolTable(rep))
-	if !rep.Elastic.OK() || !rep.Rolling.OK() {
-		return errors.New("elasticity scenarios FAILED")
-	}
-	if rep.Speedup < 5 {
-		return fmt.Errorf("pool amortization %.2fx below the 5x bar", rep.Speedup)
-	}
 	return nil
 }
 

@@ -11,22 +11,22 @@ import (
 // run is one scenario's context, and the only way a driver gets a cluster.
 // It carries what every cluster built inside the scenario shares — the
 // trace collector, a config rewriter (fault plans, tighter timeouts), a
-// cluster provider (snapshot clones, warm pools), and the replay digest —
+// cluster provider (snapshot clones), and the replay digest —
 // and it owns those clusters: the harness inspects them when the scenario
 // ends, then close shuts every one of them down.
 type run struct {
 	trace *trace.Collector
 	mod   func(*cluster.Config)
 	// provide, when non-nil, sources a cluster for the resolved config
-	// instead of a fresh boot; it may return nil to decline.
+	// instead of a fresh boot.
 	provide func(cluster.Config) *cluster.Cluster
 	digest  *sim.DigestTracer
 	built   []*cluster.Cluster
 }
 
 // cluster resolves a driver's cluster request: the collector and the
-// rewriter apply first, the digest rides the config, the provider gets a
-// chance to serve the world, and a fresh boot is the fallback.
+// rewriter apply first, the digest rides the config, and the provider, if
+// set, serves the world in place of a fresh boot.
 func (r *run) cluster(cfg cluster.Config) *cluster.Cluster {
 	cfg.Trace = r.trace
 	if r.mod != nil {
@@ -38,8 +38,7 @@ func (r *run) cluster(cfg cluster.Config) *cluster.Cluster {
 	var c *cluster.Cluster
 	if r.provide != nil {
 		c = r.provide(cfg)
-	}
-	if c == nil {
+	} else {
 		c = cluster.New(cfg)
 	}
 	r.built = append(r.built, c)

@@ -62,18 +62,6 @@ func (s *ChunkStore) Put(p []byte) int {
 // Get returns chunk i. The slice is shared; do not mutate.
 func (s *ChunkStore) Get(i int) []byte { return s.chunks[i] }
 
-// Len returns the number of distinct chunks stored.
-func (s *ChunkStore) Len() int { return len(s.chunks) }
-
-// Bytes returns the total distinct payload held, for stats.
-func (s *ChunkStore) Bytes() int {
-	n := 0
-	for _, c := range s.chunks {
-		n += len(c)
-	}
-	return n
-}
-
 // encode writes the store as a chunk-count-prefixed sequence of blobs.
 // Chunk indices are positions in this sequence, so the section is
 // self-describing and deterministic (insertion order is capture order,
@@ -87,7 +75,7 @@ func (s *ChunkStore) encode(w *Writer) {
 
 // decodeChunkStore reads a store back. Blobs alias the image buffer —
 // immutable by the Reader.Bytes contract — and re-intern into the hash
-// index so a decoded world can keep deduplicating (Pool growth).
+// index so a decoded store keeps deduplicating.
 func decodeChunkStore(r *Reader) *ChunkStore {
 	n := r.U64()
 	s := NewChunkStore()

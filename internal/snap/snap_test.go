@@ -42,23 +42,47 @@ func digestOf(c *cluster.Cluster) uint64 {
 }
 
 // TestSnapshotDeterminismSmoke is the make-check smoke: boot, snapshot,
-// restore, run both worlds through the same scenario, compare digests.
+// restore two clones, run the worlds through the same scenario, compare
+// digests. The live world pre-writes the frames the workload maps next, so
+// the first clone's stores copy out of frames it shares with the second;
+// the second, run after it, must still replay the live world's digest.
 func TestSnapshotDeterminismSmoke(t *testing.T) {
 	live := cluster.New(cluster.Config{})
 	defer live.Shutdown()
+	page := bytes.Repeat([]byte{0x5A}, hw.Page)
+	for _, n := range live.Nodes {
+		next := mem.PFN(n.M.Mem.Pages() - n.M.FreeFrames())
+		n.M.Mem.WriteDMA(next.Base(), page)
+		n.M.Mem.WriteDMA((next + 1).Base(), page)
+	}
 	w, err := Capture(live)
 	if err != nil {
 		t.Fatalf("Capture: %v", err)
 	}
-	clone, err := w.Restore()
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
+	var clones [2]*cluster.Cluster
+	for i := range clones {
+		c, err := w.Restore()
+		if err != nil {
+			t.Fatalf("Restore %d: %v", i, err)
+		}
+		defer c.Shutdown()
+		clones[i] = c
 	}
-	defer clone.Shutdown()
 
-	if got, want := digestOf(clone), digestOf(live); got != want {
+	first := digestOf(clones[0])
+	shared := clones[1].Nodes[0].M.Mem.SharedFrames()
+	if got := clones[0].Nodes[0].M.Mem.SharedFrames(); got >= shared {
+		t.Fatalf("workload wrote no sealed frame: %d shared after the run, %d before", got, shared)
+	}
+	second := digestOf(clones[1])
+	want := digestOf(live)
+	if first != want {
 		t.Fatalf("restored world diverged: clone digest %s, live %s",
-			sim.DigestString(got), sim.DigestString(want))
+			sim.DigestString(first), sim.DigestString(want))
+	}
+	if second != want {
+		t.Fatalf("second clone diverged after the first wrote shared frames: %s, live %s",
+			sim.DigestString(second), sim.DigestString(want))
 	}
 }
 
@@ -241,46 +265,5 @@ func TestCodecGolden(t *testing.T) {
 	}
 	if !r.Done() {
 		t.Fatalf("reader not at end: err %v", r.Err())
-	}
-}
-
-// TestPoolDeterministic: a prefilled pool serves hits, misses build
-// inline, shrink releases stock, and every pooled clone replays the same
-// digest — pool provenance must be invisible to a scenario.
-func TestPoolDeterministic(t *testing.T) {
-	live := cluster.New(cluster.Config{})
-	defer live.Shutdown()
-	w, err := Capture(live)
-	if err != nil {
-		t.Fatalf("Capture: %v", err)
-	}
-	want := digestOf(live)
-
-	p := NewWorldPool(w, RestoreOptions{})
-	defer p.Close()
-	p.SetTarget(2)
-	if err := p.Prefill(2); err != nil {
-		t.Fatalf("Prefill: %v", err)
-	}
-	if st := p.Stats(); st.Ready != 2 || st.Built != 2 {
-		t.Fatalf("after prefill: %+v", st)
-	}
-	for i := 0; i < 3; i++ {
-		c, err := p.Get()
-		if err != nil {
-			t.Fatalf("Get %d: %v", i, err)
-		}
-		if got := digestOf(c); got != want {
-			t.Fatalf("pooled world %d diverged: %s vs %s", i, sim.DigestString(got), sim.DigestString(want))
-		}
-		p.Discard(c)
-	}
-	st := p.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Built != 3 {
-		t.Fatalf("pool accounting wrong: %+v", st)
-	}
-	p.SetTarget(0)
-	if st := p.Stats(); st.Ready != 0 {
-		t.Fatalf("shrink left stock: %+v", st)
 	}
 }

@@ -13,7 +13,8 @@ import (
 //
 // Constraints (checked here): at most one bytes parameter per procedure
 // (the marshaled image always places it after the scalars, whatever the
-// declaration order), and OUT-only bytes are not supported (use INOUT).
+// declaration order), OUT-only bytes are not supported (use INOUT), and
+// no full-size argument or result image may exceed MaxPayload.
 func Generate(svc *Service, pkg string) (string, error) {
 	if err := validate(svc); err != nil {
 		return "", err
@@ -55,8 +56,21 @@ func validate(svc *Service) error {
 				return fmt.Errorf("srpcgen: %s.%s: out-only bytes unsupported; use inout", svc.Name, pr.Name)
 			}
 		}
+		if n := max(imageMax(pr.Args()), imageMax(pr.Results())); n > MaxPayload {
+			return fmt.Errorf("srpcgen: %s.%s: %d-byte image exceeds the %d-byte payload", svc.Name, pr.Name, n, MaxPayload)
+		}
 	}
 	return nil
+}
+
+// imageMax is the largest image the params marshal to: the scalars, then
+// a full bytes field padded to a word plus its length word.
+func imageMax(params []Param) int {
+	n := scalarSize(params)
+	if bp := bytesParam(params); bp != nil {
+		n += (bp.Type.Max+3)&^3 + 4
+	}
+	return n
 }
 
 // scalarSize sums the wire sizes of the scalar params in the list.

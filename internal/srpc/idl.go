@@ -199,6 +199,9 @@ func (p *idlParser) service() (*Service, error) {
 	svc := &Service{Name: name}
 	seen := map[string]bool{}
 	for p.peek() != "}" {
+		if len(svc.Procs) == maxProcs {
+			return nil, fmt.Errorf("service %q has more than %d procedures", name, maxProcs)
+		}
 		proc, err := p.proc(len(svc.Procs) + 1)
 		if err != nil {
 			return nil, err

@@ -53,7 +53,10 @@ const (
 	regionPages = (regionSize + hw.Page - 1) / hw.Page
 )
 
-// Flag packing: [seq:12][proc:8][words:12].
+// Flag packing: [seq:12][proc:8][words:12]. Procedure IDs start at 1, so
+// a service holds at most maxProcs procedures.
+const maxProcs = 0xff
+
 func packFlag(seq uint32, proc int, length int) uint32 {
 	return (seq&0xfff)<<20 | uint32(proc&0xff)<<12 | uint32(length/4)&0xfff
 }

@@ -1,6 +1,7 @@
 package srpc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -39,23 +40,48 @@ func TestParseIDL(t *testing.T) {
 	}
 }
 
+// badIDL is input ParseIDL must reject; FuzzParseIDL seeds from it too.
+var badIDL = []string{
+	``,
+	`service {`,
+	`service S { }`,
+	`service S { proc p(in x q32) }`,
+	`service S { proc p(sideways x u32) }`,
+	`service S { proc p() proc p() }`,
+	`service S { proc p(in x u32, in x u32) }`,
+	`service S { proc p(in d bytes[0]) }`,
+	`service S { proc p(in d bytes[99999999]) }`,
+}
+
 func TestParseIDLErrors(t *testing.T) {
-	cases := []string{
-		``,
-		`service {`,
-		`service S { }`,
-		`service S { proc p(in x q32) }`,
-		`service S { proc p(sideways x u32) }`,
-		`service S { proc p() proc p() }`,
-		`service S { proc p(in x u32, in x u32) }`,
-		`service S { proc p(in d bytes[0]) }`,
-		`service S { proc p(in d bytes[99999999]) }`,
-	}
-	for _, src := range cases {
+	for _, src := range badIDL {
 		if _, err := ParseIDL(src); err == nil {
 			t.Errorf("accepted bad IDL: %q", src)
 		}
 	}
+	// 256 procedures: the last ID would wrap the flag's 8-bit field to 0.
+	if _, err := ParseIDL(manyProcs(maxProcs + 1)); err == nil {
+		t.Errorf("accepted %d procedures", maxProcs+1)
+	}
+	svc, err := ParseIDL(manyProcs(maxProcs))
+	if err != nil {
+		t.Fatalf("rejected %d procedures: %v", maxProcs, err)
+	}
+	last := svc.Procs[maxProcs-1].ID
+	if got := flagProc(packFlag(0, last, 0)); got != last {
+		t.Fatalf("last procedure %d decodes as %d", last, got)
+	}
+}
+
+// manyProcs is a service of n argumentless procedures.
+func manyProcs(n int) string {
+	var b strings.Builder
+	b.WriteString("service S {")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, " proc p%d()", i)
+	}
+	b.WriteString(" }")
+	return b.String()
 }
 
 func TestGenerateValidation(t *testing.T) {
@@ -69,6 +95,26 @@ func TestGenerateValidation(t *testing.T) {
 	svc, _ = ParseIDL(`service S { proc p(out d bytes[64]) }`)
 	if _, err := Generate(svc, "x"); err == nil {
 		t.Error("out-only bytes accepted")
+	}
+	// Largest argument and result images against MaxPayload (16360): the
+	// first is 24 + 16344 + 4 = 16372 bytes, whose full-size call would
+	// panic in Binding.Call; the second is the same overflow on the
+	// result side; the third fits exactly at 8 + 16344 + 4 = 16356.
+	for _, c := range []struct {
+		src string
+		ok  bool
+	}{
+		{`service S { proc p(inout d bytes[16344], in a u64, in b u64, in c u64) }`, false},
+		{`service S { proc p(inout d bytes[16344]) (out a u64, out b u64, out c u64) }`, false},
+		{`service S { proc p(in d bytes[16344], in a u64) }`, true},
+	} {
+		svc, err := ParseIDL(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		if _, err := Generate(svc, "x"); (err == nil) != c.ok {
+			t.Errorf("%s: Generate err = %v, want ok=%v", c.src, err, c.ok)
+		}
 	}
 }
 
