@@ -68,7 +68,7 @@
 // throughput table. Exits non-zero if any cell fails.
 //
 // With -trace or -stats, shrimpbench instead runs ONE scenario — a figure's
-// most telling point (fig3 … fig8, ttcp), svm, app, or one of the chaos
+// most telling point (fig3 … fig8, ttcp), svm, app, comb, or one of the chaos
 // soak's recovery cells — with the observability layer attached: -trace
 // writes a Chrome trace-event JSON file (load it in Perfetto /
 // chrome://tracing) and -stats prints the span/counter/histogram summary.

@@ -281,3 +281,47 @@ func RunMeshScaleSmoke() error {
 	}
 	return nil
 }
+
+// combCollectives runs Gsync, Gisum and Gdsum iters times each on an
+// in-network-combining mesh of the given geometry, every node an NX
+// process with lazy connections, so the run is collectives only. Every
+// sum is checked against its exact value: each node contributes i+1 to
+// Gisum and i+0.5 to Gdsum, and those sums are exact in any merge order.
+// It returns the per-operation Gsync and Gdsum times measured at node 0.
+func combCollectives(r *run, dims []int, iters int) (gsync, gdsum time.Duration, err error) {
+	c := r.cluster(cluster.Config{MeshDims: dims, Combining: true})
+	nodes := c.Mesh.Nodes()
+	wantI := int64(nodes * (nodes + 1) / 2)
+	wantF := float64(nodes*nodes) / 2
+	for i := 0; i < nodes; i++ {
+		i := i
+		c.Spawn(i, "comb", func(p *kernel.Process) {
+			x := nx.New(c, p, i, nodes, nx.Config{Lazy: true})
+			x.Gsync() // align everyone past setup
+			t0 := p.P.Now()
+			for k := 0; k < iters; k++ {
+				x.Gsync()
+			}
+			if i == 0 {
+				gsync = p.P.Now().Sub(t0) / time.Duration(iters)
+			}
+			for k := 0; k < iters; k++ {
+				if s := x.Gisum(int64(i + 1)); s != wantI && err == nil {
+					err = fmt.Errorf("comb %s: node %d Gisum %d, want %d", dimsLabel(dims), i, s, wantI)
+				}
+			}
+			t0 = p.P.Now()
+			for k := 0; k < iters; k++ {
+				if s := x.Gdsum(float64(i) + 0.5); s != wantF && err == nil {
+					err = fmt.Errorf("comb %s: node %d Gdsum %v, want %v", dimsLabel(dims), i, s, wantF)
+				}
+			}
+			if i == 0 {
+				gdsum = p.P.Now().Sub(t0) / time.Duration(iters)
+			}
+			x.Drain()
+		})
+	}
+	c.Run()
+	return gsync, gdsum, err
+}

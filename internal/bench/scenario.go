@@ -91,6 +91,21 @@ func scenarios() []scenario {
 		}},
 		{name: "integrity", run: checked("integrity: patterned socket stream over DU-1copy, every byte verified",
 			chaosIntegrity)},
+		// In-network combining: the NX collectives on the router
+		// reduction tree, every sum checked exactly.
+		{name: "comb", run: func(r *run) (string, error) {
+			var desc []string
+			for _, dims := range [][]int{{2, 2, 2}, {4, 4}} {
+				gsync, gdsum, err := combCollectives(r, dims, iters)
+				if err != nil {
+					return "", err
+				}
+				desc = append(desc, fmt.Sprintf("%s Gsync %.3f us, Gdsum %.3f us",
+					dimsLabel(dims), gsync.Seconds()*1e6, gdsum.Seconds()*1e6))
+			}
+			return fmt.Sprintf("comb: combining collectives x%d, every sum exact: %s",
+				iters, strings.Join(desc, "; ")), nil
+		}},
 		// 5 ms lands inside the sender's transfer loop: the two Ethernet
 		// import handshakes alone take over a millisecond of virtual time.
 		{name: "crash-recovery", plan: &fault.Plan{Name: "crash-node2-mid-transfer", Crashes: []fault.Crash{
@@ -144,6 +159,7 @@ func underPlan(plan fault.Plan, seed int64) func(*cluster.Config) {
 //	ttcp — ttcp streaming, DU-1copy, 7168-byte buffers
 //	svm  — shared virtual memory: Jacobi plus a lock-counter phase
 //	app  — sharded KV serving under generated client load
+//	comb — NX Gsync, Gisum, Gdsum on in-network combining meshes
 //
 // and the fault-recovery rows the chaos soak adds (integrity,
 // crash-recovery, app-failover, and the part-* partition cells).
