@@ -240,6 +240,10 @@ type Engine struct {
 
 	// Stats, exposed for tests and the bench harness.
 	EventsRun int64
+	// Rewaits counts cond waits a proc entered at the same virtual
+	// instant its previous cond wait returned: a wake that changed nothing
+	// the proc could act on, so it went straight back to sleep.
+	Rewaits int64
 }
 
 // NewEngine returns an engine with the clock at zero. Inside a sim.Digest

@@ -39,6 +39,7 @@ type Proc struct {
 
 	wakePending bool    // an unpark event is already scheduled
 	waitingOn   []*Cond // conds this proc is currently enqueued on
+	waitRet     Time    // when the last cond wait returned; -1 before the first
 	killed      bool    // Shutdown/Kill has asked the proc to unwind
 	service     bool    // daemon-style proc: excluded from deadlock diagnosis
 
@@ -96,6 +97,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		Name:     name,
 		eng:      e,
 		nameHash: nameHash(name),
+		waitRet:  -1,
 	}
 	p.wake = func() {
 		p.wakePending = false
@@ -229,6 +231,19 @@ func (p *Proc) Interrupt(fn func(*Proc)) {
 	}
 }
 
+// enterConds enqueues the proc on every cond it is about to wait on, and
+// counts the wait in Engine.Rewaits when it begins at the instant the
+// proc's previous cond wait returned.
+func (p *Proc) enterConds(conds []*Cond) {
+	if p.waitRet == p.eng.now {
+		p.eng.Rewaits++
+	}
+	for _, c := range conds {
+		c.waiters = append(c.waiters, p)
+	}
+	p.waitingOn = append(p.waitingOn[:0], conds...)
+}
+
 // leaveConds removes the proc from every cond it is enqueued on. The
 // waitingOn array is kept for the next wait, so waiting does not allocate.
 func (p *Proc) leaveConds() {
@@ -290,12 +305,10 @@ func WaitAny(p *Proc, conds ...*Cond) {
 		p.runPendingInterrupts()
 		return
 	}
-	for _, c := range conds {
-		c.waiters = append(c.waiters, p)
-	}
-	p.waitingOn = append(p.waitingOn[:0], conds...)
+	p.enterConds(conds)
 	p.park()
 	p.leaveConds()
+	p.waitRet = p.eng.now
 }
 
 // WaitTimeout blocks like Wait but gives up after d. It reports whether the
@@ -327,12 +340,10 @@ func WaitAnyTimeout(p *Proc, d time.Duration, conds ...*Cond) bool {
 	f.timedOut = false
 	f.ev = p.eng.post(p.eng.now.Add(d), f.expire)
 	f.gen = f.ev.gen
-	for _, c := range conds {
-		c.waiters = append(c.waiters, p)
-	}
-	p.waitingOn = append(p.waitingOn[:0], conds...)
+	p.enterConds(conds)
 	p.park()
 	p.leaveConds()
+	p.waitRet = p.eng.now
 	p.eng.cancel(f.ev, f.gen)
 	f.ev = nil
 	p.waitDepth--

@@ -117,3 +117,28 @@ func TestWaitAnyTimeoutAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestRewaits pins Engine.Rewaits' definition: a cond wait counts when it
+// begins at the virtual instant the proc's previous cond wait returned. A
+// proc's first wait, a wait after time passed, and a wait that returns
+// with the predicate true do not count.
+func TestRewaits(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e)
+	ready := false
+	e.Spawn("waiter", func(p *Proc) {
+		for !ready { // t=0: the first wait, never a re-wait
+			c.Wait(p)
+		}
+		p.Sleep(us(1))
+		c.Wait(p) // t=3: time passed since the last return
+	})
+	e.Post(us(1), c.Broadcast) // predicate still false: one re-wait
+	e.Post(us(1), c.Broadcast) // same instant, proc not yet waiting again
+	e.Post(us(2), func() { ready = true; c.Signal() })
+	e.Post(us(4), c.Signal)
+	e.RunAll()
+	if e.Rewaits != 1 {
+		t.Fatalf("Rewaits = %d, want 1", e.Rewaits)
+	}
+}
