@@ -270,7 +270,9 @@ func Start(a *app.App, cfg Config) (*Gen, error) {
 			zipf:   zipf,
 			queues: make([]queue, nodes),
 			cond:   sim.NewCond(a.Cl.Eng),
+			target: make(map[*sim.Proc]int, nodes),
 		}
+		gw.ready = func(p *sim.Proc) bool { return gw.canSend(gw.target[p]) }
 		gw.perm = make([]uint32, sessions)
 		for i := range gw.perm {
 			gw.perm[i] = uint32(i)
@@ -308,7 +310,12 @@ type gateway struct {
 	wrapped bool
 
 	queues []queue
+	// cond is where the senders wait for work, and wake signals it for
+	// just the senders that can proceed: target maps each sender's proc to
+	// its target node, and ready is canSend on that target.
 	cond   *sim.Cond
+	target map[*sim.Proc]int
+	ready  func(*sim.Proc) bool
 	done   bool
 	// outstanding counts emitted ops not yet terminal (acked, shed, or
 	// dropped); senders exit once done and drained.
@@ -323,6 +330,17 @@ type gateway struct {
 	phaseEnd sim.Time
 }
 
+// canSend reports whether target's sender can proceed: ops are queued
+// for it, or the generator is done and drained and it can exit.
+func (gw *gateway) canSend(target int) bool {
+	return gw.queues[target].size() > 0 || gw.done && gw.outstanding == 0
+}
+
+// wake wakes, in the order they parked, the senders that can proceed. A
+// sender with nothing to do stays parked instead of waking only to park
+// again.
+func (gw *gateway) wake() { gw.cond.BroadcastIf(gw.ready) }
+
 // NodeDown implements app.FailoverWatcher: requeue everything bound for
 // the corpse onto the survivors the shard map now names.
 func (gw *gateway) NodeDown(node int) {
@@ -333,13 +351,13 @@ func (gw *gateway) NodeDown(node int) {
 	if len(moved) > 0 {
 		gw.g.app.Rec.Count(&gw.g.app.Rec.Retries, "retry", int64(len(moved)))
 	}
-	gw.cond.Broadcast()
+	gw.wake()
 }
 
 // NodeUp implements app.FailoverWatcher. Nothing queues for a rejoined
 // node until the map routes reads to it again; senders notice the new
 // incarnation themselves.
-func (gw *gateway) NodeUp(node int) { gw.cond.Broadcast() }
+func (gw *gateway) NodeUp(node int) { gw.wake() }
 
 // route places an op on the queue of the node currently serving it. An
 // op whose shard lost both copies (double failure) is dropped as an
@@ -407,13 +425,13 @@ func (gw *gateway) tickerBody(p *kernel.Process) {
 				gw.emit(now)
 			}
 			if n > 0 {
-				gw.cond.Broadcast()
+				gw.wake()
 			}
 		}
 		p.P.Sleep(g.cfg.Tick)
 	}
 	gw.done = true
-	gw.cond.Broadcast()
+	gw.wake()
 }
 
 // emit draws one request: the next session in the seeded permutation
@@ -468,7 +486,7 @@ func (gw *gateway) terminal(n int) {
 		if now := g.app.Cl.Eng.Now(); now > g.finishAt {
 			g.finishAt = now
 		}
-		gw.cond.Broadcast()
+		gw.wake()
 	}
 }
 
@@ -501,6 +519,7 @@ var warmupBindRetry = retry.Policy{
 func (gw *gateway) senderBody(p *kernel.Process, target int) {
 	g := gw.g
 	a := g.app
+	gw.target[p.P] = target
 	a.WaitReady(p.P)
 	ep := vmmc.Attach(p, a.Cl.Node(gw.node).Daemon)
 	var b *srpc.Binding
@@ -514,8 +533,11 @@ func (gw *gateway) senderBody(p *kernel.Process, target int) {
 		warmupBindRetry, retry.Seed(g.cfg.Seed, uint64(gw.idx), uint64(target), 1)); err == nil {
 		b, bGen = nb, a.Gen(target)
 	}
-	g.bound++
-	g.boundCond.Broadcast()
+	// The barrier's waiters can proceed only once the last sender is
+	// bound, so only that bind wakes them.
+	if g.bound++; g.bound == g.senders {
+		g.boundCond.Broadcast()
+	}
 	for {
 		for gw.queues[target].size() == 0 {
 			if gw.done && gw.outstanding == 0 {
@@ -661,7 +683,7 @@ func (gw *gateway) requeueFront(batch []gop) {
 	for _, t := range order {
 		gw.queues[t].pushFront(byTarget[t])
 	}
-	gw.cond.Broadcast()
+	gw.wake()
 }
 
 // retryOp spends one unit of an op's retry budget and reroutes it, or
@@ -676,7 +698,7 @@ func (gw *gateway) retryOp(op gop) {
 	}
 	a.Rec.Count(&a.Rec.Retries, "retry", 1)
 	gw.route(op)
-	gw.cond.Broadcast()
+	gw.wake()
 }
 
 func (gw *gateway) encode(batch []gop) []byte {

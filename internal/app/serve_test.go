@@ -128,6 +128,26 @@ func TestServeDeterminism8Nodes(t *testing.T) {
 	sim.CheckDeterminism(t, determinismScenario(4, 2))
 }
 
+// TestGatewayWakesOnlyReadySenders runs the scenario table's app row
+// (4 nodes, 512 sessions, 2e5 ops/s for 2 ms) and bounds the same-instant
+// re-waits. Before gateway wakes were filtered, the row made REWAITS_PARENT
+// re-waits, most of them senders the ticker's every-tick Broadcast woke with
+// nothing queued for them; one wake per ready sender must cut that by at
+// least 90%.
+func TestGatewayWakesOnlyReadySenders(t *testing.T) {
+	const parentRewaits = 1101
+	serveScenario(t, 2, 2, app.Config{},
+		loadgen.Config{Sessions: 512, Duration: 2 * time.Millisecond, Rate: 2e5},
+		nil,
+		func(cl *cluster.Cluster, a *app.App, g *loadgen.Gen) {
+			t.Logf("rewaits %d", cl.Eng.Rewaits)
+			if got := cl.Eng.Rewaits; got*10 > parentRewaits {
+				t.Fatalf("Rewaits = %d, want at most %d (a tenth of %d)",
+					got, parentRewaits/10, parentRewaits)
+			}
+		})
+}
+
 func TestOverloadSheds(t *testing.T) {
 	// Per-shard capacity 1/ServiceTime = 250k ops/s; 8 shards could absorb
 	// 2M ops/s spread evenly, but the Zipf draw concentrates on the hot

@@ -75,9 +75,6 @@ type combining struct {
 	// hopFree pools the combine packets in flight (see combHop).
 	hopFree []*combHop
 
-	// cond is broadcast on every result delivery; CombWait parks on it.
-	cond *sim.Cond
-
 	// Merged counts router-level merges (contributions absorbed without
 	// consuming an extra upward link); Delivered counts results ejected.
 	Merged    int64
@@ -110,7 +107,6 @@ func (n *Network) EnableCombining() {
 		parent: make([]int, n.total),
 		kids:   make([][]int, n.total),
 		need:   make([]int, n.total),
-		cond:   sim.NewCond(n.eng),
 	}
 	for r := 0; r < n.total; r++ {
 		c.need[r] = 1 // the local node's own contribution
@@ -148,7 +144,9 @@ func (n *Network) CombStats() (merged, delivered int64) {
 // use the same id and op for one collective, and ids must not be reused
 // while in flight (nx derives them from its global collective sequence).
 // done runs in engine context at the virtual time the result packet is
-// ejected at node; callers typically set a flag and park on CombWait.
+// ejected at node; it is the caller's one wake for this collective, so the
+// caller typically records the value and signals a cond only its own proc
+// waits on.
 func (n *Network) Combine(node NodeID, op CombOp, id uint64, ival int64, fval float64, done func(ival int64, fval float64)) {
 	if n.comb == nil {
 		//lint:allow transitive-panic harness wiring bug: callers check CombiningEnabled first
@@ -300,17 +298,6 @@ func (h *combHop) fireEject() {
 		// pool.
 		c.retire(st)
 	}
-	c.cond.Broadcast()
-}
-
-// CombWait parks p until any combining result is delivered; callers loop on
-// their own completion flag (standard condition-variable discipline).
-func (n *Network) CombWait(p *sim.Proc) {
-	if n.comb == nil {
-		//lint:allow transitive-panic harness wiring bug: callers check CombiningEnabled first
-		panic("mesh: CombWait without EnableCombining")
-	}
-	n.comb.cond.Wait(p)
 }
 
 // combContribute merges one contribution (a node's own, or a child

@@ -7,6 +7,7 @@ import (
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
 	"shrimp/internal/mesh"
+	"shrimp/internal/sim"
 )
 
 // NX global operations (gsync, gisum, gdsum): dimension-order recursive
@@ -92,7 +93,7 @@ func (nx *NX) combReduce(op mesh.CombOp, ival int64, fval float64) (int64, float
 	nx.collSeq++
 	id := uint64(op)<<32 | uint64(nx.collSeq)
 	if nx.combDepth == len(nx.combRes) {
-		r := &combResult{}
+		r := &combResult{cond: sim.NewCond(p.P.Engine())}
 		r.deliver = r.set
 		nx.combRes = append(nx.combRes, r)
 	}
@@ -102,7 +103,7 @@ func (nx *NX) combReduce(op mesh.CombOp, ival int64, fval float64) (int64, float
 	r.done = false
 	nx.comb.Combine(mesh.NodeID(nx.node), op, id, ival, fval, r.deliver)
 	for !r.done {
-		nx.comb.CombWait(p.P)
+		r.cond.Wait(p.P)
 	}
 	p.Compute(hw.CallCost)
 	return r.i, r.f
@@ -111,15 +112,20 @@ func (nx *NX) combReduce(op mesh.CombOp, ival int64, fval float64) (int64, float
 // combResult receives one combining collective's value. deliver is built
 // once with the record, so handing it to Combine allocates nothing. NX
 // keeps one per nesting level in use (combDepth): a notification handler
-// may run a collective while an outer one waits.
+// may run a collective while an outer one waits. Only the proc waiting for
+// this result waits on cond, so a delivery wakes that proc and no other.
 type combResult struct {
 	i       int64
 	f       float64
 	done    bool
+	cond    *sim.Cond
 	deliver func(int64, float64)
 }
 
-func (r *combResult) set(i int64, f float64) { r.i, r.f, r.done = i, f, true }
+func (r *combResult) set(i int64, f float64) {
+	r.i, r.f, r.done = i, f, true
+	r.cond.Signal()
+}
 
 // endComb releases the innermost combResult.
 func (nx *NX) endComb() { nx.combDepth-- }

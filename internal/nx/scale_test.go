@@ -195,3 +195,41 @@ func TestCombiningDeterministicDigest(t *testing.T) {
 		c.Run()
 	})
 }
+
+// TestCombiningOneWakePerResult: every combining result wakes only the proc
+// waiting for it, so a collectives-only world re-parks no proc at the
+// instant it woke, and its proc switches per node do not grow with the
+// machine. A network-wide wake would make both grow with N.
+func TestCombiningOneWakePerResult(t *testing.T) {
+	perProc := map[int]int64{}
+	for _, dims := range [][]int{{4, 4, 4}, {16, 8, 8}} {
+		dt := sim.NewDigestTracer()
+		cfg := cluster.Config{MeshDims: dims, Combining: true, Auto: dt}
+		c := cluster.New(cfg)
+		n := c.Mesh.Nodes()
+		for i := 0; i < n; i++ {
+			i := i
+			c.Spawn(i, "app", func(p *kernel.Process) {
+				x := New(c, p, i, n, Config{Lazy: true})
+				for k := 0; k < 4; k++ {
+					x.Gsync()
+					x.Gisum(int64(i))
+					x.Gdsum(float64(i))
+				}
+			})
+		}
+		c.Run()
+		if c.Eng.Rewaits != 0 {
+			t.Errorf("%d nodes: Rewaits = %d, want 0", n, c.Eng.Rewaits)
+		}
+		if dt.Switches%int64(n) != 0 {
+			t.Errorf("%d nodes: %d switches is not a whole number per proc", n, dt.Switches)
+		}
+		perProc[n] = dt.Switches / int64(n)
+		c.Shutdown()
+	}
+	if perProc[64] != perProc[1024] {
+		t.Fatalf("switches per proc: %d at 64 nodes, %d at 1024", perProc[64], perProc[1024])
+	}
+	t.Logf("switches per proc: %d", perProc[64])
+}

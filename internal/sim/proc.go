@@ -373,6 +373,27 @@ func (c *Cond) Broadcast() {
 	c.waiters = ws[:0]
 }
 
+// BroadcastIf wakes, in FIFO order, every waiting proc for which ready
+// reports true; the rest keep their places in the queue. It is Broadcast
+// for a cond whose waiters wait on different predicates: a proc that
+// could not proceed is not woken only to go straight back to sleep.
+// ready runs in the caller's context and must not wait or signal.
+func (c *Cond) BroadcastIf(ready func(*Proc) bool) {
+	ws := c.waiters
+	c.waiters = nil // the woken procs' leaveConds have nothing to remove here
+	kept := ws[:0]
+	for _, p := range ws {
+		if !ready(p) {
+			kept = append(kept, p)
+			continue
+		}
+		p.leaveConds()
+		p.unpark()
+	}
+	clear(ws[len(kept):])
+	c.waiters = kept
+}
+
 // remove dequeues p's first entry, copying the tail down in place so the
 // queue keeps its FIFO order and its backing array.
 func (c *Cond) remove(p *Proc) {
