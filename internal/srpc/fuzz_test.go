@@ -1,6 +1,8 @@
 package srpc
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"testing"
 )
@@ -9,7 +11,8 @@ import (
 // reads an interface file. Every input either parses or returns an error;
 // a service that parses holds 1 to maxProcs procedures and goes through
 // Generate — validated, then emitted or rejected with an error — without
-// a panic.
+// a panic, and what Generate emits parses as Go with no identifier
+// declared twice in one scope.
 func FuzzParseIDL(f *testing.F) {
 	for _, src := range badIDL {
 		f.Add(src)
@@ -17,7 +20,7 @@ func FuzzParseIDL(f *testing.F) {
 	f.Add(`service Echo { proc ping(in x u32) (out y u32) }`)
 	f.Add(`service S { proc p(in a bytes[64], in b bytes[64]) }`)
 	f.Add(`service S { proc p(out d bytes[64]) }`)
-	f.Add(`service S { proc p(inout d bytes[16344], in a u64, in b u64, in c u64) }`)
+	f.Add(`service S { proc p(inout d bytes[16344], in a u64, in b u64, in e u64) }`)
 	f.Add(`service Math {
 		proc add(in a i32, in b i32) (out sum i32) // comment
 		proc scale(inout v f64)
@@ -41,6 +44,13 @@ func FuzzParseIDL(f *testing.F) {
 				t.Fatalf("procedure %q has ID %d at position %d", pr.Name, pr.ID, i)
 			}
 		}
-		_, _ = Generate(svc, "x")
+		code, err := Generate(svc, "x")
+		if err != nil {
+			return
+		}
+		fset := token.NewFileSet()
+		if _, err := parser.ParseFile(fset, "x.go", code, parser.DeclarationErrors); err != nil {
+			t.Fatalf("generated stubs do not parse: %v\n%s", err, code)
+		}
 	})
 }

@@ -41,6 +41,49 @@ func Generate(svc *Service, pkg string) (string, error) {
 	return b.String(), nil
 }
 
+// clientIdents and serveIdents are the identifiers the generated stubs
+// declare or refer to on their own account, read off the templates below:
+// the runtime package plus the client method's receiver and locals, and
+// the runtime package plus the dispatch loop's parameters and locals. A
+// parameter's stub identifiers (see paramIdents) must avoid them, or the
+// stub would redeclare or shadow one; ParseIDL rejects such names.
+// TestStubIdentsCoverTemplates keeps the sets in step with the templates.
+var (
+	clientIdents = map[string]bool{"srpc": true, "c": true, "im": true, "rlen": true, "f": true, "n": true}
+	serveIdents  = map[string]bool{"srpc": true, "b": true, "impl": true, "limit": true, "i": true,
+		"proc": true, "alen": true, "f": true, "n": true, "rlen": true, "ref": true, "view": true, "rim": true}
+)
+
+// paramIdents are the identifiers the stubs derive from a parameter. The
+// client method takes an argument under its own name and returns a result
+// under the name with an R suffix; the dispatch loop unmarshals an argument
+// into the name with an A suffix and a result into the R name. An inout
+// parameter is both.
+func paramIdents(pa Param) (client, serve []string) {
+	if pa.Dir != Out {
+		client = append(client, pa.Name)
+		serve = append(serve, pa.Name+"A")
+	}
+	if pa.Dir != In {
+		client = append(client, pa.Name+"R")
+		serve = append(serve, pa.Name+"R")
+	}
+	return client, serve
+}
+
+// pkgIdents are the package-level names Generate declares for svc.
+func pkgIdents(svc *Service) map[string]bool {
+	ids := map[string]bool{
+		svc.Name + "Client": true,
+		svc.Name + "Server": true,
+		"Serve" + svc.Name:  true,
+	}
+	for _, pr := range svc.Procs {
+		ids["Proc"+svc.Name+title(pr.Name)] = true
+	}
+	return ids
+}
+
 func validate(svc *Service) error {
 	for _, pr := range svc.Procs {
 		nbytes := 0

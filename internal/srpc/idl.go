@@ -2,6 +2,7 @@ package srpc
 
 import (
 	"fmt"
+	"go/token"
 	"strconv"
 	"strings"
 )
@@ -206,10 +207,12 @@ func (p *idlParser) service() (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		if seen[proc.Name] {
+		// The stubs name a procedure by its title-cased name, so p and P
+		// would declare the same method and constant twice.
+		if seen[title(proc.Name)] {
 			return nil, fmt.Errorf("duplicate procedure %q", proc.Name)
 		}
-		seen[proc.Name] = true
+		seen[title(proc.Name)] = true
 		svc.Procs = append(svc.Procs, proc)
 	}
 	if err := p.expect("}"); err != nil {
@@ -217,6 +220,19 @@ func (p *idlParser) service() (*Service, error) {
 	}
 	if len(svc.Procs) == 0 {
 		return nil, fmt.Errorf("service %q has no procedures", name)
+	}
+	// A client method refers to its procedure's constant, so no parameter
+	// may shadow a package-level name.
+	pkg := pkgIdents(svc)
+	for _, pr := range svc.Procs {
+		for _, pa := range pr.Params {
+			client, _ := paramIdents(pa)
+			for _, id := range client {
+				if pkg[id] {
+					return nil, fmt.Errorf("parameter %q in %q collides with the generated %s", pa.Name, pr.Name, id)
+				}
+			}
+		}
 	}
 	return svc, nil
 }
@@ -246,14 +262,37 @@ func (p *idlParser) proc(id int) (*Proc, error) {
 		}
 		pr.Params = append(pr.Params, more...)
 	}
-	names := map[string]bool{}
-	for _, pa := range pr.Params {
-		if names[pa.Name] {
-			return nil, fmt.Errorf("duplicate parameter %q in %q", pa.Name, name)
-		}
-		names[pa.Name] = true
+	// Every identifier the stubs derive from a parameter must be its own
+	// within each stub: distinct from the other parameters' and from the
+	// stub's own locals.
+	if err := ownIdents(pr, clientIdents, func(pa Param) []string { c, _ := paramIdents(pa); return c }); err != nil {
+		return nil, err
+	}
+	if err := ownIdents(pr, serveIdents, func(pa Param) []string { _, s := paramIdents(pa); return s }); err != nil {
+		return nil, err
 	}
 	return pr, nil
+}
+
+// ownIdents checks one stub's identifiers for pr's parameters, derived by
+// ids, against each other and against the stub's own, reserved.
+func ownIdents(pr *Proc, reserved map[string]bool, ids func(Param) []string) error {
+	owner := map[string]string{}
+	for _, pa := range pr.Params {
+		for _, id := range ids(pa) {
+			if reserved[id] {
+				return fmt.Errorf("parameter %q in %q collides with the generated stubs' %s", pa.Name, pr.Name, id)
+			}
+			if prev, dup := owner[id]; dup {
+				if prev == pa.Name {
+					return fmt.Errorf("duplicate parameter %q in %q", pa.Name, pr.Name)
+				}
+				return fmt.Errorf("parameters %q and %q in %q both generate %s", prev, pa.Name, pr.Name, id)
+			}
+			owner[id] = pa.Name
+		}
+	}
+	return nil
 }
 
 func (p *idlParser) paramList() ([]Param, error) {
@@ -296,7 +335,9 @@ func (p *idlParser) param() (Param, error) {
 	if err != nil {
 		return Param{}, err
 	}
-	if !isIdent(name) {
+	// A keyword would not parse as a Go parameter, and the blank
+	// identifier cannot be marshaled.
+	if !isIdent(name) || token.IsKeyword(name) || name == "_" {
 		return Param{}, fmt.Errorf("bad parameter name %q", name)
 	}
 	tname, err := p.next()

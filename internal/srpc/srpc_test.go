@@ -2,6 +2,11 @@ package srpc
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -51,6 +56,17 @@ var badIDL = []string{
 	`service S { proc p(in x u32, in x u32) }`,
 	`service S { proc p(in d bytes[0]) }`,
 	`service S { proc p(in d bytes[99999999]) }`,
+	// A Go keyword as a parameter name: the stub would not parse.
+	`service S { proc p(in func u32) }`,
+	// Names the stubs declare themselves: the client method's receiver c
+	// and image im.
+	`service S { proc p(in c u32, in im u32) (out rlen u32) }`,
+	// A result's R name that is also an argument's name, an argument
+	// shadowing the procedure's constant, and two procedures whose stubs
+	// share a name.
+	`service S { proc p(in xR u32) (out x u32) }`,
+	`service S { proc p(in ProcSP u32) }`,
+	`service S { proc p() proc P() }`,
 }
 
 func TestParseIDLErrors(t *testing.T) {
@@ -104,7 +120,7 @@ func TestGenerateValidation(t *testing.T) {
 		src string
 		ok  bool
 	}{
-		{`service S { proc p(inout d bytes[16344], in a u64, in b u64, in c u64) }`, false},
+		{`service S { proc p(inout d bytes[16344], in a u64, in b u64, in e u64) }`, false},
 		{`service S { proc p(inout d bytes[16344]) (out a u64, out b u64, out c u64) }`, false},
 		{`service S { proc p(in d bytes[16344], in a u64) }`, true},
 	} {
@@ -174,5 +190,92 @@ func TestFlagPacking(t *testing.T) {
 	v2 := packFlag(0x1001, 1, 0)
 	if flagSeq(v2) != 1 {
 		t.Fatalf("seq wrap: %x", flagSeq(v2))
+	}
+}
+
+// TestStubIdentsCoverTemplates reads the identifiers the generated stubs
+// use off the generated code itself, for a service that takes every
+// template branch, and checks that clientIdents and serveIdents list
+// exactly those that do not come from the IDL's parameter names or the
+// package and universe scopes: the reserved sets ParseIDL checks
+// parameter names against are the templates' own.
+func TestStubIdentsCoverTemplates(t *testing.T) {
+	svc, err := ParseIDL(`service S {
+		proc now() (out sec u32, out usec u32)
+		proc adjust(in delta i32, inout scale f64) (out applied bool)
+		proc null(inout data bytes[64])
+		proc fill(in value u32, inout data bytes[64]) (out total u64)
+		proc sum(in data bytes[64]) (out total u64)
+		proc drop(in data bytes[64])
+	}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := Generate(svc, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := parser.ParseFile(token.NewFileSet(), "x.go", code, parser.DeclarationErrors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, serve := map[string]bool{}, map[string]bool{}
+	for _, pr := range svc.Procs {
+		for _, pa := range pr.Params {
+			c, s := paramIdents(pa)
+			for _, id := range c {
+				client[id] = true
+			}
+			for _, id := range s {
+				serve[id] = true
+			}
+		}
+	}
+	pkg := pkgIdents(svc)
+	// used collects the identifiers fn uses, except field and method names
+	// after a dot.
+	used := func(fn *ast.FuncDecl) map[string]bool {
+		got := map[string]bool{}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Ident:
+				got[n.Name] = true
+			}
+			return true
+		}
+		ast.Inspect(fn.Type, visit)
+		ast.Inspect(fn.Body, visit)
+		if fn.Recv != nil {
+			ast.Inspect(fn.Recv, visit)
+		}
+		return got
+	}
+	gotClient, gotServe := map[string]bool{}, map[string]bool{}
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok {
+			continue
+		}
+		derived, got := client, gotClient
+		if fn.Recv == nil {
+			derived, got = serve, gotServe
+		}
+		for id := range used(fn) {
+			if !derived[id] && !pkg[id] && id != "_" && types.Universe.Lookup(id) == nil {
+				got[id] = true
+			}
+		}
+	}
+	for _, c := range []struct {
+		stub      string
+		got, want map[string]bool
+	}{{"client method", gotClient, clientIdents}, {"dispatch loop", gotServe, serveIdents}} {
+		if !maps.Equal(c.got, c.want) {
+			t.Errorf("%s: the template uses %v, the reserved set is %v", c.stub, c.got, c.want)
+		}
 	}
 }
