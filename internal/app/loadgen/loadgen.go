@@ -539,11 +539,11 @@ func (gw *gateway) senderBody(p *kernel.Process, target int) {
 		g.boundCond.Broadcast()
 	}
 	for {
-		for gw.queues[target].size() == 0 {
-			if gw.done && gw.outstanding == 0 {
-				return
-			}
+		for !gw.canSend(target) {
 			gw.cond.Wait(p.P)
+		}
+		if gw.queues[target].size() == 0 {
+			return // the generator is done and drained
 		}
 		if a.Down(target) {
 			// Routed here before the detection; follow the survivors.

@@ -130,17 +130,16 @@ func TestServeDeterminism8Nodes(t *testing.T) {
 
 // TestGatewayWakesOnlyReadySenders runs the scenario table's app row
 // (4 nodes, 512 sessions, 2e5 ops/s for 2 ms) and bounds the same-instant
-// re-waits. Before gateway wakes were filtered, the row made REWAITS_PARENT
-// re-waits, most of them senders the ticker's every-tick Broadcast woke with
-// nothing queued for them; one wake per ready sender must cut that by at
-// least 90%.
+// re-waits. Before the gateway's wakes were filtered, the row made 1,101
+// re-waits, most of them senders that the ticker's every-tick Broadcast
+// woke with nothing queued for them. Waking only the senders that can
+// proceed must cut that by at least 90%.
 func TestGatewayWakesOnlyReadySenders(t *testing.T) {
 	const parentRewaits = 1101
 	serveScenario(t, 2, 2, app.Config{},
 		loadgen.Config{Sessions: 512, Duration: 2 * time.Millisecond, Rate: 2e5},
 		nil,
 		func(cl *cluster.Cluster, a *app.App, g *loadgen.Gen) {
-			t.Logf("rewaits %d", cl.Eng.Rewaits)
 			if got := cl.Eng.Rewaits; got*10 > parentRewaits {
 				t.Fatalf("Rewaits = %d, want at most %d (a tenth of %d)",
 					got, parentRewaits/10, parentRewaits)

@@ -262,31 +262,43 @@ func (p *idlParser) proc(id int) (*Proc, error) {
 		}
 		pr.Params = append(pr.Params, more...)
 	}
+	names := map[string]bool{}
+	for _, pa := range pr.Params {
+		if names[pa.Name] {
+			return nil, fmt.Errorf("duplicate parameter %q in %q", pa.Name, name)
+		}
+		names[pa.Name] = true
+	}
 	// Every identifier the stubs derive from a parameter must be its own
 	// within each stub: distinct from the other parameters' and from the
 	// stub's own locals.
-	if err := ownIdents(pr, clientIdents, func(pa Param) []string { c, _ := paramIdents(pa); return c }); err != nil {
-		return nil, err
-	}
-	if err := ownIdents(pr, serveIdents, func(pa Param) []string { _, s := paramIdents(pa); return s }); err != nil {
-		return nil, err
+	for _, client := range []bool{true, false} {
+		if err := ownIdents(pr, client); err != nil {
+			return nil, err
+		}
 	}
 	return pr, nil
 }
 
-// ownIdents checks one stub's identifiers for pr's parameters, derived by
-// ids, against each other and against the stub's own, reserved.
-func ownIdents(pr *Proc, reserved map[string]bool, ids func(Param) []string) error {
+// ownIdents checks the identifiers the client method (client) or the
+// dispatch loop derives from pr's parameters against each other and
+// against the ones that stub declares itself.
+func ownIdents(pr *Proc, client bool) error {
+	reserved := serveIdents
+	if client {
+		reserved = clientIdents
+	}
 	owner := map[string]string{}
 	for _, pa := range pr.Params {
-		for _, id := range ids(pa) {
+		ids, serve := paramIdents(pa)
+		if !client {
+			ids = serve
+		}
+		for _, id := range ids {
 			if reserved[id] {
 				return fmt.Errorf("parameter %q in %q collides with the generated stubs' %s", pa.Name, pr.Name, id)
 			}
 			if prev, dup := owner[id]; dup {
-				if prev == pa.Name {
-					return fmt.Errorf("duplicate parameter %q in %q", pa.Name, pr.Name)
-				}
 				return fmt.Errorf("parameters %q and %q in %q both generate %s", prev, pa.Name, pr.Name, id)
 			}
 			owner[id] = pa.Name

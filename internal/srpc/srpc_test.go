@@ -54,6 +54,7 @@ var badIDL = []string{
 	`service S { proc p(sideways x u32) }`,
 	`service S { proc p() proc p() }`,
 	`service S { proc p(in x u32, in x u32) }`,
+	`service S { proc p(in x u32) (out x u32) }`,
 	`service S { proc p(in d bytes[0]) }`,
 	`service S { proc p(in d bytes[99999999]) }`,
 	// A Go keyword as a parameter name: the stub would not parse.
