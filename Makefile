@@ -16,8 +16,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# vet also vets the benchmark module under perfbench/, which builds against
+# this tree through a replace directive: the root ./... skips it, so an API
+# change could otherwise break the benchmark unnoticed.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # fmt fails if any Go file is not gofmt-formatted, listing the offenders.
 fmt:
