@@ -225,10 +225,14 @@ func (g *Gen) ackedBefore(key uint64, t sim.Time) uint32 {
 
 // waitBound parks until every sender finished its warmup bind.
 func (g *Gen) waitBound(p *sim.Proc) {
-	for g.bound < g.senders {
+	for !g.allBound(p) {
 		g.boundCond.Wait(p)
 	}
 }
+
+// allBound reports whether every sender finished its warmup bind; p is
+// unused, so it can serve as boundCond's BroadcastIf predicate.
+func (g *Gen) allBound(*sim.Proc) bool { return g.bound >= g.senders }
 
 // WaitStarted parks until generation has begun — the serving subsystem is
 // ready and the warmup bind barrier is down. Scenario drivers use it to
@@ -533,11 +537,8 @@ func (gw *gateway) senderBody(p *kernel.Process, target int) {
 		warmupBindRetry, retry.Seed(g.cfg.Seed, uint64(gw.idx), uint64(target), 1)); err == nil {
 		b, bGen = nb, a.Gen(target)
 	}
-	// The barrier's waiters can proceed only once the last sender is
-	// bound, so only that bind wakes them.
-	if g.bound++; g.bound == g.senders {
-		g.boundCond.Broadcast()
-	}
+	g.bound++
+	g.boundCond.BroadcastIf(g.allBound)
 	for {
 		for !gw.canSend(target) {
 			gw.cond.Wait(p.P)

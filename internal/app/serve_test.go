@@ -128,13 +128,13 @@ func TestServeDeterminism8Nodes(t *testing.T) {
 	sim.CheckDeterminism(t, determinismScenario(4, 2))
 }
 
-// TestGatewayWakesOnlyReadySenders runs the scenario table's app row
+// TestGatewayRunsOnlyReadySenders runs the scenario table's app row
 // (4 nodes, 512 sessions, 2e5 ops/s for 2 ms) and bounds the same-instant
-// re-waits. Before the gateway's wakes were filtered, the row made 1,101
-// re-waits, most of them senders that the ticker's every-tick Broadcast
-// woke with nothing queued for them. Waking only the senders that can
-// proceed must cut that by at least 90%.
-func TestGatewayWakesOnlyReadySenders(t *testing.T) {
+// re-waits. Before the gateway and its warm-up barrier woke through
+// BroadcastIf, the row made 1,101 re-waits, most of them senders that the
+// ticker's every-tick Broadcast ran with nothing queued for them. Running
+// only the waiters that can proceed must cut that by at least 90%.
+func TestGatewayRunsOnlyReadySenders(t *testing.T) {
 	const parentRewaits = 1101
 	serveScenario(t, 2, 2, app.Config{},
 		loadgen.Config{Sessions: 512, Duration: 2 * time.Millisecond, Rate: 2e5},

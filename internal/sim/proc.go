@@ -40,8 +40,14 @@ type Proc struct {
 	wakePending bool    // an unpark event is already scheduled
 	waitingOn   []*Cond // conds this proc is currently enqueued on
 	waitRet     Time    // when the last cond wait returned; -1 before the first
-	killed      bool    // Shutdown/Kill has asked the proc to unwind
-	service     bool    // daemon-style proc: excluded from deadlock diagnosis
+	// recheck is the wake event BroadcastIf posts, built on first use: it
+	// runs the proc if recheckReady accepts it, and otherwise renews its
+	// wait on recheckCond without running it.
+	recheck      func()
+	recheckCond  *Cond
+	recheckReady func(*Proc) bool
+	killed       bool // Shutdown/Kill has asked the proc to unwind
+	service      bool // daemon-style proc: excluded from deadlock diagnosis
 
 	// wake and redispatch are the proc's two wakeup callbacks, built once
 	// at Spawn so the hot paths (unpark, Sleep) schedule them
@@ -373,25 +379,51 @@ func (c *Cond) Broadcast() {
 	c.waiters = ws[:0]
 }
 
-// BroadcastIf wakes, in FIFO order, every waiting proc for which ready
-// reports true; the rest keep their places in the queue. It is Broadcast
-// for a cond whose waiters wait on different predicates: a proc that
-// could not proceed is not woken only to go straight back to sleep.
-// ready runs in the caller's context and must not wait or signal.
+// BroadcastIf is Broadcast for waiters that loop on ready, as in
+// for !ready(p) { c.Wait(p) }. Every waiter is woken in FIFO order, as by
+// Broadcast, and ready is checked at its turn, in engine context. A proc
+// that ready accepts runs. One it rejects goes back to the end of the
+// queue without running, which is all its own loop would have done at that
+// instant. Virtual time and the event order are exactly Broadcast's; what
+// is saved is the switch into each proc that would only have waited again.
+// A waiter in a timed wait, or waiting on several conds, is woken as by
+// Broadcast. ready must not wait or signal.
 func (c *Cond) BroadcastIf(ready func(*Proc) bool) {
 	ws := c.waiters
 	c.waiters = nil // the woken procs' leaveConds have nothing to remove here
-	kept := ws[:0]
 	for _, p := range ws {
-		if !ready(p) {
-			kept = append(kept, p)
+		// A plain wait on c alone is what the proc's loop would make again.
+		renewable := p.waitDepth == 0 && len(p.waitingOn) == 1
+		p.leaveConds()
+		if !renewable || p.wakePending || p.dead {
+			p.unpark()
 			continue
 		}
-		p.leaveConds()
-		p.unpark()
+		if p.recheck == nil {
+			p.recheck = p.runOrRewait
+		}
+		p.recheckCond, p.recheckReady = c, ready
+		p.wakePending = true
+		p.eng.Post(0, p.recheck)
 	}
-	clear(ws[len(kept):])
-	c.waiters = kept
+	// No proc runs during the loop, so nothing re-enqueued: reuse the array.
+	clear(ws)
+	c.waiters = ws[:0]
+}
+
+// runOrRewait is a BroadcastIf wake. It runs the proc if it has anything
+// to do: its predicate holds, it was killed, or an interrupt is pending.
+// Otherwise it puts the proc back on the cond, as the proc's loop would.
+func (p *Proc) runOrRewait() {
+	p.wakePending = false
+	c, ready := p.recheckCond, p.recheckReady
+	p.recheckCond, p.recheckReady = nil, nil
+	if !p.dead && !p.killed && (len(p.pendingInterrupts) == 0 || p.interruptsMasked) && !ready(p) {
+		c.waiters = append(c.waiters, p)
+		p.waitingOn = append(p.waitingOn[:0], c)
+		return
+	}
+	p.eng.dispatch(p)
 }
 
 // remove dequeues p's first entry, copying the tail down in place so the

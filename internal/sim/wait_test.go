@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
 // timedWaitRig is a proc that, each round, blocks untimed on start and then
 // makes one WaitAnyTimeout on c — optionally interrupted mid-wait by a
@@ -141,4 +145,96 @@ func TestRewaits(t *testing.T) {
 	if e.Rewaits != 1 {
 		t.Fatalf("Rewaits = %d, want 1", e.Rewaits)
 	}
+}
+
+// eventLog records the event stream and counts proc switches.
+type eventLog struct {
+	events   []Time
+	switches int
+}
+
+func (l *eventLog) Event(at Time, seq uint64) { l.events = append(l.events, at, Time(seq)) }
+func (l *eventLog) ProcSwitch(Time, *Proc)    { l.switches++ }
+
+// TestBroadcastIfMatchesBroadcast drives one seeded scenario twice, waking
+// the waiters with Broadcast and then with BroadcastIf, and requires the
+// same event stream and the same record of which proc did what when:
+// BroadcastIf may only save proc switches. Workers loop on their own work
+// counters, often wait again at the instant they woke, and have work added
+// with and without a wake; one waiter makes timed waits, which BroadcastIf
+// wakes as Broadcast does.
+func TestBroadcastIfMatchesBroadcast(t *testing.T) {
+	run := func(filtered bool) (*eventLog, []string) {
+		e := NewEngine()
+		l := &eventLog{}
+		e.AddTracer(l)
+		c := NewCond(e)
+		const workers = 5
+		work := make([]int, workers+1) // the last slot is the timed waiter's
+		idx := map[*Proc]int{}
+		ready := func(p *Proc) bool { return work[idx[p]] > 0 }
+		var did []string
+		for i := 0; i < workers; i++ {
+			i := i
+			p := e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+				for k := 0; ; k++ {
+					for work[i] == 0 {
+						c.Wait(p)
+					}
+					work[i]--
+					did = append(did, fmt.Sprintf("%v w%d", p.Now(), i))
+					if (i+k)%3 == 0 {
+						p.Sleep(us(1))
+					}
+				}
+			})
+			idx[p] = i
+		}
+		e.Spawn("timed", func(p *Proc) {
+			for p.Now() < Time(us(80)) {
+				if work[workers] == 0 {
+					if c.WaitTimeout(p, us(3)) {
+						did = append(did, fmt.Sprintf("%v timeout", p.Now()))
+					}
+					continue
+				}
+				work[workers]--
+				did = append(did, fmt.Sprintf("%v timed", p.Now()))
+			}
+		})
+		wake := c.Broadcast
+		if filtered {
+			wake = func() { c.BroadcastIf(ready) }
+		}
+		x := uint64(7)
+		next := func(n int) int {
+			x = x*6364136223846793005 + 1442695040888963407
+			return int(x>>33) % n
+		}
+		for k := 0; k < 400; k++ {
+			j, silent := next(workers+1), next(4) == 0
+			e.Post(us(int64(next(60))), func() {
+				work[j]++
+				if !silent {
+					wake()
+				}
+			})
+		}
+		e.Post(us(70), wake)
+		e.RunAll()
+		e.Shutdown()
+		return l, did
+	}
+	herd, herdDid := run(false)
+	filt, filtDid := run(true)
+	if !slices.Equal(herd.events, filt.events) {
+		t.Fatalf("event streams differ: %d vs %d entries", len(herd.events), len(filt.events))
+	}
+	if !slices.Equal(herdDid, filtDid) {
+		t.Fatalf("procs acted differently:\nBroadcast:   %v\nBroadcastIf: %v", herdDid, filtDid)
+	}
+	if filt.switches >= herd.switches {
+		t.Fatalf("BroadcastIf made %d proc switches, Broadcast %d", filt.switches, herd.switches)
+	}
+	t.Logf("%d events, %d actions; proc switches %d -> %d", len(herd.events)/2, len(herdDid), herd.switches, filt.switches)
 }
