@@ -242,7 +242,9 @@ type Engine struct {
 	EventsRun int64
 	// Rewaits counts cond waits a proc entered at the same virtual
 	// instant its previous cond wait returned: a wake that changed nothing
-	// the proc could act on, so it went straight back to sleep.
+	// the proc could act on, so it went straight back to sleep. A proc
+	// that Cond.BroadcastIf puts back without running is not counted: its
+	// wait never returned.
 	Rewaits int64
 }
 
