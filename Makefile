@@ -33,9 +33,10 @@ lint:
 	$(GO) run ./cmd/shrimplint ./...
 
 # fuzz gives the XDR round-trip, raw-decode, trace, mesh packet-codec,
-# event-queue differential, snapshot-image decode, SRPC IDL parser, and
-# SunRPC header decode targets a brief shake; the corpus accumulates in
-# the Go build cache. This is the one list of fuzz targets; CI runs it.
+# event-queue differential, snapshot-image decode, SRPC IDL parser, SunRPC
+# header decode, and KV batch and replication image decode targets a brief
+# shake; the corpus accumulates in the Go build cache. This is the one list
+# of fuzz targets; CI runs it.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/xdr
 	$(GO) test -run NONE -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME) ./internal/xdr
@@ -45,6 +46,8 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzSnapDecode -fuzztime $(FUZZTIME) ./internal/snap
 	$(GO) test -run NONE -fuzz FuzzParseIDL -fuzztime $(FUZZTIME) ./internal/srpc
 	$(GO) test -run NONE -fuzz FuzzDecodeHeaders -fuzztime $(FUZZTIME) ./internal/sunrpc
+	$(GO) test -run NONE -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME) ./internal/app
+	$(GO) test -run NONE -fuzz FuzzDecodeRepl -fuzztime $(FUZZTIME) ./internal/app
 
 # manifest rewrites results/manifest.txt, the determinism manifest: one line
 # per snapshot-equivalence cell with its replay digest, event and switch
@@ -117,10 +120,10 @@ chaos:
 # bench runs every Go microbenchmark with allocation stats: the event-core
 # hot paths (churn, timer arm/cancel, proc ping-pong), the memory bulk
 # moves, the kernel's translation and user copies, the packet datapath
-# (NIC -> mesh -> NIC), NX round trips, and the end-to-end figure/chaos
-# drivers.
+# (NIC -> mesh -> NIC), NX round trips, the SRPC null call, a KV batch of
+# 16 gets, and the end-to-end figure/chaos drivers.
 bench:
-	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/kernel ./internal/nic ./internal/mesh ./internal/nx ./internal/bench .
+	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/kernel ./internal/nic ./internal/mesh ./internal/nx ./internal/srpc ./internal/app ./internal/bench .
 
 # check runs every gate CI runs: gofmt, build, vet, lint, race-enabled
 # tests, trace determinism, snapshot determinism, mesh-scaling digest

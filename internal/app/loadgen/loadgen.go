@@ -470,11 +470,16 @@ func (gw *gateway) emit(now sim.Time) {
 	gw.route(op)
 }
 
-// value builds a put's payload: key, gateway, and sequence embedded for
-// the reader-side integrity check and the lost-write audit, padded to the
-// configured size.
-func (gw *gateway) value(op gop) []byte {
-	v := make([]byte, gw.g.cfg.ValueBytes)
+// value builds a put's payload into dst and returns it: key, gateway, and
+// sequence embedded for the reader-side integrity check and the lost-write
+// audit, padded to the configured size. Only the first 16 bytes are ever
+// written, so a reused buffer's padding stays as zero as a fresh one's.
+func (gw *gateway) value(dst []byte, op gop) []byte {
+	n := gw.g.cfg.ValueBytes
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	v := dst[:n]
 	binary.LittleEndian.PutUint64(v, op.key)
 	binary.LittleEndian.PutUint32(v[8:], uint32(gw.idx))
 	binary.LittleEndian.PutUint32(v[12:], op.seq)
@@ -515,6 +520,15 @@ var warmupBindRetry = retry.Policy{
 	Budget: 2,
 }
 
+// sendScratch is one sender process's reused per-call state: the batch
+// popped off its queue, the request image, a put's value (copied into the
+// image at once) and the reply image. A gateway runs one sender per
+// target, so each (gateway, target) pair owns one.
+type sendScratch struct {
+	batch           []gop
+	img, val, reply []byte
+}
+
 // senderBody drains one target node's queue: batch, bind (rebinding when
 // the target's incarnation changes), call with the failover deadline,
 // then settle per-op statuses. A timeout reports the node down — the
@@ -529,6 +543,7 @@ func (gw *gateway) senderBody(p *kernel.Process, target int) {
 	var b *srpc.Binding
 	bGen := -1
 	bo := retry.New(senderRetry, retry.Seed(g.cfg.Seed, uint64(gw.idx), uint64(target)))
+	var sc sendScratch
 	// Warmup: wire the binding before generation starts, so the rendezvous
 	// storm of every sender binding at once cannot push early calls past
 	// the failover deadline. A failure here is left for the serving loop to
@@ -551,7 +566,8 @@ func (gw *gateway) senderBody(p *kernel.Process, target int) {
 			gw.NodeDown(target)
 			continue
 		}
-		batch := gw.popBatch(target)
+		sc.batch = gw.popBatch(sc.batch, target)
+		batch := sc.batch
 		if len(batch) == 0 {
 			continue
 		}
@@ -567,9 +583,9 @@ func (gw *gateway) senderBody(p *kernel.Process, target int) {
 			}
 			b, bGen = nb, a.Gen(target)
 		}
-		img := gw.encode(batch)
+		gw.encode(&sc)
 		sent := a.Cl.Eng.Now()
-		rlen, err := b.CallTimeout(app.ProcBatch, img, a.Cfg.CallDeadline)
+		rlen, err := b.CallTimeout(app.ProcBatch, sc.img, a.Cfg.CallDeadline)
 		if err != nil {
 			a.Rec.Count(&a.Rec.Timeouts, "client.timeout", 1)
 			a.ReportDown(gw.node, target)
@@ -579,7 +595,8 @@ func (gw *gateway) senderBody(p *kernel.Process, target int) {
 			continue
 		}
 		bo.Reset()
-		gw.settle(batch, b.ReadReply(rlen), sent)
+		sc.reply = b.ReadReply(sc.reply, rlen)
+		gw.settle(batch, sc.reply, sent)
 	}
 }
 
@@ -609,9 +626,9 @@ func bindDeadline(a *app.App) time.Duration {
 	return f
 }
 
-// popBatch pops ops for one call, bounded by the op cap and by both the
-// request and worst-case reply image budgets.
-func (gw *gateway) popBatch(target int) []gop {
+// popBatch pops ops for one call into dst's storage, bounded by the op cap
+// and by both the request and worst-case reply image budgets.
+func (gw *gateway) popBatch(dst []gop, target int) []gop {
 	g := gw.g
 	q := &gw.queues[target]
 	reqBytes, repBytes := 4, 4
@@ -634,7 +651,7 @@ func (gw *gateway) popBatch(target int) []gop {
 	// retried put superseded by a newer acknowledged put on the same key is
 	// dropped — resending it would reorder acknowledged history.
 	raw := q.popUpTo(n)
-	batch := make([]gop, 0, len(raw))
+	batch := dst[:0]
 	for _, op := range raw {
 		if op.kind == app.OpPut && g.AckedPuts != nil && op.seq < g.AckedPuts[op.key] {
 			g.app.Rec.Count(&g.app.Rec.Superseded, "superseded", 1)
@@ -702,17 +719,19 @@ func (gw *gateway) retryOp(op gop) {
 	gw.wake()
 }
 
-func (gw *gateway) encode(batch []gop) []byte {
-	img := make([]byte, 0, 256)
-	img = binary.LittleEndian.AppendUint32(img, uint32(len(batch)))
-	for _, op := range batch {
+// encode marshals sc.batch into sc.img, building each put's value in
+// sc.val.
+func (gw *gateway) encode(sc *sendScratch) {
+	img := binary.LittleEndian.AppendUint32(sc.img[:0], uint32(len(sc.batch)))
+	for _, op := range sc.batch {
 		var val []byte
 		if op.kind == app.OpPut {
-			val = gw.value(op)
+			sc.val = gw.value(sc.val, op)
+			val = sc.val
 		}
 		img = appendWireOp(img, op, gw.g.app.Map.Shards[op.shard].Epoch, val)
 	}
-	return img
+	sc.img = img
 }
 
 // settle applies one reply to its batch: latencies and acks for served

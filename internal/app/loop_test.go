@@ -46,7 +46,7 @@ func TestLoopbackBinding(t *testing.T) {
 			t.Errorf("self call: %v", err)
 			return
 		}
-		reply := b.ReadReply(rlen)
+		reply := b.ReadReply(nil, rlen)
 		c := &cursor{buf: reply}
 		cnt, _ := c.u32()
 		st1, _ := c.u32()

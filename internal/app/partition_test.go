@@ -59,7 +59,7 @@ func callOps(a *app.App, b *srpc.Binding, img []byte) ([]uint32, []byte) {
 	if err != nil {
 		return nil, nil
 	}
-	reply := b.ReadReply(rlen)
+	reply := b.ReadReply(nil, rlen)
 	if len(reply) < 4 {
 		return nil, nil
 	}

@@ -137,6 +137,10 @@ func (c *cursor) bytes() ([]byte, error) {
 	return v, nil
 }
 
+// minOpSize is the smallest marshaled op: a get's meta word, key and
+// epoch.
+const minOpSize = 4 + 8 + 4
+
 // wireOp is one decoded request op.
 type wireOp struct {
 	Kind  int
@@ -175,6 +179,29 @@ func (c *cursor) op() (wireOp, error) {
 	return op, nil
 }
 
+// decodeBatch decodes a batch request image, a count word then that many
+// ops, into ops' storage. A count the image is too short to hold is
+// rejected before anything is sized by it: the count comes off the wire.
+func decodeBatch(img []byte, ops []wireOp) ([]wireOp, error) {
+	ops = ops[:0]
+	c := cursor{buf: img}
+	n, err := c.u32()
+	if err != nil {
+		return ops, err
+	}
+	if uint64(n)*minOpSize > uint64(len(img)-c.off) {
+		return ops, fmt.Errorf("app: %d ops cannot fit a %d-byte batch image", n, len(img))
+	}
+	for i := 0; i < int(n); i++ {
+		op, err := c.op()
+		if err != nil {
+			return ops[:0], err
+		}
+		ops = append(ops, op)
+	}
+	return ops, nil
+}
+
 // replRec is one replicated write: shard, key, value, plus the shard epoch
 // the sending primary served under (the fence a new regime rejects) and
 // the write's store version (epoch<<32 | sequence, the merge tiebreak).
@@ -201,6 +228,37 @@ func appendReplRec(buf []byte, r replRec) []byte {
 		buf = append(buf, 0)
 	}
 	return buf
+}
+
+// decodeRepl decodes a replication image — a count word, a mode word,
+// then that many records — into recs' storage. On a malformed record it
+// returns the records decoded before it along with the error, so a server
+// applying them in order behaves as if it had decoded record by record. A
+// bad header or a count the image cannot hold returns no records.
+func decodeRepl(img []byte, recs []replRec) (mode uint32, _ []replRec, err error) {
+	recs = recs[:0]
+	c := cursor{buf: img}
+	n, err := c.u32()
+	if err == nil {
+		mode, err = c.u32()
+	}
+	if err != nil {
+		return 0, recs, err
+	}
+	if mode > replModeMerge {
+		return 0, recs, fmt.Errorf("app: unknown replication mode %d", mode)
+	}
+	if uint64(n)*uint64(replRecSize(0)) > uint64(len(img)-c.off) {
+		return 0, recs, fmt.Errorf("app: %d records cannot fit a %d-byte replication image", n, len(img))
+	}
+	for i := 0; i < int(n); i++ {
+		rec, err := c.replRec()
+		if err != nil {
+			return mode, recs, err
+		}
+		recs = append(recs, rec)
+	}
+	return mode, recs, nil
 }
 
 func (c *cursor) replRec() (replRec, error) {

@@ -71,6 +71,43 @@ type serverNode struct {
 	// last drains, the follower has every write and Synced flips.
 	session     []bool
 	pendingRepl []int
+
+	// Serving scratch, reused from call to call so a steady-state batch
+	// allocates nothing. The srv and repl processes share this node, so
+	// each owns its own: batch belongs to the srv process (serveBatch),
+	// repl to the repl process (serveRepl).
+	batch batchScratch
+	repl  replScratch
+}
+
+// batchScratch is serveBatch's per-batch state: the argument image, the
+// decoded ops, the per-op verdicts and the reply image.
+type batchScratch struct {
+	args       []byte
+	ops        []wireOp
+	statuses   []uint32
+	vals       [][]byte
+	asPrimary  []bool
+	waitFor    []*outEntry
+	waitTarget []int
+	reply      []byte
+}
+
+// replScratch is serveRepl's argument image and decoded records.
+type replScratch struct {
+	args []byte
+	recs []replRec
+}
+
+// zeroed returns s resized to n zero elements, reusing its storage when
+// it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // startNode allocates a node's serving state and spawns its processes.
@@ -115,6 +152,7 @@ func (sn *serverNode) serveLoop(p *kernel.Process, port int,
 	sn.lns = append(sn.lns, ln)
 	a.portUp(sn.node)
 	var bindings []*srpc.Binding
+	var vas []kernel.VA
 	for {
 		for ln.Port().Pending() > 0 {
 			b, err := ln.Accept()
@@ -141,9 +179,9 @@ func (sn *serverNode) serveLoop(p *kernel.Process, port int,
 				break
 			}
 		}
-		vas := make([]kernel.VA, len(bindings))
-		for i, b := range bindings {
-			vas[i] = b.FlagVA()
+		vas = vas[:0]
+		for _, b := range bindings {
+			vas = append(vas, b.FlagVA())
 		}
 		p.WaitPred(vas, []*sim.Cond{ln.Port().Cond(), sn.poke}, func() bool {
 			if ln.Port().Pending() > 0 {
@@ -180,36 +218,33 @@ func (sn *serverNode) replBody(p *kernel.Process) {
 // per-op statuses.
 func (sn *serverNode) serveBatch(p *kernel.Process, b *srpc.Binding) {
 	a := sn.app
+	sc := &sn.batch
 	proc, alen := b.NextCall()
-	img := b.ReadArgs(alen)
-	c := &cursor{buf: img}
-	n, err := c.u32()
-	if proc != ProcBatch || err != nil {
+	sc.args = b.ReadArgs(sc.args, alen)
+	if proc != ProcBatch {
 		b.Finish(proc, 0)
 		return
 	}
-	ops := make([]wireOp, 0, n)
-	for i := 0; i < int(n); i++ {
-		op, err := c.op()
-		if err != nil {
-			// A malformed batch gets an empty reply; the client counts
-			// the whole batch as a protocol error.
-			b.Finish(ProcBatch, 0)
-			return
-		}
-		ops = append(ops, op)
+	var err error
+	if sc.ops, err = decodeBatch(sc.args, sc.ops); err != nil {
+		// A malformed batch gets an empty reply; the client counts the
+		// whole batch as a protocol error.
+		b.Finish(ProcBatch, 0)
+		return
 	}
+	ops := sc.ops
 
 	eng := a.Cl.Eng
 	now := eng.Now()
-	statuses := make([]uint32, len(ops))
-	vals := make([][]byte, len(ops))
+	sc.statuses = zeroed(sc.statuses, len(ops))
+	sc.vals = zeroed(sc.vals, len(ops))
 	// asPrimary marks ops this node admitted in its primary role — the
 	// set the post-replication fencing re-check applies to. waitFor maps
 	// an op to the synchronous replication group its ack depends on.
-	asPrimary := make([]bool, len(ops))
-	waitFor := make([]*outEntry, len(ops))
-	waitTarget := make([]int, len(ops))
+	sc.asPrimary = zeroed(sc.asPrimary, len(ops))
+	sc.waitFor = zeroed(sc.waitFor, len(ops))
+	sc.waitTarget = zeroed(sc.waitTarget, len(ops))
+	statuses, vals, asPrimary, waitFor, waitTarget := sc.statuses, sc.vals, sc.asPrimary, sc.waitFor, sc.waitTarget
 	for i := range waitTarget {
 		waitTarget[i] = -1
 	}
@@ -375,8 +410,7 @@ func (sn *serverNode) serveBatch(p *kernel.Process, b *srpc.Binding) {
 		}
 	}
 
-	reply := make([]byte, 0, 4+8*len(ops))
-	reply = binary.LittleEndian.AppendUint32(reply, uint32(len(ops)))
+	reply := binary.LittleEndian.AppendUint32(sc.reply[:0], uint32(len(ops)))
 	for i := range ops {
 		reply = binary.LittleEndian.AppendUint32(reply, statuses[i])
 		if statuses[i] == StatusOK && ops[i].Kind == OpGet {
@@ -387,6 +421,7 @@ func (sn *serverNode) serveBatch(p *kernel.Process, b *srpc.Binding) {
 			}
 		}
 	}
+	sc.reply = reply
 	if len(reply) > MaxBatchImage {
 		// The client oversized its batch against the reply budget; an
 		// empty reply reports the protocol error batch-wide.
@@ -406,22 +441,16 @@ func (sn *serverNode) serveBatch(p *kernel.Process, b *srpc.Binding) {
 // from a deposed primary) skip the fence and apply highest-version-wins.
 func (sn *serverNode) serveRepl(b *srpc.Binding) {
 	a := sn.app
+	sc := &sn.repl
 	_, alen := b.NextCall()
-	img := b.ReadArgs(alen)
-	c := &cursor{buf: img}
+	sc.args = b.ReadArgs(sc.args, alen)
+	// The records before a malformed one still apply, as they would had
+	// the image been decoded record by record.
+	mode, recs, err := decodeRepl(sc.args, sc.recs)
+	sc.recs = recs
 	status := uint32(StatusOK)
-	n, err := c.u32()
-	mode := uint32(replModeStream)
-	if err == nil {
-		mode, err = c.u32()
-	}
-	if err != nil || mode > replModeMerge {
-		status = StatusBadRequest
-		n = 0
-	}
-	for i := 0; i < int(n); i++ {
-		rec, err := c.replRec()
-		if err != nil || rec.Shard >= len(sn.shards) {
+	for _, rec := range recs {
+		if rec.Shard >= len(sn.shards) {
 			status = StatusBadRequest
 			break
 		}
@@ -437,11 +466,15 @@ func (sn *serverNode) serveRepl(b *srpc.Binding) {
 			sn.shards[rec.Shard].store.PutVer(rec.Key, val, rec.Ver)
 		}
 	}
+	if err != nil && status == StatusOK {
+		status = StatusBadRequest
+	}
 	if status == StatusBadRequest {
 		a.Rec.Count(&a.Rec.ReplBad, "repl.bad", 1)
 	}
-	reply := binary.LittleEndian.AppendUint32(nil, status)
-	b.WriteResults(reply)
+	var reply [4]byte
+	binary.LittleEndian.PutUint32(reply[:], status)
+	b.WriteResults(reply[:])
 	b.Finish(ProcRepl, len(reply))
 }
 
@@ -537,6 +570,8 @@ type outProxy struct {
 	// victims do not retry in lockstep) instead of hammering the dead
 	// route at the replication deadline. Reset on any success.
 	bo *retry.Backoff
+	// img and reply are the proxy process's reused call and reply images.
+	img, reply []byte
 }
 
 // entryQueue is a head-indexed FIFO.
@@ -661,7 +696,8 @@ func (px *outProxy) run(p *kernel.Process, ep *vmmc.Endpoint, e *outEntry) {
 	}
 	sent := 0
 	for sent < len(e.recs) {
-		img := make([]byte, 8, 512)
+		// Count and mode words first, filled in once the chunk is cut.
+		img := append(px.img[:0], make([]byte, 8)...)
 		cnt := 0
 		for sent+cnt < len(e.recs) {
 			r := e.recs[sent+cnt]
@@ -673,6 +709,7 @@ func (px *outProxy) run(p *kernel.Process, ep *vmmc.Endpoint, e *outEntry) {
 		}
 		binary.LittleEndian.PutUint32(img, uint32(cnt))
 		binary.LittleEndian.PutUint32(img[4:], mode)
+		px.img = img
 		rlen, err := px.b.CallTimeout(ProcRepl, img, a.Cfg.ReplDeadline)
 		if err != nil {
 			a.Rec.Count(&a.Rec.ReplFail, "repl.fail", 1)
@@ -682,7 +719,8 @@ func (px *outProxy) run(p *kernel.Process, ep *vmmc.Endpoint, e *outEntry) {
 			px.pace(p)
 			return
 		}
-		if st := replReplyStatus(px.b.ReadReply(rlen)); st != StatusOK {
+		px.reply = px.b.ReadReply(px.reply, rlen)
+		if st := replReplyStatus(px.reply); st != StatusOK {
 			// The target answered and refused: it is alive, so no death
 			// report and no backoff — just give up on this entry.
 			if st != StatusStaleEpoch {

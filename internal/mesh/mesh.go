@@ -127,29 +127,26 @@ type Network struct {
 	// collective traffic (combine.go). Off by default.
 	comb *combining
 
-	// lastArrival enforces exact per-(src,dst) FIFO delivery on top of
-	// the timing approximation. Entries live only while the pair has
-	// packets in flight: once inFlight drains to zero the floor is
-	// provably redundant (any later send's arrival is computed at or
-	// after the last delivery) and both entries are deleted, so
-	// steady-state map size is bounded by concurrent flows, not by the
-	// N² pairs a 1024-node mesh could accumulate.
-	lastArrival map[[2]NodeID]sim.Time
-
-	// inFlight counts packets injected but not yet handed to the
-	// destination handler, per (src,dst); drained is broadcast on every
-	// delivery. Mapping teardown uses these to wait out the pipe.
-	// Entries are deleted on drain-to-zero (see lastArrival).
-	inFlight map[[2]NodeID]int
-	drained  *sim.Cond
+	// flows holds one record per (src,dst) pair with packets in flight:
+	// the pair's FIFO floor and its in-flight count (see flow). A record
+	// lives only while the pair has packets in flight: once the count
+	// drains to zero the floor is provably redundant (any later send's
+	// arrival is computed at or after the last delivery), so the entry is
+	// deleted and the record returned to the free list. State stays
+	// bounded by concurrent flows, not by the N² pairs a 1024-node mesh
+	// could accumulate. drained is broadcast on every delivery; mapping
+	// teardown uses the counts to wait out the pipe.
+	flows   map[[2]NodeID]*flow
+	drained *sim.Cond
 
 	// bufs is the payload free list backing GetBuf/PutBuf, pkts the
-	// header free list backing GetPacket/Recycle, and dels the pool of
-	// in-flight delivery records. Single simulation thread, so plain
-	// stacks suffice.
-	bufs [][]byte
-	pkts []*Packet
-	dels []*delivery
+	// header free list backing GetPacket/Recycle, dels the pool of
+	// in-flight delivery records and freeFlows the pool of flow records.
+	// Single simulation thread, so plain stacks suffice.
+	bufs      [][]byte
+	pkts      []*Packet
+	dels      []*delivery
+	freeFlows []*flow
 
 	// PacketsDelivered counts total deliveries, for tests and stats.
 	PacketsDelivered int64
@@ -186,18 +183,17 @@ func NewDims(eng *sim.Engine, dims []int) *Network {
 		total *= k
 	}
 	n := &Network{
-		eng:         eng,
-		dims:        append([]int(nil), dims...),
-		strides:     strides,
-		total:       total,
-		hops:        make([]*channel, total*len(dims)*2),
-		inject:      make([]*channel, total),
-		eject:       make([]*channel, total),
-		handlers:    make([]Handler, total),
-		dead:        make([]bool, total),
-		lastArrival: make(map[[2]NodeID]sim.Time),
-		inFlight:    make(map[[2]NodeID]int),
-		drained:     sim.NewCond(eng),
+		eng:      eng,
+		dims:     append([]int(nil), dims...),
+		strides:  strides,
+		total:    total,
+		hops:     make([]*channel, total*len(dims)*2),
+		inject:   make([]*channel, total),
+		eject:    make([]*channel, total),
+		handlers: make([]Handler, total),
+		dead:     make([]bool, total),
+		flows:    make(map[[2]NodeID]*flow),
+		drained:  sim.NewCond(eng),
 	}
 	for i := range n.inject {
 		n.inject[i] = newChannel(eng, fmt.Sprintf("inject.%d", i))
@@ -474,26 +470,26 @@ func (n *Network) transmit(pkt *Packet) {
 	// behind it); a Reorder fault pushes only this packet, so later
 	// packets may overtake — the one injected violation of the
 	// backplane's ordering guarantee.
-	key := [2]NodeID{pkt.Src, pkt.Dst}
-	if last := n.lastArrival[key]; arrival < last {
-		arrival = last
+	f := n.flowFor(pkt.Src, pkt.Dst)
+	if arrival < f.last {
+		arrival = f.last
 	}
 	switch act {
 	case fault.Delay:
 		arrival = arrival.Add(extra)
-		n.lastArrival[key] = arrival
+		f.last = arrival
 	case fault.Reorder:
-		n.lastArrival[key] = arrival
+		f.last = arrival
 		arrival = arrival.Add(extra)
 	default:
-		n.lastArrival[key] = arrival
+		f.last = arrival
 	}
 
 	// A Corrupt fault flips bytes of the wire image. Almost always the
 	// checksum catches it at the receiver; if the flips cancelled out,
 	// the decode round-trips and the packet survives.
 	dl := n.getDelivery()
-	dl.pkt, dl.arrived = pkt, pkt
+	dl.pkt, dl.arrived, dl.flow = pkt, pkt, f
 	if act == fault.Corrupt {
 		wire := pkt.Encode()
 		n.inj.CorruptBytes(wire)
@@ -504,8 +500,35 @@ func (n *Network) transmit(pkt *Packet) {
 		}
 	}
 
-	n.inFlight[key]++
+	f.inFlight++
 	n.eng.PostAt(arrival, dl.run)
+}
+
+// flow is one (src,dst) pair's in-flight state: last is the FIFO floor,
+// the latest arrival time given to a packet that later packets may not
+// overtake, and inFlight counts packets injected but not yet delivered.
+type flow struct {
+	last     sim.Time
+	inFlight int
+}
+
+// flowFor returns the (src,dst) pair's record, taking a fresh one from the
+// free list when the pair has nothing in flight.
+func (n *Network) flowFor(src, dst NodeID) *flow {
+	key := [2]NodeID{src, dst}
+	if f := n.flows[key]; f != nil {
+		return f
+	}
+	var f *flow
+	if l := len(n.freeFlows); l > 0 {
+		f = n.freeFlows[l-1]
+		n.freeFlows[l-1] = nil
+		n.freeFlows = n.freeFlows[:l-1]
+	} else {
+		f = &flow{}
+	}
+	n.flows[key] = f
+	return f
 }
 
 // reserve holds channel c for one serialization, starting when the header
@@ -536,8 +559,10 @@ type delivery struct {
 	// pkt is the packet as sent; arrived is what the receiver gets —
 	// pkt itself, or a fresh copy decoded from a corrupted wire image.
 	pkt, arrived *Packet
-	corrupted    bool
-	run          func()
+	// flow is the packet's (src,dst) record, counting it in flight.
+	flow      *flow
+	corrupted bool
+	run       func()
 }
 
 func (n *Network) getDelivery() *delivery {
@@ -554,22 +579,25 @@ func (n *Network) getDelivery() *delivery {
 
 // arrive delivers the packet, or accounts for its loss.
 func (d *delivery) arrive() {
-	n, pkt, arrived, corrupted := d.n, d.pkt, d.arrived, d.corrupted
-	d.pkt, d.arrived, d.corrupted = nil, nil, false
+	n, pkt, arrived, f, corrupted := d.n, d.pkt, d.arrived, d.flow, d.corrupted
+	d.pkt, d.arrived, d.flow, d.corrupted = nil, nil, nil, false
 	if len(n.dels) < maxFreeBufs {
 		n.dels = append(n.dels, d)
 	}
 
 	key := [2]NodeID{pkt.Src, pkt.Dst}
-	n.inFlight[key]--
-	if n.inFlight[key] == 0 {
+	if f.inFlight--; f.inFlight == 0 {
 		// Last packet for this pair: the FIFO floor is now redundant
 		// (every stored floor is <= this delivery's time, and any
 		// future send computes an arrival at or after its send time),
-		// so both per-pair entries can go. This keeps the maps sized
-		// by concurrent flows instead of growing toward N² pairs.
-		delete(n.inFlight, key)
-		delete(n.lastArrival, key)
+		// so the record goes back to the free list, zeroed. This keeps
+		// the map sized by concurrent flows instead of growing toward
+		// N² pairs.
+		delete(n.flows, key)
+		*f = flow{}
+		if len(n.freeFlows) < maxFreeBufs {
+			n.freeFlows = append(n.freeFlows, f)
+		}
 	}
 	switch {
 	case n.dead[key[1]]:
@@ -609,7 +637,10 @@ func (n *Network) deliver(pkt *Packet) {
 // not-yet-acknowledged packets count too: they may still be retransmitted
 // into the pipe.
 func (n *Network) InFlight(src, dst NodeID) int {
-	c := n.inFlight[[2]NodeID{src, dst}]
+	var c int
+	if f := n.flows[[2]NodeID{src, dst}]; f != nil {
+		c = f.inFlight
+	}
 	if n.rel != nil {
 		c += n.rel.outstanding(src, dst)
 	}

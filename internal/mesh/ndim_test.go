@@ -156,8 +156,8 @@ func TestCutPlaneSeversTopology(t *testing.T) {
 }
 
 // TestStateMapsPruned is the regression test for the O(N²) state bug: after
-// an all-pairs workload drains, the per-(src,dst) FIFO and in-flight maps
-// must be empty — not hold an entry per pair ever used.
+// an all-pairs workload drains, the per-(src,dst) flow map must be empty —
+// not hold an entry per pair ever used.
 func TestStateMapsPruned(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewDims(e, []int{4, 4})
@@ -174,16 +174,15 @@ func TestStateMapsPruned(t *testing.T) {
 			sent++
 		}
 	}
-	if len(n.inFlight) == 0 {
+	if len(n.flows) == 0 {
 		t.Fatal("expected in-flight state while packets are in the pipe")
 	}
 	e.RunAll()
 	if n.PacketsDelivered != int64(sent) {
 		t.Fatalf("delivered %d of %d", n.PacketsDelivered, sent)
 	}
-	if len(n.inFlight) != 0 || len(n.lastArrival) != 0 {
-		t.Fatalf("state maps not pruned after drain: inFlight=%d lastArrival=%d",
-			len(n.inFlight), len(n.lastArrival))
+	if len(n.flows) != 0 {
+		t.Fatalf("flow map not pruned after drain: %d entries", len(n.flows))
 	}
 }
 
@@ -201,7 +200,7 @@ func TestStateMapsPrunedOrdering(t *testing.T) {
 		e.RunAll()
 	}
 	wave(0)
-	if len(n.lastArrival) != 0 {
+	if len(n.flows) != 0 {
 		t.Fatal("pair state survived the drain")
 	}
 	wave(100)
@@ -212,6 +211,66 @@ func TestStateMapsPrunedOrdering(t *testing.T) {
 		if got[i] <= got[i-1] {
 			t.Fatalf("out of order after prune: %v", got)
 		}
+	}
+}
+
+// A drained pair's flow record goes back to the free list zeroed, floor 0
+// and count 0, and the next pair to start takes it. The reused record
+// keeps the backplane's ordering semantics: FIFO under Delay faults, which
+// push the floor, and overtaking under Reorder faults, which do not.
+func TestFlowRecordRecycled(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		faults   fault.LinkFaults
+		overtake bool
+	}{
+		{"delay", fault.LinkFaults{DelayProb: 1, DelayMax: 50 * time.Microsecond}, false},
+		{"reorder", fault.LinkFaults{ReorderProb: 1, DelayMax: 50 * time.Microsecond}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			n := NewDims(e, []int{2, 2})
+			n.SetInjector(fault.NewInjector(7, fault.Plan{Link: tc.faults}))
+			got := map[NodeID][]uint32{}
+			for i := 0; i < n.Nodes(); i++ {
+				n.Attach(NodeID(i), func(p *Packet) { got[p.Src] = append(got[p.Src], p.DstOff) })
+			}
+			const count = 20
+			wave := func(src, dst NodeID) {
+				for i := uint32(0); i < count; i++ {
+					n.Send(&Packet{Src: src, Dst: dst, DstOff: i, Payload: make([]byte, 64)})
+					if f := n.flows[[2]NodeID{src, dst}]; f == nil || f.inFlight != int(i)+1 {
+						t.Fatalf("%d -> %d: flow record %+v after %d sends", src, dst, f, i+1)
+					}
+				}
+				e.RunAll()
+			}
+			wave(0, 3)
+			if len(n.flows) != 0 || len(n.freeFlows) != 1 {
+				t.Fatalf("after drain: %d flows, %d free records, want 0 and 1", len(n.flows), len(n.freeFlows))
+			}
+			rec := n.freeFlows[0]
+			if *rec != (flow{}) {
+				t.Fatalf("recycled record not zeroed: %+v", *rec)
+			}
+			wave(1, 2)
+			if len(n.flows) != 0 || len(n.freeFlows) != 1 || n.freeFlows[0] != rec {
+				t.Fatal("the second pair did not take and return the recycled record")
+			}
+			for _, src := range []NodeID{0, 1} {
+				seq := got[src]
+				if len(seq) != count {
+					t.Fatalf("from %d: delivered %d of %d", src, len(seq), count)
+				}
+				overtaken := false
+				for i := 1; i < len(seq); i++ {
+					overtaken = overtaken || seq[i] < seq[i-1]
+				}
+				if overtaken != tc.overtake {
+					t.Fatalf("from %d: overtaking %v, want %v: %v", src, overtaken, tc.overtake, seq)
+				}
+			}
+		})
 	}
 }
 

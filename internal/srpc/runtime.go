@@ -304,12 +304,13 @@ func (b *Binding) ReplyVA(rlen int) kernel.VA {
 	return b.in + kernel.VA(flagOff-rlen)
 }
 
-// ReadReply copies the reply payload out (for stubs that return Go values).
-func (b *Binding) ReadReply(rlen int) []byte {
-	if rlen == 0 {
-		return nil
-	}
-	return b.ep.Proc.ReadBytes(b.ReplyVA(rlen), rlen)
+// ReadReply copies the reply payload into dst, grown to rlen bytes, and
+// returns it (for stubs that return Go values). A caller that passes the
+// previous call's slice back reads every reply into one buffer.
+func (b *Binding) ReadReply(dst []byte, rlen int) []byte {
+	dst = grow(dst, rlen)
+	b.ep.Proc.ReadInto(b.ReplyVA(rlen), dst)
+	return dst
 }
 
 // --- Server side ---
@@ -345,12 +346,22 @@ func (b *Binding) ArgsVA(argLen int) kernel.VA {
 	return b.in + kernel.VA(flagOff-argLen)
 }
 
-// ReadArgs copies the argument payload out (stubs for by-value parameters).
-func (b *Binding) ReadArgs(argLen int) []byte {
-	if argLen == 0 {
-		return nil
+// ReadArgs copies the argument payload into dst, grown to argLen bytes,
+// and returns it (stubs for by-value parameters). Like ReadReply, it reuses
+// dst's storage whenever it is large enough.
+func (b *Binding) ReadArgs(dst []byte, argLen int) []byte {
+	dst = grow(dst, argLen)
+	b.ep.Proc.ReadInto(b.ArgsVA(argLen), dst)
+	return dst
+}
+
+// grow returns dst resized to n bytes, reallocating only when its capacity
+// is short. The contents are not preserved; the caller overwrites them.
+func grow(dst []byte, n int) []byte {
+	if cap(dst) < n {
+		return make([]byte, n)
 	}
-	return b.ep.Proc.ReadBytes(b.ArgsVA(argLen), argLen)
+	return dst[:n]
 }
 
 // Finish completes the current call: the results (already written through
