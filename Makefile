@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz manifest trace-smoke svm app partition chaos snap-smoke meshscale meshscale-smoke bench check clean
+.PHONY: all build test race vet fmt lint fuzz manifest trace-smoke svm app partition chaos meshscale meshscale-smoke bench check clean
 
 all: build
 
@@ -33,25 +33,24 @@ lint:
 	$(GO) run ./cmd/shrimplint ./...
 
 # fuzz gives the XDR round-trip, raw-decode, trace, mesh packet-codec,
-# event-queue differential, snapshot-image decode, SRPC IDL parser, SunRPC
-# header decode, and KV batch and replication image decode targets a brief
-# shake; the corpus accumulates in the Go build cache. This is the one list
-# of fuzz targets; CI runs it.
+# event-queue differential, SRPC IDL parser, SunRPC header decode, and KV
+# batch and replication image decode targets a brief shake; the corpus
+# accumulates in the Go build cache. This is the one list of fuzz targets;
+# CI runs it.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/xdr
 	$(GO) test -run NONE -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME) ./internal/xdr
 	$(GO) test -run NONE -fuzz FuzzChromeTrace -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run NONE -fuzz FuzzPacketCodec -fuzztime $(FUZZTIME) ./internal/mesh
 	$(GO) test -run NONE -fuzz FuzzEventQueue -fuzztime $(FUZZTIME) ./internal/sim
-	$(GO) test -run NONE -fuzz FuzzSnapDecode -fuzztime $(FUZZTIME) ./internal/snap
 	$(GO) test -run NONE -fuzz FuzzParseIDL -fuzztime $(FUZZTIME) ./internal/srpc
 	$(GO) test -run NONE -fuzz FuzzDecodeHeaders -fuzztime $(FUZZTIME) ./internal/sunrpc
 	$(GO) test -run NONE -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME) ./internal/app
 	$(GO) test -run NONE -fuzz FuzzDecodeRepl -fuzztime $(FUZZTIME) ./internal/app
 
 # manifest rewrites results/manifest.txt, the determinism manifest: one line
-# per snapshot-equivalence cell with its replay digest, event and switch
-# counts, and output hash. TestDeterminismManifest (part of `go test ./...`)
+# per cell (the chaos matrix plus every scenario-table row under the empty
+# plan) with its replay digest, event and switch counts, and output hash. TestDeterminismManifest (part of `go test ./...`)
 # checks the code against it. A change that moves a cell regenerates it and
 # explains every moved field.
 manifest:
@@ -86,15 +85,6 @@ app:
 partition:
 	$(GO) run ./cmd/shrimpbench -fig partition
 
-# snap-smoke is the snapshot-determinism gate: a restored world must
-# produce a byte-identical replay digest to the live world it was cloned
-# from — the cheap capture/restore/replay cell plus the equivalence matrix
-# over the whole scenario table (every chaos cell, and every row under the
-# empty plan).
-snap-smoke:
-	$(GO) test ./internal/snap
-	$(GO) test -run 'TestSnapshotEquivalenceMatrix' ./internal/bench
-
 # meshscale runs the big-mesh scaling study: 64, 256, and 1024 nodes on
 # k-ary n-cube geometries (square 2-D meshes, a 3-D cube at 1024), with
 # in-network combining off and on. Every cell runs twice and must replay
@@ -126,11 +116,10 @@ bench:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/kernel ./internal/nic ./internal/mesh ./internal/nx ./internal/srpc ./internal/app ./internal/bench .
 
 # check runs every gate CI runs: gofmt, build, vet, lint, race-enabled
-# tests, trace determinism, snapshot determinism, mesh-scaling digest
-# stability, the chaos soak, and the partition cells. CI also gives the
-# fuzz targets a brief shake (make fuzz) and runs the microbenchmarks;
-# neither is part of check.
-check: fmt build vet lint race trace-smoke snap-smoke meshscale-smoke chaos partition
+# tests, trace determinism, mesh-scaling digest stability, the chaos soak,
+# and the partition cells. CI also gives the fuzz targets a brief shake
+# (make fuzz) and runs the microbenchmarks; neither is part of check.
+check: fmt build vet lint race trace-smoke meshscale-smoke chaos partition
 
 clean:
 	$(GO) clean ./...

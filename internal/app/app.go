@@ -26,10 +26,16 @@ import (
 	"shrimp/internal/trace"
 )
 
+// shardsPerNode sets the shard count: two shards per node.
+const shardsPerNode = 2
+
+// replDeadline bounds a replication call; expiry marks the follower down
+// and degrades the shard. It must be comfortably below CallDeadline: a
+// client call may sit behind one full replication timeout.
+const replDeadline = 2 * time.Millisecond
+
 // Config tunes the serving subsystem.
 type Config struct {
-	// Shards is the number of shards (default 2 per node).
-	Shards int
 	// QueueBound is the per-shard admission limit, in queued ops; a batch
 	// op arriving at a shard whose backlog is at the bound is shed
 	// (default 512).
@@ -40,11 +46,6 @@ type Config struct {
 	// CallDeadline bounds a client batch call; expiry is the failover
 	// detection signal (default 5ms).
 	CallDeadline time.Duration
-	// ReplDeadline bounds a replication call; expiry marks the follower
-	// down and degrades the shard (default 2ms). Must be comfortably
-	// below CallDeadline: a client call may sit behind one full
-	// replication timeout.
-	ReplDeadline time.Duration
 	// Trace, when non-nil, receives latency histograms, counters, and
 	// queue-depth gauges (pass the same collector given to cluster.New).
 	Trace *trace.Collector
@@ -58,10 +59,7 @@ type Config struct {
 	Reachable func(a, b int) bool
 }
 
-func (cfg *Config) defaults(nodes int) {
-	if cfg.Shards == 0 {
-		cfg.Shards = 2 * nodes
-	}
+func (cfg *Config) defaults() {
 	if cfg.QueueBound == 0 {
 		cfg.QueueBound = 512
 	}
@@ -70,9 +68,6 @@ func (cfg *Config) defaults(nodes int) {
 	}
 	if cfg.CallDeadline == 0 {
 		cfg.CallDeadline = 5 * time.Millisecond
-	}
-	if cfg.ReplDeadline == 0 {
-		cfg.ReplDeadline = 2 * time.Millisecond
 	}
 }
 
@@ -126,15 +121,16 @@ func Start(cl *cluster.Cluster, cfg Config) (*App, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("app: need at least 2 nodes, have %d", n)
 	}
-	cfg.defaults(n)
-	if cfg.Shards > 1<<16 {
-		return nil, fmt.Errorf("app: shard count %d exceeds wire limit", cfg.Shards)
+	cfg.defaults()
+	shards := shardsPerNode * n
+	if shards > 1<<16 {
+		return nil, fmt.Errorf("app: shard count %d exceeds wire limit", shards)
 	}
 	a := &App{
 		Cl:        cl,
 		Cfg:       cfg,
-		Map:       NewShardMap(cfg.Shards, n),
-		Rec:       NewRecorder(cfg.Shards, cfg.Trace),
+		Map:       NewShardMap(shards, n),
+		Rec:       NewRecorder(shards, cfg.Trace),
 		nodes:     make([]*serverNode, n),
 		down:      make([]bool, n),
 		gen:       make([]int, n),
@@ -402,7 +398,7 @@ func (a *App) Lookup(key uint64) ([]byte, bool) {
 // ShardStores returns, for every shard, the primary's entry count —
 // host-side inspection for tests and reports.
 func (a *App) ShardStores() []int {
-	out := make([]int, a.Cfg.Shards)
+	out := make([]int, len(a.Map.Shards))
 	for s := range out {
 		in := a.Map.Shards[s]
 		if in.Primary >= 0 && !a.down[in.Primary] && a.nodes[in.Primary] != nil {

@@ -13,6 +13,12 @@ import (
 	"shrimp/internal/vmmc"
 )
 
+// tick is the arrival-schedule quantum.
+const tick = 20 * time.Microsecond
+
+// zipfS is the Zipf exponent of key draws: skewed, hot rank 1.
+const zipfS = 1.07
+
 // Config shapes the offered load.
 type Config struct {
 	// Sessions is the number of simulated client sessions, spread evenly
@@ -27,8 +33,6 @@ type Config struct {
 	Gateways []int
 	// Duration is the generation window in virtual time (default 10ms).
 	Duration time.Duration
-	// Tick is the arrival-schedule quantum (default 20µs).
-	Tick time.Duration
 	// Rate is the aggregate offered load in ops/sec of virtual time,
 	// averaged over on/off bursts (default 1e6).
 	Rate float64
@@ -40,8 +44,6 @@ type Config struct {
 	// Keys is the key-space size; draws are Zipfian ranks 1..Keys
 	// (default 1<<16).
 	Keys int
-	// ZipfS is the Zipf exponent (default 1.07 — skewed, hot rank 1).
-	ZipfS float64
 	// WriteFrac is the put fraction (default 0.1).
 	WriteFrac float64
 	// BatchOps caps ops per SRPC batch call (default 128; batches also
@@ -78,17 +80,11 @@ func (cfg *Config) defaults(nodes int) error {
 	if cfg.Duration == 0 {
 		cfg.Duration = 10 * time.Millisecond
 	}
-	if cfg.Tick == 0 {
-		cfg.Tick = 20 * time.Microsecond
-	}
 	if cfg.Rate == 0 {
 		cfg.Rate = 1e6
 	}
 	if cfg.Keys == 0 {
 		cfg.Keys = 1 << 16
-	}
-	if cfg.ZipfS == 0 {
-		cfg.ZipfS = 1.07
 	}
 	if cfg.WriteFrac == 0 {
 		cfg.WriteFrac = 0.1
@@ -258,7 +254,7 @@ func Start(a *app.App, cfg Config) (*Gen, error) {
 		g.AckedPuts = make(map[uint64]uint32)
 		g.ackHist = make(map[uint64][]ackStep)
 	}
-	zipf := newZipf(cfg.Keys, cfg.ZipfS)
+	zipf := newZipf(cfg.Keys, zipfS)
 	nodes := len(a.Cl.Nodes)
 	perGW := cfg.Sessions / len(cfg.Gateways)
 	for gi, node := range cfg.Gateways {
@@ -395,7 +391,7 @@ func (gw *gateway) tickerBody(p *kernel.Process) {
 		duty := float64(g.cfg.OnMean) / float64(g.cfg.OnMean+g.cfg.OffMean)
 		onRate = perGWRate / duty
 	}
-	perTick := onRate * g.cfg.Tick.Seconds()
+	perTick := onRate * tick.Seconds()
 	gw.on = true
 	if g.cfg.OnMean > 0 && g.cfg.OffMean > 0 {
 		// Bursty: start in an off phase of length zero so the first flip
@@ -432,7 +428,7 @@ func (gw *gateway) tickerBody(p *kernel.Process) {
 				gw.wake()
 			}
 		}
-		p.P.Sleep(g.cfg.Tick)
+		p.P.Sleep(tick)
 	}
 	gw.done = true
 	gw.wake()

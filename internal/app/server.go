@@ -116,11 +116,11 @@ func (a *App) startNode(i int) {
 	sn := &serverNode{
 		app:         a,
 		node:        i,
-		shards:      make([]*shardState, a.Cfg.Shards),
+		shards:      make([]*shardState, len(a.Map.Shards)),
 		poke:        sim.NewCond(a.Cl.Eng),
 		out:         make([]*outProxy, n),
-		session:     make([]bool, a.Cfg.Shards),
-		pendingRepl: make([]int, a.Cfg.Shards),
+		session:     make([]bool, len(a.Map.Shards)),
+		pendingRepl: make([]int, len(a.Map.Shards)),
 	}
 	for s := range sn.shards {
 		sn.shards[s] = &shardState{store: NewStore()}
@@ -653,7 +653,7 @@ func (px *outProxy) prebinds() bool {
 // caught by the replication call timeout instead.
 func (px *outProxy) bind(ep *vmmc.Endpoint) bool {
 	a := px.sn.app
-	bd := a.Cfg.ReplDeadline
+	bd := replDeadline
 	if f := a.Cl.Timeouts().BindFloor; bd < f {
 		bd = f
 	}
@@ -710,7 +710,7 @@ func (px *outProxy) run(p *kernel.Process, ep *vmmc.Endpoint, e *outEntry) {
 		binary.LittleEndian.PutUint32(img, uint32(cnt))
 		binary.LittleEndian.PutUint32(img[4:], mode)
 		px.img = img
-		rlen, err := px.b.CallTimeout(ProcRepl, img, a.Cfg.ReplDeadline)
+		rlen, err := px.b.CallTimeout(ProcRepl, img, replDeadline)
 		if err != nil {
 			a.Rec.Count(&a.Rec.ReplFail, "repl.fail", 1)
 			px.b = nil

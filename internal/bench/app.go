@@ -205,7 +205,7 @@ func appServe(r *run, opts AppServeOpts, stats *AppServeStats) error {
 	if stats != nil {
 		rep := g.Report()
 		stats.Nodes = len(cl.Nodes)
-		stats.Shards = a.Cfg.Shards
+		stats.Shards = len(a.Map.Shards)
 		stats.Sessions = rep.Sessions
 		stats.Requests = rep.Requests
 		stats.Admitted = rec.Admitted

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"shrimp/internal/fault"
 	"shrimp/internal/sim"
 	"shrimp/internal/trace"
 )
@@ -20,13 +21,41 @@ const manifestPath = "../../results/manifest.txt"
 // manifestColumns names the fields of a manifest line, in order.
 var manifestColumns = [...]string{"cell", "digest", "events", "switches", "output"}
 
-const manifestHeader = `# Determinism manifest: one line per snapshot-equivalence cell, each run
-# once at injector seed 1 with a replay digest and a trace collector attached.
+const manifestHeader = `# Determinism manifest: one line per cell of the chaos matrix and per
+# scenario-table row without a plan of its own, each run once at injector
+# seed 1 with a replay digest and a trace collector attached.
 # Columns: cell, replay digest, engine events, proc switches, and the SHA-256
 # of the cell's description line followed by its Chrome trace.
 # TestDeterminismManifest checks the code against it; regenerate it with
 # make manifest and explain every field that moved.
 `
+
+// namedCell is one cell of the determinism manifest under its unique name.
+type namedCell struct {
+	name string
+	chaosCell
+}
+
+// matrixCells is the manifest's cell list: the whole chaos matrix (every
+// scenario-table row under every standard plan, named row-plan, and each
+// row with a plan of its own, named by the row) plus every row without a
+// plan of its own under the empty plan, named by the row.
+func matrixCells() []namedCell {
+	var cells []namedCell
+	for _, c := range chaosCells() {
+		name := c.name
+		if c.scenario.plan == nil {
+			name += "-" + c.plan.Name
+		}
+		cells = append(cells, namedCell{name, c})
+	}
+	for _, s := range scenarios() {
+		if s.plan == nil {
+			cells = append(cells, namedCell{s.name, chaosCell{s, fault.Plan{Name: "none"}}})
+		}
+	}
+	return cells
+}
 
 // manifestLine runs one cell and renders its manifest fields.
 func manifestLine(t *testing.T, c namedCell) []string {

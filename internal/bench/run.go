@@ -10,23 +10,18 @@ import (
 
 // run is one scenario's context, and the only way a driver gets a cluster.
 // It carries what every cluster built inside the scenario shares — the
-// trace collector, a config rewriter (fault plans, tighter timeouts), a
-// cluster provider (snapshot clones), and the replay digest —
-// and it owns those clusters: the harness inspects them when the scenario
-// ends, then close shuts every one of them down.
+// trace collector, a config rewriter (fault plans, tighter timeouts), and
+// the replay digest — and it owns those clusters: the harness inspects
+// them when the scenario ends, then close shuts every one of them down.
 type run struct {
-	trace *trace.Collector
-	mod   func(*cluster.Config)
-	// provide, when non-nil, sources a cluster for the resolved config
-	// instead of a fresh boot.
-	provide func(cluster.Config) *cluster.Cluster
-	digest  *sim.DigestTracer
-	built   []*cluster.Cluster
+	trace  *trace.Collector
+	mod    func(*cluster.Config)
+	digest *sim.DigestTracer
+	built  []*cluster.Cluster
 }
 
 // cluster resolves a driver's cluster request: the collector and the
-// rewriter apply first, the digest rides the config, and the provider, if
-// set, serves the world in place of a fresh boot.
+// rewriter apply first, then the digest rides the config.
 func (r *run) cluster(cfg cluster.Config) *cluster.Cluster {
 	cfg.Trace = r.trace
 	if r.mod != nil {
@@ -35,12 +30,7 @@ func (r *run) cluster(cfg cluster.Config) *cluster.Cluster {
 	if r.digest != nil {
 		cfg.Auto = r.digest
 	}
-	var c *cluster.Cluster
-	if r.provide != nil {
-		c = r.provide(cfg)
-	} else {
-		c = cluster.New(cfg)
-	}
+	c := cluster.New(cfg)
 	r.built = append(r.built, c)
 	return c
 }

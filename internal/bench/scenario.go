@@ -30,11 +30,11 @@ type scenario struct {
 
 // scenarios is the scenario table, the one list of what the harness runs:
 // TraceFigure picks a row by name, RunFigures builds the rows' sweeps, the
-// chaos soak runs every row under the fault plans, and the snapshot and
-// shutdown tests enumerate the same rows. A full figure sweep builds
-// dozens of independent clusters, and a trace across all of them would
-// interleave unrelated virtual timelines; each figure's row is therefore
-// its most telling single point. The order is the chaos matrix's order.
+// chaos soak runs every row under the fault plans, and the determinism
+// manifest and shutdown tests enumerate the same rows. A full figure sweep
+// builds dozens of independent clusters, and a trace across all of them
+// would interleave unrelated virtual timelines; each figure's row is
+// therefore its most telling single point. The order is the chaos matrix's order.
 func scenarios() []scenario {
 	const iters = 4
 	rows := []scenario{

@@ -27,7 +27,7 @@ type Config struct {
 	// backplane and overrides MeshX/MeshY: MeshDims[d] routers per
 	// dimension d, dimension 0 varying fastest in the node index.
 	// {x, y} is exactly MeshX: x, MeshY: y. New resolves the legacy 2-D
-	// fields into this slice, so a resolved Config always carries it.
+	// fields into this slice.
 	MeshDims []int
 	// Combining enables router-level in-network combining of collective
 	// traffic on the backplane (mesh/combine.go): barriers and global
@@ -138,15 +138,6 @@ func New(cfg Config) *Cluster {
 			cfg.MeshY = 2
 		}
 		cfg.MeshDims = []int{cfg.MeshX, cfg.MeshY}
-	} else {
-		// Mirror the n-dim geometry into the legacy fields so code that
-		// only knows MeshX*MeshY (snap, reports) still sees the node
-		// count: dim 0 is "X", everything above folds into "Y".
-		cfg.MeshX = cfg.MeshDims[0]
-		cfg.MeshY = 1
-		for _, d := range cfg.MeshDims[1:] {
-			cfg.MeshY *= d
-		}
 	}
 	nodes := 1
 	for _, d := range cfg.MeshDims {
@@ -163,7 +154,6 @@ func New(cfg Config) *Cluster {
 		if err := cfg.FaultPlan.Validate(nodes); err != nil {
 			// A malformed fault plan is a harness configuration bug,
 			// caught at construction.
-			//lint:allow transitive-panic harness configuration bug caught at boot, not a protocol error
 			panic("cluster: invalid fault plan: " + err.Error())
 		}
 	}
@@ -183,7 +173,7 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{Eng: eng, Mesh: msh, Ether: eth, cfg: cfg}
 	if cfg.Reliable {
-		msh.EnableReliability(mesh.RelConfig{})
+		msh.EnableReliability()
 	}
 	for i := 0; i < nodes; i++ {
 		m := kernel.NewMachine(i, eng, cfg.MemBytes)
@@ -204,15 +194,6 @@ func New(cfg Config) *Cluster {
 
 // Timeouts returns the resolved failure-detection knobs for this cluster.
 func (c *Cluster) Timeouts() Timeouts { return c.cfg.Timeouts }
-
-// Config returns the resolved configuration the cluster was built with —
-// the boot recipe. The snapshot layer embeds it in world images so a
-// restore can re-run the identical recipe before installing state.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// Settle drains every event at the current virtual instant without letting
-// the clock advance — the quiesce step before a snapshot capture.
-func (c *Cluster) Settle() { c.Eng.Settle() }
 
 // Reachable reports whether messages can currently flow between two live
 // nodes in both directions: false when either node is dead or an armed
@@ -319,7 +300,7 @@ func (c *Cluster) CrashNode(i int) {
 func (c *Cluster) RestartNode(i int) *Node {
 	old := c.Node(i)
 	if !old.Dead {
-		//lint:allow transitive-panic harness sequencing bug: only crashed nodes restart
+		// A harness sequencing bug: only crashed nodes restart.
 		panic(fmt.Sprintf("cluster: restart of live node %d", i))
 	}
 	m := kernel.NewMachine(i, c.Eng, c.cfg.MemBytes)

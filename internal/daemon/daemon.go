@@ -221,7 +221,6 @@ func (d *Daemon) onFault(data any) {
 	// a packet reach a disabled page. The handler runs in event context
 	// with no caller to hand an error to, and dropping the packet would
 	// silently lose data a sender believes delivered.
-	//lint:allow transitive-panic mapping-protocol invariant broken; an IRQ handler has no caller to return an error to
 	panic(fmt.Sprintf("shrimpd%d: receive-path protection fault: frame %d from node %d",
 		d.NodeID, f.Frame, f.Src))
 }
@@ -255,7 +254,9 @@ func (d *Daemon) serve(p *kernel.Process) {
 			// Fabric-originated announcement; no reply (there is no sender).
 			d.reapDeadNode(p, req.Node)
 		default:
-			//lint:allow transitive-panic the daemon port carries only this package's request types; anything else is a wiring bug, and dropping it would park its sender forever
+			// The port carries only this package's request types;
+			// anything else is a wiring bug, and dropping it would park
+			// its sender forever.
 			panic(fmt.Sprintf("shrimpd%d: unknown request %T", d.NodeID, m.Payload))
 		}
 	}

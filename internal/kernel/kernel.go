@@ -182,7 +182,7 @@ func (m *Machine) RaiseIRQ(vector int, data any) {
 	}
 	fn, ok := m.irq[vector]
 	if !ok {
-		//lint:allow transitive-panic wiring bug: every vector is registered at machine construction
+		// A wiring bug: every vector is registered at machine construction.
 		panic(fmt.Sprintf("kernel: node %d spurious interrupt %d", m.ID, vector))
 	}
 	m.IRQRaised++
@@ -792,23 +792,6 @@ func (p *Process) WaitWord(va VA, pred func(uint32) bool) uint32 {
 	}
 }
 
-// WaitAnyChange blocks until pred holds, re-checking whenever a write lands
-// in a page containing any of the given addresses. pred is charged one
-// poll-check per evaluation. This is the multi-connection poll loop the
-// message-passing libraries use (scan all senders, sleep until something
-// changes).
-func (p *Process) WaitAnyChange(vas []VA, pred func() bool) {
-	conds := p.waitSet(vas, nil)
-	defer p.endWait()
-	for {
-		p.P.Sleep(hw.PollCheckCost)
-		if pred() {
-			return
-		}
-		sim.WaitAny(p.P, conds...)
-	}
-}
-
 // waitSet returns the conds a multi-source wait blocks on: the watcher of
 // each distinct page holding one of vas, in first-appearance order, then
 // extra. The list lives in the pooled slot for the next nesting level (a
@@ -836,8 +819,11 @@ func (p *Process) endWait() { p.waitDepth-- }
 
 // WaitPred blocks until pred holds, re-checking when a write lands in a
 // page containing one of vas or when any of the extra conds is signaled.
-// Used by servers multiplexing memory-mapped streams with control-network
-// ports.
+// pred is charged one poll-check per evaluation. This is the
+// multi-connection poll loop the message-passing libraries use (scan all
+// senders, sleep until something changes); servers multiplexing
+// memory-mapped streams with control-network ports add their ports' conds
+// as extra.
 func (p *Process) WaitPred(vas []VA, extra []*sim.Cond, pred func() bool) {
 	conds := p.waitSet(vas, extra)
 	defer p.endWait()

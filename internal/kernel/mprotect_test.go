@@ -222,7 +222,7 @@ func TestMprotectDefaultRW(t *testing.T) {
 		}
 		p.Mprotect(va, 2, ProtNone)
 		p.Mprotect(va, 2, ProtRW)
-		if prot := p.SnapImage().Prot; len(prot) != 0 {
+		if _, prot, _ := walkPages(p); len(prot) != 0 {
 			t.Errorf("protection overrides not cleared: %v", prot)
 		}
 		p.WriteWord(va, 7) // no handler installed; must not fault

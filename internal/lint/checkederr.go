@@ -21,7 +21,6 @@ var errSurfaceSuffixes = []string{
 	"/internal/app",
 	"/internal/retry",
 	"/internal/fault",
-	"/internal/snap",
 }
 
 func isErrSurfacePackage(path string) bool {

@@ -23,7 +23,7 @@ var orderSensitiveCalls = map[string]bool{
 	"Compute": true, "Poke": true, "Peek": true, "PeekWord": true,
 	"WriteWord": true, "WriteBytes": true, "CopyVA": true,
 	"WaitWord": true, "WaitChange": true,
-	"WaitAnyChange": true, "WaitPred": true,
+	"WaitPred": true,
 	// NIC / mesh / daemon operations
 	"Send": true, "Call": true, "Recv": true, "RecvAll": true,
 	"Quiesce": true, "QuiesceIncoming": true, "WaitDrained": true,

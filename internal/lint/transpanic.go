@@ -20,7 +20,6 @@ var datapathSuffixes = []string{
 	"/internal/app",
 	"/internal/retry",
 	"/internal/fault",
-	"/internal/snap",
 }
 
 func isDatapathPackage(path string) bool {

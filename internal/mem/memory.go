@@ -61,12 +61,6 @@ type Memory struct {
 	// root is a few dozen pointers, so constructing a 40MB memory costs
 	// nearly nothing.
 	frames []*pageChunk
-	// seals, when non-nil, carries per-frame copy-on-write bits: a sealed
-	// frame's backing slice is shared with a snapshot image or a cloned
-	// Memory and must be copied out before the first local write. Nil until
-	// Seal/Clone/InstallFrames, so ordinary worlds never pay for the check
-	// beyond one nil test. See cow.go.
-	seals []*sealChunk
 
 	// hooks is a two-level table shaped like frames, filled in on first
 	// use: per frame, its write watcher (created by the first wait on the
@@ -156,8 +150,6 @@ func (m *Memory) page(f PFN) []byte {
 }
 
 // pageW returns the frame's backing bytes for writing, materializing it.
-// A sealed (copy-on-write shared) frame is copied out privately first, so
-// snapshot images and clones never observe local writes.
 func (m *Memory) pageW(f PFN) []byte {
 	c := m.frames[f>>pageChunkShift]
 	if c == nil {
@@ -168,16 +160,6 @@ func (m *Memory) pageW(f PFN) []byte {
 	if p == nil {
 		p = make([]byte, hw.Page)
 		c[f&(1<<pageChunkShift-1)] = p
-		return p
-	}
-	if m.seals != nil {
-		if sc := m.seals[f>>pageChunkShift]; sc != nil && sc[f&(1<<pageChunkShift-1)] {
-			np := make([]byte, hw.Page)
-			copy(np, p)
-			c[f&(1<<pageChunkShift-1)] = np
-			sc[f&(1<<pageChunkShift-1)] = false
-			return np
-		}
 	}
 	return p
 }

@@ -169,14 +169,12 @@ func New(eng *sim.Engine, x, y int) *Network {
 // NewDims(eng, []int{x, y}) is exactly New(eng, x, y).
 func NewDims(eng *sim.Engine, dims []int) *Network {
 	if len(dims) == 0 {
-		//lint:allow transitive-panic harness configuration bug caught at construction
 		panic("mesh: at least one dimension required")
 	}
 	total := 1
 	strides := make([]int, len(dims))
 	for d, k := range dims {
 		if k <= 0 {
-			//lint:allow transitive-panic harness configuration bug caught at construction
 			panic("mesh: dimensions must be positive")
 		}
 		strides[d] = total
@@ -273,11 +271,9 @@ func (n *Network) Recycle(pkt *Packet) {
 // Attach registers the packet handler for node id (its NIC's incoming path).
 func (n *Network) Attach(id NodeID, h Handler) {
 	if int(id) < 0 || int(id) >= n.Nodes() {
-		//lint:allow transitive-panic topology wiring bug caught at construction
 		panic(fmt.Sprintf("mesh: attach to invalid node %d", id))
 	}
 	if n.handlers[id] != nil {
-		//lint:allow transitive-panic topology wiring bug caught at construction
 		panic(fmt.Sprintf("mesh: node %d attached twice", id))
 	}
 	n.handlers[id] = h
@@ -291,7 +287,7 @@ func (n *Network) Attach(id NodeID, h Handler) {
 // negotiates fresh sequence numbers.
 func (n *Network) Detach(id NodeID) {
 	if int(id) < 0 || int(id) >= n.Nodes() {
-		//lint:allow transitive-panic topology wiring bug: crash plans are validated at boot
+		// A wiring bug: crash plans are validated at boot.
 		panic(fmt.Sprintf("mesh: detach of invalid node %d", id))
 	}
 	n.handlers[id] = nil
@@ -410,7 +406,9 @@ func (n *Network) transmit(pkt *Packet) {
 		return
 	}
 	if n.handlers[pkt.Dst] == nil {
-		panic(fmt.Sprintf("mesh: send to unattached node %d", pkt.Dst)) //lint:allow transitive-panic topology wiring bug: every node attaches its handler at construction; crashed nodes are handled above
+		// Every node attaches its handler at construction; crashed nodes
+		// are handled above.
+		panic(fmt.Sprintf("mesh: send to unattached node %d", pkt.Dst))
 	}
 	now := n.eng.Now()
 	size := pkt.Size()

@@ -23,32 +23,16 @@ import (
 // cumulative (ack N acknowledges every sequence ≤ N) and are themselves
 // subject to injected drops; the sender's retransmit timer recovers.
 
-// RelConfig tunes the reliability sublayer. The zero value selects the
-// defaults noted on each field.
-type RelConfig struct {
-	// Timeout is the initial retransmit timeout (default 30us — several
-	// worst-case round trips across the largest supported mesh).
-	Timeout time.Duration
-	// MaxBackoff caps the exponential backoff (default 500us).
-	MaxBackoff time.Duration
-	// MaxRetries is the number of consecutive timeouts without forward
-	// progress before a flow is abandoned — the peer is presumed dead
-	// (default 12).
-	MaxRetries int
-}
-
-func (c RelConfig) withDefaults() RelConfig {
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Microsecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 500 * time.Microsecond
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 12
-	}
-	return c
-}
+const (
+	// relTimeout is the initial retransmit timeout: several worst-case
+	// round trips across the largest supported mesh.
+	relTimeout = 30 * time.Microsecond
+	// relMaxBackoff caps the exponential backoff.
+	relMaxBackoff = 500 * time.Microsecond
+	// relMaxRetries is the number of consecutive timeouts without forward
+	// progress before a flow is abandoned: the peer is presumed dead.
+	relMaxRetries = 12
+)
 
 // RelStats are the sublayer's tallies, for tests and chaos reports.
 type RelStats struct {
@@ -56,7 +40,7 @@ type RelStats struct {
 	AcksSent     int64 // ack control packets emitted
 	DupDrops     int64 // out-of-sequence arrivals discarded (go-back-N)
 	ChecksumDrop int64 // arrivals discarded by the wire checksum
-	FlowsAborted int64 // flows abandoned after MaxRetries (peer dead)
+	FlowsAborted int64 // flows abandoned after relMaxRetries (peer dead)
 }
 
 // relFlow is the sender-side state of one (src,dst) pair.
@@ -78,7 +62,6 @@ type relRecv struct {
 // reliability is the sublayer attached to a Network.
 type reliability struct {
 	n     *Network
-	cfg   RelConfig
 	flows map[[2]NodeID]*relFlow
 	recvs map[[2]NodeID]*relRecv
 	stats RelStats
@@ -86,10 +69,9 @@ type reliability struct {
 
 // EnableReliability turns the link-level retransmit sublayer on. Must be
 // called before any traffic flows.
-func (n *Network) EnableReliability(cfg RelConfig) {
+func (n *Network) EnableReliability() {
 	n.rel = &reliability{
 		n:     n,
-		cfg:   cfg.withDefaults(),
 		flows: make(map[[2]NodeID]*relFlow),
 		recvs: make(map[[2]NodeID]*relRecv),
 	}
@@ -110,7 +92,7 @@ func (r *reliability) flow(src, dst NodeID) *relFlow {
 	key := [2]NodeID{src, dst}
 	f := r.flows[key]
 	if f == nil {
-		f = &relFlow{src: src, dst: dst, rto: r.cfg.Timeout}
+		f = &relFlow{src: src, dst: dst, rto: relTimeout}
 		r.flows[key] = f
 	}
 	return f
@@ -161,19 +143,19 @@ func (r *reliability) arm(f *relFlow) {
 }
 
 // expire is the retransmit timeout: back off and go-back-N resend the
-// whole unacked window, or abandon the flow after MaxRetries.
+// whole unacked window, or abandon the flow after relMaxRetries.
 func (r *reliability) expire(f *relFlow) {
 	if len(f.unacked) == 0 || f.aborted {
 		return
 	}
 	f.retries++
-	if f.retries > r.cfg.MaxRetries {
+	if f.retries > relMaxRetries {
 		r.abort(f)
 		return
 	}
 	f.rto *= 2
-	if f.rto > r.cfg.MaxBackoff {
-		f.rto = r.cfg.MaxBackoff
+	if f.rto > relMaxBackoff {
+		f.rto = relMaxBackoff
 	}
 	for _, pkt := range f.unacked {
 		r.stats.Retransmits++
@@ -239,7 +221,7 @@ func (r *reliability) onAck(pkt *Packet) {
 	}
 	f.unacked = f.unacked[trimmed:]
 	f.retries = 0
-	f.rto = r.cfg.Timeout
+	f.rto = relTimeout
 	if f.timer != nil {
 		f.timer.Stop()
 	}

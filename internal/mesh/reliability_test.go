@@ -10,11 +10,11 @@ import (
 
 // relRig builds a reliable mesh with an armed injector and a collector on
 // the destination that records arrival order by DstOff.
-func relRig(t *testing.T, plan fault.Plan, cfg RelConfig) (*sim.Engine, *Network, *[]uint32) {
+func relRig(t *testing.T, plan fault.Plan) (*sim.Engine, *Network, *[]uint32) {
 	t.Helper()
 	e := sim.NewEngine()
 	n := New(e, 2, 2)
-	n.EnableReliability(cfg)
+	n.EnableReliability()
 	n.SetInjector(fault.NewInjector(7, plan))
 	var got []uint32
 	n.Attach(3, func(p *Packet) { got = append(got, p.DstOff) })
@@ -46,7 +46,7 @@ func checkInOrder(t *testing.T, got []uint32, count int) {
 }
 
 func TestReliabilityRecoversDrops(t *testing.T) {
-	e, n, got := relRig(t, fault.Plan{Link: fault.LinkFaults{DropProb: 0.2}}, RelConfig{})
+	e, n, got := relRig(t, fault.Plan{Link: fault.LinkFaults{DropProb: 0.2}})
 	sendN(e, n, 50)
 	e.RunAll()
 	checkInOrder(t, *got, 50)
@@ -57,7 +57,7 @@ func TestReliabilityRecoversDrops(t *testing.T) {
 }
 
 func TestReliabilityCatchesCorruption(t *testing.T) {
-	e, n, got := relRig(t, fault.Plan{Link: fault.LinkFaults{CorruptProb: 0.2}}, RelConfig{})
+	e, n, got := relRig(t, fault.Plan{Link: fault.LinkFaults{CorruptProb: 0.2}})
 	sendN(e, n, 50)
 	e.RunAll()
 	checkInOrder(t, *got, 50)
@@ -73,7 +73,7 @@ func TestReliabilityCatchesCorruption(t *testing.T) {
 func TestReliabilityRestoresOrderUnderReorder(t *testing.T) {
 	e, n, got := relRig(t, fault.Plan{Link: fault.LinkFaults{
 		ReorderProb: 0.3, DelayMax: 30 * time.Microsecond,
-	}}, RelConfig{})
+	}})
 	sendN(e, n, 80)
 	e.RunAll()
 	checkInOrder(t, *got, 80)
@@ -88,17 +88,16 @@ func TestReliabilityRestoresOrderUnderReorder(t *testing.T) {
 func TestReliabilityMixedFaults(t *testing.T) {
 	e, n, got := relRig(t, fault.Plan{Link: fault.LinkFaults{
 		DropProb: 0.05, CorruptProb: 0.05, DelayProb: 0.1, ReorderProb: 0.05,
-	}}, RelConfig{})
+	}})
 	sendN(e, n, 100)
 	e.RunAll()
 	checkInOrder(t, *got, 100)
 }
 
 // TestFlowAbortsAfterMaxRetries: a 100%-lossy link is a dead peer; the
-// sender must give up after MaxRetries instead of retransmitting forever.
+// sender must give up after relMaxRetries instead of retransmitting forever.
 func TestFlowAbortsAfterMaxRetries(t *testing.T) {
-	e, n, got := relRig(t, fault.Plan{Link: fault.LinkFaults{DropProb: 1}},
-		RelConfig{Timeout: 5 * time.Microsecond, MaxRetries: 3})
+	e, n, got := relRig(t, fault.Plan{Link: fault.LinkFaults{DropProb: 1}})
 	sendN(e, n, 4)
 	e.RunAll()
 	if len(*got) != 0 {
@@ -121,7 +120,7 @@ func TestFlowAbortsAfterMaxRetries(t *testing.T) {
 // TestReliabilityZeroFaultZeroPerturbation: with no faults, the sublayer
 // must not retransmit, discard, or duplicate anything — only ack.
 func TestReliabilityZeroFaultZeroPerturbation(t *testing.T) {
-	e, n, got := relRig(t, fault.Plan{}, RelConfig{})
+	e, n, got := relRig(t, fault.Plan{})
 	sendN(e, n, 20)
 	e.RunAll()
 	checkInOrder(t, *got, 20)
@@ -140,7 +139,7 @@ func TestReliabilityDeterministic(t *testing.T) {
 	scenario := func() {
 		e := sim.NewEngine()
 		n := New(e, 2, 2)
-		n.EnableReliability(RelConfig{})
+		n.EnableReliability()
 		n.SetInjector(fault.NewInjector(11, fault.Plan{Link: fault.LinkFaults{
 			DropProb: 0.1, CorruptProb: 0.05, ReorderProb: 0.1,
 		}}))

@@ -271,7 +271,7 @@ func (n *NIC) AllocOPT(count int) (int, error) {
 // growOPT extends the demand-grown table to cover index idx.
 func (n *NIC) growOPT(idx int) {
 	if idx < 0 || idx >= n.optCap {
-		panic(fmt.Sprintf("nic: OPT index %d outside the %d-entry table", idx, n.optCap)) //lint:allow transitive-panic hardware assertion: OPT indices come from AllocOPT or a snapshot of this geometry
+		panic(fmt.Sprintf("nic: OPT index %d outside the %d-entry table", idx, n.optCap)) //lint:allow transitive-panic hardware assertion: OPT indices come from AllocOPT
 	}
 	if grow := idx + 1 - len(n.opt); grow > 0 {
 		n.opt = append(n.opt, make([]OPTEntry, grow)...)
@@ -832,8 +832,7 @@ func (n *NIC) maybeIdle() {
 
 // OutgoingIdle reports whether no automatic-update packet is open, the
 // packetizer, outgoing FIFO and port are empty, and the DU engine has no
-// queued or running work. Each busy slot has a completion event pending,
-// so SnapState, which refuses a board that is not idle, never captures one.
+// queued or running work.
 func (n *NIC) OutgoingIdle() bool {
 	return n.open == nil && n.pktz.len() == 0 && n.outQ.len() == 0 &&
 		n.injectPkt == nil && n.duJob == nil && n.duQ.len() == 0

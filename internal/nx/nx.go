@@ -203,9 +203,8 @@ type conn struct {
 	backup      kernel.VA
 	backupCap   int
 	sendSeq     uint32
-	recvSeq     map[int]uint32 // unused placeholder for future per-type tracking
-	freeBufs    []int          // packet buffers we may still fill
-	creditsSeen int            // credits consumed from the peer's ring
+	freeBufs    []int // packet buffers we may still fill
+	creditsSeen int   // credits consumed from the peer's ring
 
 	// Receiver-side state for the peer's messages.
 	creditsGiven int   // credits we have stamped into our outgoing ring
@@ -460,7 +459,7 @@ func (nx *NX) Drain() {
 		if len(nx.pendingZC) == 0 {
 			break
 		}
-		p.WaitAnyChange(nx.wake, func() bool { return nx.pendingActionable() })
+		p.WaitPred(nx.wake, nil, func() bool { return nx.pendingActionable() })
 	}
 	nx.flushAllCredits()
 }

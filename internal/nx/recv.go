@@ -32,7 +32,7 @@ func (nx *NX) Crecv(typesel int, buf kernel.VA, count int) int {
 			return nx.consumeSelf(sm, buf, count)
 		}
 		nx.flushAllCredits()
-		p.WaitAnyChange(nx.wake, func() bool {
+		p.WaitPred(nx.wake, nil, func() bool {
 			return nx.matchExists(typesel) || nx.pendingActionable()
 		})
 	}
@@ -60,7 +60,7 @@ func (nx *NX) Cprobe(typesel int) {
 			return
 		}
 		nx.flushAllCredits()
-		p.WaitAnyChange(nx.wake, func() bool {
+		p.WaitPred(nx.wake, nil, func() bool {
 			return nx.matchExists(typesel) || nx.pendingActionable()
 		})
 	}
@@ -143,7 +143,7 @@ func (nx *NX) Msgwait(id ID) {
 			return
 		}
 		nx.flushAllCredits()
-		p.WaitAnyChange(nx.wake, func() bool { return true })
+		p.WaitPred(nx.wake, nil, func() bool { return true })
 	}
 }
 
@@ -330,7 +330,7 @@ func (nx *NX) waitChunk(cn *conn, flag uint32, msgID uint32, idx int) candidate 
 			return candidate{cn: cn, buf: buf, h: h}
 		}
 		nx.flushAllCredits()
-		p.WaitAnyChange(cn.inPages, func() bool { return true })
+		p.WaitPred(cn.inPages, nil, func() bool { return true })
 	}
 }
 

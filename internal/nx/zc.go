@@ -68,7 +68,7 @@ func (nx *NX) zcStart(zs *zcSend, cn *conn, typ int, userVA kernel.VA, n, pid in
 	// done rings are finite).
 	for cn.zcOut >= MaxZC {
 		nx.servicePending()
-		p.WaitAnyChange(cn.inPages, func() bool { return true })
+		p.WaitPred(cn.inPages, nil, func() bool { return true })
 	}
 	seq := cn.zcSendSeq
 	cn.zcSendSeq++
@@ -274,7 +274,7 @@ func (nx *NX) drainPending(cn *conn) {
 		if !busy {
 			return
 		}
-		p.WaitAnyChange(cn.inPages, func() bool { return true })
+		p.WaitPred(cn.inPages, nil, func() bool { return true })
 	}
 }
 

@@ -132,29 +132,3 @@ func (b *Backoff) f64() float64 {
 	b.rng += 0x9e3779b97f4a7c15
 	return float64(mix64(b.rng)>>11) / (1 << 53)
 }
-
-// State is a Backoff's complete mutable state: the exponential cursor, the
-// spent budget, and the jitter stream's seed position. A Backoff restored
-// from a State continues the exact draw sequence the captured one would
-// have produced — the snapshot layer's requirement that retry schedules
-// replay bit-for-bit across a world clone.
-type State struct {
-	Nominal  time.Duration
-	Attempts int
-	RNG      uint64
-}
-
-// SnapState dumps the backoff's state. The policy is not part of it: a
-// restored Backoff is built with New under the same policy, which the
-// caller knows statically.
-func (b *Backoff) SnapState() State {
-	return State{Nominal: b.nominal, Attempts: b.attempts, RNG: b.rng}
-}
-
-// RestoreState installs a captured state, positioning the jitter stream
-// exactly where the captured Backoff left it.
-func (b *Backoff) RestoreState(st State) {
-	b.nominal = st.Nominal
-	b.attempts = st.Attempts
-	b.rng = st.RNG
-}

@@ -339,7 +339,7 @@ func (e *Engine) cancel(ev *event, gen uint64) bool {
 // nothing (shrimplint's discarded-timer rule enforces this).
 func (e *Engine) Schedule(d time.Duration, fn func()) *Timer {
 	if d < 0 {
-		panic("sim: negative delay") //lint:allow transitive-panic API misuse by the caller, not a runtime condition
+		panic("sim: negative delay")
 	}
 	ev := e.post(e.now.Add(d), fn)
 	return &Timer{eng: e, ev: ev, gen: ev.gen, fn: fn}
@@ -425,23 +425,17 @@ func (e *Engine) Run(limit Time) Time {
 			panic("sim: time went backwards")
 		}
 		e.now = next.at
-		e.fire(next)
+		// Count the event, show it to every tracer in the order they
+		// were added, recycle it, then run its callback.
+		e.EventsRun++
+		fn := next.fn
+		for _, t := range e.tracers {
+			t.Event(next.at, next.seq)
+		}
+		e.recycle(next)
+		fn()
 	}
 	return e.now
-}
-
-// fire executes a dequeued event: it counts it, shows it to every tracer in
-// the order they were added, recycles it, then runs its callback. Run and
-// Settle both execute events through here, so the replay digest folds from
-// exactly one place.
-func (e *Engine) fire(ev *event) {
-	e.EventsRun++
-	fn := ev.fn
-	for _, t := range e.tracers {
-		t.Event(ev.at, ev.seq)
-	}
-	e.recycle(ev)
-	fn()
 }
 
 // RunAll executes until no events remain.
@@ -454,7 +448,7 @@ func (e *Engine) RunAll() Time { return e.Run(0) }
 // still execute.
 func (e *Engine) Shutdown() {
 	if e.cur != nil {
-		//lint:allow transitive-panic harness sequencing bug: teardown only runs between simulations
+		// A harness sequencing bug: teardown only runs between simulations.
 		panic("sim: Shutdown from inside a proc")
 	}
 	for _, p := range e.procs {

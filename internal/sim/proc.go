@@ -183,7 +183,7 @@ func (p *Proc) Kill() {
 		return
 	}
 	if p.eng.cur == p {
-		//lint:allow transitive-panic engine discipline bug: self-kill would deadlock the scheduler
+		// Self-kill would deadlock the scheduler.
 		panic(fmt.Sprintf("sim: proc %q cannot Kill itself", p.Name))
 	}
 	p.killed = true

@@ -119,8 +119,7 @@ func TestKillBeforeFirstDispatch(t *testing.T) {
 	}
 }
 
-// An engine built and settled on one goroutine can be run to completion on
-// another, as snapshot pools hand background-built worlds to a scenario.
+// An engine started on one goroutine can be run to completion on another.
 // Meaningful under -race: the proc switches must publish state across the
 // goroutine handoff.
 func TestEngineRunsOnAnotherGoroutine(t *testing.T) {
@@ -146,11 +145,11 @@ func TestEngineRunsOnAnotherGoroutine(t *testing.T) {
 			}
 			c.Signal()
 		})
-		e.Settle()
+		e.Run(Time(us(1) / 2))
 	}()
 	wg.Wait()
 	if ticks != 0 {
-		t.Fatalf("settle advanced the procs: ticks=%d", ticks)
+		t.Fatalf("the first half microsecond advanced the procs: ticks=%d", ticks)
 	}
 	if _, err := e.RunChecked(Time(1e6)); err != nil {
 		t.Fatal(err)

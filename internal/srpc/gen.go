@@ -236,7 +236,7 @@ func genClient(p func(string, ...any), svc *Service) {
 			p("\t_ = rlen")
 		}
 		if bp != nil && bp.Dir == InOut {
-			p("\tn := c.B.ReplyLenWord(rlen)")
+			p("\tn := c.B.LenWord()")
 			p("\t%sR = c.B.ReplyBytesView(rlen, %d, n)", bp.Name, resScal)
 		}
 		p("\treturn")
@@ -303,7 +303,7 @@ func genServer(p func(string, ...any), svc *Service) {
 		}
 		switch {
 		case bp != nil && bp.Dir == InOut:
-			p("\t\t\tn := b.ArgLenWord(alen)")
+			p("\t\t\tn := b.LenWord()")
 			p("\t\t\trlen := %d + (n+3)&^3 + 4", resScal)
 			p("\t\t\t// Seed the INOUT data into the outgoing buffer: it")
 			p("\t\t\t// propagates back to the client in the background.")
@@ -312,7 +312,7 @@ func genServer(p func(string, ...any), svc *Service) {
 			callArgs = append(callArgs, "ref")
 			emitCallAndScalars(p, svc, pr, callArgs, results, "rlen", resScal)
 		case bp != nil:
-			p("\t\t\tn := b.ArgLenWord(alen)")
+			p("\t\t\tn := b.LenWord()")
 			p("\t\t\tview := b.ArgsBytesView(alen, %d, n)", argScal)
 			callArgs = append(callArgs, "view")
 			p("\t\t\trlen := %d", resScal)

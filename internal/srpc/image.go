@@ -116,15 +116,10 @@ func (v View) Peek() []byte {
 	return v.P.Peek(v.VA, v.N)
 }
 
-// ArgLenWord reads the length footer of a bytes field at the end of the
-// current argument image.
-func (b *Binding) ArgLenWord(argLen int) int {
-	return int(b.ep.Proc.ReadWord(b.in + kernel.VA(flagOff-4)))
-}
-
-// ReplyLenWord reads the length footer of a bytes field at the end of the
-// current reply image.
-func (b *Binding) ReplyLenWord(rlen int) int {
+// LenWord reads the length footer of a bytes field at the end of the
+// current argument or reply image. Every image ends at the flag word, so
+// the footer sits at the same offset whatever the image's length.
+func (b *Binding) LenWord() int {
 	return int(b.ep.Proc.ReadWord(b.in + kernel.VA(flagOff-4)))
 }
 

@@ -45,7 +45,7 @@ func (c *ClockClient) Null(data []byte) (dataR srpc.View) {
 	im.PutBytes(data)
 	rlen := c.B.Call(ProcClockNull, im.Build())
 	_ = rlen
-	n := c.B.ReplyLenWord(rlen)
+	n := c.B.LenWord()
 	dataR = c.B.ReplyBytesView(rlen, 0, n)
 	return
 }
@@ -58,7 +58,7 @@ func (c *ClockClient) Fill(value uint32, data []byte) (dataR srpc.View) {
 	im.PutBytes(data)
 	rlen := c.B.Call(ProcClockFill, im.Build())
 	_ = rlen
-	n := c.B.ReplyLenWord(rlen)
+	n := c.B.LenWord()
 	dataR = c.B.ReplyBytesView(rlen, 0, n)
 	return
 }
@@ -110,7 +110,7 @@ func ServeClock(b *srpc.Binding, impl ClockServer, limit int) {
 			b.WriteResultsAt(rlen, rim.Build())
 			b.Finish(proc, rlen)
 		case ProcClockNull:
-			n := b.ArgLenWord(alen)
+			n := b.LenWord()
 			rlen := 0 + (n+3)&^3 + 4
 			// Seed the INOUT data into the outgoing buffer: it
 			// propagates back to the client in the background.
@@ -121,7 +121,7 @@ func ServeClock(b *srpc.Binding, impl ClockServer, limit int) {
 		case ProcClockFill:
 			f := b.ArgsFields(alen, 4)
 			valueA := f.U32()
-			n := b.ArgLenWord(alen)
+			n := b.LenWord()
 			rlen := 0 + (n+3)&^3 + 4
 			// Seed the INOUT data into the outgoing buffer: it
 			// propagates back to the client in the background.
@@ -130,7 +130,7 @@ func ServeClock(b *srpc.Binding, impl ClockServer, limit int) {
 			impl.Fill(valueA, ref)
 			b.Finish(proc, rlen)
 		case ProcClockSum:
-			n := b.ArgLenWord(alen)
+			n := b.LenWord()
 			view := b.ArgsBytesView(alen, 0, n)
 			rlen := 8
 			totalR := impl.Sum(view)

@@ -4,6 +4,8 @@ package srpctest
 
 import (
 	"bytes"
+	"go/format"
+	"os"
 	"testing"
 	"time"
 
@@ -91,6 +93,38 @@ func run(t *testing.T, calls int, body func(c *ClockClient, p *kernel.Process)) 
 		t.Fatal("client never finished (deadlock?)")
 	}
 	return impl
+}
+
+// TestGeneratedStubsCurrent regenerates the stubs from clock.idl and
+// requires them, gofmt'd, to equal the committed clock_gen.go, so an edit
+// to the generator's templates cannot leave the stubs stale. Regenerate
+// with `go run ./cmd/srpcgen -pkg srpctest -o
+// internal/srpc/srpctest/clock_gen.go internal/srpc/srpctest/clock.idl`
+// and gofmt the result.
+func TestGeneratedStubsCurrent(t *testing.T) {
+	idl, err := os.ReadFile("clock.idl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := srpc.ParseIDL(string(idl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := srpc.Generate(svc, "srpctest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := format.Source([]byte(code))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("clock_gen.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("clock_gen.go is stale: regenerate it from clock.idl with srpcgen and gofmt")
+	}
 }
 
 func TestScalarsOnly(t *testing.T) {
