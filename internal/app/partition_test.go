@@ -129,7 +129,7 @@ func TestPartitionFencing(t *testing.T) {
 	var unavailSt, staleSt, okSt []uint32
 	cl.Spawn(1, "cli-minority", func(p *kernel.Process) {
 		a.WaitReady(p.P)
-		b, err := srpc.BindTimeout(vmmc.Attach(p, cl.Node(1).Daemon), cl.Ether, 1, app.Port, 50*time.Millisecond)
+		b, err := srpc.Bind(vmmc.Attach(p, cl.Node(1).Daemon), cl.Ether, 1, app.Port, 50*time.Millisecond)
 		if err != nil {
 			fail("minority bind: %v", err)
 			return
@@ -145,7 +145,7 @@ func TestPartitionFencing(t *testing.T) {
 	cl.Spawn(0, "cli-majority", func(p *kernel.Process) {
 		ep := vmmc.Attach(p, cl.Node(0).Daemon)
 		a.WaitReady(p.P)
-		b1, err := srpc.BindTimeout(ep, cl.Ether, 1, app.Port, 50*time.Millisecond)
+		b1, err := srpc.Bind(ep, cl.Ether, 1, app.Port, 50*time.Millisecond)
 		if err != nil {
 			fail("bind node 1: %v", err)
 			return
@@ -174,7 +174,7 @@ func TestPartitionFencing(t *testing.T) {
 			fail("promotion wrong: %+v (old epoch %d)", in, oldEpoch)
 			return
 		}
-		b2, err := srpc.BindTimeout(ep, cl.Ether, 2, app.Port, 50*time.Millisecond)
+		b2, err := srpc.Bind(ep, cl.Ether, 2, app.Port, 50*time.Millisecond)
 		if err != nil {
 			fail("bind node 2: %v", err)
 			return

@@ -657,7 +657,7 @@ func (px *outProxy) bind(ep *vmmc.Endpoint) bool {
 	if f := a.Cl.Timeouts().BindFloor; bd < f {
 		bd = f
 	}
-	b, err := srpc.BindTimeout(ep, a.Cl.Ether, px.target, ReplPort, bd)
+	b, err := srpc.Bind(ep, a.Cl.Ether, px.target, ReplPort, bd)
 	if err != nil {
 		a.Rec.Count(&a.Rec.ReplFail, "repl.fail", 1)
 		return false

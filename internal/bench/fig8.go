@@ -48,7 +48,7 @@ func srpcNull(r *run, size, iters int) float64 {
 			ready.Wait(p.P)
 		}
 		ep := vmmc.Attach(p, c.Node(0).Daemon)
-		b, err := srpc.Bind(ep, c.Ether, 1, 600)
+		b, err := srpc.Bind(ep, c.Ether, 1, 600, 0)
 		if err != nil {
 			panic(err)
 		}

@@ -415,7 +415,7 @@ func (d *Daemon) Import(proc *kernel.Process, node int, name string) (*ImportRec
 	bo := retry.New(importRetry, retry.Seed(uint64(d.NodeID), uint64(node), uint64(port.Addr().Port)))
 	var reply *ether.Message
 	for {
-		reply = port.CallTimeout(proc.P, ether.Addr{Node: node, Port: Port}, 64, importReq{Name: name, From: d.NodeID}, d.RPCTimeout)
+		reply = port.Call(proc.P, ether.Addr{Node: node, Port: Port}, 64, importReq{Name: name, From: d.NodeID}, d.RPCTimeout)
 		if reply != nil {
 			break
 		}
@@ -433,7 +433,7 @@ func (d *Daemon) Import(proc *kernel.Process, node int, name string) (*ImportRec
 	if err != nil {
 		// Give the reference back.
 		port2 := d.ephemeralPort()
-		port2.CallTimeout(proc.P, ether.Addr{Node: node, Port: Port}, 16, releaseReq{ExportID: resp.ExportID, From: d.NodeID}, d.RPCTimeout)
+		port2.Call(proc.P, ether.Addr{Node: node, Port: Port}, 16, releaseReq{ExportID: resp.ExportID, From: d.NodeID}, d.RPCTimeout)
 		port2.Close()
 		return nil, err
 	}
@@ -461,7 +461,7 @@ func (d *Daemon) Unimport(proc *kernel.Process, rec *ImportRec) error {
 	defer port.Close()
 	// Best-effort: if the exporter died, nobody is left to care about the
 	// reference count.
-	port.CallTimeout(proc.P, ether.Addr{Node: rec.Exporter, Port: Port}, 16, releaseReq{ExportID: rec.ExportID, From: d.NodeID}, d.RPCTimeout)
+	port.Call(proc.P, ether.Addr{Node: rec.Exporter, Port: Port}, 16, releaseReq{ExportID: rec.ExportID, From: d.NodeID}, d.RPCTimeout)
 	return nil
 }
 
@@ -489,7 +489,7 @@ func (d *Daemon) Unexport(proc *kernel.Process, rec *ExportRec) error {
 		}
 		port := d.ephemeralPort()
 		// Best-effort: a dead importer's mappings are already gone.
-		port.CallTimeout(proc.P, ether.Addr{Node: node, Port: Port}, 16, revokeReq{Exporter: d.NodeID, ExportID: rec.ID}, d.RPCTimeout)
+		port.Call(proc.P, ether.Addr{Node: node, Port: Port}, 16, revokeReq{Exporter: d.NodeID, ExportID: rec.ID}, d.RPCTimeout)
 		port.Close()
 	}
 	d.NIC.QuiesceIncoming(proc.P)

@@ -197,24 +197,13 @@ func (p *Port) TryRecv() *Message {
 
 // Call sends a request and blocks until a reply arrives on this port from
 // the destination address, leaving unrelated traffic queued. It is the
-// simple RPC idiom the daemons use. Returns nil if the port closes.
-func (p *Port) Call(proc *sim.Proc, to Addr, size int, payload any) *Message {
-	return p.call(proc, to, size, payload, 0)
-}
-
-// CallTimeout is Call with a deadline: it returns nil if no reply arrives
-// within d (datagrams are droppable; connection-establishment code uses
-// this instead of blocking forever on a dead peer).
-func (p *Port) CallTimeout(proc *sim.Proc, to Addr, size int, payload any, d time.Duration) *Message {
-	return p.call(proc, to, size, payload, d)
-}
-
-func (p *Port) call(proc *sim.Proc, to Addr, size int, payload any, d time.Duration) *Message {
+// simple RPC idiom the daemons use. It returns nil if the port closes or
+// no reply arrives within d (datagrams are droppable; connection
+// establishment bounds its wait on a dead peer this way). d == 0 means no
+// deadline.
+func (p *Port) Call(proc *sim.Proc, to Addr, size int, payload any, d time.Duration) *Message {
 	p.Send(proc, to, size, payload)
-	deadline := sim.Time(0)
-	if d > 0 {
-		deadline = proc.Now().Add(d)
-	}
+	deadline := proc.Now().Add(d)
 	for {
 		for i, m := range p.queue {
 			if m.From == to {
@@ -225,16 +214,14 @@ func (p *Port) call(proc *sim.Proc, to Addr, size int, payload any, d time.Durat
 		if !p.open {
 			return nil
 		}
+		remain := time.Duration(0)
 		if d > 0 {
-			remain := deadline.Sub(proc.Now())
-			if remain <= 0 {
+			if remain = deadline.Sub(proc.Now()); remain <= 0 {
 				return nil
 			}
-			if p.avail.WaitTimeout(proc, remain) {
-				return nil
-			}
-		} else {
-			p.avail.Wait(proc)
+		}
+		if sim.WaitAny(proc, remain, p.avail) {
+			return nil
 		}
 	}
 }

@@ -127,7 +127,7 @@ func TestCallMatchesReply(t *testing.T) {
 	})
 	e.Spawn("noise", func(p *sim.Proc) { noise.Send(p, Addr{0, 1}, 10, "noise") })
 	e.Spawn("client", func(p *sim.Proc) {
-		reply = cli.Call(p, Addr{1, 1}, 10, "req")
+		reply = cli.Call(p, Addr{1, 1}, 10, "req", 0)
 	})
 	e.RunAll()
 	if reply == nil || reply.Payload != "reply" {
@@ -165,7 +165,7 @@ func TestCallTimeout(t *testing.T) {
 	var elapsed time.Duration
 	e.Spawn("caller", func(p *sim.Proc) {
 		t0 := p.Now()
-		got = a.CallTimeout(p, Addr{1, 9}, 10, "req", 5*time.Millisecond)
+		got = a.Call(p, Addr{1, 9}, 10, "req", 5*time.Millisecond)
 		elapsed = p.Now().Sub(t0)
 	})
 	e.RunAll()
@@ -188,7 +188,7 @@ func TestCallTimeoutSuccess(t *testing.T) {
 		b.Send(p, m.From, 4, "pong")
 	})
 	e.Spawn("caller", func(p *sim.Proc) {
-		got = a.CallTimeout(p, Addr{1, 1}, 4, "ping", 50*time.Millisecond)
+		got = a.Call(p, Addr{1, 1}, 4, "ping", 50*time.Millisecond)
 	})
 	e.RunAll()
 	if got == nil || got.Payload != "pong" {

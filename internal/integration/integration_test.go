@@ -156,7 +156,7 @@ func TestAllLibrariesConcurrently(t *testing.T) {
 		for !srpcUp {
 			ready.Wait(p.P)
 		}
-		b, err := srpc.Bind(ep, c.Ether, 3, 600)
+		b, err := srpc.Bind(ep, c.Ether, 3, 600, 0)
 		if err != nil {
 			t.Error(err)
 			return

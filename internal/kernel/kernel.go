@@ -781,14 +781,31 @@ func (p *Process) PeekWord(va VA) uint32 { return p.M.Mem.U32(p.mustPA(va)) }
 // WaitWord blocks until pred holds on the word at va, polling via memory
 // watchers (no time quantization; one poll-check is charged per wakeup).
 func (p *Process) WaitWord(va VA, pred func(uint32) bool) uint32 {
+	v, _ := p.WaitWordTimeout(va, pred, 0)
+	return v
+}
+
+// WaitWordTimeout is WaitWord with a deadline d (d == 0: none); ok=false
+// on timeout. A wait that times out while parked returns the word's value
+// without a final poll.
+func (p *Process) WaitWordTimeout(va VA, pred func(uint32) bool, d time.Duration) (uint32, bool) {
 	pa := p.mustPA(va)
+	deadline := p.P.Now().Add(d)
 	for {
 		p.P.Sleep(hw.PollCheckCost)
 		v := p.M.Mem.U32(pa)
 		if pred(v) {
-			return v
+			return v, true
 		}
-		p.M.Mem.WaitChange(p.P, pa)
+		remain := time.Duration(0)
+		if d != 0 {
+			if remain = deadline.Sub(p.P.Now()); remain <= 0 {
+				return v, false
+			}
+		}
+		if p.M.Mem.WaitChange(p.P, pa, remain) {
+			return p.M.Mem.U32(pa), false
+		}
 	}
 }
 
@@ -832,51 +849,7 @@ func (p *Process) WaitPred(vas []VA, extra []*sim.Cond, pred func() bool) {
 		if pred() {
 			return
 		}
-		sim.WaitAny(p.P, conds...)
-	}
-}
-
-// WaitPredTimeout is WaitPred with a deadline: it reports whether pred
-// held (true) or the deadline passed first (false). The survivable
-// blocking paths (socket space/recv waits) are built on it.
-func (p *Process) WaitPredTimeout(vas []VA, extra []*sim.Cond, pred func() bool, d time.Duration) bool {
-	conds := p.waitSet(vas, extra)
-	defer p.endWait()
-	deadline := p.P.Now().Add(d)
-	for {
-		p.P.Sleep(hw.PollCheckCost)
-		if pred() {
-			return true
-		}
-		remain := deadline.Sub(p.P.Now())
-		if remain <= 0 {
-			return false
-		}
-		if sim.WaitAnyTimeout(p.P, remain, conds...) {
-			// Deadline hit while parked; one final check decides.
-			p.P.Sleep(hw.PollCheckCost)
-			return pred()
-		}
-	}
-}
-
-// WaitWordTimeout is WaitWord with a deadline; ok=false on timeout.
-func (p *Process) WaitWordTimeout(va VA, pred func(uint32) bool, d time.Duration) (uint32, bool) {
-	pa := p.mustPA(va)
-	deadline := p.P.Now().Add(d)
-	for {
-		p.P.Sleep(hw.PollCheckCost)
-		v := p.M.Mem.U32(pa)
-		if pred(v) {
-			return v, true
-		}
-		remain := deadline.Sub(p.P.Now())
-		if remain <= 0 {
-			return v, false
-		}
-		if p.M.Mem.WaitChangeTimeout(p.P, pa, remain) {
-			return p.M.Mem.U32(pa), false
-		}
+		sim.WaitAny(p.P, 0, conds...)
 	}
 }
 

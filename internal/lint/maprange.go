@@ -18,7 +18,7 @@ var orderSensitiveCalls = map[string]bool{
 	// sim engine / proc scheduling
 	"Schedule": true, "At": true, "Spawn": true, "Sleep": true,
 	"Signal": true, "Broadcast": true, "Interrupt": true,
-	"Wait": true, "WaitAny": true, "WaitTimeout": true,
+	"Wait": true, "WaitAny": true,
 	// kernel memory/cost primitives
 	"Compute": true, "Poke": true, "Peek": true, "PeekWord": true,
 	"WriteWord": true, "WriteBytes": true, "CopyVA": true,

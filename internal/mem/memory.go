@@ -303,16 +303,12 @@ func (m *Memory) SetSnooped(f PFN, on bool) {
 	}
 }
 
-// WaitChange blocks p until any write lands in the page containing pa.
+// WaitChange blocks p until any write lands in the page containing pa, or
+// until d elapses (d == 0: no deadline), and reports whether it timed out.
 // Callers re-check their predicate after waking, as with any condition
 // variable.
-func (m *Memory) WaitChange(p *sim.Proc, pa PA) {
-	m.cond(PageOf(pa)).Wait(p)
-}
-
-// WaitChangeTimeout is WaitChange with a deadline; reports true on timeout.
-func (m *Memory) WaitChangeTimeout(p *sim.Proc, pa PA, d time.Duration) bool {
-	return m.cond(PageOf(pa)).WaitTimeout(p, d)
+func (m *Memory) WaitChange(p *sim.Proc, pa PA, d time.Duration) bool {
+	return sim.WaitAny(p, d, m.cond(PageOf(pa)))
 }
 
 // PageCond returns the watcher condition variable for frame f, for callers

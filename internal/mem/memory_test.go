@@ -109,7 +109,7 @@ func TestWaitChangeWakesOnWrite(t *testing.T) {
 	var sawAt sim.Time
 	e.Spawn("waiter", func(p *sim.Proc) {
 		for m.U32(100) == 0 {
-			m.WaitChange(p, 100)
+			m.WaitChange(p, 100, 0)
 		}
 		sawAt = p.Now()
 	})
@@ -129,7 +129,7 @@ func TestWaitChangeIgnoresOtherPages(t *testing.T) {
 	wakes := 0
 	e.Spawn("waiter", func(p *sim.Proc) {
 		for m.U32(0) == 0 {
-			m.WaitChange(p, 0)
+			m.WaitChange(p, 0, 0)
 			wakes++
 		}
 	})

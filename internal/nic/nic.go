@@ -845,7 +845,7 @@ func (n *NIC) IncomingIdle() bool { return n.inPkt == nil && n.inQ.len() == 0 }
 // QuiesceIncoming blocks p until the receive path drains.
 func (n *NIC) QuiesceIncoming(p *sim.Proc) {
 	for !n.IncomingIdle() {
-		n.idleCond.WaitTimeout(p, 10*time.Microsecond)
+		sim.WaitAny(p, 10*time.Microsecond, n.idleCond)
 	}
 }
 
@@ -856,7 +856,7 @@ func (n *NIC) QuiesceIncoming(p *sim.Proc) {
 func (n *NIC) Quiesce(p *sim.Proc) {
 	n.flushOpen()
 	for !n.OutgoingIdle() {
-		n.idleCond.WaitTimeout(p, 10*time.Microsecond)
+		sim.WaitAny(p, 10*time.Microsecond, n.idleCond)
 	}
 }
 

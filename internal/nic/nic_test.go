@@ -196,7 +196,7 @@ func TestAUCombineTimerFlushes(t *testing.T) {
 	r.n0.BindAU(5, idx)
 	var arrivedAt sim.Time
 	r.eng.Spawn("watch", func(p *sim.Proc) {
-		r.m1.Mem.WaitChange(p, mem.PFN(10).Base())
+		r.m1.Mem.WaitChange(p, mem.PFN(10).Base(), 0)
 		arrivedAt = p.Now()
 	})
 	r.eng.Spawn("writer", func(p *sim.Proc) {
@@ -461,7 +461,7 @@ func TestCombineTimerRearms(t *testing.T) {
 	base := mem.PFN(5).Base()
 	var arrival sim.Time
 	r.eng.Spawn("watch", func(p *sim.Proc) {
-		r.m1.Mem.WaitChange(p, mem.PFN(10).Base())
+		r.m1.Mem.WaitChange(p, mem.PFN(10).Base(), 0)
 		arrival = p.Now()
 	})
 	gap := hw.CombineTimeout / 2

@@ -309,8 +309,9 @@ func (e *Engine) post(t Time, fn func()) *event {
 
 // cancel removes ev from the queue if it is still the event issued at
 // generation gen and has not fired, reporting whether it was pending.
-// Timer.Stop and the handle-free timed waits (WaitAnyTimeout) share it; the
-// generation check makes a stale cancel of a recycled event a no-op.
+// Timer.Stop and the handle-free timed waits (WaitAny with a deadline)
+// share it; the generation check makes a stale cancel of a recycled event
+// a no-op.
 func (e *Engine) cancel(ev *event, gen uint64) bool {
 	if ev.gen != gen {
 		return false

@@ -181,10 +181,10 @@ func TestCondWaitTimeout(t *testing.T) {
 	c := NewCond(e)
 	var timedOut, signaled bool
 	e.Spawn("t", func(p *Proc) {
-		timedOut = c.WaitTimeout(p, us(5))
+		timedOut = WaitAny(p, us(5), c)
 	})
 	e.Spawn("s", func(p *Proc) {
-		got := c.WaitTimeout(p, us(100))
+		got := WaitAny(p, us(100), c)
 		signaled = !got
 	})
 	e.Spawn("waker", func(p *Proc) {
@@ -244,24 +244,6 @@ func TestInterruptWhileBlocked(t *testing.T) {
 	}
 }
 
-func TestInterruptMasking(t *testing.T) {
-	e := NewEngine()
-	var trace []string
-	e.Spawn("t", func(p *Proc) {
-		p.MaskInterrupts()
-		p.Interrupt(func(*Proc) { trace = append(trace, "h1") })
-		p.Sleep(us(5))
-		trace = append(trace, "critical-done")
-		p.UnmaskInterrupts()
-		trace = append(trace, "after-unmask")
-	})
-	e.RunAll()
-	want := []string{"critical-done", "h1", "after-unmask"}
-	if !reflect.DeepEqual(trace, want) {
-		t.Fatalf("trace = %v, want %v", trace, want)
-	}
-}
-
 func TestServerFIFO(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e)
@@ -312,7 +294,7 @@ func TestDeterminism(t *testing.T) {
 					if counter%7 == 0 {
 						c.Broadcast()
 					} else if counter%11 == 0 {
-						c.WaitTimeout(p, us(30))
+						WaitAny(p, us(30), c)
 					}
 				}
 			})

@@ -58,12 +58,12 @@ type Proc struct {
 	// Interrupts: handlers that should run in this proc's context at its
 	// next yield point (used by the kernel signal machinery).
 	pendingInterrupts []func(*Proc)
-	interruptsMasked  bool
 
-	// frames pools the timed-wait state of WaitAnyTimeout, one frame per
+	// frames pools the state of timed WaitAny calls, one frame per
 	// nesting level: an interrupt handler that runs while a timed wait is
 	// parked may start a timed wait of its own, and each needs its own
-	// timeout flag. waitDepth is the number of frames in use.
+	// timeout flag. waitDepth is the number of frames in use; an untimed
+	// wait takes none.
 	frames    []*waitFrame
 	waitDepth int
 }
@@ -226,11 +226,10 @@ func (p *Proc) checkCurrent() {
 }
 
 // Interrupt queues fn to run in p's context at its next yield point (or
-// immediately unparks it if it is blocked on a Cond). If the proc has masked
-// interrupts, fn stays queued until unmasked.
+// immediately unparks it if it is blocked on a Cond).
 func (p *Proc) Interrupt(fn func(*Proc)) {
 	p.pendingInterrupts = append(p.pendingInterrupts, fn)
-	if len(p.waitingOn) > 0 && !p.interruptsMasked {
+	if len(p.waitingOn) > 0 {
 		// Wake the proc out of its cond wait so the handler runs promptly.
 		p.leaveConds()
 		p.unpark()
@@ -260,21 +259,7 @@ func (p *Proc) leaveConds() {
 	p.waitingOn = p.waitingOn[:0]
 }
 
-// MaskInterrupts defers queued and future interrupt handlers until
-// UnmaskInterrupts is called.
-func (p *Proc) MaskInterrupts() { p.interruptsMasked = true }
-
-// UnmaskInterrupts re-enables interrupt delivery and runs any queued
-// handlers immediately in the proc's context.
-func (p *Proc) UnmaskInterrupts() {
-	p.interruptsMasked = false
-	p.runPendingInterrupts()
-}
-
 func (p *Proc) runPendingInterrupts() {
-	if p.interruptsMasked {
-		return
-	}
 	for len(p.pendingInterrupts) > 0 {
 		// Dequeue by copying the tail down, so the queue keeps its
 		// backing array and Interrupt does not reallocate. A handler may
@@ -301,55 +286,42 @@ func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 
 // Wait blocks p until the cond is signaled (or p is interrupted). Callers
 // must loop: for !pred() { c.Wait(p) }.
-func (c *Cond) Wait(p *Proc) { WaitAny(p, c) }
+func (c *Cond) Wait(p *Proc) { WaitAny(p, 0, c) }
 
 // WaitAny blocks p until any one of the conds is signaled (or p is
-// interrupted). As with Wait, callers re-check predicates after waking.
-func WaitAny(p *Proc, conds ...*Cond) {
+// interrupted) or d elapses, whichever is first. It reports whether the
+// wait timed out (true) rather than being signaled. d == 0 means no
+// deadline: no timer is armed and the wait never times out. As with Wait,
+// callers re-check predicates after waking.
+func WaitAny(p *Proc, d time.Duration, conds ...*Cond) bool {
 	p.checkCurrent()
-	if len(p.pendingInterrupts) > 0 && !p.interruptsMasked {
-		p.runPendingInterrupts()
-		return
-	}
-	p.enterConds(conds)
-	p.park()
-	p.leaveConds()
-	p.waitRet = p.eng.now
-}
-
-// WaitTimeout blocks like Wait but gives up after d. It reports whether the
-// wait timed out (true) rather than being signaled.
-func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
-	return WaitAnyTimeout(p, d, c)
-}
-
-// WaitAnyTimeout blocks p until any one of the conds is signaled or d
-// elapses, whichever is first. It reports whether the wait timed out
-// (true) rather than being signaled. Callers re-check predicates after
-// waking, as with WaitAny.
-func WaitAnyTimeout(p *Proc, d time.Duration, conds ...*Cond) bool {
-	p.checkCurrent()
-	if len(p.pendingInterrupts) > 0 && !p.interruptsMasked {
+	if len(p.pendingInterrupts) > 0 {
 		p.runPendingInterrupts()
 		return false
 	}
 	if d < 0 {
 		panic("sim: negative delay") //lint:allow transitive-panic API misuse by the caller, not a runtime condition
 	}
-	if p.waitDepth == len(p.frames) {
-		f := &waitFrame{p: p}
-		f.expire = f.fire
-		p.frames = append(p.frames, f)
+	var f *waitFrame
+	if d > 0 {
+		if p.waitDepth == len(p.frames) {
+			f = &waitFrame{p: p}
+			f.expire = f.fire
+			p.frames = append(p.frames, f)
+		}
+		f = p.frames[p.waitDepth]
+		p.waitDepth++
+		f.timedOut = false
+		f.ev = p.eng.post(p.eng.now.Add(d), f.expire)
+		f.gen = f.ev.gen
 	}
-	f := p.frames[p.waitDepth]
-	p.waitDepth++
-	f.timedOut = false
-	f.ev = p.eng.post(p.eng.now.Add(d), f.expire)
-	f.gen = f.ev.gen
 	p.enterConds(conds)
 	p.park()
 	p.leaveConds()
 	p.waitRet = p.eng.now
+	if f == nil {
+		return false
+	}
 	p.eng.cancel(f.ev, f.gen)
 	f.ev = nil
 	p.waitDepth--
@@ -418,7 +390,7 @@ func (p *Proc) runOrRewait() {
 	p.wakePending = false
 	c, ready := p.recheckCond, p.recheckReady
 	p.recheckCond, p.recheckReady = nil, nil
-	if !p.dead && !p.killed && (len(p.pendingInterrupts) == 0 || p.interruptsMasked) && !ready(p) {
+	if !p.dead && !p.killed && len(p.pendingInterrupts) == 0 && !ready(p) {
 		c.waiters = append(c.waiters, p)
 		p.waitingOn = append(p.waitingOn[:0], c)
 		return

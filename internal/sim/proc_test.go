@@ -25,7 +25,7 @@ func TestCondPingPongAllocFree(t *testing.T) {
 	e.Spawn("pong", func(p *Proc) {
 		for {
 			for ball != 1 {
-				WaitAny(p, c, idle)
+				WaitAny(p, 0, c, idle)
 			}
 			ball = 0
 			budget--

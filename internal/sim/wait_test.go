@@ -7,14 +7,14 @@ import (
 )
 
 // timedWaitRig is a proc that, each round, blocks untimed on start and then
-// makes one WaitAnyTimeout on c — optionally interrupted mid-wait by a
-// handler that makes a nested timed wait of its own. Every callback is
+// makes one WaitAny on c with the outer deadline — optionally interrupted
+// mid-wait by a handler that makes a nested timed wait of its own. Every callback is
 // built once, so a warm round allocates only what the engine does.
 type timedWaitRig struct {
 	e             *Engine
 	start, c      *Cond
 	waiter        *Proc
-	outer, inner  int64 // timeouts in µs
+	outer, inner  int64 // timeouts in µs; an outer 0 waits untimed
 	signalAt      int64 // 0: never signal c
 	interruptAt   int64 // 0: never interrupt
 	outerTO       bool
@@ -29,12 +29,12 @@ func newTimedWaitRig() *timedWaitRig {
 	r := &timedWaitRig{e: NewEngine()}
 	r.start, r.c = NewCond(r.e), NewCond(r.e)
 	r.signal = func() { r.c.Broadcast() }
-	r.handler = func(p *Proc) { r.innerTO = WaitAnyTimeout(p, us(r.inner), r.c) }
+	r.handler = func(p *Proc) { r.innerTO = WaitAny(p, us(r.inner), r.c) }
 	r.intr = func() { r.waiter.Interrupt(r.handler) }
 	r.waiter = r.e.Spawn("waiter", func(p *Proc) {
 		for {
 			r.start.Wait(p)
-			r.outerTO = WaitAnyTimeout(p, us(r.outer), r.c)
+			r.outerTO = WaitAny(p, us(r.outer), r.c)
 			r.rounds++
 		}
 	})
@@ -62,6 +62,7 @@ func TestWaitAnyTimeoutFrames(t *testing.T) {
 		wantElapsed              int64
 	}{
 		{name: "signaled", outer: 10, sig: 3, wantElapsed: 3},
+		{name: "untimed", sig: 3, wantElapsed: 3},
 		{name: "timed out", outer: 10, wantOuterTO: true, wantElapsed: 10},
 		// The handler's own wait times out; the outer wait was
 		// interrupted, not timed out.
@@ -98,13 +99,15 @@ func TestWaitAnyTimeoutFrames(t *testing.T) {
 	}
 }
 
-// Timed waits must not allocate once warm, on the signaled path, the
-// timed-out path, and nested under an interrupt handler.
+// Waits must not allocate once warm: untimed, and timed on the signaled
+// path, the timed-out path, and nested under an interrupt handler.
 func TestWaitAnyTimeoutAllocFree(t *testing.T) {
 	cases := []struct {
 		name                    string
 		outer, inner, sig, intr int64
 	}{
+		{name: "untimed", sig: 3},
+		{name: "untimed nested", inner: 5, sig: 8, intr: 1},
 		{name: "signaled", outer: 10, sig: 3},
 		{name: "timed out", outer: 10},
 		{name: "nested", outer: 100, inner: 5, intr: 1},
@@ -115,11 +118,52 @@ func TestWaitAnyTimeoutAllocFree(t *testing.T) {
 			r.outer, r.inner, r.signalAt, r.interruptAt = tc.outer, tc.inner, tc.sig, tc.intr
 			r.round() // warm the frames, the event free list and the waiter arrays
 			if allocs := testing.AllocsPerRun(100, r.round); allocs != 0 {
-				t.Fatalf("%v allocs per timed wait, want 0", allocs)
+				t.Fatalf("%v allocs per wait, want 0", allocs)
 			}
 			r.e.Shutdown()
 		})
 	}
+}
+
+// TestWaitAnyZeroDeadline pins the d == 0 contract: an untimed wait arms
+// no timer and takes no wait frame, so a proc parked in it leaves the event
+// queue empty, and a timed wait that is signaled cancels its timer.
+func TestWaitAnyZeroDeadline(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e)
+	var timedOut []bool
+	waiter := e.Spawn("waiter", func(p *Proc) {
+		for {
+			timedOut = append(timedOut, WaitAny(p, 0, c))
+			timedOut = append(timedOut, WaitAny(p, us(10), c))
+		}
+	})
+	for round := 0; round < 2; round++ {
+		e.RunAll()
+		if n := e.QueueLen(); n != 0 {
+			t.Fatalf("round %d: parked untimed with %d events queued, want 0", round, n)
+		}
+		if waiter.waitDepth != 0 {
+			t.Fatalf("round %d: untimed wait took %d wait frames", round, waiter.waitDepth)
+		}
+		e.Post(us(1), c.Signal)
+		e.Run(e.Now().Add(us(2)))
+		if n := e.QueueLen(); n != 1 {
+			t.Fatalf("round %d: parked timed with %d events queued, want its timer only", round, n)
+		}
+		e.Post(us(1), c.Signal)
+	}
+	e.RunAll()
+	if n := e.QueueLen(); n != 0 {
+		t.Fatalf("a signaled timed wait left %d events queued", n)
+	}
+	if want := []bool{false, false, false, false}; !slices.Equal(timedOut, want) {
+		t.Fatalf("timed out = %v, want %v", timedOut, want)
+	}
+	if got := e.Now(); got != Time(0).Add(us(6)) {
+		t.Fatalf("now = %v, want 6us: a timeout fired", got)
+	}
+	e.Shutdown()
 }
 
 // TestRewaits pins Engine.Rewaits' definition: a cond wait counts when it
@@ -193,7 +237,7 @@ func TestBroadcastIfMatchesBroadcast(t *testing.T) {
 		e.Spawn("timed", func(p *Proc) {
 			for p.Now() < Time(us(80)) {
 				if work[workers] == 0 {
-					if c.WaitTimeout(p, us(3)) {
+					if WaitAny(p, us(3), c) {
 						did = append(did, fmt.Sprintf("%v timeout", p.Now()))
 					}
 					continue

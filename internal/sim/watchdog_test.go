@@ -130,7 +130,7 @@ func TestWaitAnyTimeoutTimesOut(t *testing.T) {
 	var timedOut bool
 	var woke Time
 	e.Spawn("waiter", func(p *Proc) {
-		timedOut = WaitAnyTimeout(p, 5*time.Millisecond, c)
+		timedOut = WaitAny(p, 5*time.Millisecond, c)
 		woke = p.Now()
 	})
 	e.RunAll()
@@ -147,7 +147,7 @@ func TestWaitAnyTimeoutSignaled(t *testing.T) {
 	a, b := NewCond(e), NewCond(e)
 	var timedOut bool
 	e.Spawn("waiter", func(p *Proc) {
-		timedOut = WaitAnyTimeout(p, time.Second, a, b)
+		timedOut = WaitAny(p, time.Second, a, b)
 	})
 	e.Schedule(time.Millisecond, func() { b.Broadcast() })
 	e.RunAll()

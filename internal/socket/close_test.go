@@ -118,61 +118,6 @@ func TestAbortWakesBlockedSender(t *testing.T) {
 	}
 }
 
-// TestRecvTimeout: SetTimeout bounds a Recv against a silent peer.
-func TestRecvTimeout(t *testing.T) {
-	rig(t, ModeDU1,
-		func(c *Conn, p *kernel.Process) {
-			// Say nothing for a while, then send the release so both
-			// sides exit cleanly.
-			p.P.Sleep(30 * time.Millisecond)
-			buf := p.Alloc(8, hw.WordSize)
-			if _, err := c.Send(buf, 8); err != nil {
-				t.Error(err)
-			}
-		},
-		func(c *Conn, p *kernel.Process) {
-			buf := p.Alloc(64, hw.WordSize)
-			c.SetTimeout(2 * time.Millisecond)
-			start := p.P.Now()
-			_, err := c.Recv(buf, 64)
-			if !errors.Is(err, ErrTimeout) {
-				t.Errorf("Recv = %v, want ErrTimeout", err)
-			}
-			if waited := p.P.Now().Sub(start); waited < 2*time.Millisecond || waited > 5*time.Millisecond {
-				t.Errorf("timed out after %v, deadline was 2ms", waited)
-			}
-			// The connection survives a timeout: clear it and drain the
-			// late data.
-			c.SetTimeout(0)
-			if n, err := c.Recv(buf, 64); err != nil || n == 0 {
-				t.Errorf("post-timeout Recv = %d, %v", n, err)
-			}
-		})
-}
-
-// TestSendTimeout: SetTimeout bounds a Send against a peer that never
-// drains the ring.
-func TestSendTimeout(t *testing.T) {
-	rig(t, ModeDU1,
-		func(c *Conn, p *kernel.Process) {
-			p.P.Sleep(30 * time.Millisecond) // never reads
-		},
-		func(c *Conn, p *kernel.Process) {
-			buf := p.Alloc(8192, hw.WordSize)
-			p.Poke(buf, make([]byte, 8192))
-			c.SetTimeout(2 * time.Millisecond)
-			var err error
-			for i := 0; i < 64; i++ {
-				if _, err = c.Send(buf, 8192); err != nil {
-					break
-				}
-			}
-			if !errors.Is(err, ErrTimeout) {
-				t.Errorf("Send against a full ring = %v, want ErrTimeout", err)
-			}
-		})
-}
-
 // TestSendAfterCloseFails: the existing post-close contract still holds
 // with the wakeup machinery in place.
 func TestSendAfterCloseFails(t *testing.T) {

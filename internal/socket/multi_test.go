@@ -140,44 +140,3 @@ func TestHalfClose(t *testing.T) {
 		t.Fatal("server never finished")
 	}
 }
-
-func TestRecvNoWait(t *testing.T) {
-	rig(t, ModeAU2,
-		func(c *Conn, p *kernel.Process) {
-			// Delay, then send 8 bytes.
-			p.Compute(2 * time.Millisecond)
-			buf := p.Alloc(8, 4)
-			p.Poke(buf, []byte("nonblock"))
-			if _, err := c.Send(buf, 8); err != nil {
-				t.Error(err)
-			}
-		},
-		func(c *Conn, p *kernel.Process) {
-			dst := p.Alloc(16, 4)
-			// Nothing buffered yet: returns immediately with 0.
-			t0 := p.P.Now()
-			n, err := c.RecvNoWait(dst, 8)
-			if err != nil || n != 0 {
-				t.Errorf("empty RecvNoWait: %d %v", n, err)
-			}
-			if p.P.Now().Sub(t0) > 100*time.Microsecond {
-				t.Error("RecvNoWait blocked")
-			}
-			// Poll until the data shows up, then it drains it.
-			for {
-				n, err = c.RecvNoWait(dst, 16)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if n > 0 {
-					break
-				}
-				p.P.Sleep(100 * time.Microsecond)
-			}
-			got := p.Peek(dst, n)
-			if string(got) != "nonblock"[:n] {
-				t.Errorf("payload %q", got)
-			}
-		})
-}

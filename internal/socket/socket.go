@@ -63,10 +63,6 @@ func (m Mode) String() string {
 // waiters that were parked in Send or Recv when Close ran.
 var ErrClosed = errors.New("socket: connection closed")
 
-// ErrTimeout is returned when a deadline set with SetTimeout expires while
-// blocked for ring space (Send) or data (Recv).
-var ErrTimeout = errors.New("socket: operation timed out")
-
 // Ring geometry: a 32 KB circular buffer per direction plus control words
 // written by the same writer as the data.
 const (
@@ -178,7 +174,7 @@ func (l *Lib) Connect(node, port int) (*Conn, error) {
 	eport := l.eth.Bind(ether.Addr{Node: l.node, Port: 40000 + l.seq})
 	// Bounded connection establishment: a dead or absent listener shows
 	// up as a refused connection, not a hang.
-	reply := eport.CallTimeout(p.P, ether.Addr{Node: node, Port: port}, 64+len(name),
+	reply := eport.Call(p.P, ether.Addr{Node: node, Port: port}, 64+len(name),
 		connectReq{Node: l.node, Region: name}, 100*time.Millisecond)
 	if reply == nil {
 		eport.Close()
@@ -260,15 +256,7 @@ type Conn struct {
 	// legal and returns buffered data, then EOF).
 	closeCond *sim.Cond
 	closeGen  int
-
-	// timeout bounds each blocking wait; zero waits forever.
-	timeout time.Duration
 }
-
-// SetTimeout bounds every subsequent blocking wait (for ring space in Send,
-// for data in Recv) to d; the expiring call returns ErrTimeout. Zero
-// restores indefinite blocking.
-func (c *Conn) SetTimeout(d time.Duration) { c.timeout = d }
 
 // Send writes n bytes from va into the stream, blocking for buffer space as
 // needed. It returns the number of bytes written (always n, unless the
@@ -356,7 +344,7 @@ func (c *Conn) stageAndSend(src kernel.VA, pos, chunk int) error {
 // waitSpace blocks until at least one byte of ring space is free, returning
 // how many contiguous-in-count bytes may be written (up to want). The wait
 // ends early — with an error — if the connection closes underneath the
-// blocked sender or the SetTimeout deadline expires.
+// blocked sender.
 func (c *Conn) waitSpace(want int) (int, error) {
 	p := c.lib.ep.Proc
 	free := ringBytes - (c.sent - c.ackSeen)
@@ -375,14 +363,7 @@ func (c *Conn) waitSpace(want int) (int, error) {
 			}
 			return false
 		}
-		if c.timeout > 0 {
-			if !p.WaitPredTimeout([]kernel.VA{ackVA}, []*sim.Cond{c.closeCond}, pred, c.timeout) {
-				wait.End()
-				return 0, ErrTimeout
-			}
-		} else {
-			p.WaitPred([]kernel.VA{ackVA}, []*sim.Cond{c.closeCond}, pred)
-		}
+		p.WaitPred([]kernel.VA{ackVA}, []*sim.Cond{c.closeCond}, pred)
 		wait.End()
 		if c.closeGen != gen {
 			return 0, ErrClosed
@@ -420,13 +401,7 @@ func (c *Conn) Recv(va kernel.VA, n int) (int, error) {
 			return int(p.PeekWord(writtenVA))-c.consumed > 0 ||
 				p.PeekWord(finVA) != 0 || c.closeGen != gen
 		}
-		if c.timeout > 0 {
-			if !p.WaitPredTimeout([]kernel.VA{writtenVA, finVA}, []*sim.Cond{c.closeCond}, pred, c.timeout) {
-				return 0, ErrTimeout
-			}
-		} else {
-			p.WaitPred([]kernel.VA{writtenVA, finVA}, []*sim.Cond{c.closeCond}, pred)
-		}
+		p.WaitPred([]kernel.VA{writtenVA, finVA}, []*sim.Cond{c.closeCond}, pred)
 		avail = int(p.PeekWord(writtenVA)) - c.consumed
 	}
 	if avail > n {
@@ -449,41 +424,6 @@ func (c *Conn) Recv(va kernel.VA, n int) (int, error) {
 	c.lib.tc.Count(c.lib.track, "recv.bytes", int64(got))
 	// Return buffer space to the sender once a quarter ring has been
 	// drained (or the ring was near-full).
-	if c.consumed-c.ackPub >= ringBytes/4 {
-		c.publishAck()
-	}
-	return got, nil
-}
-
-// RecvNoWait reads up to n available bytes without blocking (the
-// MSG_DONTWAIT idiom): it returns 0, nil when nothing is buffered and the
-// stream is still open, and 0 with EOF semantics handled by Recv.
-func (c *Conn) RecvNoWait(va kernel.VA, n int) (int, error) {
-	p := c.lib.ep.Proc
-	p.Compute(recvEntryCost)
-	if c.recvClosed {
-		return 0, ErrClosed
-	}
-	writtenVA := c.in + kernel.VA(ctlWritten)
-	avail := int(p.PeekWord(writtenVA)) - c.consumed
-	if avail == 0 {
-		return 0, nil
-	}
-	if avail > n {
-		avail = n
-	}
-	p.Compute(recvDeliverCost)
-	got := 0
-	for got < avail {
-		pos := c.consumed % ringBytes
-		chunk := avail - got
-		if room := ringBytes - pos; chunk > room {
-			chunk = room
-		}
-		p.CopyVA(va+kernel.VA(got), c.in+kernel.VA(pos), chunk)
-		c.consumed += chunk
-		got += chunk
-	}
 	if c.consumed-c.ackPub >= ringBytes/4 {
 		c.publishAck()
 	}

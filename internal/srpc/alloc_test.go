@@ -46,7 +46,7 @@ func nullCalls(t testing.TB, rounds int, measure func(round func())) {
 			ready.Wait(p.P)
 		}
 		ep := vmmc.Attach(p, c.Node(0).Daemon)
-		b, err := Bind(ep, c.Ether, 1, port)
+		b, err := Bind(ep, c.Ether, 1, port, 0)
 		if err != nil {
 			t.Error(err)
 			return

@@ -36,9 +36,9 @@ import (
 	"shrimp/internal/vmmc"
 )
 
-// ErrTimeout reports that a CallTimeout deadline expired before the reply
-// flag arrived — the serving-side failover path uses it to detect a dead
-// primary.
+// ErrTimeout reports that a Bind or CallTimeout deadline expired before
+// the reply arrived — the serving-side failover path uses it to detect a
+// dead primary.
 var ErrTimeout = errors.New("srpc: call timed out")
 
 // Buffer geometry: one region per direction; payloads grow downward from
@@ -141,8 +141,13 @@ func (ln *Listener) Accept() (*Binding, error) {
 	return b, nil
 }
 
-// Bind establishes a client binding to a listening service.
-func Bind(ep *vmmc.Endpoint, eth *ether.Network, serverNode, port int) (*Binding, error) {
+// Bind establishes a client binding to a listening service. d bounds the
+// rendezvous round-trip (d == 0: no deadline); when it expires, Bind
+// returns ErrTimeout instead of blocking forever on a server node that is
+// dead or not yet listening. Failover-aware clients (the serving
+// subsystem's gateways and replication path) always set one, since a
+// routing table can briefly point at a corpse.
+func Bind(ep *vmmc.Endpoint, eth *ether.Network, serverNode, port int, d time.Duration) (*Binding, error) {
 	p := ep.Proc
 	seq := eth.NameSeq()
 	name := fmt.Sprintf("srpc:%d:%06d", p.M.ID, seq)
@@ -153,37 +158,6 @@ func Bind(ep *vmmc.Endpoint, eth *ether.Network, serverNode, port int) (*Binding
 	eport := eth.Bind(ether.Addr{Node: p.M.ID, Port: 50000 + seq})
 	defer eport.Close()
 	reply := eport.Call(p.P, ether.Addr{Node: serverNode, Port: port}, 64+len(name),
-		bindReq{Node: p.M.ID, Region: name})
-	if reply == nil {
-		return nil, fmt.Errorf("srpc: bind to %d:%d failed", serverNode, port)
-	}
-	resp := reply.Payload.(bindResp)
-	if resp.Err != "" {
-		return nil, fmt.Errorf("srpc: bind: %s", resp.Err)
-	}
-	out, err := ep.Import(serverNode, resp.Region)
-	if err != nil {
-		return nil, err
-	}
-	return wire(ep, out, in)
-}
-
-// BindTimeout is Bind with a deadline on the rendezvous round-trip: it
-// returns ErrTimeout instead of blocking forever when the server node is
-// dead or not yet listening. Failover-aware clients (the serving
-// subsystem's gateways and replication path) use it exclusively, since a
-// routing table can briefly point at a corpse.
-func BindTimeout(ep *vmmc.Endpoint, eth *ether.Network, serverNode, port int, d time.Duration) (*Binding, error) {
-	p := ep.Proc
-	seq := eth.NameSeq()
-	name := fmt.Sprintf("srpc:%d:%06d", p.M.ID, seq)
-	in := p.MapPages(regionPages, 0)
-	if _, err := ep.Export(in, regionPages, vmmc.ExportOpts{Name: name}); err != nil {
-		return nil, err
-	}
-	eport := eth.Bind(ether.Addr{Node: p.M.ID, Port: 50000 + seq})
-	defer eport.Close()
-	reply := eport.CallTimeout(p.P, ether.Addr{Node: serverNode, Port: port}, 64+len(name),
 		bindReq{Node: p.M.ID, Region: name}, d)
 	if reply == nil {
 		return nil, ErrTimeout
@@ -199,18 +173,18 @@ func BindTimeout(ep *vmmc.Endpoint, eth *ether.Network, serverNode, port int, d 
 	return wire(ep, out, in)
 }
 
-// BindBackoff is BindTimeout under a retry policy: each attempt gets the
+// BindBackoff is Bind under a retry policy: each attempt gets the
 // same per-attempt deadline, and failed attempts sleep the policy's
 // seeded jittered backoff before trying again. Only rendezvous timeouts
 // retry — a server-side refusal (resp.Err) is definitive and returns
 // immediately. Warmup paths use it so one congested or gray rendezvous
 // does not permanently cost a client its binding; failure-detection paths
-// should keep calling BindTimeout directly, where slowness must stay
+// should keep calling Bind directly, where slowness must stay
 // indistinguishable from death.
 func BindBackoff(ep *vmmc.Endpoint, eth *ether.Network, serverNode, port int, d time.Duration, pol retry.Policy, seed uint64) (*Binding, error) {
 	bo := retry.New(pol, seed)
 	for {
-		b, err := BindTimeout(ep, eth, serverNode, port, d)
+		b, err := Bind(ep, eth, serverNode, port, d)
 		if err != ErrTimeout {
 			return b, err
 		}
@@ -242,36 +216,23 @@ func (b *Binding) Proc() *kernel.Process { return b.ep.Proc }
 // length must be a word multiple; images are laid out by generated stubs so
 // the data ends immediately below the flag). It blocks for the reply flag
 // and returns the reply payload length; the payload itself is read through
-// ReplyVA/ReadReply.
+// ReplyVA/ReadReply. Generated stubs have no error path, so a bad image
+// panics.
 func (b *Binding) Call(proc int, img []byte) int {
-	p := b.ep.Proc
-	if len(img)%4 != 0 || len(img) > MaxPayload {
-		panic(fmt.Sprintf("srpc: bad argument image length %d", len(img)))
+	rlen, err := b.CallTimeout(proc, img, 0)
+	if err != nil {
+		panic(err.Error())
 	}
-	span := b.tc.Begin(b.track, "call")
-	defer span.End()
-	b.tc.Count(b.track, "calls", 1)
-	b.tc.Count(b.track, "call.bytes", int64(len(img)))
-	b.seq++
-	// Arguments fill memory consecutively, ending at the flag, so the
-	// hardware combines arguments and flag into a single packet train.
-	if len(img) > 0 {
-		p.WriteBytes(b.shadow+kernel.VA(flagOff-len(img)), img)
-	}
-	p.WriteWord(b.shadow+kernel.VA(flagOff), packFlag(b.seq, proc, len(img)))
-
-	want := b.seq & 0xfff
-	v := p.WaitWord(b.in+kernel.VA(flagOff), func(v uint32) bool { return flagSeq(v) == want })
-	return flagLen(v)
+	return rlen
 }
 
 // CallTimeout is Call with a reply deadline: it issues the call and blocks
-// at most d for the reply flag, returning ErrTimeout when the deadline
-// expires (the peer is stalled or dead — the binding is then out of sync
-// and should be abandoned). Unlike Call it reports a bad argument image as
-// an error instead of panicking, so generated-stub-free callers (the
-// serving subsystem builds batch images at runtime) get a checkable
-// failure.
+// at most d for the reply flag (d == 0: no deadline), returning ErrTimeout
+// when the deadline expires (the peer is stalled or dead — the binding is
+// then out of sync and should be abandoned). Unlike Call it reports a bad
+// argument image as an error instead of panicking, so generated-stub-free
+// callers (the serving subsystem builds batch images at runtime) get a
+// checkable failure.
 func (b *Binding) CallTimeout(proc int, img []byte, d time.Duration) (int, error) {
 	p := b.ep.Proc
 	if len(img)%4 != 0 || len(img) > MaxPayload {
@@ -282,6 +243,8 @@ func (b *Binding) CallTimeout(proc int, img []byte, d time.Duration) (int, error
 	b.tc.Count(b.track, "calls", 1)
 	b.tc.Count(b.track, "call.bytes", int64(len(img)))
 	b.seq++
+	// Arguments fill memory consecutively, ending at the flag, so the
+	// hardware combines arguments and flag into a single packet train.
 	if len(img) > 0 {
 		p.WriteBytes(b.shadow+kernel.VA(flagOff-len(img)), img)
 	}

@@ -80,7 +80,7 @@ func run(t *testing.T, calls int, body func(c *ClockClient, p *kernel.Process)) 
 			ready.Wait(p.P)
 		}
 		ep := vmmc.Attach(p, cl.Node(0).Daemon)
-		b, err := srpc.Bind(ep, cl.Ether, 1, 600)
+		b, err := srpc.Bind(ep, cl.Ether, 1, 600, 0)
 		if err != nil {
 			t.Error(err)
 			return
@@ -237,7 +237,7 @@ func TestSequentialBindings(t *testing.T) {
 		cl.Spawn(node, "client", func(p *kernel.Process) {
 			p.P.Sleep(time.Duration(node) * 10 * time.Millisecond)
 			ep := vmmc.Attach(p, cl.Node(node).Daemon)
-			b, err := srpc.Bind(ep, cl.Ether, 3, 700)
+			b, err := srpc.Bind(ep, cl.Ether, 3, 700, 0)
 			if err != nil {
 				t.Error(err)
 				return

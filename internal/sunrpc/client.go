@@ -38,7 +38,7 @@ func Dial(ep *vmmc.Endpoint, eth *ether.Network, serverNode int, prog, vers uint
 	port := eth.Bind(ether.Addr{Node: p.M.ID, Port: 20000 + seq})
 	defer port.Close()
 	reply := port.Call(p.P, ether.Addr{Node: serverNode, Port: BinderPort}, 64+len(name),
-		bindReq{ClientNode: p.M.ID, ClientRegion: name, Mode: mode})
+		bindReq{ClientNode: p.M.ID, ClientRegion: name, Mode: mode}, 0)
 	if reply == nil {
 		return nil, fmt.Errorf("sunrpc: server %d unreachable", serverNode)
 	}

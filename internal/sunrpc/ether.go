@@ -123,7 +123,7 @@ func (c *EtherClient) Call(proc uint32, args func(*xdr.Encoder), results func(*x
 	}
 	// Copy into the socket buffer.
 	p.Compute(copyCost(len(sink.Buf)))
-	reply := c.port.Call(p.P, c.saddr, len(sink.Buf), sink.Buf)
+	reply := c.port.Call(p.P, c.saddr, len(sink.Buf), sink.Buf, 0)
 	if reply == nil {
 		return fmt.Errorf("sunrpc: ether transport closed")
 	}
