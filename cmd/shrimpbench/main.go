@@ -19,18 +19,13 @@
 //
 // Usage:
 //
-//	shrimpbench [-fig MODE] [-iters N] [-csv dir] [-parallel N]
-//	            [-faultseed N] [-cpuprofile FILE]
+//	shrimpbench [-fig MODE] [-iters N] [-csv dir] [-faultseed N]
+//	            [-cpuprofile FILE]
 //	shrimpbench -fig SCENARIO [-trace out.json] [-stats]
 //
-// -cpuprofile FILE writes a host CPU profile of the whole run to FILE for
-// `go tool pprof`; simulation output does not change.
-//
-// -parallel N runs the selected figure sweeps (or the chaos cells) on N
-// worker threads; sequential and parallel runs go through the same runner,
-// which treats N <= 1 as in sequence. Every simulation still executes
-// single-threaded on its own engine; tables, CSVs, and replay digests are
-// byte-identical for any N — only the wall-clock changes.
+// -iters N must be at least 1. -cpuprofile FILE writes a host CPU profile
+// of the whole run to FILE for `go tool pprof`; simulation output does not
+// change. Every mode runs its simulations one after another on one thread.
 //
 // -fig meshscale runs the big-mesh scaling study: 64, 256, and 1024 nodes
 // on k-ary n-cube geometries, with in-network combining off and on,
@@ -93,9 +88,9 @@ func main() { os.Exit(run()) }
 
 // options carries the flags the modes read.
 type options struct {
-	iters, parallel int
-	csvDir          string
-	faultSeed       int64
+	iters     int
+	csvDir    string
+	faultSeed int64
 }
 
 // mode is one -fig value.
@@ -127,9 +122,13 @@ func run() int {
 	tracePath := flag.String("trace", "", "write a Chrome trace of one -fig scenario to this file")
 	stats := flag.Bool("stats", false, "print the trace summary of one -fig scenario")
 	faultSeed := flag.Int64("faultseed", 1, "fault injector seed for -fig faults and -fig partition")
-	parallel := flag.Int("parallel", 0, "run independent figure/chaos scenarios on N workers (0 = sequential; results are byte-identical either way)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of whichever mode runs to this file (read it with go tool pprof)")
 	flag.Parse()
+
+	if err := checkIters(*iters); err != nil {
+		fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -154,7 +153,7 @@ func run() int {
 		return traceScenario(*fig, *tracePath, *stats)
 	}
 
-	o := options{iters: *iters, parallel: *parallel, csvDir: *csvDir, faultSeed: *faultSeed}
+	o := options{iters: *iters, csvDir: *csvDir, faultSeed: *faultSeed}
 	var names []string
 	for _, m := range modes() {
 		if m.name != *fig {
@@ -169,6 +168,15 @@ func run() int {
 	}
 	fmt.Fprintf(os.Stderr, "unknown -fig %q; want one of %s\n", *fig, strings.Join(names, ","))
 	return 2
+}
+
+// checkIters rejects an iteration count below one: the figures divide
+// their measured time by it.
+func checkIters(n int) error {
+	if n < 1 {
+		return fmt.Errorf("-iters %d: want at least 1", n)
+	}
+	return nil
 }
 
 // traceScenario runs one scenario with the observability layer attached.
@@ -223,7 +231,7 @@ func peak(options) error {
 // figures builds the given standard figures, prints their tables, and
 // writes their CSVs when -csv is set.
 func figures(o options, ids []string) error {
-	for _, f := range bench.RunFigures(ids, o.iters, o.parallel) {
+	for _, f := range bench.RunFigures(ids, o.iters) {
 		if f.ID == "fig8" {
 			// Figure 8 is a single latency plot over its own sweep.
 			fmt.Print(f.LatencyTable(1 << 20))
@@ -282,7 +290,7 @@ func ablate(options) error {
 }
 
 func faults(o options) error {
-	results := bench.RunChaos(o.faultSeed, o.parallel)
+	results := bench.RunChaos(o.faultSeed)
 	fmt.Print(bench.ChaosTable(results))
 	fmt.Println()
 	points := bench.DegradedFig5(1024, 32, o.faultSeed, []float64{0, 0.001, 0.01})

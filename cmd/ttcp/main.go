@@ -10,22 +10,21 @@
 //	ttcp [-l buflen] [-n numbufs] [-m AU-2copy|DU-1copy|DU-2copy] [-raw]
 //	     [-drop P] [-faultseed N] [-trace out.json] [-stats]
 //
-// -raw disables the ttcp application-overhead model and reports the pure
-// library streaming rate (the paper's "our own microbenchmark"). -drop runs
-// the stream over a deterministically lossy backplane: each mesh packet is
-// dropped with probability P (e.g. 0.01 = 1%), the link-level retransmit
-// sublayer is enabled to recover, and the report adds the retransmit count
-// — degraded-mode ttcp. -faultseed picks the fault stream. -trace
-// writes a Chrome trace-event JSON of the run and -stats prints the
-// span/counter summary; both observe the same run that produced the
-// reported bandwidth.
+// -l and -n must be at least 1. -raw disables the ttcp application-overhead
+// model and reports the pure library streaming rate (the paper's "our own
+// microbenchmark"). -drop runs the stream over a deterministically lossy
+// backplane: each mesh packet is dropped with probability P (e.g. 0.01 =
+// 1%), the link-level retransmit sublayer is enabled to recover, and the
+// report adds the retransmit count — degraded-mode ttcp. -faultseed picks
+// the fault stream. -trace writes a Chrome trace-event JSON of the run and
+// -stats prints the span/counter summary; both observe the same run that
+// produced the reported bandwidth.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"shrimp/internal/bench"
 	"shrimp/internal/socket"
@@ -56,7 +55,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	perWrite, perByte := bench.TTCPPerWrite, time.Duration(bench.TTCPPerByte)
+	if err := checkFlags(*buflen, *numbufs, *drop); err != nil {
+		fmt.Fprintf(os.Stderr, "ttcp: %v\n", err)
+		os.Exit(2)
+	}
+
+	perWrite, perByte := bench.TTCPPerWrite, bench.TTCPPerByte
 	label := "ttcp"
 	if *raw {
 		perWrite, perByte = 0, 0
@@ -68,19 +72,8 @@ func main() {
 		tc = trace.New()
 	}
 
-	if *drop < 0 || *drop >= 1 {
-		fmt.Fprintf(os.Stderr, "ttcp: -drop %v outside [0, 1)\n", *drop)
-		os.Exit(2)
-	}
-
 	total := *buflen * *numbufs
-	var mbps float64
-	var retrans int64
-	if *drop > 0 {
-		mbps, retrans = bench.SocketStreamDegraded(mode, *buflen, *numbufs, perWrite, perByte, tc, *drop, *faultSeed)
-	} else {
-		mbps = bench.SocketStreamTraced(mode, *buflen, *numbufs, perWrite, perByte, tc)
-	}
+	mbps, retrans := bench.SocketStream(mode, *buflen, *numbufs, perWrite, perByte, tc, *drop, *faultSeed)
 	secs := float64(total) / (mbps * 1e6)
 
 	fmt.Printf("ttcp-t: buflen=%d, nbuf=%d, port=5001 (%s, SHRIMP sockets)\n", *buflen, *numbufs, mode)
@@ -103,4 +96,18 @@ func main() {
 		fmt.Println()
 		fmt.Print(tc.Summary())
 	}
+}
+
+// checkFlags rejects the flag values the stream cannot run with: a buffer
+// length or count below one, and a drop probability outside [0, 1).
+func checkFlags(buflen, numbufs int, drop float64) error {
+	switch {
+	case buflen < 1:
+		return fmt.Errorf("-l %d: want at least 1", buflen)
+	case numbufs < 1:
+		return fmt.Errorf("-n %d: want at least 1", numbufs)
+	case drop < 0 || drop >= 1:
+		return fmt.Errorf("-drop %v outside [0, 1)", drop)
+	}
+	return nil
 }

@@ -18,7 +18,6 @@ import (
 	"shrimp/internal/sim"
 	"shrimp/internal/socket"
 	"shrimp/internal/sunrpc"
-	"shrimp/internal/trace"
 	"shrimp/internal/vmmc"
 )
 
@@ -82,13 +81,13 @@ func chaosCells() []chaosCell {
 	return cells
 }
 
-// RunChaos runs the full soak matrix with the given injector seed on up to
-// workers OS threads (workers <= 1 runs the cells in sequence). Results
-// come back in matrix order and are identical for any worker count.
-func RunChaos(seed int64, workers int) []ChaosResult {
-	cells := chaosCells()
-	out := make([]ChaosResult, len(cells))
-	runPool(workers, len(cells), func(i int) { out[i] = cells[i].result(seed) })
+// RunChaos runs the full soak matrix with the given injector seed, one
+// cell after another, and returns the results in matrix order.
+func RunChaos(seed int64) []ChaosResult {
+	var out []ChaosResult
+	for _, c := range chaosCells() {
+		out = append(out, c.result(seed))
+	}
 	return out
 }
 
@@ -336,24 +335,6 @@ func DegradedFig5(size, iters int, seed int64, drops []float64) []DegradedPoint 
 		r.close()
 	}
 	return out
-}
-
-// SocketStreamDegraded is SocketStreamTraced over a lossy backplane: the
-// link drops packets with probability drop, the retransmit sublayer is
-// enabled, and the sublayer's retransmit count comes back alongside the
-// bandwidth (cmd/ttcp's -drop flag).
-func SocketStreamDegraded(mode socket.Mode, size, count int, perWrite, perByte time.Duration, tc *trace.Collector, drop float64, seed int64) (float64, int64) {
-	plan := fault.Plan{
-		Name: fmt.Sprintf("drop-%g%%", drop*100),
-		Link: fault.LinkFaults{DropProb: drop},
-	}
-	r := &run{trace: tc, mod: func(cfg *cluster.Config) {
-		cfg.FaultPlan = &plan
-		cfg.FaultSeed = seed
-		cfg.Reliable = true
-	}}
-	defer r.close()
-	return socketStream(r, mode, size, count, perWrite, perByte), r.retransmits()
 }
 
 // DegradedTable renders the degraded-mode measurements.

@@ -5,7 +5,7 @@ import "testing"
 // One chaos cell end to end: build a 4-node cluster under the drop-1% plan
 // with the reliability sublayer on, run the fig3 representative scenario
 // twice under the replay digest, tear it all down. This is the unit the
-// soak matrix (and its worker pool) repeats for every row and plan.
+// soak matrix repeats for every row and plan.
 func BenchmarkChaosCell(b *testing.B) {
 	plan := StandardChaosPlans()[1] // drop-1%
 	b.ReportAllocs()
@@ -19,22 +19,11 @@ func BenchmarkChaosCell(b *testing.B) {
 }
 
 func BenchmarkChaosSoak(b *testing.B) {
-	// The full sequential matrix; compare against BenchmarkChaosSoakParallel
-	// for the worker-pool effect on multi-core hosts.
+	// The full matrix, one cell after another.
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !ChaosOK(RunChaos(1, 1)) {
-			b.Fatal("chaos soak failed")
-		}
-	}
-}
-
-func BenchmarkChaosSoakParallel(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !ChaosOK(RunChaos(1, Workers())) {
+		if !ChaosOK(RunChaos(1)) {
 			b.Fatal("chaos soak failed")
 		}
 	}

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"shrimp/internal/cluster"
+	"shrimp/internal/fault"
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
 	"shrimp/internal/sim"
@@ -98,18 +100,23 @@ func socketPingPong(r *run, mode socket.Mode, size, iters int) (float64, float64
 // SocketStream measures one-way streaming bandwidth (the paper's "our own
 // one-way transfer microbenchmark"): the sender continuously pumps `count`
 // buffers of `size` bytes; bandwidth is total bytes over total time.
-// perWriteOverhead and perByteOverhead model the measuring application's
-// own costs (zero for the library microbenchmark; nonzero for ttcp).
-func SocketStream(mode socket.Mode, size, count int, perWriteOverhead time.Duration, perByte time.Duration) float64 {
-	return SocketStreamTraced(mode, size, count, perWriteOverhead, perByte, nil)
-}
-
-// SocketStreamTraced is SocketStream with an observability collector
-// attached to the cluster (cmd/ttcp's -trace/-stats). tc may be nil.
-func SocketStreamTraced(mode socket.Mode, size, count int, perWriteOverhead, perByte time.Duration, tc *trace.Collector) float64 {
+// perWriteOverhead and perByte model the measuring application's own costs
+// (zero for the library microbenchmark; nonzero for ttcp). tc, which may be
+// nil, observes the run (cmd/ttcp's -trace/-stats). drop == 0 runs on the
+// raw backplane with no fault plan; drop > 0 drops each link packet with
+// that probability under the injector seed, with the retransmit sublayer on
+// (cmd/ttcp's -drop). The sublayer's retransmit count comes back with the
+// bandwidth.
+func SocketStream(mode socket.Mode, size, count int, perWriteOverhead, perByte time.Duration, tc *trace.Collector, drop float64, seed int64) (float64, int64) {
 	r := &run{trace: tc}
+	if drop > 0 {
+		r.mod = underPlan(fault.Plan{
+			Name: fmt.Sprintf("drop-%g%%", drop*100),
+			Link: fault.LinkFaults{DropProb: drop},
+		}, seed)
+	}
 	defer r.close()
-	return socketStream(r, mode, size, count, perWriteOverhead, perByte)
+	return socketStream(r, mode, size, count, perWriteOverhead, perByte), r.retransmits()
 }
 
 func socketStream(r *run, mode socket.Mode, size, count int, perWriteOverhead, perByte time.Duration) float64 {
@@ -196,10 +203,14 @@ const (
 
 // RunTTCP measures the three ttcp numbers.
 func RunTTCP() TTCPResult {
+	stream := func(size, count int, perWrite, perByte time.Duration) float64 {
+		mbps, _ := SocketStream(socket.ModeDU1, size, count, perWrite, perByte, nil, 0, 0)
+		return mbps
+	}
 	return TTCPResult{
-		TTCP7K:       SocketStream(socket.ModeDU1, 7168, 64, TTCPPerWrite, TTCPPerByte),
-		Micro7K:      SocketStream(socket.ModeDU1, 7168, 64, 0, 0),
-		TTCP70:       SocketStream(socket.ModeDU1, 70, 600, TTCPPerWrite, TTCPPerByte),
+		TTCP7K:       stream(7168, 64, TTCPPerWrite, TTCPPerByte),
+		Micro7K:      stream(7168, 64, 0, 0),
+		TTCP70:       stream(70, 600, TTCPPerWrite, TTCPPerByte),
 		EthernetPeak: 1.25,
 	}
 }

@@ -57,3 +57,29 @@ func TestTTCPNumbers(t *testing.T) {
 	t.Logf("ttcp: 7KB=%.2f (paper 8.6), micro 7KB=%.2f (9.8), 70B=%.2f (1.3) vs ether %.2f",
 		r.TTCP7K, r.Micro7K, r.TTCP70, r.EthernetPeak)
 }
+
+// TestSocketStreamLossy drives ttcp's -drop path: a lossy backplane makes
+// the retransmit sublayer work, the raw one never retransmits, and a rerun
+// at the same seed reproduces bandwidth and retransmits exactly. Recovery
+// hides behind the stream's pipelining, so bandwidth is not asserted to
+// fall.
+func TestSocketStreamLossy(t *testing.T) {
+	const size, count = 7168, 16
+	stream := func(drop float64) (float64, int64) {
+		return SocketStream(socket.ModeDU1, size, count, TTCPPerWrite, TTCPPerByte, nil, drop, 1)
+	}
+	if _, retrans := stream(0); retrans != 0 {
+		t.Errorf("drop 0: %d retransmits, want 0 on the raw backplane", retrans)
+	}
+	mbps, retrans := stream(0.01)
+	if retrans <= 0 {
+		t.Errorf("drop 1%%: %d retransmits, want some", retrans)
+	}
+	if mbps <= 0 {
+		t.Errorf("drop 1%%: bandwidth %.2f MB/s, want positive", mbps)
+	}
+	if mbps2, retrans2 := stream(0.01); mbps2 != mbps || retrans2 != retrans {
+		t.Errorf("rerun at the same seed: %.6f MB/s, %d retransmits; first run %.6f MB/s, %d retransmits",
+			mbps2, retrans2, mbps, retrans)
+	}
+}

@@ -8,15 +8,19 @@ import (
 )
 
 // TestCommittedFigureCSVs: the committed results/fig*.csv files are exactly
-// what `shrimpbench -csv DIR` writes at its default 8 iterations. A change
-// that moves any simulated figure fails here until the CSVs are
-// regenerated alongside it.
+// what `shrimpbench -csv DIR` writes at its default 8 iterations, in
+// FigureIDs order. A change that moves any simulated figure fails here
+// until the CSVs are regenerated alongside it.
 func TestCommittedFigureCSVs(t *testing.T) {
-	figs := RunFigures(FigureIDs(), 8, 1)
-	if len(figs) != 5 {
-		t.Fatalf("RunFigures built %d figures, want fig3/4/5/7/8", len(figs))
+	ids := FigureIDs()
+	figs := RunFigures(ids, 8)
+	if len(figs) != 5 || len(ids) != 5 {
+		t.Fatalf("RunFigures built %d figures for ids %v, want fig3/4/5/7/8", len(figs), ids)
 	}
-	for _, f := range figs {
+	for i, f := range figs {
+		if f.ID != ids[i] {
+			t.Errorf("figure %d is %s, want %s: RunFigures must follow FigureIDs order", i, f.ID, ids[i])
+		}
 		path := filepath.Join("..", "..", "results", f.ID+".csv")
 		want, err := os.ReadFile(path)
 		if err != nil {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -126,6 +127,30 @@ func scenarios() []scenario {
 				func(r *run) error { return appServe(r, appPartitionOpts(c), nil) })})
 	}
 	return rows
+}
+
+// FigureIDs lists the standard figures RunFigures builds, in output order:
+// the scenario-table rows that have a figure sweep.
+func FigureIDs() []string {
+	var ids []string
+	for _, s := range scenarios() {
+		if s.sweep != nil {
+			ids = append(ids, s.name)
+		}
+	}
+	return ids
+}
+
+// RunFigures builds the requested standard figures in FigureIDs order,
+// skipping ids that are not standard figures.
+func RunFigures(ids []string, iters int) []*Figure {
+	var out []*Figure
+	for _, s := range scenarios() {
+		if s.sweep != nil && slices.Contains(ids, s.name) {
+			out = append(out, s.sweep(iters))
+		}
+	}
+	return out
 }
 
 // checked adapts a body that only verifies into a table row's run.
