@@ -122,6 +122,34 @@ func BenchmarkProcPingPong(b *testing.B) {
 	e.Shutdown()
 }
 
+// BenchmarkProcSleep is one Sleep per op. inplace: the proc runs alone, so
+// every wake fires in place with no queued event and no coroutine switch.
+// queued: two procs sleep in lockstep, so each finds the other's wake
+// first and parks on a queued one.
+func BenchmarkProcSleep(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		procs int
+	}{{"inplace", 1}, {"queued", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := NewEngine()
+			for i := 0; i < bc.procs; i++ {
+				n := (b.N + i) / bc.procs // the shares sum to b.N
+				e.Spawn(fmt.Sprint("sleeper", i), func(p *Proc) {
+					for j := 0; j < n; j++ {
+						p.Sleep(time.Microsecond)
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.RunAll()
+			b.StopTimer()
+			e.Shutdown()
+		})
+	}
+}
+
 // BenchmarkEventQueueMixed holds the heap at a steady depth with seeded
 // random deltas, so every push and pop sifts, and every eighth firing
 // re-arms one of the depth/8 timers, which removes it from the middle of

@@ -28,6 +28,16 @@
 // that preserves the exact (time, seq) firing order the heap would have
 // produced. seq is unique, so (time, seq) is a strict total order: any
 // correct priority queue fires events in exactly the same order.
+//
+// A Proc.Sleep whose wake nothing could precede fires that wake in place:
+// when no live current-instant entry is queued, the heap top lies strictly
+// after the wake, the wake does not pass the limit of the Run in progress,
+// the engine is not halted, and the proc has no pending interrupt and has
+// not been killed, the clock advances and the proc keeps running without a
+// heap push, a pop or a coroutine switch. The wake is still an event: it
+// takes the next seq, counts in EventsRun, and every tracer sees it and the
+// switch to the proc through the same helpers Run uses, so replay digests,
+// event counts and switch counts are those of a queued wake.
 package sim
 
 import (
@@ -107,10 +117,14 @@ func (t *Timer) Pending() bool {
 // whether it is pending, stopped, or has already fired. It reports whether
 // the timer was still pending (and was therefore canceled) before re-arming.
 // Resetting a zero or spent handle (no engine or callback) is a no-op that
-// reports false rather than a panic.
+// reports false rather than a panic. A negative d panics as Schedule does,
+// before the timer is touched.
 func (t *Timer) Reset(d time.Duration) bool {
 	if t == nil || t.eng == nil || t.fn == nil {
 		return false
+	}
+	if d < 0 {
+		panic("sim: negative delay")
 	}
 	wasPending := t.Stop()
 	ev := t.eng.post(t.eng.now.Add(d), t.fn)
@@ -235,6 +249,9 @@ type Engine struct {
 	procs  []*Proc
 	cur    *Proc // proc currently holding execution, nil in event context
 	halted bool
+	// limit is the limit of the Run in progress (<= 0: none). A wake that
+	// Proc.Sleep fires in place must not pass it.
+	limit Time
 	// tracers observe execution, in the order they were added.
 	tracers []Tracer
 
@@ -411,6 +428,7 @@ func (e *Engine) next() *event {
 // virtual time at which it stopped.
 func (e *Engine) Run(limit Time) Time {
 	e.halted = false
+	e.limit = limit
 	for !e.halted {
 		// Peek before dequeuing: a live FIFO entry is at the current
 		// instant, so only the heap top can lie beyond the limit.
@@ -425,18 +443,61 @@ func (e *Engine) Run(limit Time) Time {
 		if next.at < e.now {
 			panic("sim: time went backwards")
 		}
-		e.now = next.at
-		// Count the event, show it to every tracer in the order they
-		// were added, recycle it, then run its callback.
-		e.EventsRun++
 		fn := next.fn
-		for _, t := range e.tracers {
-			t.Event(next.at, next.seq)
-		}
+		e.fire(next.at, next.seq)
 		e.recycle(next)
 		fn()
 	}
 	return e.now
+}
+
+// fire advances the clock to an event's instant, counts the event and shows
+// it to every tracer in the order they were added. It is the one source of
+// the logical event stream: Run calls it for every queued event and
+// wakeInPlace for every wake it fires without queueing.
+func (e *Engine) fire(at Time, seq uint64) {
+	e.now = at
+	e.EventsRun++
+	for _, t := range e.tracers {
+		t.Event(at, seq)
+	}
+}
+
+// wakeInPlace fires the wake of p, which is running and about to sleep
+// until t, without queueing it, and reports whether it did. It does so
+// only when Run, had the wake been queued, would pop it next and resume p:
+//   - no live entry waits in the current-instant FIFO;
+//   - the heap is empty or its top is strictly after t (an event at t
+//     carries a smaller seq and fires first);
+//   - t does not pass the limit of the Run in progress;
+//   - the engine is not halted;
+//   - p has no pending interrupt and has not been killed, so nothing in
+//     park would run or unwind on resume.
+//
+// The wake is still an event: it takes the next seq, counts in EventsRun,
+// and every tracer sees it and then the switch to p, exactly as if it had
+// been queued. Only the push, the pop and the coroutine round trip are
+// saved.
+func (e *Engine) wakeInPlace(p *Proc, t Time) bool {
+	if e.nowLive > 0 || (len(e.queue) > 0 && e.queue[0].at <= t) ||
+		(e.limit > 0 && t > e.limit) || e.halted ||
+		len(p.pendingInterrupts) > 0 || p.killed {
+		return false
+	}
+	// Canceled FIFO entries belong to the instant being left: reclaim
+	// them in order, as next would on its way to the wake.
+	if len(e.nowQ) > 0 {
+		for _, ev := range e.nowQ[e.nowHead:] {
+			e.recycle(ev)
+		}
+		clear(e.nowQ)
+		e.nowQ = e.nowQ[:0]
+		e.nowHead = 0
+	}
+	e.seq++
+	e.fire(t, e.seq)
+	e.traceSwitch(p)
+	return true
 }
 
 // RunAll executes until no events remain.

@@ -143,13 +143,18 @@ func (e *Engine) dispatch(p *Proc) {
 	if p.dead {
 		return
 	}
-	for _, t := range e.tracers {
-		t.ProcSwitch(e.now, p)
-	}
+	e.traceSwitch(p)
 	prev := e.cur
 	e.cur = p
 	p.next()
 	e.cur = prev
+}
+
+// traceSwitch shows every tracer the transfer of control to p.
+func (e *Engine) traceSwitch(p *Proc) {
+	for _, t := range e.tracers {
+		t.ProcSwitch(e.now, p)
+	}
 }
 
 // park yields control back to the engine. Must be called in p's own context.
@@ -207,6 +212,11 @@ func (p *Proc) Done() bool { return p.done }
 // Sleep advances virtual time by d from the proc's perspective: the proc
 // yields and resumes exactly d later. Models both CPU busy-time and idle
 // waiting; the distinction is drawn by the caller (see kernel.CPU).
+//
+// When nothing could run before the wake, it fires in place (see
+// Engine.wakeInPlace): the clock advances and the proc keeps running with
+// no queued event and no coroutine switch, while the event stream, the
+// event count and the switch count stay those of a queued wake.
 func (p *Proc) Sleep(d time.Duration) {
 	p.checkCurrent()
 	if d < 0 {
@@ -215,7 +225,11 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d == 0 {
 		return
 	}
-	p.eng.Post(d, p.redispatch)
+	e := p.eng
+	if e.wakeInPlace(p, e.now.Add(d)) {
+		return
+	}
+	e.Post(d, p.redispatch)
 	p.park()
 }
 

@@ -189,3 +189,26 @@ func TestTimerPendingLifecycle(t *testing.T) {
 		t.Fatal("nil timer should not be pending")
 	}
 }
+
+// A negative Reset panics as Schedule does, and before it touches the
+// timer: the pending event survives the recovered panic and still fires.
+func TestTimerResetNegativeLeavesTimer(t *testing.T) {
+	e := NewEngine()
+	fired := Time(-1)
+	tm := e.Schedule(us(5), func() { fired = e.Now() })
+	func() {
+		defer func() {
+			if r := recover(); r != "sim: negative delay" {
+				t.Fatalf("Reset(-1) panicked with %v, want \"sim: negative delay\"", r)
+			}
+		}()
+		tm.Reset(-1)
+	}()
+	if !tm.Pending() {
+		t.Fatal("timer no longer pending after the recovered panic")
+	}
+	e.RunAll()
+	if fired != Time(5000) {
+		t.Fatalf("timer fired at %v, want 5.000us", fired)
+	}
+}
