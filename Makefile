@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz manifest trace-smoke svm app partition chaos meshscale meshscale-smoke bench check clean
+.PHONY: all build test race vet fmt lint fuzz manifest examples trace-smoke svm app partition chaos meshscale meshscale-smoke bench check clean
 
 all: build
 
@@ -55,6 +55,12 @@ fuzz:
 # explains every moved field.
 manifest:
 	$(GO) test -count=1 ./internal/bench -run TestDeterminismManifest -update
+
+# examples runs every program under examples/ and fails on the first
+# nonzero exit. filexfer, kvstore and srpc-clock open connections through
+# the socket, SunRPC and SRPC connect APIs, which no other program runs.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # trace-smoke exercises the observability layer end to end: run the same
 # traced scenario twice and require byte-identical Chrome trace files —
@@ -116,10 +122,11 @@ bench:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/kernel ./internal/nic ./internal/mesh ./internal/nx ./internal/srpc ./internal/app ./internal/bench .
 
 # check runs every gate CI runs: gofmt, build, vet, lint, race-enabled
-# tests, trace determinism, mesh-scaling digest stability, the chaos soak,
-# and the partition cells. CI also gives the fuzz targets a brief shake
-# (make fuzz) and runs the microbenchmarks; neither is part of check.
-check: fmt build vet lint race trace-smoke meshscale-smoke chaos partition
+# tests, the example programs, trace determinism, mesh-scaling digest
+# stability, the chaos soak, and the partition cells. CI also gives the
+# fuzz targets a brief shake (make fuzz) and runs the microbenchmarks;
+# neither is part of check.
+check: fmt build vet lint race examples trace-smoke meshscale-smoke chaos partition
 
 clean:
 	$(GO) clean ./...

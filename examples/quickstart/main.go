@@ -97,7 +97,7 @@ func main() {
 		// 2. Automatic update: bind a local page to the imported buffer;
 		// every store to it propagates with no explicit send at all.
 		local := p.MapPages(1, 0)
-		if _, err := ep.BindAU(local, imp, 0, 1, vmmc.AUOpts{Combine: true, Timer: true}); err != nil {
+		if _, err := ep.BindAU(local, imp, 0, 1, vmmc.AUOpts{Combine: true}); err != nil {
 			panic(err)
 		}
 		p.WriteBytes(local, []byte("hello from automatic update!"))

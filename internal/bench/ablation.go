@@ -65,7 +65,7 @@ func CombiningAblation(size int) []AblationResult {
 				panic(err)
 			}
 			local := p.MapPages(2, 0)
-			if _, err := ep.BindAU(local, imp, 0, 2, vmmc.AUOpts{Combine: combine, Timer: combine}); err != nil {
+			if _, err := ep.BindAU(local, imp, 0, 2, vmmc.AUOpts{Combine: combine}); err != nil {
 				panic(err)
 			}
 			p.P.Sleep(time.Millisecond)

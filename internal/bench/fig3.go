@@ -85,7 +85,7 @@ func vmmcPingPong(r *run, strategy string, size, iters int) (float64, float64) {
 			au := strategy == AU1copy || strategy == AU2copy || strategy == AU1copyUncached
 			if au {
 				bind = p.MapPages(pages, 0)
-				opts := vmmc.AUOpts{Combine: true, Timer: true, Uncached: strategy == AU1copyUncached}
+				opts := vmmc.AUOpts{Combine: true, Uncached: strategy == AU1copyUncached}
 				if _, err := ep.BindAU(bind, imp, 0, pages, opts); err != nil {
 					panic(err)
 				}

@@ -507,8 +507,9 @@ func (d *Daemon) Unexport(proc *kernel.Process, rec *ExportRec) error {
 // BindAU configures the OPT entries backing an import for automatic update
 // from localVA: each local frame is bound to the corresponding destination
 // page, combining configured as requested, and the local pages are marked
-// write-through (or uncached) so stores reach the bus.
-func (d *Daemon) BindAU(proc *kernel.Process, rec *ImportRec, localVA kernel.VA, pages int, dstPage int, combine, timer, notify, uncached bool) error {
+// write-through (or uncached) so stores reach the bus. combine turns on
+// write-combining together with its flush timer.
+func (d *Daemon) BindAU(proc *kernel.Process, rec *ImportRec, localVA kernel.VA, pages int, dstPage int, combine, uncached bool) error {
 	proc.Compute(LocalIPCCost)
 	// Re-validate after the charged syscall time: Compute yields, and a
 	// revocation arriving in that window frees the OPT entries this bind is
@@ -531,8 +532,7 @@ func (d *Daemon) BindAU(proc *kernel.Process, rec *ImportRec, localVA kernel.VA,
 		idx := rec.OPTBase + dstPage + i
 		e := d.NIC.GetOPT(idx)
 		e.Combine = combine
-		e.CombineTimer = timer
-		e.NotifyOnArrival = notify
+		e.CombineTimer = combine
 		d.NIC.SetOPT(idx, e)
 		d.NIC.BindAU(pte.Frame, idx)
 		// Preserve the pinned bit: SVM pages are both exported (pinned

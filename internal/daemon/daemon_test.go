@@ -264,7 +264,7 @@ func TestBindAUConfiguresEverything(t *testing.T) {
 			return
 		}
 		local := p.MapPages(2, 0)
-		if err := r.d[0].BindAU(p, imp, local, 2, 0, true, true, false, false); err != nil {
+		if err := r.d[0].BindAU(p, imp, local, 2, 0, true, false); err != nil {
 			t.Error(err)
 			return
 		}
@@ -288,7 +288,7 @@ func TestBindAUConfiguresEverything(t *testing.T) {
 			t.Error("unbind did not restore page state")
 		}
 		// Range validation.
-		if err := r.d[0].BindAU(p, imp, local, 2, 1, true, true, false, false); err == nil {
+		if err := r.d[0].BindAU(p, imp, local, 2, 1, true, false); err == nil {
 			t.Error("out-of-range BindAU accepted")
 		}
 		done = true

@@ -369,8 +369,7 @@ func (nx *NX) importHalf(cn *conn) {
 		p.P.Sleep(wait)
 	}
 	cn.outShadow = p.MapPages(regionPages, 0)
-	if _, err := nx.ep.BindAU(cn.outShadow, cn.out, 0, regionPages,
-		vmmc.AUOpts{Combine: true, Timer: true}); err != nil {
+	if _, err := nx.ep.BindAU(cn.outShadow, cn.out, 0, regionPages, vmmc.AUOpts{Combine: true}); err != nil {
 		//lint:allow transitive-panic init-time resource exhaustion; NX initialization aborts the process, as on the real machine
 		panic(fmt.Sprintf("nx init: bind: %v", err))
 	}

@@ -43,22 +43,7 @@ func (nx *NX) Crecv(typesel int, buf kernel.VA, count int) int {
 func (nx *NX) Cprobe(typesel int) {
 	p := nx.proc()
 	p.Compute(hw.CallCost)
-	for {
-		nx.servicePending()
-		if m, ok := nx.match(typesel); ok {
-			nx.lastCount = m.h.fullSize
-			nx.lastType = m.h.typ
-			nx.lastNode = m.cn.peer
-			nx.lastPid = m.h.pid
-			return
-		}
-		if sm := nx.matchSelf(typesel); sm != nil {
-			nx.lastCount = len(sm.data)
-			nx.lastType = sm.typ
-			nx.lastNode = nx.node
-			nx.lastPid = sm.pid
-			return
-		}
+	for !nx.probe(typesel) {
 		nx.flushAllCredits()
 		p.WaitPred(nx.wake, nil, func() bool {
 			return nx.matchExists(typesel) || nx.pendingActionable()
@@ -69,24 +54,29 @@ func (nx *NX) Cprobe(typesel int) {
 // Iprobe reports whether a matching message is available, recording its
 // info if so.
 func (nx *NX) Iprobe(typesel int) bool {
-	p := nx.proc()
-	p.Compute(hw.CallCost)
+	nx.proc().Compute(hw.CallCost)
+	return nx.probe(typesel)
+}
+
+// probe is the step Cprobe and Iprobe share: service pending work, then
+// record the info of a matching message if one is available.
+func (nx *NX) probe(typesel int) bool {
 	nx.servicePending()
 	if m, ok := nx.match(typesel); ok {
-		nx.lastCount = m.h.fullSize
-		nx.lastType = m.h.typ
-		nx.lastNode = m.cn.peer
-		nx.lastPid = m.h.pid
+		nx.setInfo(m.h.fullSize, m.h.typ, m.cn.peer, m.h.pid)
 		return true
 	}
 	if sm := nx.matchSelf(typesel); sm != nil {
-		nx.lastCount = len(sm.data)
-		nx.lastType = sm.typ
-		nx.lastNode = nx.node
-		nx.lastPid = sm.pid
+		nx.setInfo(len(sm.data), sm.typ, nx.node, sm.pid)
 		return true
 	}
 	return false
+}
+
+// setInfo records the last received message's info (Infocount and
+// friends).
+func (nx *NX) setInfo(count, typ, node, pid int) {
+	nx.lastCount, nx.lastType, nx.lastNode, nx.lastPid = count, typ, node, pid
 }
 
 // postedRecv is an asynchronous receive created by Irecv.
@@ -242,10 +232,7 @@ func (nx *NX) consumeSelf(sm *selfMsg, buf kernel.VA, count int) int {
 		n = count
 	}
 	p.WriteBytes(buf, sm.data[:n])
-	nx.lastCount = n
-	nx.lastType = sm.typ
-	nx.lastNode = nx.node
-	nx.lastPid = sm.pid
+	nx.setInfo(n, sm.typ, nx.node, sm.pid)
 	return n
 }
 
@@ -276,10 +263,7 @@ func (nx *NX) consume(m candidate, buf kernel.VA, count int) int {
 		nx.release(m.cn, cm.buf, cm.h.size)
 		received += cm.h.size
 	}
-	nx.lastCount = got
-	nx.lastType = m.h.typ
-	nx.lastNode = m.cn.peer
-	nx.lastPid = m.h.pid
+	nx.setInfo(got, m.h.typ, m.cn.peer, m.h.pid)
 	return got
 }
 

@@ -181,6 +181,11 @@ func (nx *NX) sendChunk(cn *conn, h hdr, src kernel.VA, n int, proto Proto) {
 	cn.sendSeq++
 	h.seq = cn.sendSeq
 
+	// A misaligned user buffer cannot feed a deliberate update: ProtoDU1
+	// falls back to the two-copy path for it, as the paper requires.
+	if proto == ProtoDU1 && src%hw.WordSize != 0 {
+		proto = ProtoDU2
+	}
 	switch proto {
 	case ProtoAU2, ProtoAU1, ProtoDU0:
 		// One-copy automatic-update path (also carries scouts and
@@ -213,12 +218,6 @@ func (nx *NX) sendChunk(cn *conn, h hdr, src kernel.VA, n int, proto Proto) {
 		// from user memory with its own deliberate update (saving the
 		// local copy at the cost of an extra send); header by another
 		// update and the done word by automatic update afterwards.
-		// Misaligned user buffers fall back to the two-copy path, as
-		// the paper requires.
-		if src%hw.WordSize != 0 {
-			nx.sendChunkStaged(cn, h, src, n, off)
-			return
-		}
 		enc := h.encode()
 		p.WriteBytes(cn.staging, enc[:])
 		nx.mustSend(cn.out, off, cn.staging, hdrSize)
@@ -230,20 +229,6 @@ func (nx *NX) sendChunk(cn *conn, h hdr, src kernel.VA, n int, proto Proto) {
 		//lint:allow transitive-panic unreachable: every Proto constant is handled above
 		panic("nx: bad chunk protocol")
 	}
-}
-
-// sendChunkStaged is the alignment fallback for ProtoDU1: copy the payload
-// into the word-aligned staging area and send everything with one update
-// (effectively the two-copy protocol for this message).
-func (nx *NX) sendChunkStaged(cn *conn, h hdr, src kernel.VA, n, off int) {
-	p := nx.proc()
-	enc := h.encode()
-	p.WriteBytes(cn.staging, enc[:])
-	if n > 0 {
-		p.CopyVA(cn.staging+hdrSize, src, n)
-	}
-	p.WriteWord(cn.staging+kernel.VA(hdrSize+ceil4(n)), uint32(n+1))
-	nx.mustSend(cn.out, off, cn.staging, hdrSize+ceil4(n)+4)
 }
 
 // sendSelf loops a message back to this process through a local queue, with

@@ -1,6 +1,7 @@
 package nx
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"shrimp/internal/hw"
@@ -218,7 +219,7 @@ func (nx *NX) zcImportFor(node int, exportID uint32, withShadow bool) *zcImport 
 	if withShadow && zi.shadow == 0 {
 		pages := zi.imp.Size / hw.Page
 		zi.shadow = p.MapPages(pages, 0)
-		if _, err := nx.ep.BindAU(zi.shadow, zi.imp, 0, pages, vmmc.AUOpts{Combine: true, Timer: true}); err != nil {
+		if _, err := nx.ep.BindAU(zi.shadow, zi.imp, 0, pages, vmmc.AUOpts{Combine: true}); err != nil {
 			//lint:allow transitive-panic binding freshly mapped pages to a live import cannot fail unless the peer died
 			panic(fmt.Sprintf("nx: zc bind: %v", err))
 		}
@@ -307,42 +308,24 @@ func (nx *NX) zcRecv(m candidate, buf kernel.VA, count int) int {
 		want = count
 	}
 
-	aligned := buf%hw.WordSize == 0
-	if aligned && want > 0 {
+	// Reply: stamp | exportID | byteOff | mode | max — control
+	// information via automatic update. The stamp is written first in a
+	// consecutive run, so the slot lands atomically in one packet. A
+	// misaligned user buffer gets no zero-copy mapping: its reply asks
+	// for chunked delivery through the packet buffers.
+	direct := buf%hw.WordSize == 0 && want > 0
+	var id, byteOff, mode uint32 = 0, 0, zcModeChunked
+	if direct {
 		ze := nx.zcExportFor(buf, want)
-		byteOff := int(buf - ze.base)
-		// Reply: stamp | exportID | byteOff | mode | max — control
-		// information via automatic update. The stamp is written
-		// first in a consecutive run, so the slot lands atomically in
-		// one packet.
-		slot := zcReplySlot(seq)
-		var reply [20]byte
-		putU32 := func(off int, v uint32) {
-			reply[off], reply[off+1], reply[off+2], reply[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		}
-		putU32(0, seq+1)
-		putU32(4, ze.id)
-		putU32(8, uint32(byteOff))
-		putU32(12, zcModeDirect)
-		putU32(16, uint32(want))
-		cn.shadowWrite(p, slot, reply[:])
+		id, byteOff, mode = ze.id, uint32(buf-ze.base), zcModeDirect
+	}
+	var reply [20]byte
+	for i, v := range [...]uint32{seq + 1, id, byteOff, mode, uint32(want)} {
+		binary.LittleEndian.PutUint32(reply[4*i:], v)
+	}
+	cn.shadowWrite(p, zcReplySlot(seq), reply[:])
 
-		// Wait for the data-in-place flag; the data lands directly in
-		// the user buffer — no receive-side copy.
-		p.WaitWord(cn.in+kernel.VA(zcDoneSlot(seq)), func(v uint32) bool { return v == seq+1 })
-	} else {
-		// Misaligned user buffer: no zero-copy mapping allowed; ask
-		// for chunked delivery through the packet buffers.
-		slot := zcReplySlot(seq)
-		var reply [20]byte
-		putU32 := func(off int, v uint32) {
-			reply[off], reply[off+1], reply[off+2], reply[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		}
-		putU32(0, seq+1)
-		putU32(12, zcModeChunked)
-		putU32(16, uint32(want))
-		cn.shadowWrite(p, slot, reply[:])
-
+	if !direct {
 		got, idx := 0, 0
 		for got < want || idx == 0 {
 			cm := nx.waitChunk(cn, flagZCData, seq, idx)
@@ -350,13 +333,12 @@ func (nx *NX) zcRecv(m candidate, buf kernel.VA, count int) int {
 			nx.release(cn, cm.buf, cm.h.size)
 			idx++
 		}
-		p.WaitWord(cn.in+kernel.VA(zcDoneSlot(seq)), func(v uint32) bool { return v == seq+1 })
 	}
+	// Wait for the done flag. In direct mode the data has landed straight
+	// in the user buffer — no receive-side copy.
+	p.WaitWord(cn.in+kernel.VA(zcDoneSlot(seq)), func(v uint32) bool { return v == seq+1 })
 
-	nx.lastCount = want
-	nx.lastType = m.h.typ
-	nx.lastNode = cn.peer
-	nx.lastPid = m.h.pid
+	nx.setInfo(want, m.h.typ, cn.peer, m.h.pid)
 	return want
 }
 

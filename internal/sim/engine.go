@@ -514,13 +514,17 @@ func (e *Engine) Shutdown() {
 		panic("sim: Shutdown from inside a proc")
 	}
 	for _, p := range e.procs {
-		if p.dead {
-			continue
-		}
 		p.killed = true
 		// Resume inside park(), which panics killSentinel; the body
-		// unwinds and reports dead before next returns.
-		p.next()
+		// unwinds and reports dead before next returns. A deferred
+		// cleanup that parks again (a Sleep, a Cond wait) is resumed
+		// into the same sentinel, which cuts it off at that point.
+		// These switches are not traced.
+		for !p.dead {
+			e.cur = p
+			p.next()
+			e.cur = nil
+		}
 	}
 }
 

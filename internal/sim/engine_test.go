@@ -428,3 +428,46 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	// Shutdown on an already-drained engine is a no-op.
 	e.Shutdown()
 }
+
+// TestShutdownCutsOffParkingCleanup: a proc unwound by Shutdown whose
+// deferred cleanup parks again (a Sleep, a Cond wait) runs that cleanup in
+// its own context, is cut off where it parks, and ends dead; Shutdown
+// returns normally and shows tracers no switch.
+func TestShutdownCutsOffParkingCleanup(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e)
+	var steps []string
+	sleeper := e.Spawn("p", func(p *Proc) {
+		defer func() {
+			steps = append(steps, "p cleanup")
+			p.Sleep(time.Microsecond)
+			steps = append(steps, "p after sleep")
+		}()
+		c.Wait(p)
+	})
+	waiter := e.Spawn("q", func(p *Proc) {
+		defer func() {
+			steps = append(steps, "q cleanup")
+			for {
+				c.Wait(p)
+			}
+		}()
+		c.Wait(p)
+	})
+	e.RunAll()
+	log := &streamLog{e: e}
+	e.AddTracer(log)
+	e.Shutdown()
+	if !sleeper.dead || !waiter.dead {
+		t.Fatalf("procs not dead after Shutdown: p %v, q %v", sleeper.dead, waiter.dead)
+	}
+	if want := []string{"p cleanup", "q cleanup"}; !reflect.DeepEqual(steps, want) {
+		t.Errorf("cleanup steps %q, want %q", steps, want)
+	}
+	if e.cur != nil {
+		t.Error("Shutdown left a current proc")
+	}
+	if len(log.entries) != 0 {
+		t.Errorf("Shutdown traced %q", log.entries)
+	}
+}

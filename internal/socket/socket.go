@@ -109,17 +109,6 @@ func New(ep *vmmc.Endpoint, eth *ether.Network, node int, mode Mode) *Lib {
 		tc: ep.Proc.M.Trace, track: ep.Proc.M.TraceNode + "/socket"}
 }
 
-// connectReq travels over the internet-domain socket during establishment.
-type connectReq struct {
-	Node   int
-	Region string
-}
-
-type connectResp struct {
-	Err    string
-	Region string
-}
-
 // Listener accepts connections on an (internet-domain) port.
 type Listener struct {
 	lib  *Lib
@@ -135,28 +124,15 @@ func (l *Lib) Listen(port int) *Listener {
 // returns the connection.
 func (ln *Listener) Accept() (*Conn, error) {
 	l := ln.lib
-	p := l.ep.Proc
-	m := ln.port.Recv(p.P)
+	m := ln.port.Recv(l.ep.Proc.P)
 	if m == nil {
 		return nil, ErrClosed
 	}
-	req, ok := m.Payload.(connectReq)
-	if !ok {
-		return nil, fmt.Errorf("socket: bad connect request %T", m.Payload)
-	}
-	out, err := l.ep.Import(req.Node, req.Region)
-	if err != nil {
-		ln.port.Send(p.P, m.From, 64, connectResp{Err: err.Error()})
-		return nil, err
-	}
-	c, name, err := l.newConn(out)
-	if err != nil {
-		ln.port.Send(p.P, m.From, 64, connectResp{Err: err.Error()})
-		return nil, err
-	}
-	c.peerEther = m.From
-	ln.port.Send(p.P, m.From, 64+len(name), connectResp{Region: name})
-	return c, nil
+	var c *Conn
+	_, err := l.ep.Accept(m, vmmc.AcceptSpec{Port: ln.port, Pages: ringPages,
+		Name:  l.nextName,
+		Setup: func(ch *vmmc.Channel) { c = l.newConn(ch) }})
+	return c, err
 }
 
 // Close shuts the listening socket.
@@ -164,67 +140,40 @@ func (ln *Listener) Close() { ln.port.Close() }
 
 // Connect opens a connection to a listening socket on (node, port).
 func (l *Lib) Connect(node, port int) (*Conn, error) {
-	p := l.ep.Proc
-	l.seq++
-	name := fmt.Sprintf("sock:%d:%d", l.node, l.seq)
-	in := p.MapPages(ringPages, 0)
-	if _, err := l.ep.Export(in, ringPages, vmmc.ExportOpts{Name: name}); err != nil {
-		return nil, err
-	}
-	eport := l.eth.Bind(ether.Addr{Node: l.node, Port: 40000 + l.seq})
+	name := l.nextName()
 	// Bounded connection establishment: a dead or absent listener shows
-	// up as a refused connection, not a hang.
-	reply := eport.Call(p.P, ether.Addr{Node: node, Port: port}, 64+len(name),
-		connectReq{Node: l.node, Region: name}, 100*time.Millisecond)
-	if reply == nil {
-		eport.Close()
+	// up as a refused connection, not a hang. The Ethernet port stays
+	// open with the connection, to detect breakage.
+	ch, err := l.ep.Dial(vmmc.DialSpec{Eth: l.eth,
+		Reply: ether.Addr{Node: l.node, Port: 40000 + l.seq},
+		To:    ether.Addr{Node: node, Port: port},
+		Name:  name, Pages: ringPages, Deadline: 100 * time.Millisecond,
+		Keep: true, Refused: "socket: connect"})
+	if err == vmmc.ErrNoAnswer {
 		return nil, fmt.Errorf("socket: connect to %d:%d refused or timed out", node, port)
 	}
-	resp := reply.Payload.(connectResp)
-	if resp.Err != "" {
-		eport.Close()
-		return nil, fmt.Errorf("socket: connect: %s", resp.Err)
-	}
-	out, err := l.ep.Import(node, resp.Region)
 	if err != nil {
-		eport.Close()
 		return nil, err
 	}
-	c, err := l.wrapConn(out, in)
-	if err != nil {
-		eport.Close()
-		return nil, err
-	}
-	c.ether = eport
-	c.peerEther = reply.From
-	return c, nil
+	return l.newConn(ch), nil
 }
 
-// newConn allocates the local ring, exports it, and wraps the pair.
-func (l *Lib) newConn(out *vmmc.Import) (*Conn, string, error) {
-	p := l.ep.Proc
+// nextName draws the export name of a new connection's incoming ring.
+func (l *Lib) nextName() string {
 	l.seq++
-	name := fmt.Sprintf("sock:%d:%d", l.node, l.seq)
-	in := p.MapPages(ringPages, 0)
-	if _, err := l.ep.Export(in, ringPages, vmmc.ExportOpts{Name: name}); err != nil {
-		return nil, "", err
-	}
-	c, err := l.wrapConn(out, in)
-	return c, name, err
+	return fmt.Sprintf("sock:%d:%d", l.node, l.seq)
 }
 
-func (l *Lib) wrapConn(out *vmmc.Import, in kernel.VA) (*Conn, error) {
+// newConn wraps a wired channel, adding the staging area the DU modes
+// send through.
+func (l *Lib) newConn(ch *vmmc.Channel) *Conn {
 	p := l.ep.Proc
-	c := &Conn{lib: l, out: out, in: in, mode: l.mode,
-		closeCond: sim.NewCond(p.M.Eng)}
-	c.outShadow = p.MapPages(ringPages, 0)
-	if _, err := l.ep.BindAU(c.outShadow, out, 0, ringPages, vmmc.AUOpts{Combine: true, Timer: true}); err != nil {
-		return nil, err
-	}
+	c := &Conn{lib: l, out: ch.Out, outShadow: ch.Shadow, in: ch.In, mode: l.mode,
+		ether: ch.Port, closeCond: sim.NewCond(p.M.Eng)}
 	if l.mode != ModeAU2 {
 		c.staging = p.Alloc(ringBytes/2+8, hw.WordSize)
 	}
-	return c, nil
+	return c
 }
 
 // Conn is one endpoint of an established stream connection.
@@ -243,8 +192,7 @@ type Conn struct {
 	ackPub   int
 	tail     [4]byte // bytes of the partial word at the stream write head
 
-	ether     *ether.Port // held open to detect breakage (client side)
-	peerEther ether.Addr
+	ether *ether.Port // held open to detect breakage (client side)
 
 	sendClosed bool
 	recvClosed bool

@@ -285,8 +285,8 @@ func TestConnectToNobody(t *testing.T) {
 		ep := vmmc.Attach(p, cl.Node(0).Daemon)
 		lib := New(ep, cl.Ether, 0, ModeAU2)
 		t0 := p.P.Now()
-		if _, err := lib.Connect(2, 7); err == nil {
-			t.Error("connect to unbound port succeeded")
+		if _, err := lib.Connect(2, 7); err == nil || err.Error() != "socket: connect to 2:7 refused or timed out" {
+			t.Errorf("connect to an unbound port: error %v, want the refusal", err)
 		}
 		if waited := p.P.Now().Sub(t0); waited > 200*1000*1000 {
 			t.Errorf("connect hung for %v", waited)

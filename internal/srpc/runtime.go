@@ -84,16 +84,6 @@ type Binding struct {
 // --- Binding establishment (over the conventional network, like the other
 // libraries' connection setup) ---
 
-type bindReq struct {
-	Node   int
-	Region string
-}
-
-type bindResp struct {
-	Err    string
-	Region string
-}
-
 // Listener accepts SRPC bindings.
 type Listener struct {
 	ep   *vmmc.Endpoint
@@ -115,30 +105,16 @@ func (ln *Listener) Port() *ether.Port { return ln.port }
 
 // Accept waits for one binding request and establishes the buffer pair.
 func (ln *Listener) Accept() (*Binding, error) {
-	p := ln.ep.Proc
-	m := ln.port.Recv(p.P)
+	m := ln.port.Recv(ln.ep.Proc.P)
 	if m == nil {
 		return nil, fmt.Errorf("srpc: listener closed")
 	}
-	req := m.Payload.(bindReq)
-	out, err := ln.ep.Import(req.Node, req.Region)
+	ch, err := ln.ep.Accept(m, vmmc.AcceptSpec{Port: ln.port, Pages: regionPages,
+		Name: func() string { return fmt.Sprintf("srpc:%d:%06d", ln.node, ln.eth.NameSeq()) }})
 	if err != nil {
-		ln.port.Send(p.P, m.From, 64, bindResp{Err: err.Error()})
 		return nil, err
 	}
-	name := fmt.Sprintf("srpc:%d:%06d", ln.node, ln.eth.NameSeq())
-	in := p.MapPages(regionPages, 0)
-	if _, err := ln.ep.Export(in, regionPages, vmmc.ExportOpts{Name: name}); err != nil {
-		ln.port.Send(p.P, m.From, 64, bindResp{Err: err.Error()})
-		return nil, err
-	}
-	b, err := wire(ln.ep, out, in)
-	if err != nil {
-		ln.port.Send(p.P, m.From, 64, bindResp{Err: err.Error()})
-		return nil, err
-	}
-	ln.port.Send(p.P, m.From, 64+len(name), bindResp{Region: name})
-	return b, nil
+	return newBinding(ln.ep, ch), nil
 }
 
 // Bind establishes a client binding to a listening service. d bounds the
@@ -150,33 +126,24 @@ func (ln *Listener) Accept() (*Binding, error) {
 func Bind(ep *vmmc.Endpoint, eth *ether.Network, serverNode, port int, d time.Duration) (*Binding, error) {
 	p := ep.Proc
 	seq := eth.NameSeq()
-	name := fmt.Sprintf("srpc:%d:%06d", p.M.ID, seq)
-	in := p.MapPages(regionPages, 0)
-	if _, err := ep.Export(in, regionPages, vmmc.ExportOpts{Name: name}); err != nil {
-		return nil, err
-	}
-	eport := eth.Bind(ether.Addr{Node: p.M.ID, Port: 50000 + seq})
-	defer eport.Close()
-	reply := eport.Call(p.P, ether.Addr{Node: serverNode, Port: port}, 64+len(name),
-		bindReq{Node: p.M.ID, Region: name}, d)
-	if reply == nil {
+	ch, err := ep.Dial(vmmc.DialSpec{Eth: eth,
+		Reply: ether.Addr{Node: p.M.ID, Port: 50000 + seq},
+		To:    ether.Addr{Node: serverNode, Port: port},
+		Name:  fmt.Sprintf("srpc:%d:%06d", p.M.ID, seq),
+		Pages: regionPages, Deadline: d, Refused: "srpc: bind"})
+	if err == vmmc.ErrNoAnswer {
 		return nil, ErrTimeout
 	}
-	resp := reply.Payload.(bindResp)
-	if resp.Err != "" {
-		return nil, fmt.Errorf("srpc: bind: %s", resp.Err)
-	}
-	out, err := ep.Import(serverNode, resp.Region)
 	if err != nil {
 		return nil, err
 	}
-	return wire(ep, out, in)
+	return newBinding(ep, ch), nil
 }
 
 // BindBackoff is Bind under a retry policy: each attempt gets the
 // same per-attempt deadline, and failed attempts sleep the policy's
 // seeded jittered backoff before trying again. Only rendezvous timeouts
-// retry — a server-side refusal (resp.Err) is definitive and returns
+// retry — a server-side refusal is definitive and returns
 // immediately. Warmup paths use it so one congested or gray rendezvous
 // does not permanently cost a client its binding; failure-detection paths
 // should keep calling Bind directly, where slowness must stay
@@ -196,15 +163,10 @@ func BindBackoff(ep *vmmc.Endpoint, eth *ether.Network, serverNode, port int, d 
 	}
 }
 
-func wire(ep *vmmc.Endpoint, out *vmmc.Import, in kernel.VA) (*Binding, error) {
+func newBinding(ep *vmmc.Endpoint, ch *vmmc.Channel) *Binding {
 	p := ep.Proc
-	b := &Binding{ep: ep, out: out, in: in,
+	return &Binding{ep: ep, out: ch.Out, shadow: ch.Shadow, in: ch.In,
 		tc: p.M.Trace, track: p.M.TraceNode + "/srpc"}
-	b.shadow = p.MapPages(regionPages, 0)
-	if _, err := ep.BindAU(b.shadow, out, 0, regionPages, vmmc.AUOpts{Combine: true, Timer: true}); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // Proc returns the owning process.

@@ -30,31 +30,18 @@ func (c *Client) SetCredential(cred OpaqueAuth) { c.cred = cred }
 func Dial(ep *vmmc.Endpoint, eth *ether.Network, serverNode int, prog, vers uint32, mode Mode) (*Client, error) {
 	p := ep.Proc
 	seq := eth.NameSeq()
-	name := fmt.Sprintf("sbl:c%d:%06d", p.M.ID, seq)
-	in := p.MapPages(ringPages, 0)
-	if _, err := ep.Export(in, ringPages, vmmc.ExportOpts{Name: name}); err != nil {
-		return nil, err
-	}
-	port := eth.Bind(ether.Addr{Node: p.M.ID, Port: 20000 + seq})
-	defer port.Close()
-	reply := port.Call(p.P, ether.Addr{Node: serverNode, Port: BinderPort}, 64+len(name),
-		bindReq{ClientNode: p.M.ID, ClientRegion: name, Mode: mode}, 0)
-	if reply == nil {
+	ch, err := ep.Dial(vmmc.DialSpec{Eth: eth,
+		Reply: ether.Addr{Node: p.M.ID, Port: 20000 + seq},
+		To:    ether.Addr{Node: serverNode, Port: BinderPort},
+		Name:  fmt.Sprintf("sbl:c%d:%06d", p.M.ID, seq),
+		Pages: ringPages, Mode: int(mode), Refused: "sunrpc: bind"})
+	if err == vmmc.ErrNoAnswer {
 		return nil, fmt.Errorf("sunrpc: server %d unreachable", serverNode)
 	}
-	resp := reply.Payload.(bindResp)
-	if resp.Err != "" {
-		return nil, fmt.Errorf("sunrpc: bind: %s", resp.Err)
-	}
-	out, err := ep.Import(serverNode, resp.ServerRegion)
 	if err != nil {
 		return nil, err
 	}
-	stream, err := newStream(ep, out, in, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{ep: ep, stream: stream, prog: prog, vers: vers}, nil
+	return &Client{ep: ep, stream: newStream(ep, ch, mode), prog: prog, vers: vers}, nil
 }
 
 // Call invokes a remote procedure: args encodes the parameters, results

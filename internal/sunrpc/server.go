@@ -50,18 +50,6 @@ type session struct {
 	stream *Stream
 }
 
-// bindReq is the binding request a client sends over the Ethernet.
-type bindReq struct {
-	ClientNode   int
-	ClientRegion string // export name of the client's incoming ring
-	Mode         Mode
-}
-
-type bindResp struct {
-	Err          string
-	ServerRegion string // export name of the server's incoming ring
-}
-
 // NewServer creates a server listening for bindings on the node's binder
 // port.
 func NewServer(ep *vmmc.Endpoint, eth *ether.Network, node int, programs ...*Program) *Server {
@@ -83,6 +71,8 @@ func (s *Server) Serve(limit int64) {
 	p := s.ep.Proc
 	for limit <= 0 || s.Calls < limit {
 		if m := s.port.TryRecv(); m != nil {
+			// A failed binding was refused to its client, or was
+			// not a request; the server keeps serving either way.
 			s.accept(m)
 			continue
 		}
@@ -115,32 +105,19 @@ func (s *Server) Serve(limit int64) {
 	}
 }
 
-// accept establishes a new binding: import the client's ring, export ours.
-func (s *Server) accept(m *ether.Message) {
-	p := s.ep.Proc
-	req, ok := m.Payload.(bindReq)
-	if !ok {
-		return
-	}
-	out, err := s.ep.Import(req.ClientNode, req.ClientRegion)
-	if err != nil {
-		s.port.Send(p.P, m.From, 64, bindResp{Err: err.Error()})
-		return
-	}
-	in := p.MapPages(ringPages, 0)
-	s.nextSess++
-	name := fmt.Sprintf("sbl:%d:s%d", s.node, s.nextSess)
-	if _, err := s.ep.Export(in, ringPages, vmmc.ExportOpts{Name: name}); err != nil {
-		s.port.Send(p.P, m.From, 64, bindResp{Err: err.Error()})
-		return
-	}
-	stream, err := newStream(s.ep, out, in, req.Mode)
-	if err != nil {
-		s.port.Send(p.P, m.From, 64, bindResp{Err: err.Error()})
-		return
-	}
-	s.sessions = append(s.sessions, &session{stream: stream})
-	s.port.Send(p.P, m.From, 64+len(name), bindResp{ServerRegion: name})
+// accept establishes a new binding: import the client's ring, export
+// ours, and start a session on the stream. A datagram that is not a
+// binding request is dropped.
+func (s *Server) accept(m *ether.Message) error {
+	_, err := s.ep.Accept(m, vmmc.AcceptSpec{Port: s.port, Pages: ringPages,
+		Name: func() string {
+			s.nextSess++
+			return fmt.Sprintf("sbl:%d:s%d", s.node, s.nextSess)
+		},
+		Setup: func(ch *vmmc.Channel) {
+			s.sessions = append(s.sessions, &session{stream: newStream(s.ep, ch, Mode(ch.Mode))})
+		}})
+	return err
 }
 
 // dispatch handles one call from a session.

@@ -84,21 +84,18 @@ type Stream struct {
 	track string
 }
 
-// newStream wires an endpoint from an established pair of mappings.
-func newStream(ep *vmmc.Endpoint, out *vmmc.Import, in kernel.VA, mode Mode) (*Stream, error) {
+// newStream starts an endpoint on a wired channel: the staging area
+// (ModeDU), then the stream-active flag.
+func newStream(ep *vmmc.Endpoint, ch *vmmc.Channel, mode Mode) *Stream {
 	p := ep.Proc
-	s := &Stream{ep: ep, mode: mode, out: out, in: in,
+	s := &Stream{ep: ep, mode: mode, out: ch.Out, outShadow: ch.Shadow, in: ch.In,
 		tc: p.M.Trace, track: p.M.TraceNode + "/sunrpc"}
-	s.outShadow = p.MapPages(ringPages, 0)
-	if _, err := ep.BindAU(s.outShadow, out, 0, ringPages, vmmc.AUOpts{Combine: true, Timer: true}); err != nil {
-		return nil, err
-	}
 	if mode == ModeDU {
 		s.staging = p.Alloc(ringBytes/2, hw.WordSize)
 	}
 	// Raise the stream-active flag.
 	p.WriteWord(s.outShadow+kernel.VA(ctlFlag), 1)
-	return s, nil
+	return s
 }
 
 // --- Sending side: xdr.Sink ---

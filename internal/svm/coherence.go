@@ -42,7 +42,7 @@ func (r *Region) handleFault(f kernel.PageFault) {
 		// copy. From here on the snoop hardware propagates every store;
 		// the binding survives invalidations, so later upgrades are one
 		// Mprotect.
-		_, err := r.ep.BindAU(r.pageVA(g), r.dataImp[home], g, 1, vmmc.AUOpts{Combine: true, Timer: true})
+		_, err := r.ep.BindAU(r.pageVA(g), r.dataImp[home], g, 1, vmmc.AUOpts{Combine: true})
 		if err != nil {
 			panic(fmt.Sprintf("svm: %s bind page %d to home %d: %v", r.Name, g, home, err)) //lint:allow transitive-panic revoked import means a peer died without the fault plan declaring it
 		}

@@ -103,7 +103,7 @@ func runLifecycleFuzz(t *testing.T, seed int64) {
 				case 2: // AU binding + store (bind lazily, page-granular)
 					if binds[peer] == nil {
 						va := p.MapPages(bufPage, 0)
-						b, err := ep.BindAU(va, imps[peer], 0, bufPage, AUOpts{Combine: true, Timer: true})
+						b, err := ep.BindAU(va, imps[peer], 0, bufPage, AUOpts{Combine: true})
 						if err != nil {
 							t.Errorf("bind: %v", err)
 							return

@@ -422,14 +422,9 @@ func (ep *Endpoint) duChunks(chunks []nic.DUChunk, imp *Import, dstOff int, srcV
 
 // AUOpts configures an automatic-update binding.
 type AUOpts struct {
-	// Combine enables hardware write-combining of consecutive stores.
+	// Combine enables hardware write-combining of consecutive stores,
+	// with the flush timeout on an open combined packet.
 	Combine bool
-	// Timer enables the flush timeout on an open combined packet;
-	// meaningful only with Combine.
-	Timer bool
-	// Notify requests a destination interrupt for every packet produced
-	// through this binding.
-	Notify bool
 	// Uncached maps the local pages uncached instead of write-through
 	// (lower one-word latency; Section 3.4 measures both).
 	Uncached bool
@@ -458,7 +453,7 @@ func (ep *Endpoint) BindAU(localVA kernel.VA, imp *Import, dstPage, pages int, o
 	if imp.rec.Released() {
 		return nil, ErrRevoked
 	}
-	err := ep.D.BindAU(ep.Proc, imp.rec, localVA, pages, dstPage, opts.Combine, opts.Timer, opts.Notify, opts.Uncached)
+	err := ep.D.BindAU(ep.Proc, imp.rec, localVA, pages, dstPage, opts.Combine, opts.Uncached)
 	if err != nil {
 		return nil, err
 	}

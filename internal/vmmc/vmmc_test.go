@@ -145,7 +145,7 @@ func TestAutomaticUpdateEndToEnd(t *testing.T) {
 				return
 			}
 			local := ep.Proc.MapPages(1, 0)
-			b, err := ep.BindAU(local, imp, 0, 1, AUOpts{Combine: true, Timer: true})
+			b, err := ep.BindAU(local, imp, 0, 1, AUOpts{Combine: true})
 			if err != nil {
 				t.Error(err)
 				return
@@ -211,7 +211,7 @@ func measureAUWordLatency(t *testing.T, uncached bool) float64 {
 				return
 			}
 			local := ep.Proc.MapPages(1, 0)
-			if _, err := ep.BindAU(local, imp, 0, 1, AUOpts{Combine: true, Timer: true, Uncached: uncached}); err != nil {
+			if _, err := ep.BindAU(local, imp, 0, 1, AUOpts{Combine: true, Uncached: uncached}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -488,7 +488,7 @@ func TestAUBindingValidation(t *testing.T) {
 				t.Error("out-of-range BindAU succeeded")
 			}
 			// Valid binding + unbind.
-			b, err := ep.BindAU(local, imp, 0, 2, AUOpts{Combine: true, Timer: true})
+			b, err := ep.BindAU(local, imp, 0, 2, AUOpts{Combine: true})
 			if err != nil {
 				t.Error(err)
 				return
