@@ -32,8 +32,11 @@ func handshake(t *testing.T, listener func(cl *cluster.Cluster, p *kernel.Proces
 func TestAcceptForeignDatagram(t *testing.T) {
 	handshake(t,
 		func(_ *cluster.Cluster, _ *kernel.Process, lib *Lib) {
-			if c, err := lib.Listen(5000).Accept(); err == nil {
+			c, err := lib.Listen(5000).Accept()
+			if err == nil {
 				t.Errorf("a foreign datagram was accepted as %v", c)
+			} else if want := "socket: bad connect request string"; err.Error() != want {
+				t.Errorf("Accept error %q, want %q", err, want)
 			}
 		},
 		func(cl *cluster.Cluster, p *kernel.Process, _ *Lib) {

@@ -6,8 +6,9 @@
 //
 //   - Connection establishment uses a regular internet-domain socket on the
 //     Ethernet to exchange the data required to establish two VMMC mappings
-//     (one per direction); the internet socket is held open to detect a
-//     broken connection.
+//     (one per direction). The paper holds the internet socket open to
+//     detect a broken connection; nothing here watches it, so the port is
+//     closed once the handshake's answer is in.
 //   - Each direction is a circular buffer; incoming and outgoing state are
 //     grouped by who has write access.
 //   - Three protocol variants (Figure 7): DU-2copy (sender copies into a
@@ -132,6 +133,9 @@ func (ln *Listener) Accept() (*Conn, error) {
 	_, err := l.ep.Accept(m, vmmc.AcceptSpec{Port: ln.port, Pages: ringPages,
 		Name:  l.nextName,
 		Setup: func(ch *vmmc.Channel) { c = l.newConn(ch) }})
+	if errors.Is(err, vmmc.ErrNotRequest) {
+		return nil, fmt.Errorf("socket: bad connect request %T", m.Payload)
+	}
 	return c, err
 }
 
@@ -142,13 +146,12 @@ func (ln *Listener) Close() { ln.port.Close() }
 func (l *Lib) Connect(node, port int) (*Conn, error) {
 	name := l.nextName()
 	// Bounded connection establishment: a dead or absent listener shows
-	// up as a refused connection, not a hang. The Ethernet port stays
-	// open with the connection, to detect breakage.
+	// up as a refused connection, not a hang.
 	ch, err := l.ep.Dial(vmmc.DialSpec{Eth: l.eth,
 		Reply: ether.Addr{Node: l.node, Port: 40000 + l.seq},
 		To:    ether.Addr{Node: node, Port: port},
 		Name:  name, Pages: ringPages, Deadline: 100 * time.Millisecond,
-		Keep: true, Refused: "socket: connect"})
+		Refused: "socket: connect"})
 	if err == vmmc.ErrNoAnswer {
 		return nil, fmt.Errorf("socket: connect to %d:%d refused or timed out", node, port)
 	}
@@ -169,7 +172,7 @@ func (l *Lib) nextName() string {
 func (l *Lib) newConn(ch *vmmc.Channel) *Conn {
 	p := l.ep.Proc
 	c := &Conn{lib: l, out: ch.Out, outShadow: ch.Shadow, in: ch.In, mode: l.mode,
-		ether: ch.Port, closeCond: sim.NewCond(p.M.Eng)}
+		closeCond: sim.NewCond(p.M.Eng)}
 	if l.mode != ModeAU2 {
 		c.staging = p.Alloc(ringBytes/2+8, hw.WordSize)
 	}
@@ -191,8 +194,6 @@ type Conn struct {
 	ackSeen  int
 	ackPub   int
 	tail     [4]byte // bytes of the partial word at the stream write head
-
-	ether *ether.Port // held open to detect breakage (client side)
 
 	sendClosed bool
 	recvClosed bool
@@ -399,10 +400,6 @@ func (c *Conn) Close() error {
 	c.closeGen++
 	c.publishAck()
 	p.WriteWord(c.outShadow+kernel.VA(ctlFin), 1)
-	if c.ether != nil {
-		c.ether.Close()
-		c.ether = nil
-	}
 	// Wake anything parked in Send or Recv: waiters blocked at close time
 	// get ErrClosed instead of leaking as parked procs.
 	c.closeCond.Broadcast()
@@ -421,10 +418,6 @@ func (c *Conn) Abort() {
 	}
 	c.sendClosed = true
 	c.closeGen++
-	if c.ether != nil {
-		c.ether.Close()
-		c.ether = nil
-	}
 	c.closeCond.Broadcast()
 }
 

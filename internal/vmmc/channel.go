@@ -19,15 +19,16 @@ import (
 // closed, or the deadline passed. Each library turns it into its own error.
 var ErrNoAnswer = errors.New("vmmc: channel listener did not answer")
 
+// ErrNotRequest reports that Accept was handed a datagram that is not a
+// channel request. It is returned wrapped, with the payload's type.
+var ErrNotRequest = errors.New("vmmc: not a channel request")
+
 // Channel is one end of an established pair of mappings.
 type Channel struct {
 	Out    *Import   // the peer's ring
 	Shadow kernel.VA // local pages AU-bound to Out
 	In     kernel.VA // the local ring, exported to the peer
 
-	// Port is the client's reply port when Dial was asked to keep it
-	// open, nil otherwise.
-	Port *ether.Port
 	// Mode is the value the client passed in DialSpec.Mode.
 	Mode int
 }
@@ -47,16 +48,13 @@ type chanResp struct {
 // DialSpec is what a library passes to Dial.
 type DialSpec struct {
 	Eth   *ether.Network
-	Reply ether.Addr // the client's reply port, bound for the handshake
+	Reply ether.Addr // the client's reply port, bound for the handshake only
 	To    ether.Addr // the listener
 	Name  string     // export name of the local ring
 	Pages int        // ring size of each direction, in pages
 	Mode  int        // library-defined, handed to the listener
 	// Deadline bounds the wait for the listener's answer; 0 means none.
 	Deadline time.Duration
-	// Keep leaves the reply port open as Channel.Port once the channel
-	// is wired; otherwise it is closed then.
-	Keep bool
 	// Refused prefixes the error returned for a listener's refusal.
 	Refused string
 }
@@ -66,20 +64,16 @@ type DialSpec struct {
 // the listener's ring, then map and AU-bind the shadow. It returns
 // ErrNoAnswer when no answer comes and a "Refused: reason" error when the
 // listener refuses; a local failure is returned as is. The reply port is
-// closed on every failure.
-func (ep *Endpoint) Dial(s DialSpec) (_ *Channel, err error) {
+// closed once the answer is in or the wait ends.
+func (ep *Endpoint) Dial(s DialSpec) (*Channel, error) {
 	p := ep.Proc
 	ch := &Channel{In: p.MapPages(s.Pages, 0)}
 	if _, err := ep.Export(ch.In, s.Pages, ExportOpts{Name: s.Name}); err != nil {
 		return nil, err
 	}
 	port := s.Eth.Bind(s.Reply)
-	defer func() {
-		if err != nil || !s.Keep {
-			port.Close()
-		}
-	}()
 	reply := port.Call(p.P, s.To, 64+len(s.Name), chanReq{Node: p.M.ID, Region: s.Name, Mode: s.Mode}, s.Deadline)
+	port.Close()
 	if reply == nil {
 		return nil, ErrNoAnswer
 	}
@@ -96,9 +90,6 @@ func (ep *Endpoint) Dial(s DialSpec) (_ *Channel, err error) {
 	}
 	if err := ep.wire(ch, out, s.Pages); err != nil {
 		return nil, err
-	}
-	if s.Keep {
-		ch.Port = port
 	}
 	return ch, nil
 }
@@ -119,11 +110,11 @@ type AcceptSpec struct {
 // the client's ring, map and export the local ring, map and AU-bind the
 // shadow, run the library's setup, then answer. A failure after the
 // request is understood is answered with a refusal and returned. A
-// datagram that is not a request gets no answer and an error.
+// datagram that is not a request gets no answer and an ErrNotRequest.
 func (ep *Endpoint) Accept(m *ether.Message, s AcceptSpec) (_ *Channel, err error) {
 	req, ok := m.Payload.(chanReq)
 	if !ok {
-		return nil, fmt.Errorf("vmmc: not a channel request: %T", m.Payload)
+		return nil, fmt.Errorf("%w: %T", ErrNotRequest, m.Payload)
 	}
 	p := ep.Proc
 	defer func() {
