@@ -33,8 +33,9 @@ lint:
 	$(GO) run ./cmd/shrimplint ./...
 
 # fuzz gives the XDR round-trip, raw-decode, trace, mesh packet-codec,
-# event-queue differential, SRPC IDL parser, SunRPC header decode, and KV
-# batch and replication image decode targets a brief shake; the corpus
+# event-queue differential, SRPC IDL parser, SunRPC header decode, NX
+# packet-buffer descriptor decode, and KV batch and replication image
+# decode targets a brief shake; the corpus
 # accumulates in the Go build cache. This is the one list of fuzz targets;
 # CI runs it.
 fuzz:
@@ -45,6 +46,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzEventQueue -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzParseIDL -fuzztime $(FUZZTIME) ./internal/srpc
 	$(GO) test -run NONE -fuzz FuzzDecodeHeaders -fuzztime $(FUZZTIME) ./internal/sunrpc
+	$(GO) test -run NONE -fuzz FuzzDecodeHdr -fuzztime $(FUZZTIME) ./internal/nx
 	$(GO) test -run NONE -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME) ./internal/app
 	$(GO) test -run NONE -fuzz FuzzDecodeRepl -fuzztime $(FUZZTIME) ./internal/app
 

@@ -272,7 +272,67 @@ func TestProbe(t *testing.T) {
 			if got := nx.Crecv(33, dst, 48); got != 48 {
 				t.Error("message vanished after probe")
 			}
+			// Nor a self-addressed one.
+			self := fill(p, 40, 61)
+			nx.Csend(34, self, 40, 1, 0)
+			if !nx.Iprobe(34) || !nx.Iprobe(34) {
+				t.Error("iprobe consumed a self message")
+			}
+			nx.Cprobe(34)
+			if nx.Infocount() != 40 || nx.Infonode() != 1 {
+				t.Errorf("self probe info: count=%d node=%d", nx.Infocount(), nx.Infonode())
+			}
+			if got := nx.Crecv(34, dst, 40); got != 40 {
+				t.Fatalf("self message vanished after probe: got %d", got)
+			}
+			check(t, p, dst, 40, 61)
 		})
+}
+
+func TestCorruptDescriptorIgnored(t *testing.T) {
+	// The peer writes the descriptor; a size word past PayloadMax would
+	// put the done word outside the region.
+	run(t, Config{},
+		func(nx *NX, p *kernel.Process) {
+			p.Poke(nx.conns[1].in+kernel.VA(pktOff(0)), []byte{0xff, 0xff, 0xff, 0x7f})
+			if nx.Iprobe(TypeAny) {
+				t.Error("iprobe matched a corrupt descriptor")
+			}
+		},
+		func(nx *NX, p *kernel.Process) {})
+}
+
+func TestCrecvParksBesideOtherSelfType(t *testing.T) {
+	// A pending self message of another type must leave a blocked Crecv
+	// parked until its own message lands, not polling every
+	// PollCheckCost through a 5 ms wait.
+	events := func(self bool) int64 {
+		c := cluster.Default()
+		got := 0
+		c.Spawn(0, "app", func(p *kernel.Process) {
+			nx := New(c, p, 0, 2, Config{})
+			if self {
+				nx.Csend(5, fill(p, 16, 1), 16, 0, 0)
+			}
+			got = nx.Crecv(6, p.Alloc(16, 4), 16)
+			nx.Drain()
+		})
+		c.Spawn(1, "app", func(p *kernel.Process) {
+			nx := New(c, p, 1, 2, Config{})
+			p.Compute(5 * time.Millisecond)
+			nx.Csend(6, fill(p, 16, 2), 16, 0, 0)
+			nx.Drain()
+		})
+		c.Run()
+		if got != 16 {
+			t.Fatalf("self=%v: Crecv got %d bytes", self, got)
+		}
+		return c.Eng.EventsRun
+	}
+	quiet, pending := events(false), events(true)
+	if pending-quiet > 8 {
+		t.Errorf("Crecv ran %d events beside a pending self message of another type, %d without", pending, quiet)
+	}
 }
 
 func TestIsendIrecvMsgwait(t *testing.T) {
@@ -365,20 +425,19 @@ func TestGsyncAndReductions(t *testing.T) {
 
 func TestManyRandomMessages(t *testing.T) {
 	// Property-style stress: a pseudo-random message pattern among four
-	// nodes, verified by content checksum at the receivers.
+	// nodes, each also sending to itself, verified by content checksum at
+	// the receivers.
 	const perPair = 12
 	bodies := make([]func(*NX, *kernel.Process), 4)
 	for i := 0; i < 4; i++ {
 		i := i
 		bodies[i] = func(nx *NX, p *kernel.Process) {
 			rng := rand.New(rand.NewSource(int64(i) * 977))
-			// Send perPair messages to each other node, interleaved.
+			// Send perPair messages to every node, itself included,
+			// interleaved.
 			type slot struct{ to, idx int }
 			var plan []slot
 			for to := 0; to < 4; to++ {
-				if to == i {
-					continue
-				}
 				for k := 0; k < perPair; k++ {
 					plan = append(plan, slot{to, k})
 				}
@@ -400,7 +459,7 @@ func TestManyRandomMessages(t *testing.T) {
 					recvd++
 				}
 			}
-			for recvd < 3*perPair {
+			for recvd < 4*perPair {
 				nx.Crecv(TypeAny, dst, 5000)
 				verify(t, nx, p, dst)
 				recvd++

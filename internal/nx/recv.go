@@ -7,11 +7,13 @@ import (
 	"shrimp/internal/kernel"
 )
 
-// candidate is a matchable message found in a connection's packet buffers.
+// candidate is a matchable message: one landed in packet buffer buf of cn,
+// or, with cn nil, entry buf of the loopback queue. node is its sender.
 type candidate struct {
-	cn  *conn
-	buf int
-	h   hdr
+	cn   *conn
+	buf  int
+	h    hdr
+	node int
 }
 
 // Crecv blocks until a message matching typesel arrives, copies it into buf
@@ -25,15 +27,13 @@ func (nx *NX) Crecv(typesel int, buf kernel.VA, count int) int {
 	p.Compute(hw.CallCost)
 	for {
 		nx.servicePending()
-		if m, ok := nx.match(typesel); ok {
+		if m, ok := nx.find(typesel, true); ok {
 			return nx.consume(m, buf, count)
-		}
-		if sm := nx.matchSelf(typesel); sm != nil {
-			return nx.consumeSelf(sm, buf, count)
 		}
 		nx.flushAllCredits()
 		p.WaitPred(nx.wake, nil, func() bool {
-			return nx.matchExists(typesel) || nx.pendingActionable()
+			_, ok := nx.find(typesel, false)
+			return ok || nx.pendingActionable()
 		})
 	}
 }
@@ -46,7 +46,8 @@ func (nx *NX) Cprobe(typesel int) {
 	for !nx.probe(typesel) {
 		nx.flushAllCredits()
 		p.WaitPred(nx.wake, nil, func() bool {
-			return nx.matchExists(typesel) || nx.pendingActionable()
+			_, ok := nx.find(typesel, false)
+			return ok || nx.pendingActionable()
 		})
 	}
 }
@@ -59,18 +60,15 @@ func (nx *NX) Iprobe(typesel int) bool {
 }
 
 // probe is the step Cprobe and Iprobe share: service pending work, then
-// record the info of a matching message if one is available.
+// record the info of a matching message, if one is available, without
+// taking it.
 func (nx *NX) probe(typesel int) bool {
 	nx.servicePending()
-	if m, ok := nx.match(typesel); ok {
-		nx.setInfo(m.h.fullSize, m.h.typ, m.cn.peer, m.h.pid)
-		return true
+	m, ok := nx.find(typesel, true)
+	if ok {
+		nx.setInfo(m.h.fullSize, m.h.typ, m.node, m.h.pid)
 	}
-	if sm := nx.matchSelf(typesel); sm != nil {
-		nx.setInfo(len(sm.data), sm.typ, nx.node, sm.pid)
-		return true
-	}
-	return false
+	return ok
 }
 
 // setInfo records the last received message's info (Infocount and
@@ -142,107 +140,88 @@ func (nx *NX) serviceRecv(r *postedRecv) {
 	if r.done {
 		return
 	}
-	if m, ok := nx.match(r.typesel); ok {
+	if m, ok := nx.find(r.typesel, true); ok {
 		r.got = nx.consume(m, r.buf, r.count)
-		r.done = true
-		return
-	}
-	if sm := nx.matchSelf(r.typesel); sm != nil {
-		r.got = nx.consumeSelf(sm, r.buf, r.count)
 		r.done = true
 	}
 }
 
 // --- Matching ---
 
-// match finds the best matching first-chunk message: lowest sequence number
-// among matching types, scanning connections round-robin. Continuation and
-// zero-copy data chunks are never matched directly.
-func (nx *NX) match(typesel int) (candidate, bool) {
+// find picks the message a receive for typesel takes next. Among first
+// chunks landed in the packet buffers (continuation and zero-copy data
+// chunks are never matched directly) it takes the lowest sequence number,
+// ties going to the lower peer; only when none matches does it fall back
+// to the oldest self-addressed message of the type. touch charges the scan
+// (see slot); the wake predicates call it uncharged.
+func (nx *NX) find(typesel int, touch bool) (candidate, bool) {
 	p := nx.proc()
 	var best candidate
 	found := false
 	for _, cn := range nx.connList {
 		for buf := 0; buf < NumPkt; buf++ {
-			off := pktOff(buf)
-			size := cn.inWord(p, off)
-			if size == 0 {
+			if cn.inWord(p, pktOff(buf)) == 0 {
+				continue // free (see slot)
+			}
+			h, ok := nx.slot(cn, buf, touch)
+			if !ok || h.flags&(flagCont|flagZCData) != 0 || (typesel != TypeAny && h.typ != typesel) {
 				continue
 			}
-			h := nx.readHdr(cn, buf)
-			if h.flags&(flagCont|flagZCData) != 0 {
-				continue
-			}
-			if typesel != TypeAny && h.typ != typesel {
-				continue
-			}
-			if cn.inWord(p, doneOff(off, h.size)) != uint32(h.size+1) {
-				continue // still in flight
-			}
-			if !found || h.seq < best.h.seq || (h.seq == best.h.seq && cn.peer < best.cn.peer) {
-				best = candidate{cn: cn, buf: buf, h: h}
+			if !found || h.seq < best.h.seq || (h.seq == best.h.seq && cn.peer < best.node) {
+				best = candidate{cn: cn, buf: buf, h: h, node: cn.peer}
 				found = true
 			}
 		}
 	}
-	return best, found
-}
-
-// matchExists is the cheap wake predicate: it peeks descriptors without
-// charging per-word costs (the real scan re-runs with costs after wake).
-func (nx *NX) matchExists(typesel int) bool {
-	p := nx.proc()
-	for _, cn := range nx.connList {
-		for buf := 0; buf < NumPkt; buf++ {
-			off := pktOff(buf)
-			size := p.PeekWord(cn.in + kernel.VA(off))
-			if size == 0 {
-				continue
-			}
-			flags := p.PeekWord(cn.in + kernel.VA(off+12))
-			if flags&(flagCont|flagZCData) != 0 {
-				continue
-			}
-			typ := int(int32(p.PeekWord(cn.in + kernel.VA(off+4))))
-			if typesel != TypeAny && typ != typesel {
-				continue
-			}
-			if p.PeekWord(cn.in+kernel.VA(doneOff(off, int(size)-1))) == size {
-				return true
-			}
-		}
+	if found {
+		return best, true
 	}
-	return len(nx.loopback) > 0
-}
-
-func (nx *NX) matchSelf(typesel int) *selfMsg {
 	for i, sm := range nx.loopback {
 		if typesel == TypeAny || sm.typ == typesel {
-			nx.loopback = append(nx.loopback[:i], nx.loopback[i+1:]...)
-			return sm
+			return candidate{buf: i, h: hdr{typ: sm.typ, fullSize: len(sm.data), pid: sm.pid}, node: nx.node}, true
 		}
 	}
-	return nil
+	return candidate{}, false
 }
 
-func (nx *NX) consumeSelf(sm *selfMsg, buf kernel.VA, count int) int {
+// slot reads packet buffer buf of cn's incoming region. It returns the
+// buffer's descriptor only once a message has wholly landed there: the size
+// word is set, the descriptor decodes as valid, and the trailing done word
+// matches. The caller has seen a nonzero size word: the scans skip a free
+// buffer with one uncharged peek, because they run at every wake and a
+// call per free buffer cost paper-sweep about 15% of its host time. With
+// touch, one word-touch is charged for the descriptor read (it is cached
+// after the size-word poll).
+func (nx *NX) slot(cn *conn, buf int, touch bool) (hdr, bool) {
 	p := nx.proc()
-	n := len(sm.data)
-	if n > count {
-		n = count
+	off := pktOff(buf)
+	if touch {
+		p.P.Sleep(hw.WordTouchCost)
 	}
-	p.WriteBytes(buf, sm.data[:n])
-	nx.setInfo(n, sm.typ, nx.node, sm.pid)
-	return n
+	var b [hdrSize]byte
+	p.PeekInto(cn.in+kernel.VA(off), b[:])
+	h, ok := decodeHdr(b)
+	if !ok || cn.inWord(p, doneOff(off, h.size)) != uint32(h.size+1) {
+		return hdr{}, false
+	}
+	return h, true
 }
 
 // consume delivers a matched message into the user buffer and releases its
 // packet buffer(s).
 func (nx *NX) consume(m candidate, buf kernel.VA, count int) int {
+	p := nx.proc()
+	if m.cn == nil {
+		data := nx.loopback[m.buf].data
+		nx.loopback = append(nx.loopback[:m.buf], nx.loopback[m.buf+1:]...)
+		n := min(len(data), count)
+		p.WriteBytes(buf, data[:n])
+		nx.setInfo(n, m.h.typ, m.node, m.h.pid)
+		return n
+	}
 	if m.h.flags&flagScout != 0 {
 		return nx.zcRecv(m, buf, count)
 	}
-	p := nx.proc()
 	// Matching bookkeeping, info updates, descriptor validation.
 	p.Compute(3 * hw.CallCost)
 	total := m.h.fullSize
@@ -263,7 +242,7 @@ func (nx *NX) consume(m candidate, buf kernel.VA, count int) int {
 		nx.release(m.cn, cm.buf, cm.h.size)
 		received += cm.h.size
 	}
-	nx.setInfo(got, m.h.typ, m.cn.peer, m.h.pid)
+	nx.setInfo(got, m.h.typ, m.node, m.h.pid)
 	return got
 }
 
@@ -300,18 +279,13 @@ func (nx *NX) waitChunk(cn *conn, flag uint32, msgID uint32, idx int) candidate 
 	p := nx.proc()
 	for {
 		for buf := 0; buf < NumPkt; buf++ {
-			off := pktOff(buf)
-			if cn.inWord(p, off) == 0 {
-				continue
+			if cn.inWord(p, pktOff(buf)) == 0 {
+				continue // free (see slot)
 			}
-			h := nx.readHdr(cn, buf)
-			if h.flags&flag == 0 || h.msgID != msgID || h.fullSize != idx {
-				continue
+			h, ok := nx.slot(cn, buf, true)
+			if ok && h.flags&flag != 0 && h.msgID == msgID && h.fullSize == idx {
+				return candidate{cn: cn, buf: buf, h: h, node: cn.peer}
 			}
-			if cn.inWord(p, doneOff(off, h.size)) != uint32(h.size+1) {
-				continue
-			}
-			return candidate{cn: cn, buf: buf, h: h}
 		}
 		nx.flushAllCredits()
 		p.WaitPred(cn.inPages, nil, func() bool { return true })

@@ -48,17 +48,16 @@ func (h *hdr) encode() [hdrSize]byte {
 	return b
 }
 
-// readHdr decodes the descriptor of packet buffer buf in cn's incoming
-// region. The caller has already seen a nonzero size word; one word-touch is
-// charged for the descriptor read (it is cached after the size-word poll).
-func (nx *NX) readHdr(cn *conn, buf int) hdr {
-	p := nx.proc()
-	off := pktOff(buf)
-	p.P.Sleep(hw.WordTouchCost)
-	var b [hdrSize]byte
-	p.PeekInto(cn.in+kernel.VA(off), b[:])
+// decodeHdr decodes a descriptor as encode renders it. The peer writes the
+// bytes and the receiver does not trust it: ok is false unless the size
+// word names a payload of 0..PayloadMax bytes, so the payload and done word
+// it locates stay inside the packet buffer.
+func decodeHdr(b [hdrSize]byte) (hdr, bool) {
 	u32 := func(o int) uint32 {
 		return uint32(b[o]) | uint32(b[o+1])<<8 | uint32(b[o+2])<<16 | uint32(b[o+3])<<24
+	}
+	if w := u32(0); w == 0 || w > PayloadMax+1 {
+		return hdr{}, false
 	}
 	return hdr{
 		size:     int(u32(0)) - 1,
@@ -68,7 +67,7 @@ func (nx *NX) readHdr(cn *conn, buf int) hdr {
 		msgID:    u32(16),
 		fullSize: int(u32(20)),
 		pid:      int(u32(24)),
-	}
+	}, true
 }
 
 // doneOff returns the offset of the done word for a payload of n bytes.

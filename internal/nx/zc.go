@@ -335,8 +335,15 @@ func (nx *NX) zcRecv(m candidate, buf kernel.VA, count int) int {
 		}
 	}
 	// Wait for the done flag. In direct mode the data has landed straight
-	// in the user buffer — no receive-side copy.
-	p.WaitWord(cn.in+kernel.VA(zcDoneSlot(seq)), func(v uint32) bool { return v == seq+1 })
+	// in the user buffer — no receive-side copy. This process's own parked
+	// transfers keep advancing meanwhile: their receivers may be waiting
+	// in here on us.
+	done := cn.in + kernel.VA(zcDoneSlot(seq))
+	for len(nx.pendingZC) > 0 && p.PeekWord(done) != seq+1 {
+		nx.servicePending()
+		p.WaitPred(nx.wake, nil, func() bool { return p.PeekWord(done) == seq+1 || nx.pendingActionable() })
+	}
+	p.WaitWord(done, func(v uint32) bool { return v == seq+1 })
 
 	nx.setInfo(want, m.h.typ, cn.peer, m.h.pid)
 	return want
