@@ -840,7 +840,10 @@ func (p *Process) endWait() { p.waitDepth-- }
 // multi-connection poll loop the message-passing libraries use (scan all
 // senders, sleep until something changes); servers multiplexing
 // memory-mapped streams with control-network ports add their ports' conds
-// as extra.
+// as extra. pred must test what the caller is waiting for: WaitPred parks
+// only while pred is false, so an always-true pred returns after one
+// PollCheckCost and a loop around it spins instead of waiting
+// (shrimplint's no-spin-wait rule flags one).
 func (p *Process) WaitPred(vas []VA, extra []*sim.Cond, pred func() bool) {
 	conds := p.waitSet(vas, extra)
 	defer p.endWait()

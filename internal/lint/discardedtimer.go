@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"strings"
 )
 
 // DiscardedTimerAnalyzer returns the discarded-timer rule: a statement that
@@ -36,7 +34,7 @@ func DiscardedTimerAnalyzer() *Analyzer {
 						return true
 					}
 					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok || !isEngineMethod(useObj(p, sel.Sel), "Schedule", "At") {
+					if !ok || !isMethod(useObj(p, sel.Sel), "/internal/sim", "Engine", "Schedule", "At") {
 						return true
 					}
 					alt := "Post"
@@ -51,34 +49,4 @@ func DiscardedTimerAnalyzer() *Analyzer {
 			}
 		},
 	}
-}
-
-// isEngineMethod reports whether obj is one of the named methods of the
-// simulation engine's Engine type.
-func isEngineMethod(obj types.Object, names ...string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	if path := fn.Pkg().Path(); path != SimPath && !strings.HasSuffix(path, "/internal/sim") {
-		return false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	t := recv.Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Engine" {
-		return false
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
 }

@@ -22,11 +22,13 @@
 //	                            iteration
 //	discarded-timer          Engine.Schedule/At handles dropped on the
 //	                         floor (use the allocation-free Post/PostAt)
+//	no-spin-wait             Process.WaitPred with an always-true
+//	                         predicate (a poll loop, not a wait)
 //
 // The first four are per-file pattern rules; the next five are flow- and
 // type-aware, built on a shared whole-repo call graph (graph.go) and a
-// per-function forward dataflow walker (flow.go); discarded-timer is a
-// typed per-statement check.
+// per-function forward dataflow walker (flow.go); discarded-timer and
+// no-spin-wait are typed per-call checks.
 //
 // A diagnostic can be suppressed at the site with a comment on the same
 // line or the line directly above:
@@ -136,6 +138,7 @@ func All() []*Analyzer {
 		CheckedErrorsAnalyzer(),
 		FloatOrderAnalyzer(),
 		DiscardedTimerAnalyzer(),
+		SpinWaitAnalyzer(),
 	}
 }
 

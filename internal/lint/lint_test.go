@@ -524,6 +524,45 @@ func use(e *Engine) { e.Schedule(0, nil) }`, true)
 	})
 }
 
+// kernelWaitDefs gives fixtures the kernel's multi-source wait.
+const kernelWaitDefs = `package kernel
+type VA uint64
+type Process struct{}
+func (p *Process) WaitPred(vas []VA, extra []any, pred func() bool) {}`
+
+func TestSpinWait(t *testing.T) {
+	cases := []struct {
+		name string
+		body string
+		want int
+	}{
+		{"hit: always-true literal", `p.WaitPred(nil, nil, func() bool { return true })`, 1},
+		{"clean: a real predicate", `p.WaitPred(nil, nil, func() bool { return ready })`, 0},
+		{"clean: a predicate that tests first", `p.WaitPred(nil, nil, func() bool { if ready { return true }; return false })`, 0},
+		{"clean: a method value", `p.WaitPred(nil, nil, w.ready)`, 0},
+		{"clean: another type's WaitPred", `w.WaitPred(nil, nil, func() bool { return true })`, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pkgs := loadFixtures(t,
+				fixture{path: "shrimp/internal/kernel", src: kernelWaitDefs},
+				fixture{path: "shrimp/internal/nx", src: `package nx
+import "shrimp/internal/kernel"
+type waiter struct{}
+func (waiter) ready() bool { return false }
+func (waiter) WaitPred(vas []kernel.VA, extra []any, pred func() bool) {}
+func run(p *kernel.Process, w waiter, ready bool) {
+	` + tc.body + `
+}`, simReachable: true},
+			)
+			diags := Run(pkgs, []*Analyzer{SpinWaitAnalyzer()})
+			if len(diags) != tc.want {
+				t.Fatalf("got %d diagnostics, want %d: %v", len(diags), tc.want, diags)
+			}
+		})
+	}
+}
+
 // pooledDefs gives fixtures the GetBuf/PutBuf pool surface and a sink.
 const pooledDefs = `package x
 type Net struct{}

@@ -127,8 +127,9 @@ type NX struct {
 	// Last-received message info (infocount and friends).
 	lastCount, lastType, lastNode, lastPid int
 
-	// Zero-copy sends whose data transfer is still pending (the user
-	// call returned after the backup copy completed).
+	// Zero-copy sends whose data transfer is still pending, in the order
+	// they parked: a blocking send's once its backup copy completed, an
+	// Isend's as soon as its scout is out.
 	pendingZC []*zcSend
 
 	// Receiver-side export cache for user buffers handed to the

@@ -102,14 +102,11 @@ func (nx *NX) Msgdone(id ID) bool {
 	p.Compute(hw.CallCost)
 	nx.servicePending()
 	if zs, ok := nx.sends[id]; ok {
-		if !zs.complete {
-			nx.tryFinishZC(zs)
-		}
+		// A large send's transfer is advanced by servicePending above.
 		if zs.complete {
 			delete(nx.sends, id)
-			return true
 		}
-		return false
+		return zs.complete
 	}
 	if r, ok := nx.recvs[id]; ok {
 		nx.serviceRecv(r)
@@ -126,13 +123,24 @@ func (nx *NX) Msgdone(id ID) bool {
 func (nx *NX) Msgwait(id ID) {
 	p := nx.proc()
 	p.Compute(hw.CallCost)
-	for {
-		if nx.Msgdone(id) {
-			return
-		}
+	for !nx.Msgdone(id) {
 		nx.flushAllCredits()
-		p.WaitPred(nx.wake, nil, func() bool { return true })
+		p.WaitPred(nx.wake, nil, func() bool { return nx.ready(id) || nx.pendingActionable() })
 	}
+}
+
+// ready reports, uncharged, whether Msgdone(id) could now complete: a
+// receive's message has landed, or the operation is already done. A large
+// send's reply is a pendingActionable case.
+func (nx *NX) ready(id ID) bool {
+	if zs, ok := nx.sends[id]; ok {
+		return zs.complete
+	}
+	if r, ok := nx.recvs[id]; ok {
+		_, found := nx.find(r.typesel, false)
+		return r.done || found
+	}
+	return true
 }
 
 // serviceRecv attempts to satisfy a posted receive.
@@ -278,18 +286,32 @@ func (nx *NX) release(cn *conn, buf, size int) {
 func (nx *NX) waitChunk(cn *conn, flag uint32, msgID uint32, idx int) candidate {
 	p := nx.proc()
 	for {
-		for buf := 0; buf < NumPkt; buf++ {
-			if cn.inWord(p, pktOff(buf)) == 0 {
-				continue // free (see slot)
-			}
-			h, ok := nx.slot(cn, buf, true)
-			if ok && h.flags&flag != 0 && h.msgID == msgID && h.fullSize == idx {
-				return candidate{cn: cn, buf: buf, h: h, node: cn.peer}
-			}
+		if m, ok := nx.findChunk(cn, flag, msgID, idx, true); ok {
+			return m
 		}
 		nx.flushAllCredits()
-		p.WaitPred(cn.inPages, nil, func() bool { return true })
+		p.WaitPred(cn.inPages, nil, func() bool {
+			_, ok := nx.findChunk(cn, flag, msgID, idx, false)
+			return ok
+		})
 	}
+}
+
+// findChunk scans cn's packet buffers for chunk idx of message msgID with
+// the given flag. touch charges the scan (see slot); the wake predicate
+// calls it uncharged.
+func (nx *NX) findChunk(cn *conn, flag uint32, msgID uint32, idx int, touch bool) (candidate, bool) {
+	p := nx.proc()
+	for buf := 0; buf < NumPkt; buf++ {
+		if cn.inWord(p, pktOff(buf)) == 0 {
+			continue // free (see slot)
+		}
+		h, ok := nx.slot(cn, buf, touch)
+		if ok && h.flags&flag != 0 && h.msgID == msgID && h.fullSize == idx {
+			return candidate{cn: cn, buf: buf, h: h, node: cn.peer}, true
+		}
+	}
+	return candidate{}, false
 }
 
 func (nx *NX) flushAllCredits() {

@@ -119,9 +119,11 @@ func (nx *NX) Isend(typ int, buf kernel.VA, count, node, pid int) ID {
 	default:
 		// Large asynchronous sends skip the backup copy entirely: the
 		// user buffer stays live until Msgwait, so the transfer always
-		// goes directly from user memory.
+		// goes directly from user memory. It parks with the blocking
+		// sends' transfers, so every library call advances it.
 		zs := nx.zcStart(&zcSend{}, cn, typ, buf, count, pid, proto, false)
 		nx.sends[id] = zs
+		nx.pendingZC = append(nx.pendingZC, zs)
 	}
 	return id
 }

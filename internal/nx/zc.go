@@ -69,7 +69,7 @@ func (nx *NX) zcStart(zs *zcSend, cn *conn, typ int, userVA kernel.VA, n, pid in
 	// done rings are finite).
 	for cn.zcOut >= MaxZC {
 		nx.servicePending()
-		p.WaitPred(cn.inPages, nil, func() bool { return true })
+		p.WaitPred(nx.wake, nil, func() bool { return cn.zcOut < MaxZC || nx.pendingActionable() })
 	}
 	seq := cn.zcSendSeq
 	cn.zcSendSeq++
@@ -260,22 +260,23 @@ func (nx *NX) servicePending() {
 	nx.pendingZC = rest
 }
 
-// drainPending blocks until every pending transfer on cn completes (the
-// per-connection backup buffer is about to be reused).
+// drainPending blocks until every pending transfer on cn that reads from
+// the per-connection backup buffer completes (the buffer is about to be
+// reused).
 func (nx *NX) drainPending(cn *conn) {
 	p := nx.proc()
 	for {
 		nx.servicePending()
 		busy := false
 		for _, zs := range nx.pendingZC {
-			if zs.cn == cn {
+			if zs.cn == cn && zs.fromBack {
 				busy = true
 			}
 		}
 		if !busy {
 			return
 		}
-		p.WaitPred(cn.inPages, nil, func() bool { return true })
+		p.WaitPred(nx.wake, nil, nx.pendingActionable)
 	}
 }
 
