@@ -93,6 +93,10 @@ type options struct {
 	faultSeed int64
 }
 
+// defaultIters is the -iters default, at which results/shrimpbench_output.txt
+// was generated.
+const defaultIters = 8
+
 // mode is one -fig value.
 type mode struct {
 	name string
@@ -117,7 +121,7 @@ func modes() []mode {
 // exit status, so deferred cleanup (the CPU profile) runs on every path.
 func run() int {
 	fig := flag.String("fig", "all", "which mode to run (see the package doc), or with -trace/-stats which scenario")
-	iters := flag.Int("iters", 8, "ping-pong iterations per point")
+	iters := flag.Int("iters", defaultIters, "ping-pong iterations per point")
 	csvDir := flag.String("csv", "", "also write figure CSV files into this directory")
 	tracePath := flag.String("trace", "", "write a Chrome trace of one -fig scenario to this file")
 	stats := flag.Bool("stats", false, "print the trace summary of one -fig scenario")

@@ -49,14 +49,6 @@ type Config struct {
 	// Trace, when non-nil, receives latency histograms, counters, and
 	// queue-depth gauges (pass the same collector given to cluster.New).
 	Trace *trace.Collector
-	// Reachable, when non-nil, is the modeled directory service's
-	// connectivity oracle (wire it to cluster.Reachable): ReportDown
-	// honors a death report only if the accused node is unreachable from
-	// a majority of live nodes, so a primary isolated on the minority
-	// side of a partition cannot depose its (majority-side) follower and
-	// self-certify writes. Nil keeps the pre-partition behavior: every
-	// report is honored immediately.
-	Reachable func(a, b int) bool
 }
 
 func (cfg *Config) defaults() {
@@ -185,17 +177,18 @@ func (a *App) Gen(node int) int { return a.gen[node] }
 func (a *App) Watch(w FailoverWatcher) { a.watchers = append(a.watchers, w) }
 
 // ReportDown is the failure-detection entry point for callers whose RPC
-// to the node timed out. With a Reachable oracle configured the report
-// passes a quorum gate first: it is honored only if the accused node is
-// unreachable from a majority of live nodes. A timeout seen from the
-// minority side of a partition (the reporter is the one cut off) is
+// to the node timed out. The report passes a quorum gate first: it is
+// honored only if the accused node is unreachable from a majority of live
+// nodes, so a primary isolated on the minority side of a partition cannot
+// depose its (majority-side) follower and self-certify writes. A timeout
+// seen from the minority side (the reporter is the one cut off) is
 // recorded and ignored — the minority-side caller keeps failing, cannot
 // depose anyone, and its writes go unacknowledged until the heal.
 func (a *App) ReportDown(reporter, node int) {
 	if a.down[node] {
 		return
 	}
-	if a.Cfg.Reachable != nil && a.reachedByMajority(node) {
+	if a.reachedByMajority(node) {
 		a.Rec.Count(&a.Rec.ReportsIgnored, "report.ignored", 1)
 		return
 	}
@@ -203,9 +196,9 @@ func (a *App) ReportDown(reporter, node int) {
 }
 
 // reachedByMajority reports whether a strict majority of live nodes
-// (the accused included — it can reach itself) can reach the node. The
-// oracle models the directory service's own connectivity probes; in the
-// simulation it reads the injector's ground truth, which is what those
+// (the accused included — it can reach itself) can reach the node.
+// cluster.Reachable models the directory service's own connectivity
+// probes; it reads the injector's ground truth, which is what those
 // probes would measure.
 func (a *App) reachedByMajority(node int) bool {
 	live, reach := 0, 0
@@ -214,7 +207,7 @@ func (a *App) reachedByMajority(node int) bool {
 			continue
 		}
 		live++
-		if i == node || a.Cfg.Reachable(i, node) {
+		if i == node || a.Cl.Reachable(i, node) {
 			reach++
 		}
 	}

@@ -43,13 +43,8 @@ type Config struct {
 	// Duration is the generation window in virtual time (default 10ms).
 	Duration time.Duration
 	// Rate is the aggregate offered load in ops/sec of virtual time,
-	// averaged over on/off bursts (default 1e6).
+	// split evenly over the gateways (default 1e6).
 	Rate float64
-	// OnMean/OffMean shape bursty arrivals: each gateway alternates
-	// exponential-ish on/off phases with these mean lengths, with the on
-	// rate scaled so the long-run average stays Rate. Zero means
-	// continuously on.
-	OnMean, OffMean time.Duration
 	// Keys is the key-space size; draws are Zipfian ranks 1..Keys
 	// (default 1<<16).
 	Keys int
@@ -317,10 +312,6 @@ type gateway struct {
 
 	emitted   int64
 	completed int64
-
-	// on/off burst state
-	on       bool
-	phaseEnd sim.Time
 }
 
 // canSend reports whether target's sender can proceed: ops are queued
@@ -366,9 +357,9 @@ func (gw *gateway) route(op gop) {
 	gw.queues[t].push(op)
 }
 
-// tickerBody emits the arrival schedule: per tick, a burst-state update
-// and a rate-derived number of arrivals, each routed immediately. The
-// ticker holds the engine busy for the whole window — it is the load.
+// tickerBody emits the arrival schedule: per tick, a rate-derived number
+// of arrivals, each routed immediately. The ticker holds the engine busy
+// for the whole window — it is the load.
 func (gw *gateway) tickerBody(p *kernel.Process) {
 	g := gw.g
 	g.app.WaitReady(p.P)
@@ -378,48 +369,21 @@ func (gw *gateway) tickerBody(p *kernel.Process) {
 		g.startAt = eng.Now()
 	}
 	end := eng.Now().Add(g.cfg.Duration)
-	perGWRate := g.cfg.Rate / float64(len(g.cfg.Gateways))
-	onRate := perGWRate
-	if g.cfg.OnMean > 0 && g.cfg.OffMean > 0 {
-		duty := float64(g.cfg.OnMean) / float64(g.cfg.OnMean+g.cfg.OffMean)
-		onRate = perGWRate / duty
-	}
-	perTick := onRate * tick.Seconds()
-	gw.on = true
-	if g.cfg.OnMean > 0 && g.cfg.OffMean > 0 {
-		// Bursty: start in an off phase of length zero so the first flip
-		// draws an on phase.
-		gw.on = false
-		gw.phaseEnd = eng.Now()
-	}
+	perTick := g.cfg.Rate / float64(len(g.cfg.Gateways)) * tick.Seconds()
 	for {
 		now := eng.Now()
 		if now >= end {
 			break
 		}
-		if g.cfg.OnMean > 0 && g.cfg.OffMean > 0 {
-			for now >= gw.phaseEnd {
-				mean := g.cfg.OffMean
-				if gw.on = !gw.on; gw.on {
-					mean = g.cfg.OnMean
-				}
-				gw.phaseEnd = gw.phaseEnd.Add(time.Duration((0.5 + gw.rng.f64()) * float64(mean)))
-				if gw.phaseEnd < now {
-					gw.phaseEnd = now
-				}
-			}
+		n := int(perTick)
+		if gw.rng.f64() < perTick-float64(n) {
+			n++
 		}
-		if gw.on {
-			n := int(perTick)
-			if gw.rng.f64() < perTick-float64(n) {
-				n++
-			}
-			for i := 0; i < n; i++ {
-				gw.emit(now)
-			}
-			if n > 0 {
-				gw.wake()
-			}
+		for i := 0; i < n; i++ {
+			gw.emit(now)
+		}
+		if n > 0 {
+			gw.wake()
 		}
 		p.P.Sleep(tick)
 	}

@@ -1,8 +1,8 @@
 // Package loadgen is the serving subsystem's open-loop deterministic
-// traffic generator: gateways on chosen nodes emit request arrivals on a
-// fixed virtual-time schedule — seeded Zipfian key draws, bursty on/off
-// phases — regardless of how the service is keeping up, which is what
-// makes overload and shedding observable. Every random draw comes from a
+// traffic generator: gateways on chosen nodes emit request arrivals at a
+// fixed rate in virtual time, with seeded Zipfian key draws, regardless
+// of how the service is keeping up, which is what makes overload and
+// shedding observable. Every random draw comes from a
 // private splitmix64 stream seeded from the config, so the same
 // configuration replays byte-identically.
 package loadgen

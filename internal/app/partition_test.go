@@ -19,13 +19,12 @@ import (
 	"shrimp/internal/vmmc"
 )
 
-// partCluster builds a 2x2 cluster with the injector armed (empty plan)
-// and the app's down-report quorum gate wired to the injector's ground
-// truth.
+// partCluster builds a 2x2 cluster with the injector armed (empty plan),
+// so the app's down-report quorum gate reads the injector's ground truth.
 func partCluster(t *testing.T) (*cluster.Cluster, *app.App) {
 	t.Helper()
 	cl := cluster.New(cluster.Config{MeshX: 2, MeshY: 2, FaultPlan: &fault.Plan{}})
-	a, err := app.Start(cl, app.Config{Reachable: cl.Reachable})
+	a, err := app.Start(cl, app.Config{})
 	if err != nil {
 		t.Fatalf("app start: %v", err)
 	}
@@ -330,7 +329,7 @@ func TestPartitionOneWayUnderLoad(t *testing.T) {
 func TestPartitionDeterminism(t *testing.T) {
 	scenario := func() {
 		cl := cluster.New(cluster.Config{MeshX: 2, MeshY: 2, FaultPlan: &fault.Plan{}})
-		a, err := app.Start(cl, app.Config{Reachable: cl.Reachable})
+		a, err := app.Start(cl, app.Config{})
 		if err != nil {
 			panic(err)
 		}

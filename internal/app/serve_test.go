@@ -93,8 +93,8 @@ func TestReplicaReads(t *testing.T) {
 		})
 }
 
-// determinismScenario is the digest workload: moderate load with bursts
-// and replica reads, at the given mesh size.
+// determinismScenario is the digest workload: moderate load with replica
+// reads, at the given mesh size.
 func determinismScenario(mx, my int) func() {
 	return func() {
 		cl := cluster.New(cluster.Config{MeshX: mx, MeshY: my})
@@ -104,7 +104,6 @@ func determinismScenario(mx, my int) func() {
 		}
 		_, err = loadgen.Start(a, loadgen.Config{
 			Sessions: 256, Duration: 1500 * time.Microsecond, Rate: 2e5,
-			OnMean: 200 * time.Microsecond, OffMean: 100 * time.Microsecond,
 			ReplicaReadFrac: 0.3,
 		})
 		if err != nil {

@@ -92,14 +92,8 @@ func appServe(r *run, opts AppServeOpts, stats *AppServeStats) error {
 	cl := r.cluster(cluster.Config{MeshX: opts.MeshX, MeshY: opts.MeshY})
 	acfg := opts.appCfg
 	acfg.Trace = r.trace
-	if len(opts.Partition) > 0 {
-		if cl.Fault == nil {
-			return fmt.Errorf("app: partition scheduled but the fault injector is not armed")
-		}
-		// Down-reports pass through the quorum gate, grounded in the
-		// injector's reachability truth: a minority-side server cannot
-		// depose the peers it merely lost sight of.
-		acfg.Reachable = cl.Reachable
+	if len(opts.Partition) > 0 && cl.Fault == nil {
+		return fmt.Errorf("app: partition scheduled but the fault injector is not armed")
 	}
 	a, err := app.Start(cl, acfg)
 	if err != nil {

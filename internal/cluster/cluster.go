@@ -333,11 +333,6 @@ func (c *Cluster) Spawn(node int, name string, body func(p *kernel.Process)) *ke
 // waiting for requests; they do not hold the engine busy).
 func (c *Cluster) Run() sim.Time { return c.Eng.RunAll() }
 
-// RunFor drives the simulation for at most d of virtual time.
-func (c *Cluster) RunFor(d time.Duration) sim.Time {
-	return c.Eng.Run(c.Eng.Now().Add(d))
-}
-
 // RunChecked drives the simulation until it drains or the virtual-time
 // budget expires, then asks the engine's watchdog for a verdict: a run that
 // ran out of budget or drained with non-service processes still parked

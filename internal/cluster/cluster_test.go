@@ -39,21 +39,6 @@ func TestNodeBoundsPanic(t *testing.T) {
 	c.Node(4)
 }
 
-func TestRunFor(t *testing.T) {
-	c := Default()
-	ticks := 0
-	c.Spawn(0, "ticker", func(p *kernel.Process) {
-		for i := 0; i < 100; i++ {
-			p.P.Sleep(time.Millisecond)
-			ticks++
-		}
-	})
-	c.RunFor(10500 * time.Microsecond)
-	if ticks != 10 {
-		t.Fatalf("ticks after 10.5ms = %d", ticks)
-	}
-}
-
 // TestSixteenNodes boots the expansion the paper planned ("we also plan to
 // expand the system to 16 nodes") and runs an all-pairs VMMC exchange.
 func TestSixteenNodes(t *testing.T) {

@@ -19,14 +19,22 @@ type fixture struct {
 	simReachable bool
 }
 
+// fixtureFset and fixtureStd are shared by every fixture: the source
+// importer caches the standard-library packages it type-checks, so each
+// is checked once per test binary rather than once per fixture.
+var (
+	fixtureFset = token.NewFileSet()
+	fixtureStd  = importer.ForCompiler(fixtureFset, "source", nil)
+)
+
 // loadFixtures type-checks synthetic packages in order, registering each so
 // later fixtures can import earlier ones — the same machinery LoadModule uses,
 // so cross-package analyses (the call graph) resolve identically.
 func loadFixtures(t *testing.T, fixtures ...fixture) []*Package {
 	t.Helper()
-	fset := token.NewFileSet()
+	fset := fixtureFset
 	imp := &moduleImporter{
-		std:    importer.ForCompiler(fset, "source", nil),
+		std:    fixtureStd,
 		module: map[string]*types.Package{},
 		fakes:  map[string]*types.Package{},
 	}

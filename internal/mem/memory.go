@@ -340,9 +340,3 @@ func (m *Memory) PutU32DMA(pa PA, v uint32) {
 	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
 	m.WriteDMA(pa, b[:])
 }
-
-// PutU32CPU stores a little-endian 32-bit word at pa via the CPU path.
-func (m *Memory) PutU32CPU(pa PA, v uint32) {
-	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-	m.WriteCPU(pa, b[:])
-}

@@ -46,7 +46,7 @@ func TestOutOfRangePanics(t *testing.T) {
 func TestWordAccess(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, hw.Page)
-	m.PutU32CPU(16, 0xdeadbeef)
+	m.WriteCPU(16, []byte{0xef, 0xbe, 0xad, 0xde})
 	if got := m.U32(16); got != 0xdeadbeef {
 		t.Fatalf("U32 = %#x", got)
 	}

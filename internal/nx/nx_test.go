@@ -154,6 +154,29 @@ func TestLargeMessageMisalignedFallsBack(t *testing.T) {
 		})
 }
 
+// TestIsendMisalignedSource sends a zero-copy-sized message with Isend
+// from a source that is not word-aligned. Deliberate update needs an
+// aligned source, and an Isend has no backup buffer to copy through.
+func TestIsendMisalignedSource(t *testing.T) {
+	const n = 4096
+	run(t, Config{},
+		func(nx *NX, p *kernel.Process) {
+			raw := fill(p, n+1, 24)
+			nx.Msgwait(nx.Isend(6, raw+1, n, 1, 0))
+		},
+		func(nx *NX, p *kernel.Process) {
+			dst := p.Alloc(n, hw.Page)
+			if got := nx.Crecv(6, dst, n); got != n {
+				t.Fatalf("received %d", got)
+			}
+			want := make([]byte, n+1)
+			rand.New(rand.NewSource(24)).Read(want)
+			if got := p.Peek(dst, n); !bytes.Equal(got, want[1:]) {
+				t.Error("misaligned Isend payload corrupted")
+			}
+		})
+}
+
 func TestMisalignedSourceSmall(t *testing.T) {
 	run(t, Config{Force: ProtoDU1},
 		func(nx *NX, p *kernel.Process) {

@@ -18,7 +18,7 @@ type zcSend struct {
 	pid      int
 	proto    Proto
 	userVA   kernel.VA // live only until the user call returns
-	backupVA kernel.VA // safety copy (blocking sends only)
+	backupVA kernel.VA // safety copy (blocking sends only; 0 for Isend)
 	n        int
 	fromBack bool // transfer must use the backup copy
 	complete bool
@@ -170,11 +170,12 @@ func (nx *NX) zcTransfer(zs *zcSend, r zcReply, src kernel.VA) {
 			off += c
 			idx++
 		}
-	case zs.proto == ProtoAU1:
+	case zs.proto == ProtoAU1 || zs.backupVA == 0 && src%hw.WordSize != 0 && n > 0:
 		// Automatic-update finish: copy from src into the AU-bound
 		// shadow of the receiver's exported user buffer. One copy, no
 		// alignment restriction, and the stores stream onto the wire
-		// as they happen.
+		// as they happen. An Isend has no backup buffer, so its
+		// misaligned source finishes here too.
 		zi := nx.zcImportFor(cn.peer, r.exportID, true)
 		if n > 0 {
 			p.CopyVA(zi.shadow+kernel.VA(r.byteOff), src, n)

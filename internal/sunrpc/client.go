@@ -54,29 +54,13 @@ func (c *Client) Call(proc uint32, args func(*xdr.Encoder), results func(*xdr.De
 	// the rest of that budget is the header marshal itself).
 	p.Compute(16 * hw.CallCost)
 	c.xid++
-	enc := xdr.NewEncoder(c.stream)
-	hdr := callHeader{XID: c.xid, Prog: c.prog, Vers: c.vers, Proc: proc,
-		Cred: c.cred, Verf: OpaqueAuth{Flavor: AuthNone}}
-	hdr.EncodeXDR(enc)
-	if args != nil {
-		args(enc)
-	}
+	encodeCall(xdr.NewEncoder(c.stream), &callHeader{XID: c.xid, Prog: c.prog, Vers: c.vers,
+		Proc: proc, Cred: c.cred, Verf: OpaqueAuth{Flavor: AuthNone}}, args)
 	if err := c.stream.EndRecord(); err != nil {
 		return err
 	}
-
-	dec := xdr.NewDecoder(c.stream)
-	xid, err := readReplyHeader(dec)
-	if err != nil {
+	if err := decodeReply(xdr.NewDecoder(c.stream), c.xid, results); err != nil {
 		return err
-	}
-	if xid != c.xid {
-		return ErrXIDMismatch
-	}
-	if results != nil {
-		if err := results(dec); err != nil {
-			return err
-		}
 	}
 	c.stream.EndReply()
 	// Return-from-call processing (paper: "1-2 usecs in returning from

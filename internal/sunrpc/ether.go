@@ -57,28 +57,7 @@ func (s *EtherServer) Serve(limit int64) {
 		}
 		p.Compute(20 * hw.CallCost)
 		sink := &xdr.BufferSink{}
-		enc := xdr.NewEncoder(sink)
-		srv := (&Server{programs: s.programs})
-		prog, mismatch := srv.lookup(hdr.Prog, hdr.Vers)
-		switch {
-		case prog == nil && mismatch != nil:
-			writeReplyHeader(enc, hdr.XID, acceptProgMismatch, mismatch)
-		case prog == nil:
-			writeReplyHeader(enc, hdr.XID, acceptProgUnavail, nil)
-		default:
-			h, ok := prog.Procs[hdr.Proc]
-			if !ok {
-				writeReplyHeader(enc, hdr.XID, acceptProcUnavail, nil)
-				break
-			}
-			rsink := &xdr.BufferSink{}
-			if err := h(dec, xdr.NewEncoder(rsink)); err != nil {
-				writeReplyHeader(enc, hdr.XID, acceptGarbageArgs, nil)
-				break
-			}
-			writeReplyHeader(enc, hdr.XID, acceptSuccess, nil)
-			enc.PutFixedOpaque(rsink.Buf)
-		}
+		answer(s.programs, &hdr, dec, xdr.NewEncoder(sink))
 		// Marshal into the socket buffer (the kernel copies again
 		// internally; that cost is inside ether's stack cost).
 		p.Compute(copyCost(len(sink.Buf)))
@@ -114,13 +93,8 @@ func (c *EtherClient) Call(proc uint32, args func(*xdr.Encoder), results func(*x
 	p.Compute(30 * hw.CallCost)
 	c.xid++
 	sink := &xdr.BufferSink{}
-	enc := xdr.NewEncoder(sink)
-	hdr := callHeader{XID: c.xid, Prog: c.prog, Vers: c.vers, Proc: proc,
-		Cred: OpaqueAuth{Flavor: AuthNone}, Verf: OpaqueAuth{Flavor: AuthNone}}
-	hdr.EncodeXDR(enc)
-	if args != nil {
-		args(enc)
-	}
+	encodeCall(xdr.NewEncoder(sink), &callHeader{XID: c.xid, Prog: c.prog, Vers: c.vers,
+		Proc: proc, Cred: OpaqueAuth{Flavor: AuthNone}, Verf: OpaqueAuth{Flavor: AuthNone}}, args)
 	// Copy into the socket buffer.
 	p.Compute(copyCost(len(sink.Buf)))
 	reply := c.port.Call(p.P, c.saddr, len(sink.Buf), sink.Buf, 0)
@@ -129,18 +103,8 @@ func (c *EtherClient) Call(proc uint32, args func(*xdr.Encoder), results func(*x
 	}
 	wire := reply.Payload.([]byte)
 	p.Compute(copyCost(len(wire)))
-	dec := xdr.NewDecoder(&xdr.BufferSource{Buf: wire})
-	xid, err := readReplyHeader(dec)
-	if err != nil {
+	if err := decodeReply(xdr.NewDecoder(&xdr.BufferSource{Buf: wire}), c.xid, results); err != nil {
 		return err
-	}
-	if xid != c.xid {
-		return ErrXIDMismatch
-	}
-	if results != nil {
-		if err := results(dec); err != nil {
-			return err
-		}
 	}
 	p.Compute(8 * hw.CallCost)
 	return nil

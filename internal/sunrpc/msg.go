@@ -267,3 +267,87 @@ func readReplyHeader(d *xdr.Decoder) (uint32, error) {
 		return xid, fmt.Errorf("sunrpc: unknown accept status %d", astat)
 	}
 }
+
+// lookup finds (prog, vers) among programs. When the program is served
+// at other versions only, it reports their range instead.
+func lookup(programs []*Program, prog, vers uint32) (*Program, *ProgMismatchError) {
+	var lo, hi uint32
+	found := false
+	for _, pr := range programs {
+		if pr.Prog != prog {
+			continue
+		}
+		if pr.Vers == vers {
+			return pr, nil
+		}
+		if !found || pr.Vers < lo {
+			lo = pr.Vers
+		}
+		if pr.Vers > hi {
+			hi = pr.Vers
+		}
+		found = true
+	}
+	if found {
+		return nil, &ProgMismatchError{Low: lo, High: hi}
+	}
+	return nil, nil
+}
+
+// answer serves one call whose header is already decoded: it looks up the
+// program and procedure, runs the handler on the arguments in dec, and
+// writes the reply to enc. The reply header precedes the results but its
+// status depends on whether the arguments decode, so the handler encodes
+// into a staging buffer first (SunRPC practice: decode the arguments
+// fully, then emit); a handler error becomes GARBAGE_ARGS.
+func answer(programs []*Program, hdr *callHeader, dec *xdr.Decoder, enc *xdr.Encoder) {
+	prog, mismatch := lookup(programs, hdr.Prog, hdr.Vers)
+	switch {
+	case prog == nil && mismatch != nil:
+		writeReplyHeader(enc, hdr.XID, acceptProgMismatch, mismatch)
+	case prog == nil:
+		writeReplyHeader(enc, hdr.XID, acceptProgUnavail, nil)
+	default:
+		handler, ok := prog.Procs[hdr.Proc]
+		if !ok {
+			writeReplyHeader(enc, hdr.XID, acceptProcUnavail, nil)
+			return
+		}
+		sink := &xdr.BufferSink{}
+		if err := handler(dec, xdr.NewEncoder(sink)); err != nil {
+			writeReplyHeader(enc, hdr.XID, acceptGarbageArgs, nil)
+			return
+		}
+		writeReplyHeader(enc, hdr.XID, acceptSuccess, nil)
+		// Void results write nothing: an empty write into an SBL
+		// stream would still open an encode span.
+		if len(sink.Buf) > 0 {
+			enc.PutFixedOpaque(sink.Buf)
+		}
+	}
+}
+
+// encodeCall writes a CALL message: the header, then the arguments (args
+// may be nil for void).
+func encodeCall(enc *xdr.Encoder, hdr *callHeader, args func(*xdr.Encoder)) {
+	hdr.EncodeXDR(enc)
+	if args != nil {
+		args(enc)
+	}
+}
+
+// decodeReply reads the reply to call xid: the header, whose non-SUCCESS
+// status becomes an error, then the results (results may be nil for void).
+func decodeReply(dec *xdr.Decoder, xid uint32, results func(*xdr.Decoder) error) error {
+	got, err := readReplyHeader(dec)
+	if err != nil {
+		return err
+	}
+	if got != xid {
+		return ErrXIDMismatch
+	}
+	if results != nil {
+		return results(dec)
+	}
+	return nil
+}

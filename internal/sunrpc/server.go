@@ -136,63 +136,11 @@ func (s *Server) dispatch(sess *session) {
 	s.LastCred = hdr.Cred
 	p.Compute(8 * hw.CallCost)
 
-	enc := xdr.NewEncoder(sess.stream)
-	prog, mismatch := s.lookup(hdr.Prog, hdr.Vers)
-	switch {
-	case prog == nil && mismatch != nil:
-		writeReplyHeader(enc, hdr.XID, acceptProgMismatch, mismatch)
-	case prog == nil:
-		writeReplyHeader(enc, hdr.XID, acceptProgUnavail, nil)
-	default:
-		handler, ok := prog.Procs[hdr.Proc]
-		if !ok {
-			writeReplyHeader(enc, hdr.XID, acceptProcUnavail, nil)
-			break
-		}
-		// Results are written after the header; a decode failure turns
-		// into GARBAGE_ARGS. Since the reply header precedes the
-		// results in the stream, the handler encodes into a staging
-		// encoder only in the failure-possible region... SunRPC
-		// practice: decode args fully first, then emit.
-		sink := &xdr.BufferSink{}
-		tmp := xdr.NewEncoder(sink)
-		if err := handler(dec, tmp); err != nil {
-			writeReplyHeader(enc, hdr.XID, acceptGarbageArgs, nil)
-			break
-		}
-		writeReplyHeader(enc, hdr.XID, acceptSuccess, nil)
-		if len(sink.Buf) > 0 {
-			enc.PutFixedOpaque(sink.Buf)
-		}
-	}
+	answer(s.programs, &hdr, dec, xdr.NewEncoder(sess.stream))
 	sess.stream.EndReply() // publish consumption of the request
 	if err := sess.stream.EndRecord(); err != nil {
 		//lint:allow transitive-panic reply already streamed; a send failure here means the client revoked its buffers mid-call
 		panic(fmt.Sprintf("sunrpc: reply: %v", err))
 	}
 	s.Calls++
-}
-
-func (s *Server) lookup(prog, vers uint32) (*Program, *ProgMismatchError) {
-	var lo, hi uint32
-	found := false
-	for _, pr := range s.programs {
-		if pr.Prog != prog {
-			continue
-		}
-		if pr.Vers == vers {
-			return pr, nil
-		}
-		if !found || pr.Vers < lo {
-			lo = pr.Vers
-		}
-		if pr.Vers > hi {
-			hi = pr.Vers
-		}
-		found = true
-	}
-	if found {
-		return nil, &ProgMismatchError{Low: lo, High: hi}
-	}
-	return nil, nil
 }

@@ -69,18 +69,17 @@ type Collector struct {
 	eng *sim.Engine
 
 	// MaxSpans, when > 0, bounds the retained span list: spans recorded
-	// beyond the cap are tallied in SpansDropped instead of stored.
+	// beyond the cap are discarded.
 	// Counters, gauges, and histograms are unaffected — they are O(1) per
 	// name — so a big-mesh scaling run can keep its contention histograms
 	// without holding millions of per-packet channel spans. Set it before
 	// traffic flows; it does not evict spans already recorded.
 	MaxSpans int
 
-	spans        []Span
-	spansDropped int64
-	counters     map[key]int64
-	gauges       map[key]*gauge
-	hists        map[key]*Histogram
+	spans    []Span
+	counters map[key]int64
+	gauges   map[key]*gauge
+	hists    map[key]*Histogram
 
 	// engine-level tallies, fed through the sim.Tracer interface
 	events   int64
@@ -128,24 +127,15 @@ func (c *Collector) now() sim.Time {
 // Add records a completed span [start, end) on track. Components that learn
 // both endpoints up front (server reservations: DMA transfers, bus and link
 // occupancy) use this form; end may lie in the virtual future.
-// With MaxSpans set, spans beyond the cap are counted, not retained.
+// With MaxSpans set, spans beyond the cap are discarded.
 func (c *Collector) Add(track, name string, start, end sim.Time) {
 	if c == nil {
 		return
 	}
 	if c.MaxSpans > 0 && len(c.spans) >= c.MaxSpans {
-		c.spansDropped++
 		return
 	}
 	c.spans = append(c.spans, Span{Track: track, Name: name, Start: start, End: end})
-}
-
-// SpansDropped reports how many spans the MaxSpans cap discarded.
-func (c *Collector) SpansDropped() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.spansDropped
 }
 
 // OpenSpan is a handle to an in-progress span started with Begin.
