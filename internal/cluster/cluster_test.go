@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -144,5 +145,74 @@ func TestDeterministicRuns(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("nondeterministic: %d vs %d", a, b)
+	}
+}
+
+// Shutdown hands a world's DRAM frames to the next world, which must see
+// none of the old bytes: world A fills more pages than the free list holds
+// with a pattern, so the list is all pattern frames after its shutdown, and
+// world B's never-written pages, each stamped with one word, read as zeros
+// everywhere else.
+func TestShutdownRecyclesClearedFrames(t *testing.T) {
+	const pages = 1100
+	a := Default()
+	a.Spawn(0, "fill", func(p *kernel.Process) {
+		buf := p.Alloc(pages*hw.Page, hw.Page)
+		p.Poke(buf, bytes.Repeat([]byte{0xa5}, pages*hw.Page))
+	})
+	a.Run()
+	a.Shutdown()
+
+	b := Default()
+	defer b.Shutdown()
+	stale := 0
+	b.Spawn(0, "stamp", func(p *kernel.Process) {
+		const n = 256
+		buf := p.Alloc(n*hw.Page, hw.Page)
+		want := make([]byte, hw.Page)
+		want[0] = 7
+		for pg := 0; pg < n; pg++ {
+			va := buf + kernel.VA(pg*hw.Page)
+			p.Poke(va, []byte{7})
+			if !bytes.Equal(p.Peek(va, hw.Page), want) {
+				stale++
+			}
+		}
+	})
+	b.Run()
+	if stale != 0 {
+		t.Fatalf("%d of world B's fresh pages carry world A's bytes", stale)
+	}
+}
+
+// After Shutdown a world's memory is gone: Peek and Poke panic rather than
+// read or write a frame another world may now own. A second Shutdown is a
+// no-op.
+func TestPeekPokeAfterShutdownPanics(t *testing.T) {
+	c := Default()
+	var proc *kernel.Process
+	var buf kernel.VA
+	c.Spawn(0, "app", func(p *kernel.Process) {
+		proc, buf = p, p.Alloc(64, hw.WordSize)
+		p.Poke(buf, []byte{1, 2, 3, 4})
+	})
+	c.Run()
+	if got := proc.Peek(buf, 4); !bytes.Equal(got, []byte{1, 2, 3, 4}) {
+		t.Fatalf("before Shutdown: Peek = %v", got)
+	}
+	c.Shutdown()
+	c.Shutdown()
+	for name, access := range map[string]func(){
+		"Peek": func() { proc.Peek(buf, 4) },
+		"Poke": func() { proc.Poke(buf, []byte{5}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Shutdown did not panic", name)
+				}
+			}()
+			access()
+		}()
 	}
 }

@@ -13,9 +13,13 @@
 //
 // DRAM is demand-allocated page by page: a page that has never been written
 // reads as zeros from a shared page and costs no memory. A simulated node
-// with 40MB of DRAM therefore costs only what the workload actually touches,
-// which is what makes building dozens of clusters per figure sweep cheap in
-// wall-clock terms.
+// with 40MB of DRAM therefore costs only what the workload actually touches.
+// Release hands a finished memory's frames to a process-wide free list
+// (capped at maxFreeFrames), and the next first write anywhere takes its
+// frame from that list, cleared, before it allocates a fresh one. A figure
+// sweep that builds hundreds of clusters thus reuses the host pages the
+// last world faulted in instead of allocating and zeroing new ones. A
+// released memory is unusable: any later read or write panics.
 package mem
 
 import (
@@ -50,6 +54,16 @@ var zeroPage = make([]byte, hw.Page)
 const pageChunkShift = 8
 
 type pageChunk [1 << pageChunkShift][]byte
+
+// maxFreeFrames caps the free list at 4MB of frames: far more than the few
+// dozen a figure point's world writes, and half the live-heap slack the
+// bench package's world-shutdown test allows, so frames kept for reuse
+// never read as a leaked world.
+const maxFreeFrames = 1024
+
+// freeFrames holds frames released by finished memories, for pageW to reuse.
+// One simulation thread per process, so a plain stack suffices.
+var freeFrames [][]byte
 
 // Memory is one node's DRAM.
 type Memory struct {
@@ -158,10 +172,35 @@ func (m *Memory) pageW(f PFN) []byte {
 	}
 	p := c[f&(1<<pageChunkShift-1)]
 	if p == nil {
-		p = make([]byte, hw.Page)
+		if l := len(freeFrames); l > 0 {
+			p = freeFrames[l-1]
+			freeFrames[l-1] = nil
+			freeFrames = freeFrames[:l-1]
+			clear(p)
+		} else {
+			p = make([]byte, hw.Page)
+		}
 		c[f&(1<<pageChunkShift-1)] = p
 	}
 	return p
+}
+
+// Release returns m's materialized frames to the free list, up to its cap
+// (the rest go to the garbage collector), and drops m's frame table, so any
+// later read or write of m panics. Call it once nothing can touch m again;
+// a second call is a no-op. Frames are cleared when reused, not here.
+func (m *Memory) Release() {
+	for _, c := range m.frames {
+		if c == nil {
+			continue
+		}
+		for _, p := range c {
+			if p != nil && len(freeFrames) < maxFreeFrames {
+				freeFrames = append(freeFrames, p)
+			}
+		}
+	}
+	m.frames = nil
 }
 
 // Read copies n bytes at pa into a fresh slice. The slice is the caller's

@@ -127,16 +127,18 @@ type Network struct {
 	// collective traffic (combine.go). Off by default.
 	comb *combining
 
-	// flows holds one record per (src,dst) pair with packets in flight:
-	// the pair's FIFO floor and its in-flight count (see flow). A record
-	// lives only while the pair has packets in flight: once the count
-	// drains to zero the floor is provably redundant (any later send's
-	// arrival is computed at or after the last delivery), so the entry is
-	// deleted and the record returned to the free list. State stays
-	// bounded by concurrent flows, not by the N² pairs a 1024-node mesh
-	// could accumulate. drained is broadcast on every delivery; mapping
-	// teardown uses the counts to wait out the pipe.
-	flows   map[[2]NodeID]*flow
+	// flows[src] holds one record per destination src has packets in
+	// flight to: the pair's FIFO floor and its in-flight count (see
+	// flow). A source has only a few live flows, so a scan beats a map
+	// keyed by pair. A record lives only while the pair has packets in
+	// flight: once the count drains to zero the floor is provably
+	// redundant (any later send's arrival is computed at or after the
+	// last delivery), so the record is swap-removed and returned to the
+	// free list. State stays bounded by nodes plus concurrent flows, not
+	// by the N² pairs a 1024-node mesh could accumulate. drained is
+	// broadcast on every delivery; mapping teardown uses the counts to
+	// wait out the pipe.
+	flows   [][]*flow
 	drained *sim.Cond
 
 	// bufs is the payload free list backing GetBuf/PutBuf, pkts the
@@ -190,7 +192,7 @@ func NewDims(eng *sim.Engine, dims []int) *Network {
 		eject:    make([]*channel, total),
 		handlers: make([]Handler, total),
 		dead:     make([]bool, total),
-		flows:    make(map[[2]NodeID]*flow),
+		flows:    make([][]*flow, total),
 		drained:  sim.NewCond(eng),
 	}
 	for i := range n.inject {
@@ -502,19 +504,31 @@ func (n *Network) transmit(pkt *Packet) {
 	n.eng.PostAt(arrival, dl.run)
 }
 
-// flow is one (src,dst) pair's in-flight state: last is the FIFO floor,
-// the latest arrival time given to a packet that later packets may not
-// overtake, and inFlight counts packets injected but not yet delivered.
+// flow is one (src,dst) pair's in-flight state, filed under src: dst is
+// the destination, last is the FIFO floor, the latest arrival time given
+// to a packet that later packets may not overtake, and inFlight counts
+// packets injected but not yet delivered.
 type flow struct {
+	dst      NodeID
 	last     sim.Time
 	inFlight int
+}
+
+// liveFlow returns the (src,dst) pair's record, nil when the pair has
+// nothing in flight.
+func (n *Network) liveFlow(src, dst NodeID) *flow {
+	for _, f := range n.flows[src] {
+		if f.dst == dst {
+			return f
+		}
+	}
+	return nil
 }
 
 // flowFor returns the (src,dst) pair's record, taking a fresh one from the
 // free list when the pair has nothing in flight.
 func (n *Network) flowFor(src, dst NodeID) *flow {
-	key := [2]NodeID{src, dst}
-	if f := n.flows[key]; f != nil {
+	if f := n.liveFlow(src, dst); f != nil {
 		return f
 	}
 	var f *flow
@@ -525,7 +539,8 @@ func (n *Network) flowFor(src, dst NodeID) *flow {
 	} else {
 		f = &flow{}
 	}
-	n.flows[key] = f
+	f.dst = dst
+	n.flows[src] = append(n.flows[src], f)
 	return f
 }
 
@@ -588,10 +603,19 @@ func (d *delivery) arrive() {
 		// Last packet for this pair: the FIFO floor is now redundant
 		// (every stored floor is <= this delivery's time, and any
 		// future send computes an arrival at or after its send time),
-		// so the record goes back to the free list, zeroed. This keeps
-		// the map sized by concurrent flows instead of growing toward
-		// N² pairs.
-		delete(n.flows, key)
+		// so the record is swap-removed from its source's live flows
+		// and goes back to the free list, zeroed. This keeps the state
+		// sized by concurrent flows instead of growing toward N² pairs.
+		live := n.flows[key[0]]
+		last := len(live) - 1
+		for i, g := range live {
+			if g == f {
+				live[i] = live[last]
+				break
+			}
+		}
+		live[last] = nil
+		n.flows[key[0]] = live[:last]
 		*f = flow{}
 		if len(n.freeFlows) < maxFreeBufs {
 			n.freeFlows = append(n.freeFlows, f)
@@ -636,7 +660,7 @@ func (n *Network) deliver(pkt *Packet) {
 // into the pipe.
 func (n *Network) InFlight(src, dst NodeID) int {
 	var c int
-	if f := n.flows[[2]NodeID{src, dst}]; f != nil {
+	if f := n.liveFlow(src, dst); f != nil {
 		c = f.inFlight
 	}
 	if n.rel != nil {

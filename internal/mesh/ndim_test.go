@@ -155,9 +155,19 @@ func TestCutPlaneSeversTopology(t *testing.T) {
 	}
 }
 
+// liveFlows counts the flow records filed under any source: the pairs with
+// packets in flight.
+func (n *Network) liveFlows() int {
+	c := 0
+	for _, live := range n.flows {
+		c += len(live)
+	}
+	return c
+}
+
 // TestStateMapsPruned is the regression test for the O(N²) state bug: after
-// an all-pairs workload drains, the per-(src,dst) flow map must be empty —
-// not hold an entry per pair ever used.
+// an all-pairs workload drains, no per-(src,dst) flow record may survive —
+// not one per pair ever used.
 func TestStateMapsPruned(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewDims(e, []int{4, 4})
@@ -174,15 +184,15 @@ func TestStateMapsPruned(t *testing.T) {
 			sent++
 		}
 	}
-	if len(n.flows) == 0 {
+	if n.liveFlows() == 0 {
 		t.Fatal("expected in-flight state while packets are in the pipe")
 	}
 	e.RunAll()
 	if n.PacketsDelivered != int64(sent) {
 		t.Fatalf("delivered %d of %d", n.PacketsDelivered, sent)
 	}
-	if len(n.flows) != 0 {
-		t.Fatalf("flow map not pruned after drain: %d entries", len(n.flows))
+	if n.liveFlows() != 0 {
+		t.Fatalf("flow records not pruned after drain: %d live", n.liveFlows())
 	}
 }
 
@@ -200,7 +210,7 @@ func TestStateMapsPrunedOrdering(t *testing.T) {
 		e.RunAll()
 	}
 	wave(0)
-	if len(n.flows) != 0 {
+	if n.liveFlows() != 0 {
 		t.Fatal("pair state survived the drain")
 	}
 	wave(100)
@@ -239,22 +249,22 @@ func TestFlowRecordRecycled(t *testing.T) {
 			wave := func(src, dst NodeID) {
 				for i := uint32(0); i < count; i++ {
 					n.Send(&Packet{Src: src, Dst: dst, DstOff: i, Payload: make([]byte, 64)})
-					if f := n.flows[[2]NodeID{src, dst}]; f == nil || f.inFlight != int(i)+1 {
+					if f := n.liveFlow(src, dst); f == nil || f.inFlight != int(i)+1 {
 						t.Fatalf("%d -> %d: flow record %+v after %d sends", src, dst, f, i+1)
 					}
 				}
 				e.RunAll()
 			}
 			wave(0, 3)
-			if len(n.flows) != 0 || len(n.freeFlows) != 1 {
-				t.Fatalf("after drain: %d flows, %d free records, want 0 and 1", len(n.flows), len(n.freeFlows))
+			if n.liveFlows() != 0 || len(n.freeFlows) != 1 {
+				t.Fatalf("after drain: %d flows, %d free records, want 0 and 1", n.liveFlows(), len(n.freeFlows))
 			}
 			rec := n.freeFlows[0]
 			if *rec != (flow{}) {
 				t.Fatalf("recycled record not zeroed: %+v", *rec)
 			}
 			wave(1, 2)
-			if len(n.flows) != 0 || len(n.freeFlows) != 1 || n.freeFlows[0] != rec {
+			if n.liveFlows() != 0 || len(n.freeFlows) != 1 || n.freeFlows[0] != rec {
 				t.Fatal("the second pair did not take and return the recycled record")
 			}
 			for _, src := range []NodeID{0, 1} {

@@ -48,22 +48,23 @@ func runN(t *testing.T, n int, body func(nx *NX, p *kernel.Process, me int)) {
 // covers root 0, where "root first" and "ascending" coincide).
 func TestGatherNonZeroRoot(t *testing.T) {
 	const per, root = 48, 2
-	var rootData kernel.VA
-	var rootProc *kernel.Process
+	// The root's gathered bytes, copied out before runN shuts the world
+	// (and its memory) down.
+	var gathered []byte
 	runN(t, 4, func(nx *NX, p *kernel.Process, me int) {
 		src := fill(p, per, int64(700+me))
 		dst := p.Alloc(4*per, 4)
-		if me == root {
-			rootData, rootProc = dst, p
-		}
 		nx.Gather(root, src, per, dst)
 		nx.Gsync()
+		if me == root {
+			gathered = p.Peek(dst, 4*per)
+		}
 	})
 	wantOrder := []int{root, 0, 1, 3}
 	for slot, node := range wantOrder {
 		want := make([]byte, per)
 		rand.New(rand.NewSource(int64(700 + node))).Read(want)
-		got := rootProc.Peek(rootData+kernel.VA(slot*per), per)
+		got := gathered[slot*per : (slot+1)*per]
 		if !bytes.Equal(got, want) {
 			t.Errorf("slot %d: want node %d's data, got something else", slot, node)
 		}
