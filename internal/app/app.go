@@ -34,6 +34,15 @@ const shardsPerNode = 2
 // client call may sit behind one full replication timeout.
 const replDeadline = 2 * time.Millisecond
 
+// BindDeadline bounds every SRPC rendezvous bind in the serving subsystem:
+// the replication proxies' and the load generator's gateways'. The
+// rendezvous crosses the slow shared Ethernet several times, and when every
+// sender binds at once (warmup, or a post-failover rebind wave) the whole
+// fleet's rendezvous traffic serializes on that 10 Mb/s wire. A slow bind
+// means congestion, not death; dead nodes are detected by the much tighter
+// call and replication deadlines on the fast path.
+const BindDeadline = 2 * time.Second
+
 // Config tunes the serving subsystem.
 type Config struct {
 	// QueueBound is the per-shard admission limit, in queued ops; a batch

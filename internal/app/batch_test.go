@@ -17,11 +17,13 @@ const hugeCount = 1<<32 - 1
 
 func TestDecodeBatch(t *testing.T) {
 	img := binary.LittleEndian.AppendUint32(nil, 3)
-	img = AppendOp(img, OpGet, FlagReplicaOK, 7, 11, 2, nil)
-	img = AppendOp(img, OpPut, 0, 8, 12, 3, []byte("value"))
-	img = AppendOp(img, OpGet, 0, 9, 13, 4, nil)
+	img = AppendOp(img, OpGet, 7, 11, 2, nil)
+	img = AppendOp(img, OpPut, 8, 12, 3, []byte("value"))
+	img = AppendOp(img, OpGet, 9, 13, 4, nil)
+	// The meta word's reserved byte (bits 16-23) is ignored on decode.
+	img[4+2] = 1
 	want := []wireOp{
-		{Kind: OpGet, Flags: FlagReplicaOK, Shard: 7, Key: 11, Epoch: 2},
+		{Kind: OpGet, Shard: 7, Key: 11, Epoch: 2},
 		{Kind: OpPut, Shard: 8, Key: 12, Epoch: 3, Val: []byte("value")},
 		{Kind: OpGet, Shard: 9, Key: 13, Epoch: 4},
 	}
@@ -51,7 +53,7 @@ func TestDecodeBatch(t *testing.T) {
 }
 
 func wireOpEqual(a, b wireOp) bool {
-	return a.Kind == b.Kind && a.Flags == b.Flags && a.Shard == b.Shard &&
+	return a.Kind == b.Kind && a.Shard == b.Shard &&
 		a.Key == b.Key && a.Epoch == b.Epoch && slices.Equal(a.Val, b.Val)
 }
 
@@ -139,7 +141,7 @@ func batchImage(a *App, kind int, keys []uint64) []byte {
 		if kind == OpPut {
 			val = binary.LittleEndian.AppendUint64(make([]byte, 0, 16), k)[:16]
 		}
-		img = AppendOp(img, kind, 0, s, k, a.Map.Shards[s].Epoch, val)
+		img = AppendOp(img, kind, s, k, a.Map.Shards[s].Epoch, val)
 	}
 	return img
 }

@@ -13,9 +13,9 @@ import (
 // image that decodes to the same ops.
 func FuzzDecodeBatch(f *testing.F) {
 	img := binary.LittleEndian.AppendUint32(nil, 3)
-	img = AppendOp(img, OpGet, FlagReplicaOK, 7, 11, 2, nil)
-	img = AppendOp(img, OpPut, 0, 8, 12, 3, []byte("value"))
-	img = AppendOp(img, OpGet, 0, 9, 13, 4, nil)
+	img = AppendOp(img, OpGet, 7, 11, 2, nil)
+	img = AppendOp(img, OpPut, 8, 12, 3, []byte("value"))
+	img = AppendOp(img, OpGet, 9, 13, 4, nil)
 	f.Add(img)
 	f.Add(img[:len(img)-4])
 	f.Add(binary.LittleEndian.AppendUint32(nil, 0))
@@ -34,7 +34,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		again := binary.LittleEndian.AppendUint32(nil, uint32(len(ops)))
 		for _, op := range ops {
-			again = AppendOp(again, op.Kind, op.Flags, op.Shard, op.Key, op.Epoch, op.Val)
+			again = AppendOp(again, op.Kind, op.Shard, op.Key, op.Epoch, op.Val)
 		}
 		back, err := decodeBatch(again, nil)
 		if err != nil || !slices.EqualFunc(back, ops, wireOpEqual) {

@@ -53,9 +53,6 @@ type Config struct {
 	// BatchOps caps ops per SRPC batch call (default 128; batches also
 	// respect the wire image budget).
 	BatchOps int
-	// ReplicaReadFrac is the fraction of reads flagged replica-OK, which
-	// the gateway then fans out to a synced follower (default 0).
-	ReplicaReadFrac float64
 	// Seed seeds every gateway's private draw stream (default 1).
 	Seed uint64
 	// TrackAcks records every acknowledged put (single-gateway configs
@@ -104,7 +101,6 @@ type gop struct {
 	arr   sim.Time
 	shard uint16
 	kind  uint8
-	flags uint8
 	seq   uint32
 	// tries counts retries spent (timeout requeues, WrongNode,
 	// StaleEpoch, Unavailable); past the budget the op is dropped.
@@ -156,8 +152,8 @@ type Gen struct {
 	// at each acknowledgment instant (TrackAcks). It is the staleness
 	// oracle: a get sent at time T must come back with a sequence at least
 	// as new as every put acknowledged at or before T — replication
-	// completes before the ack, so even a synced replica already holds
-	// those writes when the get reaches it.
+	// completes before the ack, so whichever node is primary when the get
+	// arrives, a promoted follower included, already holds those writes.
 	ackHist map[uint64][]ackStep
 
 	// Warmup barrier: tickers hold generation until every sender has its
@@ -392,8 +388,7 @@ func (gw *gateway) tickerBody(p *kernel.Process) {
 }
 
 // emit draws one request: the next session in the seeded permutation
-// issues an op with a Zipfian key, put with probability WriteFrac, and a
-// replica-OK flag on the configured read fraction.
+// issues an op with a Zipfian key, put with probability WriteFrac.
 func (gw *gateway) emit(now sim.Time) {
 	g := gw.g
 	gw.cursor++
@@ -402,20 +397,23 @@ func (gw *gateway) emit(now sim.Time) {
 		gw.wrapped = true
 	}
 	key := gw.zipf.draw(&gw.rng)
-	kind, flags, seq := uint8(app.OpGet), uint8(0), uint32(0)
+	kind, seq := uint8(app.OpGet), uint32(0)
 	if gw.rng.f64() < g.cfg.WriteFrac {
 		kind = app.OpPut
 		gw.seq++
 		seq = gw.seq
-	} else if gw.rng.f64() < g.cfg.ReplicaReadFrac {
-		flags = app.FlagReplicaOK
+	} else {
+		// A get spends one more draw of the gateway's stream, the one that
+		// used to pick replica-readable gets. Every later key, put choice
+		// and arrival of this gateway follows from the stream's position,
+		// so dropping the draw would move every serving run.
+		gw.rng.f64()
 	}
 	op := gop{
 		key:   key,
 		arr:   now,
 		shard: uint16(g.app.Map.ShardOf(key)),
 		kind:  kind,
-		flags: flags,
 		seq:   seq,
 	}
 	gw.emitted++
@@ -499,7 +497,7 @@ func (gw *gateway) senderBody(p *kernel.Process, target int) {
 	// storm of every sender binding at once cannot push early calls past
 	// the failover deadline. A failure here is left for the serving loop to
 	// rediscover (the barrier must come down either way).
-	if nb, err := srpc.BindBackoff(ep, a.Cl.Ether, target, app.Port, bindDeadline(a),
+	if nb, err := srpc.BindBackoff(ep, a.Cl.Ether, target, app.Port, app.BindDeadline,
 		warmupBindRetry, retry.Seed(g.cfg.Seed, uint64(gw.idx), uint64(target), 1)); err == nil {
 		b, bGen = nb, a.Gen(target)
 	}
@@ -523,7 +521,7 @@ func (gw *gateway) senderBody(p *kernel.Process, target int) {
 			continue
 		}
 		if b == nil || bGen != a.Gen(target) {
-			nb, err := srpc.Bind(ep, a.Cl.Ether, target, app.Port, bindDeadline(a))
+			nb, err := srpc.Bind(ep, a.Cl.Ether, target, app.Port, app.BindDeadline)
 			if err != nil {
 				a.Rec.Count(&a.Rec.Timeouts, "client.timeout", 1)
 				a.ReportDown(gw.node, target)
@@ -560,21 +558,6 @@ func (gw *gateway) pace(p *kernel.Process, bo *retry.Backoff) {
 		w, _ = bo.Next()
 	}
 	p.P.Sleep(w)
-}
-
-// bindDeadline bounds the Ethernet rendezvous, which crosses the slow
-// shared conventional network several times. When every sender binds at
-// once (warmup, or a post-failover rebind wave) the rendezvous traffic of
-// the whole fleet serializes on that 10 Mb/s wire, so the deadline must be
-// generous — a slow bind means congestion, not death; genuinely dead nodes
-// are detected by the much tighter call deadline on the fast path. The
-// floor is the cluster's BindFloor knob.
-func bindDeadline(a *app.App) time.Duration {
-	f := a.Cl.Timeouts().BindFloor
-	if d := a.Cfg.CallDeadline; d > f {
-		return d
-	}
-	return f
 }
 
 // popBatch pops ops for one call into dst's storage, bounded by the op cap
@@ -618,12 +601,7 @@ func (gw *gateway) popBatch(dst []gop, target int) []gop {
 }
 
 func (gw *gateway) targetOf(op gop) int {
-	in := gw.g.app.Map.Shards[op.shard]
-	if op.kind == app.OpGet && op.flags&app.FlagReplicaOK != 0 &&
-		in.Replica >= 0 && in.Synced && !gw.g.app.Down(in.Replica) {
-		return in.Replica
-	}
-	return in.Primary
+	return gw.g.app.Map.Shards[op.shard].Primary
 }
 
 // requeueFront returns a failed batch to the head of its (re-routed)
@@ -760,7 +738,7 @@ func (gw *gateway) settle(batch []gop, reply []byte, sent sim.Time) {
 // appendWireOp marshals one op (loadgen's view of the app wire format),
 // stamping the shard's current fencing epoch at send time.
 func appendWireOp(img []byte, op gop, epoch uint32, val []byte) []byte {
-	return app.AppendOp(img, int(op.kind), int(op.flags), int(op.shard), op.key, epoch, val)
+	return app.AppendOp(img, int(op.kind), int(op.shard), op.key, epoch, val)
 }
 
 // replyHeader reads a reply's count word.

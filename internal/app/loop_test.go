@@ -39,8 +39,8 @@ func TestLoopbackBinding(t *testing.T) {
 		s := a.Map.ShardOf(key)
 		req := []byte{2, 0, 0, 0}
 		epoch := a.Map.Shards[s].Epoch
-		req = AppendOp(req, OpPut, 0, s, key, epoch, []byte("hello-world-1234"))
-		req = AppendOp(req, OpGet, 0, s, key, epoch, nil)
+		req = AppendOp(req, OpPut, s, key, epoch, []byte("hello-world-1234"))
+		req = AppendOp(req, OpGet, s, key, epoch, nil)
 		rlen, err := b.CallTimeout(ProcBatch, req, 5*time.Millisecond)
 		if err != nil {
 			t.Errorf("self call: %v", err)

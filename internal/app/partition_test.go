@@ -84,12 +84,12 @@ func callOps(a *app.App, b *srpc.Binding, img []byte) ([]uint32, []byte) {
 
 func putImg(shard int, key uint64, epoch uint32, val []byte) []byte {
 	img := binary.LittleEndian.AppendUint32(nil, 1)
-	return app.AppendOp(img, app.OpPut, 0, shard, key, epoch, val)
+	return app.AppendOp(img, app.OpPut, shard, key, epoch, val)
 }
 
 func getImg(shard int, key uint64, epoch uint32) []byte {
 	img := binary.LittleEndian.AppendUint32(nil, 1)
-	return app.AppendOp(img, app.OpGet, 0, shard, key, epoch, nil)
+	return app.AppendOp(img, app.OpGet, shard, key, epoch, nil)
 }
 
 // TestPartitionFencing walks the whole fence by hand on a four-node
@@ -221,14 +221,14 @@ func TestPartitionFencing(t *testing.T) {
 
 // TestPartitionUnderLoad isolates an active primary mid-load, heals the
 // partition, and asserts the full robustness contract: failover detected
-// and recovered, zero acknowledged writes lost, zero stale reads served
-// (replica reads included), and the node back in service after the heal.
+// and recovered, zero acknowledged writes lost, zero stale reads served,
+// and the node back in service after the heal.
 func TestPartitionUnderLoad(t *testing.T) {
 	const victim = 1
 	cl, a := partCluster(t)
 	g, err := loadgen.Start(a, loadgen.Config{
 		Sessions: 1024, Gateways: []int{0}, Duration: 25 * time.Millisecond,
-		Rate: 2e5, WriteFrac: 0.3, ReplicaReadFrac: 0.3, TrackAcks: true,
+		Rate: 2e5, WriteFrac: 0.3, TrackAcks: true,
 	})
 	if err != nil {
 		t.Fatalf("loadgen start: %v", err)
@@ -335,7 +335,7 @@ func TestPartitionDeterminism(t *testing.T) {
 		}
 		g, err := loadgen.Start(a, loadgen.Config{
 			Sessions: 256, Gateways: []int{0}, Duration: 18 * time.Millisecond,
-			Rate: 1e5, WriteFrac: 0.3, ReplicaReadFrac: 0.2,
+			Rate: 1e5, WriteFrac: 0.3,
 		})
 		if err != nil {
 			panic(err)

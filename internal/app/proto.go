@@ -26,14 +26,10 @@ const (
 	ProcRepl = 2
 )
 
-// Op kinds, flag bits, and per-op reply statuses.
+// Op kinds and per-op reply statuses.
 const (
 	OpGet = 0
 	OpPut = 1
-
-	// FlagReplicaOK marks a read the client is willing to have served by
-	// a synced replica (read fan-out; slightly stale is acceptable).
-	FlagReplicaOK = 1
 
 	// StatusOK: executed; a get's reply carries the value.
 	StatusOK = 0
@@ -81,11 +77,12 @@ const MaxBatchImage = srpc.MaxPayload
 func pad4(n int) int { return (n + 3) &^ 3 }
 
 // AppendOp marshals one op onto a request image: a meta word
-// [kind:8|flags:8|shard:16], the key, the shard epoch the client routed
-// under (the fencing stamp), and for puts the value. Exported for the load
-// generator, which builds batch images directly.
-func AppendOp(buf []byte, kind, flags, shard int, key uint64, epoch uint32, val []byte) []byte {
-	meta := uint32(kind&0xff)<<24 | uint32(flags&0xff)<<16 | uint32(shard&0xffff)
+// [kind:8|reserved:8|shard:16], the key, the shard epoch the client routed
+// under (the fencing stamp), and for puts the value. The reserved byte is
+// written zero and ignored on decode. Exported for the load generator,
+// which builds batch images directly.
+func AppendOp(buf []byte, kind, shard int, key uint64, epoch uint32, val []byte) []byte {
+	meta := uint32(kind&0xff)<<24 | uint32(shard&0xffff)
 	buf = binary.LittleEndian.AppendUint32(buf, meta)
 	buf = binary.LittleEndian.AppendUint64(buf, key)
 	buf = binary.LittleEndian.AppendUint32(buf, epoch)
@@ -144,7 +141,6 @@ const minOpSize = 4 + 8 + 4
 // wireOp is one decoded request op.
 type wireOp struct {
 	Kind  int
-	Flags int
 	Shard int
 	Key   uint64
 	Epoch uint32
@@ -166,7 +162,6 @@ func (c *cursor) op() (wireOp, error) {
 	}
 	op := wireOp{
 		Kind:  int(meta >> 24),
-		Flags: int(meta >> 16 & 0xff),
 		Shard: int(meta & 0xffff),
 		Key:   key,
 		Epoch: epoch,

@@ -12,7 +12,10 @@ import (
 	"shrimp/internal/app"
 	"shrimp/internal/app/loadgen"
 	"shrimp/internal/cluster"
+	"shrimp/internal/kernel"
 	"shrimp/internal/sim"
+	"shrimp/internal/srpc"
+	"shrimp/internal/vmmc"
 )
 
 // serveScenario builds a cluster, an app, and a generator, runs to the
@@ -77,24 +80,46 @@ func TestServeSmoke(t *testing.T) {
 		})
 }
 
-func TestReplicaReads(t *testing.T) {
-	serveScenario(t, 2, 2,
-		app.Config{},
-		loadgen.Config{Sessions: 256, Duration: 2 * time.Millisecond,
-			Rate: 2e5, ReplicaReadFrac: 0.5, WriteFrac: 0.05},
-		nil,
-		func(cl *cluster.Cluster, a *app.App, g *loadgen.Gen) {
-			if g.Report().Completed == 0 {
-				t.Fatal("no ops completed")
-			}
-			if a.Rec.ValueErrs != 0 {
-				t.Fatalf("replica reads returned %d corrupt values", a.Rec.ValueErrs)
-			}
-		})
+// TestFollowerRefusesReplicaOKGet: only a shard's primary serves it. A get
+// sent to the shard's synced follower is refused with StatusWrongNode, even
+// when its meta word sets the reserved byte's low bit, the replica-OK flag
+// that once let a synced follower answer reads.
+func TestFollowerRefusesReplicaOKGet(t *testing.T) {
+	cl := cluster.New(cluster.Config{MeshX: 2, MeshY: 1})
+	defer cl.Shutdown()
+	a, err := app.Start(cl, app.Config{})
+	if err != nil {
+		t.Fatalf("app start: %v", err)
+	}
+	s, keys := keysInShard(a.Map, 0, 1)
+	if s < 0 {
+		t.Fatal("no shard led by node 0")
+	}
+	if in := a.Map.Shards[s]; in.Replica != 1 || !in.Synced {
+		t.Fatalf("shard %d: %+v, want node 1 as its synced follower", s, in)
+	}
+	var sts []uint32
+	cl.Spawn(0, "cli", func(p *kernel.Process) {
+		a.WaitReady(p.P)
+		b, err := srpc.Bind(vmmc.Attach(p, cl.Node(0).Daemon), cl.Ether, 1, app.Port, 50*time.Millisecond)
+		if err != nil {
+			t.Errorf("bind node 1: %v", err)
+			return
+		}
+		img := getImg(s, keys[0], a.Map.Shards[s].Epoch)
+		img[4+2] = 1 // the meta word's reserved byte
+		sts, _ = callOps(a, b, img)
+	})
+	if _, err := cl.RunChecked(time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(sts) != 1 || sts[0] != app.StatusWrongNode {
+		t.Fatalf("follower get statuses = %v, want [WrongNode]", sts)
+	}
 }
 
-// determinismScenario is the digest workload: moderate load with replica
-// reads, at the given mesh size.
+// determinismScenario is the digest workload: moderate load at the given
+// mesh size.
 func determinismScenario(mx, my int) func() {
 	return func() {
 		cl := cluster.New(cluster.Config{MeshX: mx, MeshY: my})
@@ -104,7 +129,6 @@ func determinismScenario(mx, my int) func() {
 		}
 		_, err = loadgen.Start(a, loadgen.Config{
 			Sessions: 256, Duration: 1500 * time.Microsecond, Rate: 2e5,
-			ReplicaReadFrac: 0.3,
 		})
 		if err != nil {
 			panic(err)

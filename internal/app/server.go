@@ -87,7 +87,6 @@ type batchScratch struct {
 	ops        []wireOp
 	statuses   []uint32
 	vals       [][]byte
-	asPrimary  []bool
 	waitFor    []*outEntry
 	waitTarget []int
 	reply      []byte
@@ -183,7 +182,7 @@ func (sn *serverNode) serveLoop(p *kernel.Process, port int,
 		for _, b := range bindings {
 			vas = append(vas, b.FlagVA())
 		}
-		p.WaitPred(vas, []*sim.Cond{ln.Port().Cond(), sn.poke}, func() bool {
+		p.WaitPred(vas, []*sim.Cond{ln.Port().Cond(), sn.poke}, 0, func() bool {
 			if ln.Port().Pending() > 0 {
 				return true
 			}
@@ -238,13 +237,11 @@ func (sn *serverNode) serveBatch(p *kernel.Process, b *srpc.Binding) {
 	now := eng.Now()
 	sc.statuses = zeroed(sc.statuses, len(ops))
 	sc.vals = zeroed(sc.vals, len(ops))
-	// asPrimary marks ops this node admitted in its primary role — the
-	// set the post-replication fencing re-check applies to. waitFor maps
-	// an op to the synchronous replication group its ack depends on.
-	sc.asPrimary = zeroed(sc.asPrimary, len(ops))
+	// waitFor maps an op to the synchronous replication group its ack
+	// depends on.
 	sc.waitFor = zeroed(sc.waitFor, len(ops))
 	sc.waitTarget = zeroed(sc.waitTarget, len(ops))
-	statuses, vals, asPrimary, waitFor, waitTarget := sc.statuses, sc.vals, sc.asPrimary, sc.waitFor, sc.waitTarget
+	statuses, vals, waitFor, waitTarget := sc.statuses, sc.vals, sc.waitFor, sc.waitTarget
 	for i := range waitTarget {
 		waitTarget[i] = -1
 	}
@@ -258,24 +255,17 @@ func (sn *serverNode) serveBatch(p *kernel.Process, b *srpc.Binding) {
 			continue
 		}
 		in := a.Map.Shards[op.Shard]
-		servesHere := in.Primary == sn.node ||
-			(op.Kind == OpGet && op.Flags&FlagReplicaOK != 0 &&
-				in.Replica == sn.node && in.Synced)
-		if !servesHere {
+		if in.Primary != sn.node {
 			statuses[i] = StatusWrongNode
 			a.Rec.Count(&a.Rec.WrongNode, "wrongnode", 1)
 			continue
 		}
-		if in.Primary == sn.node {
-			// The fence: an op minted under an older regime is rejected so
-			// the client re-reads the map before retrying. (Replica reads
-			// are exempt — their contract already admits slight staleness.)
-			if op.Epoch != in.Epoch {
-				statuses[i] = StatusStaleEpoch
-				a.Rec.Count(&a.Rec.EpochRejected, "epoch.rejected", 1)
-				continue
-			}
-			asPrimary[i] = true
+		// The fence: an op minted under an older regime is rejected so the
+		// client re-reads the map before retrying.
+		if op.Epoch != in.Epoch {
+			statuses[i] = StatusStaleEpoch
+			a.Rec.Count(&a.Rec.EpochRejected, "epoch.rejected", 1)
+			continue
 		}
 		ss := sn.shards[op.Shard]
 		var depth int64
@@ -304,7 +294,7 @@ func (sn *serverNode) serveBatch(p *kernel.Process, b *srpc.Binding) {
 			ss.store.PutVer(op.Key, val, ver)
 			statuses[i] = StatusOK
 			rec := replRec{Shard: op.Shard, Key: op.Key, Epoch: in.Epoch, Ver: ver, Val: val}
-			if in.Primary == sn.node && in.Replica >= 0 {
+			if in.Replica >= 0 {
 				if in.Synced {
 					// Synced follower: replicate synchronously before
 					// the ack.
@@ -384,17 +374,18 @@ func (sn *serverNode) serveBatch(p *kernel.Process, b *srpc.Binding) {
 
 	// Fencing re-check before the ack: while the batch slept on its
 	// service time and synchronous replication, the map may have moved. An
-	// op this node admitted as primary of a regime that no longer exists
-	// must not be acknowledged — the new primary owns history now. A put
-	// whose replication group failed while the map STILL names a synced
-	// follower means the down-report was quorum-vetoed: this node is the
-	// one cut off, and acking from the minority side is exactly the
-	// split-brain the fence exists to prevent. (A failed group on a shard
-	// the map has since degraded keeps its ack: the quorum agreed the
-	// follower is gone and the primary's copy is the promise.)
+	// admitted op (the only ones still StatusOK or StatusNotFound) of a
+	// regime that no longer exists must not be acknowledged — the new
+	// primary owns history now. A put whose replication group failed
+	// while the map STILL names a synced follower means the down-report
+	// was quorum-vetoed: this node is the one cut off, and acking from the
+	// minority side is exactly the split-brain the fence exists to
+	// prevent. (A failed group on a shard the map has since degraded keeps
+	// its ack: the quorum agreed the follower is gone and the primary's
+	// copy is the promise.)
 	for i := range ops {
 		op := &ops[i]
-		if !asPrimary[i] || statuses[i] != StatusOK && statuses[i] != StatusNotFound {
+		if statuses[i] != StatusOK && statuses[i] != StatusNotFound {
 			continue
 		}
 		in := a.Map.Shards[op.Shard]
@@ -646,18 +637,11 @@ func (px *outProxy) prebinds() bool {
 	return false
 }
 
-// bind establishes the replication binding. The rendezvous crosses the
-// slow shared conventional network several times and contends with every
-// other bind in flight (worst at warmup and after a rejoin), so it gets
-// far longer than the fast-path replication deadline; a dead target is
-// caught by the replication call timeout instead.
+// bind establishes the replication binding under BindDeadline; a dead
+// target is caught by the replication call timeout instead.
 func (px *outProxy) bind(ep *vmmc.Endpoint) bool {
 	a := px.sn.app
-	bd := replDeadline
-	if f := a.Cl.Timeouts().BindFloor; bd < f {
-		bd = f
-	}
-	b, err := srpc.Bind(ep, a.Cl.Ether, px.target, ReplPort, bd)
+	b, err := srpc.Bind(ep, a.Cl.Ether, px.target, ReplPort, BindDeadline)
 	if err != nil {
 		a.Rec.Count(&a.Rec.ReplFail, "repl.fail", 1)
 		return false

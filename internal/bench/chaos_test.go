@@ -98,13 +98,11 @@ func TestChaosPartitionCell(t *testing.T) {
 	}
 }
 
-// TestPartitionCellsTightTimeouts shrinks the whole failure-detection
-// envelope — the daemon RPC deadline, the rendezvous bind floor, and the
-// serving call deadline — and reruns every partition cell under it. The
-// knobs live in one place (cluster.Config.Timeouts) precisely so this
-// experiment is a three-line config change; the cells must still detect,
-// fence, heal, and lose nothing with the tighter constants.
-func TestPartitionCellsTightTimeouts(t *testing.T) {
+// TestPartitionCellsTightCallDeadline reruns every partition cell with the
+// serving call deadline, the failover detection signal, tightened from its
+// 5 ms default to 3 ms. The cells must still detect, fence, heal, and lose
+// nothing.
+func TestPartitionCellsTightCallDeadline(t *testing.T) {
 	for _, c := range appPartitionCells() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -113,14 +111,10 @@ func TestPartitionCellsTightTimeouts(t *testing.T) {
 			r := &run{mod: func(cfg *cluster.Config) {
 				cfg.FaultPlan = &fault.Plan{Name: c.name}
 				cfg.FaultSeed = 1
-				cfg.Timeouts = cluster.Timeouts{
-					DaemonRPC: 2 * time.Millisecond,
-					BindFloor: 250 * time.Millisecond,
-				}
 			}}
 			defer r.close()
 			if err := appServe(r, opts, nil); err != nil {
-				t.Fatalf("%s under tight timeouts: %v", c.name, err)
+				t.Fatalf("%s under a tight call deadline: %v", c.name, err)
 			}
 		})
 	}

@@ -63,46 +63,6 @@ type Config struct {
 	// Scenario runners use it to digest their own engines without going
 	// through sim's process-global hook.
 	Auto sim.Tracer
-
-	// Timeouts tunes the failure-detection timing constants; zero fields
-	// take the documented defaults.
-	Timeouts Timeouts
-}
-
-// Timeouts gathers the cluster-wide failure-detection timing knobs that
-// used to be hard-coded constants scattered across layers. Tightening them
-// detects dead peers faster; loosening them tolerates more congestion
-// before declaring death. They deliberately live in one place so an
-// experiment can shrink the whole detection envelope coherently.
-type Timeouts struct {
-	// DaemonRPC bounds every daemon-to-daemon Ethernet RPC
-	// (import/release/revoke rendezvous). Default
-	// daemon.DefaultRPCTimeout (5ms) up to 16 nodes, scaled linearly
-	// with world size above that: the control Ethernet is shared, so a
-	// 256-node boot storm legitimately queues RPCs for tens of
-	// milliseconds, and timing those out just feeds the congestion.
-	DaemonRPC time.Duration
-	// BindFloor is the minimum deadline for SRPC rendezvous binds in the
-	// serving subsystem (replication proxies and load-generator
-	// gateways). Binds ride the congestible Ethernet, so they get a far
-	// larger deadline than data-path calls: Ethernet congestion is not
-	// death. Default 2s.
-	BindFloor time.Duration
-}
-
-// withDefaults resolves zero fields to the documented defaults for a world
-// of the given node count.
-func (t Timeouts) withDefaults(nodes int) Timeouts {
-	if t.DaemonRPC <= 0 {
-		t.DaemonRPC = daemon.DefaultRPCTimeout
-		if nodes > 16 {
-			t.DaemonRPC = daemon.DefaultRPCTimeout * time.Duration(nodes) / 16
-		}
-	}
-	if t.BindFloor <= 0 {
-		t.BindFloor = 2 * time.Second
-	}
-	return t
 }
 
 // Node is one assembled PC node.
@@ -149,7 +109,6 @@ func New(cfg Config) *Cluster {
 	if cfg.OPTEntries == 0 {
 		cfg.OPTEntries = 4096
 	}
-	cfg.Timeouts = cfg.Timeouts.withDefaults(nodes)
 	if cfg.FaultPlan != nil {
 		if err := cfg.FaultPlan.Validate(nodes); err != nil {
 			// A malformed fault plan is a harness configuration bug,
@@ -180,7 +139,6 @@ func New(cfg Config) *Cluster {
 		m.Trace = cfg.Trace
 		n := nic.New(m, msh, mesh.NodeID(i), cfg.OPTEntries)
 		d := daemon.New(i, m, n, msh, eth)
-		d.RPCTimeout = cfg.Timeouts.DaemonRPC
 		c.Nodes = append(c.Nodes, &Node{ID: i, M: m, NIC: n, Daemon: d})
 	}
 	if cfg.FaultPlan != nil {
@@ -191,9 +149,6 @@ func New(cfg Config) *Cluster {
 	}
 	return c
 }
-
-// Timeouts returns the resolved failure-detection knobs for this cluster.
-func (c *Cluster) Timeouts() Timeouts { return c.cfg.Timeouts }
 
 // Reachable reports whether messages can currently flow between two live
 // nodes in both directions: false when either node is dead or an armed
@@ -261,13 +216,6 @@ func (c *Cluster) scheduleFaults(plan *fault.Plan) {
 				c.CrashNode(cr.Node)
 			}
 		})
-		if cr.RestartAfter > 0 {
-			c.Eng.PostAt(sim.Time(0).Add(cr.At+cr.RestartAfter), func() {
-				if c.Nodes[cr.Node].Dead {
-					c.RestartNode(cr.Node)
-				}
-			})
-		}
 	}
 }
 
@@ -307,7 +255,6 @@ func (c *Cluster) RestartNode(i int) *Node {
 	m.Trace = c.cfg.Trace
 	n := nic.New(m, c.Mesh, mesh.NodeID(i), c.cfg.OPTEntries)
 	d := daemon.New(i, m, n, c.Mesh, c.Ether)
-	d.RPCTimeout = c.cfg.Timeouts.DaemonRPC
 	fresh := &Node{ID: i, M: m, NIC: n, Daemon: d}
 	c.Nodes[i] = fresh
 	return fresh

@@ -14,7 +14,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"shrimp/internal/ether"
@@ -29,12 +29,14 @@ import (
 // Port is the well-known Ethernet port the daemon listens on.
 const Port = 1
 
-// DefaultRPCTimeout is the default bound on every daemon-to-daemon
-// Ethernet RPC (Daemon.RPCTimeout). A dead peer can never answer; rather
-// than parking the caller forever, the call gives up and the operation
-// reports the peer unreachable (Import) or proceeds best-effort
-// (release/revoke — the peer that would act on it is gone).
-const DefaultRPCTimeout = 5 * time.Millisecond
+// rpcTimeout bounds every daemon-to-daemon Ethernet RPC in a world of up to
+// 16 nodes; New scales it linearly for larger ones. A dead peer can never
+// answer; rather than parking the caller forever, the call gives up and the
+// operation reports the peer unreachable (Import) or proceeds best-effort
+// (release/revoke — the peer that would act on it is gone). The control
+// Ethernet is shared, so a 256-node boot storm legitimately queues RPCs for
+// tens of milliseconds, and timing those out would just feed the congestion.
+const rpcTimeout = 5 * time.Millisecond
 
 // importRetry paces Import's retries when the peer daemon does not answer
 // in time: a lossy or gray control network deserves a few backed-off
@@ -81,8 +83,16 @@ type ExportRec struct {
 	// nil means any node.
 	Allowed []int
 
-	importers map[int]int // node -> import count
+	importers map[importRef]bool
 	revoked   bool
+}
+
+// importRef names one Import call's reference on an export: the importing
+// node and the nonce its request carried. A retried request carries the
+// same nonce, so the reference is counted once however many copies of the
+// request arrive.
+type importRef struct {
+	node, nonce int
 }
 
 // ImportRec is the daemon's record of one imported remote buffer.
@@ -92,6 +102,7 @@ type ImportRec struct {
 	Name     string
 	OPTBase  int
 	Pages    int
+	nonce    int // the importRef nonce this mapping's release names
 	released bool
 	reaped   bool
 }
@@ -125,11 +136,8 @@ type Daemon struct {
 	nextID    uint32
 	nextEphem int
 
-	// RPCTimeout bounds every daemon-to-daemon Ethernet RPC. New sets
-	// DefaultRPCTimeout; the cluster layer overrides it from its Timeouts
-	// knobs. Tighten it to detect dead daemons faster at the cost of more
-	// spurious unreachable verdicts on a congested control network.
-	RPCTimeout time.Duration
+	// rpcDeadline bounds every daemon-to-daemon Ethernet RPC.
+	rpcDeadline time.Duration
 
 	// FaultHook, if set, observes receive-path protection faults instead
 	// of the default panic (tests use this; a healthy system never
@@ -144,9 +152,13 @@ type Daemon struct {
 
 // --- Ethernet message types ---
 
+// importReq and releaseReq carry the importer's nonce (its request port
+// number, unique for the daemon's life) so the exporter's reference count
+// is idempotent per Import call.
 type importReq struct {
-	Name string
-	From int
+	Name  string
+	From  int
+	Nonce int
 }
 
 type importResp struct {
@@ -158,6 +170,7 @@ type importResp struct {
 type releaseReq struct {
 	ExportID uint32
 	From     int
+	Nonce    int
 }
 
 type releaseResp struct{}
@@ -180,15 +193,15 @@ type DeadNode struct {
 // New creates the daemon for a node and starts its service process.
 func New(nodeID int, m *kernel.Machine, n *nic.NIC, msh *mesh.Network, eth *ether.Network) *Daemon {
 	d := &Daemon{
-		NodeID:     nodeID,
-		M:          m,
-		NIC:        n,
-		Mesh:       msh,
-		Ether:      eth,
-		RPCTimeout: DefaultRPCTimeout,
-		exports:    make(map[uint32]*ExportRec),
-		byName:     make(map[string]*ExportRec),
-		nextEphem:  1000,
+		NodeID:      nodeID,
+		M:           m,
+		NIC:         n,
+		Mesh:        msh,
+		Ether:       eth,
+		rpcDeadline: rpcTimeout * time.Duration(max(msh.Nodes(), 16)) / 16,
+		exports:     make(map[uint32]*ExportRec),
+		byName:      make(map[string]*ExportRec),
+		nextEphem:   1000,
 	}
 	d.port = eth.Bind(ether.Addr{Node: nodeID, Port: Port})
 	d.proc = m.Spawn("shrimpd", d.serve)
@@ -270,7 +283,7 @@ func (d *Daemon) handleImport(p *kernel.Process, req importReq) importResp {
 	if !rec.permits(req.From) {
 		return importResp{Err: fmt.Sprintf("export %q denies node %d", req.Name, req.From)}
 	}
-	rec.importers[req.From]++
+	rec.importers[importRef{req.From, req.Nonce}] = true
 	return importResp{ExportID: rec.ID, Frames: rec.Frames}
 }
 
@@ -288,12 +301,7 @@ func (rec *ExportRec) permits(node int) bool {
 
 func (d *Daemon) handleRelease(req releaseReq) {
 	if rec, ok := d.exports[req.ExportID]; ok {
-		if rec.importers[req.From] > 0 {
-			rec.importers[req.From]--
-			if rec.importers[req.From] == 0 {
-				delete(rec.importers, req.From)
-			}
-		}
+		delete(rec.importers, importRef{req.From, req.Nonce})
 	}
 }
 
@@ -337,9 +345,11 @@ func (d *Daemon) reapDeadNode(p *kernel.Process, node int) {
 	// Export bookkeeping only — no order-sensitive calls, so plain map
 	// iteration is fine.
 	for _, rec := range d.exports {
-		if rec.importers[node] > 0 {
-			d.ReapedExportRefs += rec.importers[node]
-			delete(rec.importers, node)
+		for ref := range rec.importers {
+			if ref.node == node {
+				delete(rec.importers, ref)
+				d.ReapedExportRefs++
+			}
 		}
 	}
 }
@@ -388,7 +398,7 @@ func (d *Daemon) Export(proc *kernel.Process, name string, va kernel.VA, pages i
 	d.nextID++
 	rec := &ExportRec{
 		ID: d.nextID, Name: name, Owner: proc, Base: va, Frames: frames,
-		Allowed: allowed, importers: make(map[int]int),
+		Allowed: allowed, importers: make(map[importRef]bool),
 	}
 	for i, f := range frames {
 		proc.SetFlags(kernel.PageOf(va)+kernel.VPN(i), kernel.FlagPinned)
@@ -412,10 +422,14 @@ func (d *Daemon) Import(proc *kernel.Process, node int, name string) (*ImportRec
 	// lost to control-network congestion should not fail the import, but a
 	// partitioned peer must not be hammered forever. The seed folds in the
 	// ephemeral port number so concurrent importers decorrelate.
-	bo := retry.New(importRetry, retry.Seed(uint64(d.NodeID), uint64(node), uint64(port.Addr().Port)))
+	// Every attempt carries the same nonce, the port number: a late reply
+	// to an earlier attempt can answer a later one, and the exporter must
+	// then hold one reference, not one per attempt.
+	nonce := port.Addr().Port
+	bo := retry.New(importRetry, retry.Seed(uint64(d.NodeID), uint64(node), uint64(nonce)))
 	var reply *ether.Message
 	for {
-		reply = port.Call(proc.P, ether.Addr{Node: node, Port: Port}, 64, importReq{Name: name, From: d.NodeID}, d.RPCTimeout)
+		reply = port.Call(proc.P, ether.Addr{Node: node, Port: Port}, 64, importReq{Name: name, From: d.NodeID, Nonce: nonce}, d.rpcDeadline)
 		if reply != nil {
 			break
 		}
@@ -433,14 +447,14 @@ func (d *Daemon) Import(proc *kernel.Process, node int, name string) (*ImportRec
 	if err != nil {
 		// Give the reference back.
 		port2 := d.ephemeralPort()
-		port2.Call(proc.P, ether.Addr{Node: node, Port: Port}, 16, releaseReq{ExportID: resp.ExportID, From: d.NodeID}, d.RPCTimeout)
+		port2.Call(proc.P, ether.Addr{Node: node, Port: Port}, 16, releaseReq{ExportID: resp.ExportID, From: d.NodeID, Nonce: nonce}, d.rpcDeadline)
 		port2.Close()
 		return nil, err
 	}
 	for i, f := range resp.Frames {
 		d.NIC.SetOPT(base+i, nic.OPTEntry{Valid: true, DstNode: mesh.NodeID(node), DstPFN: f})
 	}
-	rec := &ImportRec{Exporter: node, ExportID: resp.ExportID, Name: name, OPTBase: base, Pages: len(resp.Frames)}
+	rec := &ImportRec{Exporter: node, ExportID: resp.ExportID, Name: name, OPTBase: base, Pages: len(resp.Frames), nonce: nonce}
 	d.imports = append(d.imports, rec)
 	return rec, nil
 }
@@ -461,7 +475,7 @@ func (d *Daemon) Unimport(proc *kernel.Process, rec *ImportRec) error {
 	defer port.Close()
 	// Best-effort: if the exporter died, nobody is left to care about the
 	// reference count.
-	port.Call(proc.P, ether.Addr{Node: rec.Exporter, Port: Port}, 16, releaseReq{ExportID: rec.ExportID, From: d.NodeID}, d.RPCTimeout)
+	port.Call(proc.P, ether.Addr{Node: rec.Exporter, Port: Port}, 16, releaseReq{ExportID: rec.ExportID, From: d.NodeID, Nonce: rec.nonce}, d.rpcDeadline)
 	return nil
 }
 
@@ -478,10 +492,11 @@ func (d *Daemon) Unexport(proc *kernel.Process, rec *ExportRec) error {
 	// resulting quiesce/drain sequences must not follow map iteration
 	// order, or the virtual-time run stops being repeatable.
 	nodes := make([]int, 0, len(rec.importers))
-	for node := range rec.importers {
-		nodes = append(nodes, node)
+	for ref := range rec.importers {
+		nodes = append(nodes, ref.node)
 	}
-	sort.Ints(nodes)
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
 	for _, node := range nodes {
 		if node == d.NodeID {
 			d.handleRevoke(proc, revokeReq{Exporter: d.NodeID, ExportID: rec.ID})
@@ -489,7 +504,7 @@ func (d *Daemon) Unexport(proc *kernel.Process, rec *ExportRec) error {
 		}
 		port := d.ephemeralPort()
 		// Best-effort: a dead importer's mappings are already gone.
-		port.Call(proc.P, ether.Addr{Node: node, Port: Port}, 16, revokeReq{Exporter: d.NodeID, ExportID: rec.ID}, d.RPCTimeout)
+		port.Call(proc.P, ether.Addr{Node: node, Port: Port}, 16, revokeReq{Exporter: d.NodeID, ExportID: rec.ID}, d.rpcDeadline)
 		port.Close()
 	}
 	d.NIC.QuiesceIncoming(proc.P)

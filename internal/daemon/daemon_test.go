@@ -25,14 +25,18 @@ type rig struct {
 	faults []nic.ProtectionFault
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t *testing.T) *rig { return newRigSized(t, 4<<20, 512) }
+
+// newRigSized is newRig with memBytes of DRAM and optEntries OPT entries
+// per node.
+func newRigSized(t *testing.T, memBytes, optEntries int) *rig {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine()}
-	r.msh = mesh.New(r.eng, 2, 1)
+	r.msh = mesh.NewDims(r.eng, []int{2, 1})
 	r.eth = ether.New(r.eng, 2)
 	for i := 0; i < 2; i++ {
-		r.m[i] = kernel.NewMachine(i, r.eng, 4<<20)
-		r.n[i] = nic.New(r.m[i], r.msh, mesh.NodeID(i), 512)
+		r.m[i] = kernel.NewMachine(i, r.eng, memBytes)
+		r.n[i] = nic.New(r.m[i], r.msh, mesh.NodeID(i), optEntries)
 		r.d[i] = New(i, r.m[i], r.n[i], r.msh, r.eth)
 		r.d[i].FaultHook = func(f nic.ProtectionFault) { r.faults = append(r.faults, f) }
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"shrimp/internal/ether"
 	"shrimp/internal/kernel"
 	"shrimp/internal/sim"
 )
@@ -131,5 +132,61 @@ func TestUnimportAfterRevocation(t *testing.T) {
 	r.eng.RunAll()
 	if !done {
 		t.Fatal("importer never finished")
+	}
+}
+
+// TestRetriedImportCountsOnce: a 1,400-page import's reply (5,664 B) takes
+// 5.59 ms on the 10 Mb/s Ethernet, past the 5 ms RPC deadline, so Import
+// retries and its retry takes the first attempt's late reply. The exporter
+// must still hold one reference per Import call: after three such imports
+// and the release of one, the importer's crash reaps exactly two.
+func TestRetriedImportCountsOnce(t *testing.T) {
+	const pages = 1400
+	r := newRigSized(t, 8<<20, 3*pages)
+	var expRec *ExportRec
+	exported := sim.NewCond(r.eng)
+	r.m[1].Spawn("exporter", func(p *kernel.Process) {
+		va := p.MapPages(pages, 0)
+		var err error
+		expRec, err = r.d[1].Export(p, "big", va, pages, false, false, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		exported.Broadcast()
+	})
+	var took time.Duration
+	r.m[0].Spawn("importer", func(p *kernel.Process) {
+		for expRec == nil {
+			exported.Wait(p.P)
+		}
+		start := p.P.Now()
+		imp1, err := r.d[0].Import(p, 1, "big")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		took = p.P.Now().Sub(start)
+		for i := 0; i < 2; i++ {
+			if _, err := r.d[0].Import(p, 1, "big"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := r.d[0].Unimport(p, imp1); err != nil {
+			t.Error(err)
+			return
+		}
+		r.eth.Inject(ether.Addr{Node: 1, Port: Port}, 32, DeadNode{Node: 0})
+	})
+	r.eng.RunAll()
+	if t.Failed() {
+		return
+	}
+	if took <= 5*time.Millisecond {
+		t.Fatalf("import took %v; the case needs a reply that outlasts the 5ms deadline", took)
+	}
+	if got := r.d[1].ReapedExportRefs; got != 2 {
+		t.Fatalf("crash of the importer reaped %d references, want the 2 still imported", got)
 	}
 }

@@ -81,12 +81,11 @@ type NICFault struct {
 	Dur   time.Duration // OutStall: how long the arbiter is blocked
 }
 
-// Crash schedules a whole-node crash at a virtual time, with an optional
-// restart RestartAfter later (zero means the node stays dead).
+// Crash schedules a whole-node crash at a virtual time. The node stays
+// dead; a harness that wants it back calls cluster.RestartNode.
 type Crash struct {
-	Node         int
-	At           time.Duration
-	RestartAfter time.Duration
+	Node int
+	At   time.Duration
 }
 
 // Plan is a pluggable fault plan: everything that will go wrong in a run.
@@ -155,7 +154,7 @@ func (p Plan) Validate(nodes int) error {
 		if c.Node < 0 || c.Node >= nodes {
 			return fmt.Errorf("%s names node %d, cluster has nodes 0..%d", what, c.Node, nodes-1)
 		}
-		if c.At < 0 || c.RestartAfter < 0 {
+		if c.At < 0 {
 			return fmt.Errorf("%s: negative schedule field", what)
 		}
 	}

@@ -369,7 +369,7 @@ func TestValidate(t *testing.T) {
 		{Plan{NIC: []NICFault{{Node: 4}}}, "nic[0]"},
 		{Plan{NIC: []NICFault{{Node: 0, At: -time.Second}}}, "negative"},
 		{Plan{Crashes: []Crash{{Node: -1}}}, "crash[0]"},
-		{Plan{Crashes: []Crash{{Node: 0, RestartAfter: -1}}}, "negative"},
+		{Plan{Crashes: []Crash{{Node: 0, At: -1}}}, "negative"},
 	}
 	for i, c := range bad {
 		err := c.plan.Validate(4)

@@ -778,35 +778,16 @@ func (p *Process) ReadWord(va VA) uint32 {
 // PeekWord loads a 32-bit word with no time charge.
 func (p *Process) PeekWord(va VA) uint32 { return p.M.Mem.U32(p.mustPA(va)) }
 
-// WaitWord blocks until pred holds on the word at va, polling via memory
-// watchers (no time quantization; one poll-check is charged per wakeup).
+// WaitWord blocks until pred holds on the word at va and returns the word:
+// WaitPred on the page holding va, with no deadline.
 func (p *Process) WaitWord(va VA, pred func(uint32) bool) uint32 {
-	v, _ := p.WaitWordTimeout(va, pred, 0)
-	return v
-}
-
-// WaitWordTimeout is WaitWord with a deadline d (d == 0: none); ok=false
-// on timeout. A wait that times out while parked returns the word's value
-// without a final poll.
-func (p *Process) WaitWordTimeout(va VA, pred func(uint32) bool, d time.Duration) (uint32, bool) {
 	pa := p.mustPA(va)
-	deadline := p.P.Now().Add(d)
-	for {
-		p.P.Sleep(hw.PollCheckCost)
-		v := p.M.Mem.U32(pa)
-		if pred(v) {
-			return v, true
-		}
-		remain := time.Duration(0)
-		if d != 0 {
-			if remain = deadline.Sub(p.P.Now()); remain <= 0 {
-				return v, false
-			}
-		}
-		if p.M.Mem.WaitChange(p.P, pa, remain) {
-			return p.M.Mem.U32(pa), false
-		}
-	}
+	var v uint32
+	p.WaitPred([]VA{va}, nil, 0, func() bool {
+		v = p.M.Mem.U32(pa)
+		return pred(v)
+	})
+	return v
 }
 
 // waitSet returns the conds a multi-source wait blocks on: the watcher of
@@ -835,24 +816,35 @@ func (p *Process) waitSet(vas []VA, extra []*sim.Cond) []*sim.Cond {
 func (p *Process) endWait() { p.waitDepth-- }
 
 // WaitPred blocks until pred holds, re-checking when a write lands in a
-// page containing one of vas or when any of the extra conds is signaled.
-// pred is charged one poll-check per evaluation. This is the
-// multi-connection poll loop the message-passing libraries use (scan all
-// senders, sleep until something changes); servers multiplexing
-// memory-mapped streams with control-network ports add their ports' conds
-// as extra. pred must test what the caller is waiting for: WaitPred parks
-// only while pred is false, so an always-true pred returns after one
-// PollCheckCost and a loop around it spins instead of waiting
-// (shrimplint's no-spin-wait rule flags one).
-func (p *Process) WaitPred(vas []VA, extra []*sim.Cond, pred func() bool) {
+// page containing one of vas or when any of the extra conds is signaled,
+// or until d elapses (d == 0: no deadline). It reports whether pred held;
+// a wait that times out while parked returns false without a final poll.
+// pred is charged one poll-check per evaluation. This is the kernel's one
+// poll loop: the message-passing libraries scan all senders and sleep
+// until something changes, and servers multiplexing memory-mapped streams
+// with control-network ports add their ports' conds as extra. pred must
+// test what the caller is waiting for: WaitPred parks only while pred is
+// false, so an always-true pred returns after one PollCheckCost and a loop
+// around it spins instead of waiting (shrimplint's no-spin-wait rule flags
+// one).
+func (p *Process) WaitPred(vas []VA, extra []*sim.Cond, d time.Duration, pred func() bool) bool {
 	conds := p.waitSet(vas, extra)
 	defer p.endWait()
+	deadline := p.P.Now().Add(d)
 	for {
 		p.P.Sleep(hw.PollCheckCost)
 		if pred() {
-			return
+			return true
 		}
-		sim.WaitAny(p.P, 0, conds...)
+		remain := time.Duration(0)
+		if d != 0 {
+			if remain = deadline.Sub(p.P.Now()); remain <= 0 {
+				return false
+			}
+		}
+		if sim.WaitAny(p.P, remain, conds...) {
+			return false
+		}
 	}
 }
 

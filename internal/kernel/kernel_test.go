@@ -215,21 +215,21 @@ func TestWaitWord(t *testing.T) {
 	}
 }
 
-func TestWaitWordTimeout(t *testing.T) {
+func TestWaitPredTimeout(t *testing.T) {
 	e, m := newM(t)
 	var ok bool
 	var at sim.Time
 	m.Spawn("w", func(p *Process) {
 		va := p.MapPages(1, 0)
-		_, ok = p.WaitWordTimeout(va, func(v uint32) bool { return v != 0 }, 50*time.Microsecond)
+		ok = p.WaitPred([]VA{va}, nil, 50*time.Microsecond, func() bool { return p.PeekWord(va) != 0 })
 		at = p.P.Now()
 	})
 	e.RunAll()
 	if ok {
 		t.Fatal("timeout wait reported success")
 	}
-	if at < sim.Time(50*1000) {
-		t.Fatalf("returned before deadline: %v", at)
+	if at != sim.Time(50*1000) {
+		t.Fatalf("returned at %v, want the 50us deadline", at)
 	}
 }
 
@@ -346,7 +346,7 @@ func TestWaitPred(t *testing.T) {
 	waiter = m.Spawn("waiter", func(p *Process) {
 		flagVA = p.MapPages(1, 0)
 		hits := 0
-		p.WaitPred([]VA{flagVA}, []*sim.Cond{extra}, func() bool {
+		p.WaitPred([]VA{flagVA}, []*sim.Cond{extra}, 0, func() bool {
 			hits++
 			return p.PeekWord(flagVA) == 2
 		})

@@ -536,7 +536,7 @@ func use(e *Engine) { e.Schedule(0, nil) }`, true)
 const kernelWaitDefs = `package kernel
 type VA uint64
 type Process struct{}
-func (p *Process) WaitPred(vas []VA, extra []any, pred func() bool) {}`
+func (p *Process) WaitPred(vas []VA, extra []any, d int64, pred func() bool) bool { return true }`
 
 func TestSpinWait(t *testing.T) {
 	cases := []struct {
@@ -544,11 +544,16 @@ func TestSpinWait(t *testing.T) {
 		body string
 		want int
 	}{
-		{"hit: always-true literal", `p.WaitPred(nil, nil, func() bool { return true })`, 1},
-		{"clean: a real predicate", `p.WaitPred(nil, nil, func() bool { return ready })`, 0},
-		{"clean: a predicate that tests first", `p.WaitPred(nil, nil, func() bool { if ready { return true }; return false })`, 0},
-		{"clean: a method value", `p.WaitPred(nil, nil, w.ready)`, 0},
-		{"clean: another type's WaitPred", `w.WaitPred(nil, nil, func() bool { return true })`, 0},
+		// The predicate is the last argument, after the deadline: a rule
+		// that read the third argument would see the deadline and miss
+		// every hit below.
+		{"hit: always-true literal", `p.WaitPred(nil, nil, 0, func() bool { return true })`, 1},
+		{"hit: always-true literal with a deadline", `p.WaitPred(nil, nil, d, func() bool { return true })`, 1},
+		{"hit: in a statement", `if !p.WaitPred(nil, nil, 5, func() bool { return true }) { return }`, 1},
+		{"clean: a real predicate", `p.WaitPred(nil, nil, 0, func() bool { return ready })`, 0},
+		{"clean: a predicate that tests first", `p.WaitPred(nil, nil, d, func() bool { if ready { return true }; return false })`, 0},
+		{"clean: a method value", `p.WaitPred(nil, nil, 0, w.ready)`, 0},
+		{"clean: another type's WaitPred", `w.WaitPred(nil, nil, 0, func() bool { return true })`, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -558,8 +563,8 @@ func TestSpinWait(t *testing.T) {
 import "shrimp/internal/kernel"
 type waiter struct{}
 func (waiter) ready() bool { return false }
-func (waiter) WaitPred(vas []kernel.VA, extra []any, pred func() bool) {}
-func run(p *kernel.Process, w waiter, ready bool) {
+func (waiter) WaitPred(vas []kernel.VA, extra []any, d int64, pred func() bool) {}
+func run(p *kernel.Process, w waiter, ready bool, d int64) {
 	` + tc.body + `
 }`, simReachable: true},
 			)

@@ -22,8 +22,7 @@ var orderSensitiveCalls = map[string]bool{
 	// kernel memory/cost primitives
 	"Compute": true, "Poke": true, "Peek": true, "PeekWord": true,
 	"WriteWord": true, "WriteBytes": true, "CopyVA": true,
-	"WaitWord": true, "WaitChange": true,
-	"WaitPred": true,
+	"WaitWord": true, "WaitPred": true,
 	// NIC / mesh / daemon operations
 	"Send": true, "Call": true, "Recv": true, "RecvAll": true,
 	"Quiesce": true, "QuiesceIncoming": true, "WaitDrained": true,

@@ -8,8 +8,8 @@ import (
 )
 
 // SpinWaitAnalyzer returns the no-spin-wait rule: a call to
-// kernel.Process.WaitPred whose predicate is a function literal that only
-// returns true never parks. WaitPred charges one poll-check and then
+// kernel.Process.WaitPred whose predicate, its last argument, is a function
+// literal that only returns true never parks. WaitPred charges one poll-check and then
 // returns, so a loop around it polls every PollCheckCost of virtual time,
 // one engine event each, instead of sleeping until a watched write can
 // change the answer. The predicate must test what the loop waits for.
@@ -21,15 +21,15 @@ func SpinWaitAnalyzer() *Analyzer {
 			eachFile(p, func(f *ast.File) {
 				ast.Inspect(f, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
-					if !ok || len(call.Args) != 3 {
+					if !ok || len(call.Args) == 0 {
 						return true
 					}
 					sel, ok := call.Fun.(*ast.SelectorExpr)
 					if !ok || !isMethod(useObj(p, sel.Sel), "/internal/kernel", "Process", "WaitPred") {
 						return true
 					}
-					if alwaysTrue(call.Args[2]) {
-						report(call.Args[2].Pos(),
+					if pred := call.Args[len(call.Args)-1]; alwaysTrue(pred) {
+						report(pred.Pos(),
 							"WaitPred with an always-true predicate is a PollCheckCost spin, not a wait; test the condition the loop waits for")
 					}
 					return true

@@ -24,7 +24,6 @@ package mem
 
 import (
 	"fmt"
-	"time"
 
 	"shrimp/internal/hw"
 	"shrimp/internal/sim"
@@ -342,19 +341,10 @@ func (m *Memory) SetSnooped(f PFN, on bool) {
 	}
 }
 
-// WaitChange blocks p until any write lands in the page containing pa, or
-// until d elapses (d == 0: no deadline), and reports whether it timed out.
-// Callers re-check their predicate after waking, as with any condition
-// variable.
-func (m *Memory) WaitChange(p *sim.Proc, pa PA, d time.Duration) bool {
-	return sim.WaitAny(p, d, m.cond(PageOf(pa)))
-}
-
-// PageCond returns the watcher condition variable for frame f, for callers
-// composing multi-source waits.
-func (m *Memory) PageCond(f PFN) *sim.Cond { return m.cond(f) }
-
-func (m *Memory) cond(f PFN) *sim.Cond {
+// PageCond returns the watcher condition variable for frame f: it is
+// broadcast whenever a write lands in the frame. Waiters re-check their
+// predicate after waking, as with any condition variable.
+func (m *Memory) PageCond(f PFN) *sim.Cond {
 	h := m.hookW(f)
 	if h.cond == nil {
 		h.cond = sim.NewCond(m.eng)

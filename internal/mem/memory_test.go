@@ -103,13 +103,15 @@ func TestSnoopSplitsAtPageBoundary(t *testing.T) {
 	}
 }
 
+// A waiter on a page's watcher cond (PageCond) wakes when a write lands in
+// the page...
 func TestWaitChangeWakesOnWrite(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, 4*hw.Page)
 	var sawAt sim.Time
 	e.Spawn("waiter", func(p *sim.Proc) {
 		for m.U32(100) == 0 {
-			m.WaitChange(p, 100, 0)
+			sim.WaitAny(p, 0, m.PageCond(PageOf(100)))
 		}
 		sawAt = p.Now()
 	})
@@ -123,13 +125,14 @@ func TestWaitChangeWakesOnWrite(t *testing.T) {
 	}
 }
 
+// ...and not when one lands in another page.
 func TestWaitChangeIgnoresOtherPages(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, 4*hw.Page)
 	wakes := 0
 	e.Spawn("waiter", func(p *sim.Proc) {
 		for m.U32(0) == 0 {
-			m.WaitChange(p, 0, 0)
+			sim.WaitAny(p, 0, m.PageCond(0))
 			wakes++
 		}
 	})

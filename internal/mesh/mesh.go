@@ -161,14 +161,9 @@ type Network struct {
 	PacketsCorrupted int64
 }
 
-// New builds an x-by-y mesh backplane — the prototype's 2-D geometry.
-func New(eng *sim.Engine, x, y int) *Network {
-	return NewDims(eng, []int{x, y})
-}
-
 // NewDims builds a k-ary n-dimensional mesh backplane: dims[d] routers per
 // dimension d, dimension 0 varying fastest in the linear node index.
-// NewDims(eng, []int{x, y}) is exactly New(eng, x, y).
+// []int{x, y} is the prototype's x-by-y 2-D geometry.
 func NewDims(eng *sim.Engine, dims []int) *Network {
 	if len(dims) == 0 {
 		panic("mesh: at least one dimension required")
@@ -208,10 +203,6 @@ func newChannel(eng *sim.Engine, span string) *channel {
 
 // Nodes returns the number of attachment points.
 func (n *Network) Nodes() int { return n.total }
-
-// Dims returns the topology's per-dimension radices. The slice is shared;
-// callers must not mutate it.
-func (n *Network) Dims() []int { return n.dims }
 
 // GetBuf returns an empty payload buffer with room for a maximum-size
 // packet body, drawn from the free list when possible. Mark packets built
@@ -598,7 +589,7 @@ func (d *delivery) arrive() {
 		n.dels = append(n.dels, d)
 	}
 
-	key := [2]NodeID{pkt.Src, pkt.Dst}
+	src, dst := pkt.Src, pkt.Dst // Recycle clears pkt
 	if f.inFlight--; f.inFlight == 0 {
 		// Last packet for this pair: the FIFO floor is now redundant
 		// (every stored floor is <= this delivery's time, and any
@@ -606,7 +597,7 @@ func (d *delivery) arrive() {
 		// so the record is swap-removed from its source's live flows
 		// and goes back to the free list, zeroed. This keeps the state
 		// sized by concurrent flows instead of growing toward N² pairs.
-		live := n.flows[key[0]]
+		live := n.flows[src]
 		last := len(live) - 1
 		for i, g := range live {
 			if g == f {
@@ -615,14 +606,14 @@ func (d *delivery) arrive() {
 			}
 		}
 		live[last] = nil
-		n.flows[key[0]] = live[:last]
+		n.flows[src] = live[:last]
 		*f = flow{}
 		if len(n.freeFlows) < maxFreeBufs {
 			n.freeFlows = append(n.freeFlows, f)
 		}
 	}
 	switch {
-	case n.dead[key[1]]:
+	case n.dead[dst]:
 		// The node crashed while the packet was in flight.
 		n.PacketsDropped++
 		n.Recycle(pkt)
@@ -631,7 +622,7 @@ func (d *delivery) arrive() {
 		ack := pkt.Ack
 		n.Recycle(pkt)
 		if n.rel != nil && !ack {
-			n.rel.onCorrupt(key[0], key[1])
+			n.rel.onCorrupt(src, dst)
 		}
 	case n.rel != nil && !arrived.Ack && arrived.Seq != 0:
 		n.rel.onData(arrived)

@@ -20,7 +20,7 @@ func collector(n *Network, id NodeID) *[]*Packet {
 
 func TestDimensionOrderRoute(t *testing.T) {
 	e := sim.NewEngine()
-	n := New(e, 4, 4)
+	n := NewDims(e, []int{4, 4})
 	// node 1 = (1,0); node 14 = (2,3). X first: 1->2, then Y: 2->6->10->14.
 	got := n.Route(1, 14)
 	want := []int{1, 2, 6, 10, 14}
@@ -43,7 +43,7 @@ func TestRouteIsOblivious(t *testing.T) {
 	// Same pair always uses the same path — required for in-order
 	// delivery under wormhole routing.
 	e := sim.NewEngine()
-	n := New(e, 4, 4)
+	n := NewDims(e, []int{4, 4})
 	a := n.Route(3, 12)
 	for i := 0; i < 10; i++ {
 		if !reflect.DeepEqual(n.Route(3, 12), a) {
@@ -54,7 +54,7 @@ func TestRouteIsOblivious(t *testing.T) {
 
 func TestDelivery(t *testing.T) {
 	e := sim.NewEngine()
-	n := New(e, 2, 2)
+	n := NewDims(e, []int{2, 2})
 	got := collector(n, 3)
 	collector(n, 0)
 	pkt := &Packet{Src: 0, Dst: 3, DstPFN: 7, DstOff: 12, Payload: []byte("hi")}
@@ -70,7 +70,7 @@ func TestDelivery(t *testing.T) {
 
 func TestLatencyModel(t *testing.T) {
 	e := sim.NewEngine()
-	n := New(e, 2, 2)
+	n := NewDims(e, []int{2, 2})
 	var at sim.Time
 	n.Attach(3, func(p *Packet) { at = e.Now() })
 	pkt := &Packet{Src: 0, Dst: 3, Payload: make([]byte, 4)}
@@ -88,7 +88,7 @@ func TestLatencyModel(t *testing.T) {
 
 func TestPerPairOrdering(t *testing.T) {
 	e := sim.NewEngine()
-	n := New(e, 2, 2)
+	n := NewDims(e, []int{2, 2})
 	got := collector(n, 3)
 	e.Spawn("send", func(p *sim.Proc) {
 		for i := 0; i < 50; i++ {
@@ -109,7 +109,7 @@ func TestPerPairOrdering(t *testing.T) {
 func TestContentionSerializes(t *testing.T) {
 	// Two flows sharing the eject channel at node 3 must serialize there.
 	e := sim.NewEngine()
-	n := New(e, 2, 2)
+	n := NewDims(e, []int{2, 2})
 	var arrivals []sim.Time
 	n.Attach(3, func(p *Packet) { arrivals = append(arrivals, e.Now()) })
 	big := make([]byte, 64*1024)
@@ -129,7 +129,7 @@ func TestDisjointPathsDontInterfere(t *testing.T) {
 	// 0->1 and 2->3 share nothing in a 2x2 mesh; both should arrive at
 	// the uncontended latency.
 	e := sim.NewEngine()
-	n := New(e, 2, 2)
+	n := NewDims(e, []int{2, 2})
 	var t1, t2 sim.Time
 	n.Attach(1, func(p *Packet) { t1 = e.Now() })
 	n.Attach(3, func(p *Packet) { t2 = e.Now() })
@@ -143,7 +143,7 @@ func TestDisjointPathsDontInterfere(t *testing.T) {
 
 func TestAttachValidation(t *testing.T) {
 	e := sim.NewEngine()
-	n := New(e, 2, 2)
+	n := NewDims(e, []int{2, 2})
 	n.Attach(0, func(*Packet) {})
 	for _, fn := range []func(){
 		func() { n.Attach(0, func(*Packet) {}) }, // double attach
@@ -168,7 +168,7 @@ func TestOrderingProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := sim.NewEngine()
 		x, y := 1+rng.Intn(4), 1+rng.Intn(4)
-		n := New(e, x, y)
+		n := NewDims(e, []int{x, y})
 		type rec struct {
 			src NodeID
 			seq uint32
@@ -222,7 +222,7 @@ func TestDimensionOrderInvariant(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := sim.NewEngine()
 		x, y := 1+rng.Intn(5), 1+rng.Intn(5)
-		n := New(e, x, y)
+		n := NewDims(e, []int{x, y})
 		src := NodeID(rng.Intn(n.Nodes()))
 		dst := NodeID(rng.Intn(n.Nodes()))
 		path := n.Route(src, dst)
@@ -254,7 +254,7 @@ func TestDimensionOrderInvariant(t *testing.T) {
 // for a one-way cut — and delivery resumes after Heal.
 func TestPartitionSeversMesh(t *testing.T) {
 	e := sim.NewEngine()
-	n := New(e, 2, 2)
+	n := NewDims(e, []int{2, 2})
 	inj := fault.NewInjector(7, fault.Plan{})
 	n.SetInjector(inj)
 	at3 := collector(n, 3)

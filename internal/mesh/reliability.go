@@ -77,9 +77,6 @@ func (n *Network) EnableReliability() {
 	}
 }
 
-// Reliable reports whether the retransmit sublayer is enabled.
-func (n *Network) Reliable() bool { return n.rel != nil }
-
 // RelStats returns the sublayer tallies (zero value when disabled).
 func (n *Network) RelStats() RelStats {
 	if n.rel == nil {

@@ -13,7 +13,7 @@ import (
 func relRig(t *testing.T, plan fault.Plan) (*sim.Engine, *Network, *[]uint32) {
 	t.Helper()
 	e := sim.NewEngine()
-	n := New(e, 2, 2)
+	n := NewDims(e, []int{2, 2})
 	n.EnableReliability()
 	n.SetInjector(fault.NewInjector(7, plan))
 	var got []uint32
@@ -138,7 +138,7 @@ func TestReliabilityZeroFaultZeroPerturbation(t *testing.T) {
 func TestReliabilityDeterministic(t *testing.T) {
 	scenario := func() {
 		e := sim.NewEngine()
-		n := New(e, 2, 2)
+		n := NewDims(e, []int{2, 2})
 		n.EnableReliability()
 		n.SetInjector(fault.NewInjector(11, fault.Plan{Link: fault.LinkFaults{
 			DropProb: 0.1, CorruptProb: 0.05, ReorderProb: 0.1,

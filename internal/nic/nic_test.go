@@ -23,7 +23,7 @@ type rig struct {
 func newRig(t testing.TB) *rig {
 	t.Helper()
 	e := sim.NewEngine()
-	net := mesh.New(e, 2, 1)
+	net := mesh.NewDims(e, []int{2, 1})
 	m0 := kernel.NewMachine(0, e, 1<<20)
 	m1 := kernel.NewMachine(1, e, 1<<20)
 	return &rig{
@@ -196,7 +196,7 @@ func TestAUCombineTimerFlushes(t *testing.T) {
 	r.n0.BindAU(5, idx)
 	var arrivedAt sim.Time
 	r.eng.Spawn("watch", func(p *sim.Proc) {
-		r.m1.Mem.WaitChange(p, mem.PFN(10).Base(), 0)
+		sim.WaitAny(p, 0, r.m1.Mem.PageCond(10))
 		arrivedAt = p.Now()
 	})
 	r.eng.Spawn("writer", func(p *sim.Proc) {
@@ -461,7 +461,7 @@ func TestCombineTimerRearms(t *testing.T) {
 	base := mem.PFN(5).Base()
 	var arrival sim.Time
 	r.eng.Spawn("watch", func(p *sim.Proc) {
-		r.m1.Mem.WaitChange(p, mem.PFN(10).Base(), 0)
+		sim.WaitAny(p, 0, r.m1.Mem.PageCond(10))
 		arrival = p.Now()
 	})
 	gap := hw.CombineTimeout / 2

@@ -14,7 +14,7 @@ import (
 // board builds a lone NIC with an OPT of the given capacity.
 func board(capacity int) *NIC {
 	e := sim.NewEngine()
-	return New(kernel.NewMachine(0, e, 1<<20), mesh.New(e, 1, 1), 0, capacity)
+	return New(kernel.NewMachine(0, e, 1<<20), mesh.NewDims(e, []int{1, 1}), 0, capacity)
 }
 
 // optModel is the OPT as it was before the table grew on demand: every

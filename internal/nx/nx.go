@@ -459,7 +459,7 @@ func (nx *NX) Drain() {
 		if len(nx.pendingZC) == 0 {
 			break
 		}
-		p.WaitPred(nx.wake, nil, func() bool { return nx.pendingActionable() })
+		p.WaitPred(nx.wake, nil, 0, func() bool { return nx.pendingActionable() })
 	}
 	nx.flushAllCredits()
 }

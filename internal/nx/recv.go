@@ -31,7 +31,7 @@ func (nx *NX) Crecv(typesel int, buf kernel.VA, count int) int {
 			return nx.consume(m, buf, count)
 		}
 		nx.flushAllCredits()
-		p.WaitPred(nx.wake, nil, func() bool {
+		p.WaitPred(nx.wake, nil, 0, func() bool {
 			_, ok := nx.find(typesel, false)
 			return ok || nx.pendingActionable()
 		})
@@ -45,7 +45,7 @@ func (nx *NX) Cprobe(typesel int) {
 	p.Compute(hw.CallCost)
 	for !nx.probe(typesel) {
 		nx.flushAllCredits()
-		p.WaitPred(nx.wake, nil, func() bool {
+		p.WaitPred(nx.wake, nil, 0, func() bool {
 			_, ok := nx.find(typesel, false)
 			return ok || nx.pendingActionable()
 		})
@@ -125,7 +125,7 @@ func (nx *NX) Msgwait(id ID) {
 	p.Compute(hw.CallCost)
 	for !nx.Msgdone(id) {
 		nx.flushAllCredits()
-		p.WaitPred(nx.wake, nil, func() bool { return nx.ready(id) || nx.pendingActionable() })
+		p.WaitPred(nx.wake, nil, 0, func() bool { return nx.ready(id) || nx.pendingActionable() })
 	}
 }
 
@@ -290,7 +290,7 @@ func (nx *NX) waitChunk(cn *conn, flag uint32, msgID uint32, idx int) candidate 
 			return m
 		}
 		nx.flushAllCredits()
-		p.WaitPred(cn.inPages, nil, func() bool {
+		p.WaitPred(cn.inPages, nil, 0, func() bool {
 			_, ok := nx.findChunk(cn, flag, msgID, idx, false)
 			return ok
 		})

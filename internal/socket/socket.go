@@ -312,7 +312,7 @@ func (c *Conn) waitSpace(want int) (int, error) {
 			}
 			return false
 		}
-		p.WaitPred([]kernel.VA{ackVA}, []*sim.Cond{c.closeCond}, pred)
+		p.WaitPred([]kernel.VA{ackVA}, []*sim.Cond{c.closeCond}, 0, pred)
 		wait.End()
 		if c.closeGen != gen {
 			return 0, ErrClosed
@@ -350,7 +350,7 @@ func (c *Conn) Recv(va kernel.VA, n int) (int, error) {
 			return int(p.PeekWord(writtenVA))-c.consumed > 0 ||
 				p.PeekWord(finVA) != 0 || c.closeGen != gen
 		}
-		p.WaitPred([]kernel.VA{writtenVA, finVA}, []*sim.Cond{c.closeCond}, pred)
+		p.WaitPred([]kernel.VA{writtenVA, finVA}, []*sim.Cond{c.closeCond}, 0, pred)
 		avail = int(p.PeekWord(writtenVA)) - c.consumed
 	}
 	if avail > n {
@@ -384,10 +384,6 @@ func (c *Conn) publishAck() {
 	c.ackPub = c.consumed
 	c.lib.ep.Proc.WriteWord(c.outShadow+kernel.VA(ctlAck), uint32(c.consumed))
 }
-
-// Flush forces an immediate acknowledgment publish (benchmarks use it to
-// avoid measuring ack batching artifacts at the end of a run).
-func (c *Conn) Flush() { c.publishAck() }
 
 // Close shuts down this endpoint's sending direction and releases the
 // internet-domain socket.

@@ -213,9 +213,12 @@ func (b *Binding) CallTimeout(proc int, img []byte, d time.Duration) (int, error
 	p.WriteWord(b.shadow+kernel.VA(flagOff), packFlag(b.seq, proc, len(img)))
 
 	want := b.seq & 0xfff
-	v, ok := p.WaitWordTimeout(b.in+kernel.VA(flagOff),
-		func(v uint32) bool { return flagSeq(v) == want }, d)
-	if !ok {
+	flag := b.in + kernel.VA(flagOff)
+	var v uint32
+	if !p.WaitPred([]kernel.VA{flag}, nil, d, func() bool {
+		v = p.PeekWord(flag)
+		return flagSeq(v) == want
+	}) {
 		b.tc.Count(b.track, "call.timeouts", 1)
 		return 0, ErrTimeout
 	}

@@ -91,7 +91,7 @@ func (s *Server) Serve(limit int64) {
 		for _, sess := range s.sessions {
 			vas = append(vas, sess.stream.WrittenVA())
 		}
-		p.WaitPred(vas, []*sim.Cond{s.port.Cond()}, func() bool {
+		p.WaitPred(vas, []*sim.Cond{s.port.Cond()}, 0, func() bool {
 			if s.port.Pending() > 0 {
 				return true
 			}

@@ -40,10 +40,11 @@ import (
 	"shrimp/internal/vmmc"
 )
 
+// mgrNode is the node running every region's lock/barrier manager.
+const mgrNode = 0
+
 // Config tunes a region.
 type Config struct {
-	// Manager is the node running the lock/barrier manager (default 0).
-	Manager int
 	// Home assigns each page a home node (default round-robin page%n).
 	// Placing a page at its principal writer makes that writer's stores
 	// plain local stores with no AU traffic at all.
@@ -95,7 +96,6 @@ type Region struct {
 	p      *kernel.Process
 	ep     *vmmc.Endpoint
 	me, n  int
-	mgr    int
 	homeOf func(int) int
 
 	svc     kernel.VA // local service area (ready/reply/ack/req slots)
@@ -141,7 +141,7 @@ func Join(c *cluster.Cluster, p *kernel.Process, me, n int, name string, pages i
 	}
 	r := &Region{
 		Name: name, Pages: pages, c: c, p: p, me: me, n: n,
-		mgr: cfg.Manager, homeOf: cfg.Home,
+		homeOf:  cfg.Home,
 		ep:      vmmc.Attach(p, c.Node(me).Daemon),
 		state:   make([]pageState, pages),
 		dirty:   make([]bool, pages),
@@ -152,7 +152,7 @@ func Join(c *cluster.Cluster, p *kernel.Process, me, n int, name string, pages i
 		tc:      p.M.Trace,
 		track:   p.M.TraceNode + "/svm",
 	}
-	if me == r.mgr {
+	if me == mgrNode {
 		r.mgrSt = newManager(n, pages)
 	}
 

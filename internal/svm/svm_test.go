@@ -164,22 +164,6 @@ func TestNoticesInvalidate(t *testing.T) {
 	})
 }
 
-// TestManagerOnNonZeroNode moves the manager off node 0 to exercise the
-// local-operation path on a node that also homes pages.
-func TestManagerOnNonZeroNode(t *testing.T) {
-	runRegion(t, cluster.Config{}, 4, 2, Config{Manager: 2}, func(r *Region, p *kernel.Process, me int) {
-		l := r.Lock(1)
-		l.Acquire()
-		p.WriteWord(r.Base, p.ReadWord(r.Base)+uint32(me+1))
-		l.Release()
-		r.Barrier()
-		if v := p.ReadWord(r.Base); v != 1+2+3+4 {
-			t.Errorf("node %d: sum = %d", me, v)
-		}
-		r.Barrier()
-	})
-}
-
 // TestDeterminism: the digest of a lock+barrier workload is replay-stable.
 func TestDeterminism(t *testing.T) {
 	sim.CheckDeterminism(t, func() {

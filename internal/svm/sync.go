@@ -27,10 +27,10 @@ func (l *Lock) Acquire() {
 	r := l.r
 	sp := r.tc.Begin(r.track, "lock.acquire")
 	var notices []int
-	if r.me == r.mgr {
+	if r.me == mgrNode {
 		notices = r.localOp(opLockAcq, l.id, nil)
 	} else {
-		notices = r.request(r.mgr, opLockAcq, l.id, nil, true)
+		notices = r.request(mgrNode, opLockAcq, l.id, nil, true)
 	}
 	r.invalidate(notices)
 	r.Stats.LockAcquires++
@@ -45,10 +45,10 @@ func (l *Lock) Release() {
 	sp := r.tc.Begin(r.track, "lock.release")
 	dirty := r.sortedDirty()
 	r.flushDirty(dirty)
-	if r.me == r.mgr {
+	if r.me == mgrNode {
 		r.localOp(opLockRel, l.id, dirty)
 	} else {
-		r.request(r.mgr, opLockRel, l.id, dirty, true)
+		r.request(mgrNode, opLockRel, l.id, dirty, true)
 	}
 	r.downgradeDirty(dirty)
 	r.Stats.LockReleases++
@@ -64,10 +64,10 @@ func (r *Region) Barrier() {
 	dirty := r.sortedDirty()
 	r.flushDirty(dirty)
 	var notices []int
-	if r.me == r.mgr {
+	if r.me == mgrNode {
 		notices = r.localOp(opBarrier, 0, dirty)
 	} else {
-		notices = r.request(r.mgr, opBarrier, 0, dirty, true)
+		notices = r.request(mgrNode, opBarrier, 0, dirty, true)
 	}
 	r.downgradeDirty(dirty)
 	r.invalidate(notices)
