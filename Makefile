@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz manifest examples trace-smoke svm app partition chaos meshscale meshscale-smoke bench check clean
+.PHONY: all build test race vet fmt lint fuzz manifest gated-coverage gated-coverage-check examples trace-smoke svm app partition chaos meshscale meshscale-smoke bench check clean
 
 all: build
 
@@ -57,6 +57,33 @@ fuzz:
 # explains every moved field.
 manifest:
 	$(GO) test -count=1 ./internal/bench -run TestDeterminismManifest -update
+
+# gated-coverage writes results/gated_coverage.txt: per package under
+# internal/, the statements the gated outputs execute (the determinism
+# manifest, the committed figure CSVs and shrimpbench's committed stdout),
+# each block counted once across the two test binaries. Columns: package,
+# statements covered, statements, percent. gated-coverage-check reruns it
+# into a scratch file and fails when any package's share falls below its
+# committed line; a change that deletes gated code regenerates the file.
+GATED_TESTS = TestDeterminismManifest|TestCommittedFigureCSVs|TestCommittedOutput
+GATED_OUT ?= results/gated_coverage.txt
+
+gated-coverage:
+	$(GO) test -count=1 -coverpkg=./internal/... -coverprofile=/tmp/shrimp-gated.cov -run '$(GATED_TESTS)' ./internal/bench ./cmd/shrimpbench
+	@{ echo "# package covered statements percent (make gated-coverage)"; \
+	awk '$$1 != "mode:" { pkg = $$1; sub(/\/[^\/]*:.*$$/, "", pkg); \
+		if (!($$1 in seen)) { seen[$$1] = 1; tot[pkg] += $$2 } \
+		if ($$3 > 0 && !($$1 in hit)) { hit[$$1] = 1; cov[pkg] += $$2 } } \
+	END { for (k in tot) printf "%s %d %d %.1f\n", k, cov[k], tot[k], 100 * cov[k] / tot[k] }' \
+		/tmp/shrimp-gated.cov | sort; } > $(GATED_OUT)
+
+gated-coverage-check:
+	$(MAKE) gated-coverage GATED_OUT=/tmp/shrimp-gated-coverage.txt
+	@awk 'FNR == NR { if ($$1 !~ /^#/) { c[$$1] = $$2; t[$$1] = $$3 } next } \
+	$$1 in c && $$2 * t[$$1] < c[$$1] * $$3 { bad = 1; \
+		printf "%s: gated coverage %d/%d statements, below the committed %d/%d\n", $$1, $$2, $$3, c[$$1], t[$$1] } \
+	END { if (bad) exit 1; print "gated coverage: no package below results/gated_coverage.txt" }' \
+		results/gated_coverage.txt /tmp/shrimp-gated-coverage.txt
 
 # examples runs every program under examples/ and fails on the first
 # nonzero exit. filexfer, kvstore and srpc-clock open connections through

@@ -26,10 +26,10 @@ func inProc(body func(p *Process)) {
 // NIC's does, and marks the frames of n pages at va as snooped.
 func snoopPages(p *Process, va VA, n int) {
 	var sink [hw.Page]byte
-	p.M.Mem.SetSnoop(func(_ mem.PA, data []byte) { copy(sink[:], data) })
+	p.M.Mem.SetSnoop(func(_ mem.PA, _ int32, data []byte) { copy(sink[:], data) })
 	for i := 0; i < n; i++ {
 		pte, _ := p.PTEOf(va + VA(i*hw.Page))
-		p.M.Mem.SetSnooped(pte.Frame, true)
+		p.M.Mem.SetSnooped(pte.Frame, 1)
 	}
 }
 
@@ -116,8 +116,8 @@ func TestCopyVANestedInHandler(t *testing.T) {
 		}
 		p.Poke(src, outer)
 		p.Poke(hsrc, bytes.Repeat([]byte{0xee}, hw.Page))
-		p.OnSignal(1, func(p *Process, _ Signal) { p.CopyVA(hdst, hsrc, hw.Page) })
-		p.M.Eng.Post(hw.WordTouchCost, func() { p.Deliver(Signal{Num: 1}) })
+		p.OnSignal(func(p *Process, _ any) { p.CopyVA(hdst, hsrc, hw.Page) })
+		p.M.Eng.Post(hw.WordTouchCost, func() { p.Deliver(nil) })
 		p.CopyVA(dst, src, 2*hw.Page)
 		if got := p.Peek(dst, 2*hw.Page); !slices.Equal(got, outer) {
 			t.Error("outer copy corrupted by the handler's nested copy")
@@ -213,26 +213,22 @@ func sortedKeys[V any](m map[VPN]V) []VPN {
 	return keys
 }
 
-// walkPages lists every entry of the process's two-level page table in
-// VPN order: its mapped pages, its protection overrides, and its AU pages.
+// walkPages lists every entry of the process's page table in VPN order:
+// its mapped pages, its protection overrides, and its AU pages.
 func walkPages(p *Process) (pt []ptSlot, prot []protSlot, au []VPN) {
-	for ci, c := range p.pages {
-		if c == nil {
-			continue
+	p.pages.All(func(i int, e *pageEntry) bool {
+		vpn := VPN(i)
+		if e.mapped {
+			pt = append(pt, ptSlot{VPN: vpn, Frame: e.pte.Frame, Flags: e.pte.Flags})
 		}
-		for i := range c {
-			e, vpn := &c[i], VPN(ci<<ptChunkShift+i)
-			if e.mapped {
-				pt = append(pt, ptSlot{VPN: vpn, Frame: e.pte.Frame, Flags: e.pte.Flags})
-			}
-			if e.prot != ProtRW {
-				prot = append(prot, protSlot{VPN: vpn, Prot: e.prot})
-			}
-			if e.au {
-				au = append(au, vpn)
-			}
+		if e.prot != ProtRW {
+			prot = append(prot, protSlot{VPN: vpn, Prot: e.prot})
 		}
-	}
+		if e.au {
+			au = append(au, vpn)
+		}
+		return true
+	})
 	return pt, prot, au
 }
 

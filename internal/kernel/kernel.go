@@ -199,19 +199,17 @@ type Process struct {
 	M    *Machine
 	P    *sim.Proc
 
-	// pages is the page table: a two-level table of per-page entries
-	// indexed vpn>>ptChunkShift, filled in on first touch like mem's frame
-	// table. An absent chunk reads as unmapped pages with no attributes.
-	pages  []*ptChunk
+	// pages is the page table, indexed by VPN and filled in on first
+	// touch. An absent entry reads as an unmapped page with no attributes.
+	pages  mem.Sparse[pageEntry]
 	nextVA VA // bump allocator for mappings
 
 	heapVA   VA // current heap fill pointer
 	heapEnd  VA
-	heapWT   bool // heap pages write-through?
-	sigQueue []Signal
-	sigCond  *sim.Cond
-	handlers map[int]func(*Process, Signal)
-	blocked  bool // signals blocked (queued, not delivered)
+	heapWT   bool                // heap pages write-through?
+	sigQueue []any               // queued, undelivered signals' data
+	onSignal func(*Process, any) // the process's one signal handler
+	blocked  bool                // signals blocked (queued, not delivered)
 
 	faultFn    func(*Process, PageFault)
 	faultDepth int
@@ -234,22 +232,14 @@ type Process struct {
 	exited bool
 }
 
-// Signal is a queued software signal (the substrate for VMMC notifications).
-type Signal struct {
-	Num  int
-	Data any
-}
-
 // Spawn starts a process on the machine. body runs in a fresh proc context.
 func (m *Machine) Spawn(name string, body func(p *Process)) *Process {
 	m.nextPID++
 	pr := &Process{
-		PID:      m.nextPID,
-		Name:     name,
-		M:        m,
-		nextVA:   0x10000,
-		handlers: make(map[int]func(*Process, Signal)),
-		sigCond:  sim.NewCond(m.Eng),
+		PID:    m.nextPID,
+		Name:   name,
+		M:      m,
+		nextVA: 0x10000,
 	}
 	pr.P = m.Eng.Spawn(fmt.Sprintf("n%d/%s", m.ID, name), func(sp *sim.Proc) {
 		body(pr)
@@ -281,10 +271,6 @@ func (m *Machine) Dead() bool { return m.dead }
 
 // --- Address space management ---
 
-// ptChunkShift sizes the second level of the page table (256 pages, 1MB of
-// virtual address space per chunk).
-const ptChunkShift = 8
-
 // pageEntry is everything the kernel tracks for one virtual page. The AU
 // mark and the protection are independent of the mapping: UnmapPages
 // leaves them in place.
@@ -295,36 +281,9 @@ type pageEntry struct {
 	prot   Prot // ProtRW unless a user-level memory manager restricted it
 }
 
-type ptChunk [1 << ptChunkShift]pageEntry
-
-// entry returns vpn's page entry for reading, nil if its chunk was never
-// touched.
-func (p *Process) entry(vpn VPN) *pageEntry {
-	if ci := int(vpn >> ptChunkShift); ci < len(p.pages) {
-		if c := p.pages[ci]; c != nil {
-			return &c[vpn&(1<<ptChunkShift-1)]
-		}
-	}
-	return nil
-}
-
-// entryW returns vpn's page entry for writing, materializing its chunk.
-func (p *Process) entryW(vpn VPN) *pageEntry {
-	ci := int(vpn >> ptChunkShift)
-	if ci >= len(p.pages) {
-		p.pages = append(p.pages, make([]*ptChunk, ci+1-len(p.pages))...)
-	}
-	c := p.pages[ci]
-	if c == nil {
-		c = new(ptChunk)
-		p.pages[ci] = c
-	}
-	return &c[vpn&(1<<ptChunkShift-1)]
-}
-
 // mapped returns vpn's entry if the page is mapped, else nil.
 func (p *Process) mapped(vpn VPN) *pageEntry {
-	if e := p.entry(vpn); e != nil && e.mapped {
+	if e := p.pages.Get(int(vpn)); e != nil && e.mapped {
 		return e
 	}
 	return nil
@@ -339,7 +298,7 @@ func (p *Process) MapPages(n int, flags PTEFlags) VA {
 	}
 	for i := 0; i < n; i++ {
 		f := p.M.AllocFrame()
-		e := p.entryW(PageOf(base) + VPN(i))
+		e := p.pages.W(int(PageOf(base) + VPN(i)))
 		e.pte, e.mapped = PTE{Frame: f, Flags: flags}, true
 	}
 	p.nextVA = base + VA(n*hw.Page)
@@ -460,7 +419,7 @@ func (p *Process) Mprotect(base VA, n int, pr Prot) {
 
 // ProtOf returns the protection of va's page.
 func (p *Process) ProtOf(va VA) Prot {
-	if e := p.entry(PageOf(va)); e != nil {
+	if e := p.pages.Get(int(PageOf(va))); e != nil {
 		return e.prot
 	}
 	return ProtRW
@@ -483,7 +442,7 @@ func (p *Process) checkAccess(va VA, write bool) {
 	vpn := PageOf(va)
 	for tries := 0; ; tries++ {
 		pr := ProtRW
-		if e := p.entry(vpn); e != nil {
+		if e := p.pages.Get(int(vpn)); e != nil {
 			pr = e.prot
 		}
 		if pr == ProtRW || (pr == ProtRead && !write) {
@@ -544,16 +503,16 @@ func (p *Process) busyUntil(dur time.Duration) {
 // SetAUPage is used by the VMMC layer to tell the kernel cost model that
 // stores to this page stream to the bus at the (slower) snooped rate.
 func (p *Process) SetAUPage(vpn VPN, on bool) {
-	if e := p.entry(vpn); e != nil {
+	if e := p.pages.Get(int(vpn)); e != nil {
 		e.au = on
 	} else if on {
-		p.entryW(vpn).au = true
+		p.pages.W(int(vpn)).au = true
 	}
 }
 
 // IsAUPage reports whether the page has an automatic-update binding.
 func (p *Process) IsAUPage(vpn VPN) bool {
-	e := p.entry(vpn)
+	e := p.pages.Get(int(vpn))
 	return e != nil && e.au
 }
 
@@ -850,9 +809,11 @@ func (p *Process) WaitPred(vas []VA, extra []*sim.Cond, d time.Duration, pred fu
 
 // --- Signals (substrate for VMMC notifications) ---
 
-// OnSignal installs a handler for signal num. Handlers run in the process
-// context after kernel delivery cost.
-func (p *Process) OnSignal(num int, fn func(*Process, Signal)) { p.handlers[num] = fn }
+// OnSignal installs the process's signal handler, which receives each
+// delivered signal's data. It runs in the process context after kernel
+// delivery cost. There is one handler per process: the VMMC notification
+// mechanism is the only signal source.
+func (p *Process) OnSignal(fn func(*Process, any)) { p.onSignal = fn }
 
 // BlockSignals queues future signals instead of delivering them.
 func (p *Process) BlockSignals() { p.blocked = true }
@@ -869,9 +830,8 @@ func (p *Process) SignalsBlocked() bool { return p.blocked }
 // Deliver queues a signal to the process. Delivery interrupts blocking
 // waits; if the process has blocked signals, the signal stays queued (the
 // paper: "unlike signals, however, notifications are queued when blocked").
-func (p *Process) Deliver(s Signal) {
-	p.sigQueue = append(p.sigQueue, s)
-	p.sigCond.Broadcast()
+func (p *Process) Deliver(data any) {
+	p.sigQueue = append(p.sigQueue, data)
 	if p.blocked || p.exited {
 		return
 	}
@@ -883,28 +843,13 @@ func (p *Process) Deliver(s Signal) {
 
 func (p *Process) drainSignals() {
 	for !p.blocked && len(p.sigQueue) > 0 {
-		s := p.sigQueue[0]
+		data := p.sigQueue[0]
 		p.sigQueue = p.sigQueue[1:]
-		if fn, ok := p.handlers[s.Num]; ok {
-			fn(p, s)
+		if p.onSignal != nil {
+			p.onSignal(p, data)
 		}
 	}
 }
 
 // PendingSignals returns the number of queued, undelivered signals.
 func (p *Process) PendingSignals() int { return len(p.sigQueue) }
-
-// WaitSignal suspends the process until a signal with the given number is
-// queued, then removes and returns it. This is the "process can be
-// suspended until a particular notification arrives" facility.
-func (p *Process) WaitSignal(num int) Signal {
-	for {
-		for i, s := range p.sigQueue {
-			if s.Num == num {
-				p.sigQueue = append(p.sigQueue[:i], p.sigQueue[i+1:]...)
-				return s
-			}
-		}
-		p.sigCond.Wait(p.P)
-	}
-}

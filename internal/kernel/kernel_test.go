@@ -106,12 +106,12 @@ func TestWriteReadCosts(t *testing.T) {
 func TestAUPageCosts(t *testing.T) {
 	e, m := newM(t)
 	var snooped []sim.Time
-	m.Mem.SetSnoop(func(pa mem.PA, b []byte) { snooped = append(snooped, e.Now()) })
+	m.Mem.SetSnoop(func(pa mem.PA, _ int32, b []byte) { snooped = append(snooped, e.Now()) })
 	m.Spawn("p", func(p *Process) {
 		va := p.MapPages(1, FlagWriteThrough)
 		p.SetAUPage(PageOf(va), true)
 		pte, _ := p.PTEOf(va)
-		p.M.Mem.SetSnooped(pte.Frame, true)
+		p.M.Mem.SetSnooped(pte.Frame, 1)
 		data := make([]byte, 1000)
 		t0 := p.P.Now()
 		p.WriteBytes(va, data)
@@ -138,7 +138,7 @@ func TestAUSegmentedStream(t *testing.T) {
 	// the copy proceeds — not as one end-of-copy burst.
 	e, m := newM(t)
 	var snoops []sim.Time
-	m.Mem.SetSnoop(func(pa mem.PA, b []byte) {
+	m.Mem.SetSnoop(func(pa mem.PA, _ int32, b []byte) {
 		if len(b) != hw.AUSegment {
 			t.Errorf("segment size %d", len(b))
 		}
@@ -148,7 +148,7 @@ func TestAUSegmentedStream(t *testing.T) {
 		va := p.MapPages(1, FlagWriteThrough)
 		p.SetAUPage(PageOf(va), true)
 		pte, _ := p.PTEOf(va)
-		p.M.Mem.SetSnooped(pte.Frame, true)
+		p.M.Mem.SetSnooped(pte.Frame, 1)
 		p.WriteBytes(va, make([]byte, hw.Page))
 	})
 	e.RunAll()
@@ -237,13 +237,13 @@ func TestSignalDelivery(t *testing.T) {
 	e, m := newM(t)
 	var got []int
 	target := m.Spawn("t", func(p *Process) {
-		p.OnSignal(5, func(pp *Process, s Signal) { got = append(got, s.Data.(int)) })
+		p.OnSignal(func(pp *Process, data any) { got = append(got, data.(int)) })
 		p.P.Sleep(time.Millisecond)
 	})
 	m.Spawn("sender", func(p *Process) {
 		p.P.Sleep(10 * time.Microsecond)
-		target.Deliver(Signal{Num: 5, Data: 1})
-		target.Deliver(Signal{Num: 5, Data: 2})
+		target.Deliver(1)
+		target.Deliver(2)
 	})
 	e.RunAll()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
@@ -255,10 +255,10 @@ func TestSignalBlockingQueues(t *testing.T) {
 	e, m := newM(t)
 	var got []int
 	m.Spawn("t", func(p *Process) {
-		p.OnSignal(5, func(pp *Process, s Signal) { got = append(got, s.Data.(int)) })
+		p.OnSignal(func(pp *Process, data any) { got = append(got, data.(int)) })
 		p.BlockSignals()
-		p.Deliver(Signal{Num: 5, Data: 1})
-		p.Deliver(Signal{Num: 5, Data: 2})
+		p.Deliver(1)
+		p.Deliver(2)
 		if len(got) != 0 {
 			t.Error("signals delivered while blocked")
 		}
@@ -271,30 +271,6 @@ func TestSignalBlockingQueues(t *testing.T) {
 		}
 	})
 	e.RunAll()
-}
-
-func TestWaitSignal(t *testing.T) {
-	e, m := newM(t)
-	var got Signal
-	var at sim.Time
-	target := m.Spawn("t", func(p *Process) {
-		p.BlockSignals() // no handler dispatch; explicit wait
-		got = p.WaitSignal(7)
-		at = p.P.Now()
-	})
-	m.Spawn("s", func(p *Process) {
-		p.P.Sleep(30 * time.Microsecond)
-		target.Deliver(Signal{Num: 9, Data: "wrong"})
-		p.P.Sleep(30 * time.Microsecond)
-		target.Deliver(Signal{Num: 7, Data: "right"})
-	})
-	e.RunAll()
-	if got.Data != "right" {
-		t.Fatalf("got %+v", got)
-	}
-	if at != sim.Time(60*1000) {
-		t.Fatalf("woke at %v", at)
-	}
 }
 
 // Property: WriteBytes/ReadBytes roundtrip across arbitrary offsets and

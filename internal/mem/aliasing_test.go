@@ -47,8 +47,8 @@ func TestWriteCPUSnoopSeesValuesNotRAM(t *testing.T) {
 	// must not change what landed in memory.
 	e := sim.NewEngine()
 	m := New(e, 4*hw.Page)
-	m.SetSnooped(0, true)
-	m.SetSnoop(func(pa PA, data []byte) {
+	m.SetSnooped(0, 1)
+	m.SetSnoop(func(pa PA, _ int32, data []byte) {
 		for i := range data {
 			data[i] = 0xEE
 		}
@@ -62,10 +62,10 @@ func TestWriteCPUSnoopSeesValuesNotRAM(t *testing.T) {
 func TestWriteCPUSnoopPageLocalFragments(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, 4*hw.Page)
-	m.SetSnooped(0, true)
-	m.SetSnooped(1, true)
+	m.SetSnooped(0, 1)
+	m.SetSnooped(1, 1)
 	var frags [][2]int // (pa, len)
-	m.SetSnoop(func(pa PA, data []byte) { frags = append(frags, [2]int{int(pa), len(data)}) })
+	m.SetSnoop(func(pa PA, _ int32, data []byte) { frags = append(frags, [2]int{int(pa), len(data)}) })
 	span := make([]byte, 100)
 	m.WriteCPU(PA(hw.Page-30), span)
 	want := [][2]int{{hw.Page - 30, 30}, {hw.Page, 70}}

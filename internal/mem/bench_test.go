@@ -54,8 +54,8 @@ func BenchmarkReadIntoUnbacked(b *testing.B) {
 
 func BenchmarkWriteCPUSnooped(b *testing.B) {
 	m := benchMem()
-	m.SetSnoop(func(pa PA, data []byte) {})
-	m.SetSnooped(0, true)
+	m.SetSnoop(func(pa PA, _ int32, data []byte) {})
+	m.SetSnooped(0, 1)
 	word := []byte{1, 2, 3, 4}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -41,18 +41,13 @@ func PageOf(pa PA) PFN { return PFN(pa / hw.Page) }
 // Base returns the first address of frame f.
 func (f PFN) Base() PA { return PA(f) * hw.Page }
 
-// SnoopFunc observes a store of data at pa as it appears on the memory bus.
-type SnoopFunc func(pa PA, data []byte)
+// SnoopFunc observes a store of data at pa as it appears on the memory bus;
+// tag is the frame's snoop tag (see SetSnooped).
+type SnoopFunc func(pa PA, tag int32, data []byte)
 
 // zeroPage backs every never-written frame. Read-only by contract: all
 // accessors copy out of it and no writer ever targets it.
 var zeroPage = make([]byte, hw.Page)
-
-// pageChunkShift sizes the second level of the frame table (256 frames,
-// 1MB of simulated DRAM per chunk).
-const pageChunkShift = 8
-
-type pageChunk [1 << pageChunkShift][]byte
 
 // maxFreeFrames caps the free list at 4MB of frames: far more than the few
 // dozen a figure point's world writes, and half the live-heap slack the
@@ -69,17 +64,14 @@ type Memory struct {
 	eng   *sim.Engine
 	size  int
 	npage int
-	// frames is a two-level table of per-frame backing slices, filled in
-	// on first write; a nil chunk or nil frame still reads as zeros. The
-	// root is a few dozen pointers, so constructing a 40MB memory costs
-	// nearly nothing.
-	frames []*pageChunk
+	// frames holds each frame's backing slice, filled in on first write;
+	// an absent or nil frame still reads as zeros, so constructing a 40MB
+	// memory costs nearly nothing.
+	frames Sparse[[]byte]
 
-	// hooks is a two-level table shaped like frames, filled in on first
-	// use: per frame, its write watcher (created by the first wait on the
-	// page) and whether the snoop wants its stores. A nil chunk means no
-	// watcher and no snoop interest anywhere in it.
-	hooks []*hookChunk
+	// hooks holds each frame's write watcher (created by the first wait on
+	// the page) and snoop tag. An absent entry means neither.
+	hooks Sparse[pageHooks]
 
 	// Snoop, when set, sees every CPU store (not DMA writes — the real
 	// snoop logic sits on the Xpress bus and watches processor writes;
@@ -93,49 +85,19 @@ type Memory struct {
 	snoopBuf []byte
 }
 
-// pageHooks is one frame's watcher and snoop interest.
+// pageHooks is one frame's watcher and snoop tag. The tag is the only
+// record of a frame's automatic-update binding: the snoop's owner (the NIC)
+// picks tags that name where the frame's stores go.
 type pageHooks struct {
-	cond    *sim.Cond
-	snooped bool
+	cond  *sim.Cond
+	snoop int32 // 0: stores are not presented to the snoop
 }
-
-type hookChunk [1 << pageChunkShift]pageHooks
 
 // New returns a memory of size bytes (rounded up to a whole page). No DRAM
 // is allocated up front; frames materialize on first write.
 func New(eng *sim.Engine, size int) *Memory {
 	pages := (size + hw.Page - 1) / hw.Page
-	return &Memory{
-		eng:    eng,
-		size:   pages * hw.Page,
-		npage:  pages,
-		frames: make([]*pageChunk, (pages+1<<pageChunkShift-1)>>pageChunkShift),
-		hooks:  make([]*hookChunk, (pages+1<<pageChunkShift-1)>>pageChunkShift),
-	}
-}
-
-// hook returns frame f's hooks for reading, nil if its chunk has none.
-func (m *Memory) hook(f PFN) *pageHooks {
-	if c := m.hooks[f>>pageChunkShift]; c != nil {
-		return &c[f&(1<<pageChunkShift-1)]
-	}
-	return nil
-}
-
-// hookW returns frame f's hooks for writing, materializing its chunk.
-func (m *Memory) hookW(f PFN) *pageHooks {
-	c := m.hooks[f>>pageChunkShift]
-	if c == nil {
-		c = new(hookChunk)
-		m.hooks[f>>pageChunkShift] = c
-	}
-	return &c[f&(1<<pageChunkShift-1)]
-}
-
-// snooped reports whether the snoop wants stores to frame f.
-func (m *Memory) snooped(f PFN) bool {
-	h := m.hook(f)
-	return h != nil && h.snooped
+	return &Memory{eng: eng, size: pages * hw.Page, npage: pages}
 }
 
 // Size returns the memory size in bytes.
@@ -154,52 +116,42 @@ func (m *Memory) check(pa PA, n int) {
 // page returns the frame's backing bytes for reading (the shared zero page
 // if it was never written).
 func (m *Memory) page(f PFN) []byte {
-	if c := m.frames[f>>pageChunkShift]; c != nil {
-		if p := c[f&(1<<pageChunkShift-1)]; p != nil {
-			return p
-		}
+	if p := m.frames.Get(int(f)); p != nil && *p != nil {
+		return *p
 	}
 	return zeroPage
 }
 
 // pageW returns the frame's backing bytes for writing, materializing it.
 func (m *Memory) pageW(f PFN) []byte {
-	c := m.frames[f>>pageChunkShift]
-	if c == nil {
-		c = new(pageChunk)
-		m.frames[f>>pageChunkShift] = c
-	}
-	p := c[f&(1<<pageChunkShift-1)]
-	if p == nil {
+	p := m.frames.W(int(f))
+	if *p == nil {
 		if l := len(freeFrames); l > 0 {
-			p = freeFrames[l-1]
+			*p = freeFrames[l-1]
 			freeFrames[l-1] = nil
 			freeFrames = freeFrames[:l-1]
-			clear(p)
+			clear(*p)
 		} else {
-			p = make([]byte, hw.Page)
+			*p = make([]byte, hw.Page)
 		}
-		c[f&(1<<pageChunkShift-1)] = p
 	}
-	return p
+	return *p
 }
 
 // Release returns m's materialized frames to the free list, up to its cap
-// (the rest go to the garbage collector), and drops m's frame table, so any
-// later read or write of m panics. Call it once nothing can touch m again;
-// a second call is a no-op. Frames are cleared when reused, not here.
+// (the rest go to the garbage collector), drops m's frame table and zeroes
+// its size, so any later read or write of m panics. Call it once nothing
+// can touch m again; a second call is a no-op. Frames are cleared when
+// reused, not here.
 func (m *Memory) Release() {
-	for _, c := range m.frames {
-		if c == nil {
-			continue
+	m.frames.All(func(_ int, p *[]byte) bool {
+		if *p != nil && len(freeFrames) < maxFreeFrames {
+			freeFrames = append(freeFrames, *p)
 		}
-		for _, p := range c {
-			if p != nil && len(freeFrames) < maxFreeFrames {
-				freeFrames = append(freeFrames, p)
-			}
-		}
-	}
-	m.frames = nil
+		return true
+	})
+	m.frames = Sparse[[]byte]{}
+	m.size = 0
 }
 
 // Read copies n bytes at pa into a fresh slice. The slice is the caller's
@@ -276,8 +228,8 @@ func (m *Memory) PresentToSnoop(pa PA, b []byte) {
 		if frag > room {
 			frag = room
 		}
-		if m.snooped(PageOf(a)) {
-			m.snoop(a, b[off:off+frag])
+		if tag := m.Snooped(PageOf(a)); tag != 0 {
+			m.snoop(a, tag, b[off:off+frag])
 		}
 		off += frag
 	}
@@ -306,13 +258,13 @@ func (m *Memory) WriteCPU(pa PA, b []byte) {
 			if frag > room {
 				frag = room
 			}
-			if m.snooped(PageOf(a)) {
+			if tag := m.Snooped(PageOf(a)); tag != 0 {
 				if m.snoopBuf == nil {
 					m.snoopBuf = make([]byte, hw.Page)
 				}
 				stage := m.snoopBuf[:frag]
 				copy(stage, b[off:off+frag])
-				m.snoop(a, stage)
+				m.snoop(a, tag, stage)
 			}
 			off += frag
 		}
@@ -323,7 +275,7 @@ func (m *Memory) WriteCPU(pa PA, b []byte) {
 func (m *Memory) wake(pa PA, n int) {
 	first, last := PageOf(pa), PageOf(pa+PA(n-1))
 	for f := first; f <= last; f++ {
-		if h := m.hook(f); h != nil && h.cond != nil {
+		if h := m.hooks.Get(int(f)); h != nil && h.cond != nil {
 			h.cond.Broadcast()
 		}
 	}
@@ -332,20 +284,29 @@ func (m *Memory) wake(pa PA, n int) {
 // SetSnoop installs the bus snoop hook (the SHRIMP NIC's snoop logic).
 func (m *Memory) SetSnoop(fn SnoopFunc) { m.snoop = fn }
 
-// SetSnooped marks or unmarks a frame as interesting to the snoop logic.
-func (m *Memory) SetSnooped(f PFN, on bool) {
-	if h := m.hook(f); h != nil {
-		h.snooped = on
-	} else if on {
-		m.hookW(f).snooped = true
+// SetSnooped sets frame f's snoop tag: a nonzero tag presents the frame's
+// CPU stores to the snoop hook with the tag, 0 stops presenting them.
+func (m *Memory) SetSnooped(f PFN, tag int32) {
+	if h := m.hooks.Get(int(f)); h != nil {
+		h.snoop = tag
+	} else if tag != 0 {
+		m.hooks.W(int(f)).snoop = tag
 	}
+}
+
+// Snooped returns frame f's snoop tag, 0 if its stores are not snooped.
+func (m *Memory) Snooped(f PFN) int32 {
+	if h := m.hooks.Get(int(f)); h != nil {
+		return h.snoop
+	}
+	return 0
 }
 
 // PageCond returns the watcher condition variable for frame f: it is
 // broadcast whenever a write lands in the frame. Waiters re-check their
 // predicate after waking, as with any condition variable.
 func (m *Memory) PageCond(f PFN) *sim.Cond {
-	h := m.hookW(f)
+	h := m.hooks.W(int(f))
 	if h.cond == nil {
 		h.cond = sim.NewCond(m.eng)
 	}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -64,8 +65,8 @@ func TestSnoopSeesOnlyMarkedPages(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, 4*hw.Page)
 	var seen []PA
-	m.SetSnoop(func(pa PA, data []byte) { seen = append(seen, pa) })
-	m.SetSnooped(1, true)
+	m.SetSnoop(func(pa PA, _ int32, data []byte) { seen = append(seen, pa) })
+	m.SetSnooped(1, 1)
 
 	m.WriteCPU(PA(0*hw.Page+8), []byte{1})  // unmarked page: no snoop
 	m.WriteCPU(PA(1*hw.Page+8), []byte{2})  // marked page: snooped
@@ -74,10 +75,46 @@ func TestSnoopSeesOnlyMarkedPages(t *testing.T) {
 		t.Fatalf("seen = %v", seen)
 	}
 
-	m.SetSnooped(1, false)
+	m.SetSnooped(1, 0)
 	m.WriteCPU(PA(1*hw.Page+8), []byte{4})
 	if len(seen) != 1 {
 		t.Fatal("snoop fired after unmark")
+	}
+}
+
+// A frame's snoop tag travels with each of its stores: a CPU store (and a
+// delayed presentation) in a frame tagged k reaches the snoop with k, a
+// retag takes effect on the next store, and tag 0 stops the presentations.
+func TestSnoopCarriesFrameTag(t *testing.T) {
+	m := New(sim.NewEngine(), 4*hw.Page)
+	type ev struct {
+		pa  PA
+		tag int32
+	}
+	var seen []ev
+	m.SetSnoop(func(pa PA, tag int32, _ []byte) { seen = append(seen, ev{pa, tag}) })
+	m.SetSnooped(1, 7)
+	m.SetSnooped(2, 3)
+	if m.Snooped(0) != 0 || m.Snooped(1) != 7 || m.Snooped(2) != 3 {
+		t.Fatalf("tags = %d %d %d, want 0 7 3", m.Snooped(0), m.Snooped(1), m.Snooped(2))
+	}
+
+	m.WriteCPU(PA(hw.Page+4), []byte{1})
+	m.WriteCPU(PA(2*hw.Page-2), []byte{2, 3, 4, 5}) // crosses into frame 2
+	m.PresentToSnoop(PA(2*hw.Page+8), []byte{6})
+	m.SetSnooped(1, 9)
+	m.WriteCPU(PA(hw.Page+4), []byte{7})
+	want := []ev{{hw.Page + 4, 7}, {2*hw.Page - 2, 7}, {2 * hw.Page, 3}, {2*hw.Page + 8, 3}, {hw.Page + 4, 9}}
+	if !slices.Equal(seen, want) {
+		t.Fatalf("snoop saw %v, want %v", seen, want)
+	}
+
+	m.SetSnooped(1, 0)
+	m.SetSnooped(2, 0)
+	m.WriteCPU(PA(hw.Page), make([]byte, 2*hw.Page))
+	m.PresentToSnoop(PA(2*hw.Page), []byte{1})
+	if len(seen) != len(want) || m.Snooped(1) != 0 || m.Snooped(2) != 0 {
+		t.Fatalf("stores after clearing the tags reached the snoop: %v", seen[len(want):])
 	}
 }
 
@@ -89,9 +126,9 @@ func TestSnoopSplitsAtPageBoundary(t *testing.T) {
 		n  int
 	}
 	var seen []ev
-	m.SetSnoop(func(pa PA, data []byte) { seen = append(seen, ev{pa, len(data)}) })
-	m.SetSnooped(1, true)
-	m.SetSnooped(2, true)
+	m.SetSnoop(func(pa PA, _ int32, data []byte) { seen = append(seen, ev{pa, len(data)}) })
+	m.SetSnooped(1, 1)
+	m.SetSnooped(2, 1)
 
 	start := PA(2*hw.Page - 10)
 	m.WriteCPU(start, make([]byte, 30))

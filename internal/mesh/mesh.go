@@ -322,24 +322,6 @@ func (n *Network) Route(src, dst NodeID) []int {
 	return path
 }
 
-// CutPlane returns the nodes on the low side of a partition hyperplane: all
-// nodes whose coordinate in dimension dim is < at. Severing this set (with
-// fault.Injector.Sever) cuts the mesh into two connected halves along the
-// plane — the topology-aware way to build partition node sets on any
-// geometry.
-func (n *Network) CutPlane(dim, at int) []int {
-	if dim < 0 || dim >= len(n.dims) || at <= 0 || at >= n.dims[dim] {
-		panic(fmt.Sprintf("mesh: cut plane dim %d at %d outside topology %v", dim, at, n.dims))
-	}
-	var nodes []int
-	for i := 0; i < n.total; i++ {
-		if n.coordAt(NodeID(i), dim) < at {
-			nodes = append(nodes, i)
-		}
-	}
-	return nodes
-}
-
 // hop returns the channel leaving router r in dimension d, toward higher
 // coordinates (dir 0) or lower ones (dir 1), building it on first use.
 func (n *Network) hop(r, d, dir int) *channel {

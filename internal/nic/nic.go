@@ -128,16 +128,13 @@ type NIC struct {
 	opt     []OPTEntry
 	optUsed []bool
 	optCap  int
-	// ipt is the incoming page table, chunked and demand-allocated: a nil
-	// chunk reads as all-disabled entries. One entry per local frame would
-	// be a 10k-entry pointer-bearing slab per NIC; real workloads program
-	// only a handful of pages.
-	ipt      []*iptChunk
+	// ipt is the incoming page table, demand-allocated: an absent entry
+	// reads as disabled. One entry per local frame would be a 10k-entry
+	// pointer-bearing slab per NIC; real workloads program only a handful
+	// of pages. A frame's AU binding is its snoop tag in the memory (the
+	// bound OPT index plus one).
+	ipt      mem.Sparse[IPTEntry]
 	iptPages int // total local frames the table covers
-
-	// au maps a local frame to its AU binding's OPT index plus one (zero
-	// = unbound), chunked and demand-allocated like ipt.
-	au []*auChunk
 
 	// Snoop combining state: at most one open packet (the hardware
 	// combines only temporally-consecutive writes). combineTime is built
@@ -225,9 +222,7 @@ func New(m *kernel.Machine, net *mesh.Network, id mesh.NodeID, optEntries int) *
 		Net:      net,
 		ID:       id,
 		optCap:   optEntries,
-		ipt:      make([]*iptChunk, (m.Mem.Pages()+1<<iptChunkShift-1)>>iptChunkShift),
 		iptPages: m.Mem.Pages(),
-		au:       make([]*auChunk, (m.Mem.Pages()+1<<iptChunkShift-1)>>iptChunkShift),
 		port:     sim.NewServer(m.Eng),
 		eisa:     sim.NewServer(m.Eng),
 		idleCond: sim.NewCond(m.Eng),
@@ -306,83 +301,47 @@ func (n *NIC) OPTSize() int { return n.optCap }
 
 // --- IPT management ---
 
-// iptChunkShift sizes IPT chunks (256 entries, one page of entries or so).
-const iptChunkShift = 8
-
-type iptChunk [1 << iptChunkShift]IPTEntry
-
 // SetIPT programs the incoming page-table entry for a local frame.
-func (n *NIC) SetIPT(f mem.PFN, e IPTEntry) {
-	c := n.ipt[f>>iptChunkShift]
-	if c == nil {
-		c = new(iptChunk)
-		n.ipt[f>>iptChunkShift] = c
-	}
-	c[f&(1<<iptChunkShift-1)] = e
-}
+func (n *NIC) SetIPT(f mem.PFN, e IPTEntry) { *n.ipt.W(int(f)) = e }
 
 // GetIPT reads the entry for a frame.
 func (n *NIC) GetIPT(f mem.PFN) IPTEntry {
-	if c := n.ipt[f>>iptChunkShift]; c != nil {
-		return c[f&(1<<iptChunkShift-1)]
+	if e := n.ipt.Get(int(f)); e != nil {
+		return *e
 	}
 	return IPTEntry{}
 }
 
 // --- Automatic update bindings ---
 
-type auChunk [1 << iptChunkShift]int32
-
-// auBinding returns the OPT index a local frame is bound to, if any.
-func (n *NIC) auBinding(f mem.PFN) (int, bool) {
-	if c := n.au[f>>iptChunkShift]; c != nil {
-		if v := c[f&(1<<iptChunkShift-1)]; v != 0 {
-			return int(v) - 1, true
-		}
-	}
-	return 0, false
-}
-
 // BindAU binds a local frame to OPT entry idx: subsequent CPU stores to the
-// frame are snooped and packetized toward the entry's destination page.
+// frame are snooped and packetized toward the entry's destination page. The
+// binding is the frame's snoop tag, idx+1.
 func (n *NIC) BindAU(localFrame mem.PFN, idx int) {
 	if !n.GetOPT(idx).Valid {
 		panic("nic: BindAU to invalid OPT entry") //lint:allow transitive-panic hardware assertion: the daemon re-validates the import after its charged syscall time, so an invalid entry here is a daemon bug
 	}
-	c := n.au[localFrame>>iptChunkShift]
-	if c == nil {
-		c = new(auChunk)
-		n.au[localFrame>>iptChunkShift] = c
-	}
-	c[localFrame&(1<<iptChunkShift-1)] = int32(idx) + 1
-	n.M.Mem.SetSnooped(localFrame, true)
+	n.M.Mem.SetSnooped(localFrame, int32(idx)+1)
 }
 
 // UnbindAU removes a frame's automatic-update binding, flushing any open
 // combined packet for it first.
 func (n *NIC) UnbindAU(localFrame mem.PFN) {
-	idx, ok := n.auBinding(localFrame)
-	if ok && n.open != nil && n.open.optIdx == idx {
+	if tag := n.M.Mem.Snooped(localFrame); tag != 0 && n.open != nil && n.open.optIdx == int(tag-1) {
 		n.flushOpen()
 	}
-	if ok {
-		n.au[localFrame>>iptChunkShift][localFrame&(1<<iptChunkShift-1)] = 0
-	}
-	n.M.Mem.SetSnooped(localFrame, false)
+	n.M.Mem.SetSnooped(localFrame, 0)
 }
 
 // --- Snoop logic / automatic update outgoing path ---
 
-// snoop observes one CPU store fragment (mem guarantees page-local
-// fragments on snooped pages).
-func (n *NIC) snoop(pa mem.PA, data []byte) {
+// snoop observes one CPU store fragment in a bound frame (mem guarantees
+// page-local fragments); tag is the frame's binding, its OPT index plus one.
+func (n *NIC) snoop(pa mem.PA, tag int32, data []byte) {
 	if n.dead {
 		return
 	}
-	idx, ok := n.auBinding(mem.PageOf(pa))
-	if !ok {
-		return
-	}
+	idx := int(tag - 1)
 	e := n.opt[idx]
 	if !e.Valid {
 		return

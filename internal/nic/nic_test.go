@@ -242,7 +242,10 @@ func TestUnboundPagesNotSnooped(t *testing.T) {
 	r := newRig(t)
 	idx := r.bind(10, OPTEntry{Combine: true, CombineTimer: true})
 	r.n0.BindAU(5, idx)
-	r.m0.Mem.WriteCPU(mem.PFN(6).Base(), []byte{1, 2, 3, 4}) // unbound page
+	r.n0.BindAU(7, idx)
+	r.n0.UnbindAU(7)
+	r.m0.Mem.WriteCPU(mem.PFN(6).Base(), []byte{1, 2, 3, 4}) // never bound
+	r.m0.Mem.WriteCPU(mem.PFN(7).Base(), []byte{1, 2, 3, 4}) // bound, then unbound
 	r.eng.RunAll()
 	if r.n0.PacketsOut != 0 {
 		t.Fatal("store to unbound page generated traffic")

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"shrimp/internal/cluster"
+	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
 	"shrimp/internal/vmmc"
 )
@@ -59,7 +60,7 @@ func TestListenerAcceptsMultipleConnections(t *testing.T) {
 				return
 			}
 			msg := fmt.Sprintf("hi-%d!", node)[:5]
-			if err := conn.SendString(msg); err != nil {
+			if err := sendString(conn, msg); err != nil {
 				t.Error(err)
 				return
 			}
@@ -128,7 +129,7 @@ func TestHalfClose(t *testing.T) {
 			t.Errorf("expected EOF, got %d %v", n, err)
 		}
 		// ...but our sending direction still works.
-		if err := conn.SendString("still-here"); err != nil {
+		if err := sendString(conn, "still-here"); err != nil {
 			t.Error(err)
 		}
 		if err := conn.Close(); err != nil {
@@ -139,4 +140,13 @@ func TestHalfClose(t *testing.T) {
 	if !ok {
 		t.Fatal("server never finished")
 	}
+}
+
+// sendString sends a Go string through the stream from a fresh heap buffer.
+func sendString(c *Conn, s string) error {
+	p := c.lib.ep.Proc
+	va := p.Alloc(len(s)+8, hw.WordSize)
+	p.Poke(va, []byte(s))
+	_, err := c.Send(va, len(s))
+	return err
 }

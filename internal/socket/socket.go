@@ -434,14 +434,5 @@ func (c *Conn) RecvAll(va kernel.VA, n int) (int, error) {
 	return got, nil
 }
 
-// SendString is a test convenience: send a Go string through the stream.
-func (c *Conn) SendString(s string) error {
-	p := c.lib.ep.Proc
-	va := p.Alloc(len(s)+8, hw.WordSize)
-	p.Poke(va, []byte(s))
-	_, err := c.Send(va, len(s))
-	return err
-}
-
 // Mode reports the connection's protocol variant.
 func (c *Conn) Mode() Mode { return c.mode }

@@ -17,12 +17,7 @@ type Client struct {
 	prog   uint32
 	vers   uint32
 	xid    uint32
-	cred   OpaqueAuth
 }
-
-// SetCredential installs the credential sent with every call (default
-// AUTH_NONE). Use SysAuth for AUTH_SYS.
-func (c *Client) SetCredential(cred OpaqueAuth) { c.cred = cred }
 
 // Dial binds to a server's binder port over the Ethernet, establishing the
 // pair of VMMC mappings that form the stream, and returns a client for
@@ -55,7 +50,7 @@ func (c *Client) Call(proc uint32, args func(*xdr.Encoder), results func(*xdr.De
 	p.Compute(16 * hw.CallCost)
 	c.xid++
 	encodeCall(xdr.NewEncoder(c.stream), &callHeader{XID: c.xid, Prog: c.prog, Vers: c.vers,
-		Proc: proc, Cred: c.cred, Verf: OpaqueAuth{Flavor: AuthNone}}, args)
+		Proc: proc, Cred: OpaqueAuth{Flavor: AuthNone}, Verf: OpaqueAuth{Flavor: AuthNone}}, args)
 	if err := c.stream.EndRecord(); err != nil {
 		return err
 	}

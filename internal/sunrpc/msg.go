@@ -30,72 +30,14 @@ const (
 // AuthFlavor identifies a credential scheme.
 type AuthFlavor uint32
 
-// Credential flavors.
-const (
-	AuthNone AuthFlavor = 0
-	AuthSys  AuthFlavor = 1
-)
+// AuthNone is the empty credential every client sends. A server carries
+// any flavor's body (at most 400 bytes) without interpreting it.
+const AuthNone AuthFlavor = 0
 
 // OpaqueAuth is a credential or verifier: flavor plus opaque body.
 type OpaqueAuth struct {
 	Flavor AuthFlavor
 	Body   []byte
-}
-
-// AuthSysParms is the AUTH_SYS (née AUTH_UNIX) credential body of RFC 1057
-// Appendix A: the conventional Unix identity.
-type AuthSysParms struct {
-	Stamp       uint32
-	MachineName string
-	UID, GID    uint32
-	GIDs        []uint32
-}
-
-// EncodeXDR implements xdr.Marshaler.
-func (a *AuthSysParms) EncodeXDR(e *xdr.Encoder) {
-	e.PutUint32(a.Stamp)
-	e.PutString(a.MachineName)
-	e.PutUint32(a.UID)
-	e.PutUint32(a.GID)
-	e.PutUint32Array(a.GIDs)
-}
-
-// DecodeXDR implements xdr.Unmarshaler.
-func (a *AuthSysParms) DecodeXDR(d *xdr.Decoder) error {
-	var err error
-	if a.Stamp, err = d.Uint32(); err != nil {
-		return err
-	}
-	if a.MachineName, err = d.String(255); err != nil {
-		return err
-	}
-	if a.UID, err = d.Uint32(); err != nil {
-		return err
-	}
-	if a.GID, err = d.Uint32(); err != nil {
-		return err
-	}
-	a.GIDs, err = d.Uint32Array(16)
-	return err
-}
-
-// SysAuth builds an AUTH_SYS credential from the parameters.
-func SysAuth(p *AuthSysParms) OpaqueAuth {
-	sink := &xdr.BufferSink{}
-	p.EncodeXDR(xdr.NewEncoder(sink))
-	return OpaqueAuth{Flavor: AuthSys, Body: sink.Buf}
-}
-
-// ParseSysAuth decodes an AUTH_SYS credential body.
-func ParseSysAuth(a OpaqueAuth) (*AuthSysParms, error) {
-	if a.Flavor != AuthSys {
-		return nil, fmt.Errorf("sunrpc: credential flavor %d is not AUTH_SYS", a.Flavor)
-	}
-	var p AuthSysParms
-	if err := p.DecodeXDR(xdr.NewDecoder(&xdr.BufferSource{Buf: a.Body})); err != nil {
-		return nil, err
-	}
-	return &p, nil
 }
 
 // EncodeXDR implements xdr.Marshaler.

@@ -91,8 +91,7 @@ func TestTwoProgramsOneServer(t *testing.T) {
 	}
 	cl.Spawn(1, "server", func(p *kernel.Process) {
 		ep := vmmc.Attach(p, cl.Node(1).Daemon)
-		srv := NewServer(ep, cl.Ether, 1, testProgram(t))
-		srv.AddProgram(second)
+		srv := NewServer(ep, cl.Ether, 1, testProgram(t), second)
 		up = true
 		ready.Broadcast()
 		srv.Serve(2)
@@ -134,63 +133,5 @@ func TestTwoProgramsOneServer(t *testing.T) {
 	cl.Run()
 	if !ok {
 		t.Fatal("client never finished")
-	}
-}
-
-func TestAuthSysCredential(t *testing.T) {
-	cred := SysAuth(&AuthSysParms{
-		Stamp: 77, MachineName: "node0", UID: 1000, GID: 100, GIDs: []uint32{100, 4},
-	})
-	var seen OpaqueAuth
-	prog := &Program{
-		Prog: progTest, Vers: versTest,
-		Procs: map[uint32]Handler{
-			procNull: func(d *xdr.Decoder, e *xdr.Encoder) error { return nil },
-		},
-	}
-	cl := cluster.Default()
-	up := false
-	ready := sim.NewCond(cl.Eng)
-	done := false
-	var srv *Server
-	cl.Spawn(1, "server", func(p *kernel.Process) {
-		ep := vmmc.Attach(p, cl.Node(1).Daemon)
-		srv = NewServer(ep, cl.Ether, 1, prog)
-		up = true
-		ready.Broadcast()
-		srv.Serve(1)
-		seen = srv.LastCred
-	})
-	cl.Spawn(0, "client", func(p *kernel.Process) {
-		for !up {
-			ready.Wait(p.P)
-		}
-		ep := vmmc.Attach(p, cl.Node(0).Daemon)
-		c, err := Dial(ep, cl.Ether, 1, progTest, versTest, ModeAU)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		c.SetCredential(cred)
-		if err := c.Call(procNull, nil, nil); err != nil {
-			t.Error(err)
-			return
-		}
-		done = true
-	})
-	cl.Run()
-	if !done {
-		t.Fatal("client never finished")
-	}
-	parms, err := ParseSysAuth(seen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parms.UID != 1000 || parms.MachineName != "node0" || len(parms.GIDs) != 2 {
-		t.Fatalf("credential mangled: %+v", parms)
-	}
-	// Flavor checks.
-	if _, err := ParseSysAuth(OpaqueAuth{Flavor: AuthNone}); err == nil {
-		t.Fatal("AUTH_NONE parsed as AUTH_SYS")
 	}
 }

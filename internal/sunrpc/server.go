@@ -40,10 +40,6 @@ type Server struct {
 
 	// Stats for tests.
 	Calls int64
-
-	// LastCred is the credential of the most recently dispatched call;
-	// handlers may inspect it (the dispatch loop is single-threaded).
-	LastCred OpaqueAuth
 }
 
 type session struct {
@@ -60,9 +56,6 @@ func NewServer(ep *vmmc.Endpoint, eth *ether.Network, node int, programs ...*Pro
 		port:     eth.Bind(ether.Addr{Node: node, Port: BinderPort}),
 	}
 }
-
-// AddProgram registers another program.
-func (s *Server) AddProgram(p *Program) { s.programs = append(s.programs, p) }
 
 // Serve runs the dispatch loop: accept bindings, decode calls, run
 // handlers, send replies. It returns after handling `limit` calls
@@ -133,7 +126,6 @@ func (s *Server) dispatch(sess *session) {
 	}
 	// Header processing: dispatch table lookup, auth check (paper: "5-6
 	// usecs in processing the header").
-	s.LastCred = hdr.Cred
 	p.Compute(8 * hw.CallCost)
 
 	answer(s.programs, &hdr, dec, xdr.NewEncoder(sess.stream))

@@ -33,10 +33,6 @@ import (
 	"shrimp/internal/trace"
 )
 
-// SigNotify is the signal number the notification mechanism rides on (the
-// paper's prototype implements notifications with UNIX signals).
-const SigNotify = 30
-
 // Errors returned by the VMMC calls.
 var (
 	// ErrAlignment: the hardware requires word-aligned source and
@@ -77,11 +73,12 @@ type duSlot struct {
 }
 
 // Attach connects a process to VMMC on its node and installs the
-// notification signal dispatcher.
+// notification signal dispatcher as the process's signal handler (the
+// paper's prototype implements notifications with UNIX signals).
 func Attach(p *kernel.Process, d *daemon.Daemon) *Endpoint {
 	ep := &Endpoint{Proc: p, D: d, tc: p.M.Trace, track: p.M.TraceNode + "/vmmc"}
-	p.OnSignal(SigNotify, func(_ *kernel.Process, s kernel.Signal) {
-		n := s.Data.(Notification)
+	p.OnSignal(func(_ *kernel.Process, data any) {
+		n := data.(Notification)
 		n.Export.dispatch(n)
 	})
 	return ep
@@ -152,7 +149,7 @@ func (e *Export) NotifyArrival(srcNode int) {
 		return
 	}
 	e.ep.tc.Count(e.ep.track, "notify.signal", 1)
-	e.ep.Proc.Deliver(kernel.Signal{Num: SigNotify, Data: Notification{Export: e, SrcNode: srcNode}})
+	e.ep.Proc.Deliver(Notification{Export: e, SrcNode: srcNode})
 }
 
 // FastArrival implements daemon.FastNotifiable: the NIC posted a record to
