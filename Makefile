@@ -151,11 +151,11 @@ bench:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/kernel ./internal/nic ./internal/mesh ./internal/nx ./internal/srpc ./internal/app ./internal/bench .
 
 # check runs every gate CI runs: gofmt, build, vet, lint, race-enabled
-# tests, the example programs, trace determinism, mesh-scaling digest
-# stability, the chaos soak, and the partition cells. CI also gives the
-# fuzz targets a brief shake (make fuzz) and runs the microbenchmarks;
-# neither is part of check.
-check: fmt build vet lint race examples trace-smoke meshscale-smoke chaos partition
+# tests, the gated-coverage floor, the example programs, trace
+# determinism, mesh-scaling digest stability, the chaos soak, and the
+# partition cells. CI also gives the fuzz targets a brief shake (make fuzz)
+# and runs the microbenchmarks; neither is part of check.
+check: fmt build vet lint race gated-coverage-check examples trace-smoke meshscale-smoke chaos partition
 
 clean:
 	$(GO) clean ./...

@@ -107,6 +107,21 @@ func scenarios() []scenario {
 			return fmt.Sprintf("comb: combining collectives x%d, every sum exact: %s",
 				iters, strings.Join(desc, "; ")), nil
 		}},
+		// The NX paths Figure 4's ping-pong leaves out: continuation
+		// chunks, probes and self sends; asynchronous large transfers
+		// beyond the zero-copy ring.
+		{name: "nx-chunked", run: func(r *run) (string, error) {
+			const size = 9216
+			rt, err := nxChunked(r, size)
+			return fmt.Sprintf("nx-chunked: NX DU-2copy, %d B each way with probes and self sends, every byte and info field checked: %.2f us round trip",
+				size, rt), err
+		}},
+		{name: "nx-isend", run: func(r *run) (string, error) {
+			const count, size = nx.MaxZC + 1, 4096
+			us, err := nxIsends(r, count, size)
+			return fmt.Sprintf("nx-isend: NX Isend/Irecv/Msgwait, %d x %d B zero-copy outstanding at once, every byte checked: %.2f us",
+				count, size, us), err
+		}},
 		// 5 ms lands inside the sender's transfer loop: the two Ethernet
 		// import handshakes alone take over a millisecond of virtual time.
 		{name: "crash-recovery", plan: &fault.Plan{Name: "crash-node2-mid-transfer", Crashes: []fault.Crash{
@@ -185,6 +200,8 @@ func underPlan(plan fault.Plan, seed int64) func(*cluster.Config) {
 //	svm  — shared virtual memory: Jacobi plus a lock-counter phase
 //	app  — sharded KV serving under generated client load
 //	comb — NX Gsync, Gisum, Gdsum on in-network combining meshes
+//	nx-chunked — NX DU-2copy 9216-byte exchange with probes and self sends
+//	nx-isend — NX Isend/Irecv/Msgwait, MaxZC+1 zero-copy sends at once
 //
 // and the fault-recovery rows the chaos soak adds (integrity,
 // crash-recovery, app-failover, and the part-* partition cells).

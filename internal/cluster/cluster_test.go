@@ -24,8 +24,8 @@ func TestDefaultGeometry(t *testing.T) {
 			t.Fatalf("node %d incomplete: %+v", i, n)
 		}
 		// 40 MB per node, as on the DEC 560ST.
-		if n.M.Mem.Size() != 40<<20 {
-			t.Fatalf("node %d memory %d", i, n.M.Mem.Size())
+		if got := n.M.Mem.Pages() * hw.Page; got != 40<<20 {
+			t.Fatalf("node %d memory %d", i, got)
 		}
 	}
 }

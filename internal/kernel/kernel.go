@@ -553,7 +553,7 @@ func (p *Process) WriteBytes(va VA, b []byte) {
 				cost = time.Duration(frag) * hw.MemCopyPerByte
 			}
 			p.busyUntil(cost)
-			p.M.Mem.WriteCPU(pa, b[off:off+frag])
+			p.M.Mem.Write(pa, b[off:off+frag])
 		}
 		off += frag
 	}
@@ -573,7 +573,7 @@ func (p *Process) writeAUFragment(pa mem.PA, b []byte, delay time.Duration) {
 		s := p.M.getSeg()
 		s.pa = pa
 		s.data = append(s.data, b[:seg]...)
-		p.M.Mem.WriteNoSnoop(pa, s.data)
+		p.M.Mem.Write(pa, s.data)
 		p.M.Eng.Post(delay, s.present)
 		pa += mem.PA(seg)
 		b = b[seg:]
@@ -714,7 +714,7 @@ func (p *Process) Poke(va VA, b []byte) {
 			frag = room
 		}
 		pa := p.mustPA(va + VA(off))
-		p.M.Mem.WriteDMA(pa, b[off:off+frag])
+		p.M.Mem.Write(pa, b[off:off+frag])
 		off += frag
 	}
 }

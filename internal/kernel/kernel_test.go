@@ -204,7 +204,7 @@ func TestWaitWord(t *testing.T) {
 		p.P.Sleep(100 * time.Microsecond)
 		// Simulate a DMA write landing in the waiter's page.
 		pa, _ := waiter.Translate(flagVA)
-		m.Mem.PutU32DMA(pa, 42)
+		m.Mem.Write(pa, []byte{42, 0, 0, 0})
 	})
 	e.RunAll()
 	if saw != 42 {
@@ -336,9 +336,9 @@ func TestWaitPred(t *testing.T) {
 		extra.Broadcast() // wakes, predicate false
 		p.P.Sleep(10 * time.Microsecond)
 		pa, _ := waiter.Translate(flagVA)
-		m.Mem.PutU32DMA(pa, 1) // wakes, still false
+		m.Mem.Write(pa, []byte{1, 0, 0, 0}) // wakes, still false
 		p.P.Sleep(10 * time.Microsecond)
-		m.Mem.PutU32DMA(pa, 2) // predicate true
+		m.Mem.Write(pa, []byte{2, 0, 0, 0}) // predicate true
 	})
 	e.RunAll()
 	if len(woke) != 1 {

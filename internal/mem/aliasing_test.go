@@ -16,11 +16,13 @@ import (
 func TestReadNeverAliasesRAM(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, 4*hw.Page)
-	m.WriteDMA(100, []byte{1, 2, 3, 4})
-	got := m.Read(100, 4)
-	got[0] = 0xFF // caller scribbles on its copy
-	if again := m.Read(100, 4); !bytes.Equal(again, []byte{1, 2, 3, 4}) {
-		t.Fatalf("mutating Read's result changed RAM: %v", again)
+	src := []byte{1, 2, 3, 4}
+	m.Write(100, src)
+	src[1] = 0xFF // the writer scribbles on its buffer
+	got := read(m, 100, 4)
+	got[0] = 0xFF // the reader scribbles on its copy
+	if again := read(m, 100, 4); !bytes.Equal(again, []byte{1, 2, 3, 4}) {
+		t.Fatalf("mutating a written or read buffer changed RAM: %v", again)
 	}
 }
 
@@ -30,11 +32,11 @@ func TestReadOfUntouchedPagesIsZero(t *testing.T) {
 	// other untouched frames (the classic shared-zero-page aliasing bug).
 	e := sim.NewEngine()
 	m := New(e, 4*hw.Page)
-	got := m.Read(0, hw.Page)
+	got := read(m, 0, hw.Page)
 	for i := range got {
 		got[i] = 0xAB
 	}
-	other := m.Read(2*hw.Page, hw.Page)
+	other := read(m, 2*hw.Page, hw.Page)
 	for i, b := range other {
 		if b != 0 {
 			t.Fatalf("untouched frame reads %#x at +%d after scribbling on another read", b, i)
@@ -42,9 +44,9 @@ func TestReadOfUntouchedPagesIsZero(t *testing.T) {
 	}
 }
 
-func TestWriteCPUSnoopSeesValuesNotRAM(t *testing.T) {
-	// The snoop hook receives the store values; mutating its argument
-	// must not change what landed in memory.
+func TestPresentToSnoopSeesValuesNotRAM(t *testing.T) {
+	// The snoop hook receives the presented store values; mutating its
+	// argument must not change what landed in memory.
 	e := sim.NewEngine()
 	m := New(e, 4*hw.Page)
 	m.SetSnooped(0, 1)
@@ -53,13 +55,13 @@ func TestWriteCPUSnoopSeesValuesNotRAM(t *testing.T) {
 			data[i] = 0xEE
 		}
 	})
-	m.WriteCPU(8, []byte{9, 8, 7})
-	if got := m.Read(8, 3); !bytes.Equal(got, []byte{9, 8, 7}) {
+	cpuStore(m, 8, []byte{9, 8, 7})
+	if got := read(m, 8, 3); !bytes.Equal(got, []byte{9, 8, 7}) {
 		t.Fatalf("snoop hook mutated RAM through its argument: %v", got)
 	}
 }
 
-func TestWriteCPUSnoopPageLocalFragments(t *testing.T) {
+func TestPresentToSnoopPageLocalFragments(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, 4*hw.Page)
 	m.SetSnooped(0, 1)
@@ -67,7 +69,7 @@ func TestWriteCPUSnoopPageLocalFragments(t *testing.T) {
 	var frags [][2]int // (pa, len)
 	m.SetSnoop(func(pa PA, _ int32, data []byte) { frags = append(frags, [2]int{int(pa), len(data)}) })
 	span := make([]byte, 100)
-	m.WriteCPU(PA(hw.Page-30), span)
+	cpuStore(m, PA(hw.Page-30), span)
 	want := [][2]int{{hw.Page - 30, 30}, {hw.Page, 70}}
 	if len(frags) != len(want) || frags[0] != want[0] || frags[1] != want[1] {
 		t.Fatalf("snoop fragments %v, want %v", frags, want)
@@ -81,10 +83,10 @@ func TestCheckReportsAccessDetails(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"read past end", func() { m.Read(PA(2*hw.Page-1), 2) }},
-		{"negative length", func() { m.Read(0, -1) }},
-		{"huge pa wraps int", func() { m.Read(PA(1<<63+5), 1) }},
-		{"write past end", func() { m.WriteDMA(PA(2*hw.Page), make([]byte, 1)) }},
+		{"read past end", func() { read(m, PA(2*hw.Page-1), 2) }},
+		{"negative length", func() { m.check(0, -1) }},
+		{"huge pa wraps int", func() { read(m, PA(1<<63+5), 1) }},
+		{"write past end", func() { m.Write(PA(2*hw.Page), make([]byte, 1)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,8 +120,8 @@ func TestCrossPageReadWrite(t *testing.T) {
 		data[i] = byte(i * 7)
 	}
 	pa := PA(hw.Page - 50)
-	m.WriteDMA(pa, data)
-	if got := m.Read(pa, len(data)); !bytes.Equal(got, data) {
+	m.Write(pa, data)
+	if got := read(m, pa, len(data)); !bytes.Equal(got, data) {
 		t.Fatal("cross-page write did not round-trip")
 	}
 	into := make([]byte, len(data))

@@ -8,7 +8,7 @@ import (
 )
 
 // The bulk-move paths every transfer strategy funnels through: page-sized
-// DMA stores, copy-out reads into caller buffers, and snooped CPU stores.
+// stores, copy-out reads into caller buffers, and snooped CPU stores.
 // ReadInto exists so steady-state transfers are pure copies — allocs/op
 // must be 0.
 
@@ -16,21 +16,21 @@ func benchMem() *Memory {
 	return New(sim.NewEngine(), 1<<20)
 }
 
-func BenchmarkWriteDMAPage(b *testing.B) {
+func BenchmarkWritePage(b *testing.B) {
 	m := benchMem()
 	buf := make([]byte, hw.Page)
 	b.SetBytes(hw.Page)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.WriteDMA(PA((i%64)*hw.Page), buf)
+		m.Write(PA((i%64)*hw.Page), buf)
 	}
 }
 
 func BenchmarkReadIntoPage(b *testing.B) {
 	m := benchMem()
 	buf := make([]byte, hw.Page)
-	m.WriteDMA(0, buf)
+	m.Write(0, buf)
 	b.SetBytes(hw.Page)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -52,7 +52,9 @@ func BenchmarkReadIntoUnbacked(b *testing.B) {
 	}
 }
 
-func BenchmarkWriteCPUSnooped(b *testing.B) {
+// BenchmarkStoreSnooped is the kernel's AU word store: the write, then its
+// presentation to the snoop.
+func BenchmarkStoreSnooped(b *testing.B) {
 	m := benchMem()
 	m.SetSnoop(func(pa PA, _ int32, data []byte) {})
 	m.SetSnooped(0, 1)
@@ -60,13 +62,13 @@ func BenchmarkWriteCPUSnooped(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.WriteCPU(PA(i%1024*4), word)
+		cpuStore(m, PA(i%1024*4), word)
 	}
 }
 
 func BenchmarkU32(b *testing.B) {
 	m := benchMem()
-	m.PutU32DMA(128, 0xdeadbeef)
+	m.Write(128, []byte{0xef, 0xbe, 0xad, 0xde})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -73,16 +73,11 @@ type Memory struct {
 	// the page) and snoop tag. An absent entry means neither.
 	hooks Sparse[pageHooks]
 
-	// Snoop, when set, sees every CPU store (not DMA writes — the real
-	// snoop logic sits on the Xpress bus and watches processor writes;
-	// incoming EISA DMA does not re-enter the outgoing path). Only
-	// snooped frames (OPT-bound pages) are presented; stores elsewhere
-	// skip the hook for speed.
+	// snoop, when set, is handed the store bursts PresentToSnoop presents
+	// to snooped frames (OPT-bound pages). The real snoop logic sits on
+	// the Xpress bus and watches processor writes; incoming EISA DMA does
+	// not re-enter the outgoing path.
 	snoop SnoopFunc
-
-	// snoopBuf stages the store fragments WriteCPU presents to the snoop,
-	// allocated on the first snooped store (see WriteCPU).
-	snoopBuf []byte
 }
 
 // pageHooks is one frame's watcher and snoop tag. The tag is the only
@@ -99,9 +94,6 @@ func New(eng *sim.Engine, size int) *Memory {
 	pages := (size + hw.Page - 1) / hw.Page
 	return &Memory{eng: eng, size: pages * hw.Page, npage: pages}
 }
-
-// Size returns the memory size in bytes.
-func (m *Memory) Size() int { return m.size }
 
 // Pages returns the number of page frames.
 func (m *Memory) Pages() int { return m.npage }
@@ -154,16 +146,6 @@ func (m *Memory) Release() {
 	m.size = 0
 }
 
-// Read copies n bytes at pa into a fresh slice. The slice is the caller's
-// own: it never aliases simulated RAM, so mutating it cannot corrupt memory
-// contents.
-func (m *Memory) Read(pa PA, n int) []byte {
-	m.check(pa, n)
-	out := make([]byte, n)
-	m.ReadInto(pa, out)
-	return out
-}
-
 // ReadInto copies len(b) bytes at pa into b. b never aliases simulated RAM.
 func (m *Memory) ReadInto(pa PA, b []byte) {
 	m.check(pa, len(b))
@@ -180,8 +162,13 @@ func (m *Memory) ReadInto(pa PA, b []byte) {
 	}
 }
 
-// write stores b at pa, materializing frames as needed.
-func (m *Memory) write(pa PA, b []byte) {
+// Write stores b at pa, for a DMA master and the processor alike, and
+// wakes the watchers of every page it touches. A store never reaches the
+// snoop by itself: the kernel presents each store burst to an AU-bound page
+// with PresentToSnoop one cache-to-bus delay after it lands, and DMA writes
+// are never snooped. Frames materialize on their first write.
+func (m *Memory) Write(pa PA, b []byte) {
+	m.check(pa, len(b))
 	off := 0
 	for off < len(b) {
 		a := pa + PA(off)
@@ -193,23 +180,6 @@ func (m *Memory) write(pa PA, b []byte) {
 		copy(m.pageW(PageOf(a))[po:], b[off:off+frag])
 		off += frag
 	}
-}
-
-// WriteDMA stores b at pa as a DMA master would: watchers fire, but the
-// CPU-store snoop hook does not (DMA writes are not snooped back into the
-// outgoing path; the caches only invalidate).
-func (m *Memory) WriteDMA(pa PA, b []byte) {
-	m.check(pa, len(b))
-	m.write(pa, b)
-	m.wake(pa, len(b))
-}
-
-// WriteNoSnoop stores b at pa with watcher wakeups but without presenting
-// the store to the snoop hook. The kernel's AU store path uses it together
-// with a delayed PresentToSnoop to model the cache-to-bus visibility delay.
-func (m *Memory) WriteNoSnoop(pa PA, b []byte) {
-	m.check(pa, len(b))
-	m.write(pa, b)
 	m.wake(pa, len(b))
 }
 
@@ -233,43 +203,6 @@ func (m *Memory) PresentToSnoop(pa PA, b []byte) {
 		}
 		off += frag
 	}
-}
-
-// WriteCPU stores b at pa as the processor would: watchers fire and, if the
-// page is snooped, the store is presented to the snoop logic. The snoop is
-// handed page-local copies of b's fragments — the store values as they
-// appear on the bus — staged in a buffer the Memory owns, never a slice of
-// its backing array, so a snoop implementation cannot mutate simulated RAM
-// through its argument. The staging also keeps b itself from escaping, so
-// callers may pass stack buffers without a heap allocation per store. The
-// snoop must copy what it keeps: the staging buffer is reused by the next
-// snooped store.
-func (m *Memory) WriteCPU(pa PA, b []byte) {
-	m.check(pa, len(b))
-	m.write(pa, b)
-	if m.snoop != nil {
-		// A store burst may cross a page boundary; present per-page
-		// fragments so the snoop sees page-local addresses.
-		off := 0
-		for off < len(b) {
-			a := pa + PA(off)
-			room := hw.Page - int(a%hw.Page)
-			frag := len(b) - off
-			if frag > room {
-				frag = room
-			}
-			if tag := m.Snooped(PageOf(a)); tag != 0 {
-				if m.snoopBuf == nil {
-					m.snoopBuf = make([]byte, hw.Page)
-				}
-				stage := m.snoopBuf[:frag]
-				copy(stage, b[off:off+frag])
-				m.snoop(a, tag, stage)
-			}
-			off += frag
-		}
-	}
-	m.wake(pa, len(b))
 }
 
 func (m *Memory) wake(pa PA, n int) {
@@ -323,10 +256,4 @@ func (m *Memory) U32(pa PA) uint32 {
 	var b [4]byte
 	m.ReadInto(pa, b[:])
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// PutU32DMA stores a little-endian 32-bit word at pa via the DMA path.
-func (m *Memory) PutU32DMA(pa PA, v uint32) {
-	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-	m.WriteDMA(pa, b[:])
 }

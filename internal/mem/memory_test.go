@@ -11,26 +11,37 @@ import (
 	"shrimp/internal/sim"
 )
 
+// read copies n bytes at pa out of m.
+func read(m *Memory, pa PA, n int) []byte {
+	b := make([]byte, n)
+	m.ReadInto(pa, b)
+	return b
+}
+
+// cpuStore stores b at pa and presents it to the snoop, as the kernel's AU
+// store path does (there the presentation comes one snoop delay later).
+func cpuStore(m *Memory, pa PA, b []byte) {
+	m.Write(pa, b)
+	m.PresentToSnoop(pa, b)
+}
+
 func TestReadWriteRoundtrip(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, 64*1024)
 	want := []byte("the quick brown fox")
-	m.WriteCPU(1000, want)
-	if got := m.Read(1000, len(want)); !bytes.Equal(got, want) {
+	m.Write(1000, want)
+	if got := read(m, 1000, len(want)); !bytes.Equal(got, want) {
 		t.Fatalf("got %q want %q", got, want)
-	}
-	m.WriteDMA(5000, want)
-	if got := m.Read(5000, len(want)); !bytes.Equal(got, want) {
-		t.Fatalf("DMA: got %q want %q", got, want)
 	}
 }
 
 func TestSizeRoundsToPage(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, hw.Page+1)
-	if m.Size() != 2*hw.Page || m.Pages() != 2 {
-		t.Fatalf("size=%d pages=%d", m.Size(), m.Pages())
+	if m.Pages() != 2 {
+		t.Fatalf("pages=%d, want 2", m.Pages())
 	}
+	m.Write(PA(2*hw.Page-1), []byte{1}) // the rounded-up page's last byte
 }
 
 func TestOutOfRangePanics(t *testing.T) {
@@ -41,23 +52,24 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Read(PA(hw.Page-2), 4)
+	read(m, PA(hw.Page-2), 4)
 }
 
 func TestWordAccess(t *testing.T) {
 	e := sim.NewEngine()
-	m := New(e, hw.Page)
-	m.WriteCPU(16, []byte{0xef, 0xbe, 0xad, 0xde})
+	m := New(e, 2*hw.Page)
+	m.Write(16, []byte{0xef, 0xbe, 0xad, 0xde})
 	if got := m.U32(16); got != 0xdeadbeef {
 		t.Fatalf("U32 = %#x", got)
 	}
 	// Little-endian layout.
-	if b := m.Read(16, 4); !bytes.Equal(b, []byte{0xef, 0xbe, 0xad, 0xde}) {
+	if b := read(m, 16, 4); !bytes.Equal(b, []byte{0xef, 0xbe, 0xad, 0xde}) {
 		t.Fatalf("layout = %x", b)
 	}
-	m.PutU32DMA(20, 7)
-	if got := m.U32(20); got != 7 {
-		t.Fatalf("DMA word = %d", got)
+	// A word that straddles a page boundary.
+	m.Write(PA(hw.Page-2), []byte{7, 0, 0, 0})
+	if got := m.U32(PA(hw.Page - 2)); got != 7 {
+		t.Fatalf("straddling word = %d", got)
 	}
 }
 
@@ -68,23 +80,23 @@ func TestSnoopSeesOnlyMarkedPages(t *testing.T) {
 	m.SetSnoop(func(pa PA, _ int32, data []byte) { seen = append(seen, pa) })
 	m.SetSnooped(1, 1)
 
-	m.WriteCPU(PA(0*hw.Page+8), []byte{1})  // unmarked page: no snoop
-	m.WriteCPU(PA(1*hw.Page+8), []byte{2})  // marked page: snooped
-	m.WriteDMA(PA(1*hw.Page+16), []byte{3}) // DMA: never snooped
+	cpuStore(m, PA(0*hw.Page+8), []byte{1}) // unmarked page: no snoop
+	cpuStore(m, PA(1*hw.Page+8), []byte{2}) // marked page: snooped
+	m.Write(PA(1*hw.Page+16), []byte{3})    // DMA: never snooped
 	if len(seen) != 1 || seen[0] != PA(hw.Page+8) {
 		t.Fatalf("seen = %v", seen)
 	}
 
 	m.SetSnooped(1, 0)
-	m.WriteCPU(PA(1*hw.Page+8), []byte{4})
+	cpuStore(m, PA(1*hw.Page+8), []byte{4})
 	if len(seen) != 1 {
 		t.Fatal("snoop fired after unmark")
 	}
 }
 
-// A frame's snoop tag travels with each of its stores: a CPU store (and a
-// delayed presentation) in a frame tagged k reaches the snoop with k, a
-// retag takes effect on the next store, and tag 0 stops the presentations.
+// A frame's snoop tag travels with each of its presented stores: a store
+// in a frame tagged k reaches the snoop with k, a retag takes effect on the
+// next store, and tag 0 stops the presentations.
 func TestSnoopCarriesFrameTag(t *testing.T) {
 	m := New(sim.NewEngine(), 4*hw.Page)
 	type ev struct {
@@ -99,11 +111,11 @@ func TestSnoopCarriesFrameTag(t *testing.T) {
 		t.Fatalf("tags = %d %d %d, want 0 7 3", m.Snooped(0), m.Snooped(1), m.Snooped(2))
 	}
 
-	m.WriteCPU(PA(hw.Page+4), []byte{1})
-	m.WriteCPU(PA(2*hw.Page-2), []byte{2, 3, 4, 5}) // crosses into frame 2
-	m.PresentToSnoop(PA(2*hw.Page+8), []byte{6})
+	cpuStore(m, PA(hw.Page+4), []byte{1})
+	cpuStore(m, PA(2*hw.Page-2), []byte{2, 3, 4, 5}) // crosses into frame 2
+	cpuStore(m, PA(2*hw.Page+8), []byte{6})
 	m.SetSnooped(1, 9)
-	m.WriteCPU(PA(hw.Page+4), []byte{7})
+	cpuStore(m, PA(hw.Page+4), []byte{7})
 	want := []ev{{hw.Page + 4, 7}, {2*hw.Page - 2, 7}, {2 * hw.Page, 3}, {2*hw.Page + 8, 3}, {hw.Page + 4, 9}}
 	if !slices.Equal(seen, want) {
 		t.Fatalf("snoop saw %v, want %v", seen, want)
@@ -111,8 +123,7 @@ func TestSnoopCarriesFrameTag(t *testing.T) {
 
 	m.SetSnooped(1, 0)
 	m.SetSnooped(2, 0)
-	m.WriteCPU(PA(hw.Page), make([]byte, 2*hw.Page))
-	m.PresentToSnoop(PA(2*hw.Page), []byte{1})
+	cpuStore(m, PA(hw.Page), make([]byte, 2*hw.Page))
 	if len(seen) != len(want) || m.Snooped(1) != 0 || m.Snooped(2) != 0 {
 		t.Fatalf("stores after clearing the tags reached the snoop: %v", seen[len(want):])
 	}
@@ -131,7 +142,7 @@ func TestSnoopSplitsAtPageBoundary(t *testing.T) {
 	m.SetSnooped(2, 1)
 
 	start := PA(2*hw.Page - 10)
-	m.WriteCPU(start, make([]byte, 30))
+	cpuStore(m, start, make([]byte, 30))
 	if len(seen) != 2 {
 		t.Fatalf("want 2 fragments, got %v", seen)
 	}
@@ -154,7 +165,7 @@ func TestWaitChangeWakesOnWrite(t *testing.T) {
 	})
 	e.Spawn("writer", func(p *sim.Proc) {
 		p.Sleep(50 * time.Microsecond)
-		m.PutU32DMA(100, 1)
+		m.Write(100, []byte{1, 0, 0, 0})
 	})
 	e.RunAll()
 	if sawAt != sim.Time(50*1000) {
@@ -175,9 +186,9 @@ func TestWaitChangeIgnoresOtherPages(t *testing.T) {
 	})
 	e.Spawn("writer", func(p *sim.Proc) {
 		p.Sleep(time.Microsecond)
-		m.PutU32DMA(PA(hw.Page), 9) // different page: no wake
+		m.Write(PA(hw.Page), []byte{9, 0, 0, 0}) // different page: no wake
 		p.Sleep(time.Microsecond)
-		m.PutU32DMA(0, 1)
+		m.Write(0, []byte{1, 0, 0, 0})
 	})
 	e.RunAll()
 	if wakes != 1 {
@@ -185,22 +196,18 @@ func TestWaitChangeIgnoresOtherPages(t *testing.T) {
 	}
 }
 
-// Property: CPU and DMA writes at arbitrary offsets/lengths are faithfully
-// readable back.
+// Property: writes at arbitrary offsets/lengths are faithfully readable
+// back.
 func TestWriteReadProperty(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, 16*hw.Page)
-	f := func(off uint16, data []byte, viaDMA bool) bool {
+	f := func(off uint16, data []byte) bool {
 		pa := PA(off)
-		if int(pa)+len(data) > m.Size() {
+		if int(pa)+len(data) > 16*hw.Page {
 			return true // skip out-of-range
 		}
-		if viaDMA {
-			m.WriteDMA(pa, data)
-		} else {
-			m.WriteCPU(pa, data)
-		}
-		return bytes.Equal(m.Read(pa, len(data)), data)
+		m.Write(pa, data)
+		return bytes.Equal(read(m, pa, len(data)), data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ func TestReleasedFramesReuseCleared(t *testing.T) {
 	freeFrames = nil
 	const pages = 8
 	a := New(sim.NewEngine(), 2*pages*hw.Page)
-	a.WriteCPU(0, bytes.Repeat([]byte{0xa5}, pages*hw.Page))
+	a.Write(0, bytes.Repeat([]byte{0xa5}, pages*hw.Page))
 	a.Release()
 	if len(freeFrames) != pages {
 		t.Fatalf("free list holds %d frames after release, want %d", len(freeFrames), pages)
@@ -28,8 +28,8 @@ func TestReleasedFramesReuseCleared(t *testing.T) {
 	copy(want[64:], word)
 	for pg := 0; pg < pages; pg++ {
 		base := PA(pg * hw.Page)
-		b.WriteDMA(base+64, word)
-		if got := b.Read(base, hw.Page); !bytes.Equal(got, want) {
+		b.Write(base+64, word)
+		if got := read(b, base, hw.Page); !bytes.Equal(got, want) {
 			t.Fatalf("page %d carries stale bytes from the released memory", pg)
 		}
 	}
@@ -45,7 +45,7 @@ func TestFreeListCapped(t *testing.T) {
 	for _, pages := range []int{maxFreeFrames + 64, 16} {
 		m := New(sim.NewEngine(), pages*hw.Page)
 		for pg := 0; pg < pages; pg++ {
-			m.WriteDMA(PA(pg*hw.Page), []byte{1})
+			m.Write(PA(pg*hw.Page), []byte{1})
 		}
 		m.Release()
 		if len(freeFrames) != maxFreeFrames {
@@ -58,14 +58,13 @@ func TestFreeListCapped(t *testing.T) {
 // Release is a no-op.
 func TestReleasedMemoryPanics(t *testing.T) {
 	m := New(sim.NewEngine(), 4*hw.Page)
-	m.WriteCPU(0, []byte{1})
+	m.Write(0, []byte{1})
 	m.Release()
 	m.Release()
 	for name, access := range map[string]func(){
-		"Read":     func() { m.Read(0, 4) },
+		"ReadInto": func() { m.ReadInto(0, make([]byte, 4)) },
 		"U32":      func() { m.U32(hw.Page) },
-		"WriteDMA": func() { m.WriteDMA(0, []byte{1}) },
-		"WriteCPU": func() { m.WriteCPU(2*hw.Page, []byte{1}) },
+		"Write":    func() { m.Write(2*hw.Page, []byte{1}) },
 	} {
 		func() {
 			defer func() {

@@ -14,7 +14,7 @@ func (r *rig) auRound(t testing.TB, data []byte) func() {
 	r.n0.BindAU(5, idx)
 	src, dst := mem.PFN(5).Base()+64, mem.PFN(10).Base()+64
 	return func() {
-		r.m0.Mem.WriteCPU(src, data)
+		r.store(src, data)
 		r.eng.RunAll()
 		if r.m1.Mem.U32(dst) != r.m0.Mem.U32(src) {
 			t.Fatal("store did not arrive")
@@ -120,7 +120,7 @@ func TestIdleCoversPendingSlots(t *testing.T) {
 		MakeDUChunk(0x4000, idx, 0, 256, false),
 		MakeDUChunk(0x4100, idx, 256, 256, false),
 	})
-	r.m0.Mem.WriteCPU(mem.PFN(5).Base()+1024, []byte{1, 2, 3, 4})
+	r.store(mem.PFN(5).Base()+1024, []byte{1, 2, 3, 4})
 	seen := map[string]bool{}
 	for !r.eng.Idle() {
 		r.eng.Run(r.eng.Now() + 1)

@@ -673,7 +673,7 @@ func (n *NIC) finishIncoming() {
 	pkt := n.inPkt
 	frame := mem.PFN(pkt.DstPFN)
 	entry := n.GetIPT(frame)
-	n.M.Mem.WriteDMA(frame.Base()+mem.PA(pkt.DstOff), pkt.Payload)
+	n.M.Mem.Write(frame.Base()+mem.PA(pkt.DstOff), pkt.Payload)
 	src, notify := pkt.Src, pkt.Notify
 	// The bytes are in DRAM: a pooled packet's header and wire buffer go
 	// back to the backplane's pools for the next outgoing packet.

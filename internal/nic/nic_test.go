@@ -33,6 +33,21 @@ func newRig(t testing.TB) *rig {
 	}
 }
 
+// store is a CPU store on node 0 as the kernel makes one: the write, then
+// its presentation to the snoop (which the kernel delays by the cache-to-bus
+// time).
+func (r *rig) store(pa mem.PA, b []byte) {
+	r.m0.Mem.Write(pa, b)
+	r.m0.Mem.PresentToSnoop(pa, b)
+}
+
+// read copies n bytes at pa out of node 1's memory.
+func (r *rig) read(pa mem.PA, n int) []byte {
+	b := make([]byte, n)
+	r.m1.Mem.ReadInto(pa, b)
+	return b
+}
+
 // bind programs OPT entry on n0 pointing at destFrame on node 1, with the
 // IPT enabled there.
 func (r *rig) bind(destFrame mem.PFN, e OPTEntry) int {
@@ -79,7 +94,7 @@ func TestDeliberateUpdateDelivers(t *testing.T) {
 	destFrame := mem.PFN(10)
 	idx := r.bind(destFrame, OPTEntry{})
 	src := []byte("deliberate update payload")
-	r.m0.Mem.WriteDMA(0x5000, src) // stage source data in node 0 memory
+	r.m0.Mem.Write(0x5000, src) // stage source data in node 0 memory
 	var done sim.Time
 	r.eng.Spawn("sender", func(p *sim.Proc) {
 		job := r.n0.SubmitDU([]DUChunk{MakeDUChunk(0x5000, idx, 128, len(src), false)})
@@ -87,7 +102,7 @@ func TestDeliberateUpdateDelivers(t *testing.T) {
 		done = p.Now()
 	})
 	r.eng.RunAll()
-	got := r.m1.Mem.Read(destFrame.Base()+128, len(src))
+	got := r.read(destFrame.Base()+128, len(src))
 	if !bytes.Equal(got, src) {
 		t.Fatalf("payload corrupted: %q", got)
 	}
@@ -131,7 +146,7 @@ func TestDUMultiChunkOrder(t *testing.T) {
 	// Three chunks landing at adjacent offsets; must land in order with
 	// correct contents.
 	for i := 0; i < 3; i++ {
-		r.m0.Mem.WriteDMA(mem.PA(0x4000+i*256), bytes.Repeat([]byte{byte('a' + i)}, 256))
+		r.m0.Mem.Write(mem.PA(0x4000+i*256), bytes.Repeat([]byte{byte('a' + i)}, 256))
 	}
 	r.eng.Spawn("sender", func(p *sim.Proc) {
 		job := r.n0.SubmitDU([]DUChunk{
@@ -142,7 +157,7 @@ func TestDUMultiChunkOrder(t *testing.T) {
 		job.Wait(p)
 	})
 	r.eng.RunAll()
-	got := r.m1.Mem.Read(destFrame.Base(), 768)
+	got := r.read(destFrame.Base(), 768)
 	want := append(bytes.Repeat([]byte{'a'}, 256), append(bytes.Repeat([]byte{'b'}, 256), bytes.Repeat([]byte{'c'}, 256)...)...)
 	if !bytes.Equal(got, want) {
 		t.Fatal("multi-chunk payload corrupted or reordered")
@@ -158,13 +173,13 @@ func TestAUCombiningConsecutiveWrites(t *testing.T) {
 
 	// Two consecutive CPU store bursts must combine into ONE packet.
 	base := localFrame.Base()
-	r.m0.Mem.WriteCPU(base+100, []byte("hello "))
-	r.m0.Mem.WriteCPU(base+106, []byte("world"))
+	r.store(base+100, []byte("hello "))
+	r.store(base+106, []byte("world"))
 	r.eng.RunAll()
 	if r.n0.PacketsOut != 1 {
 		t.Fatalf("combining failed: %d packets", r.n0.PacketsOut)
 	}
-	got := r.m1.Mem.Read(destFrame.Base()+100, 11)
+	got := r.read(destFrame.Base()+100, 11)
 	if string(got) != "hello world" {
 		t.Fatalf("payload %q", got)
 	}
@@ -176,16 +191,16 @@ func TestAUNonConsecutiveStartsNewPacket(t *testing.T) {
 	localFrame := mem.PFN(5)
 	r.n0.BindAU(localFrame, idx)
 	base := localFrame.Base()
-	r.m0.Mem.WriteCPU(base+0, []byte{1, 2, 3, 4})
-	r.m0.Mem.WriteCPU(base+100, []byte{5, 6, 7, 8}) // gap: new packet
+	r.store(base+0, []byte{1, 2, 3, 4})
+	r.store(base+100, []byte{5, 6, 7, 8}) // gap: new packet
 	r.eng.RunAll()
 	if r.n0.PacketsOut != 2 {
 		t.Fatalf("want 2 packets, got %d", r.n0.PacketsOut)
 	}
-	if got := r.m1.Mem.Read(mem.PFN(10).Base(), 4); !bytes.Equal(got, []byte{1, 2, 3, 4}) {
+	if got := r.read(mem.PFN(10).Base(), 4); !bytes.Equal(got, []byte{1, 2, 3, 4}) {
 		t.Fatalf("first packet payload %v", got)
 	}
-	if got := r.m1.Mem.Read(mem.PFN(10).Base()+100, 4); !bytes.Equal(got, []byte{5, 6, 7, 8}) {
+	if got := r.read(mem.PFN(10).Base()+100, 4); !bytes.Equal(got, []byte{5, 6, 7, 8}) {
 		t.Fatalf("second packet payload %v", got)
 	}
 }
@@ -200,7 +215,7 @@ func TestAUCombineTimerFlushes(t *testing.T) {
 		arrivedAt = p.Now()
 	})
 	r.eng.Spawn("writer", func(p *sim.Proc) {
-		r.m0.Mem.WriteCPU(mem.PFN(5).Base(), []byte{9, 9, 9, 9})
+		r.store(mem.PFN(5).Base(), []byte{9, 9, 9, 9})
 	})
 	r.eng.RunAll()
 	if arrivedAt == 0 {
@@ -218,7 +233,7 @@ func TestAUCombineStopsAtPacketLimit(t *testing.T) {
 	r.n0.BindAU(5, idx)
 	// Write 2.5 packet payloads in one burst.
 	n := hw.MaxPacketPayload*2 + hw.MaxPacketPayload/2
-	r.m0.Mem.WriteCPU(mem.PFN(5).Base(), make([]byte, n))
+	r.store(mem.PFN(5).Base(), make([]byte, n))
 	r.eng.RunAll()
 	if r.n0.PacketsOut != 3 {
 		t.Fatalf("want 3 packets for %d bytes, got %d", n, r.n0.PacketsOut)
@@ -230,8 +245,8 @@ func TestAUWithoutCombineSendsPerWrite(t *testing.T) {
 	idx := r.bind(10, OPTEntry{Combine: false})
 	r.n0.BindAU(5, idx)
 	base := mem.PFN(5).Base()
-	r.m0.Mem.WriteCPU(base, []byte{1, 2, 3, 4})
-	r.m0.Mem.WriteCPU(base+4, []byte{5, 6, 7, 8}) // consecutive, but combining off
+	r.store(base, []byte{1, 2, 3, 4})
+	r.store(base+4, []byte{5, 6, 7, 8}) // consecutive, but combining off
 	r.eng.RunAll()
 	if r.n0.PacketsOut != 2 {
 		t.Fatalf("non-combining page produced %d packets, want 2", r.n0.PacketsOut)
@@ -244,8 +259,8 @@ func TestUnboundPagesNotSnooped(t *testing.T) {
 	r.n0.BindAU(5, idx)
 	r.n0.BindAU(7, idx)
 	r.n0.UnbindAU(7)
-	r.m0.Mem.WriteCPU(mem.PFN(6).Base(), []byte{1, 2, 3, 4}) // never bound
-	r.m0.Mem.WriteCPU(mem.PFN(7).Base(), []byte{1, 2, 3, 4}) // bound, then unbound
+	r.store(mem.PFN(6).Base(), []byte{1, 2, 3, 4}) // never bound
+	r.store(mem.PFN(7).Base(), []byte{1, 2, 3, 4}) // bound, then unbound
 	r.eng.RunAll()
 	if r.n0.PacketsOut != 0 {
 		t.Fatal("store to unbound page generated traffic")
@@ -256,7 +271,7 @@ func TestUnbindFlushesOpenPacket(t *testing.T) {
 	r := newRig(t)
 	idx := r.bind(10, OPTEntry{Combine: true, CombineTimer: false})
 	r.n0.BindAU(5, idx)
-	r.m0.Mem.WriteCPU(mem.PFN(5).Base(), []byte{1, 2, 3, 4})
+	r.store(mem.PFN(5).Base(), []byte{1, 2, 3, 4})
 	r.n0.UnbindAU(5)
 	r.eng.RunAll()
 	if r.n0.PacketsOut != 1 {
@@ -388,7 +403,7 @@ func TestQuiesceWaitsForDrain(t *testing.T) {
 	r := newRig(t)
 	idx := r.bind(10, OPTEntry{Combine: true, CombineTimer: false})
 	r.n0.BindAU(5, idx)
-	r.m0.Mem.WriteCPU(mem.PFN(5).Base(), []byte{1, 2, 3, 4}) // open packet, no timer
+	r.store(mem.PFN(5).Base(), []byte{1, 2, 3, 4}) // open packet, no timer
 	if r.n0.OutgoingIdle() {
 		t.Fatal("open packet should not be idle")
 	}
@@ -470,9 +485,9 @@ func TestCombineTimerRearms(t *testing.T) {
 	gap := hw.CombineTimeout / 2
 	var second sim.Time
 	r.eng.Spawn("writer", func(p *sim.Proc) {
-		r.m0.Mem.WriteCPU(base, []byte{1, 2, 3, 4})
+		r.store(base, []byte{1, 2, 3, 4})
 		p.Sleep(gap)
-		r.m0.Mem.WriteCPU(base+4, []byte{5, 6, 7, 8})
+		r.store(base+4, []byte{5, 6, 7, 8})
 		second = p.Now()
 	})
 	r.eng.RunAll()
@@ -484,7 +499,7 @@ func TestCombineTimerRearms(t *testing.T) {
 	if arrival.Sub(second) < hw.CombineTimeout {
 		t.Fatalf("flush not re-armed: arrival %v only %v after last write", arrival, arrival.Sub(second))
 	}
-	got := r.m1.Mem.Read(mem.PFN(10).Base(), 8)
+	got := r.read(mem.PFN(10).Base(), 8)
 	if !bytes.Equal(got, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Fatalf("combined payload %v", got)
 	}
@@ -501,15 +516,15 @@ func TestAUPageBoundarySplitsPackets(t *testing.T) {
 	r.n0.BindAU(6, idxB)
 	start := mem.PFN(5).Base() + hw.Page - 8
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	r.m0.Mem.WriteCPU(start, payload)
+	r.store(start, payload)
 	r.eng.RunAll()
 	if r.n0.PacketsOut != 2 {
 		t.Fatalf("page-crossing burst produced %d packets, want 2", r.n0.PacketsOut)
 	}
-	if got := r.m1.Mem.Read(mem.PFN(10).Base()+hw.Page-8, 8); !bytes.Equal(got, payload[:8]) {
+	if got := r.read(mem.PFN(10).Base()+hw.Page-8, 8); !bytes.Equal(got, payload[:8]) {
 		t.Fatalf("first page tail %v", got)
 	}
-	if got := r.m1.Mem.Read(mem.PFN(11).Base(), 8); !bytes.Equal(got, payload[8:]) {
+	if got := r.read(mem.PFN(11).Base(), 8); !bytes.Equal(got, payload[8:]) {
 		t.Fatalf("second page head %v", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -398,8 +397,12 @@ func TestTracers(t *testing.T) {
 	}
 }
 
+// Shutdown unwinds every parked proc: each one's coroutine goes idle for a
+// later Spawn or, with the idle list full, finishes. Either way no
+// goroutine stays bound to the shut-down world, so the goroutines beyond
+// the idle list return to their baseline.
 func TestShutdownReleasesGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settleBusy(busyGoroutines())
 	e := NewEngine()
 	c := NewCond(e)
 	for i := 0; i < 20; i++ {
@@ -410,20 +413,14 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		})
 	}
 	e.RunAll()
-	peak := runtime.NumGoroutine()
-	e.Shutdown()
-	var after int
-	for i := 0; i < 200; i++ {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond) //lint:allow no-wallclock waiting for the host scheduler to unwind parked goroutines, not virtual-time code
-		if after = runtime.NumGoroutine(); after <= peak-20 {
-			break
-		}
+	if peak := busyGoroutines(); peak < before+20 {
+		t.Fatalf("%d busy goroutines with 20 procs parked, baseline %d", peak, before)
 	}
-	// All 20 parked procs must have unwound (other tests' leftovers make
-	// absolute counts noisy; the delta is what matters).
-	if after > peak-20 {
-		t.Fatalf("goroutines not released: peak %d, after shutdown %d (baseline %d)", peak, after, before)
+	e.Shutdown()
+	// Other tests' leftovers make absolute counts noisy; the busy count
+	// falling back to the baseline is what matters.
+	if after := settleBusy(before); after > before {
+		t.Fatalf("goroutines not released: %d busy after shutdown, baseline %d", after, before)
 	}
 	// Shutdown on an already-drained engine is a no-op.
 	e.Shutdown()

@@ -12,7 +12,9 @@ import (
 	"time"
 )
 
-// Proc is a simulated sequential process: a runtime coroutine (iter.Pull).
+// Proc is a simulated sequential process, run on a runtime coroutine
+// (iter.Pull) that outlives it: when the body exits the coroutine idles
+// until a later Spawn binds it to another proc (see coro).
 //
 // Exactly one stack runs at any instant: either the engine's event loop or a
 // single Proc. Control transfers by a direct coroutine switch — dispatch
@@ -32,6 +34,8 @@ type Proc struct {
 	nameHash uint64
 	// next runs the proc until it parks or exits; yield, valid only in the
 	// proc's own context, suspends it and returns control to next's caller.
+	// Both are dropped when the body exits, before the coroutine idles, so
+	// a stale *Proc can never resume the coroutine's next proc.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	done  bool
@@ -98,6 +102,9 @@ type killSentinel struct{}
 // A panic in fn propagates out of whichever call resumed the proc (Engine.Run
 // or Shutdown) on the caller's goroutine, with its original value; the
 // engine is spent after that. Only the kill sentinel is absorbed.
+//
+// The proc runs on an idle coroutine left by an exited proc when there is
+// one, so its stack is already grown, and on a new one otherwise.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		Name:     name,
@@ -116,26 +123,86 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		e.dispatch(p)
 	}
 	e.procs = append(e.procs, p)
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer func() {
-			p.done = true
-			p.dead = true
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); !ok {
-					panic(r) //lint:allow transitive-panic re-propagating a genuine failure from a simulated process body; iter.Pull carries it out of next to the engine's caller
-				}
-			}
-		}()
-		if p.killed {
-			// Killed before its first instruction ran: unwind without
-			// executing any of the body.
-			panic(killSentinel{}) //lint:allow transitive-panic the kill-unwind mechanism itself: caught by the recover above, never escapes
-		}
-		fn(p)
-	})
+	var c *coro
+	if n := len(idleCoros); n > 0 {
+		c = idleCoros[n-1]
+		idleCoros[n-1] = nil
+		idleCoros = idleCoros[:n-1]
+	} else {
+		c = newCoro()
+	}
+	c.p, c.fn = p, fn
+	p.next = c.next
 	e.Post(0, p.redispatch)
 	return p
+}
+
+// maxIdleCoros caps the idle coroutine list: twice the 128 procs of a
+// 64-node world (a daemon and an application proc per node), so booting
+// worlds of that size back to back builds no coroutine once the list is
+// warm. Each idle coroutine is one parked goroutine that keeps the stack
+// its last body grew (see DESIGN.md "Wall-clock performance" for the
+// memory bound).
+const maxIdleCoros = 256
+
+// idleCoros holds the coroutines of exited procs, for Spawn to reuse.
+// One simulation thread per process, so a plain stack suffices.
+var idleCoros []*coro
+
+// IdleCoroutines reports how many coroutines wait on the idle list: parked
+// goroutines that belong to no proc and no world.
+func IdleCoroutines() int { return len(idleCoros) }
+
+// coro is a proc coroutine. It outlives the proc: when a body returns or is
+// unwound by the kill sentinel, the coroutine drops the proc and the body,
+// puts itself on idleCoros and yields until Spawn binds it to the next
+// proc. It finishes instead when the list is full, and when a body panics.
+type coro struct {
+	next func() (struct{}, bool)
+	p    *Proc
+	fn   func(*Proc)
+}
+
+func newCoro() *coro {
+	c := &coro{}
+	c.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		for {
+			c.run(yield)
+			c.p, c.fn = nil, nil
+			if len(idleCoros) == maxIdleCoros {
+				return
+			}
+			idleCoros = append(idleCoros, c)
+			// Only a later proc's next resumes it: the proc that just
+			// exited has dropped next and yield.
+			yield(struct{}{})
+		}
+	})
+	return c
+}
+
+// run runs the bound body to its end. It returns when the body returned
+// or was unwound by the kill sentinel; a genuine panic propagates through
+// iter.Pull out of the resuming call, and finishes the coroutine.
+func (c *coro) run(yield func(struct{}) bool) {
+	p := c.p
+	p.yield = yield
+	defer func() {
+		p.done = true
+		p.dead = true
+		p.next, p.yield = nil, nil
+		if r := recover(); r != nil {
+			if _, ok := r.(killSentinel); !ok {
+				panic(r) //lint:allow transitive-panic re-propagating a genuine failure from a simulated process body; iter.Pull carries it out of next to the engine's caller
+			}
+		}
+	}()
+	if p.killed {
+		// Killed before its first instruction ran: unwind without
+		// executing any of the body.
+		panic(killSentinel{}) //lint:allow transitive-panic the kill-unwind mechanism itself: caught by the recover above, never escapes
+	}
+	c.fn(p)
 }
 
 // dispatch hands control to p until its next yield. Runs in engine context.

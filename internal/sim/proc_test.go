@@ -101,8 +101,11 @@ func TestProcPanicPropagatesToRun(t *testing.T) {
 }
 
 // A proc killed before its first dispatch never runs any of its body and
-// is done afterwards.
+// is done afterwards. It runs on a reused coroutine here, which goes back
+// to the idle list.
 func TestKillBeforeFirstDispatch(t *testing.T) {
+	cycleWorld() // at least one idle coroutine for the proc to take
+	idle := len(idleCoros)
 	e := NewEngine()
 	ran := false
 	p := e.Spawn("stillborn", func(*Proc) { ran = true })
@@ -116,6 +119,9 @@ func TestKillBeforeFirstDispatch(t *testing.T) {
 	}
 	if got := e.Stalled(); len(got) != 0 {
 		t.Fatalf("Stalled() = %v after kill", got)
+	}
+	if len(idleCoros) != idle {
+		t.Fatalf("%d idle coroutines after the kill, want %d", len(idleCoros), idle)
 	}
 }
 
