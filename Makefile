@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz manifest gated-coverage gated-coverage-check examples trace-smoke svm app partition chaos meshscale meshscale-smoke bench check clean
+.PHONY: all build test race vet fmt lint fuzz manifest gated-coverage gated-coverage-check examples trace-smoke svm app partition chaos meshscale meshscale-check meshscale-smoke bench check clean
 
 all: build
 
@@ -128,6 +128,15 @@ partition:
 meshscale:
 	$(GO) run ./cmd/shrimpbench -fig meshscale
 
+# meshscale-check runs the same study and compares its stdout byte for byte
+# with the committed results/meshscale_output.txt (about 20 s on a 2-CPU
+# host). CI's chaos job runs it; it is not part of check. A change that
+# moves a cell on purpose regenerates the file with
+# `go run ./cmd/shrimpbench -fig meshscale > results/meshscale_output.txt`.
+meshscale-check:
+	$(GO) run ./cmd/shrimpbench -fig meshscale | cmp results/meshscale_output.txt -
+	@echo "meshscale-check: stdout byte-identical to results/meshscale_output.txt"
+
 # meshscale-smoke is the fast digest-stability gate over tiny geometries
 # (2x2 and 2x2x2, both combining modes); it rides in every `make check`.
 meshscale-smoke:
@@ -153,8 +162,10 @@ bench:
 # check runs every gate CI runs: gofmt, build, vet, lint, race-enabled
 # tests, the gated-coverage floor, the example programs, trace
 # determinism, mesh-scaling digest stability, the chaos soak, and the
-# partition cells. CI also gives the fuzz targets a brief shake (make fuzz)
-# and runs the microbenchmarks; neither is part of check.
+# partition cells. CI also gives the fuzz targets a brief shake (make fuzz),
+# runs the microbenchmarks and compares the full mesh-scaling study with
+# its committed output (make meshscale-check); none of these is part of
+# check.
 check: fmt build vet lint race gated-coverage-check examples trace-smoke meshscale-smoke chaos partition
 
 clean:

@@ -162,8 +162,12 @@ func (m *Machine) AllocFrame() mem.PFN {
 	return f
 }
 
-// FreeFrame returns a frame to the allocator.
-func (m *Machine) FreeFrame(f mem.PFN) { m.freedFrames = append(m.freedFrames, f) }
+// FreeFrame returns a frame to the allocator, dropping its write observer
+// (ObserveWrites) so the frame's next owner is not watched by the last.
+func (m *Machine) FreeFrame(f mem.PFN) {
+	m.Mem.Unobserve(f)
+	m.freedFrames = append(m.freedFrames, f)
+}
 
 // FreeFrames reports how many physical frames remain allocatable.
 func (m *Machine) FreeFrames() int {
@@ -737,6 +741,14 @@ func (p *Process) ReadWord(va VA) uint32 {
 // PeekWord loads a 32-bit word with no time charge.
 func (p *Process) PeekWord(va VA) uint32 { return p.M.Mem.U32(p.mustPA(va)) }
 
+// ObserveWrites installs fn as the write observer of the frame behind the
+// mapped page holding va (see mem.Memory.Observe). The observer stays with
+// the frame until the page is unmapped (FreeFrame drops it), so it is for
+// pinned pages, which never move.
+func (p *Process) ObserveWrites(va VA, fn mem.WriteObserver) {
+	p.M.Mem.Observe(mem.PageOf(p.mustPA(va)), fn)
+}
+
 // WaitWord blocks until pred holds on the word at va and returns the word:
 // WaitPred on the page holding va, with no deadline.
 func (p *Process) WaitWord(va VA, pred func(uint32) bool) uint32 {
@@ -779,9 +791,12 @@ func (p *Process) endWait() { p.waitDepth-- }
 // or until d elapses (d == 0: no deadline). It reports whether pred held;
 // a wait that times out while parked returns false without a final poll.
 // pred is charged one poll-check per evaluation. This is the kernel's one
-// poll loop: the message-passing libraries scan all senders and sleep
-// until something changes, and servers multiplexing memory-mapped streams
-// with control-network ports add their ports' conds as extra. pred must
+// poll loop. A wait on a few flag words passes their pages; servers
+// multiplexing memory-mapped streams with control-network ports add their
+// ports' conds as extra; and NX passes no pages at all, only the readiness
+// cond its write observers (ObserveWrites) broadcast when anything lands
+// in its connections' regions, so a receive joins one cond however many
+// connections it has. pred must
 // test what the caller is waiting for: WaitPred parks only while pred is
 // false, so an always-true pred returns after one PollCheckCost and a loop
 // around it spins instead of waiting (shrimplint's no-spin-wait rule flags

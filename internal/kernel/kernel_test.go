@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -343,6 +344,47 @@ func TestWaitPred(t *testing.T) {
 	e.RunAll()
 	if len(woke) != 1 {
 		t.Fatal("WaitPred never satisfied")
+	}
+}
+
+// ObserveWrites watches the frame behind a mapped page: a CPU store that
+// spans two observed pages reports each page's own page-relative fragment.
+func TestObserveWritesCPUStore(t *testing.T) {
+	e, m := newM(t)
+	var seen [][3]int
+	m.Spawn("p", func(p *Process) {
+		va := p.MapPages(2, 0)
+		for pg := 0; pg < 2; pg++ {
+			p.ObserveWrites(va+VA(pg*hw.Page), func(off, n int) { seen = append(seen, [3]int{pg, off, n}) })
+		}
+		p.WriteBytes(va+hw.Page-6, make([]byte, 10))
+	})
+	e.RunAll()
+	if want := [][3]int{{0, hw.Page - 6, 6}, {1, 0, 4}}; !slices.Equal(seen, want) {
+		t.Fatalf("observers saw %v, want %v", seen, want)
+	}
+}
+
+// Unmapping a page drops its frame's observer: the frame's next mapping
+// is written without calling the observer of the page it used to back.
+func TestUnmapDropsWriteObserver(t *testing.T) {
+	e, m := newM(t)
+	calls := 0
+	m.Spawn("p", func(p *Process) {
+		va := p.MapPages(1, 0)
+		f := mem.PageOf(p.mustPA(va))
+		p.ObserveWrites(va, func(off, n int) { calls++ })
+		p.WriteBytes(va, make([]byte, 4))
+		p.UnmapPages(va, 1)
+		va2 := p.MapPages(1, 0)
+		if g := mem.PageOf(p.mustPA(va2)); g != f {
+			t.Fatalf("remap took frame %d, want the freed frame %d", g, f)
+		}
+		p.WriteBytes(va2, make([]byte, 4))
+	})
+	e.RunAll()
+	if calls != 1 {
+		t.Fatalf("observer called %d times, want 1 (before the unmap only)", calls)
 	}
 }
 

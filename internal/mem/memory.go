@@ -6,7 +6,10 @@
 //     when the watched page changes (the NIC's incoming DMA or a local
 //     store); and
 //   - a snoop hook, so the SHRIMP network interface can observe CPU stores
-//     on the memory bus (the automatic-update mechanism).
+//     on the memory bus (the automatic-update mechanism); and
+//   - write observers, per frame, so a library can note which words of a
+//     page a write covered (NX marks the packet buffers whose size word
+//     may have changed) at the moment the page's watchers are woken.
 //
 // Timing is charged by the callers (CPU model, DMA engines); this package
 // only moves bytes and fires hooks.
@@ -40,6 +43,10 @@ func PageOf(pa PA) PFN { return PFN(pa / hw.Page) }
 
 // Base returns the first address of frame f.
 func (f PFN) Base() PA { return PA(f) * hw.Page }
+
+// WriteObserver is told the page-relative offset and length of each
+// fragment of a Write that lands in its frame (see Observe).
+type WriteObserver func(off, n int)
 
 // SnoopFunc observes a store of data at pa as it appears on the memory bus;
 // tag is the frame's snoop tag (see SetSnooped).
@@ -78,6 +85,11 @@ type Memory struct {
 	// the Xpress bus and watches processor writes; incoming EISA DMA does
 	// not re-enter the outgoing path.
 	snoop SnoopFunc
+
+	// observers holds each frame's write observer, if any; nobs counts
+	// them, so a memory with none never reads the table.
+	observers Sparse[WriteObserver]
+	nobs      int
 }
 
 // pageHooks is one frame's watcher and snoop tag. The tag is the only
@@ -143,6 +155,7 @@ func (m *Memory) Release() {
 		return true
 	})
 	m.frames = Sparse[[]byte]{}
+	m.observers, m.nobs = Sparse[WriteObserver]{}, 0
 	m.size = 0
 }
 
@@ -163,10 +176,12 @@ func (m *Memory) ReadInto(pa PA, b []byte) {
 }
 
 // Write stores b at pa, for a DMA master and the processor alike, and
-// wakes the watchers of every page it touches. A store never reaches the
-// snoop by itself: the kernel presents each store burst to an AU-bound page
-// with PresentToSnoop one cache-to-bus delay after it lands, and DMA writes
-// are never snooped. Frames materialize on their first write.
+// wakes the watchers of every page it touches, each just after telling the
+// page's observer, if any, which of its bytes the write covered. A store
+// never reaches the snoop by itself: the kernel presents each store burst
+// to an AU-bound page with PresentToSnoop one cache-to-bus delay after it
+// lands, and DMA writes are never snooped. Frames materialize on their
+// first write.
 func (m *Memory) Write(pa PA, b []byte) {
 	m.check(pa, len(b))
 	off := 0
@@ -205,12 +220,42 @@ func (m *Memory) PresentToSnoop(pa PA, b []byte) {
 	}
 }
 
+// wake tells each page the write [pa, pa+n) touched: its observer, if
+// any, with the page-relative part of the write, then its watchers. A
+// memory with no observers never reads the observer table.
 func (m *Memory) wake(pa PA, n int) {
 	first, last := PageOf(pa), PageOf(pa+PA(n-1))
 	for f := first; f <= last; f++ {
+		if m.nobs > 0 {
+			if o := m.observers.Get(int(f)); o != nil && *o != nil {
+				lo, hi := max(pa, f.Base()), min(pa+PA(n), f.Base()+hw.Page)
+				(*o)(int(lo-f.Base()), int(hi-lo))
+			}
+		}
 		if h := m.hooks.Get(int(f)); h != nil && h.cond != nil {
 			h.cond.Broadcast()
 		}
+	}
+}
+
+// Observe installs fn (non-nil) as frame f's write observer, replacing any
+// earlier one. The frame need not have been written yet. fn runs in the
+// writer's context once the write's bytes are in place, before the frame's
+// watchers are woken, so it must not wait; it may signal. Release drops
+// every observer.
+func (m *Memory) Observe(f PFN, fn WriteObserver) {
+	o := m.observers.W(int(f))
+	if *o == nil {
+		m.nobs++
+	}
+	*o = fn
+}
+
+// Unobserve drops frame f's write observer, if any: a frame handed back to
+// its allocator must not report a later owner's writes to the old one.
+func (m *Memory) Unobserve(f PFN) {
+	if o := m.observers.Get(int(f)); o != nil && *o != nil {
+		*o, m.nobs = nil, m.nobs-1
 	}
 }
 

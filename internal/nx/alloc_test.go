@@ -1,6 +1,7 @@
 package nx
 
 import (
+	"fmt"
 	"testing"
 
 	"shrimp/internal/cluster"
@@ -137,5 +138,61 @@ func TestCombiningCollectivesAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("%v allocs per Gdsum+Gsync, want 0", allocs)
+	}
+}
+
+// BenchmarkCrecvFanIn times one small-message Crecv(TypeAny) at a receiver
+// that 1, 4 or 16 senders stream to: each receive's scans visit only the
+// packet buffers that have landed, so its cost should barely grow with the
+// number of connections.
+func BenchmarkCrecvFanIn(b *testing.B) {
+	for _, senders := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("senders=%d", senders), func(b *testing.B) { benchFanIn(b, senders) })
+	}
+}
+
+func benchFanIn(b *testing.B, senders int) {
+	const size, warm = 64, 2 * NumPkt // warm: messages per sender
+	nodes := senders + 1
+	c := cluster.New(cluster.Config{MeshDims: []int{nodes}})
+	defer c.Shutdown()
+	finished := 0
+	c.Spawn(0, "recv", func(p *kernel.Process) {
+		nx := New(c, p, 0, nodes, Config{Lazy: true})
+		for s := 1; s <= senders; s++ {
+			nx.Connect(s)
+		}
+		buf := p.Alloc(size, hw.WordSize)
+		for i := 0; i < warm*senders; i++ {
+			nx.Crecv(TypeAny, buf, size)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			nx.Crecv(TypeAny, buf, size)
+		}
+		b.StopTimer()
+		nx.Drain()
+		finished++
+	})
+	for s := 1; s <= senders; s++ {
+		s := s
+		c.Spawn(s, "send", func(p *kernel.Process) {
+			nx := New(c, p, s, nodes, Config{Lazy: true})
+			buf := fill(p, size, int64(s))
+			count := warm + b.N/senders
+			if s <= b.N%senders {
+				count++
+			}
+			for i := 0; i < count; i++ {
+				nx.Csend(1, buf, size, 0, 0)
+			}
+			nx.Drain()
+			finished++
+		})
+	}
+	c.Run()
+	if finished != nodes {
+		b.Fatalf("only %d/%d processes finished", finished, nodes)
 	}
 }

@@ -66,6 +66,10 @@ const (
 	MaxZC = 8
 )
 
+// A conn's maybe mask holds one bit per packet buffer: this fails to
+// compile if NumPkt outgrows its uint32.
+const _ = uint32(1) << (NumPkt - 1)
+
 // Descriptor flag bits.
 const (
 	flagScout  = 1 << iota // zero-copy announcement; fullSize = total bytes

@@ -32,6 +32,7 @@ import (
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
 	"shrimp/internal/mesh"
+	"shrimp/internal/sim"
 	"shrimp/internal/trace"
 	"shrimp/internal/vmmc"
 )
@@ -114,15 +115,15 @@ type NX struct {
 
 	conns map[int]*conn
 	// connList holds the same connections in ascending peer order. Every
-	// scan over all connections (matching, credit flush, wake address
-	// collection) walks this list: iterating the map would randomize the
-	// scan order and with it the per-word costs charged, breaking
-	// run-to-run determinism.
+	// scan over all connections (matching, credit flush) walks this list:
+	// iterating the map would randomize the scan order and with it the
+	// per-word costs charged, breaking run-to-run determinism.
 	connList []*conn
-	// wake holds one address per page of every incoming region, in
-	// connList order: what the blocking receive paths watch. Rebuilt
-	// whenever a connection joins; the regions never move.
-	wake []kernel.VA
+	// arrived holds one cond, broadcast whenever a write lands in any
+	// page of any incoming region (see landed): what the blocking library
+	// calls wait on. A one-element array, so a wait passes arrived[:]
+	// without allocating.
+	arrived [1]*sim.Cond
 
 	// Last-received message info (infocount and friends).
 	lastCount, lastType, lastNode, lastPid int
@@ -191,11 +192,17 @@ type conn struct {
 	out       *vmmc.Import
 	outShadow kernel.VA
 
-	// in is the locally-exported region the peer writes (peer->me);
-	// inPages holds one address per page of it, for blocking polls.
-	in      kernel.VA
-	inPages []kernel.VA
-	inExp   *vmmc.Export
+	// in is the locally-exported region the peer writes (peer->me).
+	in    kernel.VA
+	inExp *vmmc.Export
+	// maybe has bit i set when a write may have made packet buffer i's
+	// size word nonzero. Invariant: bit clear => size word zero, so the
+	// scans (find, findChunk) visit only the set bits. landed sets bits;
+	// a scan that reads a zero size word clears its bit, as does release.
+	maybe uint32
+	// arrived is broadcast whenever a write lands in any page of in: what
+	// waitChunk waits on (the same one-element form as NX.arrived).
+	arrived [1]*sim.Cond
 
 	// staging is a word-aligned marshal area for DU sends.
 	staging kernel.VA
@@ -254,6 +261,7 @@ func New(c *cluster.Cluster, p *kernel.Process, node, nnodes int, cfg Config) *N
 		tc:        p.M.Trace,
 		track:     p.M.TraceNode + "/nx",
 	}
+	nx.arrived[0] = sim.NewCond(p.M.Eng)
 	nx.scratch = p.Alloc(64, hw.WordSize)
 	if c.Mesh.CombiningEnabled() && nnodes == c.Mesh.Nodes() {
 		nx.comb = c.Mesh
@@ -286,9 +294,10 @@ func (nx *NX) exportHalf(peer int) *conn {
 	p := nx.proc()
 	cn := &conn{peer: peer}
 	cn.in = p.MapPages(regionPages, 0)
-	cn.inPages = make([]kernel.VA, regionPages)
-	for pg := range cn.inPages {
-		cn.inPages[pg] = cn.in + kernel.VA(pg*hw.Page)
+	cn.arrived[0] = sim.NewCond(p.M.Eng)
+	for pg := 0; pg < regionPages; pg++ {
+		base := pg * hw.Page
+		p.ObserveWrites(cn.in+kernel.VA(base), func(off, n int) { nx.landed(cn, base+off, n) })
 	}
 	exp, err := nx.ep.Export(cn.in, regionPages, vmmc.ExportOpts{
 		Name:    regionName(peer, nx.node),
@@ -316,11 +325,26 @@ func (nx *NX) exportHalf(peer int) *conn {
 	nx.connList = append(nx.connList, nil)
 	copy(nx.connList[at+1:], nx.connList[at:])
 	nx.connList[at] = cn
-	nx.wake = nx.wake[:0]
-	for _, c := range nx.connList {
-		nx.wake = append(nx.wake, c.inPages...)
-	}
 	return cn
+}
+
+// landed is the write observer of cn's incoming region: a write covered
+// region bytes [off, off+n). It sets the maybe bit of every packet buffer
+// whose size word the write touched and wakes the waits on the region.
+func (nx *NX) landed(cn *conn, off, n int) {
+	// Buffer i's size word is region bytes [pktOff(i), pktOff(i)+4); lo
+	// and hi bound the write relative to pktOff(0).
+	if lo, hi := off-pktBase, off+n-pktBase; hi > 0 {
+		first := 0
+		if lo >= 4 {
+			first = (lo-4)/PktSize + 1
+		}
+		for i := first; i <= min((hi-1)/PktSize, NumPkt-1); i++ {
+			cn.maybe |= 1 << i
+		}
+	}
+	nx.arrived[0].Broadcast()
+	cn.arrived[0].Broadcast()
 }
 
 // importHalf completes the connection: import the peer's matching export
@@ -459,25 +483,29 @@ func (nx *NX) Drain() {
 		if len(nx.pendingZC) == 0 {
 			break
 		}
-		p.WaitPred(nx.wake, nil, 0, func() bool { return nx.pendingActionable() })
+		p.WaitPred(nil, nx.arrived[:], 0, func() bool { return nx.pendingActionable() })
 	}
 	nx.flushAllCredits()
 }
 
 // flushCredits stamps all consumed-but-uncredited buffers into the credit
-// ring (via automatic update, as control traffic).
+// ring (via automatic update, as control traffic). Each credit's buffer and
+// ring slot are claimed before its store, which sleeps: a doorbell that
+// interrupts the store runs flushCredits again, and that nested flush must
+// stamp only the credits not yet claimed, in the next slots.
 func (nx *NX) flushCredits(cn *conn) {
 	p := nx.proc()
 	if len(cn.pendingCred) > 0 {
 		nx.Stats.CreditFlushes++
 		nx.tc.Count(nx.track, "credit.flush", 1)
 	}
-	for _, bufIdx := range cn.pendingCred {
+	for len(cn.pendingCred) > 0 {
+		bufIdx := cn.pendingCred[0]
+		cn.pendingCred = cn.pendingCred[:copy(cn.pendingCred, cn.pendingCred[1:])]
 		k := cn.creditsGiven
-		cn.shadowWriteWord(p, creditOff(k), uint32(k+1)<<8|uint32(bufIdx))
 		cn.creditsGiven++
+		cn.shadowWriteWord(p, creditOff(k), uint32(k+1)<<8|uint32(bufIdx))
 	}
-	cn.pendingCred = cn.pendingCred[:0]
 }
 
 // acquireBuf takes a free packet buffer for sending to cn's peer, blocking

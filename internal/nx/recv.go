@@ -2,6 +2,7 @@ package nx
 
 import (
 	"fmt"
+	"math/bits"
 
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
@@ -31,7 +32,7 @@ func (nx *NX) Crecv(typesel int, buf kernel.VA, count int) int {
 			return nx.consume(m, buf, count)
 		}
 		nx.flushAllCredits()
-		p.WaitPred(nx.wake, nil, 0, func() bool {
+		p.WaitPred(nil, nx.arrived[:], 0, func() bool {
 			_, ok := nx.find(typesel, false)
 			return ok || nx.pendingActionable()
 		})
@@ -45,7 +46,7 @@ func (nx *NX) Cprobe(typesel int) {
 	p.Compute(hw.CallCost)
 	for !nx.probe(typesel) {
 		nx.flushAllCredits()
-		p.WaitPred(nx.wake, nil, 0, func() bool {
+		p.WaitPred(nil, nx.arrived[:], 0, func() bool {
 			_, ok := nx.find(typesel, false)
 			return ok || nx.pendingActionable()
 		})
@@ -125,7 +126,7 @@ func (nx *NX) Msgwait(id ID) {
 	p.Compute(hw.CallCost)
 	for !nx.Msgdone(id) {
 		nx.flushAllCredits()
-		p.WaitPred(nx.wake, nil, 0, func() bool { return nx.ready(id) || nx.pendingActionable() })
+		p.WaitPred(nil, nx.arrived[:], 0, func() bool { return nx.ready(id) || nx.pendingActionable() })
 	}
 }
 
@@ -161,16 +162,14 @@ func (nx *NX) serviceRecv(r *postedRecv) {
 // chunks are never matched directly) it takes the lowest sequence number,
 // ties going to the lower peer; only when none matches does it fall back
 // to the oldest self-addressed message of the type. touch charges the scan
-// (see slot); the wake predicates call it uncharged.
+// (see slot); the wake predicates call it uncharged. It visits only the
+// buffers next returns, which are exactly those a scan of all NumPkt
+// would find holding a nonzero size word.
 func (nx *NX) find(typesel int, touch bool) (candidate, bool) {
-	p := nx.proc()
 	var best candidate
 	found := false
 	for _, cn := range nx.connList {
-		for buf := 0; buf < NumPkt; buf++ {
-			if cn.inWord(p, pktOff(buf)) == 0 {
-				continue // free (see slot)
-			}
+		for buf := nx.next(cn, -1); buf >= 0; buf = nx.next(cn, buf) {
 			h, ok := nx.slot(cn, buf, touch)
 			if !ok || h.flags&(flagCont|flagZCData) != 0 || (typesel != TypeAny && h.typ != typesel) {
 				continue
@@ -192,14 +191,31 @@ func (nx *NX) find(typesel int, touch bool) (candidate, bool) {
 	return candidate{}, false
 }
 
+// next returns the lowest packet buffer of cn above after whose size word
+// is nonzero, or -1. It reads cn.maybe afresh on every call, because a
+// charged slot sleeps and more messages may land meanwhile, and it clears
+// the bit of each buffer it finds free on the way. A free buffer costs the
+// scans nothing in virtual time: polling a size word that is still zero is
+// not charged.
+func (nx *NX) next(cn *conn, after int) int {
+	p := nx.proc()
+	for m := cn.maybe &^ (1<<uint(after+1) - 1); m != 0; {
+		buf := bits.TrailingZeros32(m)
+		if cn.inWord(p, pktOff(buf)) != 0 {
+			return buf
+		}
+		cn.maybe &^= 1 << buf
+		m &^= 1 << buf
+	}
+	return -1
+}
+
 // slot reads packet buffer buf of cn's incoming region. It returns the
 // buffer's descriptor only once a message has wholly landed there: the size
 // word is set, the descriptor decodes as valid, and the trailing done word
-// matches. The caller has seen a nonzero size word: the scans skip a free
-// buffer with one uncharged peek, because they run at every wake and a
-// call per free buffer cost paper-sweep about 15% of its host time. With
-// touch, one word-touch is charged for the descriptor read (it is cached
-// after the size-word poll).
+// matches. The caller has seen a nonzero size word (see next). With touch,
+// one word-touch is charged for the descriptor read (it is cached after the
+// size-word poll).
 func (nx *NX) slot(cn *conn, buf int, touch bool) (hdr, bool) {
 	p := nx.proc()
 	off := pktOff(buf)
@@ -275,6 +291,8 @@ func (nx *NX) release(cn *conn, buf, size int) {
 	off := pktOff(buf)
 	p.WriteWord(cn.in+kernel.VA(off), 0)
 	p.WriteWord(cn.in+kernel.VA(doneOff(off, size)), 0)
+	// The size word is zero, and stays so until the peer gets the credit.
+	cn.maybe &^= 1 << buf
 	cn.pendingCred = append(cn.pendingCred, buf)
 	if len(cn.pendingCred) >= NumPkt/4 {
 		nx.flushCredits(cn)
@@ -290,7 +308,7 @@ func (nx *NX) waitChunk(cn *conn, flag uint32, msgID uint32, idx int) candidate 
 			return m
 		}
 		nx.flushAllCredits()
-		p.WaitPred(cn.inPages, nil, 0, func() bool {
+		p.WaitPred(nil, cn.arrived[:], 0, func() bool {
 			_, ok := nx.findChunk(cn, flag, msgID, idx, false)
 			return ok
 		})
@@ -301,11 +319,7 @@ func (nx *NX) waitChunk(cn *conn, flag uint32, msgID uint32, idx int) candidate 
 // the given flag. touch charges the scan (see slot); the wake predicate
 // calls it uncharged.
 func (nx *NX) findChunk(cn *conn, flag uint32, msgID uint32, idx int, touch bool) (candidate, bool) {
-	p := nx.proc()
-	for buf := 0; buf < NumPkt; buf++ {
-		if cn.inWord(p, pktOff(buf)) == 0 {
-			continue // free (see slot)
-		}
+	for buf := nx.next(cn, -1); buf >= 0; buf = nx.next(cn, buf) {
 		h, ok := nx.slot(cn, buf, touch)
 		if ok && h.flags&flag != 0 && h.msgID == msgID && h.fullSize == idx {
 			return candidate{cn: cn, buf: buf, h: h, node: cn.peer}, true

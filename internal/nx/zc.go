@@ -69,7 +69,7 @@ func (nx *NX) zcStart(zs *zcSend, cn *conn, typ int, userVA kernel.VA, n, pid in
 	// done rings are finite).
 	for cn.zcOut >= MaxZC {
 		nx.servicePending()
-		p.WaitPred(nx.wake, nil, 0, func() bool { return cn.zcOut < MaxZC || nx.pendingActionable() })
+		p.WaitPred(nil, nx.arrived[:], 0, func() bool { return cn.zcOut < MaxZC || nx.pendingActionable() })
 	}
 	seq := cn.zcSendSeq
 	cn.zcSendSeq++
@@ -277,7 +277,7 @@ func (nx *NX) drainPending(cn *conn) {
 		if !busy {
 			return
 		}
-		p.WaitPred(nx.wake, nil, 0, nx.pendingActionable)
+		p.WaitPred(nil, nx.arrived[:], 0, nx.pendingActionable)
 	}
 }
 
@@ -343,7 +343,7 @@ func (nx *NX) zcRecv(m candidate, buf kernel.VA, count int) int {
 	done := cn.in + kernel.VA(zcDoneSlot(seq))
 	for len(nx.pendingZC) > 0 && p.PeekWord(done) != seq+1 {
 		nx.servicePending()
-		p.WaitPred(nx.wake, nil, 0, func() bool { return p.PeekWord(done) == seq+1 || nx.pendingActionable() })
+		p.WaitPred(nil, nx.arrived[:], 0, func() bool { return p.PeekWord(done) == seq+1 || nx.pendingActionable() })
 	}
 	p.WaitWord(done, func(v uint32) bool { return v == seq+1 })
 
