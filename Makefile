@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz manifest gated-coverage gated-coverage-check examples trace-smoke svm app partition chaos meshscale meshscale-check meshscale-smoke bench check clean
+.PHONY: all build test race vet fmt lint fuzz manifest gated-coverage gated-coverage-check examples trace-smoke svm app partition chaos meshscale meshscale-check meshscale-smoke app-check bench check clean
 
 all: build
 
@@ -113,6 +113,16 @@ app:
 	$(GO) test ./internal/app/...
 	$(GO) run ./cmd/shrimpbench -fig app
 
+# app-check runs the serving acceptance scenario and compares its stdout
+# byte for byte with the committed results/app_output.txt (about 10 s on a
+# 2-CPU host). It is the one gate on the serving run's far timers and
+# cancels. CI's chaos job runs it; it is not part of check. A change that
+# moves the run on purpose regenerates the file with
+# `go run ./cmd/shrimpbench -fig app > results/app_output.txt`.
+app-check:
+	$(GO) run ./cmd/shrimpbench -fig app | cmp results/app_output.txt -
+	@echo "app-check: stdout byte-identical to results/app_output.txt"
+
 # partition runs the link-partition cells standalone: minority group,
 # isolated primary, asymmetric cut, flapping link — each severed and
 # healed mid-load, with epoch-fence counters, quorum-veto counts, and
@@ -164,8 +174,8 @@ bench:
 # determinism, mesh-scaling digest stability, the chaos soak, and the
 # partition cells. CI also gives the fuzz targets a brief shake (make fuzz),
 # runs the microbenchmarks and compares the full mesh-scaling study with
-# its committed output (make meshscale-check); none of these is part of
-# check.
+# its committed output (make meshscale-check), and the serving run with
+# its own (make app-check); none of these is part of check.
 check: fmt build vet lint race gated-coverage-check examples trace-smoke meshscale-smoke chaos partition
 
 clean:

@@ -239,9 +239,11 @@ func (d *Daemon) onFault(data any) {
 }
 
 func (d *Daemon) onNotify(data any) {
-	n := data.(nic.Notify)
-	if t, ok := n.Tag.(Notifiable); ok && t != nil {
-		t.NotifyArrival(int(n.Src))
+	n := data.(*nic.Notify)
+	tag, src := n.Tag, n.Src
+	n.Release()
+	if t, ok := tag.(Notifiable); ok && t != nil {
+		t.NotifyArrival(int(src))
 	}
 }
 

@@ -114,6 +114,13 @@ type Machine struct {
 	// small free list absorbs the entire per-store allocation churn.
 	segPool []*auSegment
 	irq     map[int]func(data any)
+	// irqQ holds raised interrupts until their handlers run, from
+	// irqHead on; runIRQ, built at the first interrupt, runs the head one.
+	// Every interrupt posts runIRQ InterruptCost after it is raised, so
+	// they fire in the order they were raised.
+	irqQ    []irqRec
+	irqHead int
+	runIRQ  func()
 	procs   []*Process // every process spawned, for Crash
 	dead    bool       // node crashed: interrupts are dropped
 
@@ -144,6 +151,12 @@ func NewMachine(id int, eng *sim.Engine, memBytes int) *Machine {
 		nextFrame: 1,
 	}
 	return m
+}
+
+// irqRec is one raised interrupt waiting for its handler.
+type irqRec struct {
+	fn   func(any)
+	data any
 }
 
 // AllocFrame takes a free physical frame: the most recently freed one if
@@ -193,7 +206,20 @@ func (m *Machine) RaiseIRQ(vector int, data any) {
 	if m.Trace != nil {
 		m.Trace.Count(m.TraceNode+"/kernel", "irq", 1)
 	}
-	m.Eng.Post(hw.InterruptCost, func() { fn(data) })
+	if m.runIRQ == nil {
+		m.runIRQ = func() {
+			r := m.irqQ[m.irqHead]
+			m.irqQ[m.irqHead] = irqRec{}
+			m.irqHead++
+			if m.irqHead == len(m.irqQ) {
+				m.irqQ = m.irqQ[:0]
+				m.irqHead = 0
+			}
+			r.fn(r.data)
+		}
+	}
+	m.irqQ = append(m.irqQ, irqRec{fn, data})
+	m.Eng.Post(hw.InterruptCost, m.runIRQ)
 }
 
 // Process is a user process on a node.
@@ -214,6 +240,9 @@ type Process struct {
 	sigQueue []any               // queued, undelivered signals' data
 	onSignal func(*Process, any) // the process's one signal handler
 	blocked  bool                // signals blocked (queued, not delivered)
+	// sigRun is the interrupt a delivery queues, built at the first: it
+	// charges the delivery cost and drains the queue.
+	sigRun func(*sim.Proc)
 
 	faultFn    func(*Process, PageFault)
 	faultDepth int
@@ -850,16 +879,22 @@ func (p *Process) Deliver(data any) {
 	if p.blocked || p.exited {
 		return
 	}
-	p.P.Interrupt(func(sp *sim.Proc) {
-		sp.Sleep(hw.SignalDeliveryCost)
-		p.drainSignals()
-	})
+	if p.sigRun == nil {
+		p.sigRun = func(sp *sim.Proc) {
+			sp.Sleep(hw.SignalDeliveryCost)
+			p.drainSignals()
+		}
+	}
+	p.P.Interrupt(p.sigRun)
 }
 
 func (p *Process) drainSignals() {
 	for !p.blocked && len(p.sigQueue) > 0 {
+		// Shift rather than reslice, so the queue keeps its capacity.
 		data := p.sigQueue[0]
-		p.sigQueue = p.sigQueue[1:]
+		n := copy(p.sigQueue, p.sigQueue[1:])
+		p.sigQueue[n] = nil
+		p.sigQueue = p.sigQueue[:n]
 		if p.onSignal != nil {
 			p.onSignal(p, data)
 		}

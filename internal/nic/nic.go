@@ -48,11 +48,23 @@ type ProtectionFault struct {
 	Forced bool
 }
 
-// Notify is the data handed to the VecNotify IRQ handler.
+// Notify is the data handed to the VecNotify IRQ handler, by pointer. The
+// record belongs to the NIC that raised it: the handler calls Release once
+// it has read the fields, and the NIC reuses it for a later notification.
 type Notify struct {
 	Frame mem.PFN
 	Tag   any // receiver-side tag installed with SetIPT (the export)
 	Src   mesh.NodeID
+	nic   *NIC
+}
+
+// Release hands the record back to its NIC. A second Release, or one of a
+// record no NIC raised, does nothing.
+func (nt *Notify) Release() {
+	if n := nt.nic; n != nil {
+		*nt = Notify{}
+		n.freeNotes = append(n.freeNotes, nt)
+	}
 }
 
 // OPTEntry is one outgoing page-table entry: a binding to a remote page.
@@ -119,6 +131,9 @@ type NIC struct {
 	M   *kernel.Machine
 	Net *mesh.Network
 	ID  mesh.NodeID
+
+	// freeNotes holds released Notify records for the next VecNotify.
+	freeNotes []*Notify
 
 	// opt is the outgoing page table and optUsed its AllocOPT
 	// reservations. Both grow on demand, in step, up to optCap entries:
@@ -689,7 +704,14 @@ func (n *NIC) finishIncoming() {
 			n.M.Eng.Post(hw.FastNotifyPost, func() { n.FastNotifyHook(tag, src) })
 		} else {
 			n.M.Trace.Count(n.track, "notify.irq", 1)
-			n.M.RaiseIRQ(VecNotify, Notify{Frame: frame, Tag: entry.Tag, Src: src})
+			var nt *Notify
+			if k := len(n.freeNotes) - 1; k >= 0 {
+				nt, n.freeNotes = n.freeNotes[k], n.freeNotes[:k]
+			} else {
+				nt = new(Notify)
+			}
+			*nt = Notify{Frame: frame, Tag: entry.Tag, Src: src, nic: n}
+			n.M.RaiseIRQ(VecNotify, nt)
 		}
 	}
 	n.inPkt = nil

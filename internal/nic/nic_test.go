@@ -348,7 +348,7 @@ func TestNotificationNeedsBothFlags(t *testing.T) {
 		r.n1.SetIPT(destFrame, IPTEntry{Enable: true, Interrupt: c.receiverFlag, Tag: "exp"})
 		got := false
 		r.m1.RegisterIRQ(VecNotify, func(data any) {
-			n := data.(Notify)
+			n := data.(*Notify)
 			if n.Tag != "exp" {
 				t.Errorf("tag = %v", n.Tag)
 			}

@@ -2,6 +2,7 @@ package nx
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"shrimp/internal/cluster"
@@ -151,7 +152,12 @@ func BenchmarkCrecvFanIn(b *testing.B) {
 	}
 }
 
-func benchFanIn(b *testing.B, senders int) {
+// fanIn streams 64 B messages from senders nodes to a receiver on node 0.
+// The receiver warms up with two rounds of every sender's packet buffers,
+// then hands its Crecv(TypeAny) to measure, which must call it exactly
+// rounds times.
+func fanIn(t testing.TB, senders, rounds int, measure func(p *kernel.Process, recv func())) {
+	t.Helper()
 	const size, warm = 64, 2 * NumPkt // warm: messages per sender
 	nodes := senders + 1
 	c := cluster.New(cluster.Config{MeshDims: []int{nodes}})
@@ -163,15 +169,11 @@ func benchFanIn(b *testing.B, senders int) {
 			nx.Connect(s)
 		}
 		buf := p.Alloc(size, hw.WordSize)
+		recv := func() { nx.Crecv(TypeAny, buf, size) }
 		for i := 0; i < warm*senders; i++ {
-			nx.Crecv(TypeAny, buf, size)
+			recv()
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			nx.Crecv(TypeAny, buf, size)
-		}
-		b.StopTimer()
+		measure(p, recv)
 		nx.Drain()
 		finished++
 	})
@@ -180,8 +182,8 @@ func benchFanIn(b *testing.B, senders int) {
 		c.Spawn(s, "send", func(p *kernel.Process) {
 			nx := New(c, p, s, nodes, Config{Lazy: true})
 			buf := fill(p, size, int64(s))
-			count := warm + b.N/senders
-			if s <= b.N%senders {
+			count := warm + rounds/senders
+			if s <= rounds%senders {
 				count++
 			}
 			for i := 0; i < count; i++ {
@@ -193,6 +195,47 @@ func benchFanIn(b *testing.B, senders int) {
 	}
 	c.Run()
 	if finished != nodes {
-		b.Fatalf("only %d/%d processes finished", finished, nodes)
+		t.Fatalf("only %d/%d processes finished", finished, nodes)
+	}
+}
+
+func benchFanIn(b *testing.B, senders int) {
+	fanIn(b, senders, b.N, func(_ *kernel.Process, recv func()) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			recv()
+		}
+		b.StopTimer()
+	})
+}
+
+// A lone sender outruns the receiver, runs out of credits and rings the
+// receiver's doorbell: a notifying transfer, an interrupt, a signal and
+// the notification handler. That path allocates nothing. The count is per
+// doorbell rather than per receive, so one allocation per doorbell cannot
+// round away; the few allocations left in the window are pools and queues
+// still growing by doubling, far fewer than the doorbells.
+func TestDoorbellAllocFree(t *testing.T) {
+	const rounds = 400
+	var mallocs uint64
+	var irqs int64
+	fanIn(t, 1, rounds, func(p *kernel.Process, recv func()) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		irq := p.M.IRQRaised
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			recv()
+		}
+		runtime.ReadMemStats(&after)
+		mallocs, irqs = after.Mallocs-before.Mallocs, p.M.IRQRaised-irq
+	})
+	t.Logf("%d allocations, %d doorbells in %d receives", mallocs, irqs, rounds)
+	if irqs < rounds/8 {
+		t.Fatalf("only %d doorbells in %d receives", irqs, rounds)
+	}
+	if mallocs >= uint64(irqs)/8 {
+		t.Fatalf("%d allocations for %d doorbells, want fewer than one per 8", mallocs, irqs)
 	}
 }

@@ -150,25 +150,39 @@ func BenchmarkProcSleep(b *testing.B) {
 	}
 }
 
-// BenchmarkEventQueueMixed holds the heap at a steady depth with seeded
-// random deltas, so every push and pop sifts, and every eighth firing
-// re-arms one of the depth/8 timers, which removes it from the middle of
-// the heap. Depths 20 and 70 are the mean queue depths of the kv and mesh
-// workloads. One op is one fired event.
+// BenchmarkEventQueueMixed holds the queue at a steady depth with seeded
+// random deltas of 1-1000 ns, and every eighth firing re-arms one of the
+// depth/8 timers 10-10000 ns out, which removes it from the middle of its
+// store. Depths 20 and 70 are the mean queue depths of the kv and mesh
+// workloads. far adds kv-read's deadline shape to depth 20: every firing
+// re-arms one of 16 timers 4 ms out, cancelling the one armed 16 firings
+// before. sparse is depth 3, a paper-sweep ping-pong's. One op is one fired
+// event.
 func BenchmarkEventQueueMixed(b *testing.B) {
-	for _, depth := range []int{20, 70} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		depth int
+		far   bool
+	}{{"depth=20", 20, false}, {"depth=70", 70, false}, {"far", 20, true}, {"sparse", 3, false}} {
+		b.Run(bc.name, func(b *testing.B) {
 			e := NewEngine()
-			x := uint64(depth) // xorshift state
+			x := uint64(bc.depth) // xorshift state
 			delta := func() time.Duration {
 				x ^= x << 13
 				x ^= x >> 7
 				x ^= x << 17
 				return time.Duration(1 + x%1000)
 			}
-			timers := make([]*Timer, depth/8)
+			timers := make([]*Timer, max(bc.depth/8, 1))
 			for i := range timers {
 				timers[i] = e.Schedule(10*delta(), func() {})
+			}
+			var deadlines []*Timer
+			if bc.far {
+				deadlines = make([]*Timer, 16)
+				for i := range deadlines {
+					deadlines[i] = e.Schedule(4*time.Millisecond, func() {})
+				}
 			}
 			fired := 0
 			var fn func()
@@ -180,9 +194,12 @@ func BenchmarkEventQueueMixed(b *testing.B) {
 				if fired%8 == 0 {
 					timers[fired/8%len(timers)].Reset(10 * delta())
 				}
+				if deadlines != nil {
+					deadlines[fired%len(deadlines)].Reset(4 * time.Millisecond)
+				}
 				e.Post(delta(), fn)
 			}
-			for i := len(timers); i < depth; i++ {
+			for i := len(timers); i < bc.depth; i++ {
 				e.Post(delta(), fn)
 			}
 			b.ReportAllocs()

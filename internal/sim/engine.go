@@ -19,15 +19,26 @@
 //     simulation and execution order is fully deterministic.
 //
 // The event core is performance-engineered for wall-clock speed without
-// giving up one bit of determinism (see DESIGN.md "Wall-clock performance"):
-// the queue is a concrete 4-ary min-heap whose slots carry the (time, seq)
-// key inline, so a comparison never leaves the slot array; events are
-// recycled on a free list instead of allocated per Schedule; canceled timers
-// are removed from the heap eagerly rather than riding to their deadline;
-// and events scheduled for the current instant bypass the heap on a FIFO
-// that preserves the exact (time, seq) firing order the heap would have
-// produced. seq is unique, so (time, seq) is a strict total order: any
-// correct priority queue fires events in exactly the same order.
+// giving up one bit of determinism (see DESIGN.md "Wall-clock performance").
+// Pending events live in one of three stores, chosen once when an event is
+// posted:
+//
+//   - an event for the current instant goes on a FIFO;
+//   - an event due less than wheelSpan (65.536 µs) after the start of the
+//     current instant's 512 ns bucket goes on a timing wheel of 128 such
+//     buckets, each a list sorted by (time, seq);
+//   - anything later goes into a concrete 4-ary min-heap whose slots carry
+//     the (time, seq) key inline, so a comparison never leaves the slot
+//     array.
+//
+// Nearly every event is due within the wheel's span, so most events never
+// sift through the heap. A pop takes the earlier of the wheel's head and
+// the heap's top; FIFO entries carry larger seqs than any wheel or heap
+// event at the same instant, so those drain first. seq is unique, so
+// (time, seq) is a strict total order: any correct priority queue, and so
+// this one, fires events in exactly the same order. Events are recycled on
+// a free list instead of allocated per Schedule, and canceled timers are
+// unlinked eagerly rather than riding to their deadline.
 //
 // A Proc.Sleep whose wake nothing could precede fires that wake in place:
 // when no live current-instant entry is queued, the heap top lies strictly
@@ -42,6 +53,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 )
 
@@ -73,6 +86,8 @@ type event struct {
 	fn  func()
 	// index is the event's heap position, or one of the sentinels below.
 	index int
+	// next links a wheel event to the next one in its bucket.
+	next *event
 	// gen increments every time the event is recycled; Timer handles
 	// remember the generation they were issued against.
 	gen uint64
@@ -82,6 +97,7 @@ type event struct {
 const (
 	indexFired = -1 // popped for execution (or freshly recycled)
 	indexNowQ  = -2 // waiting in the current-instant FIFO
+	indexWheel = -3 // waiting in a wheel bucket
 )
 
 // Timer is a handle to a scheduled event that can be canceled or re-armed.
@@ -109,8 +125,7 @@ func (t *Timer) Stop() bool {
 
 // Pending reports whether the timer is still scheduled to fire.
 func (t *Timer) Pending() bool {
-	return t != nil && t.ev != nil && t.ev.gen == t.gen &&
-		(t.ev.index >= 0 || t.ev.index == indexNowQ)
+	return t != nil && t.ev != nil && t.ev.gen == t.gen && t.ev.index != indexFired
 }
 
 // Reset re-arms the timer to fire d from now with its original callback,
@@ -158,9 +173,35 @@ func (e *Engine) push(ev *event) {
 	e.siftUp(len(e.queue)-1, heapEnt{at: ev.at, seq: ev.seq, ev: ev})
 }
 
-// pop removes and returns the earliest heap event. The heap must be
-// non-empty.
+// pop removes and returns the earlier of the wheel's head and the heap's
+// top, comparing (at, seq), or nil when both are empty.
 func (e *Engine) pop() *event {
+	if e.wheelLen == 0 {
+		if len(e.queue) == 0 {
+			return nil
+		}
+		return e.popHeap()
+	}
+	bk := &e.wheel[e.wheelBkt]
+	ev := bk.head
+	if len(e.queue) > 0 {
+		if h := &e.queue[0]; h.at < ev.at || (h.at == ev.at && h.seq < ev.seq) {
+			return e.popHeap()
+		}
+	}
+	bk.head = ev.next
+	if ev.next == nil {
+		bk.tail = nil
+	}
+	ev.next = nil
+	ev.index = indexFired
+	e.wheelLen--
+	e.wheelSettle(e.wheelBkt)
+	return ev
+}
+
+// popHeap removes and returns the heap's top. The heap must be non-empty.
+func (e *Engine) popHeap() *event {
 	ev := e.queue[0].ev
 	e.removeAt(0)
 	return ev
@@ -227,18 +268,129 @@ func (e *Engine) siftDown(i int, x heapEnt) {
 	x.ev.index = i
 }
 
+// The near-future timing wheel: wheelBuckets buckets of 1<<wheelShift ns
+// each. An event is routed to the wheel when it is due less than wheelSpan
+// after the start of the current instant's bucket. Time only moves forward,
+// so every wheel event then stays within one lap of now's bucket: bucket b
+// holds only events of one 512 ns window, and the first non-empty bucket
+// at or after now's, wrapping round, holds the earliest event.
+const (
+	wheelShift   = 9
+	wheelBuckets = 128
+	wheelMask    = wheelBuckets - 1
+	wheelSpan    = Time(wheelBuckets << wheelShift)
+)
+
+// maxTime is wheelMin while the wheel is empty: no event lies after it.
+const maxTime = Time(math.MaxInt64)
+
+// wheelArray is the wheel's buckets. Each is a list sorted by (at, seq),
+// linked through event.next from head to tail.
+type wheelArray [wheelBuckets]struct{ head, tail *event }
+
+// wheelAdd links ev into its bucket and updates the earliest-bucket cache.
+// ev carries the largest seq yet, so it goes after every event due at or
+// before it: at the tail, unless the bucket holds a later event.
+func (e *Engine) wheelAdd(ev *event) {
+	b := int(ev.at>>wheelShift) & wheelMask
+	bk := &e.wheel[b]
+	ev.index = indexWheel
+	switch t := bk.tail; {
+	case t == nil:
+		bk.head, bk.tail = ev, ev
+		e.wheelBits[b>>6] |= 1 << (b & 63)
+	case t.at <= ev.at:
+		t.next = ev
+		bk.tail = ev
+	default:
+		// The tail is due after ev, so the walk stops at or before it.
+		p := &bk.head
+		for (*p).at <= ev.at {
+			p = &(*p).next
+		}
+		ev.next = *p
+		*p = ev
+	}
+	e.wheelLen++
+	if ev.at < e.wheelMin {
+		e.wheelMin, e.wheelBkt = ev.at, b
+	}
+}
+
+// wheelRemove unlinks a canceled wheel event from its bucket.
+func (e *Engine) wheelRemove(ev *event) {
+	b := int(ev.at>>wheelShift) & wheelMask
+	bk := &e.wheel[b]
+	var prev *event
+	for cur := bk.head; cur != ev; cur = cur.next {
+		prev = cur
+	}
+	if prev == nil {
+		bk.head = ev.next
+	} else {
+		prev.next = ev.next
+	}
+	if bk.tail == ev {
+		bk.tail = prev
+	}
+	ev.next = nil
+	e.wheelLen--
+	switch {
+	case prev == nil && b == e.wheelBkt:
+		e.wheelSettle(b)
+	case bk.head == nil:
+		e.wheelBits[b>>6] &^= 1 << (b & 63)
+	}
+}
+
+// wheelSettle refreshes the earliest-bucket cache after the head of bucket
+// b, the cached one, left it. If the bucket emptied, the earliest bucket is
+// the first non-empty one at or after now's, wrapping round: probe now's
+// word from now's bit up, then the other word, then now's word again,
+// whose bits from now's up are known clear. A clear bitmap empties the
+// cache.
+func (e *Engine) wheelSettle(b int) {
+	if h := e.wheel[b].head; h != nil {
+		e.wheelMin = h.at
+		return
+	}
+	e.wheelBits[b>>6] &^= 1 << (b & 63)
+	s := int(e.now>>wheelShift) & wheelMask
+	w := s >> 6
+	if m := e.wheelBits[w] >> (s & 63); m != 0 {
+		b = s + bits.TrailingZeros64(m)
+	} else if m := e.wheelBits[w^1]; m != 0 {
+		b = (w^1)<<6 | bits.TrailingZeros64(m)
+	} else if m := e.wheelBits[w]; m != 0 {
+		b = w<<6 | bits.TrailingZeros64(m)
+	} else {
+		e.wheelMin = maxTime
+		return
+	}
+	e.wheelBkt, e.wheelMin = b, e.wheel[b].head.at
+}
+
+// headAt is the time of the earliest wheel or heap event, or maxTime when
+// both are empty.
+func (e *Engine) headAt() Time {
+	if len(e.queue) > 0 && e.queue[0].at < e.wheelMin {
+		return e.queue[0].at
+	}
+	return e.wheelMin
+}
+
 // Engine is a discrete-event simulator instance.
 type Engine struct {
 	now   Time
 	seq   uint64
 	queue []heapEnt
 	// nowQ is the current-instant FIFO: events scheduled for exactly the
-	// current time skip the heap. Everything in nowQ carries a seq larger
-	// than any same-instant event still in the heap (heap entries for the
-	// current instant were necessarily scheduled before time advanced to
-	// it), so draining heap-first at equal times reproduces the exact
-	// (at, seq) order a pure heap would give. nowHead indexes the next
-	// entry; the slice is reset when it drains.
+	// current time skip the wheel and the heap. Everything in nowQ carries
+	// a seq larger than any same-instant event in the wheel or the heap
+	// (those were necessarily scheduled before time advanced to it), so
+	// draining them first at equal times reproduces the exact (at, seq)
+	// order a pure heap would give. nowHead indexes the next entry; the
+	// slice is reset when it drains.
 	nowQ    []*event
 	nowHead int
 	// nowLive counts non-canceled nowQ entries, for O(1) Idle.
@@ -263,12 +415,24 @@ type Engine struct {
 	// that Cond.BroadcastIf puts back without running is not counted: its
 	// wait never returned.
 	Rewaits int64
+
+	// wheel holds the events due within wheelSpan (see wheelAdd).
+	// wheelBits marks its non-empty buckets, wheelLen counts its events,
+	// and wheelBkt and wheelMin cache the earliest bucket and its head's
+	// time (maxTime while the wheel is empty). These fields come last so
+	// that the hot fields above keep their offsets; placed after queue,
+	// they slowed the shallow-queue paper sweep measurably.
+	wheel     wheelArray
+	wheelBits [2]uint64
+	wheelLen  int
+	wheelBkt  int
+	wheelMin  Time
 }
 
 // NewEngine returns an engine with the clock at zero. Inside a sim.Digest
 // call it starts with that call's digest tracer attached.
 func NewEngine() *Engine {
-	e := &Engine{}
+	e := &Engine{wheelMin: maxTime}
 	if autoTracer != nil {
 		e.AddTracer(autoTracer)
 	}
@@ -281,7 +445,7 @@ func (e *Engine) Now() Time { return e.now }
 // QueueLen reports the number of live (non-canceled) events currently
 // queued, for tests and diagnostics — with eager timer removal this stays
 // bounded by the true amount of pending work, not by cancellation history.
-func (e *Engine) QueueLen() int { return len(e.queue) + e.nowLive }
+func (e *Engine) QueueLen() int { return len(e.queue) + e.wheelLen + e.nowLive }
 
 // alloc takes an event from the free list or the allocator.
 func (e *Engine) alloc() *event {
@@ -303,8 +467,8 @@ func (e *Engine) recycle(ev *event) {
 }
 
 // post is the common scheduling path: assign the next seq and enqueue.
-// Events for the current instant go to the FIFO, everything else into the
-// heap.
+// Events for the current instant go to the FIFO, events due within the
+// wheel's span of now's bucket to the wheel, everything else into the heap.
 func (e *Engine) post(t Time, fn func()) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, e.now)) //lint:allow transitive-panic causality violation in the event core; no error return could be trusted after it
@@ -318,6 +482,8 @@ func (e *Engine) post(t Time, fn func()) *event {
 		ev.index = indexNowQ
 		e.nowQ = append(e.nowQ, ev)
 		e.nowLive++
+	} else if t-e.now&^(1<<wheelShift-1) < wheelSpan {
+		e.wheelAdd(ev)
 	} else {
 		e.push(ev)
 	}
@@ -336,6 +502,10 @@ func (e *Engine) cancel(ev *event, gen uint64) bool {
 	switch {
 	case ev.index >= 0:
 		e.removeAt(ev.index)
+		e.recycle(ev)
+		return true
+	case ev.index == indexWheel:
+		e.wheelRemove(ev)
 		e.recycle(ev)
 		return true
 	case ev.index == indexNowQ:
@@ -390,14 +560,15 @@ func (e *Engine) PostAt(t Time, fn func()) {
 // remain queued; Run may be called again to continue.
 func (e *Engine) Halt() { e.halted = true }
 
-// next dequeues the earliest live event, honoring the heap-before-FIFO
-// rule at equal times, or returns nil when no events remain.
+// next dequeues the earliest live event, honoring the wheel-and-heap-
+// before-FIFO rule at equal times, or returns nil when no events remain.
 func (e *Engine) next() *event {
 	for {
 		if e.nowHead < len(e.nowQ) {
-			// FIFO entries are at the current instant; heap entries for
-			// the same instant carry smaller seqs and must fire first.
-			if len(e.queue) > 0 && e.queue[0].at <= e.now {
+			// FIFO entries are at the current instant; wheel and heap
+			// entries for the same instant carry smaller seqs and must
+			// fire first.
+			if e.headAt() <= e.now {
 				return e.pop()
 			}
 			ev := e.nowQ[e.nowHead]
@@ -416,10 +587,7 @@ func (e *Engine) next() *event {
 			ev.index = indexFired
 			return ev
 		}
-		if len(e.queue) > 0 {
-			return e.pop()
-		}
-		return nil
+		return e.pop()
 	}
 }
 
@@ -431,8 +599,9 @@ func (e *Engine) Run(limit Time) Time {
 	e.limit = limit
 	for !e.halted {
 		// Peek before dequeuing: a live FIFO entry is at the current
-		// instant, so only the heap top can lie beyond the limit.
-		if limit > 0 && e.nowLive == 0 && len(e.queue) > 0 && e.queue[0].at > limit {
+		// instant, so only the wheel's head and the heap's top can lie
+		// beyond the limit.
+		if limit > 0 && e.nowLive == 0 && e.headAt() > limit && !e.Idle() {
 			e.now = limit
 			break
 		}
@@ -467,7 +636,7 @@ func (e *Engine) fire(at Time, seq uint64) {
 // until t, without queueing it, and reports whether it did. It does so
 // only when Run, had the wake been queued, would pop it next and resume p:
 //   - no live entry waits in the current-instant FIFO;
-//   - the heap is empty or its top is strictly after t (an event at t
+//   - the wheel and the heap hold nothing at or before t (an event at t
 //     carries a smaller seq and fires first);
 //   - t does not pass the limit of the Run in progress;
 //   - the engine is not halted;
@@ -479,7 +648,7 @@ func (e *Engine) fire(at Time, seq uint64) {
 // been queued. Only the push, the pop and the coroutine round trip are
 // saved.
 func (e *Engine) wakeInPlace(p *Proc, t Time) bool {
-	if e.nowLive > 0 || (len(e.queue) > 0 && e.queue[0].at <= t) ||
+	if e.nowLive > 0 || e.headAt() <= t ||
 		(e.limit > 0 && t > e.limit) || e.halted ||
 		len(p.pendingInterrupts) > 0 || p.killed {
 		return false
@@ -530,7 +699,7 @@ func (e *Engine) Shutdown() {
 
 // Idle reports whether no events are pending.
 func (e *Engine) Idle() bool {
-	return len(e.queue) == 0 && e.nowLive == 0
+	return len(e.queue) == 0 && e.wheelLen == 0 && e.nowLive == 0
 }
 
 // Stalled returns the names of processes that are parked with no way to

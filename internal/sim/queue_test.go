@@ -13,11 +13,20 @@ import (
 // engine and, in lockstep, a model that keeps its pending events in a plain
 // slice and always fires the minimum (at, seq). After every operation the
 // two must agree on what fired and in which order, on the queue length, and
-// on the pending stamps, and the engine's 4-ary heap must hold its invariants.
+// on the pending stamps, and the engine's 4-ary heap and timing wheel must
+// hold their invariants.
 
-// queueDeltas is the delay palette: mostly tiny deltas so events collide on
-// the same instant and seq decides, plus zero for the current-instant FIFO.
-var queueDeltas = [8]time.Duration{0, 0, 1, 2, 3, 5, 8, 1000}
+// queueDeltas is the delay palette. Half of it is tiny deltas, so events
+// collide on the same instant and seq decides, plus zero for the
+// current-instant FIFO. The other half straddles the wheel's bucket width
+// and its span, so events land on both sides of each boundary, and 4 ms
+// (a CallTimeout deadline) goes to the heap; a Run limit of up to four
+// deltas then jumps more than one lap of the wheel.
+var queueDeltas = [16]time.Duration{
+	0, 0, 1, 2, 3, 5, 8, 1000,
+	1, 511, 512, 513,
+	time.Duration(wheelSpan - 1), time.Duration(wheelSpan), time.Duration(wheelSpan + 1), 4 * time.Millisecond,
+}
 
 // modelEvent is one pending event in the reference model.
 type modelEvent struct {
@@ -141,12 +150,17 @@ func (m *queueModel) stamps() []stamp {
 	return sortStamps(out)
 }
 
-// pendingStamps walks the engine's whole pending set, the heap and the
-// live entries of the current-instant FIFO, in firing order.
+// pendingStamps walks the engine's whole pending set, the heap, the wheel
+// and the live entries of the current-instant FIFO, in firing order.
 func pendingStamps(e *Engine) []stamp {
-	out := make([]stamp, 0, len(e.queue)+e.nowLive)
+	out := make([]stamp, 0, e.QueueLen())
 	for _, h := range e.queue {
 		out = append(out, stamp{h.at, h.seq})
+	}
+	for _, bk := range e.wheel {
+		for ev := bk.head; ev != nil; ev = ev.next {
+			out = append(out, stamp{ev.at, ev.seq})
+		}
 	}
 	for _, ev := range e.nowQ[e.nowHead:] {
 		if ev.index == indexNowQ {
@@ -156,9 +170,16 @@ func pendingStamps(e *Engine) []stamp {
 	return sortStamps(out)
 }
 
-// checkHeap verifies the 4-ary heap property and that every slot's event
-// points back at its slot and carries the slot's key.
-func checkHeap(e *Engine) error {
+// checkQueue verifies the 4-ary heap property and that every slot's event
+// points back at its slot and carries the slot's key, and the wheel's
+// invariants: every wheel event is tagged indexWheel, sits in the bucket of
+// its time within one lap of now's bucket, and follows its predecessor in
+// (at, seq) order, and each bucket's tail is its last event; the bitmap marks exactly the non-empty buckets; wheelLen
+// counts the events; and the cache names the earliest one.
+func checkQueue(e *Engine) error {
+	if err := checkWheel(e); err != nil {
+		return err
+	}
 	for i := range e.queue {
 		h := &e.queue[i]
 		if h.ev.index != i {
@@ -170,6 +191,48 @@ func checkHeap(e *Engine) error {
 		if i > 0 && h.before(&e.queue[(i-1)/4]) {
 			return fmt.Errorf("slot %d fires before its parent %d", i, (i-1)/4)
 		}
+	}
+	return nil
+}
+
+func checkWheel(e *Engine) error {
+	n, minAt := 0, maxTime
+	base := e.now &^ (1<<wheelShift - 1)
+	for b := 0; b < wheelBuckets; b++ {
+		head, tail := e.wheel[b].head, e.wheel[b].tail
+		if bit := e.wheelBits[b>>6]>>(b&63)&1 == 1; bit != (head != nil) {
+			return fmt.Errorf("bucket %d: bit %v but head %v", b, bit, head != nil)
+		}
+		var last *event
+		for ev, prev := head, (*event)(nil); ev != nil; prev, ev = ev, ev.next {
+			n++
+			if ev.index != indexWheel {
+				return fmt.Errorf("bucket %d: event (%d,%d) index %d", b, ev.at, ev.seq, ev.index)
+			}
+			if got := int(ev.at>>wheelShift) & wheelMask; got != b {
+				return fmt.Errorf("bucket %d holds event at %d, whose bucket is %d", b, ev.at, got)
+			}
+			if ev.at < e.now || ev.at-base >= wheelSpan {
+				return fmt.Errorf("bucket %d: event at %d not within one lap of now %d", b, ev.at, e.now)
+			}
+			if prev != nil && !(prev.at < ev.at || prev.at == ev.at && prev.seq < ev.seq) {
+				return fmt.Errorf("bucket %d: (%d,%d) after (%d,%d)", b, ev.at, ev.seq, prev.at, prev.seq)
+			}
+			minAt = min(minAt, ev.at)
+			last = ev
+		}
+		if last != tail {
+			return fmt.Errorf("bucket %d: the tail is not its last event", b)
+		}
+	}
+	if n != e.wheelLen {
+		return fmt.Errorf("wheel holds %d events, wheelLen %d", n, e.wheelLen)
+	}
+	if e.wheelMin != minAt {
+		return fmt.Errorf("cached wheel minimum %d, true minimum %d", e.wheelMin, minAt)
+	}
+	if n > 0 && (e.wheel[e.wheelBkt].head == nil || e.wheel[e.wheelBkt].head.at != minAt) {
+		return fmt.Errorf("cached bucket %d does not start with the minimum %d", e.wheelBkt, minAt)
 	}
 	return nil
 }
@@ -211,7 +274,7 @@ func runQueueOps(ops []byte) error {
 		b := next()
 		switch b % 4 {
 		case 1:
-			return action{kind: 1, delta: queueDeltas[b/4%8]}
+			return action{kind: 1, delta: queueDeltas[b/4%16]}
 		case 2:
 			if len(timers) > 0 {
 				return action{kind: 2, timer: int(b/4) % len(timers)}
@@ -222,7 +285,7 @@ func runQueueOps(ops []byte) error {
 	label := 1 << 20 // top-level labels, disjoint from child labels
 	for op := 0; pos < len(ops); op++ {
 		b := next()
-		d := queueDeltas[b/8%8]
+		d := queueDeltas[b/8%16]
 		what := ""
 		switch b % 8 {
 		case 0: // Post
@@ -289,7 +352,7 @@ func runQueueOps(ops []byte) error {
 
 // compareQueue checks the engine against the model after one operation.
 func compareQueue(e *Engine, m *queueModel, fired []int) error {
-	if err := checkHeap(e); err != nil {
+	if err := checkQueue(e); err != nil {
 		return err
 	}
 	if e.Now() != m.now {
@@ -328,4 +391,80 @@ func FuzzEventQueue(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// storeOf names the store holding ev.
+func storeOf(ev *event) string {
+	switch {
+	case ev.index >= 0:
+		return "heap"
+	case ev.index == indexWheel:
+		return "wheel"
+	case ev.index == indexNowQ:
+		return "fifo"
+	}
+	return "none"
+}
+
+// Each delay lands in the store the routing rule names, a Stop or Reset
+// moves a timer between the wheel and the heap, and at equal times the heap
+// event, posted earlier, fires before the wheel event.
+func TestEventQueueStores(t *testing.T) {
+	e := NewEngine()
+	var fired []string
+	mark := func(name string) func() { return func() { fired = append(fired, name) } }
+	e.Post(300, func() {})
+	e.RunAll() // now 300, in the bucket that starts at 0
+	check := func(what string) {
+		t.Helper()
+		if err := checkQueue(e); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	for _, c := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{0, "fifo"},
+		{1, "wheel"},
+		{time.Duration(wheelSpan - 301), "wheel"}, // due at the span's last ns
+		{time.Duration(wheelSpan - 300), "heap"},  // due at the span's end
+		{4 * time.Millisecond, "heap"},
+	} {
+		tm := e.Schedule(c.d, mark(fmt.Sprint(c.d)))
+		if got := storeOf(tm.ev); got != c.want {
+			t.Errorf("delay %d went to the %s, want the %s", c.d, got, c.want)
+		}
+		check(fmt.Sprint("Schedule ", c.d))
+		if !tm.Pending() || !tm.Stop() || tm.Pending() {
+			t.Errorf("delay %d: Stop of a pending %s timer failed", c.d, c.want)
+		}
+		check(fmt.Sprint("Stop ", c.d))
+	}
+	if n := e.QueueLen(); n != 0 {
+		t.Fatalf("QueueLen %d after stopping every timer", n)
+	}
+
+	far := e.Schedule(4*time.Millisecond, mark("far"))
+	near := e.Schedule(time.Microsecond, mark("near"))
+	far.Reset(2 * time.Microsecond) // heap to wheel
+	near.Reset(time.Millisecond)    // wheel to heap
+	if storeOf(far.ev) != "wheel" || storeOf(near.ev) != "heap" {
+		t.Fatalf("after Reset: far in the %s, near in the %s", storeOf(far.ev), storeOf(near.ev))
+	}
+	check("Reset")
+
+	// An event due at T goes to the heap while T is a lap away and to the
+	// wheel once time nears it; both fire at T, heap first.
+	at := e.Now() + 2*wheelSpan
+	e.PostAt(at, mark("heap at T"))
+	e.Run(at - wheelSpan/2)
+	e.PostAt(at, mark("wheel at T"))
+	check("tie")
+	e.RunAll()
+	check("RunAll")
+	want := []string{"far", "heap at T", "wheel at T", "near"}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
 }

@@ -64,6 +64,10 @@ type Endpoint struct {
 	// layer's precomputed track name ("node3/vmmc").
 	tc    *trace.Collector
 	track string
+
+	// freeNotes holds the Notification records of drained signals, for
+	// the next notifying arrival (NotifyArrival) to deliver.
+	freeNotes []*Notification
 }
 
 // duSlot is one nesting level's reusable deliberate-update job.
@@ -78,7 +82,9 @@ type duSlot struct {
 func Attach(p *kernel.Process, d *daemon.Daemon) *Endpoint {
 	ep := &Endpoint{Proc: p, D: d, tc: p.M.Trace, track: p.M.TraceNode + "/vmmc"}
 	p.OnSignal(func(_ *kernel.Process, data any) {
-		n := data.(Notification)
+		rec := data.(*Notification)
+		n := *rec
+		ep.freeNotes = append(ep.freeNotes, rec)
 		n.Export.dispatch(n)
 	})
 	return ep
@@ -149,7 +155,16 @@ func (e *Export) NotifyArrival(srcNode int) {
 		return
 	}
 	e.ep.tc.Count(e.ep.track, "notify.signal", 1)
-	e.ep.Proc.Deliver(Notification{Export: e, SrcNode: srcNode})
+	var rec *Notification
+	if k := len(e.ep.freeNotes); k > 0 {
+		rec = e.ep.freeNotes[k-1]
+		e.ep.freeNotes[k-1] = nil
+		e.ep.freeNotes = e.ep.freeNotes[:k-1]
+	} else {
+		rec = new(Notification)
+	}
+	*rec = Notification{Export: e, SrcNode: srcNode}
+	e.ep.Proc.Deliver(rec)
 }
 
 // FastArrival implements daemon.FastNotifiable: the NIC posted a record to
