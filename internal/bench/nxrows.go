@@ -18,8 +18,8 @@ import (
 // than the zero-copy ring holds. Each scenario checks every byte and info
 // field it receives and fails the run otherwise.
 
-// nxBudget bounds each NX scenario's virtual run: both finish within about
-// 10 ms on a clean backplane.
+// nxBudget bounds each NX and notification scenario's virtual run: each
+// finishes within about 10 ms on a clean backplane.
 const nxBudget = 50 * time.Millisecond
 
 // nxPattern is message k's byte i: the chaos stream's pattern, varied by k.
@@ -196,4 +196,68 @@ func nxIsends(r *run, count, size int) (float64, error) {
 		return 0, err
 	}
 	return end.Sub(start).Seconds() * 1e6, ck.err
+}
+
+// nxDoorbell has node 0 Csend count small messages one way while node 1
+// takes three and then computes in short slices, holding their credits
+// lazily. The sender runs out of packet buffers and rings node 1's
+// doorbell, whose notification handler (onDoorbell) returns the held
+// credits between the slices, so the sender gets further than the credit
+// window before node 1 reads again. It returns the doorbells rung and the
+// virtual time from the first Csend to the last Crecv in us, the
+// connection setup excluded.
+func nxDoorbell(r *run, count, size int) (int64, float64, error) {
+	c := r.cluster(cluster.Config{})
+	var ck nxChecker
+	var start, end sim.Time
+	var doorbells int64
+	const typ, early, steps = 3, 3, 20
+	sent := 0
+	c.Spawn(0, "nx-burst", func(p *kernel.Process) {
+		x := nx.New(c, p, 0, 2, nx.Config{Force: nx.ProtoAU2})
+		srcs := make([]kernel.VA, count)
+		for k := range srcs {
+			srcs[k] = nxFill(p, 40+k, size)
+		}
+		nxWarm(x, p)
+		start = p.P.Now()
+		for _, src := range srcs {
+			x.Csend(typ, src, size, 1, 0)
+			sent++
+		}
+		doorbells = x.Stats.Doorbells
+		x.Drain()
+	})
+	c.Spawn(1, "nx-slow", func(p *kernel.Process) {
+		x := nx.New(c, p, 1, 2, nx.Config{Force: nx.ProtoAU2})
+		nxWarm(x, p)
+		dst := p.Alloc(size+8, hw.WordSize)
+		recv := func(k int) {
+			if got := x.Crecv(typ, dst, size); got != size {
+				ck.failf("message %d: Crecv got %d bytes, want %d", k, got, size)
+			}
+			ck.payload(p, dst, 40+k, size, fmt.Sprintf("message %d", k))
+		}
+		for k := 0; k < early; k++ {
+			recv(k)
+		}
+		for i := 0; i < steps; i++ {
+			p.Compute(100 * time.Microsecond)
+		}
+		if sent <= nx.NumPkt {
+			ck.failf("sender stopped at %d messages while the receiver computed: no doorbell returned the held credits", sent)
+		}
+		for k := early; k < count; k++ {
+			recv(k)
+		}
+		end = p.P.Now()
+		x.Drain()
+	})
+	if _, err := c.RunChecked(nxBudget); err != nil {
+		return 0, 0, err
+	}
+	if ck.err == nil && doorbells == 0 {
+		ck.failf("the sender never rang the doorbell")
+	}
+	return doorbells, end.Sub(start).Seconds() * 1e6, ck.err
 }

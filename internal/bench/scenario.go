@@ -122,6 +122,19 @@ func scenarios() []scenario {
 			return fmt.Sprintf("nx-isend: NX Isend/Irecv/Msgwait, %d x %d B zero-copy outstanding at once, every byte checked: %.2f us",
 				count, size, us), err
 		}},
+		{name: "nx-doorbell", run: func(r *run) (string, error) {
+			const count, size = 3 * nx.NumPkt, 64
+			rang, us, err := nxDoorbell(r, count, size)
+			return fmt.Sprintf("nx-doorbell: NX AU-2copy, %d x %d B one way past the %d-buffer credit window, receiver computing: %d doorbells, %.2f us",
+				count, size, nx.NumPkt, rang, us), err
+		}},
+		// VMMC notifications: queued while blocked, drained in order,
+		// discarded per buffer, and the fast path.
+		{name: "notify", run: func(r *run) (string, error) {
+			sig, fast, err := vmmcNotify(r)
+			return fmt.Sprintf("notify: VMMC notifications, %d signal-path (5 queued while blocked, 1 discarded) and %d fast, every source checked in order, then unimported and unexported: signal %.2f us, fast %.2f us",
+				len(notifySeq), notifyFast, sig, fast), err
+		}},
 		// 5 ms lands inside the sender's transfer loop: the two Ethernet
 		// import handshakes alone take over a millisecond of virtual time.
 		{name: "crash-recovery", plan: &fault.Plan{Name: "crash-node2-mid-transfer", Crashes: []fault.Crash{
@@ -202,6 +215,8 @@ func underPlan(plan fault.Plan, seed int64) func(*cluster.Config) {
 //	comb — NX Gsync, Gisum, Gdsum on in-network combining meshes
 //	nx-chunked — NX DU-2copy 9216-byte exchange with probes and self sends
 //	nx-isend — NX Isend/Irecv/Msgwait, MaxZC+1 zero-copy sends at once
+//	nx-doorbell — NX credit exhaustion: the sender rings the receiver's doorbell
+//	notify — VMMC notifications, blocked, drained, discarded and fast; teardown
 //
 // and the fault-recovery rows the chaos soak adds (integrity,
 // crash-recovery, app-failover, and the part-* partition cells).
