@@ -19,6 +19,9 @@ import (
 	"shrimp/internal/trace"
 )
 
+// optEntries is the size of each NIC's outgoing page table.
+const optEntries = 4096
+
 // Config selects the system geometry.
 type Config struct {
 	// MeshX, MeshY are the backplane dimensions. Nodes = MeshX*MeshY.
@@ -38,8 +41,6 @@ type Config struct {
 	// MemBytes is DRAM per node (default 40 MB, as on the DEC 560ST
 	// prototype nodes).
 	MemBytes int
-	// OPTEntries sizes each NIC's outgoing page table (default 4096).
-	OPTEntries int
 	// Trace, when non-nil, is bound to the cluster's engine and distributed
 	// to every layer (kernel, NIC, mesh, libraries), which then attribute
 	// spans, counters, and histograms to it. Nil costs nothing.
@@ -106,9 +107,6 @@ func New(cfg Config) *Cluster {
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 40 << 20
 	}
-	if cfg.OPTEntries == 0 {
-		cfg.OPTEntries = 4096
-	}
 	if cfg.FaultPlan != nil {
 		if err := cfg.FaultPlan.Validate(nodes); err != nil {
 			// A malformed fault plan is a harness configuration bug,
@@ -137,7 +135,7 @@ func New(cfg Config) *Cluster {
 	for i := 0; i < nodes; i++ {
 		m := kernel.NewMachine(i, eng, cfg.MemBytes)
 		m.Trace = cfg.Trace
-		n := nic.New(m, msh, mesh.NodeID(i), cfg.OPTEntries)
+		n := nic.New(m, msh, mesh.NodeID(i), optEntries)
 		d := daemon.New(i, m, n, msh, eth)
 		c.Nodes = append(c.Nodes, &Node{ID: i, M: m, NIC: n, Daemon: d})
 	}
@@ -253,7 +251,7 @@ func (c *Cluster) RestartNode(i int) *Node {
 	}
 	m := kernel.NewMachine(i, c.Eng, c.cfg.MemBytes)
 	m.Trace = c.cfg.Trace
-	n := nic.New(m, c.Mesh, mesh.NodeID(i), c.cfg.OPTEntries)
+	n := nic.New(m, c.Mesh, mesh.NodeID(i), optEntries)
 	d := daemon.New(i, m, n, c.Mesh, c.Ether)
 	fresh := &Node{ID: i, M: m, NIC: n, Daemon: d}
 	c.Nodes[i] = fresh

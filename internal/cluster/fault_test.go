@@ -182,8 +182,8 @@ func TestCrashMidTransferRecovery(t *testing.T) {
 func TestRestartedNodeRejoins(t *testing.T) {
 	cl := Default()
 	defer cl.Shutdown()
-	cl.Eng.At(sim.Time(0).Add(time.Millisecond), func() { cl.CrashNode(1) })
-	cl.Eng.At(sim.Time(0).Add(2*time.Millisecond), func() { cl.RestartNode(1) })
+	cl.Eng.PostAt(sim.Time(0).Add(time.Millisecond), func() { cl.CrashNode(1) })
+	cl.Eng.PostAt(sim.Time(0).Add(2*time.Millisecond), func() { cl.RestartNode(1) })
 
 	done := false
 	cl.Spawn(0, "driver", func(p *kernel.Process) {

@@ -58,17 +58,14 @@ var ErrRevoked = errors.New("daemon: export already revoked")
 // communication fast path, so precision is unimportant).
 const LocalIPCCost = 25 * time.Microsecond
 
-// Notifiable is implemented by the VMMC layer's export object; the daemon's
-// notification interrupt handler calls it when the NIC raises VecNotify for
-// a page tagged with it.
+// Notifiable is implemented by the VMMC layer's export object, the tag of
+// every exported page. The daemon's notification interrupt handler calls
+// NotifyArrival when the NIC raises VecNotify for a tagged page; the NIC's
+// fast-notification hook calls FastArrival for exports that opted into the
+// active-message-style path, where the record is posted to the user-level
+// queue directly, with no interrupt.
 type Notifiable interface {
 	NotifyArrival(srcNode int)
-}
-
-// FastNotifiable is additionally implemented by exports that opted into the
-// active-message-style notification path: the record is posted to the
-// user-level queue directly, with no interrupt.
-type FastNotifiable interface {
 	FastArrival(srcNode int)
 }
 
@@ -211,7 +208,7 @@ func New(nodeID int, m *kernel.Machine, n *nic.NIC, msh *mesh.Network, eth *ethe
 	m.RegisterIRQ(nic.VecProtection, d.onFault)
 	m.RegisterIRQ(nic.VecNotify, d.onNotify)
 	n.FastNotifyHook = func(tag any, src mesh.NodeID) {
-		if t, ok := tag.(FastNotifiable); ok && t != nil {
+		if t, ok := tag.(Notifiable); ok && t != nil {
 			t.FastArrival(int(src))
 		}
 	}

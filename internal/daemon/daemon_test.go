@@ -47,6 +47,8 @@ type notifyRec struct{ srcs []int }
 
 func (n *notifyRec) NotifyArrival(src int) { n.srcs = append(n.srcs, src) }
 
+func (n *notifyRec) FastArrival(src int) { n.srcs = append(n.srcs, src) }
+
 func TestExportImportLifecycle(t *testing.T) {
 	r := newRig(t)
 	var expRec *ExportRec

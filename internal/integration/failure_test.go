@@ -12,11 +12,15 @@ import (
 	"shrimp/internal/vmmc"
 )
 
-// TestOPTExhaustion: a NIC with a tiny outgoing page table must fail
-// imports gracefully once the table is full, and recover after unimport
-// frees entries.
+// TestOPTExhaustion: a NIC whose outgoing page table is nearly full must
+// fail imports gracefully once the table is full, and recover after
+// unimport frees entries.
 func TestOPTExhaustion(t *testing.T) {
-	c := cluster.New(cluster.Config{OPTEntries: 8, MemBytes: 8 << 20})
+	c := cluster.New(cluster.Config{MemBytes: 8 << 20})
+	// Leave 8 entries free for the importer.
+	if _, err := c.Node(0).NIC.AllocOPT(c.Node(0).NIC.OPTSize() - 8); err != nil {
+		t.Fatal(err)
+	}
 	ok := false
 	c.Spawn(1, "exporter", func(p *kernel.Process) {
 		ep := vmmc.Attach(p, c.Node(1).Daemon)

@@ -102,8 +102,9 @@ func TestWriteWordAllocFree(t *testing.T) {
 	}
 }
 
-// A CopyVA run from a signal handler while an outer CopyVA is parked in
-// its store must not clobber the outer copy's staging buffer.
+// A CopyVA run from an interrupt handler (a notification handler, say)
+// while an outer CopyVA is parked in its store must not clobber the outer
+// copy's staging buffer.
 func TestCopyVANestedInHandler(t *testing.T) {
 	inProc(func(p *Process) {
 		src := p.MapPages(2, 0)
@@ -116,8 +117,9 @@ func TestCopyVANestedInHandler(t *testing.T) {
 		}
 		p.Poke(src, outer)
 		p.Poke(hsrc, bytes.Repeat([]byte{0xee}, hw.Page))
-		p.OnSignal(func(p *Process, _ any) { p.CopyVA(hdst, hsrc, hw.Page) })
-		p.M.Eng.Post(hw.WordTouchCost, func() { p.Deliver(nil) })
+		p.M.Eng.Post(hw.WordTouchCost, func() {
+			p.P.Interrupt(func(*sim.Proc) { p.CopyVA(hdst, hsrc, hw.Page) })
+		})
 		p.CopyVA(dst, src, 2*hw.Page)
 		if got := p.Peek(dst, 2*hw.Page); !slices.Equal(got, outer) {
 			t.Error("outer copy corrupted by the handler's nested copy")

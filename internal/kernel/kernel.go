@@ -2,8 +2,9 @@
 // prototype: a Linux-like kernel on each Pentium node providing processes,
 // virtual address spaces with per-page attributes (the paper relies on
 // per-virtual-page write-through/uncached control and on page pinning for
-// receive buffers), interrupt dispatch, and UNIX-style signals (the paper's
-// notification mechanism is implemented on signals).
+// receive buffers) and interrupt dispatch. VMMC notifications, which the
+// prototype carried on UNIX signals, are queued by the VMMC library itself
+// and reach a process through its proc's interrupts.
 //
 // The kernel is deliberately thin: SHRIMP's whole point is that the OS is
 // *not* on the communication fast path. It appears here for process setup,
@@ -234,15 +235,9 @@ type Process struct {
 	pages  mem.Sparse[pageEntry]
 	nextVA VA // bump allocator for mappings
 
-	heapVA   VA // current heap fill pointer
-	heapEnd  VA
-	heapWT   bool                // heap pages write-through?
-	sigQueue []any               // queued, undelivered signals' data
-	onSignal func(*Process, any) // the process's one signal handler
-	blocked  bool                // signals blocked (queued, not delivered)
-	// sigRun is the interrupt a delivery queues, built at the first: it
-	// charges the delivery cost and drains the queue.
-	sigRun func(*sim.Proc)
+	heapVA  VA // current heap fill pointer
+	heapEnd VA
+	heapWT  bool // heap pages write-through?
 
 	faultFn    func(*Process, PageFault)
 	faultDepth int
@@ -253,7 +248,7 @@ type Process struct {
 	waitDepth int
 
 	// copyBufs pools CopyVA's staging buffers the same way, one per
-	// nesting level in use (copyDepth): a signal handler may run CopyVA
+	// nesting level in use (copyDepth): an interrupt handler may run CopyVA
 	// while an outer copy's WriteBytes sleeps.
 	copyBufs  [][]byte
 	copyDepth int
@@ -281,6 +276,10 @@ func (m *Machine) Spawn(name string, body func(p *Process)) *Process {
 	m.procs = append(m.procs, pr)
 	return pr
 }
+
+// Exited reports whether the process's body has returned or its node has
+// crashed.
+func (p *Process) Exited() bool { return p.exited }
 
 // Crash kills the node: every process is unwound at its next scheduling
 // point and interrupts are dropped from now on. Must be called from event
@@ -793,7 +792,7 @@ func (p *Process) WaitWord(va VA, pred func(uint32) bool) uint32 {
 // waitSet returns the conds a multi-source wait blocks on: the watcher of
 // each distinct page holding one of vas, in first-appearance order, then
 // extra. The list lives in the pooled slot for the next nesting level (a
-// signal handler may wait while an outer wait is parked); the caller
+// interrupt handler may wait while an outer wait is parked); the caller
 // releases it with endWait when its wait returns. Duplicates are found by
 // a linear scan — a wait covers a handful of pages.
 func (p *Process) waitSet(vas []VA, extra []*sim.Cond) []*sim.Cond {
@@ -850,56 +849,3 @@ func (p *Process) WaitPred(vas []VA, extra []*sim.Cond, d time.Duration, pred fu
 		}
 	}
 }
-
-// --- Signals (substrate for VMMC notifications) ---
-
-// OnSignal installs the process's signal handler, which receives each
-// delivered signal's data. It runs in the process context after kernel
-// delivery cost. There is one handler per process: the VMMC notification
-// mechanism is the only signal source.
-func (p *Process) OnSignal(fn func(*Process, any)) { p.onSignal = fn }
-
-// BlockSignals queues future signals instead of delivering them.
-func (p *Process) BlockSignals() { p.blocked = true }
-
-// UnblockSignals delivers anything queued and resumes immediate delivery.
-func (p *Process) UnblockSignals() {
-	p.blocked = false
-	p.drainSignals()
-}
-
-// SignalsBlocked reports the blocking state.
-func (p *Process) SignalsBlocked() bool { return p.blocked }
-
-// Deliver queues a signal to the process. Delivery interrupts blocking
-// waits; if the process has blocked signals, the signal stays queued (the
-// paper: "unlike signals, however, notifications are queued when blocked").
-func (p *Process) Deliver(data any) {
-	p.sigQueue = append(p.sigQueue, data)
-	if p.blocked || p.exited {
-		return
-	}
-	if p.sigRun == nil {
-		p.sigRun = func(sp *sim.Proc) {
-			sp.Sleep(hw.SignalDeliveryCost)
-			p.drainSignals()
-		}
-	}
-	p.P.Interrupt(p.sigRun)
-}
-
-func (p *Process) drainSignals() {
-	for !p.blocked && len(p.sigQueue) > 0 {
-		// Shift rather than reslice, so the queue keeps its capacity.
-		data := p.sigQueue[0]
-		n := copy(p.sigQueue, p.sigQueue[1:])
-		p.sigQueue[n] = nil
-		p.sigQueue = p.sigQueue[:n]
-		if p.onSignal != nil {
-			p.onSignal(p, data)
-		}
-	}
-}
-
-// PendingSignals returns the number of queued, undelivered signals.
-func (p *Process) PendingSignals() int { return len(p.sigQueue) }

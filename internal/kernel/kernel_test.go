@@ -234,46 +234,6 @@ func TestWaitPredTimeout(t *testing.T) {
 	}
 }
 
-func TestSignalDelivery(t *testing.T) {
-	e, m := newM(t)
-	var got []int
-	target := m.Spawn("t", func(p *Process) {
-		p.OnSignal(func(pp *Process, data any) { got = append(got, data.(int)) })
-		p.P.Sleep(time.Millisecond)
-	})
-	m.Spawn("sender", func(p *Process) {
-		p.P.Sleep(10 * time.Microsecond)
-		target.Deliver(1)
-		target.Deliver(2)
-	})
-	e.RunAll()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestSignalBlockingQueues(t *testing.T) {
-	e, m := newM(t)
-	var got []int
-	m.Spawn("t", func(p *Process) {
-		p.OnSignal(func(pp *Process, data any) { got = append(got, data.(int)) })
-		p.BlockSignals()
-		p.Deliver(1)
-		p.Deliver(2)
-		if len(got) != 0 {
-			t.Error("signals delivered while blocked")
-		}
-		if p.PendingSignals() != 2 {
-			t.Errorf("pending = %d", p.PendingSignals())
-		}
-		p.UnblockSignals()
-		if len(got) != 2 {
-			t.Errorf("queued signals not delivered on unblock: %v", got)
-		}
-	})
-	e.RunAll()
-}
-
 // Property: WriteBytes/ReadBytes roundtrip across arbitrary offsets and
 // sizes, including page-crossing ones.
 func TestDataRoundtripProperty(t *testing.T) {

@@ -124,7 +124,7 @@ func TestRepeatedForcedFaultStorm(t *testing.T) {
 	})
 	for i := 0; i < 5; i++ {
 		at := sim.Time(0).Add(time.Duration(10+20*i) * time.Microsecond)
-		r.eng.At(at, func() { r.n1.ForceFault(0) })
+		r.eng.PostAt(at, func() { r.n1.ForceFault(0) })
 	}
 	r.eng.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {

@@ -76,10 +76,6 @@ func (d *DigestTracer) ProcSwitch(at Time, p *Proc) {
 	d.sum = fold(fold(d.sum, uint64(at)<<1|1), p.nameHash)
 }
 
-// Fold mixes a finished digest into d as one word, for runners that digest
-// each world apart and combine the sums in order.
-func (d *DigestTracer) Fold(sum uint64) { d.sum = fold(d.sum, sum) }
-
 // Sum returns the digest of everything observed so far.
 func (d *DigestTracer) Sum() uint64 { return d.sum }
 

@@ -533,14 +533,6 @@ func (e *Engine) Schedule(d time.Duration, fn func()) *Timer {
 	return &Timer{eng: e, ev: ev, gen: ev.gen, fn: fn}
 }
 
-// At arranges for fn to run at absolute virtual time t, which must not be in
-// the past. Like Schedule it allocates the returned handle; a caller that
-// never cancels uses PostAt.
-func (e *Engine) At(t Time, fn func()) *Timer {
-	ev := e.post(t, fn)
-	return &Timer{eng: e, ev: ev, gen: ev.gen, fn: fn}
-}
-
 // Post arranges for fn to run d from now, without a cancellation handle —
 // the allocation-free fast path for fire-and-forget events (process
 // wakeups, DMA completions, packet arrivals).

@@ -60,7 +60,7 @@ type Proc struct {
 	redispatch func() // dispatches unconditionally (sleep timers)
 
 	// Interrupts: handlers that should run in this proc's context at its
-	// next yield point (used by the kernel signal machinery).
+	// next yield point (VMMC notification delivery, for one).
 	pendingInterrupts []func(*Proc)
 
 	// frames pools the state of timed WaitAny calls, one frame per

@@ -294,19 +294,11 @@ func runQueueOps(ops []byte) error {
 			e.Post(d, callback(label, act))
 			m.post(m.now.Add(d), label, act)
 			what = fmt.Sprintf("Post(%d)", d)
-		case 1, 2: // Schedule or At: a cancellable timer
+		case 1, 2: // Schedule: a cancellable timer
 			label++
 			act := decodeAct()
-			fn := callback(label, act)
-			var tm *Timer
-			if b%8 == 1 {
-				tm = e.Schedule(d, fn)
-				what = fmt.Sprintf("Schedule(%d)", d)
-			} else {
-				tm = e.At(e.Now().Add(d), fn)
-				what = fmt.Sprintf("At(+%d)", d)
-			}
-			timers = append(timers, tm)
+			timers = append(timers, e.Schedule(d, callback(label, act)))
+			what = fmt.Sprintf("Schedule(%d)", d)
 			seq := m.post(m.now.Add(d), label, act)
 			m.timers = append(m.timers, seq)
 			m.timerEvs = append(m.timerEvs, modelEvent{label: label, act: act})

@@ -60,7 +60,7 @@ func TestTimerStopPeerInsideCallback(t *testing.T) {
 	victimRan := false
 	victim := e.Schedule(time.Microsecond, func() { victimRan = true })
 	canceled := false
-	e.At(e.Now().Add(time.Microsecond), func() {}) // unrelated, same instant
+	e.Post(time.Microsecond, func() {}) // unrelated, same instant
 	e.Schedule(0, func() { canceled = victim.Stop() })
 	e.RunAll()
 	if !canceled {

@@ -402,21 +402,6 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// Abort tears the endpoint down from outside the owning process's context
-// — another process on the node, an interrupt handler, cluster teardown.
-// Unlike Close it cannot touch the ring (kernel writes charge time to the
-// owning process, which may be the very proc parked in Recv), so the peer
-// sees silence rather than FIN; locally, every parked Send/Recv wakes with
-// ErrClosed instead of leaking a parked proc.
-func (c *Conn) Abort() {
-	if c.sendClosed {
-		return
-	}
-	c.sendClosed = true
-	c.closeGen++
-	c.closeCond.Broadcast()
-}
-
 // RecvAll keeps receiving until exactly n bytes have arrived or the stream
 // ends; a convenience for request/response protocols over the byte stream.
 func (c *Conn) RecvAll(va kernel.VA, n int) (int, error) {

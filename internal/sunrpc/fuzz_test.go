@@ -25,7 +25,9 @@ func FuzzDecodeHeaders(f *testing.F) {
 		e.PutString("node1")
 		e.PutUint32(100)
 		e.PutUint32(10)
-		e.PutUint32Array([]uint32{10, 20})
+		e.PutUint32(2) // a counted array of two words
+		e.PutUint32(10)
+		e.PutUint32(20)
 	})}
 	f.Add([]byte(nil))
 	f.Add(encode((&callHeader{XID: 1, Prog: 0x20000001, Vers: 1, Proc: 2}).EncodeXDR))

@@ -43,20 +43,20 @@ func TestMultipleClientsOneServer(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			for i := int32(0); i < perClient; i++ {
-				var sum int32
+			for i := uint32(0); i < perClient; i++ {
+				var sum uint32
 				err := c.Call(procAdd,
-					func(e *xdr.Encoder) { e.PutInt32(int32(node) * 100); e.PutInt32(i) },
+					func(e *xdr.Encoder) { e.PutUint32(uint32(node) * 100); e.PutUint32(i) },
 					func(d *xdr.Decoder) error {
 						var err error
-						sum, err = d.Int32()
+						sum, err = d.Uint32()
 						return err
 					})
 				if err != nil {
 					t.Errorf("node %d call %d: %v", node, i, err)
 					return
 				}
-				if sum != int32(node)*100+i {
+				if sum != uint32(node)*100+i {
 					t.Errorf("node %d call %d: sum %d", node, i, sum)
 				}
 			}
@@ -111,10 +111,10 @@ func TestTwoProgramsOneServer(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		var sum int32
+		var sum uint32
 		if err := c1.Call(procAdd,
-			func(e *xdr.Encoder) { e.PutInt32(2); e.PutInt32(3) },
-			func(d *xdr.Decoder) error { var err error; sum, err = d.Int32(); return err }); err != nil {
+			func(e *xdr.Encoder) { e.PutUint32(2); e.PutUint32(3) },
+			func(d *xdr.Decoder) error { var err error; sum, err = d.Uint32(); return err }); err != nil {
 			t.Error(err)
 			return
 		}

@@ -18,7 +18,7 @@ const (
 	versTest = 1
 
 	procEcho  = 1 // opaque -> same opaque
-	procAdd   = 2 // two int32 -> int32
+	procAdd   = 2 // two uint32 -> uint32
 	procNull  = 0
 	procUpper = 3 // string -> string
 )
@@ -38,15 +38,15 @@ func testProgram(t *testing.T) *Program {
 				return nil
 			},
 			procAdd: func(d *xdr.Decoder, e *xdr.Encoder) error {
-				a, err := d.Int32()
+				a, err := d.Uint32()
 				if err != nil {
 					return err
 				}
-				b, err := d.Int32()
+				b, err := d.Uint32()
 				if err != nil {
 					return err
 				}
-				e.PutInt32(a + b)
+				e.PutUint32(a + b)
 				return nil
 			},
 			procUpper: func(d *xdr.Decoder, e *xdr.Encoder) error {
@@ -120,12 +120,12 @@ func TestNullCall(t *testing.T) {
 
 func TestAddCall(t *testing.T) {
 	rig(t, ModeAU, 1, func(c *Client) {
-		var sum int32
+		var sum uint32
 		err := c.Call(procAdd,
-			func(e *xdr.Encoder) { e.PutInt32(19); e.PutInt32(23) },
+			func(e *xdr.Encoder) { e.PutUint32(19); e.PutUint32(23) },
 			func(d *xdr.Decoder) error {
 				var err error
-				sum, err = d.Int32()
+				sum, err = d.Uint32()
 				return err
 			})
 		if err != nil {
@@ -180,13 +180,13 @@ func TestStringProc(t *testing.T) {
 
 func TestManySequentialCalls(t *testing.T) {
 	rig(t, ModeAU, 50, func(c *Client) {
-		for i := int32(0); i < 50; i++ {
-			var sum int32
+		for i := uint32(0); i < 50; i++ {
+			var sum uint32
 			err := c.Call(procAdd,
-				func(e *xdr.Encoder) { e.PutInt32(i); e.PutInt32(i * 2) },
+				func(e *xdr.Encoder) { e.PutUint32(i); e.PutUint32(i * 2) },
 				func(d *xdr.Decoder) error {
 					var err error
-					sum, err = d.Int32()
+					sum, err = d.Uint32()
 					return err
 				})
 			if err != nil {
@@ -339,12 +339,12 @@ func TestEtherBaseline(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		var sum int32
+		var sum uint32
 		if err := c.Call(procAdd,
-			func(e *xdr.Encoder) { e.PutInt32(4); e.PutInt32(5) },
+			func(e *xdr.Encoder) { e.PutUint32(4); e.PutUint32(5) },
 			func(d *xdr.Decoder) error {
 				var err error
-				sum, err = d.Int32()
+				sum, err = d.Uint32()
 				return err
 			}); err != nil {
 			t.Error(err)

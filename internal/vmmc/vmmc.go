@@ -65,9 +65,14 @@ type Endpoint struct {
 	tc    *trace.Collector
 	track string
 
-	// freeNotes holds the Notification records of drained signals, for
-	// the next notifying arrival (NotifyArrival) to deliver.
-	freeNotes []*Notification
+	// notes holds the signal-path notifications not yet delivered, in
+	// arrival order; while blocked is set they stay queued (the paper:
+	// "unlike signals, however, notifications are queued when blocked").
+	// deliver is the interrupt an arrival queues, built at the first: it
+	// charges the signal delivery cost and drains notes.
+	notes   []Notification
+	blocked bool
+	deliver func(*sim.Proc)
 }
 
 // duSlot is one nesting level's reusable deliberate-update job.
@@ -76,18 +81,9 @@ type duSlot struct {
 	chunks []nic.DUChunk
 }
 
-// Attach connects a process to VMMC on its node and installs the
-// notification signal dispatcher as the process's signal handler (the
-// paper's prototype implements notifications with UNIX signals).
+// Attach connects a process to VMMC on its node.
 func Attach(p *kernel.Process, d *daemon.Daemon) *Endpoint {
-	ep := &Endpoint{Proc: p, D: d, tc: p.M.Trace, track: p.M.TraceNode + "/vmmc"}
-	p.OnSignal(func(_ *kernel.Process, data any) {
-		rec := data.(*Notification)
-		n := *rec
-		ep.freeNotes = append(ep.freeNotes, rec)
-		n.Export.dispatch(n)
-	})
-	return ep
+	return &Endpoint{Proc: p, D: d, tc: p.M.Trace, track: p.M.TraceNode + "/vmmc"}
 }
 
 // Notification reports the arrival of a notifying transfer into an export.
@@ -116,7 +112,7 @@ type ExportOpts struct {
 	// process's next poll or yield point — no interrupt, no signal
 	// machinery, and well under a microsecond of software. Fast
 	// notifications are not subject to BlockNotifications (they bypass
-	// the kernel signal queue); use SetDiscard for per-buffer control.
+	// the endpoint's blocked queue); use SetDiscard for per-buffer control.
 	FastNotify bool
 }
 
@@ -148,26 +144,41 @@ func (ep *Endpoint) Export(va kernel.VA, pages int, opts ExportOpts) (*Export, e
 }
 
 // NotifyArrival implements daemon.Notifiable: the NIC raised a notification
-// interrupt for this buffer. Runs in interrupt context; delivery to the user
-// process uses the kernel signal machinery (queued while blocked).
+// interrupt for this buffer. Runs in interrupt context. The notification
+// joins the endpoint's queue and, unless notifications are blocked, an
+// interrupt delivers it to the process at the signal path's cost (the
+// prototype carried notifications on UNIX signals).
 func (e *Export) NotifyArrival(srcNode int) {
 	if e.dead || e.discard {
 		return
 	}
-	e.ep.tc.Count(e.ep.track, "notify.signal", 1)
-	var rec *Notification
-	if k := len(e.ep.freeNotes); k > 0 {
-		rec = e.ep.freeNotes[k-1]
-		e.ep.freeNotes[k-1] = nil
-		e.ep.freeNotes = e.ep.freeNotes[:k-1]
-	} else {
-		rec = new(Notification)
+	ep := e.ep
+	ep.tc.Count(ep.track, "notify.signal", 1)
+	ep.notes = append(ep.notes, Notification{Export: e, SrcNode: srcNode})
+	if ep.blocked || ep.Proc.Exited() {
+		return
 	}
-	*rec = Notification{Export: e, SrcNode: srcNode}
-	e.ep.Proc.Deliver(rec)
+	if ep.deliver == nil {
+		ep.deliver = func(sp *sim.Proc) {
+			sp.Sleep(hw.SignalDeliveryCost)
+			ep.drain()
+		}
+	}
+	ep.Proc.P.Interrupt(ep.deliver)
 }
 
-// FastArrival implements daemon.FastNotifiable: the NIC posted a record to
+// drain dispatches the queued notifications in arrival order until the
+// queue empties or a handler blocks notifications.
+func (ep *Endpoint) drain() {
+	for !ep.blocked && len(ep.notes) > 0 {
+		n := ep.notes[0]
+		// Shift rather than reslice, so the queue keeps its capacity.
+		ep.notes = ep.notes[:copy(ep.notes, ep.notes[1:])]
+		n.Export.dispatch(n)
+	}
+}
+
+// FastArrival implements daemon.Notifiable: the NIC posted a record to
 // the user-level notification queue; the handler runs in the process
 // context at its next poll or yield point, at user-level dispatch cost.
 func (e *Export) FastArrival(srcNode int) {
@@ -181,7 +192,7 @@ func (e *Export) FastArrival(srcNode int) {
 	})
 }
 
-// dispatch runs in the process context when the signal is delivered.
+// dispatch runs in the process context when the notification is delivered.
 func (e *Export) dispatch(n Notification) {
 	if e.dead {
 		return
@@ -198,19 +209,19 @@ func (e *Export) dispatch(n Notification) {
 func (e *Export) SetDiscard(on bool) { e.discard = on }
 
 // Wait suspends the process until a notification for this particular buffer
-// arrives, and returns it. Signals are temporarily unblocked so queued
-// notifications can drain into per-buffer queues.
+// arrives, and returns it. Notifications are temporarily unblocked so
+// queued ones can drain into per-buffer queues.
 func (e *Export) Wait() Notification {
-	p := e.ep.Proc
-	wasBlocked := p.SignalsBlocked()
+	ep := e.ep
+	wasBlocked := ep.blocked
 	if wasBlocked {
-		p.UnblockSignals()
+		ep.UnblockNotifications()
 	}
 	for len(e.queue) == 0 && !e.dead {
-		e.avail.Wait(p.P)
+		e.avail.Wait(ep.Proc.P)
 	}
 	if wasBlocked {
-		p.BlockSignals()
+		ep.BlockNotifications()
 	}
 	if len(e.queue) == 0 {
 		return Notification{Export: e}
@@ -237,10 +248,13 @@ func (ep *Endpoint) Unexport(e *Export) error {
 }
 
 // BlockNotifications defers notification delivery; notifications queue.
-func (ep *Endpoint) BlockNotifications() { ep.Proc.BlockSignals() }
+func (ep *Endpoint) BlockNotifications() { ep.blocked = true }
 
 // UnblockNotifications resumes delivery, draining the queue.
-func (ep *Endpoint) UnblockNotifications() { ep.Proc.UnblockSignals() }
+func (ep *Endpoint) UnblockNotifications() {
+	ep.blocked = false
+	ep.drain()
+}
 
 // Import is an imported remote receive buffer.
 type Import struct {

@@ -3,6 +3,7 @@ package vmmc
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -280,51 +281,53 @@ func TestNotificationHandler(t *testing.T) {
 	}
 }
 
+// Notifications that arrive while blocked queue on the endpoint, run no
+// handler, and are delivered in arrival order on unblock.
 func TestNotificationQueuedWhileBlocked(t *testing.T) {
-	count := 0
+	var got []string
 	pair(t,
 		func(ep *Endpoint) {
-			va := ep.Proc.MapPages(1, 0)
-			exp, err := ep.Export(va, 1, ExportOpts{
-				Name:    "rx",
-				Handler: func(n Notification) { count++ },
-			})
-			if err != nil {
-				t.Error(err)
-				return
+			va := ep.Proc.MapPages(2, 0)
+			for i, name := range []string{"a", "b"} {
+				if _, err := ep.Export(va+kernel.VA(i*hw.Page), 1, ExportOpts{
+					Name:    name,
+					Handler: func(Notification) { got = append(got, name) },
+				}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 			ep.BlockNotifications()
-			// Sender fires two notifying transfers; wait until both
-			// words land, then check nothing was delivered.
-			ep.Proc.WaitWord(va+4, func(v uint32) bool { return v == 2 })
+			// The sender notifies b, then a; wait until both words
+			// land, then check nothing was delivered.
+			ep.Proc.WaitWord(va, func(v uint32) bool { return v == 2 })
 			ep.Proc.P.Sleep(200 * time.Microsecond) // let interrupts queue
-			if count != 0 {
-				t.Errorf("handler ran while blocked (%d)", count)
+			if len(got) != 0 {
+				t.Errorf("handler ran while blocked: %v", got)
 			}
-			if got := ep.Proc.PendingSignals(); got != 2 {
-				t.Errorf("queued notifications = %d, want 2", got)
+			if len(ep.notes) != 2 {
+				t.Errorf("queued notifications = %d, want 2", len(ep.notes))
 			}
 			ep.UnblockNotifications()
-			if count != 2 {
-				t.Errorf("handler runs after unblock = %d, want 2", count)
+			if !slices.Equal(got, []string{"b", "a"}) {
+				t.Errorf("handler runs after unblock = %v, want [b a]", got)
 			}
-			_ = exp
+			if len(ep.notes) != 0 {
+				t.Errorf("%d notifications left queued after unblock", len(ep.notes))
+			}
 		},
 		func(ep *Endpoint) {
-			imp, err := ep.Import(1, "rx")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			one := ep.Proc.Alloc(4, 4)
-			ep.Proc.WriteWord(one, 1)
-			if err := ep.SendNotify(imp, 0, one, 4); err != nil {
-				t.Error(err)
-			}
-			two := ep.Proc.Alloc(4, 4)
-			ep.Proc.WriteWord(two, 2)
-			if err := ep.SendNotify(imp, 4, two, 4); err != nil {
-				t.Error(err)
+			for k, name := range []string{"b", "a"} {
+				imp, err := ep.Import(1, name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				src := ep.Proc.Alloc(4, 4)
+				ep.Proc.WriteWord(src, uint32(k+1))
+				if err := ep.SendNotify(imp, 0, src, 4); err != nil {
+					t.Error(err)
+				}
 			}
 		})
 }

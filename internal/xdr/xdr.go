@@ -1,7 +1,7 @@
 // Package xdr implements the External Data Representation encoding used by
-// SunRPC (RFC 1014, the subset RFC 1057 requires): big-endian 32-bit
-// quantities, 64-bit hypers, booleans, strings and opaques padded to 4-byte
-// boundaries, and counted arrays.
+// SunRPC (RFC 1014, the subset the RPC layers here use): big-endian
+// unsigned 32-bit quantities and 64-bit hypers, booleans, and strings and
+// opaques padded to 4-byte boundaries.
 //
 // Encoders write through a Sink and decoders read through a Source so the
 // RPC stream layer can be folded directly underneath (the paper's VRPC
@@ -13,7 +13,6 @@ package xdr
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrTruncated is returned when a decode runs out of data.
@@ -75,17 +74,11 @@ func (e *Encoder) PutUint32(v uint32) {
 	e.write([]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
 }
 
-// PutInt32 encodes a 32-bit signed integer.
-func (e *Encoder) PutInt32(v int32) { e.PutUint32(uint32(v)) }
-
 // PutUint64 encodes an unsigned hyper.
 func (e *Encoder) PutUint64(v uint64) {
 	e.PutUint32(uint32(v >> 32))
 	e.PutUint32(uint32(v))
 }
-
-// PutInt64 encodes a signed hyper.
-func (e *Encoder) PutInt64(v int64) { e.PutUint64(uint64(v)) }
 
 // PutBool encodes a boolean as 0 or 1.
 func (e *Encoder) PutBool(v bool) {
@@ -95,9 +88,6 @@ func (e *Encoder) PutBool(v bool) {
 		e.PutUint32(0)
 	}
 }
-
-// PutFloat64 encodes a double-precision float.
-func (e *Encoder) PutFloat64(v float64) { e.PutUint64(math.Float64bits(v)) }
 
 // PutFixedOpaque encodes bytes without a length prefix, padded to 4.
 func (e *Encoder) PutFixedOpaque(b []byte) {
@@ -115,14 +105,6 @@ func (e *Encoder) PutOpaque(b []byte) {
 
 // PutString encodes a string as counted, padded bytes.
 func (e *Encoder) PutString(s string) { e.PutOpaque([]byte(s)) }
-
-// PutUint32Array encodes a counted array of 32-bit values.
-func (e *Encoder) PutUint32Array(vs []uint32) {
-	e.PutUint32(uint32(len(vs)))
-	for _, v := range vs {
-		e.PutUint32(v)
-	}
-}
 
 // Put encodes a Marshaler.
 func (e *Encoder) Put(m Marshaler) { m.EncodeXDR(e) }
@@ -158,12 +140,6 @@ func (d *Decoder) Uint32() (uint32, error) {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), nil
 }
 
-// Int32 decodes a 32-bit signed integer.
-func (d *Decoder) Int32() (int32, error) {
-	v, err := d.Uint32()
-	return int32(v), err
-}
-
 // Uint64 decodes an unsigned hyper.
 func (d *Decoder) Uint64() (uint64, error) {
 	hi, err := d.Uint32()
@@ -172,12 +148,6 @@ func (d *Decoder) Uint64() (uint64, error) {
 	}
 	lo, err := d.Uint32()
 	return uint64(hi)<<32 | uint64(lo), err
-}
-
-// Int64 decodes a signed hyper.
-func (d *Decoder) Int64() (int64, error) {
-	v, err := d.Uint64()
-	return int64(v), err
 }
 
 // Bool decodes a boolean, rejecting values other than 0 and 1.
@@ -194,12 +164,6 @@ func (d *Decoder) Bool() (bool, error) {
 	default:
 		return false, fmt.Errorf("xdr: bad bool %d", v)
 	}
-}
-
-// Float64 decodes a double-precision float.
-func (d *Decoder) Float64() (float64, error) {
-	v, err := d.Uint64()
-	return math.Float64frombits(v), err
 }
 
 // FixedOpaque decodes n bytes plus padding.
@@ -263,24 +227,6 @@ func (d *Decoder) String(max int) (string, error) {
 	return string(b), err
 }
 
-// Uint32Array decodes a counted array of 32-bit values.
-func (d *Decoder) Uint32Array(max int) ([]uint32, error) {
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if max > 0 && int(n) > max {
-		return nil, fmt.Errorf("xdr: array length %d exceeds bound %d", n, max)
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		if out[i], err = d.Uint32(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Get decodes into an Unmarshaler.
 func (d *Decoder) Get(u Unmarshaler) error { return u.DecodeXDR(d) }
 
@@ -305,6 +251,3 @@ func (b *BufferSource) Read(n int) ([]byte, error) {
 	b.off += n
 	return out, nil
 }
-
-// Remaining reports unconsumed bytes.
-func (b *BufferSource) Remaining() int { return len(b.Buf) - b.off }
