@@ -82,12 +82,10 @@ func vmmcNotify(r *run) (signal, fast float64, err error) {
 			p.WaitWord(va+kernel.VA(4*k), func(v uint32) bool { return v == uint32(k+1) })
 			p.P.Sleep(notifySettle)
 		}
-		wait := func(k int) vmmc.Notification {
-			n := sig.Wait()
-			if n.SrcNode != notifySeq[k] {
+		wait := func(k int) {
+			if n := sig.Wait(); n.SrcNode != notifySeq[k] {
 				ck.failf("transfer %d: Wait returned node %d, want %d", k, n.SrcNode, notifySeq[k])
 			}
-			return n
 		}
 		handled := func(k int, what string) {
 			if !slices.Equal(got, notifySeq[:k]) {
