@@ -287,17 +287,21 @@ func (c *Cluster) RunChecked(budget time.Duration) (sim.Time, error) {
 }
 
 // Shutdown releases every parked process goroutine (daemons, servers,
-// blocked applications), then hands every node's DRAM frames to mem's free
-// list for the next cluster to reuse. Call it when a program is done with
-// the cluster: afterwards any read or write of a node's memory (a Peek, a
-// Poke) panics. Tests and drivers that build many clusters in one binary
-// use it to avoid accumulating goroutines and fresh pages. A second call is
-// a no-op.
+// blocked applications), then hands every node's DRAM frames and per-page
+// tables to mem's free lists for the next cluster to reuse: the memory's
+// frame, hook and observer tables, every process's page table and the
+// NIC's incoming page table, each cleared as it is pooled so nothing of
+// this world stays reachable from the lists. Call it when a program is done
+// with the cluster: afterwards any read or write of a node's memory (a
+// Peek, a Poke) panics. Tests and drivers that build many clusters in one
+// binary use it to avoid accumulating goroutines, fresh pages and tables.
+// A second call is a no-op.
 func (c *Cluster) Shutdown() {
 	// Deferred proc cleanups may still touch memory while the engine
 	// shuts down, so memory goes last.
 	c.Eng.Shutdown()
 	for _, n := range c.Nodes {
-		n.M.Mem.Release()
+		n.M.Release()
+		n.NIC.Release()
 	}
 }

@@ -3,11 +3,14 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
+	"shrimp/internal/mem"
+	"shrimp/internal/sim"
 	"shrimp/internal/vmmc"
 )
 
@@ -215,4 +218,79 @@ func TestPeekPokeAfterShutdownPanics(t *testing.T) {
 			access()
 		}()
 	}
+}
+
+// Shutdown pools a world's table chunks once: a second Shutdown pushes
+// nothing, so no chunk can reach two later tables.
+func TestSecondShutdownPoolsNothing(t *testing.T) {
+	world := func() *Cluster {
+		c := Default()
+		for node := 0; node < 2; node++ {
+			c.Spawn(node, "w", func(p *kernel.Process) {
+				ep := vmmc.Attach(p, c.Node(node).Daemon)
+				buf := p.MapPages(2, 0)
+				if _, err := ep.Export(buf, 2, vmmc.ExportOpts{Name: "b", Handler: func(vmmc.Notification) {}}); err != nil {
+					t.Error(err)
+				}
+				p.WriteWord(buf, 1)
+			})
+		}
+		c.Run()
+		return c
+	}
+	world().Shutdown()
+	c := world()
+	before := mem.PooledChunkBytes()
+	c.Shutdown()
+	pooled := mem.PooledChunkBytes()
+	if pooled <= before {
+		t.Fatalf("Shutdown pooled no table chunk (%d B before, %d after)", before, pooled)
+	}
+	c.Shutdown()
+	if got := mem.PooledChunkBytes(); got != pooled {
+		t.Fatalf("a second Shutdown pooled %d more bytes", got-pooled)
+	}
+}
+
+// engineMark is a tracer that holds nothing: attached to an engine for the
+// engine's lifetime, it becomes unreachable exactly when the engine does.
+// (A finalizer on the engine itself never runs: the engine sits in
+// reference cycles through its procs, and Go does not finalize cycles.)
+type engineMark struct{ _ int }
+
+func (*engineMark) Event(sim.Time, uint64)         {}
+func (*engineMark) ProcSwitch(sim.Time, *sim.Proc) {}
+
+// A shut-down world is garbage: nothing the process-level free lists keep
+// (frames, table chunks, idle coroutines, names) points back into it. The
+// world parks a proc on a page's watcher and installs a write observer, so
+// a hook or observer chunk pooled without its clear would keep it alive.
+func TestShutdownWorldIsCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		mark := new(engineMark)
+		runtime.SetFinalizer(mark, func(*engineMark) { close(collected) })
+		c := New(Config{Auto: mark})
+		c.Spawn(0, "waiter", func(p *kernel.Process) {
+			va := p.MapPages(1, 0)
+			p.ObserveWrites(va, func(int, int) {})
+			pte, _ := p.PTEOf(va)
+			c.Eng.Post(time.Microsecond, func() { p.M.Mem.Write(pte.Frame.Base(), []byte{1, 0, 0, 0}) })
+			p.WaitWord(va, func(v uint32) bool { return v == 1 })
+		})
+		c.Run()
+		c.Shutdown()
+	}()
+	// The finalizer runs on the runtime's finalizer goroutine once a
+	// collection finds the tracer unreachable.
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		runtime.Gosched()
+		select {
+		case <-collected:
+			return
+		default:
+		}
+	}
+	t.Fatal("a shut-down world's engine is still reachable")
 }

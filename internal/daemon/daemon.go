@@ -58,12 +58,12 @@ var ErrRevoked = errors.New("daemon: export already revoked")
 // communication fast path, so precision is unimportant).
 const LocalIPCCost = 25 * time.Microsecond
 
-// Notifiable is implemented by the VMMC layer's export object, the tag of
-// every exported page. The daemon's notification interrupt handler calls
-// NotifyArrival when the NIC raises VecNotify for a tagged page; the NIC's
-// fast-notification hook calls FastArrival for exports that opted into the
-// active-message-style path, where the record is posted to the user-level
-// queue directly, with no interrupt.
+// Notifiable is implemented by the VMMC layer's export object, the
+// notification target of every exported page. The daemon's notification
+// interrupt handler calls NotifyArrival when the NIC raises VecNotify for a
+// tagged page; the NIC's fast-notification hook calls FastArrival for
+// exports that opted into the active-message-style path, where the record
+// is posted to the user-level queue directly, with no interrupt.
 type Notifiable interface {
 	NotifyArrival(srcNode int)
 	FastArrival(srcNode int)
@@ -132,6 +132,11 @@ type Daemon struct {
 	imports   []*ImportRec
 	nextID    uint32
 	nextEphem int
+	// targets holds the notification target of every export made with
+	// one; an exported page's IPT tag is its target's index plus one (0:
+	// none). A slot is never reused, so a notification raised just before
+	// an unexport still reaches its own export.
+	targets []Notifiable
 
 	// rpcDeadline bounds every daemon-to-daemon Ethernet RPC.
 	rpcDeadline time.Duration
@@ -207,12 +212,20 @@ func New(nodeID int, m *kernel.Machine, n *nic.NIC, msh *mesh.Network, eth *ethe
 	d.proc.P.MarkService()
 	m.RegisterIRQ(nic.VecProtection, d.onFault)
 	m.RegisterIRQ(nic.VecNotify, d.onNotify)
-	n.FastNotifyHook = func(tag any, src mesh.NodeID) {
-		if t, ok := tag.(Notifiable); ok && t != nil {
+	n.FastNotifyHook = func(tag int32, src mesh.NodeID) {
+		if t := d.target(tag); t != nil {
 			t.FastArrival(int(src))
 		}
 	}
 	return d
+}
+
+// target returns the notification target an IPT tag names, nil for 0.
+func (d *Daemon) target(tag int32) Notifiable {
+	if tag == 0 {
+		return nil
+	}
+	return d.targets[tag-1]
 }
 
 func (d *Daemon) onFault(data any) {
@@ -239,7 +252,7 @@ func (d *Daemon) onNotify(data any) {
 	n := data.(*nic.Notify)
 	tag, src := n.Tag, n.Src
 	n.Release()
-	if t, ok := tag.(Notifiable); ok && t != nil {
+	if t := d.target(tag); t != nil {
 		t.NotifyArrival(int(src))
 	}
 }
@@ -376,8 +389,8 @@ func (d *Daemon) removeImport(rec *ImportRec) {
 // Export registers a page-aligned region of proc's address space as a
 // receive buffer: pages are pinned, IPT entries enabled, and the name
 // published for importers. interrupt enables the receiver-side notification
-// flag; fast selects the active-message-style delivery path; tag is handed
-// back on notifications.
+// flag; fast selects the active-message-style delivery path; tag, if
+// non-nil, receives the pages' notifications.
 func (d *Daemon) Export(proc *kernel.Process, name string, va kernel.VA, pages int, interrupt, fast bool, tag Notifiable, allowed []int) (*ExportRec, error) {
 	proc.Compute(LocalIPCCost)
 	if va%hw.Page != 0 {
@@ -399,9 +412,14 @@ func (d *Daemon) Export(proc *kernel.Process, name string, va kernel.VA, pages i
 		ID: d.nextID, Name: name, Owner: proc, Base: va, Frames: frames,
 		Allowed: allowed, importers: make(map[importRef]bool),
 	}
+	var tagIdx int32
+	if tag != nil {
+		d.targets = append(d.targets, tag)
+		tagIdx = int32(len(d.targets))
+	}
 	for i, f := range frames {
 		proc.SetFlags(kernel.PageOf(va)+kernel.VPN(i), kernel.FlagPinned)
-		d.NIC.SetIPT(f, nic.IPTEntry{Enable: true, Interrupt: interrupt, FastNotify: fast, Tag: tag})
+		d.NIC.SetIPT(f, nic.IPTEntry{Enable: true, Interrupt: interrupt, FastNotify: fast, Tag: tagIdx})
 	}
 	d.exports[rec.ID] = rec
 	if name != "" {

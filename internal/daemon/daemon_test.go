@@ -242,7 +242,7 @@ func TestNotificationRouting(t *testing.T) {
 	})
 	r.eng.RunAll()
 	// Fire the IRQ directly: the daemon must route it to the Notifiable.
-	r.m[1].RaiseIRQ(nic.VecNotify, &nic.Notify{Frame: frame, Tag: rec, Src: 0})
+	r.m[1].RaiseIRQ(nic.VecNotify, &nic.Notify{Frame: frame, Tag: r.n[1].GetIPT(frame).Tag, Src: 0})
 	r.eng.RunAll()
 	if len(rec.srcs) != 1 || rec.srcs[0] != 0 {
 		t.Fatalf("notification routing: %v", rec.srcs)

@@ -39,7 +39,7 @@ type Message struct {
 // Network is the shared segment.
 type Network struct {
 	eng    *sim.Engine
-	medium *sim.Server
+	medium sim.Server
 	ports  map[Addr]*Port
 	nodes  int
 
@@ -74,7 +74,7 @@ func (n *Network) NameSeq() int {
 func New(eng *sim.Engine, nodes int) *Network {
 	return &Network{
 		eng:    eng,
-		medium: sim.NewServer(eng),
+		medium: sim.MakeServer(eng),
 		ports:  make(map[Addr]*Port),
 		nodes:  nodes,
 	}

@@ -95,12 +95,12 @@ type Machine struct {
 
 	// CPU serializes compute between processes on the node (one Pentium
 	// per node). Blocking waits do not hold the CPU.
-	CPU *sim.Server
+	CPU sim.Server
 
 	// MemBus models the Xpress memory bus: bulk CPU copies and the NIC's
 	// DMA engines all reserve it, so they serialize — the behaviour that
 	// caps the 2-copy protocols in the paper's Figure 3.
-	MemBus *sim.Server
+	MemBus sim.Server
 
 	// Frame allocator: fresh frames come from the ascending nextFrame
 	// cursor (frame 0 stays reserved); freed frames are reused LIFO from
@@ -131,11 +131,44 @@ type Machine struct {
 
 	// Trace, when non-nil, collects observability data for this node's
 	// whole stack; set by cluster.New, reached by the NIC and libraries
-	// through their Machine/Process references. TraceNode is the node's
-	// precomputed track prefix ("node3"), so instrumentation sites derive
-	// track names without per-event formatting.
-	Trace     *trace.Collector
-	TraceNode string
+	// through their Machine/Process references, each of which takes its
+	// track name from Track once, so no instrumentation site formats one.
+	Trace *trace.Collector
+
+	// names is the node ID's entry in nodeNames.
+	names *nodeNames
+}
+
+// nodeNames caches the names built on one node ID: tracks maps a layer
+// to its trace track ("nic" to "node3/nic"), procs a process name to the
+// proc's ("shrimpd" to "n3/shrimpd"). A name depends only on the node ID
+// and the string, so each is formatted once per process and shared by
+// every world that numbers its nodes the same. One simulation thread per
+// process, so plain maps suffice.
+type nodeNames struct {
+	tracks, procs map[string]string
+}
+
+// namesByID holds each node ID's nodeNames, grown on demand.
+var namesByID []*nodeNames
+
+// namesOf returns node id's nodeNames.
+func namesOf(id int) *nodeNames {
+	for len(namesByID) <= id {
+		namesByID = append(namesByID, &nodeNames{map[string]string{}, map[string]string{}})
+	}
+	return namesByID[id]
+}
+
+// Track returns the node's trace track for a layer: "node3/nic" for
+// "nic".
+func (m *Machine) Track(layer string) string {
+	t, ok := m.names.tracks[layer]
+	if !ok {
+		t = fmt.Sprintf("node%d/%s", m.ID, layer)
+		m.names.tracks[layer] = t
+	}
+	return t
 }
 
 // NewMachine creates a node kernel over memBytes of DRAM. The first few
@@ -145,11 +178,11 @@ func NewMachine(id int, eng *sim.Engine, memBytes int) *Machine {
 		ID:        id,
 		Eng:       eng,
 		Mem:       mem.New(eng, memBytes),
-		CPU:       sim.NewServer(eng),
-		MemBus:    sim.NewServer(eng),
+		CPU:       sim.MakeServer(eng),
+		MemBus:    sim.MakeServer(eng),
 		irq:       make(map[int]func(any)),
-		TraceNode: fmt.Sprintf("node%d", id),
 		nextFrame: 1,
+		names:     namesOf(id),
 	}
 	return m
 }
@@ -205,7 +238,7 @@ func (m *Machine) RaiseIRQ(vector int, data any) {
 	}
 	m.IRQRaised++
 	if m.Trace != nil {
-		m.Trace.Count(m.TraceNode+"/kernel", "irq", 1)
+		m.Trace.Count(m.Track("kernel"), "irq", 1)
 	}
 	if m.runIRQ == nil {
 		m.runIRQ = func() {
@@ -269,7 +302,12 @@ func (m *Machine) Spawn(name string, body func(p *Process)) *Process {
 		M:      m,
 		nextVA: 0x10000,
 	}
-	pr.P = m.Eng.Spawn(fmt.Sprintf("n%d/%s", m.ID, name), func(sp *sim.Proc) {
+	pname, ok := m.names.procs[name]
+	if !ok {
+		pname = fmt.Sprintf("n%d/%s", m.ID, name)
+		m.names.procs[name] = pname
+	}
+	pr.P = m.Eng.Spawn(pname, func(sp *sim.Proc) {
 		body(pr)
 		pr.exited = true
 	})
@@ -296,6 +334,18 @@ func (m *Machine) Crash() {
 		pr.P.Kill()
 		pr.exited = true
 	}
+}
+
+// Release hands every process's page table and the node's memory back to
+// mem's free lists for the next world (mem.Sparse.Release,
+// mem.Memory.Release). Call it once nothing on the node runs again
+// (cluster.Cluster.Shutdown): afterwards any access through an address
+// space panics. A second call is a no-op.
+func (m *Machine) Release() {
+	for _, pr := range m.procs {
+		pr.pages.Release()
+	}
+	m.Mem.Release()
 }
 
 // Dead reports whether the machine has crashed.
@@ -488,7 +538,7 @@ func (p *Process) checkAccess(va VA, write bool) {
 		}
 		p.PageFaults++
 		if p.M.Trace != nil {
-			p.M.Trace.Count(p.M.TraceNode+"/kernel", "pagefault", 1)
+			p.M.Trace.Count(p.M.Track("kernel"), "pagefault", 1)
 		}
 		p.faultDepth++
 		p.Compute(hw.PageFaultUpcall)

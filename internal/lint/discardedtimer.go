@@ -1,21 +1,20 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 )
 
 // DiscardedTimerAnalyzer returns the discarded-timer rule: a statement that
-// calls sim.Engine.Schedule or sim.Engine.At and drops the returned *Timer
-// pays a heap allocation for a handle nobody can use. Post and PostAt fire
-// at the same instant in the same (time, seq) order and allocate nothing,
-// so a caller that never cancels must use them. Test files and the engine
-// package itself (which tests its own API) are exempt.
+// calls sim.Engine.Schedule and drops the returned *Timer pays a heap
+// allocation for a handle nobody can use. Post fires at the same instant in
+// the same (time, seq) order and allocates nothing, so a caller that never
+// cancels must use it. Test files and the engine package itself (which
+// tests its own API) are exempt.
 func DiscardedTimerAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "discarded-timer",
-		Doc:  "flag Engine.Schedule/At calls whose *Timer is dropped; use Post/PostAt",
+		Doc:  "flag Engine.Schedule calls whose *Timer is dropped; use Post",
 		Run: func(p *Package, report func(pos token.Pos, msg string)) {
 			if p.IsSimItself() {
 				return
@@ -34,16 +33,10 @@ func DiscardedTimerAnalyzer() *Analyzer {
 						return true
 					}
 					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok || !isMethod(useObj(p, sel.Sel), "/internal/sim", "Engine", "Schedule", "At") {
+					if !ok || !isMethod(useObj(p, sel.Sel), "/internal/sim", "Engine", "Schedule") {
 						return true
 					}
-					alt := "Post"
-					if sel.Sel.Name == "At" {
-						alt = "PostAt"
-					}
-					report(call.Pos(), fmt.Sprintf(
-						"Engine.%s allocates a *Timer that is dropped here; use Engine.%s, which fires identically and allocates nothing",
-						sel.Sel.Name, alt))
+					report(call.Pos(), "Engine.Schedule allocates a *Timer that is dropped here; use Engine.Post, which fires identically and allocates nothing")
 					return true
 				})
 			}

@@ -486,7 +486,6 @@ type Timer struct{}
 func (t *Timer) Stop() bool { return false }
 type Engine struct{}
 func (e *Engine) Schedule(d time.Duration, fn func()) *Timer { return &Timer{} }
-func (e *Engine) At(t Time, fn func()) *Timer { return &Timer{} }
 func (e *Engine) Post(d time.Duration, fn func()) {}
 func (e *Engine) PostAt(t Time, fn func()) {}`
 
@@ -497,7 +496,6 @@ func TestDiscardedTimer(t *testing.T) {
 		want int
 	}{
 		{"hit: Schedule handle dropped", `e.Schedule(time.Microsecond, func() {})`, 1},
-		{"hit: At handle dropped", `e.At(5, func() {})`, 1},
 		{"clean: Post and PostAt", `e.Post(time.Microsecond, func() {}); e.PostAt(5, func() {})`, 0},
 		{"clean: handle kept", `n.timer = e.Schedule(time.Microsecond, func() {})`, 0},
 		{"clean: handle used in the same statement", `e.Schedule(time.Microsecond, func() {}).Stop()`, 0},

@@ -23,6 +23,14 @@
 // sweep that builds hundreds of clusters thus reuses the host pages the
 // last world faulted in instead of allocating and zeroing new ones. A
 // released memory is unusable: any later read or write panics.
+//
+// The per-page tables are recycled the same way. Every one is a Sparse,
+// whose 256-entry chunks go, cleared, to a process-wide free list per
+// element type when the table is released (all lists share one byte cap,
+// maxPooledChunkBytes), and a table's next chunk comes from that list
+// before it is allocated. Memory releases its frame, hook and observer
+// tables; the kernel's page tables and the NIC's incoming page table are
+// released by their owners, all at cluster shutdown.
 package mem
 
 import (
@@ -127,26 +135,29 @@ func (m *Memory) page(f PFN) []byte {
 }
 
 // pageW returns the frame's backing bytes for writing, materializing it.
+// Every store comes here, so a written frame is found through Get, which
+// inlines; W runs only for the frame's first write.
 func (m *Memory) pageW(f PFN) []byte {
+	if p := m.frames.Get(int(f)); p != nil && *p != nil {
+		return *p
+	}
 	p := m.frames.W(int(f))
-	if *p == nil {
-		if l := len(freeFrames); l > 0 {
-			*p = freeFrames[l-1]
-			freeFrames[l-1] = nil
-			freeFrames = freeFrames[:l-1]
-			clear(*p)
-		} else {
-			*p = make([]byte, hw.Page)
-		}
+	if l := len(freeFrames); l > 0 {
+		*p = freeFrames[l-1]
+		freeFrames[l-1] = nil
+		freeFrames = freeFrames[:l-1]
+		clear(*p)
+	} else {
+		*p = make([]byte, hw.Page)
 	}
 	return *p
 }
 
 // Release returns m's materialized frames to the free list, up to its cap
-// (the rest go to the garbage collector), drops m's frame table and zeroes
-// its size, so any later read or write of m panics. Call it once nothing
-// can touch m again; a second call is a no-op. Frames are cleared when
-// reused, not here.
+// (the rest go to the garbage collector), releases its frame, hook and
+// observer tables (Sparse.Release) and zeroes its size, so any later read
+// or write of m panics. Call it once nothing can touch m again; a second
+// call is a no-op. Frames are cleared when reused, not here.
 func (m *Memory) Release() {
 	m.frames.All(func(_ int, p *[]byte) bool {
 		if *p != nil && len(freeFrames) < maxFreeFrames {
@@ -154,9 +165,10 @@ func (m *Memory) Release() {
 		}
 		return true
 	})
-	m.frames = Sparse[[]byte]{}
-	m.observers, m.nobs = Sparse[WriteObserver]{}, 0
-	m.size = 0
+	m.frames.Release()
+	m.hooks.Release()
+	m.observers.Release()
+	m.nobs, m.size = 0, 0
 }
 
 // ReadInto copies len(b) bytes at pa into b. b never aliases simulated RAM.
@@ -284,10 +296,11 @@ func (m *Memory) Snooped(f PFN) int32 {
 // broadcast whenever a write lands in the frame. Waiters re-check their
 // predicate after waking, as with any condition variable.
 func (m *Memory) PageCond(f PFN) *sim.Cond {
-	h := m.hooks.W(int(f))
-	if h.cond == nil {
-		h.cond = sim.NewCond(m.eng)
+	if h := m.hooks.Get(int(f)); h != nil && h.cond != nil {
+		return h.cond
 	}
+	h := m.hooks.W(int(f))
+	h.cond = sim.NewCond(m.eng)
 	return h.cond
 }
 

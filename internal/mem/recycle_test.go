@@ -76,3 +76,101 @@ func TestReleasedMemoryPanics(t *testing.T) {
 		}()
 	}
 }
+
+// resetChunkPools empties every table-chunk free list.
+func resetChunkPools() {
+	chunkPools, pooledChunkBytes = map[any]any{}, 0
+}
+
+// A released table's chunks go to its element type's free list, and the
+// next table's first writes take them back zeroed, whatever they held.
+func TestReleasedChunksReuseCleared(t *testing.T) {
+	resetChunkPools()
+	var a Sparse[int]
+	for _, i := range []int{3, 300, 3000} {
+		for j := i &^ (1<<sparseShift - 1); j < i|(1<<sparseShift-1); j++ {
+			*a.W(j) = j + 1
+		}
+	}
+	a.Release()
+	if got := len(*chunkPool[int]()); got != 3 {
+		t.Fatalf("free list holds %d chunks after release, want 3", got)
+	}
+	if got, want := PooledChunkBytes(), 3*(1<<sparseShift)*8; got != want {
+		t.Fatalf("pooled %d B, want %d", got, want)
+	}
+	if a.Get(300) != nil {
+		t.Fatal("a released table still reads its entries")
+	}
+
+	var b Sparse[int]
+	for _, i := range []int{0, 1 << sparseShift, 5 << sparseShift} {
+		*b.W(i) = -1
+	}
+	b.All(func(i int, e *int) bool {
+		if *e != 0 && *e != -1 {
+			t.Fatalf("entry %d of a reused chunk reads %d, want 0", i, *e)
+		}
+		return true
+	})
+	if got := len(*chunkPool[int]()); got != 0 || PooledChunkBytes() != 0 {
+		t.Fatalf("%d chunks (%d B) left pooled, want none", got, PooledChunkBytes())
+	}
+}
+
+// A second Release pushes nothing: were a chunk pushed twice, two live
+// tables would take the same chunk and write each other's entries.
+func TestDoubleReleasePushesOnce(t *testing.T) {
+	resetChunkPools()
+	var a Sparse[int]
+	*a.W(0) = 1
+	*a.W(1 << sparseShift) = 2
+	a.Release()
+	a.Release()
+	if got := len(*chunkPool[int]()); got != 2 {
+		t.Fatalf("free list holds %d chunks after two releases of 2, want 2", got)
+	}
+
+	m := New(sim.NewEngine(), 4*hw.Page)
+	m.Write(0, []byte{1})
+	m.PageCond(1)
+	m.Observe(2, func(int, int) {})
+	m.Release()
+	pooled := PooledChunkBytes()
+	m.Release()
+	if PooledChunkBytes() != pooled {
+		t.Fatalf("a second Memory.Release pooled %d more bytes", PooledChunkBytes()-pooled)
+	}
+
+	tabs := make([]Sparse[int], 4)
+	for k := range tabs {
+		*tabs[k].W(0) = k
+	}
+	for k := range tabs {
+		if got := *tabs[k].Get(0); got != k {
+			t.Fatalf("table %d reads %d: it shares a chunk with table %d", k, got, got)
+		}
+	}
+}
+
+// The free lists never hold more than their shared byte cap: chunks
+// released beyond it go to the garbage collector.
+func TestChunkPoolCapped(t *testing.T) {
+	resetChunkPools()
+	chunk := (1 << sparseShift) * 8
+	over := maxPooledChunkBytes/chunk + 4
+	var a Sparse[int]
+	var b Sparse[uint64]
+	for ci := 0; ci < over; ci++ {
+		*a.W(ci << sparseShift) = 1
+		*b.W(ci << sparseShift) = 1
+	}
+	a.Release()
+	b.Release()
+	if got := PooledChunkBytes(); got > maxPooledChunkBytes || got < maxPooledChunkBytes-chunk {
+		t.Fatalf("pooled %d B after releasing %d B, cap %d", got, 2*over*chunk, maxPooledChunkBytes)
+	}
+	if got := len(*chunkPool[int]()) + len(*chunkPool[uint64]()); got*chunk != PooledChunkBytes() {
+		t.Fatalf("free lists hold %d chunks, counted as %d B", got, PooledChunkBytes())
+	}
+}

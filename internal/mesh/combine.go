@@ -177,7 +177,7 @@ func (n *Network) Combine(node NodeID, op CombOp, id uint64, ival int64, fval fl
 	serialize := time.Duration(hw.PacketHeaderBytes+combPayloadBytes) * hw.MeshLinkPerByte
 	start, end := n.inject[node].srv.ReserveAt(n.eng.Now(), serialize)
 	if n.Trace != nil {
-		ch := n.inject[node]
+		ch := &n.inject[node]
 		n.Trace.Add(traceTrack, ch.span, start, end)
 		n.Trace.Count(traceTrack, ch.bytes, int64(hw.PacketHeaderBytes+combPayloadBytes))
 	}
@@ -340,7 +340,7 @@ func (n *Network) combContribute(st *combState, r int, ival int64, fval float64)
 func (n *Network) combDown(st *combState, r int, at sim.Time) {
 	c := n.comb
 	serialize := time.Duration(hw.PacketHeaderBytes+combPayloadBytes) * hw.MeshLinkPerByte
-	_, eend := n.reserveComb(n.eject[r], at, serialize)
+	_, eend := n.reserveComb(&n.eject[r], at, serialize)
 	n.eng.PostAt(eend, n.getHop(st, r).eject)
 	for _, kid := range c.kids[r] {
 		_, lend := n.reserveComb(n.link(r, kid), at, serialize)

@@ -76,9 +76,45 @@ type Handler func(pkt *Packet)
 // occupancy server and precomputed trace labels, so the traced send path
 // never builds strings.
 type channel struct {
-	srv   *sim.Server
+	srv sim.Server
+	chanLabels
+}
+
+// chanLabels are a channel's trace labels.
+type chanLabels struct {
 	span  string // e.g. "link.3>4", "inject.0"
 	bytes string // e.g. "link.3>4.bytes"
+}
+
+// portLabels[0] and [1] hold inject and eject port k's labels at index k,
+// and linkLabels the link from router a to b's under key {a, b}. Labels
+// depend only on router numbers, so each is built once per process and
+// shared by every world's channel of that name. One simulation thread per
+// process, so plain tables suffice.
+var (
+	portLabels [2][]chanLabels
+	linkLabels = map[[2]int]chanLabels{}
+)
+
+func newLabels(span string) chanLabels { return chanLabels{span, span + ".bytes"} }
+
+// portLabel returns inject (kind 0) or eject (kind 1) port k's labels.
+func portLabel(kind, k int) chanLabels {
+	l := &portLabels[kind]
+	for len(*l) <= k {
+		*l = append(*l, newLabels(fmt.Sprintf("%s.%d", [2]string{"inject", "eject"}[kind], len(*l))))
+	}
+	return (*l)[k]
+}
+
+// linkLabel returns the labels of the link from router a to router b.
+func linkLabel(a, b int) chanLabels {
+	l, ok := linkLabels[[2]int{a, b}]
+	if !ok {
+		l = newLabels(fmt.Sprintf("link.%d>%d", a, b))
+		linkLabels[[2]int{a, b}] = l
+	}
+	return l
 }
 
 // Network is a k-ary n-dimensional mesh with one attachment point per
@@ -107,7 +143,7 @@ type Network struct {
 	hops []*channel
 
 	// inject and eject model the NIC-to-router channels.
-	inject, eject []*channel
+	inject, eject []channel
 
 	handlers []Handler
 
@@ -183,22 +219,18 @@ func NewDims(eng *sim.Engine, dims []int) *Network {
 		strides:  strides,
 		total:    total,
 		hops:     make([]*channel, total*len(dims)*2),
-		inject:   make([]*channel, total),
-		eject:    make([]*channel, total),
+		inject:   make([]channel, total),
+		eject:    make([]channel, total),
 		handlers: make([]Handler, total),
 		dead:     make([]bool, total),
 		flows:    make([][]*flow, total),
 		drained:  sim.NewCond(eng),
 	}
 	for i := range n.inject {
-		n.inject[i] = newChannel(eng, fmt.Sprintf("inject.%d", i))
-		n.eject[i] = newChannel(eng, fmt.Sprintf("eject.%d", i))
+		n.inject[i] = channel{sim.MakeServer(eng), portLabel(0, i)}
+		n.eject[i] = channel{sim.MakeServer(eng), portLabel(1, i)}
 	}
 	return n
-}
-
-func newChannel(eng *sim.Engine, span string) *channel {
-	return &channel{srv: sim.NewServer(eng), span: span, bytes: span + ".bytes"}
 }
 
 // Nodes returns the number of attachment points.
@@ -332,7 +364,7 @@ func (n *Network) hop(r, d, dir int) *channel {
 		if dir == 1 {
 			to = r - n.strides[d]
 		}
-		c = newChannel(n.eng, fmt.Sprintf("link.%d>%d", r, to))
+		c = &channel{sim.MakeServer(n.eng), linkLabel(r, to)}
 		n.hops[i] = c
 	}
 	return c
@@ -394,7 +426,7 @@ func (n *Network) transmit(pkt *Packet) {
 	// corrected completely before the next — the same walk as Route,
 	// done inline over the hop table), then the eject channel.
 	n.Trace.Observe(traceTrack, "packet.bytes", int64(size))
-	headerAt, arrival := n.reserve(n.inject[pkt.Src], now, serialize, size)
+	headerAt, arrival := n.reserve(&n.inject[pkt.Src], now, serialize, size)
 	cur := int(pkt.Src)
 	for d, stride := range n.strides {
 		c, want := n.coordAt(NodeID(cur), d), n.coordAt(pkt.Dst, d)
@@ -410,7 +442,7 @@ func (n *Network) transmit(pkt *Packet) {
 			cur = next
 		}
 	}
-	_, arrival = n.reserve(n.eject[pkt.Dst], headerAt, serialize, size)
+	_, arrival = n.reserve(&n.eject[pkt.Dst], headerAt, serialize, size)
 
 	// The injector draws this packet's fate after the channels were
 	// occupied: a dropped or corrupted packet still burned link time.

@@ -53,7 +53,7 @@ type ProtectionFault struct {
 // it has read the fields, and the NIC reuses it for a later notification.
 type Notify struct {
 	Frame mem.PFN
-	Tag   any // receiver-side tag installed with SetIPT (the export)
+	Tag   int32 // the page's IPT tag (IPTEntry.Tag)
 	Src   mesh.NodeID
 	nic   *NIC
 }
@@ -81,7 +81,9 @@ type OPTEntry struct {
 	NotifyOnArrival bool
 }
 
-// IPTEntry is one incoming page-table entry.
+// IPTEntry is one incoming page-table entry. It holds no pointer, so a
+// table's chunks cost 2KB each and carry nothing of their world into
+// mem's free list (Release).
 type IPTEntry struct {
 	// Enable permits the network interface to DMA into the page.
 	Enable bool
@@ -92,9 +94,10 @@ type IPTEntry struct {
 	// instead of interrupting the CPU (the paper's planned
 	// reimplementation of notifications, Section 2.3).
 	FastNotify bool
-	// Tag identifies the export covering this page for the notification
-	// and fault paths (opaque to the hardware model).
-	Tag any
+	// Tag names the export covering this page for the notification
+	// path: an index into the daemon's table of notification targets,
+	// 0 for none. Opaque to the hardware model.
+	Tag int32
 }
 
 // DUChunk is one packet-sized piece of a deliberate update, produced by the
@@ -176,11 +179,11 @@ type NIC struct {
 	outFree []*outPacket
 
 	// The NIC port shared by outgoing and incoming transfers.
-	port *sim.Server
+	port sim.Server
 
 	// EISA bus: shared by the DU engine's source reads and the incoming
 	// DMA engine's writes.
-	eisa *sim.Server
+	eisa sim.Server
 
 	// Deliberate Update Engine. duJob is the job being transferred (nil
 	// when the engine is idle) and duIdx the chunk whose source DMA is in
@@ -213,7 +216,7 @@ type NIC struct {
 
 	// FastNotifyHook receives active-message-style notifications (set by
 	// the daemon at boot; nil falls back to the interrupt path).
-	FastNotifyHook func(tag any, src mesh.NodeID)
+	FastNotifyHook func(tag int32, src mesh.NodeID)
 
 	// Stats.
 	PacketsOut, PacketsIn int64
@@ -238,10 +241,10 @@ func New(m *kernel.Machine, net *mesh.Network, id mesh.NodeID, optEntries int) *
 		ID:       id,
 		optCap:   optEntries,
 		iptPages: m.Mem.Pages(),
-		port:     sim.NewServer(m.Eng),
-		eisa:     sim.NewServer(m.Eng),
+		port:     sim.MakeServer(m.Eng),
+		eisa:     sim.MakeServer(m.Eng),
 		idleCond: sim.NewCond(m.Eng),
-		track:    m.TraceNode + "/nic",
+		track:    m.Track("nic"),
 	}
 	n.packetizeDone = n.finishPacketize
 	n.injectDone = n.finishInject
@@ -318,6 +321,12 @@ func (n *NIC) OPTSize() int { return n.optCap }
 
 // SetIPT programs the incoming page-table entry for a local frame.
 func (n *NIC) SetIPT(f mem.PFN, e IPTEntry) { *n.ipt.W(int(f)) = e }
+
+// Release hands the incoming page table's chunks to mem's free list for
+// the next world's boards (mem.Sparse.Release). Call it once the board can
+// never receive again (cluster.Cluster.Shutdown); every entry then reads as
+// disabled. A second call is a no-op.
+func (n *NIC) Release() { n.ipt.Release() }
 
 // GetIPT reads the entry for a frame.
 func (n *NIC) GetIPT(f mem.PFN) IPTEntry {
@@ -843,7 +852,7 @@ func (n *NIC) Quiesce(p *sim.Proc) {
 
 // EISA exposes the EISA bus server (the VMMC layer charges the user-level
 // two-access initiation sequence against it).
-func (n *NIC) EISA() *sim.Server { return n.eisa }
+func (n *NIC) EISA() *sim.Server { return &n.eisa }
 
 // MakeDUChunk builds one deliberate-update chunk.
 func MakeDUChunk(srcPA mem.PA, optIdx int, dstOff uint32, n int, notify bool) DUChunk {

@@ -345,11 +345,11 @@ func TestNotificationNeedsBothFlags(t *testing.T) {
 		r := newRig(t)
 		destFrame := mem.PFN(10)
 		idx := r.bind(destFrame, OPTEntry{})
-		r.n1.SetIPT(destFrame, IPTEntry{Enable: true, Interrupt: c.receiverFlag, Tag: "exp"})
+		r.n1.SetIPT(destFrame, IPTEntry{Enable: true, Interrupt: c.receiverFlag, Tag: 7})
 		got := false
 		r.m1.RegisterIRQ(VecNotify, func(data any) {
 			n := data.(*Notify)
-			if n.Tag != "exp" {
+			if n.Tag != 7 {
 				t.Errorf("tag = %v", n.Tag)
 			}
 			got = true

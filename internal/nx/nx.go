@@ -259,7 +259,7 @@ func New(c *cluster.Cluster, p *kernel.Process, node, nnodes int, cfg Config) *N
 		recvs:     make(map[ID]*postedRecv),
 		sends:     make(map[ID]*zcSend),
 		tc:        p.M.Trace,
-		track:     p.M.TraceNode + "/nx",
+		track:     p.M.Track("nx"),
 	}
 	nx.arrived[0] = sim.NewCond(p.M.Eng)
 	nx.scratch = p.Alloc(64, hw.WordSize)

@@ -245,7 +245,7 @@ func TestInterruptWhileBlocked(t *testing.T) {
 
 func TestServerFIFO(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e)
+	s := MakeServer(e)
 	st1, en1 := s.Reserve(us(10))
 	st2, en2 := s.Reserve(us(5))
 	if st1 != 0 || en1 != Time(10000) {
@@ -261,7 +261,7 @@ func TestServerFIFO(t *testing.T) {
 
 func TestServerIdleGap(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e)
+	s := MakeServer(e)
 	s.Reserve(us(10))
 	st, _ := s.ReserveAt(Time(50*1000), us(10))
 	if st != Time(50*1000) {
@@ -343,7 +343,7 @@ func TestEventOrderProperty(t *testing.T) {
 func TestServerProperty(t *testing.T) {
 	f := func(durs []uint16) bool {
 		e := NewEngine()
-		s := NewServer(e)
+		s := MakeServer(e)
 		var lastEnd Time
 		for _, d := range durs {
 			st, en := s.Reserve(time.Duration(d) * time.Nanosecond)

@@ -45,7 +45,7 @@ func Example() {
 // back to back.
 func ExampleServer() {
 	eng := sim.NewEngine()
-	bus := sim.NewServer(eng)
+	bus := sim.MakeServer(eng)
 	s1, e1 := bus.Reserve(40 * time.Microsecond)
 	s2, e2 := bus.Reserve(10 * time.Microsecond)
 	fmt.Printf("first  [%v, %v)\n", s1, e1)

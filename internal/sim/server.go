@@ -15,8 +15,10 @@ type Server struct {
 	Busy time.Duration
 }
 
-// NewServer returns an idle server on e's clock.
-func NewServer(e *Engine) *Server { return &Server{eng: e} }
+// MakeServer returns an idle server on e's clock. It returns the server by
+// value, so a device holds its buses and ports inside its own struct
+// rather than as separate objects.
+func MakeServer(e *Engine) Server { return Server{eng: e} }
 
 // Reserve books the server for dur starting no earlier than the current
 // time, returning the interval [start, end) granted. The reservation is

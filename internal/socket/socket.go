@@ -107,7 +107,7 @@ type Lib struct {
 // protocol variant.
 func New(ep *vmmc.Endpoint, eth *ether.Network, node int, mode Mode) *Lib {
 	return &Lib{ep: ep, eth: eth, node: node, mode: mode,
-		tc: ep.Proc.M.Trace, track: ep.Proc.M.TraceNode + "/socket"}
+		tc: ep.Proc.M.Trace, track: ep.Proc.M.Track("socket")}
 }
 
 // Listener accepts connections on an (internet-domain) port.

@@ -166,7 +166,7 @@ func BindBackoff(ep *vmmc.Endpoint, eth *ether.Network, serverNode, port int, d 
 func newBinding(ep *vmmc.Endpoint, ch *vmmc.Channel) *Binding {
 	p := ep.Proc
 	return &Binding{ep: ep, out: ch.Out, shadow: ch.Shadow, in: ch.In,
-		tc: p.M.Trace, track: p.M.TraceNode + "/srpc"}
+		tc: p.M.Trace, track: p.M.Track("srpc")}
 }
 
 // Proc returns the owning process.

@@ -89,7 +89,7 @@ type Stream struct {
 func newStream(ep *vmmc.Endpoint, ch *vmmc.Channel, mode Mode) *Stream {
 	p := ep.Proc
 	s := &Stream{ep: ep, mode: mode, out: ch.Out, outShadow: ch.Shadow, in: ch.In,
-		tc: p.M.Trace, track: p.M.TraceNode + "/sunrpc"}
+		tc: p.M.Trace, track: p.M.Track("sunrpc")}
 	if mode == ModeDU {
 		s.staging = p.Alloc(ringBytes/2, hw.WordSize)
 	}

@@ -150,7 +150,7 @@ func Join(c *cluster.Cluster, p *kernel.Process, me, n int, name string, pages i
 		dataImp: make([]*vmmc.Import, n),
 		svcImp:  make([]*vmmc.Import, n),
 		tc:      p.M.Trace,
-		track:   p.M.TraceNode + "/svm",
+		track:   p.M.Track("svm"),
 	}
 	if me == mgrNode {
 		r.mgrSt = newManager(n, pages)

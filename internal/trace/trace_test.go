@@ -141,7 +141,7 @@ func scenario() *Collector {
 	c := New()
 	eng := sim.NewEngine()
 	c.Bind(eng)
-	srv := sim.NewServer(eng)
+	srv := sim.MakeServer(eng)
 	for i := 0; i < 3; i++ {
 		name := []string{"alpha", "beta", "gamma"}[i]
 		eng.Spawn(name, func(p *sim.Proc) {

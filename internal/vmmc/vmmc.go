@@ -83,7 +83,7 @@ type duSlot struct {
 
 // Attach connects a process to VMMC on its node.
 func Attach(p *kernel.Process, d *daemon.Daemon) *Endpoint {
-	return &Endpoint{Proc: p, D: d, tc: p.M.Trace, track: p.M.TraceNode + "/vmmc"}
+	return &Endpoint{Proc: p, D: d, tc: p.M.Trace, track: p.M.Track("vmmc")}
 }
 
 // Notification reports the arrival of a notifying transfer into an export.
@@ -124,9 +124,13 @@ type Export struct {
 	Pages   int
 	handler Handler
 	discard bool
-	queue   []Notification
-	avail   *sim.Cond
-	dead    bool
+	// queue holds the delivered notifications no Wait has taken yet. It
+	// fills only from the export's first Wait on: a buffer served by its
+	// handler alone (NX's doorbell, SVM's page requests) keeps none.
+	queue  []Notification
+	waited bool
+	avail  *sim.Cond
+	dead   bool
 }
 
 // Export publishes pages of the process's address space as a receive buffer.
@@ -197,7 +201,9 @@ func (e *Export) dispatch(n Notification) {
 	if e.dead {
 		return
 	}
-	e.queue = append(e.queue, n)
+	if e.waited {
+		e.queue = append(e.queue, n)
+	}
 	e.avail.Broadcast()
 	if e.handler != nil {
 		e.handler(n)
@@ -210,9 +216,12 @@ func (e *Export) SetDiscard(on bool) { e.discard = on }
 
 // Wait suspends the process until a notification for this particular buffer
 // arrives, and returns it. Notifications are temporarily unblocked so
-// queued ones can drain into per-buffer queues.
+// queued ones can drain into per-buffer queues. From the first Wait on, the
+// buffer queues every delivered notification for the next Wait; ones
+// delivered before it reached only the handler.
 func (e *Export) Wait() Notification {
 	ep := e.ep
+	e.waited = true
 	wasBlocked := ep.blocked
 	if wasBlocked {
 		ep.UnblockNotifications()
@@ -231,7 +240,8 @@ func (e *Export) Wait() Notification {
 	return n
 }
 
-// Pending returns the number of queued notifications for this buffer.
+// Pending returns the number of notifications queued for this buffer's
+// next Wait (none before its first Wait).
 func (e *Export) Pending() int { return len(e.queue) }
 
 // Unexport destroys the export after draining pending traffic.

@@ -281,6 +281,52 @@ func TestNotificationHandler(t *testing.T) {
 	}
 }
 
+// A buffer served by its handler alone queues nothing for Wait, however
+// many notifications its handler takes; from its first Wait on, it queues
+// each one for the next Wait.
+func TestHandlerOnlyExportQueuesNothing(t *testing.T) {
+	const sends = 6
+	handled := 0
+	pair(t,
+		func(ep *Endpoint) {
+			va := ep.Proc.MapPages(1, 0)
+			exp, err := ep.Export(va, 1, ExportOpts{Name: "rx", Handler: func(Notification) { handled++ }})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for handled < sends/2 {
+				ep.Proc.P.Sleep(10 * time.Microsecond)
+			}
+			if exp.Pending() != 0 || cap(exp.queue) != 0 {
+				t.Errorf("after %d handled notifications: %d queued (capacity %d), want none", handled, exp.Pending(), cap(exp.queue))
+			}
+			for k := sends / 2; k < sends; k++ {
+				exp.Wait()
+			}
+			if exp.Pending() != 0 {
+				t.Errorf("%d notifications left queued after a Wait for each", exp.Pending())
+			}
+		},
+		func(ep *Endpoint) {
+			imp, err := ep.Import(1, "rx")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			src := ep.Proc.Alloc(4, 4)
+			for k := 0; k < sends; k++ {
+				if err := ep.SendNotify(imp, 0, src, 4); err != nil {
+					t.Error(err)
+				}
+				ep.Proc.P.Sleep(200 * time.Microsecond)
+			}
+		})
+	if handled != sends {
+		t.Fatalf("handler ran %d times, want %d", handled, sends)
+	}
+}
+
 // Notifications that arrive while blocked queue on the endpoint, run no
 // handler, and are delivered in arrival order on unblock.
 func TestNotificationQueuedWhileBlocked(t *testing.T) {
