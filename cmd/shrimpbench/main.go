@@ -19,7 +19,7 @@
 //
 // Usage:
 //
-//	shrimpbench [-fig MODE] [-iters N] [-csv dir] [-faultseed N]
+//	shrimpbench [-fig MODE] [-iters N] [-faultseed N]
 //	            [-cpuprofile FILE]
 //	shrimpbench -fig SCENARIO [-trace out.json] [-stats]
 //
@@ -32,7 +32,7 @@
 // reporting corner-to-corner latency/bandwidth, collective times, and
 // link-contention quantiles. Every cell runs twice and its replay digests
 // must be byte-identical; at 256+ nodes combining must beat the software
-// collectives. -fig meshsmoke is the tiny `make check` variant.
+// collectives. -fig meshsmoke is the tiny tier-1 variant.
 //
 // -fig svm runs the shared-virtual-memory comparison: the same 1-D Jacobi
 // stencil over NX message passing and over internal/svm release-consistent
@@ -75,8 +75,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"runtime/pprof"
 	"strings"
 
@@ -84,12 +84,11 @@ import (
 	"shrimp/internal/trace"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // options carries the flags the modes read.
 type options struct {
 	iters     int
-	csvDir    string
 	faultSeed int64
 }
 
@@ -97,10 +96,10 @@ type options struct {
 // was generated.
 const defaultIters = 8
 
-// mode is one -fig value.
+// mode is one -fig value. It prints its tables to w.
 type mode struct {
 	name string
-	run  func(o options) error
+	run  func(w io.Writer, o options) error
 }
 
 // modes is the -fig table. all runs the paper modes, which come first, in
@@ -108,7 +107,7 @@ type mode struct {
 func modes() []mode {
 	ms := []mode{{"all", runAll}, {"peak", peak}}
 	for _, id := range bench.FigureIDs() {
-		ms = append(ms, mode{id, func(o options) error { return figures(o, []string{id}) }})
+		ms = append(ms, mode{id, func(w io.Writer, o options) error { return figures(w, o, []string{id}) }})
 	}
 	return append(ms, []mode{
 		{"ttcp", ttcp}, {"rpcbase", rpcbase}, {"ablate", ablate},
@@ -117,60 +116,64 @@ func modes() []mode {
 	}...)
 }
 
-// run parses the flags, runs the selected mode, and returns the process
-// exit status, so deferred cleanup (the CPU profile) runs on every path.
-func run() int {
-	fig := flag.String("fig", "all", "which mode to run (see the package doc), or with -trace/-stats which scenario")
-	iters := flag.Int("iters", defaultIters, "ping-pong iterations per point")
-	csvDir := flag.String("csv", "", "also write figure CSV files into this directory")
-	tracePath := flag.String("trace", "", "write a Chrome trace of one -fig scenario to this file")
-	stats := flag.Bool("stats", false, "print the trace summary of one -fig scenario")
-	faultSeed := flag.Int64("faultseed", 1, "fault injector seed for -fig faults and -fig partition")
-	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of whichever mode runs to this file (read it with go tool pprof)")
-	flag.Parse()
+// run parses the command line args, runs the selected mode with its output
+// on stdout and its errors on stderr, and returns the process exit status,
+// so deferred cleanup (the CPU profile) runs on every path.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("shrimpbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "which mode to run (see the package doc), or with -trace/-stats which scenario")
+	iters := fs.Int("iters", defaultIters, "ping-pong iterations per point")
+	tracePath := fs.String("trace", "", "write a Chrome trace of one -fig scenario to this file")
+	stats := fs.Bool("stats", false, "print the trace summary of one -fig scenario")
+	faultSeed := fs.Int64("faultseed", 1, "fault injector seed for -fig faults and -fig partition")
+	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile of whichever mode runs to this file (read it with go tool pprof)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if err := checkIters(*iters); err != nil {
-		fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+		fmt.Fprintf(stderr, "shrimpbench: %v\n", err)
 		return 2
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+			fmt.Fprintf(stderr, "shrimpbench: %v\n", err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+			fmt.Fprintf(stderr, "shrimpbench: %v\n", err)
 			f.Close()
 			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+				fmt.Fprintf(stderr, "shrimpbench: %v\n", err)
 			}
 		}()
 	}
 
 	if *tracePath != "" || *stats {
-		return traceScenario(*fig, *tracePath, *stats)
+		return traceScenario(stdout, stderr, *fig, *tracePath, *stats)
 	}
 
-	o := options{iters: *iters, csvDir: *csvDir, faultSeed: *faultSeed}
+	o := options{iters: *iters, faultSeed: *faultSeed}
 	var names []string
 	for _, m := range modes() {
 		if m.name != *fig {
 			names = append(names, m.name)
 			continue
 		}
-		if err := m.run(o); err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+		if err := m.run(stdout, o); err != nil {
+			fmt.Fprintf(stderr, "shrimpbench: %v\n", err)
 			return 1
 		}
 		return 0
 	}
-	fmt.Fprintf(os.Stderr, "unknown -fig %q; want one of %s\n", *fig, strings.Join(names, ","))
+	fmt.Fprintf(stderr, "unknown -fig %q; want one of %s\n", *fig, strings.Join(names, ","))
 	return 2
 }
 
@@ -184,137 +187,127 @@ func checkIters(n int) error {
 }
 
 // traceScenario runs one scenario with the observability layer attached.
-func traceScenario(name, tracePath string, stats bool) int {
+func traceScenario(w, stderr io.Writer, name, tracePath string, stats bool) int {
 	tc := trace.New()
 	desc, err := bench.TraceFigure(name, tc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+		fmt.Fprintf(stderr, "shrimpbench: %v\n", err)
 		return 2
 	}
-	fmt.Println(desc)
+	fmt.Fprintln(w, desc)
 	if tracePath != "" {
 		if err := tc.WriteChromeTrace(tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+			fmt.Fprintf(stderr, "shrimpbench: %v\n", err)
 			return 1
 		}
-		fmt.Printf("wrote %s (%d spans, %d engine events)\n",
+		fmt.Fprintf(w, "wrote %s (%d spans, %d engine events)\n",
 			tracePath, len(tc.Spans()), tc.EngineEvents())
 	}
 	if stats {
-		fmt.Println()
-		fmt.Print(tc.Summary())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, tc.Summary())
 	}
 	return 0
 }
 
 // runAll runs the paper modes in order: the headline numbers, every
 // figure, ttcp, the RPC baseline, and the ablations.
-func runAll(o options) error {
-	all := func(o options) error { return figures(o, bench.FigureIDs()) }
-	for _, m := range []func(options) error{peak, all, ttcp, rpcbase, ablate} {
-		if err := m(o); err != nil {
+func runAll(w io.Writer, o options) error {
+	all := func(w io.Writer, o options) error { return figures(w, o, bench.FigureIDs()) }
+	for _, m := range []func(io.Writer, options) error{peak, all, ttcp, rpcbase, ablate} {
+		if err := m(w, o); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func peak(options) error {
+func peak(w io.Writer, _ options) error {
 	r := bench.RunPeak()
-	fmt.Println("PEAK — Section 3.4 headline numbers")
-	fmt.Printf("  %-44s %8s %10s\n", "metric", "paper", "measured")
-	fmt.Printf("  %-44s %8s %9.2fus\n", "AU one-word latency (write-through)", "4.75us", r.AUWordWTus)
-	fmt.Printf("  %-44s %8s %9.2fus\n", "AU one-word latency (uncached)", "3.70us", r.AUWordUncachedUS)
-	fmt.Printf("  %-44s %8s %9.2fus\n", "DU one-word latency", "7.60us", r.DUWordUS)
-	fmt.Printf("  %-44s %8s %6.1fMB/s\n", "DU-0copy bandwidth at 10KB", "~23MB/s", r.DU0copyMBs)
-	fmt.Printf("  %-44s %8s %6.1fMB/s\n", "AU-1copy bandwidth at 10KB", "<DU", r.AU1copyMBs)
-	fmt.Println()
+	fmt.Fprintln(w, "PEAK — Section 3.4 headline numbers")
+	fmt.Fprintf(w, "  %-44s %8s %10s\n", "metric", "paper", "measured")
+	fmt.Fprintf(w, "  %-44s %8s %9.2fus\n", "AU one-word latency (write-through)", "4.75us", r.AUWordWTus)
+	fmt.Fprintf(w, "  %-44s %8s %9.2fus\n", "AU one-word latency (uncached)", "3.70us", r.AUWordUncachedUS)
+	fmt.Fprintf(w, "  %-44s %8s %9.2fus\n", "DU one-word latency", "7.60us", r.DUWordUS)
+	fmt.Fprintf(w, "  %-44s %8s %6.1fMB/s\n", "DU-0copy bandwidth at 10KB", "~23MB/s", r.DU0copyMBs)
+	fmt.Fprintf(w, "  %-44s %8s %6.1fMB/s\n", "AU-1copy bandwidth at 10KB", "<DU", r.AU1copyMBs)
+	fmt.Fprintln(w)
 	return nil
 }
 
-// figures builds the given standard figures, prints their tables, and
-// writes their CSVs when -csv is set.
-func figures(o options, ids []string) error {
+// figures builds the given standard figures and prints their tables.
+// Their CSVs are golden files under results/, written by make golden.
+func figures(w io.Writer, o options, ids []string) error {
 	for _, f := range bench.RunFigures(ids, o.iters) {
 		if f.ID == "fig8" {
 			// Figure 8 is a single latency plot over its own sweep.
-			fmt.Print(f.LatencyTable(1 << 20))
+			fmt.Fprint(w, f.LatencyTable(1<<20))
 		} else {
-			fmt.Print(f.LatencyTable(64))
-			fmt.Println()
-			fmt.Print(f.BandwidthTable(64))
+			fmt.Fprint(w, f.LatencyTable(64))
+			fmt.Fprintln(w)
+			fmt.Fprint(w, f.BandwidthTable(64))
 		}
-		fmt.Println()
-		if o.csvDir != "" {
-			if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
-				return err
-			}
-			path := filepath.Join(o.csvDir, f.ID+".csv")
-			if err := os.WriteFile(path, []byte(f.CSV()), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n\n", path)
-		}
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func ttcp(options) error {
+func ttcp(w io.Writer, _ options) error {
 	r := bench.RunTTCP()
-	fmt.Println("TTCP — Section 4.3")
-	fmt.Printf("  %-40s %8s %9.2f MB/s\n", "ttcp, 7 Kbyte messages", "8.6", r.TTCP7K)
-	fmt.Printf("  %-40s %8s %9.2f MB/s\n", "one-way microbenchmark, 7 Kbyte", "9.8", r.Micro7K)
-	fmt.Printf("  %-40s %8s %9.2f MB/s\n", "ttcp, 70 byte messages", "1.3", r.TTCP70)
-	fmt.Printf("  %-40s %8s %9.2f MB/s\n", "(Ethernet peak, for reference)", "1.25", r.EthernetPeak)
-	fmt.Println()
+	fmt.Fprintln(w, "TTCP — Section 4.3")
+	fmt.Fprintf(w, "  %-40s %8s %9.2f MB/s\n", "ttcp, 7 Kbyte messages", "8.6", r.TTCP7K)
+	fmt.Fprintf(w, "  %-40s %8s %9.2f MB/s\n", "one-way microbenchmark, 7 Kbyte", "9.8", r.Micro7K)
+	fmt.Fprintf(w, "  %-40s %8s %9.2f MB/s\n", "ttcp, 70 byte messages", "1.3", r.TTCP70)
+	fmt.Fprintf(w, "  %-40s %8s %9.2f MB/s\n", "(Ethernet peak, for reference)", "1.25", r.EthernetPeak)
+	fmt.Fprintln(w)
 	return nil
 }
 
-func rpcbase(options) error {
+func rpcbase(w io.Writer, _ options) error {
 	r := bench.RunRPCBaseline()
-	fmt.Println("RPCBASE — null RPC: VMMC stream vs conventional network")
-	fmt.Printf("  %-40s %9.1f us\n", "VRPC over SBL (AU-1copy)", r.SBLNullUS)
-	fmt.Printf("  %-40s %9.1f us\n", "SunRPC over 10Mb/s Ethernet", r.EtherNullUS)
-	fmt.Printf("  %-40s %9.1fx\n", "speedup", r.Speedup)
-	fmt.Println()
+	fmt.Fprintln(w, "RPCBASE — null RPC: VMMC stream vs conventional network")
+	fmt.Fprintf(w, "  %-40s %9.1f us\n", "VRPC over SBL (AU-1copy)", r.SBLNullUS)
+	fmt.Fprintf(w, "  %-40s %9.1f us\n", "SunRPC over 10Mb/s Ethernet", r.EtherNullUS)
+	fmt.Fprintf(w, "  %-40s %9.1fx\n", "speedup", r.Speedup)
+	fmt.Fprintln(w)
 	return nil
 }
 
-func ablate(options) error {
-	fmt.Println("ABLATE — design-decision ablations (paper Section 6)")
+func ablate(w io.Writer, _ options) error {
+	fmt.Fprintln(w, "ABLATE — design-decision ablations (paper Section 6)")
 	for _, row := range bench.RunAblations() {
 		note := ""
 		if row.Note != "" {
 			note = "  (" + row.Note + ")"
 		}
-		fmt.Printf("  %-44s %9.2f %s%s\n", row.Name, row.Value, row.Unit, note)
+		fmt.Fprintf(w, "  %-44s %9.2f %s%s\n", row.Name, row.Value, row.Unit, note)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
-func faults(o options) error {
+func faults(w io.Writer, o options) error {
 	results := bench.RunChaos(o.faultSeed)
-	fmt.Print(bench.ChaosTable(results))
-	fmt.Println()
+	fmt.Fprint(w, bench.ChaosTable(results))
+	fmt.Fprintln(w)
 	points := bench.DegradedFig5(1024, 32, o.faultSeed, []float64{0, 0.001, 0.01})
-	fmt.Print(bench.DegradedTable(points, 1024))
+	fmt.Fprint(w, bench.DegradedTable(points, 1024))
 	if !bench.ChaosOK(results) {
 		return errors.New("chaos soak FAILED")
 	}
 	return nil
 }
 
-func partition(o options) error {
+func partition(w io.Writer, o options) error {
 	rows, err := bench.RunAppPartition(o.faultSeed)
-	fmt.Print(bench.AppPartitionTable(rows))
+	fmt.Fprint(w, bench.AppPartitionTable(rows))
 	return err
 }
 
-func svmCompare(options) error {
+func svmCompare(w io.Writer, _ options) error {
 	const cells, sweeps = 256, 40
 	rows := bench.JacobiCompare(cells, sweeps, []int{2, 4, 8})
-	fmt.Print(bench.JacobiTable(rows, cells, sweeps))
+	fmt.Fprint(w, bench.JacobiTable(rows, cells, sweeps))
 	for _, r := range rows {
 		if !r.Match {
 			return errors.New("SVM and NX results diverged")
@@ -323,31 +316,31 @@ func svmCompare(options) error {
 	return nil
 }
 
-func appServe(options) error {
+func appServe(w io.Writer, _ options) error {
 	rows, err := bench.AppRamp([]float64{5e5, 1e6, 2e6, 4e6, 8e6})
 	if err != nil {
 		return err
 	}
-	fmt.Print(bench.AppRampTable(rows))
-	fmt.Println()
+	fmt.Fprint(w, bench.AppRampTable(rows))
+	fmt.Fprintln(w)
 	res, err := bench.RunAppServe(bench.AcceptanceAppOpts())
 	if err != nil {
 		return err
 	}
-	fmt.Print(bench.AppServeTable(res))
+	fmt.Fprint(w, bench.AppServeTable(res))
 	return nil
 }
 
-func meshScale(options) error {
+func meshScale(w io.Writer, _ options) error {
 	rows := bench.RunMeshScale(bench.DefaultMeshScaleGeometries())
-	fmt.Print(bench.MeshScaleTable(rows))
+	fmt.Fprint(w, bench.MeshScaleTable(rows))
 	return bench.MeshScaleOK(rows)
 }
 
-func meshSmoke(options) error {
+func meshSmoke(w io.Writer, _ options) error {
 	if err := bench.RunMeshScaleSmoke(); err != nil {
 		return err
 	}
-	fmt.Println("meshscale smoke: ok")
+	fmt.Fprintln(w, "meshscale smoke: ok")
 	return nil
 }

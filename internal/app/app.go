@@ -396,16 +396,3 @@ func (a *App) Lookup(key uint64) ([]byte, bool) {
 	}
 	return a.nodes[in.Primary].shards[s].store.Get(key)
 }
-
-// ShardStores returns, for every shard, the primary's entry count —
-// host-side inspection for tests and reports.
-func (a *App) ShardStores() []int {
-	out := make([]int, len(a.Map.Shards))
-	for s := range out {
-		in := a.Map.Shards[s]
-		if in.Primary >= 0 && !a.down[in.Primary] && a.nodes[in.Primary] != nil {
-			out[s] = a.nodes[in.Primary].shards[s].store.Len()
-		}
-	}
-	return out
-}

@@ -162,7 +162,7 @@ func TestHugeCountBatchRejected(t *testing.T) {
 			t.Error("seed put refused")
 			return
 		}
-		before := a.ShardStores()
+		before := StoreLens(a)
 		// A bare count, then a count in front of a well-formed put of a
 		// key not yet stored.
 		put := batchImage(a, OpPut, keys[1:])
@@ -172,7 +172,7 @@ func TestHugeCountBatchRejected(t *testing.T) {
 				t.Errorf("%d-byte huge-count batch got a %d-byte reply, want none", len(img), rlen)
 			}
 		}
-		if after := a.ShardStores(); !slices.Equal(before, after) {
+		if after := StoreLens(a); !slices.Equal(before, after) {
 			t.Errorf("store changed: %v -> %v", before, after)
 		}
 		if _, ok := a.Lookup(keys[1]); ok {

@@ -69,7 +69,7 @@ func TestServeSmoke(t *testing.T) {
 			if a.Rec.ReplOps == 0 {
 				t.Fatal("no writes were replicated")
 			}
-			stores := a.ShardStores()
+			stores := app.StoreLens(a)
 			total := 0
 			for _, n := range stores {
 				total += n

@@ -2,7 +2,7 @@
 // fault plans, asserting that the run terminates (no parked procs left
 // behind), that acknowledged data arrived byte-intact, and that the
 // determinism digest is stable per (seed, plan) — fault injection must not
-// break replay. Surfaced via `shrimpbench -fig faults` and `make chaos`.
+// break replay. Surfaced via `shrimpbench -fig faults`, a golden row.
 package bench
 
 import (
@@ -44,7 +44,7 @@ type ChaosResult struct {
 	Seed     int64
 	Digest   uint64 // event-stream digest of the first run
 	Stable   bool   // second run with same seed+plan produced same digest
-	Injected int64  // faults delivered, summed over every cluster the cell built
+	Injected int64  // faults delivered (link, NIC and crash), summed over every cluster the cell built
 	Blocked  []string
 	Detail   string // failure description, "" on success
 }
@@ -62,13 +62,13 @@ type chaosCell struct {
 }
 
 // chaosCells is the soak matrix: every scenario-table row without a fault
-// plan of its own under every standard plan, then each remaining row
-// under its own plan.
+// plan of its own under every standard plan it takes (linkPlan), then each
+// remaining row under its own plan.
 func chaosCells() []chaosCell {
 	var cells []chaosCell
-	for _, plan := range StandardChaosPlans() {
+	for _, std := range StandardChaosPlans() {
 		for _, s := range scenarios() {
-			if s.plan == nil {
+			if plan, ok := linkPlan(s.name, std); s.plan == nil && ok {
 				cells = append(cells, chaosCell{s, plan})
 			}
 		}
@@ -79,6 +79,26 @@ func chaosCells() []chaosCell {
 		}
 	}
 	return cells
+}
+
+// linkPlan returns the plan row runs under in place of the standard plan
+// p, and false when it skips p. Only link-fault plans are replaced. A row
+// whose few mesh packets draw no link fault at the standard rates at seed
+// 1 skips the drop plans and runs lossy-link at ten times its rates. comb
+// skips every link plan: its combining packets bypass the injector and the
+// sublayer, so no rate lands a fault, and its empty-plan cell is the run a
+// link plan gives it.
+func linkPlan(row string, p fault.Plan) (fault.Plan, bool) {
+	switch {
+	case p.Link == (fault.LinkFaults{}):
+		return p, true
+	case row == "comb":
+		return p, false
+	case row == "fig3" || row == "fig8" || row == "nx-chunked" || row == "notify":
+		return fault.Plan{Name: "lossy-link-x10", Link: fault.LinkFaults{
+			DropProb: 0.02, CorruptProb: 0.02, DelayProb: 0.05, ReorderProb: 0.02}}, p.Name == "lossy-link"
+	}
+	return p, true
 }
 
 // RunChaos runs the full soak matrix with the given injector seed, one
@@ -93,20 +113,26 @@ func RunChaos(seed int64) []ChaosResult {
 
 // result replays the cell under its plan and collects the verdict. The
 // fault count and the parked-proc check cover every cluster the first run
-// built.
+// built. A cell whose plan faults links fails if its run injected no link
+// fault: it would only repeat a run the sublayer already passes unfaulted.
 func (c chaosCell) result(seed int64) ChaosResult {
 	res := ChaosResult{Scenario: c.name, Plan: c.plan.Name, Seed: seed}
+	var link int64 // the first run's link faults
 	v := replay(underPlan(c.plan, seed), func(r *run, i int) error {
 		_, err := c.run(r)
 		if i == 0 {
-			res.Injected = r.injected()
+			link, res.Injected = r.injected()
 			res.Blocked = r.stalled()
 		}
 		return err
 	})
 	res.Digest, res.Stable, res.Detail = v.digest, v.stable, v.detail
-	if res.Detail == "" && len(res.Blocked) > 0 {
+	switch {
+	case res.Detail != "":
+	case len(res.Blocked) > 0:
 		res.Detail = "blocked procs: " + strings.Join(res.Blocked, ", ")
+	case c.plan.Link != (fault.LinkFaults{}) && link == 0:
+		res.Detail = "the plan injected no link fault"
 	}
 	return res
 }

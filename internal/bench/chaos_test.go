@@ -2,6 +2,7 @@ package bench
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,30 +11,41 @@ import (
 	"shrimp/internal/sim"
 )
 
-// A fast subset of the chaos soak for tier-1 CI: one lossy cell with the
-// sublayer on, the NIC-storm cell raw, and the crash-recovery acceptance
-// scenario. `make chaos` runs the full matrix.
+// Chaos cells the soak matrix does not hold, each checked on its own: a
+// denser lossy plan with the sublayer on, a NIC storm inside the data
+// phase, and the crash-recovery acceptance scenario. The full matrix is
+// `-fig faults`, a golden row.
 
 func TestChaosIntegrityLossy(t *testing.T) {
 	plan := fault.Plan{Name: "lossy", Link: fault.LinkFaults{
 		DropProb: 0.005, CorruptProb: 0.005, ReorderProb: 0.005,
 	}}
-	res := chaosCell{scenarioRow(t, "integrity"), plan}.result(1)
-	if !res.OK() {
+	// result fails a link-fault cell that injected no link fault.
+	if res := (chaosCell{scenarioRow(t, "integrity"), plan}).result(1); !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
-	}
-	if res.Injected == 0 {
-		t.Fatal("plan injected nothing")
 	}
 }
 
+// TestChaosNICStorm freezes the receiver's NIC three times inside the
+// integrity stream, whose mesh packets run from 2,175 us to about 5,250 us
+// of virtual time. The stream must still arrive intact, and the storm must
+// have changed the run: a storm outside the data phase leaves the output
+// hash (description and Chrome trace) of the unfaulted row.
 func TestChaosNICStorm(t *testing.T) {
+	integrity := scenarioRow(t, "integrity")
 	plan := fault.Plan{Name: "storm", NIC: []fault.NICFault{
-		{Node: 1, Kind: fault.FreezeStorm, At: 200 * time.Microsecond, Count: 3, Gap: 15 * time.Microsecond},
+		{Node: 1, Kind: fault.FreezeStorm, At: 2500 * time.Microsecond, Count: 3, Gap: 15 * time.Microsecond},
 	}}
-	res := chaosCell{scenarioRow(t, "integrity"), plan}.result(1)
-	if !res.OK() {
-		t.Fatalf("cell failed: %+v", res)
+	if res := (chaosCell{integrity, plan}).result(1); !res.OK() || res.Injected == 0 {
+		t.Fatalf("cell failed or injected nothing: %+v", res)
+	}
+	stormed, err1 := manifestLine(namedCell{"storm", chaosCell{integrity, plan}})
+	quiet, err2 := manifestLine(namedCell{"quiet", chaosCell{integrity, fault.Plan{Name: "none"}}})
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if strings.Fields(stormed)[4] == strings.Fields(quiet)[4] {
+		t.Fatal("the storm left the stream's output hash unchanged")
 	}
 }
 

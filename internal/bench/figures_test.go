@@ -1,36 +1,9 @@
 package bench
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// TestCommittedFigureCSVs: the committed results/fig*.csv files are exactly
-// what `shrimpbench -csv DIR` writes at its default 8 iterations, in
-// FigureIDs order. A change that moves any simulated figure fails here
-// until the CSVs are regenerated alongside it.
-func TestCommittedFigureCSVs(t *testing.T) {
-	ids := FigureIDs()
-	figs := RunFigures(ids, 8)
-	if len(figs) != 5 || len(ids) != 5 {
-		t.Fatalf("RunFigures built %d figures for ids %v, want fig3/4/5/7/8", len(figs), ids)
-	}
-	for i, f := range figs {
-		if f.ID != ids[i] {
-			t.Errorf("figure %d is %s, want %s: RunFigures must follow FigureIDs order", i, f.ID, ids[i])
-		}
-		path := filepath.Join("..", "..", "results", f.ID+".csv")
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := f.CSV(); got != string(want) {
-			t.Errorf("%s differs from the simulated figure; regenerate it with `go run ./cmd/shrimpbench -csv results`\ngot:\n%s", path, got)
-		}
-	}
-}
 
 // TestFullFigureGeneration exercises the complete figure builders (the code
 // paths cmd/shrimpbench runs), checking structural invariants of the

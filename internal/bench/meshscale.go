@@ -267,8 +267,8 @@ func MeshScaleOK(rows []MeshScaleRow) error {
 	return nil
 }
 
-// RunMeshScaleSmoke is the `make meshscale-smoke` body: tiny geometries,
-// combining off and on, digest-stable — fast enough for every `make check`.
+// RunMeshScaleSmoke is the `-fig meshsmoke` body: tiny geometries,
+// combining off and on, digest-stable — fast enough for a tier-1 golden row.
 func RunMeshScaleSmoke() error {
 	rows := RunMeshScale([][]int{{2, 2}, {2, 2, 2}})
 	for _, r := range rows {

@@ -35,15 +35,22 @@ func (r *run) cluster(cfg cluster.Config) *cluster.Cluster {
 	return c
 }
 
-// injected sums the faults delivered across every cluster the run built.
-func (r *run) injected() int64 {
-	var n int64
+// injected sums the faults delivered across every cluster the run built:
+// the link faults the injector drew, and all faults, which adds the NICs'
+// forced protection faults and outgoing stalls and the node crashes. A
+// restarted node's counts start again on its fresh NIC.
+func (r *run) injected() (link, all int64) {
+	var other int64
 	for _, c := range r.built {
 		if c.Fault != nil {
-			n += c.Fault.Injected()
+			link += c.Fault.Injected()
+		}
+		other += c.Crashes
+		for _, n := range c.Nodes {
+			other += n.NIC.ForcedFaults + n.NIC.OutStalls
 		}
 	}
-	return n
+	return link, link + other
 }
 
 // retransmits sums the reliability sublayer's retransmissions across every

@@ -17,12 +17,11 @@ type replayCounts struct {
 // and returns its replay digest and engine counts.
 func snapEquivCell(t *testing.T, c namedCell, tc *trace.Collector) replayCounts {
 	t.Helper()
-	r := &run{trace: tc, mod: underPlan(c.plan, 1), digest: sim.NewDigestTracer()}
-	defer r.close()
-	if _, err := c.run(r); err != nil {
+	_, d, err := runCell(c.chaosCell, tc)
+	if err != nil {
 		t.Fatalf("scenario: %v", err)
 	}
-	return replayCounts{r.digest.Sum(), r.digest.Events, r.digest.Switches}
+	return replayCounts{d.Sum(), d.Events, d.Switches}
 }
 
 // TestSnapshotEquivalenceMatrix checks, cell by cell, that a replay from

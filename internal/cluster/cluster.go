@@ -85,6 +85,8 @@ type Cluster struct {
 	// Fault is the armed injector when Config.FaultPlan was set (nil
 	// otherwise); chaos harnesses read its counters.
 	Fault *fault.Injector
+	// Crashes counts the nodes CrashNode killed.
+	Crashes int64
 
 	cfg Config
 }
@@ -227,6 +229,7 @@ func (c *Cluster) CrashNode(i int) {
 		return
 	}
 	n.Dead = true
+	c.Crashes++
 	n.NIC.Crash()
 	c.Mesh.Detach(mesh.NodeID(i))
 	n.Daemon.Crash()

@@ -50,14 +50,6 @@ func perByte(mbPerSec float64) time.Duration {
 	return time.Duration(1e9 / (mbPerSec * 1e6) * float64(time.Nanosecond))
 }
 
-// BytesPerSec converts a per-byte cost back to a rate for reporting.
-func BytesPerSec(perByte time.Duration) float64 {
-	if perByte <= 0 {
-		return 0
-	}
-	return 1e9 / float64(perByte)
-}
-
 var (
 	// EISADMAPerByte is the raw DMA streaming rate on the EISA bus (both
 	// the deliberate-update engine's source reads and the incoming DMA

@@ -48,13 +48,14 @@ func TestLatencyBudget(t *testing.T) {
 }
 
 // TestRateSanity pins the bandwidth-side constants against the paper's bus
-// specifications: effective rates must stay below the hardware burst
-// maxima, and the orderings that create Figure 3's asymptotes must hold.
+// specifications: effective rates (MB/s, 1e3 over the nanoseconds per
+// byte) must stay below the hardware burst maxima, and the orderings that
+// create Figure 3's asymptotes must hold.
 func TestRateSanity(t *testing.T) {
-	eisa := BytesPerSec(EISADMAPerByte) / 1e6
-	copyR := BytesPerSec(MemCopyPerByte) / 1e6
-	au := BytesPerSec(AUStorePerByte) / 1e6
-	link := BytesPerSec(MeshLinkPerByte) / 1e6
+	eisa := 1e3 / float64(EISADMAPerByte)
+	copyR := 1e3 / float64(MemCopyPerByte)
+	au := 1e3 / float64(AUStorePerByte)
+	link := 1e3 / float64(MeshLinkPerByte)
 
 	if eisa >= 33 {
 		t.Errorf("effective EISA DMA %.1f MB/s exceeds the 33 MB/s burst maximum", eisa)
@@ -71,7 +72,7 @@ func TestRateSanity(t *testing.T) {
 	if link < 100 {
 		t.Errorf("mesh link %.0f MB/s should never be the bottleneck", link)
 	}
-	ether := BytesPerSec(EtherPerByte) / 1e6
+	ether := 1e3 / float64(EtherPerByte)
 	if ether > 1.26 || ether < 1.24 {
 		t.Errorf("Ethernet rate %.3f MB/s, want 10 Mb/s = 1.25 MB/s", ether)
 	}

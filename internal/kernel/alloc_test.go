@@ -332,8 +332,8 @@ func checkPage(t *testing.T, p *Process, md *ptModel, vpn VPN, at string) {
 	if (err == nil) != mapped || (mapped && pa != want.Frame.Base()+44) {
 		t.Fatalf("%s vpn %d: Translate = %#x,%v, want frame %d mapped %v", at, vpn, pa, err, want.Frame, mapped)
 	}
-	if got := p.ProtOf(va); got != md.prot[vpn] {
-		t.Fatalf("%s vpn %d: ProtOf = %v, want %v", at, vpn, got, md.prot[vpn])
+	if got := protOf(p, va); got != md.prot[vpn] {
+		t.Fatalf("%s vpn %d: prot = %v, want %v", at, vpn, got, md.prot[vpn])
 	}
 	if got := p.IsAUPage(vpn); got != md.au[vpn] {
 		t.Fatalf("%s vpn %d: IsAUPage = %v, want %v", at, vpn, got, md.au[vpn])

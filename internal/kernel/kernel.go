@@ -216,11 +216,6 @@ func (m *Machine) FreeFrame(f mem.PFN) {
 	m.freedFrames = append(m.freedFrames, f)
 }
 
-// FreeFrames reports how many physical frames remain allocatable.
-func (m *Machine) FreeFrames() int {
-	return len(m.freedFrames) + m.Mem.Pages() - int(m.nextFrame)
-}
-
 // RegisterIRQ installs a handler for an interrupt vector (the NIC raises
 // these). The handler runs in event context after InterruptCost.
 func (m *Machine) RegisterIRQ(vector int, fn func(data any)) { m.irq[vector] = fn }
@@ -347,9 +342,6 @@ func (m *Machine) Release() {
 	}
 	m.Mem.Release()
 }
-
-// Dead reports whether the machine has crashed.
-func (m *Machine) Dead() bool { return m.dead }
 
 // --- Address space management ---
 
@@ -497,14 +489,6 @@ func (p *Process) Mprotect(base VA, n int, pr Prot) {
 		e.prot = pr
 	}
 	p.Compute(hw.MprotectCost)
-}
-
-// ProtOf returns the protection of va's page.
-func (p *Process) ProtOf(va VA) Prot {
-	if e := p.pages.Get(int(PageOf(va))); e != nil {
-		return e.prot
-	}
-	return ProtRW
 }
 
 // OnPageFault installs the process's protection-fault handler. The handler

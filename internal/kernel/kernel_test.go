@@ -48,12 +48,13 @@ func TestMapTranslate(t *testing.T) {
 
 func TestUnmapFreesFrames(t *testing.T) {
 	e, m := newM(t)
+	free := func() int { return len(m.freedFrames) + m.Mem.Pages() - int(m.nextFrame) }
 	m.Spawn("p", func(p *Process) {
-		before := p.M.FreeFrames()
+		before := free()
 		va := p.MapPages(4, 0)
 		p.UnmapPages(va, 4)
-		if p.M.FreeFrames() != before {
-			t.Errorf("frames leaked: %d -> %d", before, p.M.FreeFrames())
+		if free() != before {
+			t.Errorf("frames leaked: %d -> %d", before, free())
 		}
 		if _, err := p.Translate(va); err == nil {
 			t.Error("unmapped page still translates")

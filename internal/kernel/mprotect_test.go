@@ -12,6 +12,15 @@ import (
 // handler runs, the access retries), nested faults from inside a handler,
 // and re-faulting after protection is restored.
 
+// protOf is the protection of va's page as its page-table entry holds it;
+// a page without an entry is ProtRW.
+func protOf(p *Process, va VA) Prot {
+	if e := p.pages.Get(int(PageOf(va))); e != nil {
+		return e.prot
+	}
+	return ProtRW
+}
+
 func TestMprotectWriteFault(t *testing.T) {
 	e, m := newM(t)
 	m.Spawn("p", func(p *Process) {
@@ -171,8 +180,8 @@ func TestProtectionRestoredAfterRetry(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			p.Mprotect(va, 1, ProtRead)
 			p.WriteWord(va, uint32(round))
-			if p.ProtOf(va) != ProtRW {
-				t.Errorf("round %d: prot = %v", round, p.ProtOf(va))
+			if protOf(p, va) != ProtRW {
+				t.Errorf("round %d: prot = %v", round, protOf(p, va))
 			}
 		}
 		if faults != 3 {
@@ -217,8 +226,8 @@ func TestMprotectDefaultRW(t *testing.T) {
 	e, m := newM(t)
 	m.Spawn("p", func(p *Process) {
 		va := p.MapPages(2, 0)
-		if p.ProtOf(va) != ProtRW {
-			t.Errorf("default prot = %v", p.ProtOf(va))
+		if protOf(p, va) != ProtRW {
+			t.Errorf("default prot = %v", protOf(p, va))
 		}
 		p.Mprotect(va, 2, ProtNone)
 		p.Mprotect(va, 2, ProtRW)

@@ -165,7 +165,7 @@ func TestCrashSilencesNIC(t *testing.T) {
 	r := newRig(t)
 	idx := r.bind(10, OPTEntry{})
 	r.n1.Crash()
-	if !r.n1.Dead() {
+	if !r.n1.dead {
 		t.Fatal("not dead after Crash")
 	}
 	r.n1.ForceFault(0)

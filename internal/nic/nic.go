@@ -221,11 +221,12 @@ type NIC struct {
 	// Stats.
 	PacketsOut, PacketsIn int64
 	Faults                int64
-	// ForcedFaults counts injected (spurious) protection faults; OutQPeak
-	// is the outgoing FIFO's high-water mark — overflow pressure under an
-	// injected stall shows up here.
-	ForcedFaults int64
-	OutQPeak     int
+	// ForcedFaults counts injected (spurious) protection faults and
+	// OutStalls injected outgoing stalls; OutQPeak is the outgoing FIFO's
+	// high-water mark — overflow pressure under an injected stall shows up
+	// here.
+	ForcedFaults, OutStalls int64
+	OutQPeak                int
 
 	// track is this NIC's observability track name ("node3/nic"),
 	// precomputed so instrumentation never formats strings on the datapath.
@@ -773,6 +774,7 @@ func (n *NIC) StallOutgoing(d time.Duration) {
 		return
 	}
 	n.outStalled = true
+	n.OutStalls++
 	n.M.Eng.Post(d, func() {
 		n.outStalled = false
 		if n.dead {
@@ -808,9 +810,6 @@ func (n *NIC) Crash() {
 	n.duJob = nil
 	n.idleCond.Broadcast()
 }
-
-// Dead reports whether the board has crashed.
-func (n *NIC) Dead() bool { return n.dead }
 
 // --- Quiescing (unexport/unimport support) ---
 
