@@ -55,7 +55,7 @@ func goldens() []golden {
 	for _, s := range []string{"fig3", "app", "comb"} {
 		rows = append(rows, golden{file: "stats_" + s + ".txt", produce: shrimpbench("-fig", s, "-stats")})
 	}
-	dirs, _ := filepath.Glob(filepath.Join(root, "examples", "*"))
+	dirs, _ := filepath.Glob(filepath.Join(root, "examples", "*")) // fails only on a malformed pattern
 	for _, d := range dirs {
 		rows = append(rows, golden{file: "example_" + filepath.Base(d) + ".txt", ci: true, produce: example(filepath.Base(d))})
 	}

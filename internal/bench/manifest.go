@@ -80,13 +80,14 @@ func manifestLine(c namedCell) (string, error) {
 // WriteManifest runs every cell of the manifest in order and writes the
 // determinism manifest (results/manifest.txt) to w.
 func WriteManifest(w io.Writer) error {
-	io.WriteString(w, manifestHeader)
+	b := []byte(manifestHeader)
 	for _, c := range matrixCells() {
 		l, err := manifestLine(c)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, l)
+		b = append(append(b, l...), '\n')
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }
