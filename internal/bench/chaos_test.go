@@ -20,9 +20,8 @@ func TestChaosIntegrityLossy(t *testing.T) {
 	plan := fault.Plan{Name: "lossy", Link: fault.LinkFaults{
 		DropProb: 0.005, CorruptProb: 0.005, ReorderProb: 0.005,
 	}}
-	// result fails a link-fault cell that injected no link fault.
-	if res := (chaosCell{scenarioRow(t, "integrity"), plan}).result(1); !res.OK() {
-		t.Fatalf("cell failed: %+v", res)
+	if res := (chaosCell{scenarioRow(t, "integrity"), plan}).result(1); !res.OK() || res.Injected == 0 {
+		t.Fatalf("cell failed or injected nothing: %+v", res)
 	}
 }
 

@@ -3,7 +3,7 @@ package bench
 import "testing"
 
 // One chaos cell end to end: build a 4-node cluster under the drop-1% plan
-// with the reliability sublayer on, run the fig3 representative scenario
+// with the reliability sublayer on, run the fig4 representative scenario
 // twice under the replay digest, tear it all down. This is the unit the
 // soak matrix repeats for every row and plan.
 func BenchmarkChaosCell(b *testing.B) {
@@ -11,9 +11,9 @@ func BenchmarkChaosCell(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := chaosCell{scenarioRow(b, "fig3"), plan}.result(1)
-		if !res.OK() {
-			b.Fatalf("chaos cell failed: %+v", res)
+		res := chaosCell{scenarioRow(b, "fig4"), plan}.result(1)
+		if !res.OK() || res.Injected == 0 {
+			b.Fatalf("chaos cell failed or injected nothing: %+v", res)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 
@@ -50,11 +51,17 @@ func matrixCells() []namedCell {
 
 // runCell runs c once at injector seed 1 with a replay digest attached,
 // traced into tc (nil runs it untraced), and returns its description and
-// digest.
+// digest. A cell whose plan faults links fails if its run drew no link
+// fault: it would only repeat the sublayer's unfaulted run. The check holds
+// at seed 1, the seed the matrix's rates are set for; at another seed the
+// soak may draw none in a short cell and still pass.
 func runCell(c chaosCell, tc *trace.Collector) (string, *sim.DigestTracer, error) {
 	r := &run{trace: tc, mod: underPlan(c.plan, 1), digest: sim.NewDigestTracer()}
 	defer r.close()
 	desc, err := c.run(r)
+	if link, _ := r.injected(); err == nil && c.plan.Link != (fault.LinkFaults{}) && link == 0 {
+		err = errors.New("the plan injected no link fault")
+	}
 	return desc, r.digest, err
 }
 

@@ -21,8 +21,10 @@ import (
 type scenario struct {
 	name string
 	// plan is the fault plan the row needs of its own; rows without one
-	// run under every standard chaos plan.
+	// run under the standard chaos plans, the link-fault ones as links says.
 	plan *fault.Plan
+	// links is how the row takes the standard link-fault plans.
+	links linkUse
 	// sweep builds the row's full paper figure, for rows that have one.
 	sweep func(iters int) *Figure
 	// run executes the scenario inside r and describes what it ran.
@@ -39,7 +41,7 @@ type scenario struct {
 func scenarios() []scenario {
 	const iters = 4
 	rows := []scenario{
-		{name: "fig3", sweep: Fig3, run: func(r *run) (string, error) {
+		{name: "fig3", sweep: Fig3, links: linksDense, run: func(r *run) (string, error) {
 			lat, bw := vmmcPingPong(r, DU0copy, 4096, iters)
 			return fmt.Sprintf("fig3: VMMC %s, 4096 B x%d round trips: %.2f us one-way, %.1f MB/s",
 				DU0copy, iters, lat, bw), nil
@@ -59,7 +61,7 @@ func scenarios() []scenario {
 			return fmt.Sprintf("fig7: sockets %s, 4096 B x%d round trips: %.2f us one-way, %.1f MB/s",
 				socket.ModeDU1, iters, lat, bw), nil
 		}},
-		{name: "fig8", sweep: Fig8, run: func(r *run) (string, error) {
+		{name: "fig8", sweep: Fig8, links: linksDense, run: func(r *run) (string, error) {
 			rt := srpcNull(r, 256, iters)
 			return fmt.Sprintf("fig8: SRPC null, 256 B INOUT x%d calls: %.2f us roundtrip",
 				iters, rt), nil
@@ -94,7 +96,7 @@ func scenarios() []scenario {
 			chaosIntegrity)},
 		// In-network combining: the NX collectives on the router
 		// reduction tree, every sum checked exactly.
-		{name: "comb", run: func(r *run) (string, error) {
+		{name: "comb", links: linksNone, run: func(r *run) (string, error) {
 			var desc []string
 			for _, dims := range [][]int{{2, 2, 2}, {4, 4}} {
 				gsync, gdsum, err := combCollectives(r, dims, iters)
@@ -110,7 +112,7 @@ func scenarios() []scenario {
 		// The NX paths Figure 4's ping-pong leaves out: continuation
 		// chunks, probes and self sends; asynchronous large transfers
 		// beyond the zero-copy ring.
-		{name: "nx-chunked", run: func(r *run) (string, error) {
+		{name: "nx-chunked", links: linksDense, run: func(r *run) (string, error) {
 			const size = 9216
 			rt, err := nxChunked(r, size)
 			return fmt.Sprintf("nx-chunked: NX DU-2copy, %d B each way with probes and self sends, every byte and info field checked: %.2f us round trip",
@@ -130,7 +132,7 @@ func scenarios() []scenario {
 		}},
 		// VMMC notifications: queued while blocked, drained in order,
 		// discarded per buffer, and the fast path.
-		{name: "notify", run: func(r *run) (string, error) {
+		{name: "notify", links: linksDense, run: func(r *run) (string, error) {
 			sig, fast, err := vmmcNotify(r)
 			return fmt.Sprintf("notify: VMMC notifications, %d signal-path (5 queued while blocked, 1 discarded) and %d fast, every source checked in order, then unimported and unexported: signal %.2f us, fast %.2f us",
 				len(notifySeq), notifyFast, sig, fast), err
